@@ -79,14 +79,14 @@ func BenchmarkE3BoundedDW(b *testing.B) {
 		g := gen.FkData(k, n, false, false)
 		b.Run(fmt.Sprintf("naive/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !core.EvalNaive(f, g, mu) {
+				if !core.Eval(core.AlgNaive, 0, f, g, mu) {
 					b.Fatal("expected acceptance")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("pebble/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !core.EvalPebble(1, f, g, mu) {
+				if !core.Eval(core.AlgPebble, 1, f, g, mu) {
 					b.Fatal("expected acceptance")
 				}
 			}
@@ -112,12 +112,12 @@ func BenchmarkE4BranchTreewidth(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("eval-pebble/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EvalPebble(1, f, g, mu)
+				core.Eval(core.AlgPebble, 1, f, g, mu)
 			}
 		})
 		b.Run(fmt.Sprintf("eval-naive/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EvalNaive(f, g, mu)
+				core.Eval(core.AlgNaive, 0, f, g, mu)
 			}
 		})
 	}
@@ -188,12 +188,12 @@ func BenchmarkE7DataScaling(b *testing.B) {
 		g := gen.FkData(k, n, false, false)
 		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EvalNaive(f, g, mu)
+				core.Eval(core.AlgNaive, 0, f, g, mu)
 			}
 		})
 		b.Run(fmt.Sprintf("pebble/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EvalPebble(1, f, g, mu)
+				core.Eval(core.AlgPebble, 1, f, g, mu)
 			}
 		})
 	}
@@ -243,12 +243,12 @@ func BenchmarkEvalAll(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%s/batch", alg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EvalAll(alg, 1, f, g, mus)
+				core.NewEvaluator(alg, 1, f, g).EvalAll(mus)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/parallel", alg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EvalAllParallel(alg, 1, f, g, mus, 4)
+				core.NewEvaluator(alg, 1, f, g).EvalAllParallel(mus, 4)
 			}
 		})
 	}

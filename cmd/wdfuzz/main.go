@@ -2,8 +2,7 @@
 // backends on randomized instances: for each trial it draws a random
 // well-designed pattern and a random graph, evaluates with the
 // compositional semantics (both join strategies), the Lemma 1 subtree
-// enumeration, the top-down enumeration, and probes memberships with
-// the naive and pebble decision procedures. The top-down enumeration
+// enumeration and the top-down enumeration. The top-down enumeration
 // additionally runs against every storage backend — the map graph, a
 // frozen clone, sharded clones at each -shards count, and overlay
 // twins of each (a sealed base carrying half the triples, the rest
@@ -13,9 +12,13 @@
 // With -planner (the default) each trial additionally diffs the query
 // planner's search modes on every backend: the planned mode must
 // reproduce the heuristic row stream byte for byte, and the strict
-// plan-following mode must agree on the solution count. Any
-// disagreement is printed with a reproducible seed and the process
-// exits non-zero.
+// plan-following mode must agree on the solution count. With -ask (the
+// default) each trial decides wdEVAL for every solution plus perturbed
+// non-members under the three algorithms — width-aware default,
+// natural, pebble at k = dw(F) — on every backend: all must equal
+// membership in the compositional result, and the pebble algorithm at
+// k = 1 must never accept a non-member. Any disagreement is printed
+// with a reproducible seed and the process exits non-zero.
 //
 // With -filters > 0 (the default) each trial additionally draws a
 // random FILTER-decorated query — every other trial wrapped in a
@@ -28,7 +31,7 @@
 //
 // Usage:
 //
-//	wdfuzz [-trials 1000] [-seed 1] [-union] [-depth 3] [-shards 1,2,7] [-planner] [-filters 2]
+//	wdfuzz [-trials 1000] [-seed 1] [-union] [-depth 3] [-shards 1,2,7] [-planner] [-ask] [-filters 2]
 package main
 
 import (
@@ -54,6 +57,7 @@ func main() {
 	depth := flag.Int("depth", 3, "operator tree depth")
 	shards := flag.String("shards", "1,2,7", "comma-separated shard counts for the sharded backend")
 	planner := flag.Bool("planner", true, "diff planner modes (heuristic vs planned stream, strict count) per trial")
+	ask := flag.Bool("ask", true, "diff the three wdEVAL algorithms against the solution set on every backend per trial")
 	filters := flag.Int("filters", 2, "max FILTER wraps on the filtered-query dimension (0 disables it)")
 	flag.Parse()
 
@@ -71,7 +75,7 @@ func main() {
 			os.Exit(2)
 		}
 		g := randomGraph(rng)
-		if !checkTrial(trial, p, g, counts, *planner) {
+		if !checkTrial(rng, trial, p, g, counts, *planner, *ask) {
 			failures++
 			if failures >= 5 {
 				break
@@ -164,7 +168,7 @@ func collectTuned(fp *core.ForestProgram, mode hom.SearchMode) []rdf.Row {
 	return out
 }
 
-func checkTrial(trial int, p sparql.Pattern, g *rdf.Graph, shardCounts []int, planner bool) bool {
+func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, shardCounts []int, planner, ask bool) bool {
 	report := func(format string, args ...interface{}) bool {
 		fmt.Fprintf(os.Stderr, "trial %d FAILED: %s\npattern: %s\ndata:\n%s",
 			trial, fmt.Sprintf(format, args...), p, rdf.FormatGraph(g))
@@ -251,20 +255,40 @@ func checkTrial(trial int, p sparql.Pattern, g *rdf.Graph, shardCounts []int, pl
 			}
 		}
 	}
-	k := core.DominationWidth(f)
-	return checkProbes(report, ref, k, f, g)
-}
-
-func checkProbes(report func(string, ...interface{}) bool, ref *rdf.MappingSet, k int, f ptree.Forest, g *rdf.Graph) bool {
-	probes := append(ref.Slice(),
-		rdf.Mapping{"x": "a"}, rdf.Mapping{"x": "a", "y": "b"}, rdf.Mapping{})
-	for _, mu := range probes {
-		want := ref.Contains(mu)
-		if got := core.EvalNaive(f, g, mu); got != want {
-			return report("EvalNaive(%s)=%v want %v", mu, got, want)
+	if !ask {
+		return true
+	}
+	// Ask dimension: the three algorithms against the solution set, on
+	// the map graph and every backend.
+	dw := core.DominationWidth(f)
+	probes := append(ref.Slice(), rdf.Mapping{"x": "a"}, rdf.Mapping{"x": "a", "y": "b"}, rdf.Mapping{})
+	nodes := g.Dom()
+	for _, mu := range ref.Slice() {
+		// Near-members: one value swapped, one variable dropped.
+		for v := range mu {
+			swapped, dropped := mu.Clone(), mu.Clone()
+			swapped[v] = nodes[rng.Intn(len(nodes))]
+			delete(dropped, v)
+			probes = append(probes, swapped, dropped)
+			break
 		}
-		if got := core.EvalPebble(k, f, g, mu); got != want {
-			return report("EvalPebble(k=%d)(%s)=%v want %v", k, mu, got, want)
+	}
+	for _, b := range append([]struct {
+		name string
+		g    *rdf.Graph
+	}{{"map", g}}, backends...) {
+		auto := core.NewEvaluator(core.AlgAuto, 0, f, b.g)
+		naive := core.NewEvaluator(core.AlgNaive, 0, f, b.g)
+		exact := core.NewEvaluator(core.AlgPebble, dw, f, b.g)
+		sound := core.NewEvaluator(core.AlgPebble, 1, f, b.g)
+		for _, mu := range probes {
+			want := ref.Contains(mu)
+			if a, n, p := auto.Eval(mu), naive.Eval(mu), exact.Eval(mu); a != want || n != want || p != want {
+				return report("[%s] Ask(%s): auto=%v naive=%v pebble(k=dw=%d)=%v, want %v", b.name, mu, a, n, dw, p, want)
+			}
+			if sound.Eval(mu) && !want {
+				return report("[%s] pebble(k=1) accepts the non-member %s", b.name, mu)
+			}
 		}
 	}
 	return true

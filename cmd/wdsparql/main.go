@@ -12,10 +12,15 @@
 // solution stream is printed (windowed by -limit/-offset, parallelised
 // by -workers, over sharded storage with -shards N). -explain prints
 // the compiled join order as JSON instead of executing (-planner=false
-// ablates the statistics-driven ordering). The -algo flag selects between the natural algorithm
-// ("naive"), the Theorem 1 pebble algorithm ("pebble", with -k the
-// domination-width bound) and the compositional reference semantics
-// ("compositional"); "topdown" forces the enumeration-based check.
+// ablates the statistics-driven ordering); with -mu it decides first
+// and the plan's ask section shows the decision plan of dom(µ). The
+// -algo flag defaults to "auto", the engine's width-aware wdEVAL
+// (budgeted homomorphism tests falling back to the (dw+1)-pebble
+// game); "naive" and "pebble" (with -k the domination-width bound)
+// force the natural and the Theorem 1 algorithm literally,
+// "compositional" the reference semantics and "topdown" the
+// enumeration-based check. With -mu, -stats prints the decision loop's
+// counters.
 package main
 
 import (
@@ -27,7 +32,6 @@ import (
 	"strings"
 
 	"wdsparql"
-	"wdsparql/internal/core"
 	"wdsparql/internal/interrupt"
 	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
@@ -37,7 +41,7 @@ func main() {
 	query := flag.String("query", "", "graph pattern, e.g. '((?x p ?y) OPT (?y q ?z))'")
 	dataPath := flag.String("data", "", "RDF graph file (N-Triples subset); '-' for stdin")
 	muArg := flag.String("mu", "", "mapping to test, e.g. 'x=a,y=b'; empty prints all solutions")
-	algo := flag.String("algo", "naive", "naive | pebble | compositional | topdown")
+	algo := flag.String("algo", "auto", "auto | naive | pebble | compositional | topdown")
 	k := flag.Int("k", 1, "domination-width bound for -algo pebble")
 	limit := flag.Int("limit", -1, "print at most this many solutions (negative: all)")
 	offset := flag.Int("offset", 0, "skip the first n solutions")
@@ -70,8 +74,11 @@ func main() {
 		fatal(err)
 	}
 
-	alg := wdsparql.AlgNaive
-	if *algo == "pebble" {
+	alg := wdsparql.AlgAuto
+	switch *algo {
+	case "naive":
+		alg = wdsparql.AlgNaive
+	case "pebble":
 		alg = wdsparql.AlgPebble
 	}
 	engine := wdsparql.NewEngine(g,
@@ -95,6 +102,17 @@ func main() {
 	}
 
 	if *explain {
+		if *muArg != "" {
+			// Decide first, so the plan's ask section shows the decision
+			// plan of dom(µ) and what its tests did.
+			mu, err := parseMu(*muArg)
+			if err != nil {
+				fatal(err)
+			}
+			if _, err := q.Ask(ctx, mu); err != nil {
+				fatal(err)
+			}
+		}
 		out, err := json.MarshalIndent(q.Explain(), "", "  ")
 		if err != nil {
 			fatal(err)
@@ -110,7 +128,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ans, err := decide(ctx, q, g, mu, *algo, *k, *stats)
+	ans, err := decide(ctx, q, g, mu, *algo, *stats)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,7 +166,7 @@ func parseMu(s string) (rdf.Mapping, error) {
 	return mu, nil
 }
 
-func decide(ctx context.Context, q *wdsparql.PreparedQuery, g *rdf.Graph, mu rdf.Mapping, algo string, k int, stats bool) (bool, error) {
+func decide(ctx context.Context, q *wdsparql.PreparedQuery, g *rdf.Graph, mu rdf.Mapping, algo string, stats bool) (bool, error) {
 	switch algo {
 	case "compositional":
 		return sparql.Contains(q.Pattern(), g, mu), nil
@@ -158,21 +176,21 @@ func decide(ctx context.Context, q *wdsparql.PreparedQuery, g *rdf.Graph, mu rdf
 			return false, err
 		}
 		return set.Contains(mu), nil
-	case "naive", "pebble":
-		if !stats {
-			return q.Ask(ctx, mu)
+	case "auto", "naive", "pebble":
+		ans, err := q.Ask(ctx, mu)
+		if ask := q.Explain().Ask; stats && err == nil {
+			c, label := ask.Counters, ask.Algorithm
+			if ask.PebbleK > 0 {
+				label = fmt.Sprintf("pebble(k=%d)", ask.PebbleK)
+			}
+			fmt.Fprintf(os.Stderr, "%s: extension-tests=%d budget-exhaustions=%d pebble-fallbacks=%d assignments=%d",
+				label, c.ExtensionTests, c.BudgetExhaustions, c.PebbleFallbacks, c.PebbleAssignments)
+			if ask.Width > 0 {
+				fmt.Fprintf(os.Stderr, " dw=%d", ask.Width)
+			}
+			fmt.Fprintln(os.Stderr)
 		}
-		// The counter-instrumented paths live below the engine.
-		if algo == "naive" {
-			ans, st := core.EvalNaiveStats(q.Forest(), g, mu)
-			fmt.Fprintf(os.Stderr, "naive: trees=%d matched=%d extension-tests=%d\n",
-				st.TreesProbed, st.SubtreesMatched, st.ExtensionTests)
-			return ans, nil
-		}
-		ans, st := core.EvalPebbleStats(k, q.Forest(), g, mu)
-		fmt.Fprintf(os.Stderr, "pebble(k=%d): trees=%d matched=%d tests=%d assignments=%d\n",
-			k, st.TreesProbed, st.SubtreesMatched, st.ExtensionTests, st.PebbleAssignments)
-		return ans, nil
+		return ans, err
 	}
 	return false, fmt.Errorf("wdsparql: unknown algorithm %q", algo)
 }

@@ -12,7 +12,7 @@ package wdsparql
 //	q.Select(ctx)  — streaming Mappings, decoded at the boundary
 //	q.Count(ctx)   — cardinality of ⟦P⟧G without decoding
 //	q.All(ctx)     — materialising convenience (a MappingSet)
-//	q.Ask(ctx, µ)  — wdEVAL via the engine's algorithm
+//	q.Ask(ctx, µ)  — wdEVAL: width-aware by default, see WithAlgorithm
 //
 // Limit/Offset/Parallel are per-call ExecOptions riding the
 // early-terminating row iterator; cancellation of ctx stops any of the
@@ -69,14 +69,21 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithAlgorithm selects the wdEVAL decision algorithm used by Ask:
-// AlgNaive (Lemma 1 homomorphism tests, the default) or AlgPebble
-// (the Theorem 1 polynomial-time algorithm).
+// WithAlgorithm overrides the wdEVAL decision algorithm used by Ask.
+// The default, AlgAuto, is exact and width-aware: every extension test
+// runs the homomorphism search under a node budget and falls back to
+// the (dw(P)+1)-pebble game when the budget runs out. AlgNaive forces
+// the Lemma 1 algorithm literally (unbudgeted homomorphism tests,
+// exponential in the worst case); AlgPebble forces Theorem 1's
+// polynomial-time algorithm at the bound set by WithPebbleK (always
+// sound; complete only when dw(P) ≤ k).
 func WithAlgorithm(a Algorithm) Option { return func(e *Engine) { e.alg = a } }
 
-// WithPebbleK sets the domination-width bound k ≥ 1 used by AlgPebble
-// (correctness is guaranteed when dw(P) ≤ k). The default is 1; Ask
-// reports an error for a pebble engine configured with k < 1.
+// WithPebbleK sets the domination-width bound k ≥ 1 of an explicit
+// WithAlgorithm(AlgPebble): every extension test is the (k+1)-pebble
+// game, and answers are guaranteed correct when dw(P) ≤ k. The default
+// is 1; Ask reports an error for a pebble engine configured with k < 1.
+// AlgAuto ignores it — it reads dw(P) off the prepared query.
 func WithPebbleK(k int) Option { return func(e *Engine) { e.pebbleK = k } }
 
 // WithWorkers sets the default worker-pool size for enumeration; the
@@ -143,7 +150,7 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 	if g == nil {
 		g = rdf.NewGraph()
 	}
-	e := &Engine{g: g, alg: core.AlgNaive, pebbleK: 1, workers: 1, planner: true, pushdown: true}
+	e := &Engine{g: g, alg: core.AlgAuto, pebbleK: 1, workers: 1, planner: true, pushdown: true}
 	for _, o := range opts {
 		o(e)
 	}
@@ -246,6 +253,22 @@ type PreparedQuery struct {
 	eng  *Engine
 	an   *analysis
 	prog *core.ForestProgram
+
+	// The wdEVAL evaluator behind Ask, built on first use: one cached
+	// decision plan per dom(µ).
+	askOnce sync.Once
+	ask     *core.Evaluator
+}
+
+// evaluator returns the query's wdEVAL evaluator. dw(P) comes from the
+// shared analysis, so the engine, the legacy shims and DominationWidth
+// all populate one sync.Once.
+func (q *PreparedQuery) evaluator() *core.Evaluator {
+	q.askOnce.Do(func() {
+		q.ask = core.NewEvaluator(q.eng.alg, q.eng.pebbleK, q.an.forest, q.eng.g)
+		q.ask.UseWidth(q.an.dominationWidth)
+	})
+	return q.ask
 }
 
 // analysis is the graph-independent static analysis of one pattern:
@@ -552,9 +575,19 @@ func (q *PreparedQuery) All(ctx context.Context, opts ...ExecOption) (*MappingSe
 	return out, nil
 }
 
-// Ask decides wdEVAL — whether µ ∈ ⟦P⟧G — with the engine's algorithm
-// (WithAlgorithm, WithPebbleK). Cancellation is polled between the
-// trees of the forest.
+// Ask decides wdEVAL — whether µ ∈ ⟦P⟧G. The decision plan for dom(µ)
+// (witness subtree per tree, membership probes, child extension tests
+// cheapest first, each compiled once) is built on the first call and
+// cached. By default every extension test is an exact homomorphism
+// search under a node budget — the size of the pebble game it would
+// fall back to — and only a test that exhausts it is decided by the
+// (dw(P)+1)-pebble game, which Theorem 1 makes complete; dw(P) is
+// computed at that moment, once. WithAlgorithm(AlgNaive|AlgPebble)
+// force either algorithm literally; an AlgPebble test beyond what the
+// pebble kernel represents (more than 64 free variables) is an error,
+// where the default stays on the homomorphism search. Cancellation is
+// polled between trees, every 1024 nodes of a search and between
+// the sweeps of a pebble closure.
 //
 // Queries carrying a FILTER or a SELECT projection fall back to a
 // membership scan over the (filtered, projected) row stream: the
@@ -568,7 +601,11 @@ func (q *PreparedQuery) Ask(ctx context.Context, mu Mapping) (bool, error) {
 	if q.prog.Projected() || q.an.forest.HasFilters() {
 		return q.askByScan(ctx, mu)
 	}
-	return core.EvalContext(ctx, q.eng.alg, q.eng.pebbleK, q.an.forest, q.eng.g, mu)
+	ok, err := q.evaluator().Decide(ctx, mu)
+	if err != nil && ctx.Err() == nil {
+		err = fmt.Errorf("wdsparql: Ask: %w", err)
+	}
+	return ok, err
 }
 
 // askByScan decides µ ∈ ⟦Q⟧G by streaming the query's rows and

@@ -7,7 +7,11 @@ package wdsparql
 // step probes. wdsparql -explain and wdserve's /sparql?explain=1 both
 // serialise exactly this.
 
-import "wdsparql/internal/core"
+import (
+	"fmt"
+
+	"wdsparql/internal/core"
+)
 
 // PlanStep is one step of a node's planned pattern order.
 type PlanStep struct {
@@ -49,6 +53,49 @@ type QueryPlan struct {
 	Projection []string    `json:"projection,omitempty"`
 	Distinct   bool        `json:"distinct,omitempty"`
 	Trees      []*PlanNode `json:"trees"`
+	// Ask describes how PreparedQuery.Ask decides membership.
+	Ask *AskPlan `json:"ask"`
+}
+
+// AskCounters are the decision loop's counters: extension tests run,
+// homomorphism searches stopped by their budget, tests then decided by
+// the pebble game, and partial assignments pebble closures enumerated.
+type AskCounters = core.EvalStats
+
+// AskPlan is the ask section of a QueryPlan: the algorithm, what it
+// knows of dw(P), the running counters, and one entry per dom(µ) Ask
+// has compiled a decision plan for so far.
+type AskPlan struct {
+	// Algorithm is "auto", "naive" or "pebble" — or "scan" for queries
+	// carrying a FILTER or a projection, which Ask answers by a
+	// membership scan over the row stream.
+	Algorithm string `json:"algorithm"`
+	// PebbleK is WithPebbleK's bound, for the pebble algorithm only.
+	PebbleK int `json:"pebble_k,omitempty"`
+	// Width is dw(P) once the default algorithm has consulted it;
+	// WidthNote says why it has not.
+	Width     int         `json:"dw,omitempty"`
+	WidthNote string      `json:"dw_note,omitempty"`
+	Counters  AskCounters `json:"counters"`
+	Domains   []AskDomain `json:"domains,omitempty"`
+}
+
+// AskDomain is the cached decision plan of one dom(µ): per tree with a
+// witness subtree, its child-extension tests in the order they run.
+type AskDomain struct {
+	Vars  []string  `json:"vars"`
+	Tests []AskTest `json:"tests"`
+}
+
+// AskTest is one child-extension test with its share of the counters
+// (PebbleFallbacks > 0 marks a test that fell back to the pebble game).
+type AskTest struct {
+	Tree     int    `json:"tree"`
+	Child    string `json:"child"`
+	FreeVars int    `json:"free_vars"`
+	AskCounters
+	// Note says why the test has no pebble form, when it has none.
+	Note string `json:"note,omitempty"`
 }
 
 // Explain returns the compile-time query plan of the prepared query.
@@ -63,7 +110,42 @@ func (q *PreparedQuery) Explain() *QueryPlan {
 	for _, en := range q.prog.Explain() {
 		qp.Trees = append(qp.Trees, planNodeOf(en))
 	}
+	qp.Ask = q.askPlan()
 	return qp
+}
+
+func (q *PreparedQuery) askPlan() *AskPlan {
+	if q.prog.Projected() || q.an.forest.HasFilters() {
+		return &AskPlan{Algorithm: "scan"}
+	}
+	ev := q.evaluator()
+	ap := &AskPlan{Algorithm: q.eng.alg.String()}
+	switch w := ev.Width(); {
+	case q.eng.alg == AlgPebble:
+		ap.PebbleK = q.eng.pebbleK
+	case q.eng.alg != AlgAuto:
+	case w > 0:
+		ap.Width = w
+	case w < 0:
+		ap.WidthNote = fmt.Sprintf("skipped: the forest has more than %d subtrees", core.MaxWidthSubtrees)
+	default:
+		ap.WidthNote = "not consulted: no homomorphism search has exhausted its budget"
+	}
+	last := -1
+	for _, t := range ev.Tests() {
+		if t.Plan != last { // tests arrive grouped by plan
+			last = t.Plan
+			ap.Domains = append(ap.Domains, AskDomain{Vars: t.Dom})
+		}
+		at := AskTest{Tree: t.Tree, Child: t.Child.String(), FreeVars: t.FreeVars, AskCounters: t.Stats}
+		if t.NoGame != nil {
+			at.Note = t.NoGame.Error()
+		}
+		d := &ap.Domains[len(ap.Domains)-1]
+		d.Tests = append(d.Tests, at)
+		ap.Counters.Add(t.Stats)
+	}
+	return ap
 }
 
 func planNodeOf(en *core.ExplainNode) *PlanNode {

@@ -87,8 +87,8 @@ func E3BoundedDW(kMax, n int) *Table {
 		mu := gen.FkMu()
 		g := gen.FkData(k, n, false, false)
 		var ansN, ansP bool
-		dN := timed(func() { ansN = core.EvalNaive(f, g, mu) })
-		dP := timed(func() { ansP = core.EvalPebble(1, f, g, mu) })
+		dN := timed(func() { ansN = core.Eval(core.AlgNaive, 0, f, g, mu) })
+		dP := timed(func() { ansP = core.Eval(core.AlgPebble, 1, f, g, mu) })
 		t.AddRow(fmt.Sprint(k), fmt.Sprint(g.Len()), ms(dN), ms(dP),
 			fmt.Sprint(ansN == ansP), fmt.Sprint(ansN))
 	}
@@ -114,8 +114,8 @@ func E4BranchTreewidth(kMax, n int) *Table {
 		g := gen.TkPrimeData(n, k)
 		mu := rdf.Mapping{"y": "b"}
 		var ansN, ansP bool
-		dN := timed(func() { ansN = core.EvalNaive(f, g, mu) })
-		dP := timed(func() { ansP = core.EvalPebble(1, f, g, mu) })
+		dN := timed(func() { ansN = core.Eval(core.AlgNaive, 0, f, g, mu) })
+		dP := timed(func() { ansP = core.Eval(core.AlgPebble, 1, f, g, mu) })
 		t.AddRow(fmt.Sprint(k), fmt.Sprint(bw), fmt.Sprint(dw), fmt.Sprint(lw),
 			ms(dN), ms(dP), fmt.Sprint(ansN == ansP))
 	}
@@ -205,8 +205,8 @@ func E7DataScaling(k int, ns []int) *Table {
 	for _, n := range ns {
 		g := gen.FkData(k, n, false, false)
 		var ansN, ansP bool
-		dN := timed(func() { ansN = core.EvalNaive(f, g, mu) })
-		dP := timed(func() { ansP = core.EvalPebble(1, f, g, mu) })
+		dN := timed(func() { ansN = core.Eval(core.AlgNaive, 0, f, g, mu) })
+		dP := timed(func() { ansP = core.Eval(core.AlgPebble, 1, f, g, mu) })
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(g.Len()), ms(dN), ms(dP), fmt.Sprint(ansN == ansP))
 	}
 	return t
@@ -250,8 +250,8 @@ func E8BatchEval(k, n, workers int) *Table {
 				loop[i] = core.Eval(alg, 1, f, g, mu)
 			}
 		})
-		dBatch := timed(func() { batch = core.EvalAll(alg, 1, f, g, mus) })
-		dPar := timed(func() { batchPar = core.EvalAllParallel(alg, 1, f, g, mus, workers) })
+		dBatch := timed(func() { batch = core.NewEvaluator(alg, 1, f, g).EvalAll(mus) })
+		dPar := timed(func() { batchPar = core.NewEvaluator(alg, 1, f, g).EvalAllParallel(mus, workers) })
 		accepted, agree := 0, true
 		for i := range mus {
 			if batch[i] {

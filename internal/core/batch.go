@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"wdsparql/internal/hom"
 	"wdsparql/internal/pebble"
@@ -10,150 +14,327 @@ import (
 	"wdsparql/internal/rdf"
 )
 
-// This file implements batched wdPF evaluation: deciding µ ∈ ⟦F⟧G for
-// many candidate mappings against one graph. Per-mapping work in
-// EvalNaive/EvalPebble redoes structural compilation that depends only
-// on dom(µ), not on µ itself: the witness subtree per tree, its
-// pattern, its variable set, and (for the pebble algorithm) the
-// generalised t-graphs pat(Tµ) ∪ pat(n) of its children. Candidate
-// mappings in a workload overwhelmingly share a domain (they come from
-// matching the same subquery), so an Evaluator compiles those once per
-// distinct domain and reuses them for every mapping, optionally across
-// a worker pool.
+// This file is the wdEVAL decision loop: deciding µ ∈ ⟦F⟧G, for one
+// mapping or many, against one graph. Everything structural depends
+// only on dom(µ), not on µ itself — the witness subtree per tree, its
+// membership checks, the extension tests of its children and their
+// order — and candidate mappings in a workload overwhelmingly share a
+// domain (they come from matching the same subquery), so an Evaluator
+// compiles one decision plan per distinct domain and reuses it for
+// every mapping, optionally across a worker pool.
 
 // Evaluator is a forest compiled for repeated evaluation against one
-// graph. It is safe for concurrent use: the graph is only read, and
-// the per-domain plan cache is lock-protected.
+// graph. It is safe for concurrent use: the graph is only read, the
+// per-domain plan cache is lock-protected, and every call draws its
+// scratch from pools.
 type Evaluator struct {
-	alg Algorithm
-	k   int
-	f   ptree.Forest
-	g   *rdf.Graph
+	alg    Algorithm
+	k      int
+	f      ptree.Forest
+	g      *rdf.Graph
+	layout *rdf.SlotLayout // every forest variable; read-only after NewEvaluator
+	dw     func() int      // dw(F), computed at most once, on demand
+
+	widthOnce sync.Once
+	pebbles   atomic.Int32 // AlgAuto: dw(F)+1 once consulted, -1 when guarded off, 0 before
 
 	mu    sync.Mutex
-	plans map[string][]treePlan
-	// Plan-key scratch, guarded by mu: domains are canonicalised by
-	// sorting interned variable IDs into a reused buffer and packing
-	// them into reused key bytes — no per-Eval string sorting, and an
-	// allocation only when a genuinely new domain is cached.
-	keyDict  *rdf.Dict
-	keyIDs   []rdf.TermID
-	keyBytes []byte
+	plans map[string]*domainPlan
+	order []*domainPlan // creation order, for Explain
+
+	rows sync.Pool // *rdf.Row of the layout's width: µ encoded, per call
 }
 
-// treePlan is the domain-dependent (µ-independent) part of evaluating
+// domainPlan is the decision plan of one dom(µ).
+type domainPlan struct {
+	vars  []string
+	trees []treePlan
+}
+
+// treePlan is the domain-dependent (µ-independent) part of deciding
 // one tree of the forest.
 type treePlan struct {
-	ok       bool       // a subtree with vars = dom(µ) exists
-	pattern  hom.TGraph // pat(Tµ)
-	vars     []rdf.Term // vars(Tµ) = dom(µ)
-	children []childPlan
+	// match is pat(Tµ) with every slot bound by µ — the membership
+	// probes; nil when the tree has no subtree with vars = dom(µ).
+	match *hom.RowProgram
+	tests []*childTest // one per child of Tµ, cheapest first
 }
 
-type childPlan struct {
-	pattern hom.TGraph  // pat(n), for the naive extension test
-	gt      hom.GTGraph // (pat(Tµ) ∪ pat(n), vars(Tµ)), for the pebble test
+// childTest is one extension test (pat(Tµ) ∪ pat(n), vars(Tµ)) →µ G,
+// compiled both ways: the row search decides it exactly, the game
+// decides its pebble relaxation.
+type childTest struct {
+	pattern   hom.TGraph
+	free      int // variables of n outside dom(µ)
+	prog      *hom.RowProgram
+	game      *pebble.Game // nil under AlgNaive, or when gameErr says why
+	gameErr   error
+	searchers sync.Pool // *hom.RowSearcher
+
+	// The decision loop's counters, kept where the work happens; see
+	// EvalStats for their meaning.
+	runs, exhaustions, fallbacks, assignments atomic.Int64
 }
+
+// EvalStats counts the work of the decision loop, per extension test or
+// summed over an evaluator.
+type EvalStats struct {
+	// ExtensionTests counts child-extension tests run, whichever way.
+	ExtensionTests int64 `json:"extension_tests"`
+	// BudgetExhaustions counts homomorphism searches stopped by their
+	// budget; PebbleFallbacks those then decided by the pebble game (the
+	// difference re-ran under the larger budget of a width above 1).
+	BudgetExhaustions int64 `json:"budget_exhaustions"`
+	PebbleFallbacks   int64 `json:"pebble_fallbacks"`
+	// PebbleAssignments accumulates the partial assignments enumerated
+	// by pebble closures.
+	PebbleAssignments int64 `json:"pebble_assignments"`
+}
+
+// Add accumulates o into s.
+func (s *EvalStats) Add(o EvalStats) {
+	s.ExtensionTests += o.ExtensionTests
+	s.BudgetExhaustions += o.BudgetExhaustions
+	s.PebbleFallbacks += o.PebbleFallbacks
+	s.PebbleAssignments += o.PebbleAssignments
+}
+
+// MaxWidthSubtrees guards the width computation AlgAuto may trigger:
+// DominationWidth enumerates every subtree of the forest and every
+// children assignment of each, so beyond this many subtrees the
+// evaluator keeps the natural algorithm instead of paying for dw(F).
+const MaxWidthSubtrees = 256
 
 // NewEvaluator compiles the forest for repeated evaluation with the
 // given algorithm; k is the domination-width bound used by AlgPebble
-// and ignored by AlgNaive. Like EvalPebble, AlgPebble requires k ≥ 1.
+// (k ≥ 1) and ignored otherwise.
 func NewEvaluator(alg Algorithm, k int, f ptree.Forest, g *rdf.Graph) *Evaluator {
 	if alg == AlgPebble && k < 1 {
 		panic(fmt.Sprintf("core: NewEvaluator with AlgPebble requires k ≥ 1, got %d", k))
 	}
-	return &Evaluator{alg: alg, k: k, f: f, g: g, plans: map[string][]treePlan{}, keyDict: rdf.NewDict()}
+	e := &Evaluator{alg: alg, k: k, f: f, g: g, layout: rdf.NewSlotLayout(), plans: map[string]*domainPlan{}}
+	for _, v := range f.Vars() {
+		e.layout.Intern(v.Value)
+	}
+	e.dw = func() int { return DominationWidth(f) }
+	e.rows.New = func() any { r := e.layout.NewRow(); return &r }
+	return e
 }
 
-// plansFor returns (building if needed) the per-tree plans for the
-// given mapping domain.
-func (e *Evaluator) plansFor(dom []rdf.Term) []treePlan {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Canonicalise dom(µ): intern each variable in the evaluator's
-	// private dictionary, insertion-sort the IDs (domains are small)
-	// and pack them little-endian into the key buffer. The map lookup
-	// below does not allocate; the key string is materialised only on
-	// the build path.
-	ids := e.keyIDs[:0]
-	for _, v := range dom {
-		ids = append(ids, e.keyDict.InternVar(v.Value))
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// UseWidth makes the evaluator read dw(F) from dw — a cached
+// computation shared with the caller — instead of computing it itself.
+// Call before the first Decide.
+func (e *Evaluator) UseWidth(dw func() int) { e.dw = dw }
+
+// planFor encodes µ into row and returns (building if needed) the plan
+// of its domain; nil when µ binds a variable the forest lacks or a
+// value G lacks, so µ ∉ ⟦F⟧G.
+func (e *Evaluator) planFor(mu rdf.Mapping, row rdf.Row) *domainPlan {
+	e.layout.Reset(row)
+	dict := e.g.Dict()
+	for name, val := range mu {
+		slot, ok := e.layout.Slot(name)
+		if !ok {
+			return nil
+		}
+		if row[slot], ok = dict.LookupIRI(val); !ok {
+			return nil
 		}
 	}
-	kb := e.keyBytes[:0]
-	for _, id := range ids {
-		kb = rdf.AppendIDLE(kb, id)
+	// The key is the bound slots in ascending order; the map lookup does
+	// not allocate, the key string is materialised on the build path.
+	var buf [64]byte
+	key := buf[:0]
+	for slot, v := range row {
+		if v != rdf.Unbound {
+			key = rdf.AppendIDLE(key, rdf.TermID(slot))
+		}
 	}
-	e.keyIDs, e.keyBytes = ids, kb
-	if ps, ok := e.plans[string(kb)]; ok {
-		return ps
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p, ok := e.plans[string(key)]
+	if !ok {
+		p = e.buildPlan(row)
+		e.plans[string(key)] = p
+		e.order = append(e.order, p)
 	}
-	key := string(kb)
-	ps := make([]treePlan, len(e.f))
+	return p
+}
+
+func (e *Evaluator) buildPlan(row rdf.Row) *domainPlan {
+	p := &domainPlan{trees: make([]treePlan, len(e.f))}
+	var dom []rdf.Term
+	for slot, v := range row {
+		if v != rdf.Unbound {
+			p.vars = append(p.vars, e.layout.Name(slot))
+			dom = append(dom, rdf.Var(e.layout.Name(slot)))
+		}
+	}
 	for i, t := range e.f {
 		s, ok := ptree.WitnessSubtree(t, dom)
 		if !ok {
 			continue
 		}
-		plan := treePlan{ok: true, pattern: s.Pattern(), vars: s.Vars()}
+		tp := treePlan{match: hom.CompileRowProgram(s.Pattern(), e.g, e.layout)}
 		for _, n := range s.Children() {
-			cp := childPlan{pattern: n.Pattern}
-			if e.alg == AlgPebble {
-				cp.gt = hom.NewGTGraph(plan.pattern.Union(n.Pattern), plan.vars)
+			ct := &childTest{
+				pattern: n.Pattern,
+				free:    len(n.Vars()) - len(intersectVars(n.Vars(), dom)),
+				prog:    hom.CompileRowProgram(n.Pattern, e.g, e.layout),
 			}
-			plan.children = append(plan.children, cp)
+			if e.alg != AlgNaive {
+				// pat(Tµ) is ground under µ and verified by match, so the
+				// game on pat(n) alone is the game on pat(Tµ) ∪ pat(n).
+				ct.game, ct.gameErr = pebble.Compile(n.Pattern, dom, e.g, e.layout)
+			}
+			tp.tests = append(tp.tests, ct)
 		}
-		ps[i] = plan
+		// Any one extending child rejects the tree, so run the tests most
+		// likely to be cheap first: fewest free variables, then fewest
+		// triples (ties keep child order).
+		sort.SliceStable(tp.tests, func(a, b int) bool {
+			ta, tb := tp.tests[a], tp.tests[b]
+			if ta.free != tb.free {
+				return ta.free < tb.free
+			}
+			return len(ta.pattern) < len(tb.pattern)
+		})
+		p.trees[i] = tp
 	}
-	e.plans[key] = ps
-	return ps
+	return p
 }
 
-// Eval decides µ ∈ ⟦F⟧G, reusing the compiled plan for dom(µ).
-func (e *Evaluator) Eval(mu rdf.Mapping) bool {
-	plans := e.plansFor(mu.Dom())
-	for _, plan := range plans {
-		if !plan.ok {
-			continue
+// Decide reports whether µ ∈ ⟦F⟧G. The context is polled between trees,
+// inside every homomorphism search and inside every pebble closure; a
+// cancelled context yields (false, ctx.Err()). The only other error is
+// pebble.ErrTooLarge, under AlgPebble, for a test the pebble kernel
+// cannot represent (AlgAuto stays on the natural search for such a
+// test).
+func (e *Evaluator) Decide(ctx context.Context, mu rdf.Mapping) (bool, error) {
+	rp := e.rows.Get().(*rdf.Row)
+	defer e.rows.Put(rp)
+	row := *rp
+	p := e.planFor(mu, row)
+	if p == nil {
+		return false, ctx.Err()
+	}
+	for i := range p.trees {
+		tp := &p.trees[i]
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
 		// µ must be a homomorphism from pat(Tµ) to G.
-		matched := true
-		for _, tr := range plan.pattern {
-			img := mu.Apply(tr)
-			if !img.Ground() || !e.g.Contains(img) {
-				matched = false
-				break
-			}
-		}
-		if !matched {
+		if tp.match == nil || !tp.match.Holds(row) {
 			continue
 		}
 		extendable := false
-		for _, child := range plan.children {
-			if e.extends(child, plan, mu) {
+		for _, t := range tp.tests {
+			t.runs.Add(1)
+			ext, err := e.extends(ctx, t, row)
+			if err != nil {
+				return false, err
+			}
+			if ext {
 				extendable = true
 				break
 			}
 		}
 		if !extendable {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, ctx.Err()
 }
 
-func (e *Evaluator) extends(child childPlan, plan treePlan, mu rdf.Mapping) bool {
-	switch e.alg {
-	case AlgNaive:
-		return hom.ExistsExtending(child.pattern, mu, e.g)
-	case AlgPebble:
-		return pebble.Decide(e.k+1, child.gt, mu.Restrict(plan.vars), e.g)
+// extends decides one extension test with the evaluator's algorithm.
+//
+// AlgAuto runs the exact search under a node budget equal to the size
+// of the closure table the pebble game would build for this µ
+// (Game.Cells): a search node costs a handful of index probes and a
+// table cell one probe plus its share of the closure, so the search
+// gets a small constant times the work of its fallback and a test never
+// costs much more than the cheaper of the two. On a large graph the
+// table is huge and the search simply runs to its end. Mixing is
+// correct: search verdicts are exact, a lost game always means "no
+// extension", and the tests the mixture passes are a subset of those
+// the all-pebble algorithm passes, so Theorem 1's completeness for
+// dw(F) ≤ k carries over.
+func (e *Evaluator) extends(ctx context.Context, t *childTest, row rdf.Row) (bool, error) {
+	switch {
+	case e.alg == AlgPebble:
+		return t.play(ctx, e.k+1, row)
+	case e.alg == AlgNaive || t.game == nil:
+		return t.search(ctx, row, 0)
 	}
-	panic("core: unknown algorithm")
+	k := int(e.pebbles.Load())
+	if k < 0 {
+		return t.search(ctx, row, 0) // width guarded off: no fallback
+	}
+	// dw(F) is consulted only once a search exhausts; until then assume
+	// the cheapest fallback, dw = 1.
+	assumed := max(k, 2)
+	found, err := t.search(ctx, row, t.game.Cells(assumed, row))
+	if !errors.Is(err, hom.ErrBudget) {
+		return found, err
+	}
+	t.exhaustions.Add(1)
+	if k == 0 {
+		if k = int(e.resolveWidth()); k != assumed {
+			// Guarded off, or dw above the assumed 1: the search is owed
+			// its real budget before the game is worth its price.
+			return e.extends(ctx, t, row)
+		}
+	}
+	t.fallbacks.Add(1)
+	win, err := t.play(ctx, k, row)
+	if errors.Is(err, pebble.ErrTooLarge) {
+		return t.search(ctx, row, 0)
+	}
+	return win, err
+}
+
+// resolveWidth consults dw(F) once and returns the pebble count dw+1,
+// or -1 when the forest has too many subtrees to compute it.
+func (e *Evaluator) resolveWidth() int32 {
+	e.widthOnce.Do(func() {
+		if ptree.CountSubtrees(e.f, MaxWidthSubtrees) > MaxWidthSubtrees {
+			e.pebbles.Store(-1)
+			return
+		}
+		e.pebbles.Store(int32(e.dw() + 1))
+	})
+	return e.pebbles.Load()
+}
+
+// play decides the test by the k-pebble game.
+func (t *childTest) play(ctx context.Context, k int, row rdf.Row) (bool, error) {
+	if t.game == nil {
+		return false, t.gameErr
+	}
+	c, err := t.game.Decide(ctx, k, row)
+	t.assignments.Add(int64(c.Assignments))
+	return c.Win, err
+}
+
+// search decides the test by homomorphism search under a node budget
+// (≤ 0: unlimited).
+func (t *childTest) search(ctx context.Context, row rdf.Row, budget int64) (bool, error) {
+	s, _ := t.searchers.Get().(*hom.RowSearcher)
+	if s == nil {
+		s = t.prog.NewSearcher()
+	}
+	found, _, err := s.Exists(ctx, row, budget)
+	t.searchers.Put(s)
+	return found, err
+}
+
+// Eval is Decide without a context, panicking on its error.
+func (e *Evaluator) Eval(mu rdf.Mapping) bool {
+	ok, err := e.Decide(context.Background(), mu)
+	if err != nil {
+		panic(err)
+	}
+	return ok
 }
 
 // EvalAll evaluates every mapping sequentially.
@@ -165,49 +346,22 @@ func (e *Evaluator) EvalAll(mus []rdf.Mapping) []bool {
 	return out
 }
 
-// EvalAllParallel evaluates the mappings on a pool of workers
-// (workers ≤ 1 degrades to EvalAll). Results are positionally aligned
-// with mus.
+// EvalAllParallel evaluates the mappings on a pool of workers, each
+// taking every workers-th mapping (workers ≤ 1 degrades to EvalAll).
+// Results are positionally aligned with mus.
 func (e *Evaluator) EvalAllParallel(mus []rdf.Mapping, workers int) []bool {
-	if workers <= 1 || len(mus) <= 1 {
-		return e.EvalAll(mus)
-	}
-	if workers > len(mus) {
-		workers = len(mus)
-	}
-	// Warm the plan cache for every distinct domain up front so
-	// workers contend only on cache hits (plansFor dedups internally
-	// and repeated hits are allocation-free).
-	for _, mu := range mus {
-		e.plansFor(mu.Dom())
-	}
+	workers = max(1, min(workers, len(mus)))
 	out := make([]bool, len(mus))
-	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for i := w; i < len(mus); i += workers {
 				out[i] = e.Eval(mus[i])
 			}
 		}()
 	}
-	for i := range mus {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 	return out
-}
-
-// EvalAll compiles the forest and the graph once and decides
-// µ ∈ ⟦F⟧G for every µ in mus; it is the batched counterpart of Eval.
-func EvalAll(alg Algorithm, k int, f ptree.Forest, g *rdf.Graph, mus []rdf.Mapping) []bool {
-	return NewEvaluator(alg, k, f, g).EvalAll(mus)
-}
-
-// EvalAllParallel is EvalAll with a worker pool.
-func EvalAllParallel(alg Algorithm, k int, f ptree.Forest, g *rdf.Graph, mus []rdf.Mapping, workers int) []bool {
-	return NewEvaluator(alg, k, f, g).EvalAllParallel(mus, workers)
 }

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"wdsparql/internal/core"
@@ -53,14 +55,14 @@ func TestEvalAllAgreesWithEval(t *testing.T) {
 			for j, mu := range mus {
 				want[j] = core.Eval(alg, 1, in.f, in.g, mu)
 			}
-			got := core.EvalAll(alg, 1, in.f, in.g, mus)
+			got := core.NewEvaluator(alg, 1, in.f, in.g).EvalAll(mus)
 			for j := range mus {
 				if got[j] != want[j] {
 					t.Fatalf("instance %d, %s: EvalAll[%d] = %v, Eval = %v (µ=%v)",
 						i, alg, j, got[j], want[j], mus[j])
 				}
 			}
-			gotPar := core.EvalAllParallel(alg, 1, in.f, in.g, mus, 4)
+			gotPar := core.NewEvaluator(alg, 1, in.f, in.g).EvalAllParallel(mus, 4)
 			for j := range mus {
 				if gotPar[j] != want[j] {
 					t.Fatalf("instance %d, %s: EvalAllParallel[%d] = %v, Eval = %v (µ=%v)",
@@ -93,11 +95,86 @@ func TestEvalAllE3Acceptance(t *testing.T) {
 		f := gen.Fk(k)
 		g := gen.FkData(k, 12, false, false)
 		mus := []rdf.Mapping{gen.FkMu()}
-		if got := core.EvalAll(core.AlgNaive, 1, f, g, mus); !got[0] {
+		if got := core.NewEvaluator(core.AlgNaive, 1, f, g).EvalAll(mus); !got[0] {
 			t.Fatalf("k=%d: naive EvalAll rejected µ", k)
 		}
-		if got := core.EvalAll(core.AlgPebble, 1, f, g, mus); !got[0] {
+		if got := core.NewEvaluator(core.AlgPebble, 1, f, g).EvalAll(mus); !got[0] {
 			t.Fatalf("k=%d: pebble EvalAll rejected µ", k)
 		}
+	}
+}
+
+// The decision loop's counters tell the algorithms apart on an F_4
+// member: the natural algorithm refutes both of T1's children and
+// accepts there; the default exhausts the clique test's budget, consults
+// dw(F_4) = 1, loses T1 to the 2-pebble game's win and accepts at T2; the
+// nonmember is rejected on each tree's one-triple child, cheapest
+// first, without touching the clique.
+func TestEvaluatorCountersAndWidth(t *testing.T) {
+	f, mu := gen.Fk(4), gen.FkMu()
+	total := func(e *core.Evaluator) (st core.EvalStats) {
+		for _, ti := range e.Tests() {
+			st.Add(ti.Stats)
+		}
+		return st
+	}
+	member := gen.FkData(4, 24, false, false)
+	naive := core.NewEvaluator(core.AlgNaive, 0, f, member)
+	if !naive.Eval(mu) {
+		t.Fatal("naive rejects the member")
+	}
+	if st := total(naive); st != (core.EvalStats{ExtensionTests: 2}) || naive.Width() != 0 {
+		t.Fatalf("naive: %+v, width %d", st, naive.Width())
+	}
+	auto := core.NewEvaluator(core.AlgAuto, 0, f, member)
+	if auto.Width() != 0 {
+		t.Fatal("dw must not be computed before a search exhausts")
+	}
+	if !auto.Eval(mu) {
+		t.Fatal("auto rejects the member")
+	}
+	// T1 is rejected by the pebble game's win on the clique child, T2
+	// accepts: three tests, one exhaustion, one fallback.
+	if st := total(auto); st.ExtensionTests != 3 || st.BudgetExhaustions != 1 || st.PebbleFallbacks != 1 ||
+		st.PebbleAssignments == 0 || auto.Width() != 1 {
+		t.Fatalf("auto: %+v, width %d", st, auto.Width())
+	}
+	if tests := auto.Tests(); tests[0].FreeVars != 1 || tests[1].FreeVars != 4 || tests[1].Stats.PebbleFallbacks != 1 {
+		t.Fatalf("T1's tests should run one-triple child first, clique second: %+v", tests)
+	}
+	reject := core.NewEvaluator(core.AlgAuto, 0, f, gen.FkData(4, 24, true, false))
+	if reject.Eval(mu) {
+		t.Fatal("auto accepts the nonmember")
+	}
+	if st := total(reject); st != (core.EvalStats{ExtensionTests: 2}) {
+		t.Fatalf("nonmember: %+v, want one test per tree", st)
+	}
+}
+
+// One evaluator serves concurrent Decide calls over mixed domains: the
+// plan cache, the width resolution and the scratch pools are shared.
+func TestEvaluatorConcurrentDecide(t *testing.T) {
+	f := gen.Fk(4)
+	g := gen.FkData(4, 12, false, false)
+	mus := candidateMus(f, g)
+	want := core.NewEvaluator(core.AlgNaive, 0, f, g).EvalAll(mus)
+	for _, alg := range []core.Algorithm{core.AlgAuto, core.AlgPebble} {
+		e := core.NewEvaluator(alg, 1, f, g)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 5; round++ {
+					for i, mu := range mus {
+						if got, err := e.Decide(context.Background(), mu); err != nil || got != want[i] {
+							t.Errorf("%v: Decide(%v) = %v, %v; want %v", alg, mu, got, err, want[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -64,7 +64,7 @@ func RefuteContainment(f1, f2 ptree.Forest) (Counterexample, bool) {
 		_, muVars := freezeTGraph(base)
 		for _, cand := range candidates {
 			g, _ := freezeTGraph(cand)
-			if EvalNaive(f1, g, muVars) && !EvalNaive(f2, g, muVars) {
+			if Eval(AlgNaive, 0, f1, g, muVars) && !Eval(AlgNaive, 0, f2, g, muVars) {
 				return Counterexample{G: g, Mu: muVars}, true
 			}
 		}
@@ -88,5 +88,5 @@ func RefuteEquivalence(f1, f2 ptree.Forest) (Counterexample, int, bool) {
 // Verify checks that the counterexample is genuine for the claim
 // ⟦F1⟧ ⊆ ⟦F2⟧; used by tests and by callers that want a certificate.
 func (ce Counterexample) Verify(f1, f2 ptree.Forest) bool {
-	return EvalNaive(f1, ce.G, ce.Mu) && !EvalNaive(f2, ce.G, ce.Mu)
+	return Eval(AlgNaive, 0, f1, ce.G, ce.Mu) && !Eval(AlgNaive, 0, f2, ce.G, ce.Mu)
 }

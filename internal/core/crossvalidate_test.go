@@ -17,8 +17,8 @@ import (
 //
 //  1. the compositional Pérez-et-al. semantics (sparql.Eval),
 //  2. Lemma 1 enumeration over all subtrees (core.EnumerateForest),
-//  3. the natural decision algorithm (core.EvalNaive), and
-//  4. the Theorem 1 pebble algorithm with k = dw(F) (core.EvalPebble).
+//  3. the natural decision algorithm (core.Eval under AlgNaive), and
+//  4. the Theorem 1 pebble algorithm with k = dw(F) (core.Eval under AlgPebble).
 //
 // Agreement of (1) and (2) validates the wdpf translation (including
 // NR normalisation); agreement of (3) and (4) on members and
@@ -121,11 +121,11 @@ func checkAgreement(t *testing.T, p sparql.Pattern, g *rdf.Graph, label string) 
 	k := core.DominationWidth(f)
 	// Members must be accepted by both decision procedures.
 	for _, mu := range ref.Slice() {
-		if !core.EvalNaive(f, g, mu) {
-			t.Fatalf("%s: %s: EvalNaive rejects member %s", label, p, mu)
+		if !core.Eval(core.AlgNaive, 0, f, g, mu) {
+			t.Fatalf("%s: %s: Eval(naive) rejects member %s", label, p, mu)
 		}
-		if !core.EvalPebble(k, f, g, mu) {
-			t.Fatalf("%s: %s: EvalPebble(k=%d) rejects member %s", label, p, k, mu)
+		if !core.Eval(core.AlgPebble, k, f, g, mu) {
+			t.Fatalf("%s: %s: Eval(pebble, k=%d) rejects member %s", label, p, k, mu)
 		}
 	}
 	// Probe non-members: mutate members and try small synthetic
@@ -144,11 +144,11 @@ func checkAgreement(t *testing.T, p sparql.Pattern, g *rdf.Graph, label string) 
 	}
 	for _, mu := range probes {
 		want := ref.Contains(mu)
-		if got := core.EvalNaive(f, g, mu); got != want {
-			t.Fatalf("%s: %s: EvalNaive(%s)=%v, want %v", label, p, mu, got, want)
+		if got := core.Eval(core.AlgNaive, 0, f, g, mu); got != want {
+			t.Fatalf("%s: %s: Eval(naive)(%s)=%v, want %v", label, p, mu, got, want)
 		}
-		if got := core.EvalPebble(k, f, g, mu); got != want {
-			t.Fatalf("%s: %s: EvalPebble(k=%d)(%s)=%v, want %v", label, p, k, mu, got, want)
+		if got := core.Eval(core.AlgPebble, k, f, g, mu); got != want {
+			t.Fatalf("%s: %s: Eval(pebble, k=%d)(%s)=%v, want %v", label, p, k, mu, got, want)
 		}
 	}
 }
@@ -163,10 +163,10 @@ func TestFkWorkloadAgreement(t *testing.T) {
 			for _, withClique := range []bool{false, true} {
 				g := gen.FkData(k, 4*(k-1), withQ, withClique)
 				want := core.EnumerateForest(f, g).Contains(mu)
-				if got := core.EvalNaive(f, g, mu); got != want {
+				if got := core.Eval(core.AlgNaive, 0, f, g, mu); got != want {
 					t.Fatalf("k=%d q=%v clique=%v: naive=%v want %v", k, withQ, withClique, got, want)
 				}
-				if got := core.EvalPebble(1, f, g, mu); got != want {
+				if got := core.Eval(core.AlgPebble, 1, f, g, mu); got != want {
 					t.Fatalf("k=%d q=%v clique=%v: pebble=%v want %v", k, withQ, withClique, got, want)
 				}
 			}
@@ -183,16 +183,16 @@ func TestFkWorkloadShape(t *testing.T) {
 	k := 3
 	f := gen.Fk(k)
 	mu := gen.FkMu()
-	if !core.EvalNaive(f, gen.FkData(k, 8, false, false), mu) {
+	if !core.Eval(core.AlgNaive, 0, f, gen.FkData(k, 8, false, false), mu) {
 		t.Fatal("no q, no clique: µ should be a solution (via T1)")
 	}
-	if !core.EvalNaive(f, gen.FkData(k, 8, false, true), mu) {
+	if !core.Eval(core.AlgNaive, 0, f, gen.FkData(k, 8, false, true), mu) {
 		t.Fatal("no q, planted clique: µ should be a solution (via T2)")
 	}
-	if core.EvalNaive(f, gen.FkData(k, 8, true, false), mu) {
+	if core.Eval(core.AlgNaive, 0, f, gen.FkData(k, 8, true, false), mu) {
 		t.Fatal("q-chain, no clique: µ should not be a solution")
 	}
-	if core.EvalNaive(f, gen.FkData(k, 8, true, true), mu) {
+	if core.Eval(core.AlgNaive, 0, f, gen.FkData(k, 8, true, true), mu) {
 		t.Fatal("q-chain and clique: µ should not be a solution")
 	}
 }

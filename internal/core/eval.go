@@ -5,29 +5,18 @@ import (
 	"fmt"
 
 	"wdsparql/internal/hom"
-	"wdsparql/internal/pebble"
 	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
 )
 
-// This file implements the evaluation algorithms for wdPFs:
-//
-//   - EvalNaive: the natural algorithm (Lemma 1 of the paper, following
-//     Letelier et al. and Pichler–Skritek): find, per tree, the unique
-//     subtree matched exactly by µ and verify that no child admits a
-//     compatible homomorphic extension. The extension tests are genuine
-//     homomorphism tests, so the algorithm is exponential in the query
-//     in the worst case (wdEVAL is coNP-complete).
-//
-//   - EvalPebble: Theorem 1's algorithm — identical control flow, but
-//     each extension test (pat(Tµ) ∪ pat(n), vars(Tµ)) →µ G is replaced
-//     by the existential (k+1)-pebble game, which is decidable in
-//     polynomial time. The algorithm is always sound (a rejection is
-//     definitive) and complete whenever dw(F) ≤ k.
-//
-//   - Enumerate: materialises ⟦T⟧G / ⟦F⟧G via Lemma 1 by iterating over
-//     all subtrees; used by examples and as a second reference
-//     implementation in tests.
+// This file holds the entry points of wdPF evaluation. Deciding
+// µ ∈ ⟦F⟧G is one control flow (Lemma 1, following Letelier et al. and
+// Pichler–Skritek): find, per tree, the unique subtree matched exactly
+// by µ and verify that no child admits a compatible homomorphic
+// extension. It lives once, in Evaluator.Decide (batch.go); an
+// Algorithm selects how each extension test is decided. Enumerate
+// materialises ⟦T⟧G / ⟦F⟧G via Lemma 1 by iterating over all subtrees;
+// used by examples and as a second reference implementation in tests.
 
 // FindMatchedSubtree returns the unique subtree Tµ of t such that µ is
 // a homomorphism from pat(Tµ) to G with vars(Tµ) = dom(µ), when it
@@ -44,57 +33,6 @@ func FindMatchedSubtree(t *ptree.Tree, g *rdf.Graph, mu rdf.Mapping) (ptree.Subt
 		}
 	}
 	return s, true
-}
-
-// EvalNaive decides µ ∈ ⟦F⟧G with the natural algorithm.
-func EvalNaive(f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) bool {
-	for _, t := range f {
-		s, ok := FindMatchedSubtree(t, g, mu)
-		if !ok {
-			continue
-		}
-		extendable := false
-		for _, n := range s.Children() {
-			if hom.ExistsExtending(n.Pattern, mu, g) {
-				extendable = true
-				break
-			}
-		}
-		if !extendable {
-			return true
-		}
-	}
-	return false
-}
-
-// EvalPebble decides µ ∈ ⟦F⟧G with the Theorem 1 algorithm using
-// (k+1)-pebble tests. The answer is guaranteed correct when
-// dw(F) ≤ k; it is always sound in the following sense: if
-// µ ∉ ⟦F⟧G the algorithm rejects regardless of k.
-func EvalPebble(k int, f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) bool {
-	if k < 1 {
-		panic(fmt.Sprintf("core: EvalPebble requires k ≥ 1, got %d", k))
-	}
-	for _, t := range f {
-		s, ok := FindMatchedSubtree(t, g, mu)
-		if !ok {
-			continue
-		}
-		x := s.Vars()
-		extendable := false
-		for _, n := range s.Children() {
-			union := s.Pattern().Union(n.Pattern)
-			gt := hom.NewGTGraph(union, x)
-			if pebble.Decide(k+1, gt, mu.Restrict(x), g) {
-				extendable = true
-				break
-			}
-		}
-		if !extendable {
-			return true
-		}
-	}
-	return false
 }
 
 // Enumerate computes ⟦T⟧G by Lemma 1, iterating over every subtree T'
@@ -132,15 +70,23 @@ func EnumerateForest(f ptree.Forest, g *rdf.Graph) *rdf.MappingSet {
 	return out
 }
 
-// Algorithm selects an evaluation strategy by name, for the CLI and
-// the benchmark harness.
+// Algorithm selects how the extension tests of a wdEVAL decision are
+// decided.
 type Algorithm uint8
 
 const (
-	// AlgNaive is the Lemma 1 natural algorithm with homomorphism tests.
+	// AlgNaive is the Lemma 1 natural algorithm: genuine homomorphism
+	// tests — exact, exponential in the query in the worst case (wdEVAL
+	// is coNP-complete).
 	AlgNaive Algorithm = iota
-	// AlgPebble is the Theorem 1 algorithm with pebble-game tests.
+	// AlgPebble is the Theorem 1 algorithm: existential (k+1)-pebble
+	// games, polynomial for fixed k. Always sound (a rejection is
+	// definitive) and complete whenever dw(F) ≤ k.
 	AlgPebble
+	// AlgAuto is the width-aware algorithm: homomorphism tests under a
+	// node budget, with the (dw(F)+1)-pebble game as the fallback. Exact
+	// for every forest, like AlgNaive.
+	AlgAuto
 )
 
 // String names the algorithm.
@@ -150,35 +96,23 @@ func (a Algorithm) String() string {
 		return "naive"
 	case AlgPebble:
 		return "pebble"
+	case AlgAuto:
+		return "auto"
 	}
 	return fmt.Sprintf("Algorithm(%d)", uint8(a))
 }
 
-// Eval dispatches to the selected algorithm; k is the domination-width
-// bound used by AlgPebble and ignored by AlgNaive.
+// Eval decides µ ∈ ⟦F⟧G with the selected algorithm; k is the
+// domination-width bound used by AlgPebble (k ≥ 1, correct when
+// dw(F) ≤ k) and ignored otherwise. It compiles a one-shot Evaluator
+// and, like Evaluator.Eval, panics on an instance AlgPebble cannot
+// represent.
 func Eval(a Algorithm, k int, f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) bool {
-	switch a {
-	case AlgNaive:
-		return EvalNaive(f, g, mu)
-	case AlgPebble:
-		return EvalPebble(k, f, g, mu)
-	}
-	panic("core: unknown algorithm")
+	return NewEvaluator(a, k, f, g).Eval(mu)
 }
 
-// EvalContext is Eval with cooperative cancellation, polled between
-// trees of the forest (the natural unit of work: each tree's decision
-// is one FindMatchedSubtree plus its extension tests). A cancelled
-// context yields (false, ctx.Err()); an uncancelled run returns the
-// exact Eval verdict with a nil error.
+// EvalContext is Eval with cooperative cancellation and errors instead
+// of panics; see Evaluator.Decide.
 func EvalContext(ctx context.Context, a Algorithm, k int, f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) (bool, error) {
-	for _, t := range f {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		if Eval(a, k, ptree.Forest{t}, g, mu) {
-			return true, nil
-		}
-	}
-	return false, ctx.Err()
+	return NewEvaluator(a, k, f, g).Decide(ctx, mu)
 }

@@ -1,5 +1,7 @@
 package core
 
+import "wdsparql/internal/hom"
+
 // Explain renders a compiled forest's query plans for observability:
 // one node per wdPT node, carrying the node's patterns in compiled
 // (original) order plus the planner's chosen execution order with
@@ -66,4 +68,46 @@ func (fp *ForestProgram) explainNode(cn *compiledNode) *ExplainNode {
 		en.Children = append(en.Children, fp.explainNode(c))
 	}
 	return en
+}
+
+// TestInfo describes one extension test of a cached decision plan:
+// the plan (by creation index), dom(µ) and tree it belongs to, the
+// child it tests, its share of the decision loop's counters, and why it
+// has no pebble form (nil when it has one).
+type TestInfo struct {
+	Plan     int
+	Dom      []string
+	Tree     int
+	Child    hom.TGraph
+	FreeVars int
+	Stats    EvalStats
+	NoGame   error
+}
+
+// Tests lists the extension tests of every plan the evaluator has
+// cached, plans in creation order and tests in the order they run.
+func (e *Evaluator) Tests() []TestInfo {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []TestInfo
+	for pi, p := range e.order {
+		for i, tp := range p.trees {
+			for _, t := range tp.tests {
+				out = append(out, TestInfo{Plan: pi, Dom: p.vars, Tree: i, Child: t.pattern, FreeVars: t.free, NoGame: t.gameErr,
+					Stats: EvalStats{t.runs.Load(), t.exhaustions.Load(), t.fallbacks.Load(), t.assignments.Load()}})
+			}
+		}
+	}
+	return out
+}
+
+// Width reports what AlgAuto knows of dw(F): the width once a budget
+// exhaustion made it consult it, 0 before, -1 when the forest has more
+// than MaxWidthSubtrees subtrees and the computation was skipped.
+func (e *Evaluator) Width() int {
+	k := int(e.pebbles.Load())
+	if k > 0 {
+		k-- // pebbles holds dw+1
+	}
+	return k
 }

@@ -95,11 +95,11 @@ func TestFrozenDecisionAgreement(t *testing.T) {
 		probes := append(sparql.Eval(p, gm).Slice(),
 			rdf.Mapping{"x": "a"}, rdf.Mapping{"x": "a", "y": "b"}, rdf.Mapping{})
 		for _, mu := range probes {
-			if core.EvalNaive(f, gm, mu) != core.EvalNaive(f, gf, mu) {
-				t.Fatalf("case %d: EvalNaive disagrees on %v", used, mu)
+			if core.Eval(core.AlgNaive, 0, f, gm, mu) != core.Eval(core.AlgNaive, 0, f, gf, mu) {
+				t.Fatalf("case %d: Eval(naive) disagrees on %v", used, mu)
 			}
-			if core.EvalPebble(1, f, gm, mu) != core.EvalPebble(1, f, gf, mu) {
-				t.Fatalf("case %d: EvalPebble disagrees on %v", used, mu)
+			if core.Eval(core.AlgPebble, 1, f, gm, mu) != core.Eval(core.AlgPebble, 1, f, gf, mu) {
+				t.Fatalf("case %d: Eval(pebble) disagrees on %v", used, mu)
 			}
 		}
 	}

@@ -101,40 +101,7 @@ func TestQuickWidthLaws(t *testing.T) {
 	}
 }
 
-// The instrumented evaluators agree with the plain ones.
-func TestStatsEvaluatorsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	used := 0
-	for tries := 0; used < 50 && tries < 4000; tries++ {
-		p := randPattern(rng, 2)
-		if !sparql.IsWellDesigned(p) {
-			continue
-		}
-		used++
-		f, err := ptree.WDPF(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := randData(rng)
-		for _, mu := range []rdf.Mapping{{"x": "a"}, {"x": "a", "y": "b"}, {}} {
-			wantN := core.EvalNaive(f, g, mu)
-			gotN, stN := core.EvalNaiveStats(f, g, mu)
-			if gotN != wantN || stN.Accepted != wantN {
-				t.Fatalf("naive stats disagree on %s / %s", p, mu)
-			}
-			wantP := core.EvalPebble(1, f, g, mu)
-			gotP, stP := core.EvalPebbleStats(1, f, g, mu)
-			if gotP != wantP || stP.Accepted != wantP {
-				t.Fatalf("pebble stats disagree on %s / %s", p, mu)
-			}
-			if stN.TreesProbed == 0 {
-				t.Fatal("stats should count probed trees")
-			}
-		}
-	}
-}
-
-// EvalPebble soundness (one half of Theorem 1 that holds without any
+// Pebble-algorithm soundness (one half of Theorem 1 that holds without any
 // width assumption): whenever the true answer is "no", the pebble
 // algorithm answers "no" for every k.
 func TestPebbleSoundnessAnyK(t *testing.T) {
@@ -157,7 +124,7 @@ func TestPebbleSoundnessAnyK(t *testing.T) {
 				continue
 			}
 			for k := 1; k <= 3; k++ {
-				if core.EvalPebble(k, f, g, mu) {
+				if core.Eval(core.AlgPebble, k, f, g, mu) {
 					t.Fatalf("unsound accept (k=%d) of %s on %s", k, mu, p)
 				}
 			}

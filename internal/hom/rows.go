@@ -1,6 +1,9 @@
 package hom
 
 import (
+	"context"
+	"errors"
+
 	"wdsparql/internal/plan"
 	"wdsparql/internal/rdf"
 )
@@ -88,6 +91,82 @@ type RowSearcher struct {
 	// (the search then pays nothing). See filter.go.
 	fRemaining []int32   // per filter: slots still unbound
 	fWatch     [][]int32 // per slot: indices of filters reading it
+
+	// Work limit of the current Exists call (pointing at limBuf); nil
+	// during a plain Run, so the enumeration paths pay one nil check per
+	// search node.
+	lim    *limiter
+	limBuf limiter
+}
+
+// ErrBudget is returned by RowSearcher.Exists when the search spent
+// its node budget without reaching a verdict.
+var ErrBudget = errors.New("hom: search budget exhausted")
+
+// limiter meters one Exists call in search nodes.
+type limiter struct {
+	ctx    context.Context
+	budget int64 // ≤ 0: unlimited
+	nodes  int64
+	err    error
+}
+
+// pollEvery is the number of search nodes between two context polls.
+const pollEvery = 1024
+
+// node books one search node; false stops the search with l.err set.
+func (l *limiter) node() bool {
+	l.nodes++
+	if l.budget > 0 && l.nodes > l.budget {
+		l.err = ErrBudget
+		return false
+	}
+	if l.nodes%pollEvery == 0 {
+		l.err = l.ctx.Err()
+	}
+	return l.err == nil
+}
+
+// Exists reports whether some homomorphism of the program's patterns
+// extends the partial row assign — the paper's (S, dom(µ)) →µ G with µ
+// held by the row — expanding at most budget search nodes (≤ 0:
+// unlimited) and polling ctx every pollEvery nodes. nodes is what the
+// search expanded. err is nil on a verdict, ErrBudget when the budget
+// ran out first, and ctx.Err() when the context ended the search; found
+// is meaningful only when err is nil. assign is restored on return.
+func (s *RowSearcher) Exists(ctx context.Context, assign rdf.Row, budget int64) (found bool, nodes int64, err error) {
+	s.limBuf = limiter{ctx: ctx, budget: budget}
+	s.lim = &s.limBuf
+	s.Run(assign, func() bool {
+		found = true
+		return false
+	})
+	s.lim = nil
+	return found, s.limBuf.nodes, s.limBuf.err
+}
+
+// Holds reports whether every pattern of the program is in the graph
+// under the row, which must bind every slot the program references:
+// the membership half of the wdEVAL decision (µ is a homomorphism from
+// pat(Tµ) to G), as plain ID-triple probes.
+func (p *RowProgram) Holds(row rdf.Row) bool {
+	if p.absent {
+		return len(p.pats) == 0
+	}
+	for i := range p.pats {
+		var t rdf.IDTriple
+		for pos, c := range p.pats[i].code {
+			if c < 0 {
+				t[pos] = rdf.TermID(^c)
+			} else if t[pos] = row[c]; t[pos] == rdf.Unbound {
+				return false
+			}
+		}
+		if !p.g.ContainsID(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewSearcher returns a fresh searcher for the program.
@@ -174,6 +253,9 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	}
 	if s.stats != nil {
 		s.stats.Nodes++
+	}
+	if s.lim != nil && !s.lim.node() {
+		return false
 	}
 	best, bestPat, dead := s.pickPattern()
 	if dead {

@@ -1,7 +1,11 @@
 package hom
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wdsparql/internal/rdf"
@@ -142,5 +146,89 @@ func TestRowSearcherRestoresRow(t *testing.T) {
 	xSlot, _ := layout.Slot("x")
 	if row[xSlot] != rdf.Unbound || row[ySlot] != id {
 		t.Fatalf("row not restored: %v", row)
+	}
+}
+
+// Exists is ExistsExtending over a compiled program and a seed row, and
+// Holds the all-bound membership check; both on random instances, with
+// µ binding a random subset of the variables.
+func TestExistsAndHoldsAgreeWithStringAPI(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ctx := context.Background()
+	for c := 0; c < 300; c++ {
+		g := randRowGraph(rng)
+		pats := randRowPats(rng)
+		layout := rdf.NewSlotLayout()
+		prog := CompileRowProgram(pats, g, layout)
+		mu := rdf.NewMapping()
+		dom := g.Dom()
+		for _, v := range rdf.VarsOf(pats) {
+			if rng.Intn(2) == 0 {
+				mu[v.Value] = dom[rng.Intn(len(dom))]
+			}
+		}
+		row, ok := layout.EncodeMapping(g.Dict(), mu)
+		if !ok {
+			t.Fatalf("case %d: cannot encode %v", c, mu)
+		}
+		before := row.Clone()
+		found, _, err := prog.NewSearcher().Exists(ctx, row, 0)
+		if want := ExistsExtending(pats, mu, g); err != nil || found != want {
+			t.Fatalf("case %d: %v under %v: Exists = %v, %v; want %v", c, pats, mu, found, err, want)
+		}
+		if !slices.Equal(row, before) {
+			t.Fatalf("case %d: Exists left the row modified", c)
+		}
+		ground := true
+		for _, tr := range pats {
+			if img := mu.Apply(tr); !img.Ground() || !g.Contains(img) {
+				ground = false
+			}
+		}
+		if got := prog.Holds(row); got != ground {
+			t.Fatalf("case %d: %v under %v: Holds = %v, want %v", c, pats, mu, got, ground)
+		}
+	}
+}
+
+// A K_5 refutation in T(12, 4) takes thousands of nodes: a small budget
+// must stop it with ErrBudget after exactly that many, a cancelled
+// context within one polling interval, and no budget must let it finish.
+func TestExistsBudgetAndCancellation(t *testing.T) {
+	g := rdf.NewGraph()
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			if i%4 != j%4 {
+				g.AddTriple(fmt.Sprintf("n%d", i), "r", fmt.Sprintf("n%d", j))
+			}
+		}
+	}
+	var pats []rdf.Triple
+	for i := 0; i < 5; i++ {
+		for j := i + 1; j < 5; j++ {
+			pats = append(pats, rdf.T(rdf.Var(fmt.Sprintf("o%d", i)), rdf.IRI("r"), rdf.Var(fmt.Sprintf("o%d", j))))
+		}
+	}
+	layout := rdf.NewSlotLayout()
+	s := CompileRowProgram(pats, g, layout).NewSearcher()
+	row := layout.NewRow()
+	found, total, err := s.Exists(context.Background(), row, 0)
+	if found || err != nil || total < 2*pollEvery {
+		t.Fatalf("unbounded: found=%v nodes=%d err=%v; want a refutation over %d nodes", found, total, err, 2*pollEvery)
+	}
+	if _, nodes, err := s.Exists(context.Background(), row, 100); !errors.Is(err, ErrBudget) || nodes != 101 {
+		t.Fatalf("budget 100: nodes=%d err=%v; want ErrBudget at the 101st node", nodes, err)
+	}
+	if found, nodes, err := s.Exists(context.Background(), row, total); found || err != nil || nodes != total {
+		t.Fatalf("budget = need: found=%v nodes=%d err=%v; want the refutation", found, nodes, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, nodes, err := s.Exists(ctx, row, 0); !errors.Is(err, context.Canceled) || nodes != pollEvery {
+		t.Fatalf("cancelled: nodes=%d err=%v; want context.Canceled at the first poll", nodes, err)
+	}
+	// A plain Run after a limited search is unlimited again.
+	if !s.Run(row, func() bool { return true }) {
+		t.Fatal("Run after Exists must run to exhaustion")
 	}
 }

@@ -1,8 +1,6 @@
 package pebble
 
 import (
-	"fmt"
-
 	"wdsparql/internal/hom"
 	"wdsparql/internal/rdf"
 )
@@ -14,28 +12,5 @@ import (
 // variant exists to quantify the pruning's effect in the ablation
 // benchmarks and must not be used in production paths.
 func DecideNoUnaryPruning(k int, g hom.GTGraph, mu rdf.Mapping, target *rdf.Graph) bool {
-	if k < 2 {
-		panic(fmt.Sprintf("pebble: k must be ≥ 2, got %d", k))
-	}
-	for _, x := range g.X {
-		if !mu.Defined(x) {
-			return false
-		}
-	}
-	c, ok := newCompiled(k, g, mu, target)
-	if !ok {
-		return false
-	}
-	if c.n == 0 {
-		return true
-	}
-	full := make([]int32, c.d)
-	for i := range full {
-		full[i] = int32(i)
-	}
-	for v := range c.cand {
-		c.cand[v] = full
-	}
-	win, _, _ := c.run()
-	return win
+	return oneShot(k, g, mu, target, false).Win
 }

@@ -142,6 +142,31 @@ func EnumerateSubtrees(t *Tree) []Subtree {
 	return out
 }
 
+// CountSubtrees returns the number of subtrees of the forest —
+// len(EnumerateForestSubtrees(f)) without building them — or limit+1
+// as soon as the count exceeds limit: below a node the downward-closed
+// sets containing it number the product over its children of one plus
+// the child's own count.
+func CountSubtrees(f Forest, limit int) int {
+	var below func(n *Node) int
+	below = func(n *Node) int {
+		c := 1
+		for _, ch := range n.Children {
+			if c *= 1 + below(ch); c > limit {
+				return limit + 1
+			}
+		}
+		return c
+	}
+	total := 0
+	for _, t := range f {
+		if total += below(t.Root); total > limit {
+			return limit + 1
+		}
+	}
+	return total
+}
+
 // ForestSubtree is a subtree of a wdPF: a subtree of one of its trees,
 // remembered with the tree's index.
 type ForestSubtree struct {

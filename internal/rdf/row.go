@@ -18,9 +18,8 @@ import (
 //
 // IDMappingSet is the row-level counterpart of MappingSet: solution
 // sets ⟦T⟧G / ⟦F⟧G / ⟦P⟧G deduplicated on packed row bytes, with a
-// single-uint64 fast path mirroring the pebble closure's assignment
-// keys. Strings are only touched when a set is decoded back into a
-// MappingSet at the API boundary.
+// single-uint64 fast path. Strings are only touched when a set is
+// decoded back into a MappingSet at the API boundary.
 
 // Unbound marks an unbound slot in a Row. Bound slot values are always
 // IRI IDs (< VarIDBase), so any variable-range ID is safe as the
@@ -132,8 +131,8 @@ func (l *SlotLayout) EncodeMapping(d *Dict, m Mapping) (Row, bool) {
 // IDMappingSet is a deduplicated set of rows sharing one SlotLayout —
 // the row-level representation of an evaluation result. Dedup keys are
 // the packed row values: a single uint64 when every value of the row
-// fits the per-slot bit budget (the common case, mirroring the pebble
-// closure's packed assignment keys), and the raw row bytes otherwise.
+// fits the per-slot bit budget (the common case), and the raw row bytes
+// otherwise.
 // Rows are stored in one flat arena in insertion order.
 type IDMappingSet struct {
 	layout *SlotLayout

@@ -276,7 +276,7 @@ func (in *Instance) HomAgreesWithClique() (homHolds, cliqueExists bool) {
 // H has a k-clique ⟺ µ ∉ ⟦P⟧G (Section 4.2, correctness of the
 // reduction).
 func (in *Instance) SolveCliqueViaEval() bool {
-	return !core.EvalNaive(in.Forest, in.G, in.Mu)
+	return !core.Eval(core.AlgNaive, 0, in.Forest, in.G, in.Mu)
 }
 
 // SolveClique is the convenience wrapper: build the instance for

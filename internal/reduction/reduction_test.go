@@ -219,7 +219,7 @@ func TestSolveCliqueViaEval(t *testing.T) {
 	}
 }
 
-// µ ∈ ⟦P⟧G decided by EvalNaive agrees with Lemma-1 enumeration on a
+// µ ∈ ⟦P⟧G decided by the natural algorithm agrees with Lemma-1 enumeration on a
 // small reduction instance (the enumeration is exponential in |B|, so
 // keep H tiny).
 func TestReductionEvalAgainstEnumeration(t *testing.T) {
@@ -230,7 +230,7 @@ func TestReductionEvalAgainstEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.EnumerateForest(in.Forest, in.G).Contains(in.Mu)
-	if got := core.EvalNaive(in.Forest, in.G, in.Mu); got != want {
-		t.Fatalf("EvalNaive=%v, enumeration=%v", got, want)
+	if got := core.Eval(core.AlgNaive, 0, in.Forest, in.G, in.Mu); got != want {
+		t.Fatalf("Eval(naive)=%v, enumeration=%v", got, want)
 	}
 }

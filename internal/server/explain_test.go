@@ -39,6 +39,9 @@ func TestExplainEndpoint(t *testing.T) {
 	if plan.Trees[0].Order[0].Pattern == "" {
 		t.Fatal("explain step did not render the pattern")
 	}
+	if plan.Ask == nil || plan.Ask.Algorithm != "auto" || plan.Ask.WidthNote == "" {
+		t.Fatalf("explain must carry the ask section of the default engine: %+v", plan.Ask)
+	}
 	if s.queries.Load() == 0 {
 		t.Fatal("explain request not counted as a query")
 	}

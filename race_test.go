@@ -1,0 +1,5 @@
+//go:build race
+
+package wdsparql
+
+const raceEnabled = true

@@ -14,9 +14,10 @@
 //   - the width measures: core treewidth, branch treewidth
 //     (Definition 3), domination width (Definition 2) and local
 //     tractability width;
-//   - two decision procedures for wdEVAL: the natural algorithm
-//     (AlgNaive) and the polynomial-time Theorem 1 algorithm based on
-//     the existential pebble game (AlgPebble);
+//   - the decision procedures for wdEVAL: the natural algorithm
+//     (AlgNaive), the polynomial-time Theorem 1 algorithm based on the
+//     existential pebble game (AlgPebble), and the width-aware mixture
+//     of the two that PreparedQuery.Ask runs by default (AlgAuto);
 //   - the Section 4 hardness reduction from p-CLIQUE (package-level
 //     access through SolveCliqueViaReduction).
 //
@@ -96,6 +97,9 @@ const (
 	AlgNaive = core.AlgNaive
 	// AlgPebble is the Theorem 1 algorithm (pebble-game tests).
 	AlgPebble = core.AlgPebble
+	// AlgAuto is the engine default: budgeted homomorphism tests that
+	// fall back to the (dw(P)+1)-pebble game. Exact, like AlgNaive.
+	AlgAuto = core.AlgAuto
 )
 
 // IRI returns a constant term.
@@ -157,8 +161,8 @@ func Solutions(p Pattern, g *Graph) (*MappingSet, error) {
 
 // Evaluate decides wdEVAL — whether µ ∈ ⟦P⟧G — with the selected
 // algorithm. k is the domination-width bound used by AlgPebble
-// (correctness is guaranteed when dw(P) ≤ k); it is ignored by
-// AlgNaive.
+// (correctness is guaranteed when dw(P) ≤ k); the other algorithms
+// ignore it.
 //
 // Deprecated: use Engine.Prepare with WithAlgorithm/WithPebbleK and
 // PreparedQuery.Ask, which amortise the pattern analysis across calls.
@@ -176,7 +180,7 @@ func Evaluate(alg Algorithm, k int, p Pattern, g *Graph, mu Mapping) (bool, erro
 		}
 		return q.Ask(context.Background(), mu)
 	}
-	return core.Eval(alg, k, an.forest, g, mu), nil
+	return core.EvalContext(context.Background(), alg, k, an.forest, g, mu)
 }
 
 // EvaluateForest is Evaluate on an already-translated forest.
