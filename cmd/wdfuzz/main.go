@@ -29,12 +29,21 @@
 // sparql.Eval reference, which applies filters post hoc over the
 // unfiltered subevaluations.
 //
+// Every trial, on every backend, also checks Limit/Offset windowing:
+// for m, n ∈ {0, 1, len/2, len+1}, sequentially and on two workers, the
+// stream windowed at offset m and limit n must be full[m:m+n] and the
+// windowed count (strict mode, as the engine's Count runs it) its
+// length. Early stop unwinds through nested searcher runs — every
+// child streams off its searcher — so each cut point is an exit path
+// of its own.
+//
 // Usage:
 //
 //	wdfuzz [-trials 1000] [-seed 1] [-union] [-depth 3] [-shards 1,2,7] [-planner] [-ask] [-filters 2]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -157,6 +166,71 @@ func overlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
 	return og
 }
 
+// backend is one storage backend of a trial's graph.
+type backend struct {
+	name string
+	g    *rdf.Graph
+}
+
+// backendsOf returns g itself (the map backend) followed by its frozen
+// and sharded clones plus an overlay twin of each.
+func backendsOf(g *rdf.Graph, shardCounts []int) []backend {
+	out := []backend{{"map", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g, 0)}}
+	for _, n := range shardCounts {
+		out = append(out,
+			backend{fmt.Sprintf("sharded(%d)", n), g.Clone().Shard(n)},
+			backend{fmt.Sprintf("sharded(%d)+ovl", n), overlayTwin(g, n)})
+	}
+	return out
+}
+
+// windowRows mirrors the engine's Limit/Offset windowing over a
+// compiled program: skip offset rows, stop after limit, sequentially or
+// on a pool of workers.
+func windowRows(fp *core.ForestProgram, workers, offset, limit int) []rdf.Row {
+	if limit == 0 {
+		return nil
+	}
+	var out []rdf.Row
+	emit := func(r rdf.Row) bool {
+		if offset > 0 {
+			offset--
+			return true
+		}
+		out = append(out, r.Clone())
+		return len(out) < limit
+	}
+	if workers > 1 {
+		fp.RowsParallel(context.Background(), workers, emit)
+	} else {
+		fp.Rows(emit)
+	}
+	return out
+}
+
+// checkWindows diffs every window of fp's stream against the full
+// stream: rows in planned mode (the engine's Rows), counts in strict
+// mode (the engine's Count), sequentially and on two workers.
+func checkWindows(fp *core.ForestProgram, full []rdf.Row) error {
+	sizes := []int{0, 1, len(full) / 2, len(full) + 1}
+	planned, strict := fp.Tuned(hom.ModePlanned, 0, nil), fp.Tuned(hom.ModeStrict, 0, nil)
+	for _, workers := range []int{1, 2} {
+		for _, m := range sizes {
+			for _, n := range sizes {
+				want := full[min(m, len(full)):min(m+n, len(full))]
+				got := windowRows(planned, workers, m, n)
+				if !slices.EqualFunc(got, want, slices.Equal) {
+					return fmt.Errorf("workers=%d offset=%d limit=%d: window %v, want %v", workers, m, n, got, want)
+				}
+				if c := len(windowRows(strict, workers, m, n)); c != len(want) {
+					return fmt.Errorf("workers=%d offset=%d limit=%d: windowed count %d, want %d", workers, m, n, c, len(want))
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // collectTuned materialises the row stream of an already-compiled
 // program under one search mode.
 func collectTuned(fp *core.ForestProgram, mode hom.SearchMode) []rdf.Row {
@@ -203,19 +277,8 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, shard
 	if len(want) != ref.Len() {
 		return report("row stream %d vs compositional %d", len(want), ref.Len())
 	}
-	backends := []struct {
-		name string
-		g    *rdf.Graph
-	}{{"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g, 0)}}
-	for _, n := range shardCounts {
-		backends = append(backends, struct {
-			name string
-			g    *rdf.Graph
-		}{fmt.Sprintf("sharded(%d)", n), g.Clone().Shard(n)}, struct {
-			name string
-			g    *rdf.Graph
-		}{fmt.Sprintf("sharded(%d)+ovl", n), overlayTwin(g, n)})
-	}
+	all := backendsOf(g, shardCounts)
+	backends := all[1:]
 	for _, b := range backends {
 		got := collectStream(f, b.g)
 		if len(got) != len(want) {
@@ -227,15 +290,16 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, shard
 			}
 		}
 	}
+	for _, b := range all {
+		if err := checkWindows(core.CompileForest(f, b.g), want); err != nil {
+			return report("%s: %v", b.name, err)
+		}
+	}
 	// Planner dimension: on every backend, the planned mode must
 	// reproduce the heuristic stream byte for byte (the determinism
 	// contract behind WithPlanner), and the strict plan-following mode
 	// — order-free by design — must agree on the cardinality.
 	if planner {
-		all := append([]struct {
-			name string
-			g    *rdf.Graph
-		}{{"map", g}}, backends...)
 		for _, b := range all {
 			fp := core.CompileForest(f, b.g)
 			heur := collectTuned(fp, hom.ModeHeuristic)
@@ -273,10 +337,7 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, shard
 			break
 		}
 	}
-	for _, b := range append([]struct {
-		name string
-		g    *rdf.Graph
-	}{{"map", g}}, backends...) {
+	for _, b := range all {
 		auto := core.NewEvaluator(core.AlgAuto, 0, f, b.g)
 		naive := core.NewEvaluator(core.AlgNaive, 0, f, b.g)
 		exact := core.NewEvaluator(core.AlgPebble, dw, f, b.g)
@@ -330,21 +391,8 @@ func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, shardCounts []i
 			trial, fmt.Sprintf(format, args...), sparql.Format(q), rdf.FormatGraph(g))
 		return false
 	}
-	backends := []struct {
-		name string
-		g    *rdf.Graph
-	}{{"map", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g, 0)}}
-	for _, n := range shardCounts {
-		backends = append(backends, struct {
-			name string
-			g    *rdf.Graph
-		}{fmt.Sprintf("sharded(%d)", n), g.Clone().Shard(n)}, struct {
-			name string
-			g    *rdf.Graph
-		}{fmt.Sprintf("sharded(%d)+ovl", n), overlayTwin(g, n)})
-	}
 	var want []rdf.Row
-	for _, b := range backends {
+	for _, b := range backendsOf(g, shardCounts) {
 		for _, noPush := range []bool{false, true} {
 			fp, err := compileFiltered(q, b.g, noPush)
 			if err != nil {
@@ -370,6 +418,9 @@ func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, shardCounts []i
 							b.name, noPush, mode, i, got[i], want[i])
 					}
 				}
+			}
+			if err := checkWindows(fp, want); err != nil {
+				return report("[%s noPush=%v] %v", b.name, noPush, err)
 			}
 		}
 	}

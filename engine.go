@@ -446,9 +446,10 @@ func Planner(on bool) ExecOption {
 	}
 }
 
-// Parallel runs the enumeration on a pool of n workers, partitioned
-// across root-homomorphism rows. The stream is identical to the
-// sequential one (same solutions, same order); n ≤ 1 is sequential.
+// Parallel runs the enumeration on a pool of n workers, one work item
+// per top-level candidate triple of each root search. The stream is
+// identical to the sequential one (same solutions, same order); n ≤ 1
+// is sequential.
 // Overrides the engine-wide WithWorkers default for this call.
 func Parallel(n int) ExecOption { return func(c *execConfig) { c.workers = n } }
 

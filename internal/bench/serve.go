@@ -30,14 +30,18 @@ const E13QueryText = E10PatternText
 
 // E13OverloadQueryText is the overload cell's query: a triple cross
 // product paged from a deep offset, so each admitted request enumerates
-// >100k rows before its page. Service time must comfortably exceed the
+// 1.5M rows before its page. Service time must comfortably exceed the
 // Go scheduler's ~10ms preemption quantum: on a single-CPU host a
 // shorter handler runs to completion unpreempted, requests serialize
 // (in-flight never exceeds 1) and no herd can make the queue fill.
 const E13OverloadQueryText = `((?x p0 ?y) AND ((?z p0 ?w) AND (?u p0 ?v)))`
 
-// E13OverloadOffset is the page offset of the overload cell.
-const E13OverloadOffset = 131072
+// E13OverloadOffset is the page offset of the overload cell, sized to
+// the streaming enumerator (~17 ns per skipped row on the dev
+// container, ~25 ms per request) against the 1,728,000-row cross
+// product of E9Data(128): deep enough for the quantum above, shallow
+// enough to leave a full page.
+const E13OverloadOffset = 1_500_000
 
 // E13RowLimit bounds rows per request, so a cell's cost is requests ×
 // limit rather than requests × |⟦P⟧G|.

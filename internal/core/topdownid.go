@@ -16,11 +16,14 @@ import (
 // topdown.go: the same top-down procedure behind Lemma 1, but with the
 // whole forest compiled once against the graph (per-node RowPrograms
 // over one shared SlotLayout) and partial solutions carried as flat
-// rdf.Rows instead of string mappings. Extensions through a child bind
-// slots in place and are undone on backtrack; per-child solution sets
-// are combined slot-wise (the cross product of the string pipeline,
-// without any map unions); and results stream through a pull-based
-// yield so callers can stop after a limit without materialising ⟦T⟧G.
+// rdf.Rows instead of string mappings. The procedure is one pipeline:
+// every root homomorphism continues straight into the first child's
+// search, every solution of a child's subtree straight into the next
+// child's, and the last emit into the caller's yield — extensions bind
+// slots in place and are undone on backtrack, no child solution is
+// materialised, and the continuations are built once per execution, so
+// steady-state enumeration allocates nothing per row and a Limit stops
+// after the work its rows cost.
 // EnumerateTopDownForest and Count are decode-at-the-boundary shims
 // over this pipeline; EnumerateTopDown keeps the original string
 // implementation as the cross-validation reference and perf baseline.
@@ -30,10 +33,6 @@ type compiledNode struct {
 	idx      int // dense index across the whole forest compilation
 	prog     *hom.RowProgram
 	children []*compiledNode
-	// subSlots are the layout slots of vars(subtree rooted here),
-	// sorted ascending: exactly the slots a maximal extension through
-	// this child may bind beyond the current partial solution.
-	subSlots []int32
 	// deferred holds the node's filter conjuncts that could not be
 	// pushed into prog (they reach into optional descendants, or
 	// pushdown is disabled), evaluated against each emitted solution
@@ -134,9 +133,11 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 		prog: hom.CompileRowProgram(n.Pattern, fp.g, fp.layout),
 	}
 	fp.nodes++
-	slots := map[int32]bool{}
+	var own []int32 // slots of this node's variables not bound on entry
 	for _, v := range n.Vars() {
-		slots[int32(fp.layout.Intern(v.Value))] = true
+		if s := int32(fp.layout.Intern(v.Value)); !slices.Contains(entry, s) {
+			own = append(own, s)
+		}
 	}
 	var deferredExprs []sparql.Expr
 	if len(n.Filters) > 0 {
@@ -172,31 +173,16 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 	// subtree) must occur at this node or above, so accumulating down
 	// the tree captures every slot a child's search can see bound.
 	childEntry := entry
-	if len(slots) > 0 {
-		own := make([]int32, 0, len(slots))
-		for s := range slots {
-			if !slices.Contains(entry, s) {
-				own = append(own, s)
-			}
-		}
+	if len(own) > 0 {
 		slices.Sort(own)
 		childEntry = append(append(make([]int32, 0, len(entry)+len(own)), entry...), own...)
 	}
 	for _, c := range n.Children {
-		cc := fp.compileNode(c, childEntry)
-		cn.children = append(cn.children, cc)
-		for _, s := range cc.subSlots {
-			slots[s] = true
-		}
+		cn.children = append(cn.children, fp.compileNode(c, childEntry))
 	}
 	for _, f := range deferredExprs {
 		cn.deferred = append(cn.deferred, compileFilterExpr(f, fp.layout, fp.g.Dict()))
 	}
-	cn.subSlots = make([]int32, 0, len(slots))
-	for s := range slots {
-		cn.subSlots = append(cn.subSlots, s)
-	}
-	sort.Slice(cn.subSlots, func(i, j int) bool { return cn.subSlots[i] < cn.subSlots[j] })
 	return cn
 }
 
@@ -213,17 +199,33 @@ func (fp *ForestProgram) Layout() *rdf.SlotLayout {
 // projection (complete after compilation).
 func (fp *ForestProgram) FullLayout() *rdf.SlotLayout { return fp.layout }
 
-// enumState is the per-enumeration scratch: one RowSearcher per node
-// and the single row the partial solution lives in. stop, when non-nil,
-// is polled at every yield boundary; once it reports true the whole
-// enumeration unwinds as if yield had returned false — this is how
-// context cancellation reaches the innermost recursion without the hot
-// path paying for a channel read per row when no context is attached.
+// enumState is the per-execution scratch: one RowSearcher per node,
+// the single row the partial solution lives in, and the continuations
+// that stream it. stop, when non-nil, is polled at every node's emit;
+// once it reports true the whole enumeration unwinds as if sink had
+// returned false — this is how context cancellation reaches the
+// innermost recursion without the hot path paying for a channel read
+// per row when no context is attached.
 type enumState struct {
-	fp        *ForestProgram
-	searchers []*hom.RowSearcher
-	row       rdf.Row
-	stop      func() bool
+	fp    *ForestProgram
+	nodes []nodeState // by compiledNode.idx
+	row   rdf.Row
+	stop  func() bool
+	sink  func(rdf.Row) bool // receives every row a root emits
+}
+
+// nodeState is one node's share of an enumState. next[i] continues the
+// working row into child i; next[len(children)] is the node's emit,
+// which polls stop, applies the node's deferred filters, records found
+// and continues upward — into the parent's next child, or, at a root,
+// into the sink. A searcher's yield is its node's next[0], so every
+// solution of a subtree streams straight on into the next sibling: no
+// child solution is ever materialised, and the closures are built once
+// per execution, not per row.
+type nodeState struct {
+	searcher *hom.RowSearcher
+	next     []func() bool
+	found    bool // some subtree solution reached emit during the current run
 }
 
 func (st *enumState) stopped() bool { return st.stop != nil && st.stop() }
@@ -238,121 +240,75 @@ func ctxStop(ctx context.Context) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-func (fp *ForestProgram) newState() *enumState {
+// newState builds an execution's searchers and continuations; every row
+// a root emits goes to sink (nil for states that only split work).
+func (fp *ForestProgram) newState(sink func(rdf.Row) bool) *enumState {
 	st := &enumState{
-		fp:        fp,
-		searchers: make([]*hom.RowSearcher, fp.nodes),
-		row:       fp.layout.NewRow(),
-	}
-	var walk func(n *compiledNode)
-	walk = func(n *compiledNode) {
-		st.searchers[n.idx] = n.prog.NewSearcher()
-		st.searchers[n.idx].Tune(fp.mode, fp.slack, fp.stats)
-		for _, c := range n.children {
-			walk(c)
-		}
+		fp:    fp,
+		nodes: make([]nodeState, fp.nodes),
+		row:   fp.layout.NewRow(),
+		sink:  sink,
 	}
 	for _, r := range fp.roots {
-		walk(r)
+		st.build(r, func() bool { return st.sink(st.row) })
 	}
 	return st
 }
 
-// enumerateTree streams ⟦T⟧G for one tree: every maximal extension of
-// every root homomorphism. It reports whether enumeration ran to
-// exhaustion (false: yield stopped it). The row passed to yield is the
-// state's working row — valid only during the call.
+// build wires node n's searcher and continuations; up is what n's emit
+// continues into.
+func (st *enumState) build(n *compiledNode, up func() bool) {
+	fp := st.fp
+	ns := &st.nodes[n.idx]
+	ns.searcher = n.prog.NewSearcher()
+	ns.searcher.Tune(fp.mode, fp.slack, fp.stats)
+	k := len(n.children)
+	ns.next = make([]func() bool, k+1)
+	ns.next[k] = func() bool {
+		if st.stopped() {
+			return false
+		}
+		if !st.passesDeferred(n) {
+			return true // row fails a filter: skip, keep streaming
+		}
+		ns.found = true
+		return up()
+	}
+	// Built back to front: child i's emit continues into next[i+1].
+	for i := k - 1; i >= 0; i-- {
+		c, after := n.children[i], ns.next[i+1]
+		cs := &st.nodes[c.idx]
+		// A child with no compatible extension is skipped (it never
+		// blocks maximality); a child with extensions MUST be extended,
+		// and each of its subtree solutions has already continued into
+		// the next child from inside the run. By connectivity later
+		// children bind slots disjoint from this child's, so the nesting
+		// is the slot-wise cross product of the per-child solutions.
+		ns.next[i] = func() bool {
+			cs.found = false
+			if !cs.searcher.Run(st.row, cs.next[0]) {
+				return false
+			}
+			return cs.found || after()
+		}
+		st.build(c, after)
+	}
+}
+
+// enumerateTree streams ⟦T⟧G for one tree into the sink: every maximal
+// extension of every root homomorphism. It reports whether enumeration
+// ran to exhaustion (false: the sink or stop ended it). The row passed
+// to the sink is the state's working row — valid only during the call.
 //
 // For trees satisfying the wdPT connectivity condition (in particular
 // everything ptree.WDPF produces) the streamed rows are pairwise
 // distinct: root homomorphisms differ on root slots, extensions of one
 // base through a child differ on the child's fresh slots, and distinct
 // children bind disjoint fresh slots.
-func (st *enumState) enumerateTree(root *compiledNode, yield func(rdf.Row) bool) bool {
+func (st *enumState) enumerateTree(root *compiledNode) bool {
 	st.fp.layout.Reset(st.row)
-	return st.searchers[root.idx].Run(st.row, func() bool {
-		return st.extendThrough(root.children, 0, st.deferredFiltered(root, yield))
-	})
-}
-
-// deferredFiltered wraps yield with the node's deferred filter check;
-// nodes without deferred filters pay nothing.
-func (st *enumState) deferredFiltered(n *compiledNode, yield func(rdf.Row) bool) func(rdf.Row) bool {
-	if len(n.deferred) == 0 {
-		return yield
-	}
-	return func(r rdf.Row) bool {
-		if !st.passesDeferred(n) {
-			return true // row fails a filter: skip, keep streaming
-		}
-		return yield(r)
-	}
-}
-
-// extendThrough extends the current row maximally through the children
-// cs[i:]: a child with no compatible extension is skipped (it never
-// blocks maximality), a child with extensions MUST be extended, and
-// per-child solution sets combine by cross product — realised here by
-// binding each solution's slots in place and recursing to the next
-// child.
-func (st *enumState) extendThrough(cs []*compiledNode, i int, yield func(rdf.Row) bool) bool {
-	if i == len(cs) {
-		if st.stopped() {
-			return false
-		}
-		return yield(st.row)
-	}
-	c := cs[i]
-	sols := st.childSolutions(c)
-	if len(sols) == 0 {
-		return st.extendThrough(cs, i+1, yield)
-	}
-	row := st.row
-	for _, vals := range sols {
-		// Bind the slots this solution adds over the current row. By
-		// connectivity the solutions of later children touch disjoint
-		// fresh slots, so binding is the slot-wise cross product.
-		for j, s := range c.subSlots {
-			if vals[j] != rdf.Unbound && row[s] == rdf.Unbound {
-				row[s] = vals[j]
-			} else {
-				vals[j] = rdf.Unbound // mark: not bound by this application
-			}
-		}
-		more := st.extendThrough(cs, i+1, yield)
-		for j, s := range c.subSlots {
-			if vals[j] != rdf.Unbound {
-				row[s] = rdf.Unbound
-			}
-		}
-		if !more {
-			return false
-		}
-	}
-	return true
-}
-
-// childSolutions materialises the maximal solutions contributed by
-// child c under the current row: for each homomorphic extension ν of
-// pat(c) (bound slots act as constants), the recursive maximal
-// extensions through c's children. Each solution is the snapshot of
-// the row's values over c.subSlots.
-func (st *enumState) childSolutions(c *compiledNode) [][]rdf.TermID {
-	var out [][]rdf.TermID
-	st.searchers[c.idx].Run(st.row, func() bool {
-		// The inner yield always continues, so extendThrough returns
-		// false only when the state has been stopped — propagate that
-		// so the searcher unwinds instead of materialising the rest.
-		return st.extendThrough(c.children, 0, st.deferredFiltered(c, func(rdf.Row) bool {
-			snap := make([]rdf.TermID, len(c.subSlots))
-			for j, s := range c.subSlots {
-				snap[j] = st.row[s]
-			}
-			out = append(out, snap)
-			return true
-		}))
-	})
-	return out
+	ns := &st.nodes[root.idx]
+	return ns.searcher.Run(st.row, ns.next[0])
 }
 
 // Rows streams ⟦F⟧G: every solution row exactly once, until yield
@@ -365,50 +321,49 @@ func (fp *ForestProgram) Rows(yield func(rdf.Row) bool) {
 }
 
 // RowsContext is Rows with cooperative cancellation: the context is
-// polled at every yield boundary, so cancelling it stops the
-// enumeration as promptly as yield returning false would — the same
-// contract, extended to ctx.Done(). It returns ctx.Err(), i.e. nil on
-// a run to exhaustion or an early stop through yield, and the
-// cancellation cause when the context ended the stream. Contexts that
-// can never be cancelled add no per-row overhead.
+// polled at every node's emit, so cancelling it stops the enumeration
+// as promptly as yield returning false would — the same contract,
+// extended to ctx.Done(). It returns ctx.Err(), i.e. nil on a run to
+// exhaustion or an early stop through yield, and the cancellation
+// cause when the context ended the stream. Contexts that can never be
+// cancelled add no per-row overhead.
 func (fp *ForestProgram) RowsContext(ctx context.Context, yield func(rdf.Row) bool) error {
-	st := fp.newState()
+	st := fp.newState(fp.dedupTrees(fp.wrapOutput(yield)))
 	st.stop = ctxStop(ctx)
-	out := fp.wrapOutput(yield)
-	if len(fp.roots) == 1 {
-		st.enumerateTree(fp.roots[0], out)
-		return ctx.Err()
-	}
-	// Cross-tree dedup on full rows; redundant (and skipped) under
-	// DISTINCT, whose projected dedup subsumes it.
-	var seen *rdf.IDMappingSet
-	if !fp.distinct {
-		seen = rdf.NewIDMappingSet(fp.layout, fp.g.Dict().NumIRIs())
-	}
 	for _, root := range fp.roots {
-		if !st.enumerateTree(root, func(r rdf.Row) bool {
-			if seen != nil && !seen.Add(r) {
-				return true // duplicate across trees
-			}
-			return out(r)
-		}) {
+		if !st.enumerateTree(root) {
 			break
 		}
 	}
 	return ctx.Err()
 }
 
+// dedupTrees wraps out with the cross-tree dedup on full rows that
+// multi-tree forests need; redundant (and skipped) under DISTINCT,
+// whose projected dedup subsumes it.
+func (fp *ForestProgram) dedupTrees(out func(rdf.Row) bool) func(rdf.Row) bool {
+	if len(fp.roots) < 2 || fp.distinct {
+		return out
+	}
+	seen := rdf.NewIDMappingSet(fp.layout, fp.g.Dict().NumIRIs())
+	return func(r rdf.Row) bool {
+		if !seen.Add(r) {
+			return true // duplicate across trees
+		}
+		return out(r)
+	}
+}
+
 // EnumerateSet materialises ⟦F⟧G as a deduplicated row set (over the
 // projected layout when the program carries a projection).
 func (fp *ForestProgram) EnumerateSet() *rdf.IDMappingSet {
 	out := rdf.NewIDMappingSet(fp.Layout(), fp.g.Dict().NumIRIs())
-	st := fp.newState()
-	emit := fp.wrapOutput(func(r rdf.Row) bool {
+	st := fp.newState(fp.wrapOutput(func(r rdf.Row) bool {
 		out.Add(r)
 		return true
-	})
+	}))
 	for _, root := range fp.roots {
-		st.enumerateTree(root, emit)
+		st.enumerateTree(root)
 	}
 	return out
 }
@@ -456,10 +411,9 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 		shard int
 	}
 	var items []item
-	st := fp.newState()
-	base := fp.layout.NewRow()
+	st := fp.newState(nil)
 	for _, root := range fp.roots {
-		cands, ok := st.searchers[root.idx].SplitTop(base)
+		cands, ok := st.nodes[root.idx].searcher.SplitTop(st.row)
 		if !ok {
 			items = append(items, item{root: root, whole: true})
 			continue
@@ -493,22 +447,21 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := fp.newState()
+			var local []rdf.Row
+			ws := fp.newState(func(r rdf.Row) bool {
+				local = append(local, r.Clone())
+				return true
+			})
 			ws.stop = stop
 			for i := range next {
 				it := items[i]
-				var local []rdf.Row
-				emit := func(r rdf.Row) bool {
-					local = append(local, r.Clone())
-					return true
-				}
+				local = nil
 				if it.whole {
-					ws.enumerateTree(it.root, emit)
+					ws.enumerateTree(it.root)
 				} else {
 					fp.layout.Reset(ws.row)
-					ws.searchers[it.root.idx].RunOn(ws.row, it.cand, func() bool {
-						return ws.extendThrough(it.root.children, 0, ws.deferredFiltered(it.root, emit))
-					})
+					rs := &ws.nodes[it.root.idx]
+					rs.searcher.RunOn(ws.row, it.cand, rs.next[0])
 				}
 				results[i] = local
 				close(ready[i])
@@ -528,11 +481,7 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 			}
 		}
 	}()
-	out := fp.wrapOutput(yield)
-	var seen *rdf.IDMappingSet
-	if len(fp.roots) > 1 && !fp.distinct {
-		seen = rdf.NewIDMappingSet(fp.layout, fp.g.Dict().NumIRIs())
-	}
+	out := fp.dedupTrees(fp.wrapOutput(yield))
 merge:
 	for i := range items {
 		select {
@@ -541,9 +490,6 @@ merge:
 			break merge
 		}
 		for _, r := range results[i] {
-			if seen != nil && !seen.Add(r) {
-				continue // duplicate across trees
-			}
 			if !out(r) {
 				break merge
 			}
@@ -555,8 +501,8 @@ merge:
 	return ctx.Err()
 }
 
-// EnumerateParallel materialises ⟦F⟧G with the per-tree enumeration
-// work partitioned across root-homomorphism rows on a worker pool.
+// EnumerateParallel materialises ⟦F⟧G on a worker pool, one work item
+// per top-level candidate triple of each root search (RowsParallel).
 // workers ≤ 1 degrades to EnumerateSet. The result is identical to
 // EnumerateSet, including insertion order (work items are merged in
 // their sequential order).
@@ -580,8 +526,8 @@ func EnumerateTopDownForestID(f ptree.Forest, g *rdf.Graph) *rdf.IDMappingSet {
 	return CompileForest(f, g).EnumerateSet()
 }
 
-// EnumerateTopDownParallel computes ⟦F⟧G as rows on a worker pool,
-// partitioned across root-homomorphism rows.
+// EnumerateTopDownParallel computes ⟦F⟧G as rows on a worker pool, one
+// work item per top-level root candidate (RowsParallel).
 func EnumerateTopDownParallel(f ptree.Forest, g *rdf.Graph, workers int) *rdf.IDMappingSet {
 	return CompileForest(f, g).EnumerateParallel(workers)
 }

@@ -18,6 +18,15 @@ import (
 // branch *is* the row, bound slots act as constants of the search
 // (the paper's "extends µ" side condition), and newly matched slots
 // are written in place and undone on backtrack.
+//
+// Candidates stream in storage order: the chosen pattern's
+// LookupRangeID posting list is walked in place, never copied, scored
+// or sorted, so the first match costs one path down the search tree and
+// a search allocates nothing. Storage order is insertion order on every
+// backend (internal/rdf/backendtest pins it), which is what makes the
+// stream identical across backends, workers, planner modes and filter
+// placement. The string-API search in solver.go keeps its succeed-first
+// value ordering.
 
 // RowProgram is a set of triple patterns compiled once against a graph
 // and a slot layout: variables become layout slots, IRI constants
@@ -68,17 +77,15 @@ func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) 
 func (p *RowProgram) Width() int { return p.width }
 
 // RowSearcher carries the mutable scratch of one search over a
-// RowProgram (pattern done-flags, per-depth candidate buffers, and
-// the dense stack of currently-bound values). A searcher is not safe
-// for concurrent use, but is reusable across any number of sequential
-// Run calls; parallel enumeration gives each worker its own searcher
-// over the shared program.
+// RowProgram (pattern done-flags, the selection-count memo and the
+// filter counters). A searcher is not safe for concurrent use, but is
+// reusable across any number of sequential Run calls; parallel
+// enumeration gives each worker its own searcher over the shared
+// program.
 type RowSearcher struct {
 	prog   *RowProgram
 	done   []bool
-	bufs   [][]scoredCand
-	assign rdf.Row      // the caller's row, during Run
-	bound  []rdf.TermID // values bound in assign, maintained across bind/unbind
+	assign rdf.Row // the caller's row, during Run
 
 	// Pattern-selection policy and its scratch; see planner.go.
 	mode   SearchMode
@@ -174,7 +181,6 @@ func (p *RowProgram) NewSearcher() *RowSearcher {
 	s := &RowSearcher{
 		prog:  p,
 		done:  make([]bool, len(p.pats)),
-		bufs:  make([][]scoredCand, len(p.pats)),
 		memo:  make([]countMemo, len(p.pats)),
 		slack: float64(DefaultSlack),
 	}
@@ -203,23 +209,9 @@ func (s *RowSearcher) Run(assign rdf.Row, yield func() bool) bool {
 		return true // an entry-bound filter fails: empty stream
 	}
 	s.assign = assign
-	s.seedBound(assign)
 	ok := s.rec(len(p.pats), yield)
 	s.assign = nil
 	return ok
-}
-
-// seedBound seeds the bound-value stack from the pre-bound slots of
-// the row (the paper's µ); rec pushes and pops the values it binds, so
-// the stack always mirrors the bound portion of assign without the
-// O(width) rescan rowInImage used to pay per candidate position.
-func (s *RowSearcher) seedBound(assign rdf.Row) {
-	s.bound = s.bound[:0]
-	for _, v := range assign {
-		if v != rdf.Unbound {
-			s.bound = append(s.bound, v)
-		}
-	}
 }
 
 // substituteRow renders pattern i under the current row: bound slots
@@ -244,9 +236,9 @@ func (s *RowSearcher) substituteRow(i int) rdf.IDTriple {
 	return out
 }
 
-// rec mirrors search.rec in solver.go: expand the remaining pattern
-// with the fewest matches (fail-first), order its candidates
-// succeed-first, bind the newly determined slots in place.
+// rec expands the remaining pattern with the fewest matches
+// (fail-first), walks its candidates in storage order and binds the
+// newly determined slots in place.
 func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	if remaining == 0 {
 		return yield()
@@ -262,9 +254,12 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 		return true // dead branch
 	}
 	s.done[best] = true
-	depth := len(s.prog.pats) - remaining
-	for _, sc := range s.scoredCandidates(best, bestPat, depth) {
-		if !s.bindAndRec(best, sc.t, remaining, yield) {
+	raw, exact := s.prog.g.LookupRangeID(bestPat)
+	for _, t := range raw {
+		if !exact && !rdf.MatchesPatternID(bestPat, t) {
+			continue
+		}
+		if !s.bindAndRec(best, t, remaining, yield) {
 			s.done[best] = false
 			return false
 		}
@@ -309,43 +304,13 @@ func (s *RowSearcher) pickPattern() (best int, bestPat rdf.IDTriple, dead bool) 
 	return best, bestPat, false
 }
 
-// scoredCandidates materialises the candidate triples of pattern best
-// (rendered as bestPat under the current row) into the per-depth
-// buffer, scored and ordered succeed-first.
-func (s *RowSearcher) scoredCandidates(best int, bestPat rdf.IDTriple, depth int) []scoredCand {
-	g := s.prog.g
-	cp := &s.prog.pats[best]
-	cands := s.bufs[depth][:0]
-	raw, exact := g.LookupRangeID(bestPat)
-	for _, t := range raw {
-		if !exact && !rdf.MatchesPatternID(bestPat, t) {
-			continue
-		}
-		var score int64
-		for pos := 0; pos < 3; pos++ {
-			if c := cp.code[pos]; c >= 0 && s.assign[c] == rdf.Unbound {
-				if s.rowInImage(t[pos], bestPat) {
-					score += reuseBonus
-				}
-				score += int64(g.OccurrencesID(t[pos]))
-			}
-		}
-		cands = append(cands, scoredCand{t: t, score: score})
-	}
-	s.bufs[depth] = cands
-	if len(cands) > 1 {
-		sortCands(cands)
-	}
-	return cands
-}
-
 // bindAndRec binds the fresh slots of pattern best to the candidate
 // triple t, recurses into the remaining patterns, and restores the row
-// and the bound stack on the way out. A pushed filter whose last slot
-// binds here is evaluated immediately; anything but true prunes the
-// subtree below this candidate (the recursion is skipped, the binding
-// undone, and the sibling candidates continue — a pure subsequence of
-// the unfiltered exploration).
+// on the way out. A pushed filter whose last slot binds here is
+// evaluated immediately; anything but true prunes the subtree below
+// this candidate (the recursion is skipped, the binding undone, and the
+// sibling candidates continue — a pure subsequence of the unfiltered
+// exploration).
 func (s *RowSearcher) bindAndRec(best int, t rdf.IDTriple, remaining int, yield func() bool) bool {
 	cp := &s.prog.pats[best]
 	var newSlots [3]int32
@@ -355,7 +320,6 @@ func (s *RowSearcher) bindAndRec(best int, t rdf.IDTriple, remaining int, yield 
 		c := cp.code[pos]
 		if c >= 0 && s.assign[c] == rdf.Unbound {
 			s.assign[c] = t[pos]
-			s.bound = append(s.bound, t[pos])
 			newSlots[n] = c
 			n++
 			if s.fWatch != nil {
@@ -383,7 +347,6 @@ func (s *RowSearcher) bindAndRec(best int, t rdf.IDTriple, remaining int, yield 
 			}
 		}
 	}
-	s.bound = s.bound[:len(s.bound)-n]
 	return more
 }
 
@@ -398,7 +361,8 @@ func (s *RowSearcher) bindAndRec(best int, t rdf.IDTriple, remaining int, yield 
 // stream is empty. ok=false means the search has no top-level branch
 // point — the program has no patterns, so Run yields exactly the empty
 // extension — and the caller must fall back to Run. The returned slice
-// is freshly allocated and caller-owned; assign is read, not written.
+// may alias graph storage and must not be modified; assign is read, not
+// written.
 func (s *RowSearcher) SplitTop(assign rdf.Row) ([]rdf.IDTriple, bool) {
 	p := s.prog
 	if len(assign) < p.width {
@@ -414,17 +378,21 @@ func (s *RowSearcher) SplitTop(assign rdf.Row) ([]rdf.IDTriple, bool) {
 		return nil, true // an entry-bound filter fails: empty stream
 	}
 	s.assign = assign
-	s.seedBound(assign)
-	best, bestPat, dead := s.pickPattern()
+	_, bestPat, dead := s.pickPattern()
+	s.assign = nil
+	if dead {
+		return nil, true
+	}
+	raw, exact := p.g.LookupRangeID(bestPat)
+	if exact {
+		return raw, true
+	}
 	var out []rdf.IDTriple
-	if !dead {
-		cands := s.scoredCandidates(best, bestPat, 0)
-		out = make([]rdf.IDTriple, len(cands))
-		for i, sc := range cands {
-			out[i] = sc.t
+	for _, t := range raw {
+		if rdf.MatchesPatternID(bestPat, t) {
+			out = append(out, t)
 		}
 	}
-	s.assign = nil
 	return out, true
 }
 
@@ -447,7 +415,6 @@ func (s *RowSearcher) RunOn(assign rdf.Row, t rdf.IDTriple, yield func() bool) b
 		return true // an entry-bound filter fails: empty stream
 	}
 	s.assign = assign
-	s.seedBound(assign)
 	best, _, dead := s.pickPattern()
 	ok := true
 	if !dead {
@@ -457,29 +424,6 @@ func (s *RowSearcher) RunOn(assign rdf.Row, t rdf.IDTriple, yield func() bool) b
 	}
 	s.assign = nil
 	return ok
-}
-
-// rowInImage reports whether the value is already in the image of the
-// partial solution row (any bound slot) or a constant of the pattern
-// being expanded; see search.inImage for the value-ordering rationale.
-// The scan runs over the dense bound-value stack — whose length is
-// the number of bound slots — not over the full (mostly unbound)
-// forest-wide row. Measured on the E9 enumeration workload this is
-// the profitable point on the satellite's "set vs scan" trade-off: a
-// hash multiset costs more to maintain across bind/unbind than these
-// short scans cost to run at typical pattern widths.
-func (s *RowSearcher) rowInImage(v rdf.TermID, pat rdf.IDTriple) bool {
-	for _, a := range s.bound {
-		if a == v {
-			return true
-		}
-	}
-	for _, p := range pat {
-		if p == v {
-			return true
-		}
-	}
-	return false
 }
 
 // FindAllID returns all homomorphisms from pats to g as rows under the

@@ -17,9 +17,10 @@ import (
 // no per-mapping map allocation, no sorted string keys.
 //
 // IDMappingSet is the row-level counterpart of MappingSet: solution
-// sets ⟦T⟧G / ⟦F⟧G / ⟦P⟧G deduplicated on packed row bytes, with a
-// single-uint64 fast path. Strings are only touched when a set is
-// decoded back into a MappingSet at the API boundary.
+// sets ⟦T⟧G / ⟦F⟧G / ⟦P⟧G deduplicated on rows packed into two machine
+// words, with a byte-string fallback for wider rows. Strings are only
+// touched when a set is decoded back into a MappingSet at the API
+// boundary.
 
 // Unbound marks an unbound slot in a Row. Bound slot values are always
 // IRI IDs (< VarIDBase), so any variable-range ID is safe as the
@@ -130,17 +131,18 @@ func (l *SlotLayout) EncodeMapping(d *Dict, m Mapping) (Row, bool) {
 
 // IDMappingSet is a deduplicated set of rows sharing one SlotLayout —
 // the row-level representation of an evaluation result. Dedup keys are
-// the packed row values: a single uint64 when every value of the row
-// fits the per-slot bit budget (the common case), and the raw row bytes
-// otherwise.
+// the packed row values: a two-word [2]uint64 when every value of the
+// row fits the per-slot bit budget and width · bits ≤ 128 (no
+// allocation per row), and the raw row bytes otherwise. Equal rows
+// always take the same path, so a set mixing both is still exact.
 // Rows are stored in one flat arena in insertion order.
 type IDMappingSet struct {
 	layout *SlotLayout
 	width  int
-	bits   uint // per-slot bits for the uint64 fast path; 0 disables it
+	bits   uint // per-slot bits for the packed path
 
-	small map[uint64]struct{}
-	big   map[string]struct{}
+	packed map[[2]uint64]struct{} // nil: rows are wider than 128 bits
+	big    map[string]struct{}
 
 	arena  []TermID // n rows of length width, insertion order
 	n      int
@@ -149,7 +151,7 @@ type IDMappingSet struct {
 
 // NewIDMappingSet returns an empty set for rows of the given layout.
 // maxID is the exclusive upper bound of the IRI IDs that can occur in
-// rows (typically g.Dict().NumIRIs()); it sizes the uint64 fast path.
+// rows (typically g.Dict().NumIRIs()); it sizes the packed path.
 // Rows with values at or above maxID are still handled correctly —
 // they fall back to byte-string keys.
 func NewIDMappingSet(layout *SlotLayout, maxID int) *IDMappingSet {
@@ -157,9 +159,9 @@ func NewIDMappingSet(layout *SlotLayout, maxID int) *IDMappingSet {
 	// A slot packs value+1 (0 is reserved for Unbound), so the budget
 	// must cover maxID values: 1..maxID.
 	b := uint(bits.Len64(uint64(maxID)))
-	if s.width == 0 || b*uint(s.width) <= 64 {
+	if b*uint(s.width) <= 128 {
 		s.bits = b
-		s.small = map[uint64]struct{}{}
+		s.packed = map[[2]uint64]struct{}{}
 	}
 	s.big = map[string]struct{}{}
 	return s
@@ -171,22 +173,24 @@ func (s *IDMappingSet) Layout() *SlotLayout { return s.layout }
 // Len returns the number of distinct rows.
 func (s *IDMappingSet) Len() int { return s.n }
 
-// smallKey packs the row into a uint64; ok is false when some value
+// packedKey packs the row into two words, shifting each slot's value+1
+// in from the low end of the 128-bit pair; ok is false when some value
 // exceeds the per-slot bit budget.
-func (s *IDMappingSet) smallKey(r Row) (uint64, bool) {
-	if s.small == nil {
-		return 0, false
+func (s *IDMappingSet) packedKey(r Row) (key [2]uint64, ok bool) {
+	if s.packed == nil {
+		return key, false
 	}
-	var key uint64
+	b := s.bits
 	for _, v := range r {
 		packed := uint64(0)
 		if v != Unbound {
 			packed = uint64(v) + 1
-			if s.bits >= 64 || packed >= 1<<s.bits {
-				return 0, false
+			if b >= 64 || packed >= 1<<b {
+				return key, false
 			}
 		}
-		key = key<<s.bits | packed
+		key[0] = key[0]<<b | key[1]>>(64-b)
+		key[1] = key[1]<<b | packed
 	}
 	return key, true
 }
@@ -208,11 +212,11 @@ func (s *IDMappingSet) Add(r Row) bool {
 	if len(r) != s.width {
 		panic("rdf: IDMappingSet.Add: row width mismatch")
 	}
-	if key, ok := s.smallKey(r); ok {
-		if _, dup := s.small[key]; dup {
+	if key, ok := s.packedKey(r); ok {
+		if _, dup := s.packed[key]; dup {
 			return false
 		}
-		s.small[key] = struct{}{}
+		s.packed[key] = struct{}{}
 	} else {
 		kb := s.bigKey(r)
 		if _, dup := s.big[string(kb)]; dup {
@@ -230,8 +234,8 @@ func (s *IDMappingSet) ContainsRow(r Row) bool {
 	if len(r) != s.width {
 		return false
 	}
-	if key, ok := s.smallKey(r); ok {
-		_, in := s.small[key]
+	if key, ok := s.packedKey(r); ok {
+		_, in := s.packed[key]
 		return in
 	}
 	_, in := s.big[string(s.bigKey(r))]

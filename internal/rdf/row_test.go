@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -115,6 +117,78 @@ func TestIDMappingSetBigKeys(t *testing.T) {
 	// maxID 0 disables every bound value on the fast path; all rows
 	// with bound slots take byte-string keys.
 	addRows(t, NewIDMappingSet(l, 0), l)
+}
+
+// Rows of 4 × 17 = 68 bits pack into the two-word key; rows carrying a
+// value past the budget, and every row of an 8-slot (136-bit) layout,
+// take byte-string keys. Random rows drawn from both kinds must dedup
+// exactly like a plain map, keep insertion order, answer ContainsRow
+// and survive AddAll.
+func TestIDMappingSetTwoWordKeys(t *testing.T) {
+	const maxID = 100000 // 17 bits per slot
+	for _, width := range []int{4, 8} {
+		l := NewSlotLayout()
+		for i := 0; i < width; i++ {
+			l.Intern(fmt.Sprintf("v%d", i))
+		}
+		s := NewIDMappingSet(l, maxID)
+		if packed := s.packed != nil; packed != (width == 4) {
+			t.Fatalf("width %d: packed path enabled = %v", width, packed)
+		}
+		// Pairs that differ only in the slot straddling the word
+		// boundary, and only in its high bits.
+		straddle := []Row{{1 << 16, 0, 0, 0}, {1, 0, 0, 0}, {1<<16 | 1, 0, 0, 0}}
+		rng := rand.New(rand.NewSource(int64(width)))
+		var rows []Row
+		for _, r := range straddle {
+			rows = append(rows, append(r.Clone(), make(Row, width-4)...))
+		}
+		for i := 0; i < 2000; i++ {
+			r := make(Row, width)
+			for j := range r {
+				switch x := rng.Intn(10); {
+				case x == 0:
+					r[j] = Unbound
+				case x == 1:
+					r[j] = TermID(maxID + rng.Intn(3)) // past the budget
+				default:
+					r[j] = TermID(maxID - 1 - rng.Intn(3)) // few values: duplicates
+				}
+			}
+			rows = append(rows, r)
+		}
+		ref := map[string]bool{}
+		var order []Row
+		for _, r := range rows {
+			key := fmt.Sprint(r)
+			if fresh := s.Add(r); fresh == ref[key] {
+				t.Fatalf("width %d: Add(%v) = %v, already present = %v", width, r, fresh, ref[key])
+			}
+			if !ref[key] {
+				ref[key] = true
+				order = append(order, r)
+			}
+			if !s.ContainsRow(r) {
+				t.Fatalf("width %d: ContainsRow(%v) = false after Add", width, r)
+			}
+		}
+		if s.ContainsRow(append(Row{2}, make(Row, width-1)...)) {
+			t.Fatalf("width %d: absent row reported present", width)
+		}
+		cp := NewIDMappingSet(l, maxID)
+		cp.AddAll(s)
+		cp.AddAll(s)
+		for _, set := range []*IDMappingSet{s, cp} {
+			if set.Len() != len(order) {
+				t.Fatalf("width %d: Len = %d, want %d", width, set.Len(), len(order))
+			}
+			for i, want := range order {
+				if got := set.Row(i); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("width %d: row %d = %v, want %v", width, i, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestIDMappingSetDecode(t *testing.T) {
