@@ -1,34 +1,17 @@
 GO ?= go
 
-.PHONY: check vet bench cover serve
+.PHONY: check vet cover cover-gate serve
 
 # Tier-1 verification: everything must build and every test must pass.
+# benchmark/ is a module of its own, so its compile-and-smoke test runs
+# as a separate step (about 5 s).
 check:
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -C benchmark .
 
 vet:
 	$(GO) vet ./...
-
-# Headline perf trajectory: the E3 frontier benchmark (naive and pebble
-# series), the E9 enumeration benchmark (string pipeline vs compiled
-# rows), the E10 engine benchmark (prepared vs one-shot execution), the
-# E11 storage benchmark (frozen CSR backend vs map backend), the E12
-# sharding benchmark (sharded backend vs frozen, per shard count), the
-# E13 serving benchmark (HTTP request latency per engine mode plus
-# the overload cell's shed%/p99 metrics), the E14 snapshot benchmark
-# (cold start to first row: parse vs heap load vs mmap), the E15
-# ingest benchmark (parallel pipeline vs sequential parse; overlay
-# vs frozen vs refrozen enumeration), the E16 planner benchmark
-# (compile-time join ordering on vs off, enumeration and order-free
-# count) and the E17 filter benchmark (bind-time filter pushdown on vs
-# off, plain and under a projected DISTINCT), recorded as go-test JSON
-# events so the numbers are tracked across PRs. Bump the artifact name
-# (BENCH_<n>.json) per PR.
-BENCH_OUT ?= BENCH_10.json
-bench:
-	$(GO) test -bench='E3|E9|E10|E11|E12|E13|E14|E15|E16|E17' -benchmem -run='^$$' -json > $(BENCH_OUT)
-	@grep 'ns/op' $(BENCH_OUT) | sed -E 's/.*"Output":"(.*)\\n".*/\1/; s/\\t/\t/g'
 
 # Run the streaming SPARQL endpoint over an N-Triples file:
 #   make serve GRAPH=data.nt SERVE_FLAGS='-addr :8080 -shards 4'
@@ -36,8 +19,22 @@ GRAPH ?= examples/social.nt
 serve:
 	$(GO) run ./cmd/wdserve -data $(GRAPH) $(SERVE_FLAGS)
 
-# Coverage with the gate CI enforces: the total statement coverage must
-# not drop below the recorded baseline (see .github/workflows/ci.yml).
+# Coverage with the gate CI enforces (see .github/workflows/ci.yml):
+# the exact statement-weighted total of cover.out over the library
+# packages must not drop below 85.0%. cmd/ and examples/ are left out:
+# go test never runs them (CI's smoke steps do), so counting them would
+# make deleting well-tested library code lower the ratio. A block listed
+# more than once counts once, covered if any listing covers it.
 cover:
 	$(GO) test -coverprofile=cover.out ./...
-	$(GO) tool cover -func=cover.out | tail -1
+	$(MAKE) cover-gate
+
+cover-gate:
+	@awk 'NR > 1 && $$1 !~ /^wdsparql\/(cmd|examples)\// { \
+		n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 \
+	} END { \
+		for (b in n) { total += n[b]; if (b in hit) covered += n[b] } \
+		pct = 100 * covered / total; \
+		printf "library statement coverage: %d/%d = %.3f%%\n", covered, total, pct; \
+		if (pct < 85.0) { print "FAIL: below the 85.0% floor"; exit 1 } \
+	}' cover.out

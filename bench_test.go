@@ -5,7 +5,8 @@ package wdsparql_test
 //
 //	go test -bench=. -benchmem
 //
-// and compare against the recorded BENCH_<n>.json series.
+// End-to-end and per-layer performance across changes is measured by
+// benchmark/ (see benchmark/README.md), not by these.
 // Sub-benchmarks carry the swept parameter in their name (k for query
 // families, n for data sizes). This file is an external test package
 // so it can exercise internal/bench, which itself builds on the public

@@ -1,8 +1,8 @@
 // Command wdbench runs the experiment suite E1–E17 that reproduces the
 // constructions and complexity claims of "The Tractability Frontier of
 // Well-designed SPARQL Queries" (Romero, PODS 2018) and prints one
-// table per experiment. See DESIGN.md for the experiment index and
-// the BENCH_<n>.json series for recorded results.
+// table per experiment. See DESIGN.md for the experiment index;
+// benchmark/ measures end-to-end performance.
 //
 // Usage:
 //

@@ -16,29 +16,30 @@ import (
 // the unary candidate pruning of the pebble closure, and the exact
 // subset dynamic program for treewidth versus the heuristics alone.
 
-// A1FailFirst compares the production homomorphism solver against the
-// static-order ablation and the arc-consistency variant on the Turán
-// refutation workload.
+// A1FailFirst compares the production homomorphism search (the row
+// search behind hom.Exists, fail-first pattern selection) against the
+// static-order ablation on the Turán refutation workload, with the
+// search nodes the row search expanded; agree gates the two verdicts.
 func A1FailFirst(cliqueKs []int, n int) *Table {
 	t := &Table{
 		ID:     "A1",
-		Title:  fmt.Sprintf("hom solver: fail-first vs static order vs AC (Turán refutation, n=%d)", n),
+		Title:  fmt.Sprintf("hom solver: fail-first vs static order (Turán refutation, n=%d)", n),
 		Claim:  "fail-first ordering dominates on structured instances",
-		Header: []string{"clique k", "fail-first", "static order", "AC-prep", "search nodes"},
+		Header: []string{"clique k", "fail-first", "static order", "search nodes", "agree"},
 	}
 	for _, k := range cliqueKs {
 		pat := []rdf.Triple(hom.NewTGraph(gen.KkTriples(k)...))
 		g := gen.Turan(n, k-1, "r")
-		var ff, so, ac bool
-		dFF := timed(func() { ff = hom.Exists(pat, g) })
+		var ff, so bool
+		var stats hom.SearchStats
+		dFF := timed(func() {
+			layout := rdf.NewSlotLayout()
+			s := hom.CompileRowProgram(pat, g, layout).NewSearcher()
+			s.Tune(hom.ModeHeuristic, 0, &stats)
+			ff = !s.Run(layout.NewRow(), func() bool { return false })
+		})
 		dSO := timed(func() { so = hom.ExistsStaticOrder(pat, g) })
-		dAC := timed(func() { ac = hom.ExistsAC(pat, g) })
-		_, nodes := hom.CountSearchNodes(pat, g)
-		if ff != so || ff != ac {
-			t.AddRow(fmt.Sprint(k), "DISAGREE", "DISAGREE", "DISAGREE", "-")
-			continue
-		}
-		t.AddRow(fmt.Sprint(k), ms(dFF), ms(dSO), ms(dAC), fmt.Sprint(nodes))
+		t.AddRow(fmt.Sprint(k), ms(dFF), ms(dSO), fmt.Sprint(stats.Nodes), fmt.Sprint(ff == so))
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -122,10 +123,15 @@ func TestE7Agreement(t *testing.T) {
 }
 
 func TestAblationTables(t *testing.T) {
-	a1 := A1FailFirst([]int{3}, 9)
+	// A1's agreement row: the row search and the static-order reference
+	// agree on every refutation, and the search counts its nodes.
+	a1 := A1FailFirst([]int{3, 4}, 9)
 	for _, row := range a1.Rows {
-		if row[1] == "DISAGREE" {
+		if row[4] != "true" {
 			t.Fatalf("solvers disagree: %v", row)
+		}
+		if nodes, err := strconv.Atoi(row[3]); err != nil || nodes <= 0 {
+			t.Fatalf("search nodes must be a positive count: %v", row)
 		}
 	}
 	a2 := A2UnaryPruning([]int{3}, 12)

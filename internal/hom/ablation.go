@@ -4,11 +4,11 @@ import (
 	"wdsparql/internal/rdf"
 )
 
-// This file contains ablation variants of the homomorphism solver,
-// kept separate from the production path. They quantify the value of
-// the fail-first pattern-selection heuristic in the benchmark suite
-// (DESIGN.md, ablation benches); production code should use Exists and
-// friends.
+// This file holds the static-order ablation of the homomorphism
+// solver, kept apart from the row search: the benchmark suite's A1
+// table measures fail-first pattern selection against it, and the
+// tests use it as a reference that shares no code with the row search.
+// Production code should use Exists and friends.
 
 // ExistsStaticOrder is Exists with the fail-first heuristic disabled:
 // patterns are expanded in their given (sorted) order regardless of
@@ -52,15 +52,4 @@ func bindMatch(p, t rdf.Triple, assign rdf.Mapping) []string {
 		}
 	}
 	return newVars
-}
-
-// CountSearchNodes runs the production solver and returns the number
-// of search-tree nodes expanded before the first solution (or
-// exhaustion); used by the ablation benchmarks to report work rather
-// than only wall time.
-func CountSearchNodes(pats []rdf.Triple, g *rdf.Graph) (found bool, nodes int) {
-	st := newSearch(pats, g, 1)
-	st.counting = true
-	st.run()
-	return len(st.found) > 0, st.nodes
 }

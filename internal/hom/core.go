@@ -24,25 +24,24 @@ import (
 func Core(g GTGraph) GTGraph {
 	s := g.S
 	for {
-		v, image, ok := findEliminableVar(GTGraph{S: s, X: g.X})
+		image, ok := findEliminableVar(GTGraph{S: s, X: g.X})
 		if !ok {
 			return NewGTGraph(s, g.X)
 		}
-		_ = v
 		s = image
 	}
 }
 
 // IsCore reports whether (S, X) is a core.
 func IsCore(g GTGraph) bool {
-	_, _, ok := findEliminableVar(g)
+	_, ok := findEliminableVar(g)
 	return !ok
 }
 
 // findEliminableVar searches for a free variable v of S and an
 // endomorphism of (S, X) whose image avoids every triple mentioning v.
 // It returns the image t-graph h(S) when found.
-func findEliminableVar(g GTGraph) (rdf.Term, TGraph, bool) {
+func findEliminableVar(g GTGraph) (TGraph, bool) {
 	for _, v := range g.FreeVars() {
 		var rest []rdf.Triple
 		for _, t := range g.S {
@@ -58,9 +57,9 @@ func findEliminableVar(g GTGraph) (rdf.Term, TGraph, bool) {
 		if !ok {
 			continue
 		}
-		return v, applyVarMap(g, h), true
+		return applyVarMap(g, h), true
 	}
-	return rdf.Term{}, nil, false
+	return nil, false
 }
 
 func mentions(t rdf.Triple, v rdf.Term) bool {
@@ -83,12 +82,4 @@ func applyVarMap(g GTGraph, h map[rdf.Term]rdf.Term) TGraph {
 		out[i] = rdf.T(conv(t.S), conv(t.P), conv(t.O))
 	}
 	return NewTGraph(out...)
-}
-
-// CoreEquivalent reports whether two generalised t-graphs have
-// isomorphic cores, i.e. are homomorphically equivalent. By
-// Proposition 1 of the paper this is the right notion of "same core up
-// to renaming of variables".
-func CoreEquivalent(a, b GTGraph) bool {
-	return Equivalent(a, b)
 }

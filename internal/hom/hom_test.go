@@ -1,6 +1,7 @@
 package hom
 
 import (
+	"fmt"
 	"testing"
 
 	"wdsparql/internal/rdf"
@@ -23,6 +24,37 @@ func TestExistsSimple(t *testing.T) {
 	}
 	if Exists([]rdf.Triple{tp("?x", "p", "?y"), tp("?y", "p", "?z"), tp("?z", "p", "?w")}, g) {
 		t.Fatal("length-3 path should not embed into length-2 path")
+	}
+}
+
+// Long paths: a 40-path embeds into a 60-path, a 61-path does not. (The
+// name is kept from the tree-decomposition solver this case was first
+// written for.)
+func TestExistsTDLongPath(t *testing.T) {
+	long := rdf.NewGraph()
+	for i := 0; i < 60; i++ {
+		long.AddTriple(fmt.Sprintf("n%d", i), "p", fmt.Sprintf("n%d", i+1))
+	}
+	path := func(n int) []rdf.Triple {
+		var pats []rdf.Triple
+		for i := 0; i < n; i++ {
+			pats = append(pats, tp(fmt.Sprintf("?v%d", i), "p", fmt.Sprintf("?v%d", i+1)))
+		}
+		return pats
+	}
+	if !Exists(path(40), long) || Exists(path(61), long) {
+		t.Fatal("path embedding into a 60-path")
+	}
+}
+
+func TestExistsDisconnectedPattern(t *testing.T) {
+	g := rdf.GraphOf(tp("a", "p", "b"), tp("c", "q", "d"))
+	pats := []rdf.Triple{tp("?x", "p", "?y"), tp("?u", "q", "?v")}
+	if !Exists(pats, g) {
+		t.Fatal("disconnected pattern should match")
+	}
+	if Exists(append(pats, tp("?u", "p", "?v")), g) {
+		t.Fatal("u,v cannot satisfy both predicates")
 	}
 }
 
@@ -51,6 +83,31 @@ func TestExistsConstants(t *testing.T) {
 	}
 	if Exists([]rdf.Triple{tp("b", "p", "?y")}, g) {
 		t.Fatal("wrong constant must not match")
+	}
+}
+
+// Ground patterns are membership tests, and the empty pattern always
+// matches. (Named, like TestExistsTDLongPath, for the solver it was
+// first written for.)
+func TestExistsTDGroundAndEmpty(t *testing.T) {
+	g := rdf.GraphOf(tp("a", "p", "b"))
+	if !Exists(nil, g) {
+		t.Fatal("empty pattern")
+	}
+	if !Exists([]rdf.Triple{tp("a", "p", "b")}, g) {
+		t.Fatal("true ground")
+	}
+	if Exists([]rdf.Triple{tp("b", "p", "a")}, g) {
+		t.Fatal("false ground")
+	}
+}
+
+// A false ground triple refutes whatever the other patterns admit.
+// (Named for the domain-propagation pass that once did the refuting.)
+func TestComputeDomainsGroundFailure(t *testing.T) {
+	g := rdf.GraphOf(tp("a", "p", "b"))
+	if Exists([]rdf.Triple{tp("x", "p", "y"), tp("?v", "p", "?w")}, g) {
+		t.Fatal("false ground triple must refute")
 	}
 }
 

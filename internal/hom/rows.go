@@ -8,25 +8,35 @@ import (
 	"wdsparql/internal/rdf"
 )
 
-// This file is the row-native face of the homomorphism solver: the
-// same compiled backtracking search as solver.go, but with variables
-// carrying caller-assigned global slots (an rdf.SlotLayout shared by a
-// whole pattern tree) and matches emitted directly as bindings into a
-// caller-provided flat row — no rdf.Mapping is built and no string is
-// decoded. This is what the top-down enumeration of ⟦T⟧G streams
-// solutions out of: the partial solution accumulated down a wdPT
-// branch *is* the row, bound slots act as constants of the search
-// (the paper's "extends µ" side condition), and newly matched slots
-// are written in place and undone on backtrack.
+// This file is the homomorphism solver's one backtracking search. A
+// set of triple patterns is compiled once against a graph and a slot
+// layout (variables become caller-assigned slots of an rdf.SlotLayout,
+// which a whole pattern tree may share; IRIs become TermIDs), and
+// matches are emitted directly as bindings into a caller-provided flat
+// row — no rdf.Mapping is built and no string is decoded. The top-down
+// enumeration of ⟦T⟧G streams its solutions out of it: the partial
+// solution accumulated down a wdPT branch *is* the row, bound slots act
+// as constants of the search (the paper's "extends µ" side condition),
+// and newly matched slots are written in place and undone on
+// backtrack. Ask's extension tests, the string API of solver.go and the
+// cores and widths built on it run the same search.
 //
-// Candidates stream in storage order: the chosen pattern's
-// LookupRangeID posting list is walked in place, never copied, scored
-// or sorted, so the first match costs one path down the search tree and
-// a search allocates nothing. Storage order is insertion order on every
-// backend (internal/rdf/backendtest pins it), which is what makes the
-// stream identical across backends, workers, planner modes and filter
-// placement. The string-API search in solver.go keeps its succeed-first
-// value ordering.
+// At every node the remaining pattern with the fewest matches under the
+// row is expanded (fail-first; see planner.go for the modes), and its
+// candidates stream in storage order: the LookupRangeID posting list is
+// walked in place, never copied, scored or sorted, so the first match
+// costs one path down the search tree and a search allocates nothing.
+// Storage order is insertion order on every backend
+// (internal/rdf/backendtest pins it), which is what makes the stream
+// identical across backends, workers, planner modes and filter
+// placement.
+
+// cpat is a compiled triple pattern: code[i] ≥ 0 is a variable slot,
+// code[i] < 0 encodes the IRI TermID ^code[i] (IRI IDs are dense below
+// 2³¹ and fit an int32 after complement).
+type cpat struct {
+	code [3]int32
+}
 
 // RowProgram is a set of triple patterns compiled once against a graph
 // and a slot layout: variables become layout slots, IRI constants
@@ -424,34 +434,4 @@ func (s *RowSearcher) RunOn(assign rdf.Row, t rdf.IDTriple, yield func() bool) b
 	}
 	s.assign = nil
 	return ok
-}
-
-// FindAllID returns all homomorphisms from pats to g as rows under the
-// layout (interning any new pattern variables), up to limit (≤ 0 means
-// no limit). Slots of the layout outside vars(pats) are Unbound.
-func FindAllID(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, limit int) []rdf.Row {
-	prog := CompileRowProgram(pats, g, layout)
-	return collectRows(prog, layout.NewRow(), limit)
-}
-
-// FindAllExtendingID returns all homomorphism rows extending the
-// partial row base — the row-native (S, dom(µ)) →µ G of the paper —
-// including base's bindings in every result. base must have been built
-// against the same layout; it is not modified.
-func FindAllExtendingID(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, base rdf.Row, limit int) []rdf.Row {
-	prog := CompileRowProgram(pats, g, layout)
-	// Compiling may have interned fresh variables past base's width;
-	// search on a widened copy so base stays untouched.
-	row := layout.NewRow()
-	copy(row, base)
-	return collectRows(prog, row, limit)
-}
-
-func collectRows(prog *RowProgram, row rdf.Row, limit int) []rdf.Row {
-	var out []rdf.Row
-	prog.NewSearcher().Run(row, func() bool {
-		out = append(out, row.Clone())
-		return limit <= 0 || len(out) < limit
-	})
-	return out
 }

@@ -11,10 +11,26 @@ import (
 	"wdsparql/internal/rdf"
 )
 
-// The row-native solver must agree exactly with the string solver: for
-// random patterns over random graphs, FindAllID decoded equals
-// FindAll, and FindAllExtendingID respects base-row bindings the way
-// FindExtending respects µ.
+// The row search on a caller's layout must agree exactly with the
+// string API on its private one: for random patterns over random
+// graphs, findAllID's rows decode to FindAll's mappings (slots of the
+// layout outside vars(pats) stay Unbound), and a seeded base row
+// restricts the matches to those agreeing with its bindings.
+
+// findAllID collects every match of pats as rows under the layout
+// (interning any new pattern variables) that extends the partial row
+// base (nil: none), up to limit (≤ 0 means no limit).
+func findAllID(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, base rdf.Row, limit int) []rdf.Row {
+	prog := CompileRowProgram(pats, g, layout)
+	row := layout.NewRow()
+	copy(row, base)
+	var out []rdf.Row
+	prog.NewSearcher().Run(row, func() bool {
+		out = append(out, row.Clone())
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
 
 func randRowGraph(rng *rand.Rand) *rdf.Graph {
 	g := rdf.NewGraph()
@@ -52,7 +68,8 @@ func TestFindAllIDAgreesWithFindAll(t *testing.T) {
 		pats := randRowPats(rng)
 		want := FindAll(pats, g, 0)
 		layout := rdf.NewSlotLayout()
-		rows := FindAllID(pats, g, layout, 0)
+		other := layout.Intern("w") // a slot of the layout outside vars(pats)
+		rows := findAllID(pats, g, layout, nil, 0)
 		if len(rows) != len(want) {
 			t.Fatalf("case %d: %v: %d rows, %d mappings", c, pats, len(rows), len(want))
 		}
@@ -61,6 +78,9 @@ func TestFindAllIDAgreesWithFindAll(t *testing.T) {
 			seen.Add(m)
 		}
 		for _, r := range rows {
+			if r[other] != rdf.Unbound {
+				t.Fatalf("case %d: slot outside vars(pats) bound in %v", c, r)
+			}
 			m := layout.DecodeRow(g.Dict(), r)
 			if !seen.Contains(m) {
 				t.Fatalf("case %d: row decodes to non-solution %s", c, m)
@@ -76,7 +96,7 @@ func TestFindAllIDLimit(t *testing.T) {
 	}
 	pats := []rdf.Triple{rdf.T(rdf.Var("x"), rdf.IRI("p"), rdf.Var("x"))}
 	layout := rdf.NewSlotLayout()
-	rows := FindAllID(pats, g, layout, 2)
+	rows := findAllID(pats, g, layout, nil, 2)
 	if len(rows) != 2 {
 		t.Fatalf("limit 2 returned %d rows", len(rows))
 	}
@@ -88,7 +108,7 @@ func TestFindAllExtendingID(t *testing.T) {
 		g := randRowGraph(rng)
 		pats := randRowPats(rng)
 		layout := rdf.NewSlotLayout()
-		full := FindAllID(pats, g, layout, 0)
+		full := findAllID(pats, g, layout, nil, 0)
 		if len(full) == 0 {
 			continue
 		}
@@ -105,7 +125,7 @@ func TestFindAllExtendingID(t *testing.T) {
 		if pin < 0 {
 			continue
 		}
-		got := FindAllExtendingID(pats, g, layout, base, 0)
+		got := findAllID(pats, g, layout, base, 0)
 		// Reference: every full solution whose pin slot matches.
 		wantN := 0
 		for _, r := range full {

@@ -62,7 +62,7 @@ func TestSplitTopPartitionsRun(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			// Pre-bind one slot from some solution, exercising the
 			// "extends µ" side condition through the split.
-			if full := collectRows(prog, layout.NewRow(), 1); len(full) == 1 {
+			if full := collectRun(prog, layout.NewRow()); len(full) > 0 {
 				for s, v := range full[0] {
 					if v != rdf.Unbound {
 						base[s] = v

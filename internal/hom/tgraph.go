@@ -2,13 +2,15 @@
 // t-graphs (S, X), homomorphisms between them and into RDF graphs, and
 // core computation — the machinery of Sections 2.1 and 3 of the paper.
 //
-// Homomorphism search is solved as a constraint-satisfaction problem
-// with backtracking, forward checking and a most-constrained-variable
-// heuristic. Homomorphisms between t-graphs are reduced to
-// homomorphisms into an encoded RDF graph in which the target's
-// variables are frozen into fresh IRIs, mirroring the paper's remark
-// that generalised t-graphs correspond to conjunctive queries with
-// constants.
+// Homomorphism search is one backtracking kernel (rows.go): patterns
+// compiled against the graph's dictionary, the fewest-matches pattern
+// expanded first, its candidates walked in storage order, matches
+// written into a flat row. The string API (solver.go) and the cores
+// built on it are thin entries over that kernel. Homomorphisms between
+// t-graphs are reduced to homomorphisms into an encoded RDF graph in
+// which the target's variables are frozen into fresh IRIs, mirroring
+// the paper's remark that generalised t-graphs correspond to
+// conjunctive queries with constants.
 package hom
 
 import (
