@@ -22,20 +22,15 @@ import (
 // NOT re-seal g (unlike NewEngine): the generation path hands over
 // graphs that are already sealed — a fork carrying an overlay, or a
 // freshly compacted base — and re-sealing would fold the overlay
-// eagerly, defeating the cheap-fork design. The query cache starts
-// empty because prepared queries are compiled against a specific
-// graph.
+// eagerly, defeating the cheap-fork design. Every option carries over
+// (the planner and pushdown settings included); only the query cache
+// starts empty, because prepared queries are compiled against a
+// specific graph.
 func (e *Engine) withGraph(g *rdf.Graph) *Engine {
-	ne := &Engine{
-		g:         g,
-		alg:       e.alg,
-		pebbleK:   e.pebbleK,
-		workers:   e.workers,
-		shards:    e.shards,
-		qcacheCap: e.qcacheCap,
-	}
+	ne := *e
+	ne.g = g
 	ne.qcache = newLRUCache[*PreparedQuery](ne.qcacheCap)
-	return ne
+	return &ne
 }
 
 // ApplyDelta returns a new engine generation whose graph contains e's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,6 +94,28 @@ func TestEngineApplyDelta(t *testing.T) {
 			n, err := q.Count(ctx)
 			if err != nil || n != tc.want {
 				t.Fatalf("shards=%d: Count = %d (err %v), want %d", shards, n, err, tc.want)
+			}
+		}
+	}
+}
+
+// Generations keep every engine option: the planner and filter
+// placement of a delta or refrozen generation are its ancestor's, on
+// the defaults and on explicit overrides alike.
+func TestEngineGenerationsKeepOptions(t *testing.T) {
+	const text = `((?x p ?y) FILTER (?y = o3))`
+	for _, on := range []bool{true, false} {
+		e0 := NewEngine(deltaGraph(10), WithPlanner(on), WithFilterPushdown(on))
+		e1 := e0.ApplyDelta([]Triple{deltaTriple(10)})
+		for name, e := range map[string]*Engine{"delta": e1, "refrozen": e1.Refreeze()} {
+			ep := e.MustPrepare(MustParsePattern(text)).Explain()
+			want := "[deferred]"
+			if on {
+				want = "[pushed]"
+			}
+			if ep.Planner != on || len(ep.Trees[0].Filters) != 1 || !strings.HasSuffix(ep.Trees[0].Filters[0], want) {
+				t.Fatalf("%s generation of a planner=%v pushdown=%v engine explains planner=%v filters=%v",
+					name, on, on, ep.Planner, ep.Trees[0].Filters)
 			}
 		}
 	}

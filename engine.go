@@ -99,7 +99,7 @@ func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 // cache (the default).
 func WithQueryCache(n int) Option { return func(e *Engine) { e.qcacheCap = n } }
 
-// WithPlanner turns the compile-time query planner on or off for the
+// WithPlanner turns the join-order query planner on or off for the
 // whole engine (default on); the per-call Planner ExecOption overrides
 // it. With the planner on, ordered executions (Rows, Select, All) run
 // with complete dead-branch detection — streams stay byte-identical to
@@ -174,8 +174,10 @@ func (e *Engine) Graph() *Graph { return e.g }
 // well-designedness check, the wdpf translation, and the compilation
 // of every tree into row programs over one shared slot layout — and
 // returns a reusable PreparedQuery. The widths (domination, branch,
-// local) and the certain variables are computed lazily on first access
-// and cached; everything else is paid here, never again per execution.
+// local), the certain variables and the join plans (read only by Count
+// and Explain; streamed executions never plan) are computed lazily on
+// first use and cached; everything else is paid here, never again per
+// execution.
 //
 // Prepare fails exactly when the pattern is not well-designed (for a
 // SELECT query: its WHERE pattern, with every FILTER safe and every

@@ -1,8 +1,8 @@
 package wdsparql
 
-// Explain: the observability surface of the compile-time query
-// planner. A prepared query can dump, as plain JSON-taggable structs,
-// the pattern order the planner chose per wdPT node, the per-step
+// Explain: the observability surface of the join-order query planner.
+// A prepared query can dump, as plain JSON-taggable structs, the
+// pattern order the planner chose per wdPT node, the per-step
 // cardinality estimates it chose them by, and the index shape each
 // step probes. wdsparql -explain and wdserve's /sparql?explain=1 both
 // serialise exactly this.
@@ -98,9 +98,11 @@ type AskTest struct {
 	Note string `json:"note,omitempty"`
 }
 
-// Explain returns the compile-time query plan of the prepared query.
-// The plan is purely informational: executions with the planner off
-// (or with the Planner ExecOption) yield the identical row stream.
+// Explain returns the query plan of the prepared query; the join
+// orders are built by the first Count or Explain, whichever comes
+// first, and are the same either way. The plan is purely
+// informational: executions with the planner off (or with the Planner
+// ExecOption) yield the identical row stream.
 func (q *PreparedQuery) Explain() *QueryPlan {
 	qp := &QueryPlan{
 		Planner:    q.eng.planner,

@@ -117,7 +117,9 @@ func CompileTree(t *ptree.Tree, g *rdf.Graph) *ForestProgram {
 
 // compileNode compiles one wdPT node. entry lists the layout slots
 // bound before any search of this node starts — the accumulated
-// ancestor variables — which seed the node's compile-time join plan.
+// ancestor variables — which seed the node's join plan. The plan is
+// built on its first reader (a ModeStrict execution or Explain), not
+// here: ordered executions never read it.
 //
 // Filter conjuncts split by scope: a conjunct whose variables all lie
 // in entry ∪ vars(pat(n)) is fully bound the moment the node's own
@@ -165,7 +167,7 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 			}
 		}
 	}
-	cn.prog.BuildPlan(entry)
+	cn.prog.PlanLazily(entry)
 	// Entry-bound slots of the children: everything bound on arrival
 	// here plus this node's own variables. Well-designedness makes
 	// this exact — a variable shared between a child's subtree and

@@ -3,7 +3,6 @@ package hom
 import (
 	"sort"
 
-	"wdsparql/internal/plan"
 	"wdsparql/internal/rdf"
 )
 
@@ -176,10 +175,11 @@ type progFilter struct {
 
 // AttachFilter attaches a compiled filter conjunct to the program, to
 // be evaluated by every searcher at the earliest point all its slots
-// are bound. Must be called before NewSearcher and before BuildPlan
-// (attached equality-with-constant filters sharpen the plan's
-// selectivity estimates). The locality contract is the caller's: every
-// slot must be an entry slot or a pattern variable of this program.
+// are bound. Must be called before NewSearcher and before the plan is
+// built (attached equality-with-constant filters sharpen the plan's
+// selectivity estimates; see PlanLazily). The locality contract is the
+// caller's: every slot must be an entry slot or a pattern variable of
+// this program.
 func (p *RowProgram) AttachFilter(f *FilterExpr) {
 	slots := f.Slots()
 	for _, s := range slots {
@@ -211,21 +211,6 @@ func (p *RowProgram) restrictedSlots() []int32 {
 		}
 	}
 	return out
-}
-
-// BuildPlan builds the compile-time join order off the graph's
-// selectivity catalog, like CompileRowProgramPlanned, but after any
-// AttachFilter calls — so equality-restricted slots feed the
-// estimates. entry lists the slots bound before any search starts.
-func (p *RowProgram) BuildPlan(entry []int32) {
-	if p.absent || len(p.pats) == 0 {
-		return
-	}
-	pp := make([]plan.Pattern, len(p.pats))
-	for i, cp := range p.pats {
-		pp[i] = plan.Pattern{Code: cp.code}
-	}
-	p.plan = plan.CompileWithRestrictions(pp, p.g, entry, p.restrictedSlots())
 }
 
 // initFilterScratch sizes the searcher's filter scratch: the per-filter

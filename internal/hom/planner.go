@@ -1,8 +1,8 @@
 package hom
 
-// Planner integration: the compile-time join order (internal/plan)
-// threaded into the row-native searcher, plus the runtime policies
-// that consume it.
+// Planner integration: the join order (internal/plan), built on a
+// program's first ModeStrict execution or Explain, threaded into the
+// row-native searcher, plus the runtime policies that consume it.
 //
 // The determinism contract is the heart of this file. The engine-wide
 // invariant — every backend, every execution strategy yields the same
@@ -102,9 +102,15 @@ type countMemo struct {
 // Tune sets the searcher's pattern-selection mode, strict-mode slack
 // factor (≤ 0 selects DefaultSlack) and optional effort counters.
 // Must be called before Run/SplitTop/RunOn; a zero-value searcher runs
-// ModeHeuristic with no stats.
+// ModeHeuristic with no stats. ModeStrict resolves the program's plan
+// here — building it on the program's first strict execution — so the
+// search nodes read a plain field.
 func (s *RowSearcher) Tune(mode SearchMode, slack int, stats *SearchStats) {
 	s.mode = mode
+	s.plan = nil
+	if mode == ModeStrict {
+		s.plan = s.prog.Plan()
+	}
 	if slack <= 0 {
 		slack = DefaultSlack
 	}
@@ -163,7 +169,7 @@ func (s *RowSearcher) pickScored() (best int, bestPat rdf.IDTriple, dead bool) {
 // expand doomed subtrees the scan prunes at the parent — the planner
 // decides at compile time that full re-scoring is the cheaper policy.
 func (s *RowSearcher) pickStrict() (int, rdf.IDTriple, bool) {
-	pl := s.prog.plan
+	pl := s.plan
 	if pl == nil || pl.Volatile() {
 		return s.pickScored()
 	}
@@ -187,8 +193,8 @@ func (s *RowSearcher) pickStrict() (int, rdf.IDTriple, bool) {
 }
 
 // CompileRowProgramPlanned compiles the patterns like CompileRowProgram
-// and additionally builds the compile-time join order off the graph's
-// selectivity catalog. entry lists the layout slots that are bound
+// and additionally builds the join order off the graph's selectivity
+// catalog (BuildPlan). entry lists the layout slots that are bound
 // before any search of this program starts (the ancestor variables of
 // a wdPT node); the planner costs patterns touching them as
 // pre-bound. Programs with an absent constant skip planning — they
@@ -199,9 +205,41 @@ func CompileRowProgramPlanned(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotL
 	return p
 }
 
-// Plan returns the compiled join order, nil when the program was
-// compiled without planning (or has nothing to plan).
-func (p *RowProgram) Plan() *plan.Plan { return p.plan }
+// PlanLazily records the slots bound before any search of the program
+// starts, and defers planning to the first Plan call: the join order is
+// then built exactly once, under a sync.Once, however many executions
+// race for it. Must be called after every AttachFilter and before the
+// first Plan; entry must not be modified afterwards.
+func (p *RowProgram) PlanLazily(entry []int32) {
+	p.plannable, p.entry = true, entry
+}
+
+// BuildPlan is PlanLazily followed by Plan: the join order is built now.
+func (p *RowProgram) BuildPlan(entry []int32) {
+	p.PlanLazily(entry)
+	p.Plan()
+}
+
+// Plan returns the join order, building it on first call; nil when the
+// program was compiled without planning (or has nothing to plan).
+func (p *RowProgram) Plan() *plan.Plan {
+	p.planOnce.Do(p.buildPlan)
+	return p.plan
+}
+
+// buildPlan orders the patterns off the graph's selectivity catalog,
+// with the entry slots and the slots an attached equality filter pins
+// costed as bound.
+func (p *RowProgram) buildPlan() {
+	if !p.plannable || p.absent || len(p.pats) == 0 {
+		return
+	}
+	pp := make([]plan.Pattern, len(p.pats))
+	for i, cp := range p.pats {
+		pp[i] = plan.Pattern{Code: cp.code}
+	}
+	p.plan = plan.CompileWithRestrictions(pp, p.g, p.entry, p.restrictedSlots())
+}
 
 // NumPatterns returns the number of compiled patterns.
 func (p *RowProgram) NumPatterns() int { return len(p.pats) }

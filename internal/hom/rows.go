@@ -3,6 +3,7 @@ package hom
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"wdsparql/internal/plan"
 	"wdsparql/internal/rdf"
@@ -48,9 +49,15 @@ type RowProgram struct {
 	width  int  // minimum row length: 1 + highest slot referenced
 	absent bool // some constant is not in g: no matches
 
-	// Compile-time join order; nil unless built by
-	// CompileRowProgramPlanned or BuildPlan (see planner.go).
-	plan *plan.Plan
+	// Join order for ModeStrict and Explain, built on the first Plan()
+	// call once PlanLazily has recorded the entry slots (BuildPlan does
+	// both at once; see planner.go). Ordered executions never read it,
+	// so a program that only streams rows never plans. nil for programs
+	// compiled without planning or with nothing to plan.
+	plannable bool
+	entry     []int32
+	planOnce  sync.Once
+	plan      *plan.Plan
 
 	// Pushed filter conjuncts; see filter.go. Immutable once the first
 	// searcher is created.
@@ -99,7 +106,8 @@ type RowSearcher struct {
 
 	// Pattern-selection policy and its scratch; see planner.go.
 	mode   SearchMode
-	slack  float64 // strict-mode divergence factor
+	plan   *plan.Plan // the program's plan, resolved by Tune for ModeStrict
+	slack  float64    // strict-mode divergence factor
 	stats  *SearchStats
 	memo   []countMemo // per-pattern selection-count memo
 	noMemo bool        // benchmark knob: disable the memo

@@ -1,18 +1,19 @@
-// Package plan implements the compile-time join-order planner.
+// Package plan implements the join-order planner.
 //
-// The planner runs once, at Prepare time, and orders the triple
-// patterns of one BGP (one wdPT node's RowProgram) most-restrictive-
-// first with bound-slot propagation: after a pattern is placed, every
-// variable slot it mentions counts as bound for the remaining
-// patterns, and a pattern whose subject slot just got bound is
-// re-costed as subject-bound. The cost model is built entirely from
-// statistics the storage backends answer in O(1) or one galloping
-// probe — exact posting-list cardinalities from the CSR offsets
-// (Graph.MatchCountID on a constants-only skeleton) divided by
-// distinct-key domain sizes (Graph.DistinctCount /
-// Graph.DistinctUnderPredicate) per bound variable position — so
-// compiling a plan costs a handful of index probes per pattern pair
-// and never scans data.
+// The planner runs at most once per BGP (one wdPT node's RowProgram),
+// on the program's first order-free execution or Explain, and orders
+// its triple patterns most-restrictive-first with bound-slot
+// propagation: after a pattern is placed, every variable slot it
+// mentions counts as bound for the remaining patterns, and a pattern
+// whose subject slot just got bound is re-costed as subject-bound. The
+// cost model is built entirely from statistics the storage backends
+// answer in O(1) or one galloping probe — exact posting-list
+// cardinalities from the CSR offsets (Graph.MatchCountID on a
+// constants-only skeleton) divided by distinct-key domain sizes
+// (Graph.DistinctCount / Graph.DistinctUnderPredicate, lookups after
+// one pass per sealed view) per bound variable position — so compiling
+// a plan costs a handful of index probes per pattern pair and never
+// scans data.
 //
 // Everything here is deterministic: candidate patterns are examined in
 // index order, ties break toward the lowest original index, and no map

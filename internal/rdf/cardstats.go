@@ -1,40 +1,49 @@
 package rdf
 
-// Selectivity catalog: distinct-key statistics the compile-time query
-// planner (internal/plan) reads alongside MatchCountID. The CSR offset
-// arrays of the sealed backends already answer "how many triples carry
-// key k at position X" in O(1); this file adds the complementary
-// domain-size questions — how many distinct subjects/predicates/objects
-// exist, globally and under a fixed predicate — that turn posting
-// lengths into per-bound-variable selectivity estimates.
+// Selectivity catalog: distinct-key statistics the query planner
+// (internal/plan) reads alongside MatchCountID. The CSR offset arrays
+// of the sealed backends already answer "how many triples carry key k
+// at position X" in O(1); this file adds the complementary domain-size
+// questions — how many distinct subjects/predicates/objects exist,
+// globally and under a fixed predicate — that turn posting lengths
+// into per-bound-variable selectivity estimates.
 //
-// Cost discipline mirrors the backends' own contracts:
+// Cost discipline: every sealed answer is a lookup after a one-time
+// pass, so a plan never scans data.
 //
 //   - Map backend: global counts are the index map sizes (O(1));
 //     per-predicate counts scan one posting list. The map backend is
 //     mutable, so nothing is cached.
-//   - Frozen / sharded: global counts are computed once, lazily, by a
-//     single pass over the offset (or global count) arrays, guarded by
-//     sync.Once so the first plan compilation is safe under concurrent
-//     readers and mmap-loaded snapshots stay O(1) until a plan asks.
-//     Per-predicate counts walk one key column group, whose secondary
-//     sort makes distinct values = key transitions.
-//   - Sharded: subjects partition across shards (shardOfID hashes the
-//     subject), so per-shard distinct-subject sums are exact. Distinct
-//     objects under a predicate are per-shard sums and therefore an
-//     upper bound — acceptable for an estimator, documented here so
-//     nobody mistakes it for an invariant.
-//   - Overlay: the delta adds only keys absent from the sealed base
-//     (checked by O(1)/O(log) base probes per overlay key), keeping the
-//     counts exact on frozen bases. Overlays are small by construction.
+//   - Frozen / sharded: on first use, one pass over the offset (or
+//     global count) arrays and the predicate groups of the
+//     secondarily-sorted keyPS/keyPO columns — whose secondary sort
+//     makes distinct values = key transitions — fills every count,
+//     O(|G| + |dict|) once per sealed view. It runs under sync.Once, so
+//     the first plan is safe under concurrent readers and mmap-loaded
+//     snapshots stay O(1) until a plan asks.
+//   - Sharded: each shard's view fills its own counts. Subjects
+//     partition across shards (shardOfID hashes the subject), so
+//     per-shard distinct-subject sums are exact. Distinct objects under
+//     a predicate are per-shard sums and therefore an upper bound —
+//     acceptable for an estimator, documented here so nobody mistakes
+//     it for an invariant.
+//   - Overlay: the delta adds only keys and (predicate, value) pairs
+//     absent from the sealed base (O(1)/O(log) base probes per overlay
+//     key), keeping the counts exact on frozen bases. Both deltas are
+//     computed in one pass over the overlay the first time a reader
+//     asks at a given overlay state; the write path does nothing, and
+//     the next AddDelta makes the memo stale (see overlayCatalog).
 
 import "sync"
 
-// cardStats is the lazily-filled global distinct-count cache embedded
-// in the immutable sealed views.
+// cardStats is the lazily-filled distinct-count cache embedded in the
+// immutable sealed views.
 type cardStats struct {
 	once                sync.Once
 	distS, distP, distO int
+	// under maps a predicate to its distinct subject and object counts
+	// (frozen views only; a sharded graph sums its shards' maps).
+	under map[TermID][2]int
 }
 
 // DistinctCount reports the number of distinct IRIs occurring at
@@ -58,7 +67,7 @@ func (g *Graph) DistinctCount(pos int) int {
 		}
 	}
 	if g.ovl != nil {
-		base += g.overlayNewKeys(pos)
+		base += g.overlayCatalog().newKeys[pos]
 	}
 	return base
 }
@@ -86,19 +95,39 @@ func (g *Graph) DistinctUnderPredicate(p TermID, pos int) int {
 		return len(seen)
 	}
 	if g.ovl != nil {
-		base += g.overlayNewUnder(p, pos)
+		base += g.overlayCatalog().newUnder[p][underIdx(pos)]
 	}
 	return base
 }
 
-// distinct returns the global distinct-key count of one position,
-// computing all three on first use.
-func (f *frozenView) distinct(pos int) int {
+// underIdx maps a position to its index in a [subjects, objects] pair.
+func underIdx(pos int) int {
+	if pos == 2 {
+		return 1
+	}
+	return 0
+}
+
+// fill computes every count of the view in one pass: non-empty groups
+// of the three offset arrays, and per predicate the key transitions of
+// its keyPS (subjects) and keyPO (objects) group.
+func (f *frozenView) fill() {
 	f.stats.once.Do(func() {
 		f.stats.distS = nonzeroGroups(f.offS)
 		f.stats.distP = nonzeroGroups(f.offP)
 		f.stats.distO = nonzeroGroups(f.offO)
+		f.stats.under = make(map[TermID][2]int, f.stats.distP)
+		for k := 0; k < f.nIRIs; k++ {
+			if b, e := f.offP[k], f.offP[k+1]; e > b {
+				f.stats.under[TermID(k)] = [2]int{transitions(f.keyPS[b:e]), transitions(f.keyPO[b:e])}
+			}
+		}
 	})
+}
+
+// distinct returns the global distinct-key count of one position.
+func (f *frozenView) distinct(pos int) int {
+	f.fill()
 	switch pos {
 	case 0:
 		return f.stats.distS
@@ -109,22 +138,18 @@ func (f *frozenView) distinct(pos int) int {
 	}
 }
 
-// distinctUnder counts key transitions in the secondarily-sorted key
-// column of predicate p's group: keyPS (subjects) or keyPO (objects)
-// order the group by exactly the key being counted.
+// distinctUnder returns the distinct subjects (pos 0) or objects (pos
+// 2) of predicate p's group.
 func (f *frozenView) distinctUnder(p TermID, pos int) int {
-	k := int(p)
-	if p.IsVar() || k >= f.nIRIs {
-		return 0
-	}
-	keys := f.keyPS
-	if pos == 2 {
-		keys = f.keyPO
-	}
-	grp := keys[f.offP[k]:f.offP[k+1]]
+	f.fill()
+	return f.stats.under[p][underIdx(pos)]
+}
+
+// transitions counts the distinct values of a sorted key run.
+func transitions(keys []TermID) int {
 	n := 0
-	for i, v := range grp {
-		if i == 0 || grp[i-1] != v {
+	for i, v := range keys {
+		if i == 0 || keys[i-1] != v {
 			n++
 		}
 	}
@@ -179,27 +204,55 @@ func nonzeroGroups(off []uint32) int {
 	return n
 }
 
-// overlayNewKeys counts overlay posting-list keys at position pos that
-// the sealed base has never seen, i.e. the overlay's contribution to
-// the global distinct count. Map iteration order is irrelevant — only
-// the count is returned.
-func (g *Graph) overlayNewKeys(pos int) int {
-	var m map[TermID][]IDTriple
-	switch pos {
-	case 0:
-		m = g.ovl.byS
-	case 1:
-		m = g.ovl.byP
-	default:
-		m = g.ovl.byO
+// ovlCatalog is the overlay's contribution to the catalog at one
+// overlay state: per position the keys the sealed base has never seen,
+// and per predicate the distinct subjects and objects that do not
+// co-occur with it in the base.
+type ovlCatalog struct {
+	n        int // len(overlay.ts) it was computed at
+	newKeys  [3]int
+	newUnder map[TermID][2]int
+}
+
+// overlayCatalog returns the overlay's catalog deltas, computing them
+// on the first call at the current overlay state. The overlay is
+// insert-only, so its length identifies the state: a memo whose length
+// differs predates an AddDelta and is recomputed, without the write
+// path touching it. Concurrent readers of one state may each compute
+// it; they store equal values.
+func (g *Graph) overlayCatalog() *ovlCatalog {
+	o := g.ovl
+	if c := o.catalog.Load(); c != nil && c.n == len(o.ts) {
+		return c
 	}
-	n := 0
-	for k := range m {
-		if g.baseGroupLen(pos, k) == 0 {
-			n++
+	c := &ovlCatalog{n: len(o.ts), newUnder: make(map[TermID][2]int, len(o.byP))}
+	for pos, m := range [3]map[TermID][]IDTriple{o.byS, o.byP, o.byO} {
+		for k := range m { // only counts leave the loop: map order is irrelevant
+			if g.baseGroupLen(pos, k) == 0 {
+				c.newKeys[pos]++
+			}
 		}
 	}
-	return n
+	seen := make(map[TermID]struct{})
+	for p, ts := range o.byP {
+		var d [2]int
+		for i, pos := range [2]int{0, 2} {
+			clear(seen)
+			for _, t := range ts {
+				v := t[pos]
+				if _, ok := seen[v]; ok {
+					continue
+				}
+				seen[v] = struct{}{}
+				if !g.basePairHas(p, v, pos) {
+					d[i]++
+				}
+			}
+		}
+		c.newUnder[p] = d
+	}
+	o.catalog.Store(c)
+	return c
 }
 
 func (g *Graph) baseGroupLen(pos int, k TermID) int {
@@ -214,24 +267,6 @@ func (g *Graph) baseGroupLen(pos int, k TermID) int {
 	default:
 		return int(g.frz.groupLen(g.frz.offO, k))
 	}
-}
-
-// overlayNewUnder counts distinct values at position pos among overlay
-// triples under predicate p that do not co-occur with p in the base.
-func (g *Graph) overlayNewUnder(p TermID, pos int) int {
-	seen := make(map[TermID]struct{})
-	n := 0
-	for _, t := range g.ovl.byP[p] {
-		v := t[pos]
-		if _, ok := seen[v]; ok {
-			continue
-		}
-		seen[v] = struct{}{}
-		if !g.basePairHas(p, v, pos) {
-			n++
-		}
-	}
-	return n
 }
 
 // basePairHas reports whether the sealed base holds any triple with

@@ -1,0 +1,106 @@
+package rdf_test
+
+import (
+	"slices"
+	"testing"
+
+	"wdsparql/internal/rdf"
+)
+
+// catalogOf reads every catalog count of g: the three global distinct
+// counts, then per IRI of dom(ref) (a superset of the predicates) its
+// distinct subjects and objects as a predicate.
+func catalogOf(g, ref *rdf.Graph) []int {
+	var out []int
+	for pos := 0; pos < 3; pos++ {
+		out = append(out, g.DistinctCount(pos))
+	}
+	for _, p := range ref.DomIDs() {
+		out = append(out, g.DistinctUnderPredicate(p, 0), g.DistinctUnderPredicate(p, 2))
+	}
+	return out
+}
+
+// The overlay's catalog deltas are memoised per overlay state. Probing,
+// adding deltas — new keys, new (predicate, value) pairs, and pairs the
+// base already holds — and probing again must give exactly what a
+// from-scratch computation gives: the map-backed reference on a frozen
+// base, and on either base a clone (a new base and overlay, no memo).
+func TestOverlayCatalogFollowsDeltas(t *testing.T) {
+	tr := func(s, p, o string) rdf.Triple { return rdf.T(rdf.IRI(s), rdf.IRI(p), rdf.IRI(o)) }
+	base := []rdf.Triple{tr("a", "p", "b"), tr("b", "p", "c"), tr("c", "q", "a")}
+	batches := [][]rdf.Triple{
+		{tr("a", "q", "b")}, // new subject and object under q
+		{
+			tr("d", "r", "e"), // three new keys
+			tr("a", "p", "c"), // (p, subject a) and (p, object c) both in the base
+			tr("b", "q", "a"), // new subject b under q, object a already there
+			tr("c", "p", "d"), // new object d under p
+		},
+	}
+	for _, shards := range []int{0, 3} {
+		g := rdf.GraphFromTriples(base)
+		if shards > 0 {
+			g = rdf.GraphFromTriplesSharded(base, shards)
+		}
+		all := append([]rdf.Triple{}, base...)
+		var prev []int
+		for bi, batch := range batches {
+			for _, t := range batch {
+				g.AddDelta(t)
+			}
+			all = append(all, batch...)
+			ref := rdf.GraphOf(all...)
+			got := catalogOf(g, ref)
+			if again := catalogOf(g, ref); !slices.Equal(got, again) {
+				t.Fatalf("shards=%d batch %d: memoised probe %v, first probe %v", shards, bi, again, got)
+			}
+			if fresh := catalogOf(g.Clone(), ref); !slices.Equal(got, fresh) {
+				t.Fatalf("shards=%d batch %d: catalog %v, from scratch %v", shards, bi, got, fresh)
+			}
+			if want := catalogOf(ref, ref); shards == 0 && !slices.Equal(got, want) {
+				t.Fatalf("batch %d: catalog %v, map reference %v", bi, got, want)
+			}
+			if slices.Equal(got, prev) {
+				t.Fatalf("shards=%d batch %d: the batch moved no count; the test cannot see a stale memo", shards, bi)
+			}
+			prev = got
+		}
+	}
+}
+
+// After the first call, catalog probes on every sealed backend — frozen,
+// sharded, and an overlay on each — are lookups: they allocate nothing.
+func TestCatalogProbeAllocs(t *testing.T) {
+	ts := rdf.GraphOf(
+		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
+		rdf.T(rdf.IRI("b"), rdf.IRI("p"), rdf.IRI("c")),
+		rdf.T(rdf.IRI("c"), rdf.IRI("q"), rdf.IRI("a")),
+		rdf.T(rdf.IRI("a"), rdf.IRI("q"), rdf.IRI("c")),
+	).Triples()
+	for name, g := range map[string]*rdf.Graph{
+		"frozen":      rdf.GraphFromTriples(ts),
+		"sharded":     rdf.GraphFromTriplesSharded(ts, 3),
+		"frozen+ovl":  splitDelta(ts, rdf.GraphFromTriples),
+		"sharded+ovl": splitDelta(ts, func(b []rdf.Triple) *rdf.Graph { return rdf.GraphFromTriplesSharded(b, 3) }),
+	} {
+		preds := []rdf.TermID{}
+		for _, p := range []string{"p", "q"} {
+			id, _ := g.Dict().LookupIRI(p)
+			preds = append(preds, id)
+		}
+		probe := func() {
+			for pos := 0; pos < 3; pos++ {
+				_ = g.DistinctCount(pos)
+			}
+			for _, p := range preds {
+				_ = g.DistinctUnderPredicate(p, 0)
+				_ = g.DistinctUnderPredicate(p, 2)
+			}
+		}
+		probe()
+		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+			t.Errorf("%s: a warmed catalog probe allocates %.1f objects", name, allocs)
+		}
+	}
+}

@@ -28,6 +28,8 @@ package rdf
 // sealed view: thaw folds it into the map backend, Freeze / Shard /
 // Compact fold it into a new sealed base.
 
+import "sync/atomic"
+
 // overlay is the write layer. Posting lists mirror the map backend's
 // six positional indexes and are insertion-ordered, which is all the
 // concat-as-merge argument above needs.
@@ -44,6 +46,8 @@ type overlay struct {
 
 	occDelta map[TermID]int32 // occurrence counts on top of base occ
 	domDelta int              // IRIs in dom(G) that the base does not have
+
+	catalog atomic.Pointer[ovlCatalog] // read-side memo; see Graph.overlayCatalog
 }
 
 func newOverlay() *overlay {
