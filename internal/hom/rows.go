@@ -24,9 +24,10 @@ import (
 //
 // At every node the remaining pattern with the fewest matches under the
 // row is expanded (fail-first; see planner.go for the modes), and its
-// candidates stream in storage order: the LookupRangeID posting list is
-// walked in place, never copied, scored or sorted, so the first match
-// costs one path down the search tree and a search allocates nothing.
+// candidates stream in storage order: the LookupSegmentsID posting list
+// is walked in place — the sealed base's segment, then the overlay's —
+// never copied, scored or sorted, so the first match costs one path
+// down the search tree and a search allocates nothing.
 // Storage order is insertion order on every backend
 // (internal/rdf/backendtest pins it), which is what makes the stream
 // identical across backends, workers, planner modes and filter
@@ -272,14 +273,18 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 		return true // dead branch
 	}
 	s.done[best] = true
-	raw, exact := s.prog.g.LookupRangeID(bestPat)
-	for _, t := range raw {
-		if !exact && !rdf.MatchesPatternID(bestPat, t) {
-			continue
-		}
-		if !s.bindAndRec(best, t, remaining, yield) {
-			s.done[best] = false
-			return false
+	// The overlay's segment (nil without one) continues the base's in
+	// insertion order.
+	base, tail, exact := s.prog.g.LookupSegmentsID(bestPat)
+	for _, seg := range [2][]rdf.IDTriple{base, tail} {
+		for _, t := range seg {
+			if !exact && !rdf.MatchesPatternID(bestPat, t) {
+				continue
+			}
+			if !s.bindAndRec(best, t, remaining, yield) {
+				s.done[best] = false
+				return false
+			}
 		}
 	}
 	s.done[best] = false

@@ -482,19 +482,22 @@ func (r *run) candidates() {
 			at++
 		}
 		start := len(r.flat)
-		list, exact := gm.target.LookupRangeID(bestPat)
-	next:
-		for _, t := range list {
-			if !exact && !rdf.MatchesPatternID(bestPat, t) {
-				continue
-			}
-			r.vals[v] = t[at]
-			for _, ti := range us {
-				if ti != best && !gm.target.ContainsID(r.triple(ti)) {
-					continue next
+		// The base's candidates, then the overlay's: insertion order.
+		base, tail, exact := gm.target.LookupSegmentsID(bestPat)
+		for _, seg := range [2][]rdf.IDTriple{base, tail} {
+		next:
+			for _, t := range seg {
+				if !exact && !rdf.MatchesPatternID(bestPat, t) {
+					continue
 				}
+				r.vals[v] = t[at]
+				for _, ti := range us {
+					if ti != best && !gm.target.ContainsID(r.triple(ti)) {
+						continue next
+					}
+				}
+				r.flat = append(r.flat, t[at])
 			}
-			r.flat = append(r.flat, t[at])
 		}
 		r.cands = append(r.cands, r.flat[start:len(r.flat):len(r.flat)])
 	}

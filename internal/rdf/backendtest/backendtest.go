@@ -153,6 +153,10 @@ func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, rng *rand.Rand) {
 		if er != eg || !slices.Equal(rr, rg) {
 			t.Fatalf("trial %d: LookupRangeID(%v) differs", trial, ipr)
 		}
+		checkSegments(t, trial, ref, got, ipg)
+	}
+	for _, p := range segmentShapes(ref) {
+		checkSegments(t, trial, ref, got, p)
 	}
 	// Selectivity catalog (cardstats.go): global distinct counts are
 	// exact on every backend; per-predicate counts are exact except for
@@ -185,6 +189,64 @@ func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, rng *rand.Rand) {
 					trial, p, pos, dg, dr)
 			}
 		}
+	}
+}
+
+// segmentShapes returns, for the first, middle and last triple of g in
+// insertion order (on an overlay twin the last one is an overlay
+// triple), the pattern of every shape over that triple: each position
+// holds the triple's constant or one of three variables, so all-bound,
+// all-variable and every repeated-variable shape occur. IDs are the
+// reference's, which every backend shares.
+func segmentShapes(g *rdf.Graph) []rdf.IDTriple {
+	all := g.TriplesID()
+	if len(all) == 0 {
+		return nil
+	}
+	var out []rdf.IDTriple
+	for _, src := range []rdf.IDTriple{all[0], all[len(all)/2], all[len(all)-1]} {
+		for code := 0; code < 4*4*4; code++ {
+			var p rdf.IDTriple
+			for pos, c := 0, code; pos < 3; pos, c = pos+1, c/4 {
+				if c%4 == 0 {
+					p[pos] = src[pos]
+				} else {
+					p[pos] = rdf.VarID(c%4 - 1)
+				}
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// checkSegments pins the two-segment lookup: base ++ tail is the
+// candidate list (content and order) on the backend and on the
+// reference, the exact flag agrees, and the count is the number of
+// matches found walking both segments — so a count that drops the
+// overlay or counts a triple twice fails.
+func checkSegments(t *testing.T, trial int, ref, got *rdf.Graph, p rdf.IDTriple) {
+	t.Helper()
+	base, tail, exact := got.LookupSegmentsID(p)
+	joined := slices.Concat(base, tail)
+	if !slices.Equal(joined, got.CandidatesID(p)) || !slices.Equal(joined, ref.CandidatesID(p)) {
+		t.Fatalf("trial %d: LookupSegmentsID(%v) = %v ++ %v, want CandidatesID %v",
+			trial, p, base, tail, ref.CandidatesID(p))
+	}
+	if _, er := ref.LookupRangeID(p); exact != er {
+		t.Fatalf("trial %d: LookupSegmentsID(%v) exact = %v, want %v", trial, p, exact, er)
+	}
+	hits := 0
+	for _, tr := range joined {
+		if rdf.MatchesPatternID(p, tr) {
+			hits++
+		}
+	}
+	if exact && hits != len(joined) {
+		t.Fatalf("trial %d: LookupSegmentsID(%v) claims exact, %d of %d candidates match", trial, p, hits, len(joined))
+	}
+	if c := got.MatchCountID(p); c != hits {
+		t.Fatalf("trial %d: MatchCountID(%v) = %d, the segments hold %d matches", trial, p, c, hits)
 	}
 }
 

@@ -369,24 +369,26 @@ func (g *Graph) Match(p Triple) []Triple {
 }
 
 // MatchID is Match over encoded patterns (see EncodePattern for the
-// pattern convention). On a frozen graph the result of a pattern
-// without repeated variables aliases immutable internal storage:
-// callers must not modify it.
+// pattern convention). On a sealed graph whose overlay holds no match,
+// the result of a pattern without repeated variables aliases immutable
+// internal storage: callers must not modify it. Otherwise the result
+// is built once, straight from the base and overlay segments.
 func (g *Graph) MatchID(p IDTriple) []IDTriple {
-	cands, exact := g.LookupRangeID(p)
-	if exact {
-		if g.frz != nil || g.shd != nil {
-			// Immutable arena range or freshly merged slice: no copy.
-			return cands
-		}
-		out := make([]IDTriple, len(cands))
-		copy(out, cands)
-		return out
+	base, tail, exact := g.LookupSegmentsID(p)
+	if exact && len(tail) == 0 && (g.frz != nil || g.shd != nil) {
+		// Immutable arena range or freshly merged slice: no copy.
+		return base
 	}
-	out := make([]IDTriple, 0, len(cands))
-	for _, t := range cands {
-		if MatchesPatternID(p, t) {
-			out = append(out, t)
+	out := make([]IDTriple, 0, len(base)+len(tail))
+	for _, seg := range [2][]IDTriple{base, tail} {
+		if exact {
+			out = append(out, seg...)
+			continue
+		}
+		for _, t := range seg {
+			if MatchesPatternID(p, t) {
+				out = append(out, t)
+			}
 		}
 	}
 	return out
@@ -403,26 +405,38 @@ func (g *Graph) MatchCount(p Triple) int {
 
 // MatchCountID returns the number of triples matching the encoded
 // pattern. When the pattern has no repeated variables the count is the
-// posting-list (or frozen range) length, with no scan: O(1) for at
-// most one bound position, O(log) for two on the frozen backend. On
-// the sharded backend cross-shard counts are sums of per-shard range
-// lengths — no merge is materialised.
+// base posting-list (or frozen range) length plus the overlay's, with
+// no scan and no list built: O(1) for at most one bound position,
+// O(log) for two on the frozen backend. On the sharded backend
+// cross-shard counts are sums of per-shard range lengths — no merge is
+// materialised. A fully-bound pattern is a membership probe; a pattern
+// with a repeated variable scans both segments in place.
 func (g *Graph) MatchCountID(p IDTriple) int {
-	if sg := g.shd; sg != nil && !hasRepeatedVar(p) {
-		n := sg.count(p)
+	if !p[0].IsVar() && !p[1].IsVar() && !p[2].IsVar() {
+		if g.ContainsID(p) {
+			return 1
+		}
+		return 0
+	}
+	if !hasRepeatedVar(p) {
+		var n int
+		if sg := g.shd; sg != nil {
+			n = sg.count(p)
+		} else {
+			n = len(g.baseCandidates(p))
+		}
 		if o := g.ovl; o != nil {
-			n += o.count(p)
+			n += len(o.candidates(p))
 		}
 		return n
 	}
-	cands, exact := g.LookupRangeID(p)
-	if exact {
-		return len(cands)
-	}
+	base, tail, _ := g.LookupSegmentsID(p)
 	n := 0
-	for _, t := range cands {
-		if MatchesPatternID(p, t) {
-			n++
+	for _, seg := range [2][]IDTriple{base, tail} {
+		for _, t := range seg {
+			if MatchesPatternID(p, t) {
+				n++
+			}
 		}
 	}
 	return n
@@ -435,14 +449,27 @@ func hasRepeatedVar(p IDTriple) bool {
 		(p[1].IsVar() && p[1] == p[2])
 }
 
-// LookupRangeID is the storage-backend seam used by the solvers: it
-// returns the candidate posting list for the encoded pattern together
-// with exact, which reports that every triple of the list matches the
-// pattern (true exactly when the pattern has no repeated variable, on
-// either backend), so callers can skip the per-triple
-// MatchesPatternID filter. The slice is internal storage: callers
-// must not modify it, and on the map backend it is only valid until
-// the next mutation.
+// LookupSegmentsID is the storage-backend seam used by the solvers: it
+// returns the candidate posting list for the encoded pattern as two
+// segments, the sealed base's list and then the overlay's (tail is nil
+// on a graph without an overlay), together with exact, which reports
+// that every candidate matches the pattern (true exactly when the
+// pattern has no repeated variable, on every backend), so callers can
+// skip the per-triple MatchesPatternID filter. Walking base and then
+// tail IS insertion order — overlay sequence numbers are a strict
+// suffix of the base's (see overlay.go) — so no list is ever
+// concatenated. Both slices may alias internal storage: callers must
+// not modify them, and they are only valid until the next mutation.
+func (g *Graph) LookupSegmentsID(p IDTriple) (base, tail []IDTriple, exact bool) {
+	base, exact = g.baseCandidates(p), !hasRepeatedVar(p)
+	if o := g.ovl; o != nil {
+		tail = o.candidates(p)
+	}
+	return base, tail, exact
+}
+
+// LookupRangeID is LookupSegmentsID with the two segments as one list
+// (see CandidatesID for when that list is freshly allocated).
 func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
 	return g.CandidatesID(p), !hasRepeatedVar(p)
 }
@@ -451,34 +478,29 @@ func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
 // pattern and returns its posting list. Every triple matching the
 // pattern is in the list; the list may contain non-matches when the
 // pattern has repeated variables. All backends return the same
-// triples in the same (insertion) order — on the sharded backend a
-// cross-shard list is a freshly merged slice (see ShardedGraph),
-// everywhere else the slice is internal storage; either way callers
-// must not modify it.
+// triples in the same (insertion) order. The list is the concatenation
+// of LookupSegmentsID's segments: a fresh slice when both are
+// non-empty, and likewise a freshly merged one for a cross-shard list
+// on the sharded backend (see ShardedGraph); otherwise it aliases
+// internal storage. Either way callers must not modify it.
 func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
-	if o := g.ovl; o != nil && len(o.ts) > 0 {
-		if !p[0].IsVar() && !p[1].IsVar() && !p[2].IsVar() {
-			if g.ContainsID(p) {
-				return []IDTriple{p}
-			}
-			return nil
-		}
-		base := g.baseCandidates(p)
-		ov := o.candidates(p)
-		switch {
-		case len(ov) == 0:
-			return base
-		case len(base) == 0:
-			return ov
-		}
-		// Fresh slice, never append onto base: the base list may alias
-		// a frozen arena whose spare capacity belongs to the next range.
-		// Base-then-overlay is the seq merge — see overlay.go.
-		out := make([]IDTriple, 0, len(base)+len(ov))
-		out = append(out, base...)
-		return append(out, ov...)
+	base := g.baseCandidates(p)
+	o := g.ovl
+	if o == nil {
+		return base
 	}
-	return g.baseCandidates(p)
+	tail := o.candidates(p)
+	switch {
+	case len(tail) == 0:
+		return base
+	case len(base) == 0:
+		return tail
+	}
+	// Fresh slice, never append onto base: the base list may alias a
+	// frozen arena whose spare capacity belongs to the next range.
+	out := make([]IDTriple, 0, len(base)+len(tail))
+	out = append(out, base...)
+	return append(out, tail...)
 }
 
 // baseCandidates is CandidatesID against the base storage only.
@@ -600,9 +622,7 @@ func (g *Graph) Clone() *Graph {
 			out.Freeze()
 		}
 		if o := g.ovl; o != nil {
-			for _, t := range o.ts {
-				out.addDeltaID(t)
-			}
+			out.ovl = o.fork()
 		}
 		return out
 	}

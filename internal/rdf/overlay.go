@@ -9,13 +9,15 @@ package rdf
 // Every read path returns triples in global insertion (sequence)
 // order, and every overlay triple is inserted after every base triple,
 // so overlay sequence numbers form a strict suffix of the global
-// sequence: for any posting list, concatenating the base list (already
-// seq-ordered, whether it comes from a map index, a frozen arena range
-// or a cross-shard mergeBySeq) with the overlay's insertion-ordered
+// sequence: for any posting list, walking the base list (already
+// seq-ordered, whether it comes from a frozen arena range or a
+// cross-shard mergeBySeq) and then the overlay's insertion-ordered
 // list IS the k-way merge by sequence number. No merge machinery runs
-// on reads — the overlay is one more mergeSrc whose sequence range
-// happens to start after all others end, collapsing the merge to an
-// append.
+// on reads and nothing is copied: Graph.LookupSegmentsID hands both
+// lists out as two segments, the solvers walk them in place one after
+// the other, and counts add the two lengths. Only the concatenating
+// compatibility reads (CandidatesID, LookupRangeID, TriplesID) build a
+// joined slice.
 //
 // Derived state follows the same base-plus-delta shape: the base
 // occurrence table (g.occ) is never touched — overlay occurrence
@@ -34,8 +36,8 @@ import "sync/atomic"
 // six positional indexes and are insertion-ordered, which is all the
 // concat-as-merge argument above needs.
 type overlay struct {
-	set map[IDTriple]struct{}
-	ts  []IDTriple // overlay insertion order (global seq = len(base.all) + index)
+	set map[IDTriple]int32 // membership: the triple's index in ts
+	ts  []IDTriple         // overlay insertion order (global seq = len(base.all) + index)
 
 	byS  map[TermID][]IDTriple
 	byP  map[TermID][]IDTriple
@@ -52,7 +54,7 @@ type overlay struct {
 
 func newOverlay() *overlay {
 	return &overlay{
-		set:      map[IDTriple]struct{}{},
+		set:      map[IDTriple]int32{},
 		byS:      map[TermID][]IDTriple{},
 		byP:      map[TermID][]IDTriple{},
 		byO:      map[TermID][]IDTriple{},
@@ -63,7 +65,37 @@ func newOverlay() *overlay {
 	}
 }
 
-func (o *overlay) index(t IDTriple) {
+// fork returns an independent copy of the overlay with every map and
+// the insertion-order slice sized from the receiver's lengths, so the
+// copy rehashes nothing while it is rebuilt. Posting lists are rebuilt,
+// never shared: a write to either copy stays invisible to the other.
+func (o *overlay) fork() *overlay {
+	out := &overlay{
+		set:      make(map[IDTriple]int32, len(o.set)),
+		ts:       make([]IDTriple, 0, len(o.ts)),
+		byS:      make(map[TermID][]IDTriple, len(o.byS)),
+		byP:      make(map[TermID][]IDTriple, len(o.byP)),
+		byO:      make(map[TermID][]IDTriple, len(o.byO)),
+		bySP:     make(map[[2]TermID][]IDTriple, len(o.bySP)),
+		byPO:     make(map[[2]TermID][]IDTriple, len(o.byPO)),
+		bySO:     make(map[[2]TermID][]IDTriple, len(o.bySO)),
+		occDelta: make(map[TermID]int32, len(o.occDelta)),
+		domDelta: o.domDelta,
+	}
+	for _, t := range o.ts {
+		out.insert(t)
+	}
+	for id, d := range o.occDelta {
+		out.occDelta[id] = d
+	}
+	return out
+}
+
+// insert appends a triple the overlay does not hold yet to the
+// membership set, the insertion order and the six posting lists.
+func (o *overlay) insert(t IDTriple) {
+	o.set[t] = int32(len(o.ts))
+	o.ts = append(o.ts, t)
 	o.byS[t[0]] = append(o.byS[t[0]], t)
 	o.byP[t[1]] = append(o.byP[t[1]], t)
 	o.byO[t[2]] = append(o.byO[t[2]], t)
@@ -73,14 +105,15 @@ func (o *overlay) index(t IDTriple) {
 }
 
 // candidates returns the overlay's posting list for the pattern, in
-// overlay insertion order. The caller (Graph.CandidatesID) resolves
-// fully-bound patterns through the membership sets instead.
+// overlay insertion order, as internal storage: a fully-bound hit is
+// the one-element range of ts holding the triple (capacity-clamped, so
+// callers cannot append into its neighbours).
 func (o *overlay) candidates(p IDTriple) []IDTriple {
 	sB, pB, oB := !p[0].IsVar(), !p[1].IsVar(), !p[2].IsVar()
 	switch {
 	case sB && pB && oB:
-		if _, ok := o.set[p]; ok {
-			return []IDTriple{p}
+		if i, ok := o.set[p]; ok {
+			return o.ts[i : i+1 : i+1]
 		}
 		return nil
 	case sB && pB:
@@ -98,18 +131,6 @@ func (o *overlay) candidates(p IDTriple) []IDTriple {
 	default:
 		return o.ts
 	}
-}
-
-// count returns the number of overlay triples matching a pattern with
-// no repeated variables: a posting-list length, never a merge or scan.
-func (o *overlay) count(p IDTriple) int {
-	if !p[0].IsVar() && !p[1].IsVar() && !p[2].IsVar() {
-		if _, ok := o.set[p]; ok {
-			return 1
-		}
-		return 0
-	}
-	return len(o.candidates(p))
 }
 
 // AddDelta inserts a ground triple without disturbing a sealed base:
@@ -161,9 +182,7 @@ func (g *Graph) addDeltaID(t IDTriple) {
 	if _, dup := o.set[t]; dup {
 		return
 	}
-	o.set[t] = struct{}{}
-	o.ts = append(o.ts, t)
-	o.index(t)
+	o.insert(t)
 	for _, id := range t {
 		if g.baseOcc(id)+o.occDelta[id] == 0 {
 			o.domDelta++
@@ -208,7 +227,10 @@ func (g *Graph) OverlayLen() int {
 // occurrence table) and dictionary contents, deep-copies the overlay,
 // and is independently mutable through AddDelta / Compact. The cost is
 // O(overlay + dictionary extension), not O(graph) — this is what makes
-// swap-a-whole-generation the cheap path for live ingest.
+// swap-a-whole-generation the cheap path for live ingest. The overlay
+// copy is presized from the receiver's and skips the write path's
+// dedup probes: the receiver's overlay is already deduplicated against
+// the same base.
 //
 // From the fork on, the receiver must be treated as read-only (its
 // dictionary is forked-from; see Dict.Fork): serve existing readers
@@ -227,9 +249,7 @@ func (g *Graph) Fork() *Graph {
 		shd:     g.shd,
 	}
 	if o := g.ovl; o != nil {
-		for _, t := range o.ts {
-			out.addDeltaID(t)
-		}
+		out.ovl = o.fork()
 	}
 	return out
 }

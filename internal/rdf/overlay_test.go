@@ -212,3 +212,73 @@ func TestOverlaySnapshotCompactsFirst(t *testing.T) {
 		t.Fatal("snapshot of an overlay graph diverges from rebuilt reference")
 	}
 }
+
+// overlayProbes returns, for a few triples of g spanning base and
+// overlay, the pattern of every bound/unbound shape over that triple
+// with distinct variables (no repeated variable).
+func overlayProbes(g *rdf.Graph) []rdf.IDTriple {
+	all := g.TriplesID()
+	var out []rdf.IDTriple
+	for _, src := range []rdf.IDTriple{all[0], all[len(all)/2], all[len(all)-1]} {
+		for mask := 0; mask < 8; mask++ {
+			var p rdf.IDTriple
+			for pos := 0; pos < 3; pos++ {
+				if mask&(1<<pos) != 0 {
+					p[pos] = src[pos]
+				} else {
+					p[pos] = rdf.VarID(pos)
+				}
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// A warmed count over a sealed base with an overlay adds the two
+// posting-list lengths (a fully-bound pattern is a membership probe)
+// and the segment lookup hands out both lists in place: neither
+// allocates. The sharded base merges a cross-shard list (predicate or
+// object bound, subject free) by sequence number, which is the base's
+// own copy, so its segment lookups cover the shapes one shard answers.
+func TestOverlayProbeAllocs(t *testing.T) {
+	ts := gen.SocialNetwork(30, 5).Triples()
+	for _, tc := range []struct {
+		name string
+		g    *rdf.Graph
+	}{
+		{"frozen+ovl", splitDelta(ts, rdf.GraphFromTriples)},
+		{"sharded+ovl", splitDelta(ts, func(b []rdf.Triple) *rdf.Graph { return rdf.GraphFromTriplesSharded(b, 3) })},
+	} {
+		g := tc.g
+		if !g.HasOverlay() {
+			t.Fatalf("%s: no overlay", tc.name)
+		}
+		probes := overlayProbes(g)
+		var segs []rdf.IDTriple
+		twoSegments := false
+		for _, p := range probes {
+			if g.Sharded() && p[0].IsVar() && !(p[1].IsVar() && p[2].IsVar()) {
+				continue // cross-shard merge
+			}
+			segs = append(segs, p)
+			base, tail, _ := g.LookupSegmentsID(p)
+			twoSegments = twoSegments || (len(base) > 0 && len(tail) > 0)
+		}
+		if !twoSegments {
+			t.Fatalf("%s: no probe reaches both segments", tc.name)
+		}
+		probe := func() {
+			for _, p := range probes {
+				_ = g.MatchCountID(p)
+			}
+			for _, p := range segs {
+				_, _, _ = g.LookupSegmentsID(p)
+			}
+		}
+		probe()
+		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+			t.Errorf("%s: a warmed overlay probe allocates %.1f objects", tc.name, allocs)
+		}
+	}
+}

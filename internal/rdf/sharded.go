@@ -355,12 +355,6 @@ func (sg *ShardedGraph) count(p IDTriple) int {
 	}
 	sB, pB, oB := !p[0].IsVar(), !p[1].IsVar(), !p[2].IsVar()
 	if sB {
-		if pB && oB {
-			if sg.contains(p) {
-				return 1
-			}
-			return 0
-		}
 		return len(sg.shards[shardOfID(p[0], sg.n)].view.candidates(p))
 	}
 	switch {

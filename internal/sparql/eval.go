@@ -110,20 +110,23 @@ func (e *rowEvaluator) evalTriple(t rdf.Triple) *rdf.IDMappingSet {
 		ip[i] = id
 	}
 	row := e.layout.NewRow()
-	cands, exact := e.g.LookupRangeID(ip)
-	for _, tr := range cands {
-		if !exact && !rdf.MatchesPatternID(ip, tr) {
-			continue
-		}
-		for i := 0; i < 3; i++ {
-			if slotAt[i] >= 0 {
-				row[slotAt[i]] = tr[i]
+	// The base's candidates, then the overlay's: insertion order.
+	base, tail, exact := e.g.LookupSegmentsID(ip)
+	for _, seg := range [2][]rdf.IDTriple{base, tail} {
+		for _, tr := range seg {
+			if !exact && !rdf.MatchesPatternID(ip, tr) {
+				continue
 			}
-		}
-		out.Add(row)
-		for i := 0; i < 3; i++ {
-			if slotAt[i] >= 0 {
-				row[slotAt[i]] = rdf.Unbound
+			for i := 0; i < 3; i++ {
+				if slotAt[i] >= 0 {
+					row[slotAt[i]] = tr[i]
+				}
+			}
+			out.Add(row)
+			for i := 0; i < 3; i++ {
+				if slotAt[i] >= 0 {
+					row[slotAt[i]] = rdf.Unbound
+				}
 			}
 		}
 	}

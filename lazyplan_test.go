@@ -111,12 +111,12 @@ func TestLazyPlanMatchesEager(t *testing.T) {
 // -race in CI).
 func TestLazyPlanFirstUseRace(t *testing.T) {
 	const query = `(((((?x p ?y) OPT (?x q ?a)) OPT (?x r ?b)) OPT (?x s ?c)) FILTER ?y != o7)`
-	g := starGraph(64, "q", "r", "s")
+	e := starEngine(64, false, "q", "r", "s")
 	want := 0
-	for range prepareOn(t, g, query).Rows(context.Background()) {
+	for range prepareOn(t, e, query).Rows(context.Background()) {
 		want++
 	}
-	q := prepareOn(t, g, query)
+	q := prepareOn(t, e, query)
 	const racers = 8
 	var (
 		wg       sync.WaitGroup
@@ -174,7 +174,7 @@ func TestPrepareMissAllocs(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const query = `(((((?x p ?y) OPT (?x q ?a)) OPT (?x r ?b)) OPT (?x s ?c)) FILTER ?y = o7)`
-	eng := NewEngine(starGraph(1<<10, "q", "r", "s")) // no query cache: every PrepareText misses
+	eng := starEngine(1<<10, false, "q", "r", "s") // no query cache: every PrepareText misses
 	prepare := func() {
 		if _, err := eng.PrepareText(query); err != nil {
 			t.Fatal(err)

@@ -6,32 +6,55 @@ import (
 	"runtime"
 	"testing"
 
+	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
 )
 
 // Allocation gates of the streaming enumeration (CI runs every test
 // whose name contains "Alloc" without -race): an execution allocates
 // O(nodes) — searchers, continuations, the working row — and nothing
-// per candidate or per row.
+// per candidate or per row. Each gate has an overlay twin, where half
+// the subjects arrive in one ApplyDelta batch on the sealed base: reads
+// walk the base and overlay segments in place, so the twin's budget is
+// the sealed one's.
 
-// starGraph holds n subjects, each with one p-edge and one edge per
+// starTriples lists n subjects, each with one p-edge and one edge per
 // arm predicate, so every subject is a root candidate of (?x p ?y) and
-// extends through every arm.
-func starGraph(n int, arms ...string) *Graph {
-	g := NewGraph()
+// extends through every arm. A subject's triples are contiguous.
+func starTriples(n int, arms ...string) []Triple {
+	ts := make([]Triple, 0, n*(1+len(arms)))
 	for i := 0; i < n; i++ {
-		s := fmt.Sprintf("s%d", i)
-		g.AddTriple(s, "p", fmt.Sprintf("o%d", i))
+		s := rdf.IRI(fmt.Sprintf("s%d", i))
+		ts = append(ts, rdf.T(s, rdf.IRI("p"), rdf.IRI(fmt.Sprintf("o%d", i))))
 		for _, a := range arms {
-			g.AddTriple(s, a, fmt.Sprintf("%s%d", a, i))
+			ts = append(ts, rdf.T(s, rdf.IRI(a), rdf.IRI(fmt.Sprintf("%s%d", a, i))))
 		}
 	}
-	return g
+	return ts
 }
 
-func prepareOn(t *testing.T, g *Graph, query string) *PreparedQuery {
+// starEngine serves the star over n (even) subjects. With overlay, the
+// second half of the subjects come from one ApplyDelta batch on the
+// sealed first half.
+func starEngine(n int, overlay bool, arms ...string) *Engine {
+	ts := starTriples(n, arms...)
+	cut := len(ts)
+	if overlay {
+		cut = len(ts) / 2
+	}
+	e := NewEngine(rdf.GraphOf(ts[:cut]...))
+	if overlay {
+		e = e.ApplyDelta(ts[cut:])
+		if e.OverlayLen() != len(ts)-cut {
+			panic("starEngine: the batch did not land in the overlay")
+		}
+	}
+	return e
+}
+
+func prepareOn(t *testing.T, e *Engine, query string) *PreparedQuery {
 	t.Helper()
-	q, err := NewEngine(g).Prepare(sparql.MustParse(query))
+	q, err := e.Prepare(sparql.MustParse(query))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +64,19 @@ func prepareOn(t *testing.T, g *Graph, query string) *PreparedQuery {
 // The first row costs one path down the search, whatever the root's
 // fan-out: no candidate list is built, scored or sorted.
 func TestRowsFirstRowAllocsIndependentOfFanout(t *testing.T) {
+	checkFirstRowAllocs(t, false)
+}
+
+// Over an overlay the root's count adds the two posting-list lengths
+// and its candidates are walked as two segments: nothing is copied.
+func TestRowsFirstRowAllocsIndependentOfFanoutOverlay(t *testing.T) {
+	checkFirstRowAllocs(t, true)
+}
+
+func checkFirstRowAllocs(t *testing.T, overlay bool) {
 	const query = `((?x p ?y) OPT (?y q ?z))`
 	firstRowBytes := func(n int) uint64 {
-		q := prepareOn(t, starGraph(n), query)
+		q := prepareOn(t, starEngine(n, overlay), query)
 		ctx := context.Background()
 		run := func() {
 			rows := 0
@@ -75,12 +108,21 @@ func TestRowsFirstRowAllocsIndependentOfFanout(t *testing.T) {
 // Draining a 3-arm OPT star allocates the same objects at 1k and at 16k
 // rows: children stream off their searchers, nothing is materialised.
 func TestRowsDrainAllocsFlat(t *testing.T) {
+	checkDrainAllocs(t, false)
+}
+
+// The drain gate with half the star in the overlay.
+func TestRowsDrainAllocsFlatOverlay(t *testing.T) {
+	checkDrainAllocs(t, true)
+}
+
+func checkDrainAllocs(t *testing.T, overlay bool) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const query = `((((?x p ?y) OPT (?x q ?a)) OPT (?x r ?b)) OPT (?x s ?c))`
 	drainAllocs := func(n int) float64 {
-		q := prepareOn(t, starGraph(n, "q", "r", "s"), query)
+		q := prepareOn(t, starEngine(n, overlay, "q", "r", "s"), query)
 		ctx := context.Background()
 		drain := func() {
 			rows := 0
