@@ -212,7 +212,7 @@ type enumState struct {
 	fp    *ForestProgram
 	nodes []nodeState // by compiledNode.idx
 	row   rdf.Row
-	stop  func() bool
+	done  <-chan struct{}    // the execution's ctx.Done(); nil: never cancelled
 	sink  func(rdf.Row) bool // receives every row a root emits
 }
 
@@ -230,16 +230,20 @@ type nodeState struct {
 	found    bool // some subtree solution reached emit during the current run
 }
 
-func (st *enumState) stopped() bool { return st.stop != nil && st.stop() }
-
-// ctxStop returns the stop predicate for ctx, or nil when ctx can never
-// be cancelled (context.Background and friends), keeping the
-// uncancellable path free of per-yield checks.
-func ctxStop(ctx context.Context) func() bool {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
+// stopped polls the execution's cancellation with a non-blocking
+// receive on its Done channel, which is lock-free while the channel is
+// open (ctx.Err would take the context's mutex at every emit). A nil
+// channel — context.Background and friends — costs one comparison.
+func (st *enumState) stopped() bool {
+	if st.done == nil {
+		return false
 	}
-	return func() bool { return ctx.Err() != nil }
+	select {
+	case <-st.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // newState builds an execution's searchers and continuations; every row
@@ -331,7 +335,7 @@ func (fp *ForestProgram) Rows(yield func(rdf.Row) bool) {
 // cancelled add no per-row overhead.
 func (fp *ForestProgram) RowsContext(ctx context.Context, yield func(rdf.Row) bool) error {
 	st := fp.newState(fp.dedupTrees(fp.wrapOutput(yield)))
-	st.stop = ctxStop(ctx)
+	st.done = ctx.Done()
 	for _, root := range fp.roots {
 		if !st.enumerateTree(root) {
 			break
@@ -401,7 +405,6 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 	// the stream; every worker polls it at yield boundaries.
 	inner, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stop := func() bool { return inner.Err() != nil }
 
 	// Split every root search at its top-level candidates. Trees whose
 	// root program has no branch point (an empty root pattern yields
@@ -454,7 +457,7 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 				local = append(local, r.Clone())
 				return true
 			})
-			ws.stop = stop
+			ws.done = inner.Done()
 			for i := range next {
 				it := items[i]
 				local = nil

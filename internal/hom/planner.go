@@ -42,10 +42,13 @@ package hom
 //     (min(limit, max(0, total-offset)) does not depend on which rows
 //     fill the window).
 //
-// All three modes pick deterministically (index order scans, plan
-// order, no map iteration), so SplitTop/RunOn re-derive the same
-// choice on every split — provided one execution uses one mode for
-// all its searchers, which the core enumeration guarantees.
+// The modes differ only at nodes with two or more patterns left: a
+// node's last pattern is the choice in every mode and rec walks it
+// without a probe. All three modes pick deterministically (index
+// order scans, plan order, no map iteration), so SplitTop/RunOn
+// re-derive the same choice on every split — provided one execution
+// uses one mode for all its searchers, which the core enumeration
+// guarantees.
 
 import (
 	"fmt"

@@ -112,37 +112,75 @@ func TestCountMemoInvisible(t *testing.T) {
 }
 
 // Strict mode's adaptive escape hatch: a skewed posting list (one
-// subject carrying most of predicate q) breaks the uniform-independence
-// estimate, and the node whose actual count exceeds slack × estimate
-// must fall back to the full re-score.
+// subject carrying most of predicates q and t) breaks the
+// uniform-independence estimate, and the node whose actual count
+// exceeds slack × estimate must fall back to the full re-score. That
+// node is the one below the root, where q and t both remain: a node's
+// last pattern is walked without a probe, so the hatch cannot fire
+// there.
 func TestStrictEscapeHatch(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddTriple("x", "r", "s0")
-	// 51 triples under q from s0 plus 50 spread singletons: distinct
-	// subjects 51, so the subject-bound estimate is 101/51 ≈ 2 while
-	// the actual count at s0 is 51 > DefaultSlack × 2.
-	for i := 0; i < 51; i++ {
-		g.AddTriple("s0", "q", fmt.Sprintf("o%d", i))
-	}
-	for i := 1; i <= 50; i++ {
-		g.AddTriple(fmt.Sprintf("s%d", i), "q", "o0")
+	// Under each of q and t, 51 triples from s0 plus 50 spread
+	// singletons: distinct subjects 51, so the subject-bound estimate is
+	// 101/51 ≈ 2 while the actual count at s0 is 51 > DefaultSlack × 2.
+	for _, p := range []string{"q", "t"} {
+		for i := 0; i < 51; i++ {
+			g.AddTriple("s0", p, fmt.Sprintf("o%d", i))
+		}
+		for i := 1; i <= 50; i++ {
+			g.AddTriple(fmt.Sprintf("s%d", i), p, "o0")
+		}
 	}
 	pats := []rdf.Triple{
 		rdf.T(rdf.Var("a"), rdf.IRI("r"), rdf.Var("b")),
 		rdf.T(rdf.Var("b"), rdf.IRI("q"), rdf.Var("c")),
+		rdf.T(rdf.Var("b"), rdf.IRI("t"), rdf.Var("d")),
 	}
 	layout := rdf.NewSlotLayout()
 	prog := CompileRowProgramPlanned(pats, g, layout, nil)
 	if prog.Plan() == nil || prog.Plan().Volatile() {
-		t.Fatal("chain program must carry a non-volatile plan")
+		t.Fatal("star program must carry a non-volatile plan")
 	}
 	var st SearchStats
 	rows := collectMode(prog, layout, ModeStrict, &st)
-	if len(rows) != 51 {
-		t.Fatalf("got %d rows, want 51", len(rows))
+	if len(rows) != 51*51 {
+		t.Fatalf("got %d rows, want %d", len(rows), 51*51)
 	}
-	if st.Rescored == 0 {
-		t.Fatal("skewed count never triggered the strict-mode re-score")
+	if st.Rescored != 1 {
+		t.Fatalf("strict-mode re-scores = %d, want 1 (at s0, with q and t left)", st.Rescored)
+	}
+}
+
+// A node's last pattern is the choice in every mode and is walked
+// without a count probe: a one-pattern program expands its one node
+// with no probe in all three modes, and a pattern with no matches —
+// constants known to the graph, no triple joining them — yields
+// nothing.
+func TestLastPatternWalkedWithoutProbe(t *testing.T) {
+	g := rdf.NewGraph()
+	for i := 0; i < 5; i++ {
+		g.AddTriple(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i))
+	}
+	g.AddTriple("x", "q", "o0")
+	for _, tc := range []struct {
+		name string
+		pat  rdf.Triple
+		rows int
+	}{
+		{"matches", rdf.T(rdf.Var("a"), rdf.IRI("p"), rdf.Var("b")), 5},
+		{"zero-count", rdf.T(rdf.Var("a"), rdf.IRI("q"), rdf.IRI("o1")), 0},
+	} {
+		for _, mode := range []SearchMode{ModeHeuristic, ModePlanned, ModeStrict} {
+			layout := rdf.NewSlotLayout()
+			prog := CompileRowProgramPlanned([]rdf.Triple{tc.pat}, g, layout, nil)
+			var st SearchStats
+			rows := collectMode(prog, layout, mode, &st)
+			if len(rows) != tc.rows || st.Nodes != 1 || st.CountProbes != 0 || st.MemoHits != 0 {
+				t.Errorf("%s, mode %d: %d rows, %d nodes, %d probes, %d memo hits; want %d rows, 1 node, no probe",
+					tc.name, mode, len(rows), st.Nodes, st.CountProbes, st.MemoHits, tc.rows)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package hom
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"wdsparql/internal/plan"
@@ -257,7 +258,9 @@ func (s *RowSearcher) substituteRow(i int) rdf.IDTriple {
 
 // rec expands the remaining pattern with the fewest matches
 // (fail-first), walks its candidates in storage order and binds the
-// newly determined slots in place.
+// newly determined slots in place. A node's last pattern is the choice
+// in every mode and is walked without a count probe: an empty candidate
+// list yields nothing, which is all the dead check would do.
 func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	if remaining == 0 {
 		return yield()
@@ -268,9 +271,16 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	if s.lim != nil && !s.lim.node() {
 		return false
 	}
-	best, bestPat, dead := s.pickPattern()
-	if dead {
-		return true // dead branch
+	var best int
+	var bestPat rdf.IDTriple
+	if remaining == 1 {
+		best = slices.Index(s.done, false)
+		bestPat = s.substituteRow(best)
+	} else {
+		var dead bool
+		if best, bestPat, dead = s.pickPattern(); dead {
+			return true // dead branch
+		}
 	}
 	s.done[best] = true
 	// The overlay's segment (nil without one) continues the base's in

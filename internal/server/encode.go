@@ -14,8 +14,8 @@ import (
 // off the zero-decode Rows iterator, and an epilogue that closes the
 // document so that even a truncated stream (deadline, client gone,
 // drain) is syntactically valid output. Encoders write into the
-// handler's bufio.Writer; the handler owns flushing (and the write
-// deadlines armed around it).
+// handler's bufio.Writer, one Write per fragment; the handler owns
+// flushing (and the write deadlines armed around it).
 
 // resultEncoder is one streamed serialisation of a solution stream.
 type resultEncoder interface {
@@ -43,9 +43,37 @@ const (
 
 func newEncoder(format string, w *bufio.Writer, layout *wdsparql.SlotLayout, dict *rdf.Dict) resultEncoder {
 	if format == formatTSV {
-		return &tsvEncoder{w: w, layout: layout, dict: dict}
+		return &tsvEncoder{out: fragmentWriter{w: w}, layout: layout, dict: dict}
 	}
-	return &jsonEncoder{w: w, layout: layout, dict: dict}
+	return &jsonEncoder{out: fragmentWriter{w: w}, layout: layout, dict: dict}
+}
+
+// fragmentWriter hands a bufio.Writer whole fragments. A fragment is
+// appended into the writer's free space, so the one Write that hands it
+// over copies nothing. A fragment that outgrows the free space moves to
+// the heap, and that slice is kept as scratch for later fragments while
+// the free space is smaller: a warmed encoder allocates nothing,
+// wherever its rows fall against the end of the buffer.
+type fragmentWriter struct {
+	w       *bufio.Writer
+	scratch []byte
+}
+
+// buf returns an empty slice to append one fragment to.
+func (f *fragmentWriter) buf() []byte {
+	if b := f.w.AvailableBuffer(); cap(b) >= cap(f.scratch) {
+		return b
+	}
+	return f.scratch[:0]
+}
+
+// write hands over a fragment appended to buf().
+func (f *fragmentWriter) write(b []byte) error {
+	if cap(b) > cap(f.scratch) && cap(b) > f.w.Available() {
+		f.scratch = b[:0] // a fresh heap slice: keep it
+	}
+	_, err := f.w.Write(b)
+	return err
 }
 
 // jsonEncoder streams the SPARQL 1.1 Query Results JSON format:
@@ -55,64 +83,65 @@ func newEncoder(format string, w *bufio.Writer, layout *wdsparql.SlotLayout, dic
 // The non-standard top-level "truncated" member appears only on
 // streams cut short; the document is always complete, valid JSON.
 type jsonEncoder struct {
-	w      *bufio.Writer
+	out    fragmentWriter
 	layout *wdsparql.SlotLayout
 	dict   *rdf.Dict
+	prefix [][]byte // per slot: `"name":{"type":"uri","value":`, built by begin
 	n      int
 }
 
 func (e *jsonEncoder) contentType() string { return contentTypeJSON }
 
 func (e *jsonEncoder) begin() error {
-	e.w.WriteString(`{"head":{"vars":[`)
-	for s := 0; s < e.layout.Width(); s++ {
+	b := append(e.out.buf(), `{"head":{"vars":[`...)
+	e.prefix = make([][]byte, e.layout.Width())
+	for s := range e.prefix {
 		if s > 0 {
-			e.w.WriteByte(',')
+			b = append(b, ',')
 		}
-		writeJSONString(e.w, e.layout.Name(s))
+		name := appendJSONString(nil, e.layout.Name(s))
+		b = append(b, name...)
+		e.prefix[s] = append(name, `:{"type":"uri","value":`...)
 	}
-	_, err := e.w.WriteString(`]},"results":{"bindings":[`)
-	return err
+	return e.out.write(append(b, `]},"results":{"bindings":[`...))
 }
 
 func (e *jsonEncoder) row(r wdsparql.Row) error {
+	b := e.out.buf()
 	if e.n > 0 {
-		e.w.WriteByte(',')
+		b = append(b, ',')
 	}
 	e.n++
-	e.w.WriteByte('{')
+	b = append(b, '{')
 	first := true
 	for s, v := range r {
 		if v == wdsparql.Unbound {
 			continue
 		}
 		if !first {
-			e.w.WriteByte(',')
+			b = append(b, ',')
 		}
 		first = false
-		writeJSONString(e.w, e.layout.Name(s))
-		e.w.WriteString(`:{"type":"uri","value":`)
-		writeJSONString(e.w, e.dict.StringOf(v))
-		e.w.WriteByte('}')
+		b = append(b, e.prefix[s]...)
+		b = appendJSONString(b, e.dict.StringOf(v))
+		b = append(b, '}')
 	}
-	_, err := e.w.WriteString("}")
-	return err
+	return e.out.write(append(b, '}'))
 }
 
 func (e *jsonEncoder) end(truncated bool) error {
-	e.w.WriteString(`]}`)
+	b := append(e.out.buf(), `]}`...)
 	if truncated {
-		e.w.WriteString(`,"truncated":true`)
+		b = append(b, `,"truncated":true`...)
 	}
-	_, err := e.w.WriteString("}\n")
-	return err
+	return e.out.write(append(b, "}\n"...))
 }
 
 // tsvEncoder streams the SPARQL 1.1 TSV results format: a header line
 // of ?-prefixed variable names, then one line per solution with IRIs
 // in angle brackets and unbound positions empty.
 type tsvEncoder struct {
-	w      *bufio.Writer
+	out    fragmentWriter
 	layout *wdsparql.SlotLayout
 	dict   *rdf.Dict
 }
@@ -120,56 +149,30 @@ type tsvEncoder struct {
 func (e *tsvEncoder) contentType() string { return contentTypeTSV }
 
 func (e *tsvEncoder) begin() error {
+	b := e.out.buf()
 	for s := 0; s < e.layout.Width(); s++ {
 		if s > 0 {
-			e.w.WriteByte('\t')
+			b = append(b, '\t')
 		}
-		e.w.WriteByte('?')
-		e.w.WriteString(e.layout.Name(s))
+		b = append(b, '?')
+		b = append(b, e.layout.Name(s)...)
 	}
-	return e.w.WriteByte('\n')
+	return e.out.write(append(b, '\n'))
 }
 
 func (e *tsvEncoder) row(r wdsparql.Row) error {
+	b := e.out.buf()
 	for s, v := range r {
 		if s > 0 {
-			e.w.WriteByte('\t')
+			b = append(b, '\t')
 		}
 		if v != wdsparql.Unbound {
-			e.w.WriteByte('<')
-			writeTSVValue(e.w, e.dict.StringOf(v))
-			e.w.WriteByte('>')
+			b = append(b, '<')
+			b = appendTSVValue(b, e.dict.StringOf(v))
+			b = append(b, '>')
 		}
 	}
-	return e.w.WriteByte('\n')
-}
-
-// writeTSVValue writes an IRI into a TSV field with the SPARQL 1.1 TSV
-// escapes: a raw tab or newline inside a value would split the field or
-// the row, so \t, \n, \r and \ itself are backslash-escaped. The
-// escape-free common case is a single write.
-func writeTSVValue(w *bufio.Writer, s string) {
-	start := 0
-	for i := 0; i < len(s); i++ {
-		var esc byte
-		switch s[i] {
-		case '\t':
-			esc = 't'
-		case '\n':
-			esc = 'n'
-		case '\r':
-			esc = 'r'
-		case '\\':
-			esc = '\\'
-		default:
-			continue
-		}
-		w.WriteString(s[start:i])
-		w.WriteByte('\\')
-		w.WriteByte(esc)
-		start = i + 1
-	}
-	w.WriteString(s[start:])
+	return e.out.write(append(b, '\n'))
 }
 
 func (e *tsvEncoder) end(bool) error {
@@ -178,20 +181,47 @@ func (e *tsvEncoder) end(bool) error {
 	return nil
 }
 
-// writeJSONString writes s as a JSON string literal. Plain ASCII — the
-// shape of virtually every IRI and variable name — is written directly;
-// anything needing escapes falls back to encoding/json.
-func writeJSONString(w *bufio.Writer, s string) {
+// tsvEscape maps each byte the SPARQL 1.1 TSV format escapes to its
+// escape letter; 0 copies the byte as is. A raw tab or newline inside a
+// value would split the field or the row, so \t, \n, \r and \ itself
+// are backslash-escaped.
+var tsvEscape = [256]byte{'\t': 't', '\n': 'n', '\r': 'r', '\\': '\\'}
+
+// appendTSVValue appends an IRI as a TSV field value.
+func appendTSVValue(b []byte, s string) []byte {
+	start := 0
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			b, _ := json.Marshal(s)
-			w.Write(b)
-			return
+		if esc := tsvEscape[s[i]]; esc != 0 {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', esc)
+			start = i + 1
 		}
 	}
-	w.WriteByte('"')
-	w.WriteString(s)
-	w.WriteByte('"')
+	return append(b, s[start:]...)
+}
+
+// jsonPlain marks the bytes a JSON string literal carries as they are:
+// printable ASCII other than '"' and '\'.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// appendJSONString appends s as a JSON string literal. Plain ASCII —
+// the shape of virtually every IRI and variable name — is copied as is;
+// a string holding any other byte takes encoding/json's escaping whole.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !jsonPlain[s[i]] {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // jsonErrorBody renders a one-field JSON error document.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -412,6 +413,77 @@ func TestStalledClientFreesGateSlot(t *testing.T) {
 	waitFor(t, 20*time.Second, func() bool { return s.writeStalls.Load() >= 1 })
 	waitFor(t, 20*time.Second, func() bool { return s.adm.executing() == 0 })
 	waitFor(t, 20*time.Second, func() bool { return s.inFlight.Load() == 0 })
+}
+
+// TestRowsStreamedCountsEncodedRows pins /stats rows_streamed, which
+// the handler adds per flush rather than per row: after a complete
+// stream it equals the rows sent, and after a stalled client it counts
+// the rows encoded — every row the client received whole, plus at most
+// what the handler's and net/http's buffers held when the write failed.
+func TestRowsStreamedCountsEncodedRows(t *testing.T) {
+	const flushEvery = 64
+
+	t.Run("complete", func(t *testing.T) {
+		const n = 30 // 900 rows, not a multiple of flushEvery
+		_, base := startServer(t, Config{Engine: testEngine(t, n), FlushEvery: flushEvery})
+		resp, err := http.Get(sparqlURL(base, crossQuery, nil))
+		if err != nil {
+			t.Fatalf("GET: %v", err)
+		}
+		doc := decodeResults(t, resp.Body)
+		resp.Body.Close()
+		if got := len(doc.Results.Bindings); got != n*n {
+			t.Fatalf("bindings = %d, want %d", got, n*n)
+		}
+		resp, err = http.Get(base + "/stats")
+		if err != nil {
+			t.Fatalf("GET stats: %v", err)
+		}
+		var st Stats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("stats decode: %v", err)
+		}
+		if st.RowsStreamed != n*n {
+			t.Fatalf("rows_streamed = %d, want %d", st.RowsStreamed, n*n)
+		}
+	})
+
+	t.Run("stalled", func(t *testing.T) {
+		const n = 300 // ≈ 5.5 MB result, far beyond socket buffering
+		s, base := startServer(t, Config{
+			Engine:       testEngine(t, n),
+			WriteTimeout: 150 * time.Millisecond,
+			FlushEvery:   flushEvery,
+		})
+		conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "GET /sparql?query=%s HTTP/1.1\r\nHost: wdserve\r\n\r\n",
+			url.QueryEscape(crossQuery))
+		// Read nothing until the handler has given up, then take all
+		// that reached the socket.
+		waitFor(t, 20*time.Second, func() bool { return s.writeStalls.Load() >= 1 })
+		waitFor(t, 20*time.Second, func() bool { return s.inFlight.Load() == 0 })
+		_ = conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("read response: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body) // cut mid-stream: ends in an error
+		// Every complete row, and nothing else, ends in `"}}`.
+		received := uint64(strings.Count(string(body), `"}}`))
+		const minRow = len(`,{"x":{"type":"uri","value":"s0"},"y":{"type":"uri","value":"o0"},"z":{"type":"uri","value":"s0"},"w":{"type":"uri","value":"o0"}}`)
+		const buffered = uint64(flushEvery + 2*(8<<10)/minRow)
+		streamed := s.rowsStreamed.Load()
+		if streamed < received || streamed > received+buffered || streamed >= n*n {
+			t.Fatalf("rows_streamed = %d after the client received %d whole rows; want %d..%d and < %d",
+				streamed, received, received, received+buffered, n*n)
+		}
+	})
 }
 
 // TestConcurrentLoadBoundedAndLeakFree is the acceptance-criteria

@@ -312,20 +312,23 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, st *engineSt
 		opts = append(opts, wdsparql.Parallel(req.workers))
 	}
 
+	// Rows encoded since the last flush; rowsStreamed takes them per
+	// flush and once more when the loop ends, not per row.
 	sinceFlush := 0
 	var writeErr error
 	for row := range q.Rows(ctx, opts...) {
 		if writeErr = enc.row(row); writeErr != nil {
 			break
 		}
-		s.rowsStreamed.Add(1)
 		if sinceFlush++; sinceFlush >= s.cfg.FlushEvery {
+			s.rowsStreamed.Add(uint64(sinceFlush))
 			sinceFlush = 0
 			if writeErr = flush(); writeErr != nil {
 				break
 			}
 		}
 	}
+	s.rowsStreamed.Add(uint64(sinceFlush))
 	if writeErr != nil {
 		// The connection is unusable; the enumeration already stopped
 		// (breaking the Rows loop terminates it immediately).
