@@ -9,6 +9,8 @@
 // applied as live deltas on the mutable overlay) — and the full row
 // streams are diffed byte for byte (content AND order), so a
 // backend that returns the right set in the wrong order fails a trial.
+// The map graph's stream must itself be the compositional solution set:
+// no row twice (a UNION forest's cross-tree dedup), no row outside it.
 // With -planner (the default) each trial additionally diffs the query
 // planner's search modes on every backend: the planned mode must
 // reproduce the heuristic row stream byte for byte, and the strict
@@ -166,6 +168,26 @@ func overlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
 	return og
 }
 
+// checkSolutionStream checks that a row stream is exactly the solution
+// set ref: every row distinct, every decoded row a solution, and as many
+// rows as solutions. Comparing lengths alone would pass a stream that
+// drops one solution and repeats another.
+func checkSolutionStream(rows []rdf.Row, layout *rdf.SlotLayout, g *rdf.Graph, ref *rdf.MappingSet) error {
+	seen := rdf.NewIDMappingSet(layout, g.Dict().NumIRIs())
+	for i, r := range rows {
+		if !seen.Add(r) {
+			return fmt.Errorf("row %d %v repeats an earlier row", i, r)
+		}
+		if mu := layout.DecodeRow(g.Dict(), r); !ref.Contains(mu) {
+			return fmt.Errorf("row %d %s is not a compositional solution", i, mu)
+		}
+	}
+	if len(rows) != ref.Len() {
+		return fmt.Errorf("%d rows, compositional %d", len(rows), ref.Len())
+	}
+	return nil
+}
+
 // backend is one storage backend of a trial's graph.
 type backend struct {
 	name string
@@ -274,8 +296,8 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, shard
 	// sharded clone must reproduce it byte for byte — content and
 	// order — through the same compiled enumeration.
 	want := collectStream(f, g)
-	if len(want) != ref.Len() {
-		return report("row stream %d vs compositional %d", len(want), ref.Len())
+	if err := checkSolutionStream(want, core.CompileForest(f, g).Layout(), g, ref); err != nil {
+		return report("row stream: %v", err)
 	}
 	all := backendsOf(g, shardCounts)
 	backends := all[1:]

@@ -520,9 +520,12 @@ func (q *PreparedQuery) stream(ctx context.Context, cfg execConfig, orderFree bo
 
 // Rows streams ⟦P⟧G as ID-native rows — the zero-decode tier for hot
 // callers; no strings are touched. Each solution is yielded exactly
-// once, in the deterministic enumeration order. The yielded Row
-// aliases the enumeration's working row: it is valid only during the
-// yield; Clone to retain. Breaking out of the range loop stops the
+// once, in the deterministic enumeration order. A UNION's arms stream
+// one after the other; a row an earlier arm already answered is dropped
+// by testing its membership in that arm's answer, which costs no memory
+// per row (arms carrying a FILTER still keep a set of the rows emitted;
+// Explain reports which). The yielded Row aliases the enumeration's
+// working row: it is valid only during the yield; Clone to retain. Breaking out of the range loop stops the
 // enumeration immediately; cancelling ctx does the same at the next
 // yield boundary (check ctx.Err() after the loop to distinguish a
 // complete stream from a cancelled one).

@@ -42,17 +42,24 @@ type PlanNode struct {
 }
 
 // QueryPlan is the full explain output of a prepared query: one plan
-// tree per tree of the wdPF, the SELECT projection if any, plus whether
-// the engine executes with the planner on.
+// tree per tree of the wdPF, the SELECT projection if any, the
+// cross-tree dedup of a UNION, plus whether the engine executes with
+// the planner on.
 type QueryPlan struct {
 	Planner bool `json:"planner"`
 	// Projection lists the projected variables in declared order;
 	// empty for a bare pattern (and for SELECT *, which projects
 	// nothing away). Distinct reports output dedup on the projected
 	// row.
-	Projection []string    `json:"projection,omitempty"`
-	Distinct   bool        `json:"distinct,omitempty"`
-	Trees      []*PlanNode `json:"trees"`
+	Projection []string `json:"projection,omitempty"`
+	Distinct   bool     `json:"distinct,omitempty"`
+	// Dedup says how rows that several UNION arms answer are dropped:
+	// "membership" (a row of arm j is tested for membership in each
+	// earlier arm's answer), "set" (a set of the rows already emitted,
+	// kept for arms carrying a FILTER) or "distinct" (DISTINCT's set of
+	// projected rows). Omitted for a UNION-free query.
+	Dedup string      `json:"dedup,omitempty"`
+	Trees []*PlanNode `json:"trees"`
 	// Ask describes how PreparedQuery.Ask decides membership.
 	Ask *AskPlan `json:"ask"`
 }
@@ -108,6 +115,7 @@ func (q *PreparedQuery) Explain() *QueryPlan {
 		Planner:    q.eng.planner,
 		Projection: q.prog.OutputVars(),
 		Distinct:   q.prog.Distinct(),
+		Dedup:      q.prog.Dedup(),
 	}
 	for _, en := range q.prog.Explain() {
 		qp.Trees = append(qp.Trees, planNodeOf(en))

@@ -126,21 +126,25 @@ func NewEvaluator(alg Algorithm, k int, f ptree.Forest, g *rdf.Graph) *Evaluator
 // Call before the first Decide.
 func (e *Evaluator) UseWidth(dw func() int) { e.dw = dw }
 
-// planFor encodes µ into row and returns (building if needed) the plan
-// of its domain; nil when µ binds a variable the forest lacks or a
-// value G lacks, so µ ∉ ⟦F⟧G.
-func (e *Evaluator) planFor(mu rdf.Mapping, row rdf.Row) *domainPlan {
+// encode writes µ into row; false when µ binds a variable the forest
+// lacks or a value G lacks, so µ ∉ ⟦F⟧G.
+func (e *Evaluator) encode(mu rdf.Mapping, row rdf.Row) bool {
 	e.layout.Reset(row)
 	dict := e.g.Dict()
 	for name, val := range mu {
 		slot, ok := e.layout.Slot(name)
 		if !ok {
-			return nil
+			return false
 		}
 		if row[slot], ok = dict.LookupIRI(val); !ok {
-			return nil
+			return false
 		}
 	}
+	return true
+}
+
+// planOf returns (building if needed) the plan of the row's domain.
+func (e *Evaluator) planOf(row rdf.Row) *domainPlan {
 	// The key is the bound slots in ascending order; the map lookup does
 	// not allocate, the key string is materialised on the build path.
 	var buf [64]byte
@@ -213,11 +217,17 @@ func (e *Evaluator) buildPlan(row rdf.Row) *domainPlan {
 func (e *Evaluator) Decide(ctx context.Context, mu rdf.Mapping) (bool, error) {
 	rp := e.rows.Get().(*rdf.Row)
 	defer e.rows.Put(rp)
-	row := *rp
-	p := e.planFor(mu, row)
-	if p == nil {
+	if !e.encode(mu, *rp) {
 		return false, ctx.Err()
 	}
+	return e.decideRow(ctx, *rp)
+}
+
+// decideRow is Decide for a µ already encoded as a row of e.layout,
+// every bound value a TermID of G: no Mapping is built and no string is
+// looked up. The row is only read.
+func (e *Evaluator) decideRow(ctx context.Context, row rdf.Row) (bool, error) {
+	p := e.planOf(row)
 	for i := range p.trees {
 		tp := &p.trees[i]
 		if err := ctx.Err(); err != nil {

@@ -55,6 +55,11 @@ type ForestProgram struct {
 	nodes  int
 	noPush bool // compile-time switch: keep every filter deferred
 
+	// member is the cross-tree dedup of a multi-tree forest by
+	// membership test (union.go); nil when the forest keeps the
+	// seen-set (dedupTrees) or has one tree.
+	member *membership
+
 	// Per-execution search tuning, attached to every searcher a state
 	// creates; set through Tuned, zero values mean the heuristic
 	// pre-planner behaviour. One execution uses one mode for all its
@@ -96,7 +101,7 @@ type CompileOpts struct {
 
 // CompileForest compiles every tree of the forest against the graph,
 // assigning all forest variables dense slots in one shared layout (so
-// rows of different trees dedup in a single key space).
+// rows of different trees compare slot by slot).
 func CompileForest(f ptree.Forest, g *rdf.Graph) *ForestProgram {
 	return CompileForestOpts(f, g, CompileOpts{})
 }
@@ -107,6 +112,7 @@ func CompileForestOpts(f ptree.Forest, g *rdf.Graph, opts CompileOpts) *ForestPr
 	for _, t := range f {
 		fp.roots = append(fp.roots, fp.compileNode(t.Root, nil))
 	}
+	fp.member = newMembership(f, fp.layout, g)
 	return fp
 }
 
@@ -203,17 +209,18 @@ func (fp *ForestProgram) FullLayout() *rdf.SlotLayout { return fp.layout }
 
 // enumState is the per-execution scratch: one RowSearcher per node,
 // the single row the partial solution lives in, and the continuations
-// that stream it. stop, when non-nil, is polled at every node's emit;
-// once it reports true the whole enumeration unwinds as if sink had
+// that stream it. done, when non-nil, is polled at every node's emit;
+// once it is closed the whole enumeration unwinds as if sink had
 // returned false — this is how context cancellation reaches the
 // innermost recursion without the hot path paying for a channel read
 // per row when no context is attached.
 type enumState struct {
-	fp    *ForestProgram
-	nodes []nodeState // by compiledNode.idx
-	row   rdf.Row
-	done  <-chan struct{}    // the execution's ctx.Done(); nil: never cancelled
-	sink  func(rdf.Row) bool // receives every row a root emits
+	fp     *ForestProgram
+	nodes  []nodeState // by compiledNode.idx
+	row    rdf.Row
+	done   <-chan struct{}    // the execution's ctx.Done(); nil: never cancelled
+	sink   func(rdf.Row) bool // receives every row a root emits
+	member *memberTest        // drops rows an earlier tree emitted; nil: no test
 }
 
 // nodeState is one node's share of an enumState. next[i] continues the
@@ -255,10 +262,43 @@ func (fp *ForestProgram) newState(sink func(rdf.Row) bool) *enumState {
 		row:   fp.layout.NewRow(),
 		sink:  sink,
 	}
-	for _, r := range fp.roots {
-		st.build(r, func() bool { return st.sink(st.row) })
+	for i, r := range fp.roots {
+		st.build(r, st.rootEmit(i))
 	}
 	return st
+}
+
+// rootEmit is where tree i's rows leave the enumeration: into the sink,
+// unless the state's membership test finds the row in an earlier tree's
+// answer (skipped, the stream goes on) or its decision is cancelled
+// (the stream stops).
+func (st *enumState) rootEmit(tree int) func() bool {
+	if tree == 0 {
+		return func() bool { return st.sink(st.row) }
+	}
+	return func() bool {
+		if st.member != nil {
+			dup, err := st.member.repeats(tree, st.row)
+			if err != nil {
+				return false
+			}
+			if dup {
+				return true
+			}
+		}
+		return st.sink(st.row)
+	}
+}
+
+// memberTest returns an execution's cross-tree membership test, nil
+// when the program dedups otherwise: by the seen-set (dedupTrees), by
+// DISTINCT, or not at all (one tree).
+func (fp *ForestProgram) memberTest(ctx context.Context) *memberTest {
+	if fp.Dedup() != "membership" {
+		return nil
+	}
+	m := fp.member
+	return &memberTest{m: m, ctx: ctx, bound: newSlotSet(m.layout.Width()), row: m.layout.NewRow()}
 }
 
 // build wires node n's searcher and continuations; up is what n's emit
@@ -319,9 +359,13 @@ func (st *enumState) enumerateTree(root *compiledNode) bool {
 
 // Rows streams ⟦F⟧G: every solution row exactly once, until yield
 // returns false. Rows passed to yield are only valid during the call
-// (copy to retain). Single-tree forests stream with no dedup state;
-// multi-tree forests filter duplicates across trees through an
-// IDMappingSet of the rows already emitted.
+// (copy to retain). Single-tree forests stream with no dedup state. A
+// multi-tree forest drops a row of tree j that some earlier tree Tᵢ
+// also answers: without FILTER arms by testing r ∈ ⟦Tᵢ⟧G (slot masks,
+// then the evaluator's decision on the row), which keeps no per-row
+// state; with them
+// through an IDMappingSet of the rows already emitted. Under DISTINCT
+// the projected dedup does both jobs.
 func (fp *ForestProgram) Rows(yield func(rdf.Row) bool) {
 	fp.RowsContext(context.Background(), yield)
 }
@@ -332,10 +376,12 @@ func (fp *ForestProgram) Rows(yield func(rdf.Row) bool) {
 // extended to ctx.Done(). It returns ctx.Err(), i.e. nil on a run to
 // exhaustion or an early stop through yield, and the cancellation
 // cause when the context ended the stream. Contexts that can never be
-// cancelled add no per-row overhead.
+// cancelled add no per-row overhead; the cross-tree membership test,
+// when a row reaches its exact decision, polls ctx like Decide does.
 func (fp *ForestProgram) RowsContext(ctx context.Context, yield func(rdf.Row) bool) error {
 	st := fp.newState(fp.dedupTrees(fp.wrapOutput(yield)))
 	st.done = ctx.Done()
+	st.member = fp.memberTest(ctx)
 	for _, root := range fp.roots {
 		if !st.enumerateTree(root) {
 			break
@@ -344,11 +390,29 @@ func (fp *ForestProgram) RowsContext(ctx context.Context, yield func(rdf.Row) bo
 	return ctx.Err()
 }
 
-// dedupTrees wraps out with the cross-tree dedup on full rows that
-// multi-tree forests need; redundant (and skipped) under DISTINCT,
-// whose projected dedup subsumes it.
+// Dedup names how the program's stream drops rows that several trees
+// answer: "membership" (the test of union.go), "set" (an IDMappingSet
+// of emitted rows, for forests with FILTER arms or outside NR normal
+// form) or "distinct" (DISTINCT's projected set); "" for a one-tree
+// forest, whose stream has no repeats to drop.
+func (fp *ForestProgram) Dedup() string {
+	switch {
+	case len(fp.roots) < 2:
+		return ""
+	case fp.distinct:
+		return "distinct"
+	case fp.member != nil:
+		return "membership"
+	}
+	return "set"
+}
+
+// dedupTrees wraps out with the seen-set dedup on full rows that
+// multi-tree forests with FILTER arms need; skipped where the
+// membership test runs instead and under DISTINCT, whose projected
+// dedup subsumes it.
 func (fp *ForestProgram) dedupTrees(out func(rdf.Row) bool) func(rdf.Row) bool {
-	if len(fp.roots) < 2 || fp.distinct {
+	if fp.Dedup() != "set" {
 		return out
 	}
 	seen := rdf.NewIDMappingSet(fp.layout, fp.g.Dict().NumIRIs())
@@ -390,8 +454,11 @@ func (fp *ForestProgram) EnumerateSet() *rdf.IDMappingSet {
 // The stream is identical to RowsContext — same rows, same order —
 // because completed work items are merged in their sequential
 // (candidate) order, whatever order the pool processed them in;
-// workers ≤ 1 degrades to the sequential path. yield runs on the
-// calling goroutine only. Cancelling ctx (or yield returning false)
+// workers ≤ 1 degrades to the sequential path. The cross-tree
+// membership test runs inside the workers — an item's rows leave
+// through its tree's root emit, so a duplicate is dropped before it is
+// cloned — and only forests that keep the seen-set dedup in the merge.
+// yield runs on the calling goroutine only. Cancelling ctx (or yield returning false)
 // stops every worker at its next yield boundary, and RowsParallel does
 // not return before all workers have exited, so an early stop leaks no
 // goroutines. The returned error is the caller's ctx.Err(): nil for
@@ -458,6 +525,7 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 				return true
 			})
 			ws.done = inner.Done()
+			ws.member = fp.memberTest(inner)
 			for i := range next {
 				it := items[i]
 				local = nil

@@ -47,6 +47,36 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// explain=1 names how a UNION drops rows both arms answer: by
+// membership test, by the seen-set when an arm carries a FILTER, by
+// DISTINCT's projected set; a UNION-free query omits the field.
+func TestExplainDedup(t *testing.T) {
+	_, base := startServer(t, Config{Engine: testEngine(t, 4)})
+	for _, c := range []struct{ query, want string }{
+		{`((?x p ?y) UNION (?y p ?x))`, "membership"},
+		{`(((?x p ?y) FILTER ?y != o1) UNION (?y p ?x))`, "set"},
+		{`SELECT DISTINCT ?x WHERE ((?x p ?y) UNION (?y p ?x))`, "distinct"},
+		{crossQuery, ""},
+	} {
+		resp, err := http.Get(sparqlURL(base, c.query, url.Values{"explain": {"1"}}))
+		if err != nil {
+			t.Fatalf("GET: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200 (body %q)", c.query, resp.StatusCode, body)
+		}
+		var plan wdsparql.QueryPlan
+		if err := json.Unmarshal(body, &plan); err != nil {
+			t.Fatalf("%s: explain body %q is not a QueryPlan: %v", c.query, body, err)
+		}
+		if plan.Dedup != c.want {
+			t.Fatalf("%s: dedup = %q, want %q", c.query, plan.Dedup, c.want)
+		}
+	}
+}
+
 // A malformed explain value is a 400, and explain still runs the
 // normal failure paths (bad query → 400 before any plan is built).
 func TestExplainRejectsBadInput(t *testing.T) {

@@ -108,29 +108,57 @@ func checkFirstRowAllocs(t *testing.T, overlay bool) {
 // Draining a 3-arm OPT star allocates the same objects at 1k and at 16k
 // rows: children stream off their searchers, nothing is materialised.
 func TestRowsDrainAllocsFlat(t *testing.T) {
-	checkDrainAllocs(t, false)
+	checkDrainAllocs(t, false, starQuery, 1, "q", "r", "s")
 }
 
 // The drain gate with half the star in the overlay.
 func TestRowsDrainAllocsFlatOverlay(t *testing.T) {
-	checkDrainAllocs(t, true)
+	checkDrainAllocs(t, true, starQuery, 1, "q", "r", "s")
 }
 
-func checkDrainAllocs(t *testing.T, overlay bool) {
+// Draining a UNION drops cross-tree duplicates by a membership test, not
+// a set of the rows already emitted, so it allocates no more at 16k
+// subjects than at 1k — whether the slot masks decide every row (the
+// arms bind different optional variables) or every second-arm row
+// reaches the exact decision (both arms bind ?a).
+func TestUnionDrainAllocsFlat(t *testing.T) {
+	checkUnionDrainAllocs(t, false)
+}
+
+// The union drain gate with half the star in the overlay.
+func TestUnionDrainAllocsFlatOverlay(t *testing.T) {
+	checkUnionDrainAllocs(t, true)
+}
+
+func checkUnionDrainAllocs(t *testing.T, overlay bool) {
+	for _, query := range []string{
+		`(((?x p ?y) OPT (?x q ?a)) UNION ((?x p ?y) OPT (?x r ?b)))`, // mask path
+		`(((?x p ?y) OPT (?x q ?a)) UNION ((?x p ?y) OPT (?x r ?a)))`, // exact path
+	} {
+		checkDrainAllocs(t, overlay, query, 2, "q", "r")
+	}
+}
+
+const starQuery = `((((?x p ?y) OPT (?x q ?a)) OPT (?x r ?b)) OPT (?x s ?c))`
+
+// checkDrainAllocs drains query over a star with the given arms, which
+// must yield rowsPer rows per subject, and fails when the drain
+// allocates more objects at 16k subjects than at 1k.
+func checkDrainAllocs(t *testing.T, overlay bool, query string, rowsPer int, arms ...string) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const query = `((((?x p ?y) OPT (?x q ?a)) OPT (?x r ?b)) OPT (?x s ?c))`
 	drainAllocs := func(n int) float64 {
-		q := prepareOn(t, starEngine(n, overlay, "q", "r", "s"), query)
+		q := prepareOn(t, starEngine(n, overlay, arms...), query)
 		ctx := context.Background()
 		drain := func() {
 			rows := 0
 			for range q.Rows(ctx) {
 				rows++
 			}
-			if rows != n {
-				t.Fatalf("drain yielded %d rows, want %d", rows, n)
+			if rows != rowsPer*n {
+				t.Fatalf("%s: drain yielded %d rows, want %d", query, rows, rowsPer*n)
 			}
 		}
 		drain()
@@ -138,7 +166,8 @@ func checkDrainAllocs(t *testing.T, overlay bool) {
 	}
 	small, large := drainAllocs(1<<10), drainAllocs(1<<14)
 	if large > small {
-		t.Fatalf("drain allocates %.0f objects at 1k rows, %.0f at 16k", small, large)
+		t.Errorf("%s: drain allocates %.0f objects at 1k subjects, %.0f at 16k", query, small, large)
+		return
 	}
-	t.Logf("%.0f objects per drain", small)
+	t.Logf("%s: %.0f objects per drain", query, small)
 }
