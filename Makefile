@@ -14,7 +14,7 @@ vet:
 	$(GO) vet ./...
 
 # Run the streaming SPARQL endpoint over an N-Triples file:
-#   make serve GRAPH=data.nt SERVE_FLAGS='-addr :8080 -shards 4'
+#   make serve GRAPH=data.nt SERVE_FLAGS='-addr :8080 -workers 4'
 GRAPH ?= examples/social.nt
 serve:
 	$(GO) run ./cmd/wdserve -data $(GRAPH) $(SERVE_FLAGS)

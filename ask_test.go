@@ -28,17 +28,14 @@ type askBackend struct {
 }
 
 // askBackends builds one engine per storage backend over g's triples:
-// frozen, sharded, and an overlay twin of each whose sealed base holds
-// half the triples and whose live delta holds the rest.
+// frozen, and an overlay twin whose frozen base holds half the triples
+// and whose live delta holds the rest.
 func askBackends(g *Graph, opts ...Option) []askBackend {
 	ts := g.Triples()
 	base, delta := ts[:len(ts)/2], ts[len(ts)/2:]
-	sharded := append(append([]Option{}, opts...), WithShards(3))
 	return []askBackend{
 		{"frozen", NewEngine(rdf.GraphOf(ts...), opts...)},
-		{"sharded", NewEngine(rdf.GraphOf(ts...), sharded...)},
 		{"frozen+ovl", NewEngine(rdf.GraphOf(base...), opts...).ApplyDelta(delta)},
-		{"sharded+ovl", NewEngine(rdf.GraphOf(base...), sharded...).ApplyDelta(delta)},
 	}
 }
 

@@ -440,93 +440,6 @@ func BenchmarkE11FrozenBackend(b *testing.B) {
 	}
 }
 
-// BenchmarkE12ShardedBackend measures the sharded storage backend
-// against the frozen backend on identical triple sets (the E9 shape at
-// |G| = 65536), per shard count: bulk load into shards, MatchCountID
-// over the full index-shape mix (cross-shard counts are sums, no
-// merge), MatchID over the solver-realistic materialisation mix
-// (subject-bound, two-key and ground probes — the shapes the
-// fail-first loop materialises), the cross-shard single-key merge on
-// its own (the disclosed price of the partition), and top-down
-// enumeration. The headline numbers for the sharding layer: selective
-// probes at parity with frozen, streams byte-identical.
-func BenchmarkE12ShardedBackend(b *testing.B) {
-	ts := bench.E11Triples(16384)
-	gf := rdf.GraphFromTriples(ts)
-	countProbes := bench.E11Probes(gf, 0)
-	matchProbes := bench.E12MatchProbes(gf, 512)
-	mergeProbes := bench.E12MergeProbes(gf, 128)
-	wantCount := 0
-	for _, p := range countProbes {
-		wantCount += gf.MatchCountID(p)
-	}
-	f := ptree.Forest{bench.E9Tree()}
-	rows := core.EnumerateTopDownForestID(f, gf).Len()
-	// Cold load first, before the probe twins exist: a heap full of
-	// retained backends would tax the load loop with GC scan work that
-	// has nothing to do with loading.
-	b.Run("coldload/sharded-4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if rdf.GraphFromTriplesSharded(ts, 4).Len() != gf.Len() {
-				b.Fatal("load changed")
-			}
-		}
-	})
-	graphs := []struct {
-		name string
-		g    *rdf.Graph
-	}{{"frozen", gf}}
-	for _, m := range []int{1, 2, 4} {
-		graphs = append(graphs, struct {
-			name string
-			g    *rdf.Graph
-		}{fmt.Sprintf("sharded-%d", m), rdf.GraphFromTriplesSharded(ts, m)})
-	}
-	for _, tc := range graphs {
-		g := tc.g
-		b.Run("count/"+tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 0
-				for _, p := range countProbes {
-					n += g.MatchCountID(p)
-				}
-				if n != wantCount {
-					b.Fatalf("count drift: %d != %d", n, wantCount)
-				}
-			}
-		})
-		b.Run("match/"+tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 0
-				for _, p := range matchProbes {
-					n += len(g.MatchID(p))
-				}
-				if n == 0 {
-					b.Fatal("empty match workload")
-				}
-			}
-		})
-		b.Run("merge/"+tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 0
-				for _, p := range mergeProbes {
-					n += len(g.MatchID(p))
-				}
-				if n == 0 {
-					b.Fatal("empty merge workload")
-				}
-			}
-		})
-		b.Run("enum/"+tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if core.EnumerateTopDownForestID(f, g).Len() != rows {
-					b.Fatal("solution count changed")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMicroHomSolver measures the raw homomorphism solver on
 // path queries (ablation baseline for the join-ordering heuristic).
 func BenchmarkMicroHomSolver(b *testing.B) {
@@ -581,7 +494,6 @@ func BenchmarkE13Serving(b *testing.B) {
 	}{
 		{"sequential", rdf.GraphFromTriples(ts), nil},
 		{"parallel-4", rdf.GraphFromTriples(ts), map[string][]string{"workers": {"4"}}},
-		{"sharded-4", rdf.GraphFromTriplesSharded(ts, 4), nil},
 	}
 	for _, m := range modes {
 		eng := wdsparql.NewEngine(m.graph, wdsparql.WithQueryCache(16))
@@ -706,8 +618,8 @@ func BenchmarkE14SnapshotColdStart(b *testing.B) {
 
 // BenchmarkE15Ingest measures the live-data path on the E9 shape at
 // |G| = 65536: the parallel streaming ingest pipeline against the
-// sequential reader on the same N-Triples bytes (sequential/parallel/
-// parallel-sharded), and enumeration with the last tenth of the graph
+// sequential reader on the same N-Triples bytes (sequential/parallel),
+// and enumeration with the last tenth of the graph
 // in the mutable delta overlay versus fully frozen versus refrozen.
 func BenchmarkE15Ingest(b *testing.B) {
 	ts := bench.E11Triples(16384)
@@ -739,14 +651,6 @@ func BenchmarkE15Ingest(b *testing.B) {
 			}
 		})
 	}
-	b.Run("ingest-sharded3", func(b *testing.B) {
-		b.SetBytes(int64(len(sb)))
-		for i := 0; i < b.N; i++ {
-			if _, err := ingest.Load(bytes.NewReader(sb), ingest.Options{Workers: 4, Shards: 3}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	cut := len(ts) - len(ts)/10
 	frozen := wdsparql.NewEngine(rdf.GraphFromTriples(ts))

@@ -6,15 +6,14 @@
 //
 // Usage:
 //
-//	wdbench [-only E3] [-full] [-workers N] [-shards 1,2,4] [-cpuprofile f] [-memprofile f]
+//	wdbench [-only E3] [-full] [-workers N] [-cpuprofile f] [-memprofile f]
 //
 // -only runs a single experiment (the others are not executed, so a
 // profiled -only run measures exactly that experiment). -full extends
 // the E3 sweep into the regime where the natural algorithm needs tens
 // of seconds per instance. E8 (batched decision) and E9 (top-down
 // enumeration throughput: string pipeline vs compiled rows, rows/sec,
-// sequential vs a pool of -workers workers) honour -workers; E12 (the
-// sharded storage backend) sweeps the -shards shard counts; E13 (the
+// sequential vs a pool of -workers workers) honour -workers; E13 (the
 // serving layer) drives HTTP load at an in-process wdserve endpoint;
 // E14 measures snapshot cold start (parse vs heap load vs mmap); E15
 // measures the parallel ingest pipeline against the sequential reader
@@ -57,18 +56,12 @@ func run() int {
 	ablations := flag.Bool("ablations", false, "also run the ablation suite A1..A3")
 	micro := flag.Bool("micro", false, "also run the micro-benchmarks M1")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker-pool size for the batched (E8) and enumeration (E9) experiments")
-	shards := flag.String("shards", "1,2,4", "comma-separated shard counts for the sharded-backend (E12) experiment")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	flag.Parse()
 
 	if *only != "" && !validID(*only) {
 		fmt.Fprintf(os.Stderr, "wdbench: unknown experiment %q (want E1..E17, A1..A3 or M1)\n", *only)
-		return 2
-	}
-	shardCounts, err := bench.ParseShardCounts(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wdbench: -shards: %v\n", err)
 		return 2
 	}
 	if *cpuprofile != "" {
@@ -84,7 +77,7 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	specs := bench.Experiments(*full, *workers, shardCounts...)
+	specs := bench.Experiments(*full, *workers)
 	if *ablations || strings.HasPrefix(strings.ToUpper(*only), "A") {
 		specs = append(specs, bench.AblationExperiments()...)
 	}

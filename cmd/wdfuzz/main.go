@@ -4,11 +4,11 @@
 // compositional semantics (both join strategies), the Lemma 1 subtree
 // enumeration and the top-down enumeration. The top-down enumeration
 // additionally runs against every storage backend — the map graph, a
-// frozen clone, sharded clones at each -shards count, and overlay
-// twins of each (a sealed base carrying half the triples, the rest
-// applied as live deltas on the mutable overlay) — and the full row
-// streams are diffed byte for byte (content AND order), so a
-// backend that returns the right set in the wrong order fails a trial.
+// frozen clone, and an overlay twin (a frozen base carrying half the
+// triples, the rest applied as live deltas on the mutable overlay) —
+// and the full row streams are diffed byte for byte (content AND
+// order), so a backend that returns the right set in the wrong order
+// fails a trial.
 // The map graph's stream must itself be the compositional solution set:
 // no row twice (a UNION forest's cross-tree dedup), no row outside it.
 // With -planner (the default) each trial additionally diffs the query
@@ -41,7 +41,7 @@
 //
 // Usage:
 //
-//	wdfuzz [-trials 1000] [-seed 1] [-union] [-depth 3] [-shards 1,2,7] [-planner] [-ask] [-filters 2]
+//	wdfuzz [-trials 1000] [-seed 1] [-union] [-depth 3] [-planner] [-ask] [-filters 2]
 package main
 
 import (
@@ -52,7 +52,6 @@ import (
 	"os"
 	"slices"
 
-	"wdsparql/internal/bench"
 	"wdsparql/internal/core"
 	"wdsparql/internal/gen"
 	"wdsparql/internal/hom"
@@ -66,17 +65,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	union := flag.Bool("union", false, "generate top-level UNION patterns")
 	depth := flag.Int("depth", 3, "operator tree depth")
-	shards := flag.String("shards", "1,2,7", "comma-separated shard counts for the sharded backend")
 	planner := flag.Bool("planner", true, "diff planner modes (heuristic vs planned stream, strict count) per trial")
 	ask := flag.Bool("ask", true, "diff the three wdEVAL algorithms against the solution set on every backend per trial")
 	filters := flag.Int("filters", 2, "max FILTER wraps on the filtered-query dimension (0 disables it)")
 	flag.Parse()
 
-	counts, err := bench.ParseShardCounts(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wdfuzz: -shards: %v\n", err)
-		os.Exit(2)
-	}
 	rng := rand.New(rand.NewSource(*seed))
 	failures := 0
 	for trial := 0; trial < *trials; trial++ {
@@ -86,7 +79,7 @@ func main() {
 			os.Exit(2)
 		}
 		g := randomGraph(rng)
-		if !checkTrial(rng, trial, p, g, counts, *planner, *ask) {
+		if !checkTrial(rng, trial, p, g, *planner, *ask) {
 			failures++
 			if failures >= 5 {
 				break
@@ -100,7 +93,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "wdfuzz: query generator exhausted")
 				os.Exit(2)
 			}
-			if !checkFilterTrial(trial, q, randomGraph(rng), counts, *planner) {
+			if !checkFilterTrial(trial, q, randomGraph(rng), *planner) {
 				failures++
 				if failures >= 5 {
 					break
@@ -112,7 +105,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wdfuzz: %d failing trial(s)\n", failures)
 		os.Exit(1)
 	}
-	fmt.Printf("wdfuzz: %d trials passed (seed %d, shard counts %v)\n", *trials, *seed, counts)
+	fmt.Printf("wdfuzz: %d trials passed (seed %d)\n", *trials, *seed)
 }
 
 func randomGraph(rng *rand.Rand) *rdf.Graph {
@@ -144,9 +137,8 @@ func collectStream(f ptree.Forest, g *rdf.Graph) []rdf.Row {
 // triples in insertion order (TriplesID, not the sorted Triples)
 // reproduces g's dictionary IDs exactly, so the twin's row stream is
 // directly comparable to the map reference — the overlay merge must be
-// unobservable just like the backends. shards ≤ 1 freezes the base;
-// otherwise it is sharded.
-func overlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
+// unobservable just like the backends.
+func overlayTwin(g *rdf.Graph) *rdf.Graph {
 	ids := g.TriplesID()
 	ts := make([]rdf.Triple, len(ids))
 	for i, t := range ids {
@@ -157,11 +149,7 @@ func overlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
 	for _, t := range ts[:cut] {
 		og.AddTriple(t.S.Value, t.P.Value, t.O.Value)
 	}
-	if shards > 1 {
-		og.Shard(shards)
-	} else {
-		og.Freeze()
-	}
+	og.Freeze()
 	for _, t := range ts[cut:] {
 		og.AddDeltaTriple(t.S.Value, t.P.Value, t.O.Value)
 	}
@@ -195,15 +183,9 @@ type backend struct {
 }
 
 // backendsOf returns g itself (the map backend) followed by its frozen
-// and sharded clones plus an overlay twin of each.
-func backendsOf(g *rdf.Graph, shardCounts []int) []backend {
-	out := []backend{{"map", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g, 0)}}
-	for _, n := range shardCounts {
-		out = append(out,
-			backend{fmt.Sprintf("sharded(%d)", n), g.Clone().Shard(n)},
-			backend{fmt.Sprintf("sharded(%d)+ovl", n), overlayTwin(g, n)})
-	}
-	return out
+// clone and its overlay twin.
+func backendsOf(g *rdf.Graph) []backend {
+	return []backend{{"map", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g)}}
 }
 
 // windowRows mirrors the engine's Limit/Offset windowing over a
@@ -264,7 +246,7 @@ func collectTuned(fp *core.ForestProgram, mode hom.SearchMode) []rdf.Row {
 	return out
 }
 
-func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, shardCounts []int, planner, ask bool) bool {
+func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, planner, ask bool) bool {
 	report := func(format string, args ...interface{}) bool {
 		fmt.Fprintf(os.Stderr, "trial %d FAILED: %s\npattern: %s\ndata:\n%s",
 			trial, fmt.Sprintf(format, args...), p, rdf.FormatGraph(g))
@@ -292,14 +274,14 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, shard
 		}
 	}
 	// Storage backends must be unobservable: the row stream over the
-	// map graph is the reference, and the frozen clone plus every
-	// sharded clone must reproduce it byte for byte — content and
-	// order — through the same compiled enumeration.
+	// map graph is the reference, and the frozen clone and the overlay
+	// twin must reproduce it byte for byte — content and order —
+	// through the same compiled enumeration.
 	want := collectStream(f, g)
 	if err := checkSolutionStream(want, core.CompileForest(f, g).Layout(), g, ref); err != nil {
 		return report("row stream: %v", err)
 	}
-	all := backendsOf(g, shardCounts)
+	all := backendsOf(g)
 	backends := all[1:]
 	for _, b := range backends {
 		got := collectStream(f, b.g)
@@ -407,14 +389,14 @@ func compileFiltered(q sparql.Pattern, g *rdf.Graph, noPush bool) (*core.ForestP
 // stream must be byte-identical across every backend × both filter
 // placements × both planner modes, and its deduplicated solution set
 // must match the compositional reference (which filters post hoc).
-func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, shardCounts []int, planner bool) bool {
+func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, planner bool) bool {
 	report := func(format string, args ...interface{}) bool {
 		fmt.Fprintf(os.Stderr, "filter trial %d FAILED: %s\nquery: %s\ndata:\n%s",
 			trial, fmt.Sprintf(format, args...), sparql.Format(q), rdf.FormatGraph(g))
 		return false
 	}
 	var want []rdf.Row
-	for _, b := range backendsOf(g, shardCounts) {
+	for _, b := range backendsOf(g) {
 		for _, noPush := range []bool{false, true} {
 			fp, err := compileFiltered(q, b.g, noPush)
 			if err != nil {

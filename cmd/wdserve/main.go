@@ -60,7 +60,6 @@ func main() {
 		algo    = flag.String("algo", "naive", "evaluation algorithm: naive | pebble")
 		k       = flag.Int("k", 1, "domination-width bound for -algo pebble")
 		workers = flag.Int("workers", 1, "default enumeration worker-pool size")
-		shards  = flag.Int("shards", 1, "storage shard count (≥ 2 shards the graph by subject hash)")
 		qcache  = flag.Int("query-cache", 128, "prepared-query LRU capacity (0 disables)")
 
 		gate         = flag.Int("gate", 8, "queries executing concurrently")
@@ -92,8 +91,7 @@ func main() {
 	}
 	opts := []wdsparql.Option{
 		wdsparql.WithAlgorithm(alg), wdsparql.WithPebbleK(*k),
-		wdsparql.WithWorkers(*workers), wdsparql.WithShards(*shards),
-		wdsparql.WithQueryCache(*qcache),
+		wdsparql.WithWorkers(*workers), wdsparql.WithQueryCache(*qcache),
 	}
 
 	cfg := server.Config{
@@ -140,7 +138,7 @@ func main() {
 	} else {
 		var err error
 		start := time.Now()
-		g, err = readGraph(*dataPath, *loadWorkers, *shards, logger)
+		g, err = readGraph(*dataPath, *loadWorkers, logger)
 		if err != nil {
 			logger.Fatal(err)
 		}
@@ -156,10 +154,7 @@ func main() {
 		logger.Fatal(err)
 	}
 	backend := "map"
-	switch {
-	case g.Sharded():
-		backend = fmt.Sprintf("sharded (%d shards)", g.ShardCount())
-	case g.Frozen():
+	if g.Frozen() {
 		backend = "frozen"
 	}
 	logger.Printf("serving %d triples (%s backend) on http://%s/sparql (gate %d)",
@@ -191,9 +186,9 @@ func main() {
 }
 
 // readGraph loads the -data file through the parallel ingest pipeline,
-// pre-sharded for the serving backend, logging progress at most every
+// frozen for the serving backend, logging progress at most every
 // two seconds so a multi-gigabyte load is visibly alive.
-func readGraph(path string, workers, shards int, logger *log.Logger) (*rdf.Graph, error) {
+func readGraph(path string, workers int, logger *log.Logger) (*rdf.Graph, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -206,7 +201,6 @@ func readGraph(path string, workers, shards int, logger *log.Logger) (*rdf.Graph
 	lastLog := time.Now()
 	return ingest.Load(r, ingest.Options{
 		Workers: workers,
-		Shards:  shards,
 		Progress: func(bytes int64, triples int) {
 			if time.Since(lastLog) >= 2*time.Second {
 				lastLog = time.Now()

@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	wdsnap build -data graph.nt [-shards n] -o graph.wdsnap
+//	wdsnap build -data graph.nt -o graph.wdsnap
 //	wdsnap inspect graph.wdsnap
 //	wdsnap verify [-mode heap|mmap] [-deep] graph.wdsnap
 //
 // build parses an N-Triples file (optionally gzipped; '-' for stdin),
-// seals it into the frozen backend (or the sharded backend with
-// -shards ≥ 2) and writes the image crash-atomically: the output path
-// never holds a partial file.
+// seals it into the frozen backend and writes the image
+// crash-atomically: the output path never holds a partial file.
 //
 // inspect validates and prints only the header and section table —
 // cheap even for a huge image, since no payload is read.
@@ -57,7 +56,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  wdsnap build -data graph.nt [-shards n] -o graph.wdsnap
+  wdsnap build -data graph.nt -o graph.wdsnap
   wdsnap inspect graph.wdsnap
   wdsnap verify [-mode heap|mmap] [-deep] graph.wdsnap`)
 }
@@ -66,7 +65,6 @@ func runBuild(args []string) error {
 	fs := flag.NewFlagSet("wdsnap build", flag.ExitOnError)
 	dataPath := fs.String("data", "", "RDF graph file (N-Triples subset, optionally gzipped); '-' for stdin")
 	out := fs.String("o", "", "output snapshot path")
-	shards := fs.Int("shards", 1, "storage shard count (≥ 2 writes a sharded image)")
 	_ = fs.Parse(args)
 	if *dataPath == "" || *out == "" {
 		return fmt.Errorf("build needs -data and -o")
@@ -75,9 +73,6 @@ func runBuild(args []string) error {
 	g, err := readGraph(*dataPath)
 	if err != nil {
 		return err
-	}
-	if *shards >= 2 {
-		g.Shard(*shards)
 	}
 	if err := g.WriteSnapshot(*out); err != nil {
 		return err
@@ -101,9 +96,9 @@ func runInspect(args []string) error {
 		return err
 	}
 	printInfo(man.Info)
-	fmt.Printf("%-12s %5s %12s %12s %10s\n", "section", "shard", "offset", "length", "crc")
+	fmt.Printf("%-12s %12s %12s %10s\n", "section", "offset", "length", "crc")
 	for _, s := range man.Sections {
-		fmt.Printf("%-12s %5d %12d %12d   %08x\n", s.Name, s.Shard, s.Offset, s.Length, s.CRC)
+		fmt.Printf("%-12s %12d %12d   %08x\n", s.Name, s.Offset, s.Length, s.CRC)
 	}
 	return nil
 }
@@ -137,12 +132,8 @@ func runVerify(args []string) error {
 }
 
 func printInfo(info rdf.SnapshotInfo) {
-	shape := info.Kind
-	if info.Shards > 1 {
-		shape = fmt.Sprintf("%s (%d shards)", info.Kind, info.Shards)
-	}
-	fmt.Printf("%s: v%d %s, %d triples, %d IRIs, %d bytes, crc %08x",
-		info.Path, info.Version, shape, info.Triples, info.IRIs, info.FileSize, info.Checksum)
+	fmt.Printf("%s: v%d frozen, %d triples, %d IRIs, %d bytes, crc %08x",
+		info.Path, info.Version, info.Triples, info.IRIs, info.FileSize, info.Checksum)
 	if info.Mode != 0 {
 		fmt.Printf(", loaded via %s in %s", info.Mode, info.LoadTime.Round(10e3))
 	}

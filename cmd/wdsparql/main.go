@@ -10,7 +10,7 @@
 //
 // With -mu the command decides wdEVAL for one mapping; without it the
 // solution stream is printed (windowed by -limit/-offset, parallelised
-// by -workers, over sharded storage with -shards N). -explain prints
+// by -workers). -explain prints
 // the compiled join order as JSON instead of executing (-planner=false
 // ablates the statistics-driven ordering); with -mu it decides first
 // and the plan's ask section shows the decision plan of dom(µ). The
@@ -46,7 +46,6 @@ func main() {
 	limit := flag.Int("limit", -1, "print at most this many solutions (negative: all)")
 	offset := flag.Int("offset", 0, "skip the first n solutions")
 	workers := flag.Int("workers", 1, "enumeration worker-pool size")
-	shards := flag.Int("shards", 1, "storage shard count (≥ 2 shards the graph by subject hash)")
 	stats := flag.Bool("stats", false, "print data statistics and evaluation counters")
 	explain := flag.Bool("explain", false, "print the compiled query plan as JSON and exit")
 	planner := flag.Bool("planner", true, "use the compile-time join-order planner")
@@ -83,15 +82,11 @@ func main() {
 	}
 	engine := wdsparql.NewEngine(g,
 		wdsparql.WithAlgorithm(alg), wdsparql.WithPebbleK(*k),
-		wdsparql.WithWorkers(*workers), wdsparql.WithShards(*shards),
-		wdsparql.WithPlanner(*planner))
+		wdsparql.WithWorkers(*workers), wdsparql.WithPlanner(*planner))
 
 	if *stats {
 		backend := "map"
-		switch {
-		case g.Sharded():
-			backend = fmt.Sprintf("sharded (CSR, %d shards by subject hash)", g.ShardCount())
-		case g.Frozen():
+		if g.Frozen() {
 			backend = "frozen (CSR, bulk-loaded)"
 		}
 		fmt.Fprintf(os.Stderr, "data: %s\nbackend: %s\n", rdf.Stats(g), backend)

@@ -59,8 +59,7 @@ func (e *Engine) ApplyDelta(ts []Triple) *Engine {
 }
 
 // Refreeze returns a new engine generation with e's overlay compacted
-// into a fresh sealed base — frozen if e's base is frozen, re-sharded
-// with the same shard count if sharded — restoring pure-CSR read
+// into a fresh frozen base, restoring pure-CSR read
 // performance. Like ApplyDelta it never mutates e: the compaction
 // happens on a fork while e's readers keep streaming from the old
 // generation. Refreeze on an engine without an overlay returns a

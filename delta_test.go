@@ -37,64 +37,53 @@ func deltaGraph(n int) *Graph {
 // visible only in the returned engine, the receiver is untouched, and
 // the merged stream is identical to an engine built from scratch.
 func TestEngineApplyDelta(t *testing.T) {
-	for _, shards := range []int{0, 3} {
-		var opts []Option
-		if shards > 0 {
-			opts = append(opts, WithShards(shards))
-		}
-		delta := make([]Triple, 15)
-		for i := range delta {
-			delta[i] = deltaTriple(40 + i)
-		}
+	delta := make([]Triple, 15)
+	for i := range delta {
+		delta[i] = deltaTriple(40 + i)
+	}
 
-		e0 := NewEngine(deltaGraph(40), opts...)
-		e1 := e0.ApplyDelta(delta)
-		if e0.OverlayLen() != 0 || e0.Graph().Len() != 40 {
-			t.Fatalf("shards=%d: ApplyDelta mutated the receiver: overlay=%d len=%d",
-				shards, e0.OverlayLen(), e0.Graph().Len())
-		}
-		if e1.OverlayLen() != 15 || e1.Graph().Len() != 55 {
-			t.Fatalf("shards=%d: new generation overlay=%d len=%d, want 15 and 55",
-				shards, e1.OverlayLen(), e1.Graph().Len())
-		}
+	e0 := NewEngine(deltaGraph(40))
+	e1 := e0.ApplyDelta(delta)
+	if e0.OverlayLen() != 0 || e0.Graph().Len() != 40 {
+		t.Fatalf("ApplyDelta mutated the receiver: overlay=%d len=%d", e0.OverlayLen(), e0.Graph().Len())
+	}
+	if e1.OverlayLen() != 15 || e1.Graph().Len() != 55 {
+		t.Fatalf("new generation overlay=%d len=%d, want 15 and 55", e1.OverlayLen(), e1.Graph().Len())
+	}
 
-		scratch := NewEngine(deltaGraph(55), opts...)
-		if !backendtest.EqualStreams(scratch.Graph(), e1.Graph()) {
-			t.Fatalf("shards=%d: delta generation diverges from rebuilt graph", shards)
-		}
+	scratch := NewEngine(deltaGraph(55))
+	if !backendtest.EqualStreams(scratch.Graph(), e1.Graph()) {
+		t.Fatal("delta generation diverges from rebuilt graph")
+	}
 
-		// Refreeze: same stream, no overlay, backend shape preserved.
-		e2 := e1.Refreeze()
-		if e2.OverlayLen() != 0 {
-			t.Fatalf("shards=%d: Refreeze left an overlay of %d", shards, e2.OverlayLen())
-		}
-		if shards > 0 && (!e2.Graph().Sharded() || e2.Graph().ShardCount() != shards) {
-			t.Fatalf("shards=%d: Refreeze changed backend shape", shards)
-		}
-		if shards == 0 && !e2.Graph().Frozen() {
-			t.Fatalf("Refreeze of a frozen-base engine did not produce a frozen graph")
-		}
-		if !backendtest.EqualStreams(scratch.Graph(), e2.Graph()) {
-			t.Fatalf("shards=%d: refrozen generation diverges from rebuilt graph", shards)
-		}
-		if e1.OverlayLen() != 15 {
-			t.Fatalf("shards=%d: Refreeze mutated its receiver", shards)
-		}
+	// Refreeze: same stream, no overlay, still frozen.
+	e2 := e1.Refreeze()
+	if e2.OverlayLen() != 0 {
+		t.Fatalf("Refreeze left an overlay of %d", e2.OverlayLen())
+	}
+	if !e2.Graph().Frozen() {
+		t.Fatal("Refreeze of a frozen-base engine did not produce a frozen graph")
+	}
+	if !backendtest.EqualStreams(scratch.Graph(), e2.Graph()) {
+		t.Fatal("refrozen generation diverges from rebuilt graph")
+	}
+	if e1.OverlayLen() != 15 {
+		t.Fatal("Refreeze mutated its receiver")
+	}
 
-		// Queries on each generation see exactly that generation.
-		ctx := context.Background()
-		for _, tc := range []struct {
-			e    *Engine
-			want int
-		}{{e0, 40}, {e1, 55}, {e2, 55}} {
-			q, err := tc.e.PrepareText(`(?x p ?y)`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n, err := q.Count(ctx)
-			if err != nil || n != tc.want {
-				t.Fatalf("shards=%d: Count = %d (err %v), want %d", shards, n, err, tc.want)
-			}
+	// Queries on each generation see exactly that generation.
+	ctx := context.Background()
+	for _, tc := range []struct {
+		e    *Engine
+		want int
+	}{{e0, 40}, {e1, 55}, {e2, 55}} {
+		q, err := tc.e.PrepareText(`(?x p ?y)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := q.Count(ctx)
+		if err != nil || n != tc.want {
+			t.Fatalf("Count = %d (err %v), want %d", n, err, tc.want)
 		}
 	}
 }
@@ -142,7 +131,7 @@ func TestEngineIngestWhileQueryingSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	var cur atomic.Pointer[Engine]
-	cur.Store(NewEngine(deltaGraph(baseN), WithShards(2)))
+	cur.Store(NewEngine(deltaGraph(baseN)))
 
 	ctx := context.Background()
 	var writerDone atomic.Bool
@@ -239,7 +228,7 @@ func TestEngineIngestWhileQueryingSoak(t *testing.T) {
 	if err != nil || n != next {
 		t.Fatalf("final Count = %d (err %v), want %d", n, err, next)
 	}
-	scratch := NewEngine(deltaGraph(next), WithShards(2))
+	scratch := NewEngine(deltaGraph(next))
 	if !backendtest.EqualStreams(scratch.Graph(), final.Graph()) {
 		t.Fatal("final generation diverges from rebuilt graph")
 	}

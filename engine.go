@@ -57,7 +57,6 @@ type Engine struct {
 	alg      core.Algorithm
 	pebbleK  int
 	workers  int
-	shards   int
 	planner  bool
 	slack    int
 	pushdown bool
@@ -125,24 +124,15 @@ func WithPlannerSlack(k int) Option { return func(e *Engine) { e.slack = k } }
 // cross-validation and ablation (wdfuzz, the E17 experiment).
 func WithFilterPushdown(on bool) Option { return func(e *Engine) { e.pushdown = on } }
 
-// WithShards seals the engine's graph into the sharded storage backend
-// with n shards (rdf.Graph.Shard) instead of the single-arena frozen
-// backend: triples partition by subject hash, each shard is its own
-// frozen CSR view, and parallel enumeration hands out work grouped by
-// shard. Results are byte-identical to every other backend; n ≤ 1
-// keeps the default Freeze. Pairs naturally with WithWorkers.
-func WithShards(n int) Option { return func(e *Engine) { e.shards = n } }
-
 // NewEngine returns an engine over the graph. A nil graph is replaced
 // by an empty one — useful for purely static analysis (widths, certain
 // variables) where no data is involved.
 //
 // NewEngine seals the graph into a compact read-only backend: engines
 // only read, so every prepared query runs on O(1) array probes and
-// galloping range searches instead of map lookups. By default the
-// graph is frozen (rdf.Graph.Freeze); with WithShards(n) for n ≥ 2 it
-// is sharded instead (rdf.Graph.Shard) — both are idempotent and
-// preserve result content and order exactly. Note that sealing
+// galloping range searches instead of map lookups. The graph is
+// frozen (rdf.Graph.Freeze, idempotent), which preserves result
+// content and order exactly. Note that sealing
 // happens in place on the caller's graph (a later mutation of the
 // graph transparently thaws it, under the existing rule that the
 // graph must not change while the engine is in use).
@@ -155,15 +145,7 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 		o(e)
 	}
 	e.qcache = newLRUCache[*PreparedQuery](e.qcacheCap)
-	if e.shards > 1 {
-		g.Shard(e.shards)
-	} else if !g.Sharded() {
-		// Freeze by default, but keep a graph the caller already
-		// sharded (GraphFromTriplesSharded, Graph.Shard): re-freezing
-		// would silently discard the shard build and the caller's
-		// backend choice — the results are identical either way.
-		g.Freeze()
-	}
+	g.Freeze()
 	return e
 }
 

@@ -203,58 +203,6 @@ func TestEngineParallelMatchesSequentialOrder(t *testing.T) {
 	}
 }
 
-// WithShards(n) seals the graph into the sharded backend; the stream
-// of every execution tier must be byte-identical to the default frozen
-// engine's, sequentially and on a worker pool, for every shard count.
-func TestEngineWithShardsMatchesFrozenStream(t *testing.T) {
-	ctx := context.Background()
-	_, qf, g := e9Prepared(t, 64)
-	var want []Row
-	for r := range qf.Rows(ctx) {
-		want = append(want, r.Clone())
-	}
-	for _, shards := range []int{1, 2, 4} {
-		gs := g.Clone()
-		eng := NewEngine(gs, WithShards(shards), WithWorkers(2))
-		if shards > 1 && (!gs.Sharded() || gs.ShardCount() != shards) {
-			t.Fatalf("WithShards(%d): backend not sharded", shards)
-		}
-		if shards <= 1 && !gs.Frozen() {
-			t.Fatalf("WithShards(%d): expected the frozen default", shards)
-		}
-		q, err := eng.Prepare(MustParsePattern(e9Pattern))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 3} {
-			var got []Row
-			for r := range q.Rows(ctx, Parallel(workers)) {
-				got = append(got, r.Clone())
-			}
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d workers=%d: %d rows, want %d", shards, workers, len(got), len(want))
-			}
-			for i := range want {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("shards=%d workers=%d: row %d diverges", shards, workers, i)
-					}
-				}
-			}
-		}
-		if n, err := q.Count(ctx); err != nil || n != len(want) {
-			t.Fatalf("shards=%d: Count=%d err=%v, want %d", shards, n, err, len(want))
-		}
-	}
-	// A graph the caller already sharded keeps its backend: the
-	// default seal must not silently re-freeze it single-arena.
-	pre := g.Clone().Shard(3)
-	NewEngine(pre)
-	if !pre.Sharded() || pre.ShardCount() != 3 {
-		t.Fatal("NewEngine discarded a caller-sharded backend")
-	}
-}
-
 func TestEngineCancellationStopsStreams(t *testing.T) {
 	_, q, _ := e9Prepared(t, 64)
 	total, err := q.Count(context.Background())

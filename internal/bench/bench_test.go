@@ -208,21 +208,6 @@ func TestE11Agreement(t *testing.T) {
 	}
 }
 
-func TestE12Agreement(t *testing.T) {
-	tbl := E12ShardedBackend([]int{64}, []int{1, 2, 5}, 2)
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows: %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[1] == "0" {
-			t.Fatalf("E12 must load a non-empty graph: %v", row)
-		}
-		if row[len(row)-1] != "true" {
-			t.Fatalf("sharded and frozen backends must agree: %v", row)
-		}
-	}
-}
-
 func TestE14Agreement(t *testing.T) {
 	tbl := E14SnapshotColdStart([]int{64, 256})
 	if len(tbl.Rows) != 2 {
@@ -234,17 +219,6 @@ func TestE14Agreement(t *testing.T) {
 		}
 		if row[len(row)-1] != "true" {
 			t.Fatalf("parse, heap and mmap startup paths must agree: %v", row)
-		}
-	}
-}
-
-func TestParseShardCounts(t *testing.T) {
-	if got, err := ParseShardCounts(" 1, 2,7 "); err != nil || len(got) != 3 || got[2] != 7 {
-		t.Fatalf("ParseShardCounts: %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0", "-2", "x", "1,,0"} {
-		if _, err := ParseShardCounts(bad); err == nil {
-			t.Fatalf("ParseShardCounts(%q) must fail", bad)
 		}
 	}
 }
@@ -268,7 +242,7 @@ func TestTableAgreement(t *testing.T) {
 
 func TestSuiteComposition(t *testing.T) {
 	tables := Suite(false)
-	if len(tables) != 17 {
+	if len(tables) != 16 {
 		t.Fatalf("suite size: %d", len(tables))
 	}
 	ids := map[string]bool{}
@@ -283,7 +257,7 @@ func TestSuiteComposition(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13", "E14", "E15", "E16", "E17"} {
 		if !ids[id] {
 			t.Fatalf("missing %s", id)
 		}

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
-	"strings"
-	"time"
 
 	"wdsparql"
 	"wdsparql/internal/core"
@@ -513,13 +510,9 @@ func E11FrozenBackend(ns []int, reps int) *Table {
 		var gm, gf *rdf.Graph
 		dLoadMap := timed(func() { gm = rdf.GraphOf(ts...) })
 		dLoadBulk := timed(func() { gf = rdf.GraphFromTriples(ts) })
-		// The sharded backend rides the agreement checks of this table
-		// (its own timings are E12's subject): every probe below is
-		// also cross-checked against a 3-shard twin.
-		gs := rdf.GraphFromTriplesSharded(ts, 3)
 		countProbes := E11Probes(gm, 0)
 		matchProbes := E11Probes(gm, 128)
-		agree := gm.Len() == gf.Len() && gm.Len() == gs.Len()
+		agree := gm.Len() == gf.Len()
 		var cm, cf int
 		dCountM := timed(func() {
 			for r := 0; r < reps; r++ {
@@ -559,11 +552,8 @@ func E11FrozenBackend(ns []int, reps int) *Table {
 		}
 		for _, p := range e11AgreeProbes(gm) {
 			if gm.MatchCountID(p) != gf.MatchCountID(p) ||
-				gm.MatchCountID(p) != gs.MatchCountID(p) ||
 				!slices.Equal(gm.MatchID(p), gf.MatchID(p)) ||
-				!slices.Equal(gm.MatchID(p), gs.MatchID(p)) ||
-				!slices.Equal(gm.CandidatesID(p), gf.CandidatesID(p)) ||
-				!slices.Equal(gm.CandidatesID(p), gs.CandidatesID(p)) {
+				!slices.Equal(gm.CandidatesID(p), gf.CandidatesID(p)) {
 				agree = false
 				break
 			}
@@ -571,160 +561,16 @@ func E11FrozenBackend(ns []int, reps int) *Table {
 		var em, ef *rdf.IDMappingSet
 		dEnumM := timed(func() { em = core.EnumerateTopDownForestID(f, gm) })
 		dEnumF := timed(func() { ef = core.EnumerateTopDownForestID(f, gf) })
-		es := core.EnumerateTopDownForestID(f, gs)
-		if em.Len() != ef.Len() || em.Len() != es.Len() {
+		if em.Len() != ef.Len() {
 			agree = false
 		} else {
 			for i := 0; i < em.Len() && agree; i++ {
-				agree = slices.Equal(em.Row(i), ef.Row(i)) && slices.Equal(em.Row(i), es.Row(i))
+				agree = slices.Equal(em.Row(i), ef.Row(i))
 			}
 		}
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(gm.Len()), ms(dLoadMap), ms(dLoadBulk),
 			ms(dCountM), ms(dCountF), ms(dMatchM), ms(dMatchF),
 			ms(dEnumM), ms(dEnumF), fmt.Sprint(agree))
-	}
-	return t
-}
-
-// E12MatchProbes derives the solver-realistic materialisation mix
-// from the graph's own triples: subject-bound shapes (S, SP, SO),
-// (P,O) range probes and ground membership — the patterns the
-// fail-first loop actually materialises through LookupRangeID after
-// MatchCountID has ranked all patterns by selectivity. Single-bound P
-// and O probes are deliberately separate (E12MergeProbes): the solver
-// materialises them only when nothing more selective exists, and on
-// the sharded backend they are the full cross-shard k-way merge,
-// measured in its own column rather than averaged away here.
-func E12MatchProbes(g *rdf.Graph, samples int) []rdf.IDTriple {
-	ts := g.TriplesID()
-	step := 1
-	if samples > 0 && len(ts) > samples {
-		step = len(ts) / samples
-	}
-	out := make([]rdf.IDTriple, 0, 5*(len(ts)/step+1))
-	x, y := rdf.VarID(0), rdf.VarID(1)
-	for i := 0; i < len(ts); i += step {
-		t := ts[i]
-		out = append(out,
-			rdf.IDTriple{t[0], x, y},    // bound S: one shard, zero-copy
-			rdf.IDTriple{t[0], t[1], y}, // bound SP: one shard, gallop
-			rdf.IDTriple{t[0], x, t[2]}, // bound SO: one shard, gallop
-			rdf.IDTriple{x, t[1], t[2]}, // bound PO: per-shard gallop + merge
-			t,                           // ground membership: one shard
-		)
-	}
-	return out
-}
-
-// E12MergeProbes is the cross-shard single-key mix: bound-P and
-// bound-O patterns, whose materialisation on the sharded backend is
-// the k-way sequence-number merge over every shard's posting list
-// (the frozen backend returns the same lists as zero-copy arena
-// ranges — this column is the price of the partition).
-func E12MergeProbes(g *rdf.Graph, samples int) []rdf.IDTriple {
-	ts := g.TriplesID()
-	step := 1
-	if samples > 0 && len(ts) > samples {
-		step = len(ts) / samples
-	}
-	out := make([]rdf.IDTriple, 0, 2*(len(ts)/step+1))
-	x, y := rdf.VarID(0), rdf.VarID(1)
-	for i := 0; i < len(ts); i += step {
-		t := ts[i]
-		out = append(out,
-			rdf.IDTriple{x, t[1], y}, // bound P
-			rdf.IDTriple{x, y, t[2]}, // bound O
-		)
-	}
-	return out
-}
-
-// E12 measures the sharded backend against the frozen backend on the
-// same triple set, per shard count m: cold load (bulk into one arena
-// vs bulk into m shards), MatchCountID over the full index-shape mix
-// (sharded counts are sums of per-shard range lengths — no merge),
-// MatchID over the solver-realistic materialisation mix
-// (E12MatchProbes), the cross-shard single-key merge in its own
-// column (E12MergeProbes), and top-down enumeration of the E9 tree.
-// The agree column cross-checks, per (n, m): counts, match results
-// and candidate lists over the full shape mix including repeated
-// variables (e11AgreeProbes), the AllID merge against the insertion
-// order, and byte-identical enumeration streams.
-func E12ShardedBackend(ns []int, shardCounts []int, reps int) *Table {
-	t := &Table{
-		ID:    "E12",
-		Title: fmt.Sprintf("sharded backend vs frozen backend (%d probe reps, shard counts %v)", reps, shardCounts),
-		Claim: "subject-bound probes stay one-shard zero-copy, counts sum, only cross-shard lists pay the seq merge; identical streams",
-		Header: []string{"n", "|G|", "m", "load(frz)", "load(shd)", "count(frz)", "count(shd)",
-			"match(frz)", "match(shd)", "merge(frz)", "merge(shd)", "enum(frz)", "enum(shd)", "agree"},
-	}
-	f := ptree.Forest{E9Tree()}
-	timeProbes := func(g *rdf.Graph, count, match, merge []rdf.IDTriple) (dc, dma, dme time.Duration, sums [3]int) {
-		dc = timed(func() {
-			for r := 0; r < reps; r++ {
-				sums[0] = 0
-				for _, p := range count {
-					sums[0] += g.MatchCountID(p)
-				}
-			}
-		})
-		dma = timed(func() {
-			for r := 0; r < reps; r++ {
-				sums[1] = 0
-				for _, p := range match {
-					sums[1] += len(g.MatchID(p))
-				}
-			}
-		})
-		dme = timed(func() {
-			for r := 0; r < reps; r++ {
-				sums[2] = 0
-				for _, p := range merge {
-					sums[2] += len(g.MatchID(p))
-				}
-			}
-		})
-		return
-	}
-	for _, n := range ns {
-		ts := E11Triples(n)
-		var gf *rdf.Graph
-		dLoadF := timed(func() { gf = rdf.GraphFromTriples(ts) })
-		countProbes := E11Probes(gf, 0)
-		matchProbes := E12MatchProbes(gf, 128)
-		mergeProbes := E12MergeProbes(gf, 64)
-		agreeProbes := e11AgreeProbes(gf)
-		dCountF, dMatchF, dMergeF, sumsF := timeProbes(gf, countProbes, matchProbes, mergeProbes)
-		var ef *rdf.IDMappingSet
-		dEnumF := timed(func() { ef = core.EnumerateTopDownForestID(f, gf) })
-		for _, m := range shardCounts {
-			var gs *rdf.Graph
-			dLoadS := timed(func() { gs = rdf.GraphFromTriplesSharded(ts, m) })
-			dCountS, dMatchS, dMergeS, sumsS := timeProbes(gs, countProbes, matchProbes, mergeProbes)
-			var es *rdf.IDMappingSet
-			dEnumS := timed(func() { es = core.EnumerateTopDownForestID(f, gs) })
-			agree := gf.Len() == gs.Len() && sumsF == sumsS &&
-				slices.Equal(gs.Shards().AllID(), gf.TriplesID())
-			for _, p := range agreeProbes {
-				if gf.MatchCountID(p) != gs.MatchCountID(p) ||
-					!slices.Equal(gf.MatchID(p), gs.MatchID(p)) ||
-					!slices.Equal(gf.CandidatesID(p), gs.CandidatesID(p)) {
-					agree = false
-					break
-				}
-			}
-			if ef.Len() != es.Len() {
-				agree = false
-			} else {
-				for i := 0; i < ef.Len() && agree; i++ {
-					agree = slices.Equal(ef.Row(i), es.Row(i))
-				}
-			}
-			t.AddRow(fmt.Sprint(n), fmt.Sprint(gf.Len()), fmt.Sprint(m),
-				ms(dLoadF), ms(dLoadS), ms(dCountF), ms(dCountS),
-				ms(dMatchF), ms(dMatchS), ms(dMergeF), ms(dMergeS),
-				ms(dEnumF), ms(dEnumS), fmt.Sprint(agree))
-		}
 	}
 	return t
 }
@@ -738,35 +584,9 @@ type Experiment struct {
 	Run func() *Table
 }
 
-// ParseShardCounts parses a comma-separated list of positive shard
-// counts — the value syntax of the -shards flag shared by wdbench
-// (the E12 sweep) and wdfuzz (the backend stream diff).
-func ParseShardCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q (want positive integers)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no shard counts")
-	}
-	return out, nil
-}
-
-// Experiments returns the E1..E17 suite as lazily-run experiments.
-// shardCounts parameterises the E12 shard-scaling sweep (wdbench
-// -shards); when omitted it defaults to 1, 2 and 4.
-func Experiments(full bool, workers int, shardCounts ...int) []Experiment {
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4}
-	}
+// Experiments returns the E1..E17 suite (E12, the retired sharded
+// backend's table, is gone) as lazily-run experiments.
+func Experiments(full bool, workers int) []Experiment {
 	e3Max := 6
 	e13PerClient := 4
 	e14Ns := []int{4096, 16384}
@@ -789,11 +609,10 @@ func Experiments(full bool, workers int, shardCounts ...int) []Experiment {
 		{"E9", func() *Table { return E9Enumeration([]int{64, 128, 256}, workers) }},
 		{"E10", func() *Table { return E10PreparedVsOneShot([]int{64, 128, 256}, 32) }},
 		{"E11", func() *Table { return E11FrozenBackend([]int{1024, 4096, 16384}, 3) }},
-		{"E12", func() *Table { return E12ShardedBackend([]int{4096, 16384}, shardCounts, 3) }},
 		{"E13", func() *Table { return E13Serving(128, e13PerClient, workers, []int{1, 4, 16}, 8, 64) }},
 		{"E14", func() *Table { return E14SnapshotColdStart(e14Ns) }},
 		{"E15", func() *Table { return E15Ingest(e14Ns, workers) }},
-		{"E16", func() *Table { return E16Planner(e16N, 4) }},
+		{"E16", func() *Table { return E16Planner(e16N) }},
 		{"E17", func() *Table { return E17FilterPushdown(e16N) }},
 	}
 }

@@ -16,8 +16,7 @@ import (
 // parallel streaming pipeline (chunk → decode pool → in-order merge)
 // against the sequential reader on the same N-Triples bytes — the
 // pipeline must be faster AND byte-identical (same dictionary IDs,
-// same enumeration stream), both straight to the frozen arena and
-// pre-sharded. Overlay: the enumeration cost of serving with the last
+// same enumeration stream). Overlay: the enumeration cost of serving with the last
 // tenth of the graph in the mutable delta overlay versus fully frozen,
 // and again after Refreeze — the price of accepting live writes, and
 // the proof that compaction restores pure-CSR speed. The agree column
@@ -39,7 +38,7 @@ func E15Ingest(ns []int, workers int) *Table {
 		Title: fmt.Sprintf("parallel ingest (%d workers) + live delta overlay vs frozen", workers),
 		Claim: "the pipeline is sequential-equivalent but parallel; the overlay trades bounded read overhead for live writes, reclaimed by re-freeze",
 		Header: []string{"n", "|G|", "nt(KB)", "parse", "ingest", "speedup",
-			"ingest(sh3)", "enum", "enum(ovl)", "enum(refroze)", "rows", "agree"},
+			"enum", "enum(ovl)", "enum(refroze)", "rows", "agree"},
 	}
 	ctx := context.Background()
 	for _, n := range ns {
@@ -50,7 +49,7 @@ func E15Ingest(ns []int, workers int) *Table {
 		}
 		data := buf.Bytes()
 
-		var seq, par, shd *rdf.Graph
+		var seq, par *rdf.Graph
 		var err error
 		dParse := timed(func() { seq, err = rdf.ReadGraph(bytes.NewReader(data)) })
 		if err != nil {
@@ -62,13 +61,7 @@ func E15Ingest(ns []int, workers int) *Table {
 		if err != nil {
 			panic(err)
 		}
-		dShard := timed(func() {
-			shd, err = ingest.Load(bytes.NewReader(data), ingest.Options{Workers: workers, Shards: 3})
-		})
-		if err != nil {
-			panic(err)
-		}
-		streamsOK := backendtest.EqualStreams(seq, par) && backendtest.EqualStreams(seq, shd)
+		streamsOK := backendtest.EqualStreams(seq, par)
 
 		// Overlay: the same graph with its last tenth applied as live
 		// deltas, enumerated by the same prepared query.
@@ -104,7 +97,7 @@ func E15Ingest(ns []int, workers int) *Table {
 			speedup = fmt.Sprintf("%.1fx", float64(dParse)/float64(dIngest))
 		}
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(seq.Len()), fmt.Sprint(len(data)/1024),
-			ms(dParse), ms(dIngest), speedup, ms(dShard),
+			ms(dParse), ms(dIngest), speedup,
 			ms(dEnumF), ms(dEnumO), ms(dEnumR),
 			fmt.Sprint(rowsF), fmt.Sprint(agree))
 	}

@@ -109,9 +109,9 @@ func e16StreamsEqual(a, b []rdf.Row) bool {
 
 // E16Planner measures the compile-time planner against the per-node
 // heuristic on three workload shapes (the E9 wdPT, a single-node
-// chain, a sparse directed triangle) across the map, frozen and
-// sharded backends.
-func E16Planner(n, shards int) *Table {
+// chain, a sparse directed triangle) across the map and frozen
+// backends.
+func E16Planner(n int) *Table {
 	t := &Table{
 		ID:    "E16",
 		Title: fmt.Sprintf("query planner ablation: planner off vs on (n=%d)", n),
@@ -135,7 +135,6 @@ func E16Planner(n, shards int) *Table {
 		}{
 			{"map", sh.g},
 			{"frozen", sh.g.Clone().Freeze()},
-			{fmt.Sprintf("sharded(%d)", shards), sh.g.Clone().Shard(shards)},
 		}
 		var mapRef []rdf.Row
 		for _, b := range backends {

@@ -18,9 +18,9 @@ import (
 
 // E13 measures the serving layer end to end: real HTTP requests against
 // a wdserve endpoint (internal/server) streaming the E10 workload, with
-// qps and latency percentiles per concurrency level, across the three
-// storage/execution modes of the engine — sequential over the frozen
-// backend, Parallel(w) enumeration, and the sharded backend — plus an
+// qps and latency percentiles per concurrency level, across the two
+// execution modes of the engine — sequential and Parallel(w)
+// enumeration over the frozen backend — plus an
 // overload cell where the client herd far exceeds the admission gate,
 // showing that shedding keeps the p99 of served requests bounded
 // instead of queuing everyone into timeout territory.
@@ -216,7 +216,6 @@ func E13Serving(n, perClient, workers int, clientCounts []int, gate, overloadCli
 		{"sequential", rdf.GraphFromTriples(ts), nil},
 		{fmt.Sprintf("parallel(%d)", workers), rdf.GraphFromTriples(ts),
 			url.Values{"workers": {fmt.Sprint(workers)}}},
-		{"sharded(4)", rdf.GraphFromTriplesSharded(ts, 4), nil},
 	}
 	addCell := func(mode string, clients int, cell E13Cell) {
 		t.AddRow(mode, fmt.Sprint(clients), fmt.Sprint(gate),

@@ -19,7 +19,7 @@ import (
 
 // FILTER + projection on the compiled row pipeline, cross-validated
 // against the compositional reference: every backend (map, frozen,
-// sharded, overlay), both pushdown placements, both planner modes and
+// overlay), both pushdown placements, both planner modes and
 // parallel execution must emit byte-identical streams whose solution
 // set matches sparql.EvalID.
 
@@ -42,8 +42,6 @@ func rebuildAs(g *rdf.Graph, backend string) *rdf.Graph {
 		return out
 	case "frozen":
 		out.Freeze()
-	case "sharded":
-		out.Shard(3)
 	case "overlay":
 		out.Freeze()
 		for _, id := range ids[cut:] {
@@ -96,7 +94,7 @@ func streamStrings(fp *core.ForestProgram, workers int) []string {
 
 func TestFilterProjectionCrossValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	backends := []string{"map", "frozen", "sharded", "overlay"}
+	backends := []string{"map", "frozen", "overlay"}
 	for trial := 0; trial < 60; trial++ {
 		q, ok := gen.RandomWDQuery(rng, gen.PatternOpts{
 			Depth: 3, Filters: 2, Select: trial%2 == 0, Union: trial%5 == 0,

@@ -4,8 +4,7 @@ package core_test
 // layer: ForestProgram.Rows must yield the IDENTICAL stream — content
 // and order, byte for byte — on a frozen graph and on its map-backed
 // twin, for randomized well-designed forests. This is the determinism
-// invariant the ROADMAP pins for the enumeration pipeline ("parallel
-// == sequential, sharded backends merge in order"): the storage
+// invariant the ROADMAP pins for the enumeration pipeline: the storage
 // backend must be unobservable through the row iterator.
 
 import (

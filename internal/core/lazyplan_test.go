@@ -57,7 +57,6 @@ func TestLazyPlanMatchesCompileTimePlan(t *testing.T) {
 		}
 		for name, g := range map[string]*rdf.Graph{
 			"frozen":     rdf.GraphFromTriples(ts),
-			"sharded":    rdf.GraphFromTriplesSharded(ts, 3),
 			"frozen+ovl": ovl,
 		} {
 			lazy, eager := CompileForest(f, g), CompileForest(f, g)

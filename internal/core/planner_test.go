@@ -26,28 +26,6 @@ func collectForest(fp *core.ForestProgram) []rdf.Row {
 	return out
 }
 
-// plannerOverlayTwin rebuilds g as a sealed base with the second half
-// of the triples applied as live deltas (mirrors the wdfuzz twin).
-func plannerOverlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
-	ids := g.TriplesID()
-	og := rdf.NewGraph()
-	cut := len(ids) / 2
-	for _, id := range ids[:cut] {
-		t := g.Dict().DecodeTriple(id)
-		og.AddTriple(t.S.Value, t.P.Value, t.O.Value)
-	}
-	if shards > 1 {
-		og.Shard(shards)
-	} else {
-		og.Freeze()
-	}
-	for _, id := range ids[cut:] {
-		t := g.Dict().DecodeTriple(id)
-		og.AddDeltaTriple(t.S.Value, t.P.Value, t.O.Value)
-	}
-	return og
-}
-
 func TestTunedModesAcrossBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 60; trial++ {
@@ -66,9 +44,7 @@ func TestTunedModesAcrossBackends(t *testing.T) {
 		}{
 			{"map", g},
 			{"frozen", g.Clone().Freeze()},
-			{"sharded(3)", g.Clone().Shard(3)},
-			{"frozen+ovl", plannerOverlayTwin(g, 0)},
-			{"sharded(3)+ovl", plannerOverlayTwin(g, 3)},
+			{"frozen+ovl", rebuildAs(g, "overlay")},
 		}
 		for _, b := range backends {
 			fp := core.CompileForest(f, b.g)

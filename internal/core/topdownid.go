@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 
 	"wdsparql/internal/hom"
@@ -445,11 +444,8 @@ func (fp *ForestProgram) EnumerateSet() *rdf.IDMappingSet {
 // root homomorphism search plus all maximal extensions through the
 // children — so, unlike the earlier root-row partitioning, the root
 // search itself runs on the pool instead of being materialised
-// sequentially upfront. On a sharded graph items are handed to the
-// pool grouped by the shard of their candidate triple (the shard is a
-// pure function of the candidate's subject), so workers sweep one
-// shard's data at a time: real data partitioning, and the exact seam a
-// multi-node deployment would cut.
+// sequentially upfront. Items are handed to the pool in candidate
+// order.
 //
 // The stream is identical to RowsContext — same rows, same order —
 // because completed work items are merged in their sequential
@@ -480,7 +476,6 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 		root  *compiledNode
 		cand  rdf.IDTriple
 		whole bool // run the entire tree sequentially
-		shard int
 	}
 	var items []item
 	st := fp.newState(nil)
@@ -491,19 +486,8 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 			continue
 		}
 		for _, c := range cands {
-			items = append(items, item{root: root, cand: c, shard: fp.g.ShardOf(c)})
+			items = append(items, item{root: root, cand: c})
 		}
-	}
-	// Processing order: shard-grouped on a sharded graph (stable, so
-	// within a shard items keep candidate order), plain candidate order
-	// otherwise. The merge below is indexed by item, not by processing
-	// order, so scheduling never leaks into the stream.
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
-	}
-	if fp.g.ShardCount() > 1 {
-		sort.SliceStable(order, func(a, b int) bool { return items[order[a]].shard < items[order[b]].shard })
 	}
 	if workers > len(items) {
 		workers = len(items)
@@ -543,10 +527,11 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 	}
 	// The feeder gives up (closing next, which drains the pool) as soon
 	// as the run is cancelled; until then it hands out items in
-	// processing order.
+	// candidate order. The merge below is indexed by item, so
+	// scheduling never leaks into the stream.
 	go func() {
 		defer close(next)
-		for _, i := range order {
+		for i := range items {
 			select {
 			case next <- i:
 			case <-inner.Done():

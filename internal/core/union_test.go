@@ -21,15 +21,13 @@ import (
 	"wdsparql/internal/sparql"
 )
 
-// unionBackends returns g rebuilt on every backend: map, frozen,
-// sharded and the frozen and sharded overlay twins.
+// unionBackends returns g rebuilt on every backend: map, frozen and
+// the frozen overlay twin.
 func unionBackends(g *rdf.Graph) map[string]*rdf.Graph {
 	return map[string]*rdf.Graph{
-		"map":         rebuildAs(g, "map"),
-		"frozen":      rebuildAs(g, "frozen"),
-		"sharded":     rebuildAs(g, "sharded"),
-		"frozen+ovl":  rebuildAs(g, "overlay"),
-		"sharded+ovl": plannerOverlayTwin(g, 3),
+		"map":        rebuildAs(g, "map"),
+		"frozen":     rebuildAs(g, "frozen"),
+		"frozen+ovl": rebuildAs(g, "overlay"),
 	}
 }
 

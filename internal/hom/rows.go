@@ -388,9 +388,8 @@ func (s *RowSearcher) bindAndRec(best int, t rdf.IDTriple, remaining int, yield 
 // first pattern, in exactly the order Run would explore them. When ok,
 // Run(assign)'s stream is precisely the concatenation of
 // RunOn(assign, c) over the returned candidates in order — the seam
-// the parallel enumeration uses to partition root work by data (and,
-// on a sharded graph, by shard: each candidate's shard is a pure
-// function of its subject). Zero candidates with ok=true means the
+// the parallel enumeration uses to partition root work by data. Zero
+// candidates with ok=true means the
 // stream is empty. ok=false means the search has no top-level branch
 // point — the program has no patterns, so Run yields exactly the empty
 // extension — and the caller must fall back to Run. The returned slice

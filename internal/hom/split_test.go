@@ -12,9 +12,8 @@ import (
 // search: running RunOn over SplitTop's candidates in order must
 // reproduce Run's stream exactly — same rows, same order — for random
 // programs over random graphs, with and without pre-bound rows, on
-// both the map and the sharded backend. This is what lets the
-// parallel enumeration split root work per candidate (and per shard)
-// without observable effect.
+// both the map and the frozen backend. This is what lets the parallel
+// enumeration split root work per candidate without observable effect.
 
 func collectRun(prog *RowProgram, base rdf.Row) []rdf.Row {
 	var out []rdf.Row
@@ -53,7 +52,7 @@ func TestSplitTopPartitionsRun(t *testing.T) {
 	for c := 0; c < 300; c++ {
 		g := randRowGraph(rng)
 		if c%2 == 1 {
-			g.Shard(1 + rng.Intn(4))
+			g.Freeze()
 		}
 		pats := randRowPats(rng)
 		layout := rdf.NewSlotLayout()

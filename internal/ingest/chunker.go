@@ -1,7 +1,7 @@
 // Package ingest is the parallel streaming ingest pipeline: it loads
 // the N-Triples format of rdf.ReadGraph through a chunked reader and a
 // decode worker pool, and compacts the result directly into the frozen
-// or sharded CSR backend via rdf.GraphFromEncoded.
+// CSR backend via rdf.GraphFromEncoded.
 //
 // The pipeline has three stages:
 //

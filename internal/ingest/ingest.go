@@ -26,9 +26,6 @@ type Options struct {
 	// MaxLine bounds a single input line, like rdf.ReadGraphMaxLine;
 	// ≤ 0 means rdf.MaxLineLen.
 	MaxLine int
-	// Shards selects the backend of the result: ≤ 1 compacts into the
-	// single-arena frozen view, > 1 into a sharded CSR.
-	Shards int
 	// Progress, when non-nil, receives (raw input bytes consumed,
 	// triples merged) with the same contract as rdf.ReadGraphWithProgress.
 	Progress rdf.ProgressFunc
@@ -90,7 +87,7 @@ func (c *countReader) Read(p []byte) (int, error) {
 // Load reads the rdf.ReadGraph format through the parallel pipeline
 // and returns a sealed graph. The result — dictionary IDs, insertion
 // order, every enumeration stream — is identical to what
-// rdf.ReadGraph (plus Shard, for Options.Shards > 1) would have built
+// rdf.ReadGraph (plus Freeze) would have built
 // from the same input, and the first syntax error in input order is
 // reported with the same line numbering. Gzipped input is detected by
 // its magic bytes and decompressed before chunking (decompression is
@@ -227,7 +224,7 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, error) {
 	if opt.Progress != nil {
 		opt.Progress(cr.n.Load(), len(all))
 	}
-	return rdf.GraphFromEncoded(global, all, opt.Shards), nil
+	return rdf.GraphFromEncoded(global, all), nil
 }
 
 // parseChunk decodes one chunk into the worker's ID space. On a parse

@@ -72,7 +72,7 @@ func sameGraph(t *testing.T, want, got *rdf.Graph, label string) {
 }
 
 // TestLoadEquivalence is the pipeline's core contract: across worker
-// counts, chunk sizes, shard counts and gzip, Load is byte-identical
+// counts, chunk sizes and gzip, Load is byte-identical
 // to the sequential ReadGraph path.
 func TestLoadEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -83,24 +83,15 @@ func TestLoadEquivalence(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 7} {
 			for _, chunk := range []int{64, 1024, 1 << 20} {
-				for _, shards := range []int{0, 3} {
-					label := fmt.Sprintf("seed=%d w=%d c=%d s=%d", seed, workers, chunk, shards)
-					ref := want
-					if shards > 1 {
-						ref = want.Clone().Shard(shards)
-					}
-					g, err := Load(strings.NewReader(src), Options{Workers: workers, ChunkBytes: chunk, Shards: shards})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if shards > 1 && (!g.Sharded() || g.ShardCount() != shards) {
-						t.Fatalf("%s: wrong backend shape", label)
-					}
-					if shards <= 1 && !g.Frozen() {
-						t.Fatalf("%s: result not frozen", label)
-					}
-					sameGraph(t, ref, g, label)
+				label := fmt.Sprintf("seed=%d w=%d c=%d", seed, workers, chunk)
+				g, err := Load(strings.NewReader(src), Options{Workers: workers, ChunkBytes: chunk})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				if !g.Frozen() {
+					t.Fatalf("%s: result not frozen", label)
+				}
+				sameGraph(t, want, g, label)
 			}
 		}
 		gz, err := Load(bytes.NewReader(gzipBytes(t, src)), Options{Workers: 4, ChunkBytes: 512})

@@ -1,8 +1,9 @@
 // Package backendtest is the differential test suite that pins every
 // storage backend of rdf.Graph to the map-backed reference. The
 // paper's correctness guarantees (Romero, PODS 2018) are proved for
-// one abstract graph; the implementation has three physical
-// representations (map, frozen CSR, sharded CSR) behind one read API,
+// one abstract graph; the implementation has two physical
+// representations (map, frozen CSR) behind one read API, plus the
+// delta overlay on a frozen base,
 // so the guarantees survive only if the backends are observationally
 // equivalent — same triples, same insertion order, byte for byte, on
 // every read operation. RunBackendSuite is that equivalence check,
@@ -11,7 +12,6 @@
 package backendtest
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -28,7 +28,7 @@ const Trials = 200
 // MakeGraph builds the backend under test from an insertion-ordered
 // ground triple list. Loading the same list must assign the same
 // dictionary IDs in the same order as rdf.GraphOf — every seal path in
-// the package (Freeze, Shard, GraphBuilder) preserves that.
+// the package (Freeze, GraphBuilder) preserves that.
 type MakeGraph func(ts []rdf.Triple) *rdf.Graph
 
 // RunBackendSuite runs the differential suite: Trials random graphs,
@@ -158,12 +158,8 @@ func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, rng *rand.Rand) {
 	for _, p := range segmentShapes(ref) {
 		checkSegments(t, trial, ref, got, p)
 	}
-	// Selectivity catalog (cardstats.go): global distinct counts are
-	// exact on every backend; per-predicate counts are exact except for
-	// objects on a sharded base, where the per-shard sum may double
-	// count objects recurring across shards — there the reference count
-	// is the lower bound and the predicate's posting length the upper.
-	// Every IRI of dom(G) — every predicate among them — is probed at
+	// Selectivity catalog (cardstats.go): global and per-predicate
+	// distinct counts are exact on every backend. Every IRI of dom(G) — every predicate among them — is probed at
 	// both positions, twice: the second probe reads the backend's memo.
 	for pos := 0; pos < 3; pos++ {
 		if dr, dg := ref.DistinctCount(pos), got.DistinctCount(pos); dr != dg || got.DistinctCount(pos) != dg {
@@ -171,18 +167,10 @@ func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, rng *rand.Rand) {
 		}
 	}
 	for _, p := range ref.DomIDs() {
-		plen := ref.MatchCountID(rdf.IDTriple{rdf.VarID(0), p, rdf.VarID(1)})
 		for _, pos := range []int{0, 2} {
 			dr, dg := ref.DistinctUnderPredicate(p, pos), got.DistinctUnderPredicate(p, pos)
 			if again := got.DistinctUnderPredicate(p, pos); again != dg {
 				t.Fatalf("trial %d: DistinctUnderPredicate(%v, pos %d) = %d, then %d", trial, p, pos, dg, again)
-			}
-			if pos == 2 && got.Sharded() {
-				if dg < dr || dg > plen {
-					t.Fatalf("trial %d: DistinctUnderPredicate(%v, O) = %d outside [%d, %d] on sharded backend",
-						trial, p, dg, dr, plen)
-				}
-				continue
 			}
 			if dr != dg {
 				t.Fatalf("trial %d: DistinctUnderPredicate(%v, pos %d) = %d backend, want %d",
@@ -252,14 +240,14 @@ func checkSegments(t *testing.T, trial int, ref, got *rdf.Graph, p rdf.IDTriple)
 
 // checkLifecycle verifies that mutation thaws the backend to the map
 // representation transparently (no triple lost, no duplicate admitted)
-// and that the thawed graph can be re-sealed either way.
+// and that the thawed graph can be re-sealed.
 func checkLifecycle(t *testing.T, mk MakeGraph) {
 	t.Helper()
 	ts := randTriples(rand.New(rand.NewSource(7)))
 	g := mk(ts)
 	n := g.Len()
 	g.AddTriple("thaw-s", "thaw-p", "thaw-o")
-	if g.Frozen() || g.Sharded() {
+	if g.Frozen() {
 		t.Fatal("mutation must thaw to the map backend")
 	}
 	if g.Len() != n+1 || !g.Contains(rdf.T(rdf.IRI("thaw-s"), rdf.IRI("thaw-p"), rdf.IRI("thaw-o"))) {
@@ -269,19 +257,10 @@ func checkLifecycle(t *testing.T, mk MakeGraph) {
 	if g.Len() != n+1 {
 		t.Fatal("duplicate insert after thaw")
 	}
-	// Re-seal both ways; the twin is the thawed graph itself.
-	for _, seal := range []struct {
-		name string
-		do   func(*rdf.Graph) *rdf.Graph
-	}{
-		{"freeze", func(g *rdf.Graph) *rdf.Graph { return g.Freeze() }},
-		{"shard", func(g *rdf.Graph) *rdf.Graph { return g.Shard(3) }},
-	} {
-		c := seal.do(g.Clone())
-		checkTwins(t, -1, g, c, rand.New(rand.NewSource(11)))
-		if t.Failed() {
-			t.Fatalf("re-seal through %s broke agreement", seal.name)
-		}
+	// Re-seal; the twin is the thawed graph itself.
+	checkTwins(t, -1, g, g.Clone().Freeze(), rand.New(rand.NewSource(11)))
+	if t.Failed() {
+		t.Fatal("re-seal through Freeze broke agreement")
 	}
 }
 
@@ -332,14 +311,4 @@ func EqualStreams(a, b *rdf.Graph) bool {
 		}
 	}
 	return true
-}
-
-// SuiteName returns a conventional subtest name for a backend at a
-// shard count, so the per-backend instantiations read uniformly in
-// test output.
-func SuiteName(backend string, shards int) string {
-	if shards > 0 {
-		return fmt.Sprintf("%s/shards=%d", backend, shards)
-	}
-	return backend
 }

@@ -56,56 +56,19 @@ func (b *GraphBuilder) Len() int { return len(b.g.all) }
 // freeze. The builder must not be used afterwards. Mutating the
 // returned graph thaws it like any frozen graph.
 func (b *GraphBuilder) Graph() *Graph {
-	g := b.seal()
-	g.frz = freezeGraph(g)
-	g.set = nil
-	return g
-}
-
-// Sharded compacts the accumulated triples directly into a sharded
-// graph with n shards (n ≥ 1, like Graph.Shard): the same counting
-// pass as Graph, then one partition pass and a per-shard CSR freeze —
-// neither the map indexes nor an intermediate single-arena frozen view
-// is ever built. The builder must not be used afterwards. The result
-// is identical to Graph() followed by Shard(n): same triples, same
-// dictionary IDs, same insertion order.
-func (b *GraphBuilder) Sharded(n int) *Graph {
-	if n < 1 {
-		panic("rdf: GraphBuilder.Sharded: shard count must be ≥ 1")
-	}
-	g := b.seal()
-	g.shd = shardGraph(g, n)
-	g.set = nil
-	return g
-}
-
-// seal detaches the accumulated graph from the builder and runs the
-// counting pass that sizes the occurrence table and dom(G).
-func (b *GraphBuilder) seal() *Graph {
 	g := b.g
 	b.g = nil
-	g.occ = make([]int32, g.dict.NumIRIs())
-	for _, t := range g.all {
-		for _, id := range t {
-			if g.occ[id] == 0 {
-				g.domSize++
-			}
-			g.occ[id]++
-		}
-	}
-	return g
+	return GraphFromEncoded(g.dict, g.all)
 }
 
-// GraphFromEncoded seals a graph directly from pre-encoded triples:
-// d is the dictionary that interned them and all is the
+// GraphFromEncoded seals a frozen graph directly from pre-encoded
+// triples: d is the dictionary that interned them and all is the
 // insertion-order triple slice, already deduplicated, every position
-// an interned IRI ID. Ownership of both passes to the graph. shards
-// selects the backend: n ≤ 1 compacts into the single-arena frozen
-// view, n > 1 into a sharded CSR with n shards. This is the seam the
-// parallel ingest pipeline (internal/ingest) lands on after its
-// remap/dedup pass — the result is indistinguishable from feeding the
-// same triples through a GraphBuilder.
-func GraphFromEncoded(d *Dict, all []IDTriple, shards int) *Graph {
+// an interned IRI ID. Ownership of both passes to the graph. This is
+// the seam the parallel ingest pipeline (internal/ingest) lands on
+// after its remap/dedup pass — the result is indistinguishable from
+// feeding the same triples through a GraphBuilder.
+func GraphFromEncoded(d *Dict, all []IDTriple) *Graph {
 	g := &Graph{dict: d, all: all}
 	g.occ = make([]int32, d.NumIRIs())
 	for _, t := range all {
@@ -116,11 +79,7 @@ func GraphFromEncoded(d *Dict, all []IDTriple, shards int) *Graph {
 			g.occ[id]++
 		}
 	}
-	if shards > 1 {
-		g.shd = shardGraph(g, shards)
-	} else {
-		g.frz = freezeGraph(g)
-	}
+	g.frz = freezeGraph(g)
 	return g
 }
 
@@ -134,17 +93,4 @@ func GraphFromTriples(ts []Triple) *Graph {
 		b.Add(t)
 	}
 	return b.Graph()
-}
-
-// GraphFromTriplesSharded bulk-loads ground triples into a sharded
-// graph with n shards. It is equivalent to GraphOf(ts...).Shard(n) —
-// same triples, same dictionary IDs, same insertion order — but
-// compacts straight into the per-shard CSR views without ever building
-// the map indexes.
-func GraphFromTriplesSharded(ts []Triple, n int) *Graph {
-	b := NewGraphBuilder(len(ts))
-	for _, t := range ts {
-		b.Add(t)
-	}
-	return b.Sharded(n)
 }

@@ -2,7 +2,7 @@ package rdf
 
 // Selectivity catalog: distinct-key statistics the query planner
 // (internal/plan) reads alongside MatchCountID. The CSR offset arrays
-// of the sealed backends already answer "how many triples carry key k
+// of the sealed backend already answer "how many triples carry key k
 // at position X" in O(1); this file adds the complementary domain-size
 // questions — how many distinct subjects/predicates/objects exist,
 // globally and under a fixed predicate — that turn posting lengths
@@ -14,35 +14,27 @@ package rdf
 //   - Map backend: global counts are the index map sizes (O(1));
 //     per-predicate counts scan one posting list. The map backend is
 //     mutable, so nothing is cached.
-//   - Frozen / sharded: on first use, one pass over the offset (or
-//     global count) arrays and the predicate groups of the
-//     secondarily-sorted keyPS/keyPO columns — whose secondary sort
-//     makes distinct values = key transitions — fills every count,
-//     O(|G| + |dict|) once per sealed view. It runs under sync.Once, so
-//     the first plan is safe under concurrent readers and mmap-loaded
-//     snapshots stay O(1) until a plan asks.
-//   - Sharded: each shard's view fills its own counts. Subjects
-//     partition across shards (shardOfID hashes the subject), so
-//     per-shard distinct-subject sums are exact. Distinct objects under
-//     a predicate are per-shard sums and therefore an upper bound —
-//     acceptable for an estimator, documented here so nobody mistakes
-//     it for an invariant.
+//   - Frozen: on first use, one pass over the offset arrays and the
+//     predicate groups of the secondarily-sorted keyPS/keyPO columns —
+//     whose secondary sort makes distinct values = key transitions —
+//     fills every count, O(|G| + |dict|) once per sealed view. It runs
+//     under sync.Once, so the first plan is safe under concurrent
+//     readers and mmap-loaded snapshots stay O(1) until a plan asks.
 //   - Overlay: the delta adds only keys and (predicate, value) pairs
 //     absent from the sealed base (O(1)/O(log) base probes per overlay
-//     key), keeping the counts exact on frozen bases. Both deltas are
-//     computed in one pass over the overlay the first time a reader
-//     asks at a given overlay state; the write path does nothing, and
+//     key), keeping the counts exact. Both deltas are computed in one
+//     pass over the overlay the first time a reader asks at a given
+//     overlay state; the write path does nothing, and
 //     the next AddDelta makes the memo stale (see overlayCatalog).
 
 import "sync"
 
 // cardStats is the lazily-filled distinct-count cache embedded in the
-// immutable sealed views.
+// immutable frozen view.
 type cardStats struct {
 	once                sync.Once
 	distS, distP, distO int
-	// under maps a predicate to its distinct subject and object counts
-	// (frozen views only; a sharded graph sums its shards' maps).
+	// under maps a predicate to its distinct subject and object counts.
 	under map[TermID][2]int
 }
 
@@ -52,8 +44,6 @@ type cardStats struct {
 func (g *Graph) DistinctCount(pos int) int {
 	var base int
 	switch {
-	case g.shd != nil:
-		base = g.shd.distinct(pos)
 	case g.frz != nil:
 		base = g.frz.distinct(pos)
 	default:
@@ -74,17 +64,10 @@ func (g *Graph) DistinctCount(pos int) int {
 
 // DistinctUnderPredicate reports the number of distinct terms at
 // position pos (0 = subject, 2 = object) among the triples whose
-// predicate is p. Exact on map, frozen and overlay backends; on a
-// sharded base the object count is a per-shard sum and may double
-// count objects recurring across shards (subject counts stay exact —
-// subjects partition by shard). Callers treat it as an estimate.
+// predicate is p. Exact on every backend.
 func (g *Graph) DistinctUnderPredicate(p TermID, pos int) int {
 	var base int
 	switch {
-	case g.shd != nil:
-		for i := range g.shd.shards {
-			base += g.shd.shards[i].view.distinctUnder(p, pos)
-		}
 	case g.frz != nil:
 		base = g.frz.distinctUnder(p, pos)
 	default:
@@ -156,44 +139,8 @@ func transitions(keys []TermID) int {
 	return n
 }
 
-func (sg *ShardedGraph) distinct(pos int) int {
-	sg.stats.once.Do(func() {
-		for i := range sg.shards {
-			// Subjects partition across shards, so the sum is exact.
-			sg.stats.distS += sg.shards[i].view.distinct(0)
-		}
-		sg.stats.distP = nonzeroGroups(sg.cntP)
-		sg.stats.distO = nonzeroGroups(sg.cntO)
-	})
-	switch pos {
-	case 0:
-		return sg.stats.distS
-	case 1:
-		return sg.stats.distP
-	default:
-		return sg.stats.distO
-	}
-}
-
-// groupLen is the sealed-base posting-list length of one key, the
-// O(1) probe the overlay delta counts lean on.
-func (sg *ShardedGraph) groupLen(pos int, k TermID) int {
-	if k.IsVar() || int(k) >= sg.nIRIs {
-		return 0
-	}
-	switch pos {
-	case 0:
-		v := sg.shards[shardOfID(k, sg.n)].view
-		return int(v.groupLen(v.offS, k))
-	case 1:
-		return int(sg.cntP[k+1] - sg.cntP[k])
-	default:
-		return int(sg.cntO[k+1] - sg.cntO[k])
-	}
-}
-
 // nonzeroGroups counts keys with a non-empty posting list in a CSR
-// offset (or global count-offset) array.
+// offset array.
 func nonzeroGroups(off []uint32) int {
 	n := 0
 	for i := 1; i < len(off); i++ {
@@ -255,10 +202,9 @@ func (g *Graph) overlayCatalog() *ovlCatalog {
 	return c
 }
 
+// baseGroupLen is the sealed-base posting-list length of one key, the
+// O(1) probe the overlay delta counts lean on.
 func (g *Graph) baseGroupLen(pos int, k TermID) int {
-	if g.shd != nil {
-		return g.shd.groupLen(pos, k)
-	}
 	switch pos {
 	case 0:
 		return int(g.frz.groupLen(g.frz.offS, k))
@@ -272,20 +218,6 @@ func (g *Graph) baseGroupLen(pos int, k TermID) int {
 // basePairHas reports whether the sealed base holds any triple with
 // predicate p and value v at position pos (0 or 2).
 func (g *Graph) basePairHas(p, v TermID, pos int) bool {
-	if g.shd != nil {
-		if pos == 0 {
-			sh := g.shd.shards[shardOfID(v, g.shd.n)].view
-			lo, hi := sh.range2Bounds(sh.offS, sh.keySP, v, p)
-			return hi > lo
-		}
-		for i := range g.shd.shards {
-			sh := g.shd.shards[i].view
-			if lo, hi := sh.range2Bounds(sh.offP, sh.keyPO, p, v); hi > lo {
-				return true
-			}
-		}
-		return false
-	}
 	f := g.frz
 	if pos == 0 {
 		lo, hi := f.range2Bounds(f.offS, f.keySP, v, p)

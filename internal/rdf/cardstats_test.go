@@ -24,8 +24,8 @@ func catalogOf(g, ref *rdf.Graph) []int {
 // The overlay's catalog deltas are memoised per overlay state. Probing,
 // adding deltas — new keys, new (predicate, value) pairs, and pairs the
 // base already holds — and probing again must give exactly what a
-// from-scratch computation gives: the map-backed reference on a frozen
-// base, and on either base a clone (a new base and overlay, no memo).
+// from-scratch computation gives: the map-backed reference, and a clone
+// (a new base and overlay, no memo).
 func TestOverlayCatalogFollowsDeltas(t *testing.T) {
 	tr := func(s, p, o string) rdf.Triple { return rdf.T(rdf.IRI(s), rdf.IRI(p), rdf.IRI(o)) }
 	base := []rdf.Triple{tr("a", "p", "b"), tr("b", "p", "c"), tr("c", "q", "a")}
@@ -38,39 +38,34 @@ func TestOverlayCatalogFollowsDeltas(t *testing.T) {
 			tr("c", "p", "d"), // new object d under p
 		},
 	}
-	for _, shards := range []int{0, 3} {
-		g := rdf.GraphFromTriples(base)
-		if shards > 0 {
-			g = rdf.GraphFromTriplesSharded(base, shards)
+	g := rdf.GraphFromTriples(base)
+	all := append([]rdf.Triple{}, base...)
+	var prev []int
+	for bi, batch := range batches {
+		for _, t := range batch {
+			g.AddDelta(t)
 		}
-		all := append([]rdf.Triple{}, base...)
-		var prev []int
-		for bi, batch := range batches {
-			for _, t := range batch {
-				g.AddDelta(t)
-			}
-			all = append(all, batch...)
-			ref := rdf.GraphOf(all...)
-			got := catalogOf(g, ref)
-			if again := catalogOf(g, ref); !slices.Equal(got, again) {
-				t.Fatalf("shards=%d batch %d: memoised probe %v, first probe %v", shards, bi, again, got)
-			}
-			if fresh := catalogOf(g.Clone(), ref); !slices.Equal(got, fresh) {
-				t.Fatalf("shards=%d batch %d: catalog %v, from scratch %v", shards, bi, got, fresh)
-			}
-			if want := catalogOf(ref, ref); shards == 0 && !slices.Equal(got, want) {
-				t.Fatalf("batch %d: catalog %v, map reference %v", bi, got, want)
-			}
-			if slices.Equal(got, prev) {
-				t.Fatalf("shards=%d batch %d: the batch moved no count; the test cannot see a stale memo", shards, bi)
-			}
-			prev = got
+		all = append(all, batch...)
+		ref := rdf.GraphOf(all...)
+		got := catalogOf(g, ref)
+		if again := catalogOf(g, ref); !slices.Equal(got, again) {
+			t.Fatalf("batch %d: memoised probe %v, first probe %v", bi, again, got)
 		}
+		if fresh := catalogOf(g.Clone(), ref); !slices.Equal(got, fresh) {
+			t.Fatalf("batch %d: catalog %v, from scratch %v", bi, got, fresh)
+		}
+		if want := catalogOf(ref, ref); !slices.Equal(got, want) {
+			t.Fatalf("batch %d: catalog %v, map reference %v", bi, got, want)
+		}
+		if slices.Equal(got, prev) {
+			t.Fatalf("batch %d: the batch moved no count; the test cannot see a stale memo", bi)
+		}
+		prev = got
 	}
 }
 
 // After the first call, catalog probes on every sealed backend — frozen,
-// sharded, and an overlay on each — are lookups: they allocate nothing.
+// and an overlay on it — are lookups: they allocate nothing.
 func TestCatalogProbeAllocs(t *testing.T) {
 	ts := rdf.GraphOf(
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
@@ -79,10 +74,8 @@ func TestCatalogProbeAllocs(t *testing.T) {
 		rdf.T(rdf.IRI("a"), rdf.IRI("q"), rdf.IRI("c")),
 	).Triples()
 	for name, g := range map[string]*rdf.Graph{
-		"frozen":      rdf.GraphFromTriples(ts),
-		"sharded":     rdf.GraphFromTriplesSharded(ts, 3),
-		"frozen+ovl":  splitDelta(ts, rdf.GraphFromTriples),
-		"sharded+ovl": splitDelta(ts, func(b []rdf.Triple) *rdf.Graph { return rdf.GraphFromTriplesSharded(b, 3) }),
+		"frozen":     rdf.GraphFromTriples(ts),
+		"frozen+ovl": splitDelta(ts, rdf.GraphFromTriples),
 	} {
 		preds := []rdf.TermID{}
 		for _, p := range []string{"p", "q"} {

@@ -25,9 +25,6 @@ package rdf
 //     by galloping search rather than separate maps. Stability makes
 //     even these ranges insertion-ordered, so no consumer can observe
 //     a difference from the map backend.
-//
-// A future sharded backend should shard the primary views (and the
-// membership table); the sorted views are derived per shard.
 
 // frozenView is the compact immutable index structure of a frozen
 // graph. All slices are built once by freezeGraph and never mutated.
@@ -82,21 +79,14 @@ type frozenView struct {
 // bounded by len(all) < 2³², so the all-ones pattern is free.
 const frozenAbsent = ^uint32(0)
 
-// freezeGraph builds the frozen view of the graph's current triple
-// set; see freezeTriples.
-func freezeGraph(g *Graph) *frozenView {
-	return freezeTriples(g.all, g.dict.NumIRIs())
-}
-
-// freezeTriples builds a frozen view over an insertion-ordered triple
-// slice in O(|all| + ni): three counting passes for the offsets, six
-// stable scatter passes for the arenas, one insertion pass for the
-// membership table. No comparison sort is involved — the secondary
+// freezeGraph builds the frozen view of the graph's insertion-ordered
+// triple slice in O(|all| + ni): three counting passes for the
+// offsets, six stable scatter passes for the arenas, one insertion
+// pass for the membership table. No comparison sort is involved — the secondary
 // arenas come out of a two-pass LSD bucket sort whose stability is
-// what preserves insertion order inside every (k1,k2) range. The
-// sharded backend calls this once per shard with the shard's subset of
-// the graph's triples (still in insertion order).
-func freezeTriples(all []IDTriple, ni int) *frozenView {
+// what preserves insertion order inside every (k1,k2) range.
+func freezeGraph(g *Graph) *frozenView {
+	all, ni := g.all, g.dict.NumIRIs()
 	f := &frozenView{nIRIs: ni, all: all}
 	f.offS = bucketOffsets(all, 0, ni)
 	f.offP = bucketOffsets(all, 1, ni)
@@ -247,9 +237,7 @@ func (f *frozenView) range2(off []uint32, arena []IDTriple, keys []TermID, k1, k
 }
 
 // range2Bounds locates the (k1,k2) run and returns its absolute
-// [begin, end) index range into the arena (empty range on a miss). The
-// sharded backend uses the indexes to slice the arena and its aligned
-// sequence-number column in lockstep.
+// [begin, end) index range into the arena (empty range on a miss).
 func (f *frozenView) range2Bounds(off []uint32, keys []TermID, k1, k2 TermID) (uint32, uint32) {
 	k := int(k1)
 	if k >= f.nIRIs {
@@ -361,15 +349,13 @@ func (g *Graph) Freeze() *Graph {
 	if g.ovl != nil {
 		// A sealed graph with an overlay: fold the write layer into a
 		// fresh base (never in place — the old base may be shared with
-		// forked generations) and re-seal single-arena.
+		// forked generations) and re-seal.
 		g.foldOverlay()
 		g.frz = freezeGraph(g)
-		g.shd = nil
 		return g
 	}
 	if g.frz == nil {
 		g.frz = freezeGraph(g)
-		g.shd = nil // freezing a sharded graph re-seals single-arena
 		g.set = nil
 		g.byS, g.byP, g.byO = nil, nil, nil
 		g.bySP, g.byPO, g.bySO = nil, nil, nil
@@ -381,8 +367,8 @@ func (g *Graph) Freeze() *Graph {
 func (g *Graph) Frozen() bool { return g.frz != nil }
 
 // thaw rebuilds the map indexes from the insertion-order slice and
-// discards the frozen (or sharded) view; called by the mutation path
-// when a sealed graph is modified. An overlay is folded in at its
+// discards the frozen view; called by the mutation path when a sealed
+// graph is modified. An overlay is folded in at its
 // sequence position (a strict suffix of the base), and the
 // insertion-order slice and occurrence table come out fresh — the
 // originals may be shared with forked sibling generations, and the
@@ -399,7 +385,6 @@ func (g *Graph) thaw() {
 		g.occ = occ
 	}
 	g.frz = nil
-	g.shd = nil
 	g.set = make(map[IDTriple]struct{}, len(g.all))
 	g.byS = map[TermID][]IDTriple{}
 	g.byP = map[TermID][]IDTriple{}

@@ -2,7 +2,7 @@
 // The read-API cross-validation against the map backend that used to
 // live here is now the reusable differential suite of
 // internal/rdf/backendtest, instantiated for every backend in
-// sharded_test.go.
+// backend_test.go.
 package rdf_test
 
 import (
@@ -86,15 +86,6 @@ func TestBulkLoadEquivalence(t *testing.T) {
 	}
 	if !sameTriples(inc.TriplesID(), bulk.TriplesID()) {
 		t.Fatalf("IDs or insertion order differ: %v vs %v", inc.TriplesID(), bulk.TriplesID())
-	}
-	// The sharded bulk load is equivalent to sealing the same list
-	// through Shard — including the dropped duplicate.
-	shardedBulk := rdf.GraphFromTriplesSharded(ts, 2)
-	if !shardedBulk.Sharded() || shardedBulk.ShardCount() != 2 {
-		t.Fatal("GraphFromTriplesSharded must return a sharded graph")
-	}
-	if !sameTriples(shardedBulk.TriplesID(), inc.TriplesID()) {
-		t.Fatal("sharded bulk load changed IDs or order")
 	}
 	parsed, err := rdf.ParseGraph("a p b .\nb p c .\na q c .\na p b .\nc q a .")
 	if err != nil {

@@ -1,7 +1,9 @@
 package rdf
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,30 +51,30 @@ func FuzzReadGraph(f *testing.F) {
 // loader: arbitrary bytes yield a graph or a descriptive error, never
 // a panic — and an accepted image decodes to an internally consistent
 // graph. It fuzzes parseImage directly (the shared core of both the
-// heap and mmap loaders), seeded with valid frozen and sharded images
-// plus targeted corruptions of each.
+// heap and mmap loaders), seeded with a valid frozen image, the same
+// image under a kind-2 header (the retired sharded kind, which must be
+// rejected by name), and targeted corruptions of each.
 func FuzzLoadSnapshot(f *testing.F) {
-	dir := f.TempDir()
-	for _, shards := range []int{1, 3} {
-		g := NewGraph()
-		for i := 0; i < 24; i++ {
-			g.AddTriple(fmt.Sprintf("s%d", i%7), fmt.Sprintf("p%d", i%3), fmt.Sprintf("o%d", i))
-		}
-		if shards > 1 {
-			g.Shard(shards)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("seed%d.wdsnap", shards))
-		if err := g.WriteSnapshot(path); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-		f.Add(data[:snapHeaderLen])
-		flipped := append([]byte(nil), data...)
+	g := NewGraph()
+	for i := 0; i < 24; i++ {
+		g.AddTriple(fmt.Sprintf("s%d", i%7), fmt.Sprintf("p%d", i%3), fmt.Sprintf("o%d", i))
+	}
+	path := filepath.Join(f.TempDir(), "seed.wdsnap")
+	if err := g.WriteSnapshot(path); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	kind2 := append([]byte(nil), data...)
+	kind2[11] = snapKindSharded
+	binary.LittleEndian.PutUint32(kind2[60:64], crc32.Checksum(kind2[0:60], snapCRC))
+	for _, img := range [][]byte{data, kind2} {
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+		f.Add(img[:snapHeaderLen])
+		flipped := append([]byte(nil), img...)
 		flipped[len(flipped)/2] ^= 0x10
 		f.Add(flipped)
 	}

@@ -48,7 +48,6 @@ type Graph struct {
 	occ     []int32 // occurrence count per IRI ID across all positions
 	domSize int     // |dom(G)| = number of IRI IDs with occ > 0
 	frz     *frozenView
-	shd     *ShardedGraph
 	ovl     *overlay // delta write layer on a sealed base; nil unless sealed
 }
 
@@ -114,7 +113,7 @@ func (g *Graph) AddID(t IDTriple) {
 }
 
 func (g *Graph) addID(t IDTriple) {
-	if g.frz != nil || g.shd != nil {
+	if g.frz != nil {
 		g.thaw()
 	}
 	if _, ok := g.set[t]; ok {
@@ -240,9 +239,6 @@ func (g *Graph) ContainsID(t IDTriple) bool {
 		if _, ok := o.set[t]; ok {
 			return true
 		}
-	}
-	if sg := g.shd; sg != nil {
-		return sg.contains(t)
 	}
 	if f := g.frz; f != nil {
 		_, ok := f.contains(t)
@@ -375,8 +371,8 @@ func (g *Graph) Match(p Triple) []Triple {
 // is built once, straight from the base and overlay segments.
 func (g *Graph) MatchID(p IDTriple) []IDTriple {
 	base, tail, exact := g.LookupSegmentsID(p)
-	if exact && len(tail) == 0 && (g.frz != nil || g.shd != nil) {
-		// Immutable arena range or freshly merged slice: no copy.
+	if exact && len(tail) == 0 && g.frz != nil {
+		// Immutable arena range: no copy.
 		return base
 	}
 	out := make([]IDTriple, 0, len(base)+len(tail))
@@ -407,10 +403,9 @@ func (g *Graph) MatchCount(p Triple) int {
 // pattern. When the pattern has no repeated variables the count is the
 // base posting-list (or frozen range) length plus the overlay's, with
 // no scan and no list built: O(1) for at most one bound position,
-// O(log) for two on the frozen backend. On the sharded backend
-// cross-shard counts are sums of per-shard range lengths — no merge is
-// materialised. A fully-bound pattern is a membership probe; a pattern
-// with a repeated variable scans both segments in place.
+// O(log) for two on the frozen backend. A fully-bound pattern is a
+// membership probe; a pattern with a repeated variable scans both
+// segments in place.
 func (g *Graph) MatchCountID(p IDTriple) int {
 	if !p[0].IsVar() && !p[1].IsVar() && !p[2].IsVar() {
 		if g.ContainsID(p) {
@@ -419,12 +414,7 @@ func (g *Graph) MatchCountID(p IDTriple) int {
 		return 0
 	}
 	if !hasRepeatedVar(p) {
-		var n int
-		if sg := g.shd; sg != nil {
-			n = sg.count(p)
-		} else {
-			n = len(g.baseCandidates(p))
-		}
+		n := len(g.baseCandidates(p))
 		if o := g.ovl; o != nil {
 			n += len(o.candidates(p))
 		}
@@ -480,9 +470,7 @@ func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
 // pattern has repeated variables. All backends return the same
 // triples in the same (insertion) order. The list is the concatenation
 // of LookupSegmentsID's segments: a fresh slice when both are
-// non-empty, and likewise a freshly merged one for a cross-shard list
-// on the sharded backend (see ShardedGraph); otherwise it aliases
-// internal storage. Either way callers must not modify it.
+// non-empty; otherwise it aliases internal storage. Either way callers must not modify it.
 func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
 	base := g.baseCandidates(p)
 	o := g.ovl
@@ -505,9 +493,6 @@ func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
 
 // baseCandidates is CandidatesID against the base storage only.
 func (g *Graph) baseCandidates(p IDTriple) []IDTriple {
-	if sg := g.shd; sg != nil {
-		return sg.candidates(p)
-	}
 	if f := g.frz; f != nil {
 		return f.candidates(p)
 	}
@@ -607,20 +592,14 @@ func (g *Graph) String() string { return FormatGraph(g) }
 func (g *Graph) Clone() *Graph {
 	out := NewGraph()
 	out.dict = g.dict.Clone()
-	if g.frz != nil || g.shd != nil {
+	if g.frz != nil {
 		// The map indexes of a sealed graph are gone; copy the
 		// insertion-order state and compact directly instead of
 		// rebuilding maps that the re-seal would immediately discard.
-		// A frozen graph clones to a frozen graph, a sharded graph to
-		// a sharded graph with the same shard count.
 		out.all = append(out.all, g.all...)
 		out.occ = append(out.occ, g.occ...)
 		out.domSize = g.domSize
-		if g.shd != nil {
-			out.Shard(g.shd.n)
-		} else {
-			out.Freeze()
-		}
+		out.Freeze()
 		if o := g.ovl; o != nil {
 			out.ovl = o.fork()
 		}

@@ -1,7 +1,7 @@
 package rdf
 
 // Mutable delta overlay: a small map-backed write layer stacked on a
-// sealed (frozen or sharded) base graph, so a serving engine can
+// sealed (frozen) base graph, so a serving engine can
 // accept live writes without thawing the CSR arenas underneath its
 // readers.
 //
@@ -10,8 +10,7 @@ package rdf
 // order, and every overlay triple is inserted after every base triple,
 // so overlay sequence numbers form a strict suffix of the global
 // sequence: for any posting list, walking the base list (already
-// seq-ordered, whether it comes from a frozen arena range or a
-// cross-shard mergeBySeq) and then the overlay's insertion-ordered
+// seq-ordered: a frozen arena range) and then the overlay's insertion-ordered
 // list IS the k-way merge by sequence number. No merge machinery runs
 // on reads and nothing is copied: Graph.LookupSegmentsID hands both
 // lists out as two segments, the solvers walk them in place one after
@@ -26,9 +25,9 @@ package rdf
 // while each generation's overlay grows independently.
 //
 // Structural invariant: g.ovl != nil implies the graph is sealed
-// (g.frz != nil or g.shd != nil). The overlay lives and dies with the
-// sealed view: thaw folds it into the map backend, Freeze / Shard /
-// Compact fold it into a new sealed base.
+// (g.frz != nil). The overlay lives and dies with the sealed view:
+// thaw folds it into the map backend, Freeze / Compact fold it into a
+// new sealed base.
 
 import "sync/atomic"
 
@@ -134,7 +133,7 @@ func (o *overlay) candidates(p IDTriple) []IDTriple {
 }
 
 // AddDelta inserts a ground triple without disturbing a sealed base:
-// on a frozen or sharded graph the triple goes into the overlay write
+// on a frozen graph the triple goes into the overlay write
 // layer and the CSR views stay untouched (in-flight readers of the
 // base are never invalidated); on an unsealed graph it is a plain Add.
 // Adding a triple that contains a variable panics, like Add.
@@ -167,7 +166,7 @@ func (g *Graph) AddDeltaID(t IDTriple) {
 }
 
 func (g *Graph) addDeltaID(t IDTriple) {
-	if g.frz == nil && g.shd == nil {
+	if g.frz == nil {
 		g.addID(t)
 		return
 	}
@@ -194,9 +193,6 @@ func (g *Graph) addDeltaID(t IDTriple) {
 // baseContains is membership against the sealed base only, ignoring
 // the overlay; the write path uses it to dedup against the base.
 func (g *Graph) baseContains(t IDTriple) bool {
-	if sg := g.shd; sg != nil {
-		return sg.contains(t)
-	}
 	_, ok := g.frz.contains(t)
 	return ok
 }
@@ -237,8 +233,8 @@ func (g *Graph) OverlayLen() int {
 // from it, route all writes to the fork. Fork panics on an unsealed
 // graph — the map backend is already mutable in place.
 func (g *Graph) Fork() *Graph {
-	if g.frz == nil && g.shd == nil {
-		panic("rdf: Fork: graph must be sealed (frozen or sharded)")
+	if g.frz == nil {
+		panic("rdf: Fork: graph must be sealed (frozen)")
 	}
 	out := &Graph{
 		dict:    g.dict.Fork(),
@@ -246,7 +242,6 @@ func (g *Graph) Fork() *Graph {
 		occ:     g.occ,
 		domSize: g.domSize,
 		frz:     g.frz,
-		shd:     g.shd,
 	}
 	if o := g.ovl; o != nil {
 		out.ovl = o.fork()
@@ -258,7 +253,7 @@ func (g *Graph) Fork() *Graph {
 // occurrence table and clears it. Both are written as fresh slices —
 // never in place — because the base versions may be shared with forked
 // sibling generations. The sealed views are stale afterwards; callers
-// re-seal (Compact, Freeze, Shard) or rebuild the map backend (thaw).
+// re-seal (Compact, Freeze) or rebuild the map backend (thaw).
 func (g *Graph) foldOverlay() {
 	o := g.ovl
 	all := make([]IDTriple, 0, len(g.all)+len(o.ts))
@@ -274,23 +269,14 @@ func (g *Graph) foldOverlay() {
 	g.ovl = nil
 }
 
-// Compact folds the overlay into a new sealed base in the graph's
-// current backend shape: a sharded base re-shards with the same shard
-// count, a frozen base re-freezes. The re-freeze path of the ingest
-// pipeline is exactly Fork + Compact: the old generation keeps serving
-// its readers untouched while the fork compacts, then the generation
-// pointer swaps. Compact on a graph without an overlay is a no-op.
+// Compact folds the overlay into a new frozen base. The re-freeze
+// path of the ingest pipeline is exactly Fork + Compact: the old
+// generation keeps serving its readers untouched while the fork
+// compacts, then the generation pointer swaps. Compact on a graph
+// without an overlay is a no-op.
 func (g *Graph) Compact() *Graph {
-	if g.ovl == nil {
-		return g
-	}
-	if g.shd != nil {
-		n := g.shd.n
-		g.foldOverlay()
-		g.shd = shardGraph(g, n)
-	} else {
-		g.foldOverlay()
-		g.frz = freezeGraph(g)
+	if g.ovl != nil {
+		g.Freeze()
 	}
 	return g
 }

@@ -32,22 +32,6 @@ func TestBackendSuiteOverlayFrozen(t *testing.T) {
 	})
 }
 
-// The overlay on a sharded base, across the canonical shard counts:
-// cross-shard mergeBySeq followed by the overlay suffix must still
-// reconstruct global insertion order.
-func TestBackendSuiteOverlaySharded(t *testing.T) {
-	for _, n := range []int{1, 2, 7} {
-		n := n
-		t.Run(backendtest.SuiteName("overlay", n), func(t *testing.T) {
-			backendtest.RunBackendSuite(t, func(ts []rdf.Triple) *rdf.Graph {
-				return splitDelta(ts, func(base []rdf.Triple) *rdf.Graph {
-					return rdf.GraphFromTriplesSharded(base, n)
-				})
-			})
-		})
-	}
-}
-
 // The generation path end to end: base → Fork → AddDelta into the fork
 // (forked dictionary, shared base storage) → the fork must pass the
 // full suite while the abandoned receiver is left untouched.
@@ -64,7 +48,7 @@ func TestBackendSuiteOverlayFork(t *testing.T) {
 }
 
 // Fork + Compact is the re-freeze: the compacted generation must be
-// sealed (no overlay left), keep the base's backend shape, and be
+// frozen (no overlay left) and
 // stream-identical to a graph rebuilt from scratch — while the
 // original generation still serves the pre-delta state.
 func TestOverlayForkCompact(t *testing.T) {
@@ -73,40 +57,29 @@ func TestOverlayForkCompact(t *testing.T) {
 		full := gen.Random(14, 70, 3, rng.Int63())
 		ts := full.Triples()
 		half := len(ts) / 2
-		for _, shards := range []int{0, 1, 3} {
-			var base *rdf.Graph
-			if shards > 0 {
-				base = rdf.GraphFromTriplesSharded(ts[:half], shards)
-			} else {
-				base = rdf.GraphFromTriples(ts[:half])
-			}
-			baseLen := base.Len()
-			g := base.Fork()
-			for _, tr := range ts[half:] {
-				g.AddDelta(tr)
-			}
-			g.Compact()
-			if g.HasOverlay() || g.OverlayLen() != 0 {
-				t.Fatalf("trial %d shards %d: overlay survived Compact", trial, shards)
-			}
-			if shards > 0 {
-				if !g.Sharded() || g.ShardCount() != shards {
-					t.Fatalf("trial %d: Compact changed backend shape (want %d shards)", trial, shards)
-				}
-			} else if !g.Frozen() {
-				t.Fatalf("trial %d: Compact of a frozen base did not re-freeze", trial)
-			}
-			ref := rdf.GraphOf(ts...)
-			if !backendtest.EqualStreams(ref, g) {
-				t.Fatalf("trial %d shards %d: compacted generation diverges from rebuilt graph", trial, shards)
-			}
-			if base.Len() != baseLen || base.HasOverlay() {
-				t.Fatalf("trial %d: Compact of a fork mutated the receiver generation", trial)
-			}
-			refBase := rdf.GraphOf(ts[:half]...)
-			if !backendtest.EqualStreams(refBase, base) {
-				t.Fatalf("trial %d shards %d: old generation no longer serves the pre-delta state", trial, shards)
-			}
+		base := rdf.GraphFromTriples(ts[:half])
+		baseLen := base.Len()
+		g := base.Fork()
+		for _, tr := range ts[half:] {
+			g.AddDelta(tr)
+		}
+		g.Compact()
+		if g.HasOverlay() || g.OverlayLen() != 0 {
+			t.Fatalf("trial %d: overlay survived Compact", trial)
+		}
+		if !g.Frozen() {
+			t.Fatalf("trial %d: Compact of a frozen base did not re-freeze", trial)
+		}
+		ref := rdf.GraphOf(ts...)
+		if !backendtest.EqualStreams(ref, g) {
+			t.Fatalf("trial %d: compacted generation diverges from rebuilt graph", trial)
+		}
+		if base.Len() != baseLen || base.HasOverlay() {
+			t.Fatalf("trial %d: Compact of a fork mutated the receiver generation", trial)
+		}
+		refBase := rdf.GraphOf(ts[:half]...)
+		if !backendtest.EqualStreams(refBase, base) {
+			t.Fatalf("trial %d: old generation no longer serves the pre-delta state", trial)
 		}
 	}
 }
@@ -166,7 +139,7 @@ func TestOverlayDedupAndThawFold(t *testing.T) {
 	}
 
 	g.AddTriple("c", "p", "d") // thaws; overlay folds in before the new triple
-	if g.Frozen() || g.Sharded() || g.HasOverlay() {
+	if g.Frozen() || g.HasOverlay() {
 		t.Fatal("thaw left the graph sealed or kept the overlay")
 	}
 	ref := rdf.GraphOf(
@@ -235,50 +208,32 @@ func overlayProbes(g *rdf.Graph) []rdf.IDTriple {
 	return out
 }
 
-// A warmed count over a sealed base with an overlay adds the two
+// A warmed count over a frozen base with an overlay adds the two
 // posting-list lengths (a fully-bound pattern is a membership probe)
 // and the segment lookup hands out both lists in place: neither
-// allocates. The sharded base merges a cross-shard list (predicate or
-// object bound, subject free) by sequence number, which is the base's
-// own copy, so its segment lookups cover the shapes one shard answers.
+// allocates.
 func TestOverlayProbeAllocs(t *testing.T) {
-	ts := gen.SocialNetwork(30, 5).Triples()
-	for _, tc := range []struct {
-		name string
-		g    *rdf.Graph
-	}{
-		{"frozen+ovl", splitDelta(ts, rdf.GraphFromTriples)},
-		{"sharded+ovl", splitDelta(ts, func(b []rdf.Triple) *rdf.Graph { return rdf.GraphFromTriplesSharded(b, 3) })},
-	} {
-		g := tc.g
-		if !g.HasOverlay() {
-			t.Fatalf("%s: no overlay", tc.name)
-		}
-		probes := overlayProbes(g)
-		var segs []rdf.IDTriple
-		twoSegments := false
+	g := splitDelta(gen.SocialNetwork(30, 5).Triples(), rdf.GraphFromTriples)
+	if !g.HasOverlay() {
+		t.Fatal("no overlay")
+	}
+	probes := overlayProbes(g)
+	twoSegments := false
+	for _, p := range probes {
+		base, tail, _ := g.LookupSegmentsID(p)
+		twoSegments = twoSegments || (len(base) > 0 && len(tail) > 0)
+	}
+	if !twoSegments {
+		t.Fatal("no probe reaches both segments")
+	}
+	probe := func() {
 		for _, p := range probes {
-			if g.Sharded() && p[0].IsVar() && !(p[1].IsVar() && p[2].IsVar()) {
-				continue // cross-shard merge
-			}
-			segs = append(segs, p)
-			base, tail, _ := g.LookupSegmentsID(p)
-			twoSegments = twoSegments || (len(base) > 0 && len(tail) > 0)
+			_ = g.MatchCountID(p)
+			_, _, _ = g.LookupSegmentsID(p)
 		}
-		if !twoSegments {
-			t.Fatalf("%s: no probe reaches both segments", tc.name)
-		}
-		probe := func() {
-			for _, p := range probes {
-				_ = g.MatchCountID(p)
-			}
-			for _, p := range segs {
-				_, _, _ = g.LookupSegmentsID(p)
-			}
-		}
-		probe()
-		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
-			t.Errorf("%s: a warmed overlay probe allocates %.1f objects", tc.name, allocs)
-		}
+	}
+	probe()
+	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+		t.Errorf("a warmed overlay probe allocates %.1f objects", allocs)
 	}
 }

@@ -1,7 +1,7 @@
 package rdf
 
 // Persistent snapshots: a versioned, checksummed binary image of a
-// sealed graph — Dict plus the frozen (or sharded) CSR arenas — that
+// sealed graph — Dict plus the frozen CSR arenas — that
 // loads back with zero parse cost. The format is deliberately dumb:
 // a fixed little-endian header, a table of sections, and the arenas
 // themselves written verbatim in native byte order, 8-aligned, each
@@ -46,7 +46,8 @@ const (
 	snapEntryLen  = 24
 )
 
-// Graph kinds stored in the header.
+// Graph kinds stored in the header. Kind 2 was the sharded backend's;
+// it stays reserved, and the loader rejects it by name.
 const (
 	snapKindFrozen  = 1
 	snapKindSharded = 2
@@ -60,59 +61,48 @@ const (
 	snapBigEndian    = 2
 )
 
-// Section kinds. Global sections appear once (shard field 0); per-view
-// sections appear once per shard (shard field = shard index; a frozen
-// snapshot is the one-shard case of the same layout).
+// Section kinds. Each appears exactly once, with the table entry's
+// reserved shard field 0. Kinds 5, 6 and 35–40 belonged to the sharded
+// kind and stay unassigned.
 const (
-	secDictOffs uint16 = 1 // []uint64, nIRIs+1 cumulative string offsets
-	secDictBlob uint16 = 2 // concatenated IRI bytes
-	secTriples  uint16 = 3 // []IDTriple, global insertion order
-	secOcc      uint16 = 4 // []int32, per-IRI occurrence counts
-	secCntP     uint16 = 5 // []uint32, sharded only: global P count offsets
-	secCntO     uint16 = 6 // []uint32, sharded only: global O count offsets
+	secDictOffs secKey = 1 // []uint64, nIRIs+1 cumulative string offsets
+	secDictBlob secKey = 2 // concatenated IRI bytes
+	secTriples  secKey = 3 // []IDTriple, global insertion order
+	secOcc      secKey = 4 // []int32, per-IRI occurrence counts
 
-	secOffS     uint16 = 16 // []uint32, nIRIs+1
-	secOffP     uint16 = 17
-	secOffO     uint16 = 18
-	secArenaS   uint16 = 19 // []IDTriple, shard length each
-	secArenaP   uint16 = 20
-	secArenaO   uint16 = 21
-	secArenaSP  uint16 = 22
-	secArenaPS  uint16 = 23
-	secArenaPO  uint16 = 24
-	secArenaOP  uint16 = 25
-	secArenaSO  uint16 = 26
-	secArenaOS  uint16 = 27
-	secKeySP    uint16 = 28 // []TermID, shard length each
-	secKeyPS    uint16 = 29
-	secKeyPO    uint16 = 30
-	secKeyOP    uint16 = 31
-	secKeySO    uint16 = 32
-	secKeyOS    uint16 = 33
-	secMemb     uint16 = 34 // []uint32, the open-addressing table
-	secShardAll uint16 = 35 // []IDTriple, sharded only: the shard's subset
-	secSeqAll   uint16 = 36 // []uint32, sharded only: global sequence columns
-	secSeqP     uint16 = 37
-	secSeqO     uint16 = 38
-	secSeqPO    uint16 = 39
-	secSeqOP    uint16 = 40
+	secOffS    secKey = 16 // []uint32, nIRIs+1
+	secOffP    secKey = 17
+	secOffO    secKey = 18
+	secArenaS  secKey = 19 // []IDTriple, one per triple
+	secArenaP  secKey = 20
+	secArenaO  secKey = 21
+	secArenaSP secKey = 22
+	secArenaPS secKey = 23
+	secArenaPO secKey = 24
+	secArenaOP secKey = 25
+	secArenaSO secKey = 26
+	secArenaOS secKey = 27
+	secKeySP   secKey = 28 // []TermID, one per triple
+	secKeyPS   secKey = 29
+	secKeyPO   secKey = 30
+	secKeyOP   secKey = 31
+	secKeySO   secKey = 32
+	secKeyOS   secKey = 33
+	secMemb    secKey = 34 // []uint32, the open-addressing table
 )
 
 // secName names a section kind for error messages and wdsnap inspect.
-func secName(kind uint16) string {
-	names := map[uint16]string{
+func secName(kind secKey) string {
+	names := map[secKey]string{
 		secDictOffs: "dict-offsets", secDictBlob: "dict-blob",
 		secTriples: "triples", secOcc: "occurrences",
-		secCntP: "count-p", secCntO: "count-o",
 		secOffS: "off-s", secOffP: "off-p", secOffO: "off-o",
 		secArenaS: "arena-s", secArenaP: "arena-p", secArenaO: "arena-o",
 		secArenaSP: "arena-sp", secArenaPS: "arena-ps", secArenaPO: "arena-po",
 		secArenaOP: "arena-op", secArenaSO: "arena-so", secArenaOS: "arena-os",
 		secKeySP: "key-sp", secKeyPS: "key-ps", secKeyPO: "key-po",
 		secKeyOP: "key-op", secKeySO: "key-so", secKeyOS: "key-os",
-		secMemb: "membership", secShardAll: "shard-triples",
-		secSeqAll: "seq-all", secSeqP: "seq-p", secSeqO: "seq-o",
-		secSeqPO: "seq-po", secSeqOP: "seq-op",
+		secMemb: "membership",
 	}
 	if n, ok := names[kind]; ok {
 		return n
@@ -168,17 +158,14 @@ func castSlice[T snapWord](b []byte) []T {
 // snapSection is one section during writing: its identity and its raw
 // payload bytes.
 type snapSection struct {
-	kind  uint16
-	shard uint16
-	data  []byte
+	kind secKey
+	data []byte
 }
 
 // snapHeader is the decoded fixed header.
 type snapHeader struct {
 	version   uint16
 	endian    uint8
-	kind      uint8
-	shards    uint32
 	nTriples  uint64
 	nIRIs     uint64
 	nSections uint32
@@ -188,16 +175,16 @@ type snapHeader struct {
 
 // encodeHeader lays the header out into its 64 little-endian bytes.
 // Offsets: magic[0:8], version[8:10], endian[10], kind[11],
-// shards[12:16], nTriples[16:24], nIRIs[24:32], nSections[32:36],
-// imageCRC[36:40], fileSize[40:48], reserved[48:60] (zero),
-// headerCRC[60:64] over bytes [0:60].
+// shards[12:16] (always 1), nTriples[16:24], nIRIs[24:32],
+// nSections[32:36], imageCRC[36:40], fileSize[40:48], reserved[48:60]
+// (zero), headerCRC[60:64] over bytes [0:60].
 func encodeHeader(h snapHeader) [snapHeaderLen]byte {
 	var b [snapHeaderLen]byte
 	copy(b[0:8], snapMagic)
 	binary.LittleEndian.PutUint16(b[8:10], h.version)
 	b[10] = h.endian
-	b[11] = h.kind
-	binary.LittleEndian.PutUint32(b[12:16], h.shards)
+	b[11] = snapKindFrozen
+	binary.LittleEndian.PutUint32(b[12:16], 1)
 	binary.LittleEndian.PutUint64(b[16:24], h.nTriples)
 	binary.LittleEndian.PutUint64(b[24:32], h.nIRIs)
 	binary.LittleEndian.PutUint32(b[32:36], h.nSections)
@@ -228,95 +215,42 @@ func dictSections(d *Dict) []snapSection {
 	}
 }
 
-// viewSections serialises one frozen CSR view. withAll additionally
-// emits the view's own triple slice (sharded snapshots need it: each
-// shard's view covers a subset of the global slice); the frozen kind
-// omits it because view.all is exactly the global triples section.
-func viewSections(v *frozenView, shard uint16, withAll bool) []snapSection {
-	secs := []snapSection{
-		{kind: secOffS, data: rawBytes(v.offS)},
-		{kind: secOffP, data: rawBytes(v.offP)},
-		{kind: secOffO, data: rawBytes(v.offO)},
-		{kind: secArenaS, data: rawBytes(v.arenaS)},
-		{kind: secArenaP, data: rawBytes(v.arenaP)},
-		{kind: secArenaO, data: rawBytes(v.arenaO)},
-		{kind: secArenaSP, data: rawBytes(v.arenaSP)},
-		{kind: secArenaPS, data: rawBytes(v.arenaPS)},
-		{kind: secArenaPO, data: rawBytes(v.arenaPO)},
-		{kind: secArenaOP, data: rawBytes(v.arenaOP)},
-		{kind: secArenaSO, data: rawBytes(v.arenaSO)},
-		{kind: secArenaOS, data: rawBytes(v.arenaOS)},
-		{kind: secKeySP, data: rawBytes(v.keySP)},
-		{kind: secKeyPS, data: rawBytes(v.keyPS)},
-		{kind: secKeyPO, data: rawBytes(v.keyPO)},
-		{kind: secKeyOP, data: rawBytes(v.keyOP)},
-		{kind: secKeySO, data: rawBytes(v.keySO)},
-		{kind: secKeyOS, data: rawBytes(v.keyOS)},
-		{kind: secMemb, data: rawBytes(v.memb)},
-	}
-	if withAll {
-		secs = append(secs, snapSection{kind: secShardAll, data: rawBytes(v.all)})
-	}
-	for i := range secs {
-		secs[i].shard = shard
-	}
-	return secs
-}
-
-// snapshotSections flattens a sealed graph into its section list plus
-// the header identity fields.
-func snapshotSections(g *Graph) (kind uint8, shards uint32, secs []snapSection, err error) {
-	secs = append(dictSections(g.dict),
+// snapshotSections flattens a frozen graph into its section list.
+func snapshotSections(g *Graph) []snapSection {
+	v := g.frz
+	return append(dictSections(g.dict),
 		snapSection{kind: secTriples, data: rawBytes(g.all)},
 		snapSection{kind: secOcc, data: rawBytes(g.occ)},
+		snapSection{kind: secOffS, data: rawBytes(v.offS)},
+		snapSection{kind: secOffP, data: rawBytes(v.offP)},
+		snapSection{kind: secOffO, data: rawBytes(v.offO)},
+		snapSection{kind: secArenaS, data: rawBytes(v.arenaS)},
+		snapSection{kind: secArenaP, data: rawBytes(v.arenaP)},
+		snapSection{kind: secArenaO, data: rawBytes(v.arenaO)},
+		snapSection{kind: secArenaSP, data: rawBytes(v.arenaSP)},
+		snapSection{kind: secArenaPS, data: rawBytes(v.arenaPS)},
+		snapSection{kind: secArenaPO, data: rawBytes(v.arenaPO)},
+		snapSection{kind: secArenaOP, data: rawBytes(v.arenaOP)},
+		snapSection{kind: secArenaSO, data: rawBytes(v.arenaSO)},
+		snapSection{kind: secArenaOS, data: rawBytes(v.arenaOS)},
+		snapSection{kind: secKeySP, data: rawBytes(v.keySP)},
+		snapSection{kind: secKeyPS, data: rawBytes(v.keyPS)},
+		snapSection{kind: secKeyPO, data: rawBytes(v.keyPO)},
+		snapSection{kind: secKeyOP, data: rawBytes(v.keyOP)},
+		snapSection{kind: secKeySO, data: rawBytes(v.keySO)},
+		snapSection{kind: secKeyOS, data: rawBytes(v.keyOS)},
+		snapSection{kind: secMemb, data: rawBytes(v.memb)},
 	)
-	switch {
-	case g.shd != nil:
-		sg := g.shd
-		kind, shards = snapKindSharded, uint32(sg.n)
-		secs = append(secs,
-			snapSection{kind: secCntP, data: rawBytes(sg.cntP)},
-			snapSection{kind: secCntO, data: rawBytes(sg.cntO)},
-		)
-		for s := range sg.shards {
-			sh := &sg.shards[s]
-			secs = append(secs, viewSections(sh.view, uint16(s), true)...)
-			secs = append(secs,
-				snapSection{kind: secSeqAll, shard: uint16(s), data: rawBytes(sh.seqAll)},
-				snapSection{kind: secSeqP, shard: uint16(s), data: rawBytes(sh.seqP)},
-				snapSection{kind: secSeqO, shard: uint16(s), data: rawBytes(sh.seqO)},
-				snapSection{kind: secSeqPO, shard: uint16(s), data: rawBytes(sh.seqPO)},
-				snapSection{kind: secSeqOP, shard: uint16(s), data: rawBytes(sh.seqOP)},
-			)
-		}
-	case g.frz != nil:
-		kind, shards = snapKindFrozen, 1
-		secs = append(secs, viewSections(g.frz, 0, false)...)
-	default:
-		return 0, 0, nil, fmt.Errorf("rdf: snapshot: graph is not sealed (call Freeze or Shard first)")
-	}
-	if int(shards) > int(^uint16(0))+1 {
-		return 0, 0, nil, fmt.Errorf("rdf: snapshot: %d shards exceed the format's shard limit", shards)
-	}
-	return kind, shards, secs, nil
 }
 
 // WriteSnapshot writes the graph as a snapshot image at path,
 // crash-atomically: the bytes go to a temp file in path's directory,
-// are fsynced, and the temp file is renamed over path. The graph must
-// be sealed (frozen or sharded); WriteSnapshot freezes an unsealed
-// graph first, since only sealed arenas have a flat representation.
+// are fsynced, and the temp file is renamed over path. WriteSnapshot
+// freezes the graph first (folding any overlay), since only the frozen
+// arenas have a flat representation.
 func (g *Graph) WriteSnapshot(path string) error {
-	if g.ovl != nil {
-		g.Compact() // only a sealed base has a flat representation; fold the write layer first
-	}
-	if g.frz == nil && g.shd == nil {
-		g.Freeze()
-	}
-	kind, shards, secs, err := snapshotSections(g)
-	if err != nil {
-		return err
-	}
+	g.Freeze()
+	secs := snapshotSections(g)
 
 	// Lay out the payload: sections follow the table in order, each
 	// padded to 8-byte alignment. 64 + 24·n is already a multiple of 8,
@@ -329,8 +263,7 @@ func (g *Graph) WriteSnapshot(path string) error {
 		cur = (cur + 7) &^ 7
 		offs[i] = cur
 		e := table[i*snapEntryLen:]
-		binary.LittleEndian.PutUint16(e[0:2], s.kind)
-		binary.LittleEndian.PutUint16(e[2:4], s.shard)
+		binary.LittleEndian.PutUint16(e[0:2], uint16(s.kind))
 		binary.LittleEndian.PutUint32(e[4:8], crc32.Checksum(s.data, snapCRC))
 		binary.LittleEndian.PutUint64(e[8:16], cur)
 		binary.LittleEndian.PutUint64(e[16:24], uint64(len(s.data)))
@@ -339,8 +272,6 @@ func (g *Graph) WriteSnapshot(path string) error {
 	hdr := encodeHeader(snapHeader{
 		version:   snapVersion,
 		endian:    nativeEndianMark(),
-		kind:      kind,
-		shards:    shards,
 		nTriples:  uint64(len(g.all)),
 		nIRIs:     uint64(g.dict.NumIRIs()),
 		nSections: uint32(len(secs)),
@@ -410,18 +341,12 @@ func (g *Graph) WriteSnapshot(path string) error {
 	return nil
 }
 
-// WriteSnapshot seals the builder's accumulated triples — sharded into
-// n shards when shards ≥ 2, frozen single-arena otherwise — writes the
-// snapshot image at path, and returns the sealed graph (which remains
-// fully usable). The builder must not be used afterwards, as with
-// Graph/Sharded.
-func (b *GraphBuilder) WriteSnapshot(path string, shards int) (*Graph, error) {
-	var g *Graph
-	if shards >= 2 {
-		g = b.Sharded(shards)
-	} else {
-		g = b.Graph()
-	}
+// WriteSnapshot seals the builder's accumulated triples into a frozen
+// graph, writes the snapshot image at path, and returns the graph
+// (which remains fully usable). The builder must not be used
+// afterwards, as with Graph.
+func (b *GraphBuilder) WriteSnapshot(path string) (*Graph, error) {
+	g := b.Graph()
 	if err := g.WriteSnapshot(path); err != nil {
 		return nil, err
 	}

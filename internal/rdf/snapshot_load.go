@@ -29,10 +29,6 @@ package rdf
 //   - membership table: exact expected size, entries in-range or
 //     absent, populated count equal to the triple count — the linear
 //     probe terminates and indexes in bounds;
-//   - sharded only: sequence columns aligned with their arenas
-//     (all[seq[i]] == arena[i]), per-shard subsets stably partitioned
-//     and routed to the right shard, shard sizes summing to the total
-//     — the k-way merge reconstructs exactly the global order;
 //   - dictionary: monotone string offsets, no duplicate IRIs.
 //
 // Deliberately left to VerifyDeep (wdsnap verify -deep): multiset
@@ -90,8 +86,6 @@ func ParseSnapshotMode(s string) (SnapshotMode, error) {
 type SnapshotInfo struct {
 	Path     string
 	Version  int
-	Kind     string // "frozen" or "sharded"
-	Shards   int
 	Triples  int
 	IRIs     int
 	Checksum uint32 // the header's image CRC: the snapshot's identity
@@ -114,8 +108,7 @@ type Snapshot struct {
 	closeErr  error
 }
 
-// Graph returns the loaded graph. It is sealed (frozen or sharded)
-// and safe for concurrent readers; callers must treat it as read-only
+// Graph returns the loaded graph. It is frozen and safe for concurrent readers; callers must treat it as read-only
 // and must not use it after Close.
 func (s *Snapshot) Graph() *Graph { return s.g }
 
@@ -177,8 +170,6 @@ func LoadSnapshot(path string, mode SnapshotMode) (*Snapshot, error) {
 		info: SnapshotInfo{
 			Path:     path,
 			Version:  int(h.version),
-			Kind:     kindName(h.kind),
-			Shards:   int(h.shards),
 			Triples:  int(h.nTriples),
 			IRIs:     int(h.nIRIs),
 			Checksum: h.imageCRC,
@@ -188,16 +179,6 @@ func LoadSnapshot(path string, mode SnapshotMode) (*Snapshot, error) {
 		},
 		mapping: mapping,
 	}, nil
-}
-
-func kindName(k uint8) string {
-	switch k {
-	case snapKindFrozen:
-		return "frozen"
-	case snapKindSharded:
-		return "sharded"
-	}
-	return fmt.Sprintf("kind-%d", k)
 }
 
 const maxInt = int(^uint(0) >> 1)
@@ -228,19 +209,15 @@ func decodeHeader(data []byte) (snapHeader, error) {
 		return h, fmt.Errorf("snapshot written on a %s host cannot be loaded on this %s host",
 			endianName(h.endian), endianName(nativeEndianMark()))
 	}
-	h.kind = data[11]
-	h.shards = binary.LittleEndian.Uint32(data[12:16])
-	switch h.kind {
+	switch kind := data[11]; kind {
 	case snapKindFrozen:
-		if h.shards != 1 {
-			return h, fmt.Errorf("frozen snapshot declares %d shards (want 1)", h.shards)
-		}
 	case snapKindSharded:
-		if h.shards < 1 || h.shards > uint32(^uint16(0))+1 {
-			return h, fmt.Errorf("sharded snapshot declares %d shards (want 1..65536)", h.shards)
-		}
+		return h, fmt.Errorf("sharded images are no longer supported; rebuild with wdsnap build")
 	default:
-		return h, fmt.Errorf("unknown graph kind %d (want %d=frozen or %d=sharded)", h.kind, snapKindFrozen, snapKindSharded)
+		return h, fmt.Errorf("unknown graph kind %d (want %d=frozen)", kind, snapKindFrozen)
+	}
+	if shards := binary.LittleEndian.Uint32(data[12:16]); shards != 1 {
+		return h, fmt.Errorf("frozen snapshot declares %d shards (want 1)", shards)
 	}
 	h.nTriples = binary.LittleEndian.Uint64(data[16:24])
 	h.nIRIs = binary.LittleEndian.Uint64(data[24:32])
@@ -266,53 +243,30 @@ func endianName(e uint8) string {
 	return fmt.Sprintf("unknown-endianness(%d)", e)
 }
 
-// secKey identifies a section: kind plus shard index (0 for globals).
-type secKey struct{ kind, shard uint16 }
+// secKey identifies a section by its kind.
+type secKey uint16
 
-func (k secKey) String() string {
-	return fmt.Sprintf("%s/shard%d", secName(k.kind), k.shard)
-}
+func (k secKey) String() string { return secName(k) }
 
-// expectedKeys returns the exact section set a well-formed snapshot of
-// this kind and shard count contains. The table must match it as a
-// set: no duplicates, no unknowns, nothing missing — a snapshot is a
-// closed-world artifact, not an extensible container.
-func expectedKeys(kind uint8, shards uint32) []secKey {
-	keys := []secKey{
-		{secDictOffs, 0}, {secDictBlob, 0}, {secTriples, 0}, {secOcc, 0},
-	}
-	viewKinds := []uint16{
-		secOffS, secOffP, secOffO,
-		secArenaS, secArenaP, secArenaO,
-		secArenaSP, secArenaPS, secArenaPO, secArenaOP, secArenaSO, secArenaOS,
-		secKeySP, secKeyPS, secKeyPO, secKeyOP, secKeySO, secKeyOS,
-		secMemb,
-	}
-	if kind == snapKindFrozen {
-		for _, k := range viewKinds {
-			keys = append(keys, secKey{k, 0})
-		}
-		return keys
-	}
-	keys = append(keys, secKey{secCntP, 0}, secKey{secCntO, 0})
-	perShard := append(slices.Clone(viewKinds),
-		secShardAll, secSeqAll, secSeqP, secSeqO, secSeqPO, secSeqOP)
-	for s := uint32(0); s < shards; s++ {
-		for _, k := range perShard {
-			keys = append(keys, secKey{k, uint16(s)})
-		}
-	}
-	return keys
+// snapKinds is the exact section set of a well-formed snapshot. The
+// table must match it as a set: no duplicates, no unknowns, nothing
+// missing — a snapshot is a closed-world artifact, not an extensible
+// container.
+var snapKinds = []secKey{
+	secDictOffs, secDictBlob, secTriples, secOcc,
+	secOffS, secOffP, secOffO,
+	secArenaS, secArenaP, secArenaO,
+	secArenaSP, secArenaPS, secArenaPO, secArenaOP, secArenaSO, secArenaOS,
+	secKeySP, secKeyPS, secKeyPO, secKeyOP, secKeySO, secKeyOS,
+	secMemb,
 }
 
 // parseTable validates the section table against the expected set and
 // the file bounds and returns the per-section payload slices, each
 // already CRC-verified.
 func parseTable(data []byte, h snapHeader) (map[secKey][]byte, error) {
-	expected := expectedKeys(h.kind, h.shards)
-	if h.nSections != uint32(len(expected)) {
-		return nil, fmt.Errorf("section count %d does not match the %d sections of a %s snapshot with %d shards",
-			h.nSections, len(expected), kindName(h.kind), h.shards)
+	if h.nSections != uint32(len(snapKinds)) {
+		return nil, fmt.Errorf("section count %d does not match the %d sections of a snapshot", h.nSections, len(snapKinds))
 	}
 	tableEnd := int64(snapHeaderLen) + int64(h.nSections)*snapEntryLen
 	if tableEnd > int64(len(data)) {
@@ -322,19 +276,22 @@ func parseTable(data []byte, h snapHeader) (map[secKey][]byte, error) {
 	if got := crc32.Checksum(table, snapCRC); got != h.imageCRC {
 		return nil, fmt.Errorf("section table checksum mismatch (got %08x, header says %08x): corrupt table", got, h.imageCRC)
 	}
-	want := make(map[secKey]bool, len(expected))
-	for _, k := range expected {
+	want := make(map[secKey]bool, len(snapKinds))
+	for _, k := range snapKinds {
 		want[k] = true
 	}
-	secs := make(map[secKey][]byte, len(expected))
+	secs := make(map[secKey][]byte, len(snapKinds))
 	for i := 0; i < int(h.nSections); i++ {
 		e := table[i*snapEntryLen:]
-		k := secKey{binary.LittleEndian.Uint16(e[0:2]), binary.LittleEndian.Uint16(e[2:4])}
+		k := secKey(binary.LittleEndian.Uint16(e[0:2]))
 		crc := binary.LittleEndian.Uint32(e[4:8])
 		off := binary.LittleEndian.Uint64(e[8:16])
 		length := binary.LittleEndian.Uint64(e[16:24])
 		if !want[k] {
 			return nil, fmt.Errorf("unexpected section %v in the table", k)
+		}
+		if shard := binary.LittleEndian.Uint16(e[2:4]); shard != 0 {
+			return nil, fmt.Errorf("section %v: reserved shard field is %d, want 0", k, shard)
 		}
 		if _, dup := secs[k]; dup {
 			return nil, fmt.Errorf("duplicate section %v in the table", k)
@@ -462,29 +419,28 @@ func checkMembership(k secKey, memb []uint32, n int) error {
 			continue
 		}
 		if int(idx) >= n {
-			return fmt.Errorf("section %v: slot %d holds triple index %d, beyond the %d shard triples", k, i, idx, n)
+			return fmt.Errorf("section %v: slot %d holds triple index %d, beyond the %d triples", k, i, idx, n)
 		}
 		populated++
 	}
 	if populated != n {
-		return fmt.Errorf("section %v: %d populated slots, want %d: table does not cover the shard", k, populated, n)
+		return fmt.Errorf("section %v: %d populated slots, want %d: table does not cover the triples", k, populated, n)
 	}
 	return nil
 }
 
-// loadView reconstructs and validates one frozen CSR view whose
-// triples are shardAll (the global slice for a frozen snapshot, the
-// shard's subset for a sharded one).
-func loadView(secs map[secKey][]byte, shard uint16, nIRIs int, shardAll []IDTriple) (*frozenView, error) {
-	n := len(shardAll)
-	v := &frozenView{nIRIs: nIRIs, all: shardAll}
+// loadView reconstructs and validates the frozen CSR view over the
+// graph's triples all.
+func loadView(secs map[secKey][]byte, nIRIs int, all []IDTriple) (*frozenView, error) {
+	n := len(all)
+	v := &frozenView{nIRIs: nIRIs, all: all}
 
 	offSpecs := []struct {
-		kind uint16
+		kind secKey
 		dst  *[]uint32
 	}{{secOffS, &v.offS}, {secOffP, &v.offP}, {secOffO, &v.offO}}
 	for _, sp := range offSpecs {
-		k := secKey{sp.kind, shard}
+		k := sp.kind
 		off, err := secAs[uint32](secs, k, nIRIs+1)
 		if err != nil {
 			return nil, err
@@ -496,7 +452,7 @@ func loadView(secs map[secKey][]byte, shard uint16, nIRIs int, shardAll []IDTrip
 	}
 
 	arenaSpecs := []struct {
-		kind uint16
+		kind secKey
 		dst  *[]IDTriple
 		off  []uint32
 		pos  int
@@ -507,7 +463,7 @@ func loadView(secs map[secKey][]byte, shard uint16, nIRIs int, shardAll []IDTrip
 		{secArenaSO, &v.arenaSO, v.offS, 0}, {secArenaOS, &v.arenaOS, v.offO, 2},
 	}
 	for _, sp := range arenaSpecs {
-		k := secKey{sp.kind, shard}
+		k := sp.kind
 		arena, err := secAs[IDTriple](secs, k, n)
 		if err != nil {
 			return nil, err
@@ -522,7 +478,7 @@ func loadView(secs map[secKey][]byte, shard uint16, nIRIs int, shardAll []IDTrip
 	}
 
 	keySpecs := []struct {
-		kind  uint16
+		kind  secKey
 		dst   *[]TermID
 		arena []IDTriple
 		off   []uint32
@@ -533,7 +489,7 @@ func loadView(secs map[secKey][]byte, shard uint16, nIRIs int, shardAll []IDTrip
 		{secKeySO, &v.keySO, v.arenaSO, v.offS, 2}, {secKeyOS, &v.keyOS, v.arenaOS, v.offO, 0},
 	}
 	for _, sp := range keySpecs {
-		k := secKey{sp.kind, shard}
+		k := sp.kind
 		keys, err := secAs[TermID](secs, k, n)
 		if err != nil {
 			return nil, err
@@ -544,7 +500,7 @@ func loadView(secs map[secKey][]byte, shard uint16, nIRIs int, shardAll []IDTrip
 		*sp.dst = keys
 	}
 
-	k := secKey{secMemb, shard}
+	k := secMemb
 	memb, err := secAs[uint32](secs, k, membSize(n))
 	if err != nil {
 		return nil, err
@@ -560,7 +516,7 @@ func loadView(secs map[secKey][]byte, shard uint16, nIRIs int, shardAll []IDTrip
 // IRI string aliases its bytes in the buffer, and only the lookup map
 // is heap-built (it has no flat representation).
 func loadDict(secs map[secKey][]byte, nIRIs int) (*Dict, error) {
-	ko, kb := secKey{secDictOffs, 0}, secKey{secDictBlob, 0}
+	ko, kb := secDictOffs, secDictBlob
 	offs, err := secAs[uint64](secs, ko, nIRIs+1)
 	if err != nil {
 		return nil, err
@@ -623,7 +579,7 @@ func parseImage(data []byte) (*Graph, snapHeader, error) {
 	if err != nil {
 		return nil, h, err
 	}
-	kAll := secKey{secTriples, 0}
+	kAll := secTriples
 	all, err := secAs[IDTriple](secs, kAll, nTriples)
 	if err != nil {
 		return nil, h, err
@@ -631,7 +587,7 @@ func parseImage(data []byte) (*Graph, snapHeader, error) {
 	if err := checkTriples(kAll, all, nIRIs); err != nil {
 		return nil, h, err
 	}
-	kOcc := secKey{secOcc, 0}
+	kOcc := secOcc
 	occ, err := secAs[int32](secs, kOcc, nIRIs)
 	if err != nil {
 		return nil, h, err
@@ -642,101 +598,17 @@ func parseImage(data []byte) (*Graph, snapHeader, error) {
 			domSize++
 		}
 	}
-	g := &Graph{dict: dict, all: all, occ: occ, domSize: domSize}
-
-	if h.kind == snapKindFrozen {
-		v, err := loadView(secs, 0, nIRIs, all)
-		if err != nil {
-			return nil, h, err
-		}
-		g.frz = v
-		return g, h, nil
+	v, err := loadView(secs, nIRIs, all)
+	if err != nil {
+		return nil, h, err
 	}
-
-	shards := int(h.shards)
-	sg := &ShardedGraph{n: shards, nIRIs: nIRIs, all: all, shards: make([]graphShard, shards)}
-	for _, sp := range []struct {
-		kind uint16
-		dst  *[]uint32
-	}{{secCntP, &sg.cntP}, {secCntO, &sg.cntO}} {
-		k := secKey{sp.kind, 0}
-		cnt, err := secAs[uint32](secs, k, nIRIs+1)
-		if err != nil {
-			return nil, h, err
-		}
-		if err := checkOffsets(k, cnt, uint32(nTriples)); err != nil {
-			return nil, h, err
-		}
-		*sp.dst = cnt
-	}
-	covered := 0
-	for s := 0; s < shards; s++ {
-		kSub := secKey{secShardAll, uint16(s)}
-		shardAll, err := secAs[IDTriple](secs, kSub, -1)
-		if err != nil {
-			return nil, h, err
-		}
-		kSeq := secKey{secSeqAll, uint16(s)}
-		seqAll, err := secAs[uint32](secs, kSeq, len(shardAll))
-		if err != nil {
-			return nil, h, err
-		}
-		for i, q := range seqAll {
-			if int(q) >= nTriples {
-				return nil, h, fmt.Errorf("section %v: sequence %d at index %d beyond the %d triples", kSeq, q, i, nTriples)
-			}
-			if i > 0 && q <= seqAll[i-1] {
-				return nil, h, fmt.Errorf("section %v: sequence numbers not strictly increasing at index %d", kSeq, i)
-			}
-			if all[q] != shardAll[i] {
-				return nil, h, fmt.Errorf("section %v: triple %d does not match global triple %d: unstable partition", kSub, i, q)
-			}
-			if shardOfID(shardAll[i][0], shards) != s {
-				return nil, h, fmt.Errorf("section %v: triple %d routed to shard %d by its subject, found in shard %d",
-					kSub, i, shardOfID(shardAll[i][0], shards), s)
-			}
-		}
-		covered += len(shardAll)
-		v, err := loadView(secs, uint16(s), nIRIs, shardAll)
-		if err != nil {
-			return nil, h, err
-		}
-		sh := &sg.shards[s]
-		sh.view = v
-		sh.seqAll = seqAll
-		for _, sp := range []struct {
-			kind  uint16
-			dst   *[]uint32
-			arena []IDTriple
-		}{
-			{secSeqP, &sh.seqP, v.arenaP}, {secSeqO, &sh.seqO, v.arenaO},
-			{secSeqPO, &sh.seqPO, v.arenaPO}, {secSeqOP, &sh.seqOP, v.arenaOP},
-		} {
-			k := secKey{sp.kind, uint16(s)}
-			seq, err := secAs[uint32](secs, k, len(shardAll))
-			if err != nil {
-				return nil, h, err
-			}
-			for i, q := range seq {
-				if int(q) >= nTriples || all[q] != sp.arena[i] {
-					return nil, h, fmt.Errorf("section %v: sequence column diverges from its arena at index %d", k, i)
-				}
-			}
-			*sp.dst = seq
-		}
-	}
-	if covered != nTriples {
-		return nil, h, fmt.Errorf("shards cover %d triples, the graph has %d: lost or duplicated triples", covered, nTriples)
-	}
-	g.shd = sg
-	return g, h, nil
+	return &Graph{dict: dict, all: all, occ: occ, domSize: domSize, frz: v}, h, nil
 }
 
 // SnapshotSectionInfo is one row of a snapshot's section table, as
 // reported by InspectSnapshot.
 type SnapshotSectionInfo struct {
 	Name   string
-	Shard  int
 	Offset uint64
 	Length uint64
 	CRC    uint32
@@ -789,8 +661,6 @@ func InspectSnapshot(path string) (*SnapshotManifest, error) {
 	m := &SnapshotManifest{Info: SnapshotInfo{
 		Path:     path,
 		Version:  int(h.version),
-		Kind:     kindName(h.kind),
-		Shards:   int(h.shards),
 		Triples:  int(h.nTriples),
 		IRIs:     int(h.nIRIs),
 		Checksum: h.imageCRC,
@@ -799,15 +669,14 @@ func InspectSnapshot(path string) (*SnapshotManifest, error) {
 	for i := int64(0); i < int64(h.nSections); i++ {
 		e := table[i*snapEntryLen:]
 		si := SnapshotSectionInfo{
-			Name:   secName(binary.LittleEndian.Uint16(e[0:2])),
-			Shard:  int(binary.LittleEndian.Uint16(e[2:4])),
+			Name:   secName(secKey(binary.LittleEndian.Uint16(e[0:2]))),
 			CRC:    binary.LittleEndian.Uint32(e[4:8]),
 			Offset: binary.LittleEndian.Uint64(e[8:16]),
 			Length: binary.LittleEndian.Uint64(e[16:24]),
 		}
 		if si.Offset > h.fileSize || si.Length > h.fileSize-si.Offset {
-			return nil, fmt.Errorf("rdf: snapshot %s: section %s/shard%d: byte range [%d, %d+%d) lies outside the file",
-				path, si.Name, si.Shard, si.Offset, si.Offset, si.Length)
+			return nil, fmt.Errorf("rdf: snapshot %s: section %s: byte range [%d, %d+%d) lies outside the file",
+				path, si.Name, si.Offset, si.Offset, si.Length)
 		}
 		m.Sections = append(m.Sections, si)
 	}
@@ -815,8 +684,8 @@ func InspectSnapshot(path string) (*SnapshotManifest, error) {
 }
 
 // VerifyDeep rebuilds every derived structure of the loaded graph from
-// its triple slice — the frozen CSR views, sequence columns, count
-// offsets, occurrence table — and compares byte for byte. This is the
+// its triple slice — the frozen CSR view and the occurrence table —
+// and compares byte for byte. This is the
 // parse-priced semantic check the loader deliberately skips: it proves
 // the snapshot's derived sections are exactly what freezing the triples
 // would produce, so no probe can return a wrong answer.
@@ -832,31 +701,13 @@ func (s *Snapshot) VerifyDeep() error {
 	if !slices.Equal(occ, g.occ) {
 		return fmt.Errorf("rdf: snapshot %s: occurrence table diverges from the triple set", s.info.Path)
 	}
-	if g.shd != nil {
-		want := shardGraph(&Graph{dict: g.dict, all: g.all}, g.shd.n)
-		if !slices.Equal(want.cntP, g.shd.cntP) || !slices.Equal(want.cntO, g.shd.cntO) {
-			return fmt.Errorf("rdf: snapshot %s: global count offsets diverge from the triple set", s.info.Path)
-		}
-		for i := range want.shards {
-			w, l := &want.shards[i], &g.shd.shards[i]
-			if err := compareViews(s.info.Path, fmt.Sprintf("shard %d", i), l.view, w.view); err != nil {
-				return err
-			}
-			if !slices.Equal(w.seqAll, l.seqAll) || !slices.Equal(w.seqP, l.seqP) ||
-				!slices.Equal(w.seqO, l.seqO) || !slices.Equal(w.seqPO, l.seqPO) ||
-				!slices.Equal(w.seqOP, l.seqOP) {
-				return fmt.Errorf("rdf: snapshot %s: shard %d: sequence columns diverge from a rebuild", s.info.Path, i)
-			}
-		}
-		return nil
-	}
-	return compareViews(s.info.Path, "frozen view", g.frz, freezeTriples(g.all, ni))
+	return compareViews(s.info.Path, g.frz, freezeGraph(g))
 }
 
 // compareViews compares every derived slice of two frozen views.
-func compareViews(path, what string, got, want *frozenView) error {
+func compareViews(path string, got, want *frozenView) error {
 	fail := func(which string) error {
-		return fmt.Errorf("rdf: snapshot %s: %s: %s diverges from a rebuild", path, what, which)
+		return fmt.Errorf("rdf: snapshot %s: frozen view: %s diverges from a rebuild", path, which)
 	}
 	switch {
 	case !slices.Equal(got.offS, want.offS) || !slices.Equal(got.offP, want.offP) || !slices.Equal(got.offO, want.offO):

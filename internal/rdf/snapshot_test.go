@@ -2,7 +2,7 @@ package rdf_test
 
 // Snapshot round-trip and fault-injection tests. The round-trip half
 // instantiates the full differential backend suite over write→load
-// cycles (both kinds × both loaders), pinning a loaded snapshot to
+// cycles (both loaders), pinning a loaded snapshot to
 // byte-identical streams with the map-backed reference. The fault-
 // injection half takes a valid image and breaks it every way the
 // format documents — truncation at every boundary, a bit flip in
@@ -12,7 +12,9 @@ package rdf_test
 // -race in CI, so torn loads would also surface here).
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -45,29 +47,20 @@ func roundTrip(t *testing.T, dir string, seq *int, g *rdf.Graph, mode rdf.Snapsh
 // TestSnapshotBackendSuite runs the differential backend suite over
 // snapshot round-trips: every read of a loaded graph must be
 // byte-identical (content and order) to the map-backed reference,
-// for both graph kinds and both loaders.
+// for both loaders.
 func TestSnapshotBackendSuite(t *testing.T) {
 	for _, cfg := range []struct {
-		name   string
-		shards int
-		mode   rdf.SnapshotMode
+		name string
+		mode rdf.SnapshotMode
 	}{
-		{"frozen/heap", 0, rdf.SnapshotHeap},
-		{"frozen/mmap", 0, rdf.SnapshotMmap},
-		{"sharded3/heap", 3, rdf.SnapshotHeap},
-		{"sharded3/mmap", 3, rdf.SnapshotMmap},
+		{"frozen/heap", rdf.SnapshotHeap},
+		{"frozen/mmap", rdf.SnapshotMmap},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			seq := 0
 			backendtest.RunBackendSuite(t, func(ts []rdf.Triple) *rdf.Graph {
-				var g *rdf.Graph
-				if cfg.shards > 0 {
-					g = rdf.GraphFromTriplesSharded(ts, cfg.shards)
-				} else {
-					g = rdf.GraphFromTriples(ts)
-				}
-				return roundTrip(t, dir, &seq, g, cfg.mode).Graph()
+				return roundTrip(t, dir, &seq, rdf.GraphFromTriples(ts), cfg.mode).Graph()
 			})
 		})
 	}
@@ -75,7 +68,7 @@ func TestSnapshotBackendSuite(t *testing.T) {
 
 // testGraph builds a deterministic graph with every structural feature
 // the format serialises: multi-triple groups, shared predicates and
-// objects, self-loops, and enough IRIs for non-trivial shard routing.
+// objects, and self-loops.
 func testGraph(t *testing.T) []rdf.Triple {
 	t.Helper()
 	var ts []rdf.Triple
@@ -92,18 +85,11 @@ func testGraph(t *testing.T) []rdf.Triple {
 }
 
 // writeTestSnapshot writes a snapshot of the deterministic test graph
-// (sharded when shards ≥ 2) and returns its path and raw bytes.
-func writeTestSnapshot(t *testing.T, dir string, shards int) (string, []byte) {
+// and returns its path and raw bytes.
+func writeTestSnapshot(t *testing.T, dir string) (string, []byte) {
 	t.Helper()
-	ts := testGraph(t)
-	var g *rdf.Graph
-	if shards >= 2 {
-		g = rdf.GraphFromTriplesSharded(ts, shards)
-	} else {
-		g = rdf.GraphFromTriples(ts)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("test-%d.wdsnap", shards))
-	if err := g.WriteSnapshot(path); err != nil {
+	path := filepath.Join(dir, "test.wdsnap")
+	if err := rdf.GraphFromTriples(testGraph(t)).WriteSnapshot(path); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -115,7 +101,7 @@ func writeTestSnapshot(t *testing.T, dir string, shards int) (string, []byte) {
 
 func TestSnapshotInfoAndInspect(t *testing.T) {
 	dir := t.TempDir()
-	path, data := writeTestSnapshot(t, dir, 3)
+	path, data := writeTestSnapshot(t, dir)
 	snap, err := rdf.LoadSnapshot(path, rdf.SnapshotHeap)
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +109,6 @@ func TestSnapshotInfoAndInspect(t *testing.T) {
 	defer snap.Close()
 	info := snap.Info()
 	g := snap.Graph()
-	if info.Kind != "sharded" || info.Shards != 3 {
-		t.Errorf("Info kind/shards = %s/%d, want sharded/3", info.Kind, info.Shards)
-	}
 	if info.Triples != g.Len() || info.IRIs != g.Dict().NumIRIs() {
 		t.Errorf("Info counts %d/%d disagree with graph %d/%d", info.Triples, info.IRIs, g.Len(), g.Dict().NumIRIs())
 	}
@@ -140,7 +123,7 @@ func TestSnapshotInfoAndInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Info.Checksum != info.Checksum || m.Info.Kind != "sharded" || m.Info.Triples != info.Triples {
+	if m.Info.Checksum != info.Checksum || m.Info.Triples != info.Triples {
 		t.Errorf("Inspect disagrees with Load: %+v vs %+v", m.Info, info)
 	}
 	if len(m.Sections) == 0 {
@@ -156,19 +139,16 @@ func TestSnapshotInfoAndInspect(t *testing.T) {
 }
 
 func TestSnapshotVerifyDeep(t *testing.T) {
-	dir := t.TempDir()
-	for _, shards := range []int{0, 3} {
-		path, _ := writeTestSnapshot(t, dir, shards)
-		for _, mode := range []rdf.SnapshotMode{rdf.SnapshotHeap, rdf.SnapshotMmap} {
-			snap, err := rdf.LoadSnapshot(path, mode)
-			if err != nil {
-				t.Fatalf("shards=%d mode=%v: %v", shards, mode, err)
-			}
-			if err := snap.VerifyDeep(); err != nil {
-				t.Errorf("shards=%d mode=%v: VerifyDeep: %v", shards, mode, err)
-			}
-			snap.Close()
+	path, _ := writeTestSnapshot(t, t.TempDir())
+	for _, mode := range []rdf.SnapshotMode{rdf.SnapshotHeap, rdf.SnapshotMmap} {
+		snap, err := rdf.LoadSnapshot(path, mode)
+		if err != nil {
+			t.Fatalf("mode=%v: %v", mode, err)
 		}
+		if err := snap.VerifyDeep(); err != nil {
+			t.Errorf("mode=%v: VerifyDeep: %v", mode, err)
+		}
+		snap.Close()
 	}
 }
 
@@ -180,20 +160,20 @@ func TestSnapshotBuilderWrite(t *testing.T) {
 	b.AddTriple("a", "p", "b")
 	b.AddTriple("b", "p", "c")
 	path := filepath.Join(dir, "built.wdsnap")
-	g, err := b.WriteSnapshot(path, 2)
+	g, err := b.WriteSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Sharded() || g.Len() != 2 {
-		t.Fatalf("builder returned graph sharded=%v len=%d", g.Sharded(), g.Len())
+	if !g.Frozen() || g.Len() != 2 {
+		t.Fatalf("builder returned graph frozen=%v len=%d", g.Frozen(), g.Len())
 	}
 	snap, err := rdf.LoadSnapshot(path, rdf.SnapshotHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	if snap.Info().Kind != "sharded" || snap.Info().Shards != 2 {
-		t.Errorf("loaded kind/shards = %s/%d", snap.Info().Kind, snap.Info().Shards)
+	if snap.Info().Triples != 2 {
+		t.Errorf("loaded %d triples, want 2", snap.Info().Triples)
 	}
 
 	unsealed := rdf.GraphOf(rdf.T(rdf.IRI("x"), rdf.IRI("p"), rdf.IRI("y")))
@@ -214,8 +194,7 @@ func TestSnapshotBuilderWrite(t *testing.T) {
 // goroutines; under -race this pins the loaded graph's concurrent-
 // reader contract.
 func TestSnapshotConcurrentReaders(t *testing.T) {
-	dir := t.TempDir()
-	path, _ := writeTestSnapshot(t, dir, 3)
+	path, _ := writeTestSnapshot(t, t.TempDir())
 	snap, err := rdf.LoadSnapshot(path, rdf.SnapshotMmap)
 	if err != nil {
 		t.Fatal(err)
@@ -297,12 +276,16 @@ func mutated(data []byte, f func(b []byte)) []byte {
 	return b
 }
 
+// TestSnapshotCorruption runs one fault-injection battery against
+// two images of testGraph: shards=0 is the frozen image this build
+// writes; shards=3 is testdata/sharded3.wdsnap, a three-shard image of
+// the retired sharded kind as earlier builds wrote it. No variant of
+// either may load, and none may panic the loader.
 func TestSnapshotCorruption(t *testing.T) {
 	for _, shards := range []int{0, 3} {
-		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
-			path, data := writeTestSnapshot(t, dir, shards)
+			data := corruptionImage(t, dir, shards)
 
 			t.Run("truncation", func(t *testing.T) {
 				cuts := []int{0, 1, 7, 8, 63, 64, 65, len(data) / 2, len(data) - 1}
@@ -329,9 +312,6 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Run("prefix-bit-flips", func(t *testing.T) {
 				nSec := int(binary.LittleEndian.Uint32(data[32:36]))
 				prefix := 64 + 24*nSec
-				if shards > 0 && testing.Short() {
-					prefix = 64 + 24*8 // sharded tables are long; sample in -short
-				}
 				for off := 0; off < prefix; off++ {
 					img := mutated(data, func(b []byte) { b[off] ^= 0x40 })
 					mustFailLoad(t, dir, fmt.Sprintf("bit flip at byte %d", off), img)
@@ -341,17 +321,16 @@ func TestSnapshotCorruption(t *testing.T) {
 			// Flip a byte in the middle of every non-empty section
 			// payload: the per-section CRC must catch it.
 			t.Run("payload-bit-flips", func(t *testing.T) {
-				m, err := rdf.InspectSnapshot(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range m.Sections {
-					if s.Length == 0 {
+				nSec := int(binary.LittleEndian.Uint32(data[32:36]))
+				for entry := 0; entry < nSec; entry++ {
+					base := 64 + 24*entry
+					off := binary.LittleEndian.Uint64(data[base+8 : base+16])
+					n := binary.LittleEndian.Uint64(data[base+16 : base+24])
+					if n == 0 {
 						continue
 					}
-					off := s.Offset + s.Length/2
-					img := mutated(data, func(b []byte) { b[off] ^= 0x01 })
-					mustFailLoad(t, dir, fmt.Sprintf("bit flip in section %s/shard%d", s.Name, s.Shard), img)
+					img := mutated(data, func(b []byte) { b[off+n/2] ^= 0x01 })
+					mustFailLoad(t, dir, fmt.Sprintf("bit flip in section entry %d", entry), img)
 				}
 			})
 
@@ -373,12 +352,26 @@ func TestSnapshotCorruption(t *testing.T) {
 				assertLoadErrContains(t, dir, img, "endian")
 			})
 
+			// Kind 2 was the sharded backend's: it is rejected by name — on
+			// load in both modes and on inspect — not as an unknown kind. A
+			// sharded image relabelled frozen (kind 1, one shard) gets past
+			// the header, so the section parser must refuse its layout.
 			t.Run("unknown-kind", func(t *testing.T) {
-				img := mutated(data, func(b []byte) {
-					b[11] = 9
-					fixHeaderCRC(b)
-				})
-				mustFailLoad(t, dir, "unknown kind", img)
+				kinds := []byte{2, 9}
+				if shards > 0 {
+					kinds = append(kinds, 1)
+				}
+				for _, kind := range kinds {
+					img := mutated(data, func(b []byte) {
+						b[11] = kind
+						binary.LittleEndian.PutUint32(b[12:16], 1)
+						fixHeaderCRC(b)
+					})
+					mustFailLoad(t, dir, fmt.Sprintf("kind %d", kind), img)
+					if kind == 2 {
+						assertLoadErrContains(t, dir, img, "sharded")
+					}
+				}
 			})
 
 			t.Run("lying-counts", func(t *testing.T) {
@@ -429,17 +422,72 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// assertLoadErrContains loads img (heap mode) and asserts the error
-// mentions want — corruption must be descriptive, not just non-nil.
+// corruptionImage returns the raw bytes of the image the corruption
+// battery starts from: a fresh frozen image of testGraph for shards=0,
+// the checked-in sharded image otherwise.
+func corruptionImage(t *testing.T, dir string, shards int) []byte {
+	t.Helper()
+	if shards == 0 {
+		_, data := writeTestSnapshot(t, dir)
+		return data
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("sharded%d.wdsnap", shards)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// assertLoadErrContains loads img in both modes and inspects it, and
+// asserts every error mentions want — a header rejection must be
+// descriptive, not just non-nil, whichever way the image is opened.
 func assertLoadErrContains(t *testing.T, dir string, img []byte, want string) {
 	t.Helper()
 	path := filepath.Join(dir, "described.wdsnap")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := rdf.LoadSnapshot(path, rdf.SnapshotHeap)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("error %v does not mention %q", err, want)
+	for _, mode := range []rdf.SnapshotMode{rdf.SnapshotHeap, rdf.SnapshotMmap} {
+		snap, err := rdf.LoadSnapshot(path, mode)
+		if err == nil {
+			snap.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v load: error %v does not mention %q", mode, err, want)
+		}
+	}
+	if _, err := rdf.InspectSnapshot(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("inspect: error %v does not mention %q", err, want)
+	}
+}
+
+// TestSnapshotFormatStable pins the image of a fixed 24-triple graph
+// to the SHA-256 recorded before the sharded kind was retired: the
+// frozen wire format must not move by one byte, so images written by
+// earlier builds keep loading. The digest is of a little-endian image.
+func TestSnapshotFormatStable(t *testing.T) {
+	const want = "4634292645e7bdfa87dfba5be47ec59d058fd1894ad11c442c31ee5da0c9f0cf"
+	ts := make([]rdf.Triple, 0, 24)
+	for i := 0; i < 24; i++ {
+		ts = append(ts, rdf.T(
+			rdf.IRI(fmt.Sprintf("http://ex.org/s%d", i%5)),
+			rdf.IRI(fmt.Sprintf("http://ex.org/p%d", i%3)),
+			rdf.IRI(fmt.Sprintf("http://ex.org/o%d", i%7))))
+	}
+	path := filepath.Join(t.TempDir(), "stable.wdsnap")
+	if err := rdf.GraphFromTriples(ts).WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[10] != 1 {
+		t.Skip("the pinned digest is of a little-endian image")
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("frozen image of the fixed graph: %d bytes, sha256 %s, want %s", len(data), got, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -181,29 +183,41 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	// Nothing was in flight, so the old generation closes promptly.
 	waitFor(t, 5e9, func() bool { return log.at(0).closed.Load() })
 
-	// A corrupt image on disk must not take the server down. Replace by
-	// rename, as any real snapshot writer does — an in-place truncation
-	// would mutate the inode the serving generation has mmapped.
-	tmp := path + ".corrupt"
-	if err := os.WriteFile(tmp, []byte("not a snapshot"), 0o644); err != nil {
+	// A corrupt image on disk must not take the server down, and neither
+	// must an intact image of the retired sharded kind (header kind 2).
+	// Replace by rename, as any real snapshot writer does — an in-place
+	// truncation would mutate the inode the serving generation has
+	// mmapped.
+	kind2 := filepath.Join(t.TempDir(), "kind2.wdsnap")
+	writeSnapshotFile(t, kind2, 7)
+	img, err := os.ReadFile(kind2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		t.Fatal(err)
-	}
-	resp, _ = postReload(t, base)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("reload of corrupt image: status %d, want 500", resp.StatusCode)
-	}
-	if n := countBindings(t, base, `(?x p ?y)`); n != 5 {
-		t.Fatalf("bindings after failed reload = %d, want 5 (old engine)", n)
-	}
-	st = serverStats(t, base)
-	if st.Reloads != 1 || st.ReloadFailures != 1 {
-		t.Fatalf("reloads = %d/%d after failure, want 1/1", st.Reloads, st.ReloadFailures)
-	}
-	if log.at(1).closed.Load() {
-		t.Fatal("serving generation closed by a failed reload")
+	img[11] = 2
+	binary.LittleEndian.PutUint32(img[60:64], crc32.Checksum(img[:60], crc32.MakeTable(crc32.Castagnoli)))
+	for i, bad := range [][]byte{[]byte("not a snapshot"), img} {
+		tmp := path + ".corrupt"
+		if err := os.WriteFile(tmp, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+		resp, _ = postReload(t, base)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("reload of bad image %d: status %d, want 500", i, resp.StatusCode)
+		}
+		if n := countBindings(t, base, `(?x p ?y)`); n != 5 {
+			t.Fatalf("bindings after failed reload %d = %d, want 5 (old engine)", i, n)
+		}
+		st = serverStats(t, base)
+		if st.Reloads != 1 || st.ReloadFailures != uint64(i+1) {
+			t.Fatalf("reloads = %d/%d after failure %d, want 1/%d", st.Reloads, st.ReloadFailures, i, i+1)
+		}
+		if log.at(1).closed.Load() {
+			t.Fatal("serving generation closed by a failed reload")
+		}
 	}
 }
 

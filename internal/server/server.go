@@ -188,7 +188,7 @@ type Server struct {
 }
 
 // New builds a Server over the engine in cfg. The engine's graph is
-// already sealed (NewEngine freezes or shards it); the server only
+// already sealed (NewEngine freezes it); the server only
 // reads it, so any number of concurrent requests are safe.
 func New(cfg Config) *Server {
 	if cfg.Engine == nil {
@@ -301,7 +301,6 @@ type Stats struct {
 	Draining      bool    `json:"draining"`
 
 	Backend string `json:"backend"`
-	Shards  int    `json:"shards"`
 	Triples int    `json:"triples"`
 
 	Gate         int   `json:"gate"`
@@ -378,11 +377,7 @@ func (s *Server) snapshot() Stats {
 	defer eng.release()
 	g := eng.eng.Graph()
 	st.Backend = "map"
-	switch {
-	case g.Sharded():
-		st.Backend = "sharded"
-		st.Shards = g.ShardCount()
-	case g.Frozen():
+	if g.Frozen() {
 		st.Backend = "frozen"
 	}
 	st.Triples = g.Len()

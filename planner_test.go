@@ -32,41 +32,33 @@ func plannerEngines(t testing.TB, n int, opts ...Option) (*PreparedQuery, *Prepa
 
 func TestPlannerStreamsAreByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	for _, cfg := range []struct {
-		name string
-		opts []Option
-	}{
-		{"frozen", nil},
-		{"sharded", []Option{WithShards(3)}},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			on, off := plannerEngines(t, 256, cfg.opts...)
-			_, rowsOn := collectSelect(on, ctx)
-			_, rowsOff := collectSelect(off, ctx)
-			if len(rowsOn) != len(rowsOff) {
-				t.Fatalf("planner on streams %d mappings, off %d", len(rowsOn), len(rowsOff))
+	t.Run("frozen", func(t *testing.T) {
+		on, off := plannerEngines(t, 256)
+		_, rowsOn := collectSelect(on, ctx)
+		_, rowsOff := collectSelect(off, ctx)
+		if len(rowsOn) != len(rowsOff) {
+			t.Fatalf("planner on streams %d mappings, off %d", len(rowsOn), len(rowsOff))
+		}
+		for i := range rowsOff {
+			if !rowsOn[i].Equal(rowsOff[i]) {
+				t.Fatalf("streams diverge at row %d: %s vs %s", i, rowsOn[i], rowsOff[i])
 			}
-			for i := range rowsOff {
-				if !rowsOn[i].Equal(rowsOff[i]) {
-					t.Fatalf("streams diverge at row %d: %s vs %s", i, rowsOn[i], rowsOff[i])
-				}
-			}
+		}
 
-			// The per-call override must cross both engines to the other
-			// config and still match.
-			_, forcedOff := collectSelect(on, ctx, Planner(false))
-			_, forcedOn := collectSelect(off, ctx, Planner(true))
-			if len(forcedOff) != len(rowsOff) || len(forcedOn) != len(rowsOff) {
-				t.Fatalf("per-call Planner override changed cardinality: %d / %d, want %d",
-					len(forcedOff), len(forcedOn), len(rowsOff))
+		// The per-call override must cross both engines to the other
+		// config and still match.
+		_, forcedOff := collectSelect(on, ctx, Planner(false))
+		_, forcedOn := collectSelect(off, ctx, Planner(true))
+		if len(forcedOff) != len(rowsOff) || len(forcedOn) != len(rowsOff) {
+			t.Fatalf("per-call Planner override changed cardinality: %d / %d, want %d",
+				len(forcedOff), len(forcedOn), len(rowsOff))
+		}
+		for i := range rowsOff {
+			if !forcedOff[i].Equal(rowsOff[i]) || !forcedOn[i].Equal(rowsOff[i]) {
+				t.Fatalf("per-call Planner override diverges at row %d", i)
 			}
-			for i := range rowsOff {
-				if !forcedOff[i].Equal(rowsOff[i]) || !forcedOn[i].Equal(rowsOff[i]) {
-					t.Fatalf("per-call Planner override diverges at row %d", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestPlannerCountMatchesStream(t *testing.T) {

@@ -54,9 +54,7 @@ func ParseSnapshotMode(s string) (SnapshotMode, error) {
 // no interning, no freeze; the arenas come straight off the image
 // (page-faulted on demand in SnapshotMmap mode). The returned Snapshot
 // owns the backing resources: close it only after the engine is no
-// longer in use. Options apply as in NewEngine; note WithShards(n)
-// against a snapshot of a different kind re-seals the graph in memory,
-// deliberately trading the zero-parse load for the requested backend.
+// longer in use. Options apply as in NewEngine.
 func NewEngineFromSnapshot(path string, mode SnapshotMode, opts ...Option) (*Engine, *Snapshot, error) {
 	snap, err := rdf.LoadSnapshot(path, mode)
 	if err != nil {
