@@ -137,8 +137,8 @@ func TestAskPaperContract(t *testing.T) {
 				}
 			}
 		}
-		// The map backend never reaches an Engine (NewEngine seals its
-		// graph): check the evaluators on it directly.
+		// An unsealed graph never reaches an Engine (NewEngine folds its
+		// overlay): check the evaluators on it directly.
 		for _, mu := range probes {
 			want := ref.Contains(mu)
 			if core.Eval(core.AlgAuto, 0, f, g, mu) != want || core.Eval(core.AlgNaive, 0, f, g, mu) != want ||

@@ -61,7 +61,7 @@ func run() int {
 	flag.Parse()
 
 	if *only != "" && !validID(*only) {
-		fmt.Fprintf(os.Stderr, "wdbench: unknown experiment %q (want E1..E17, A1..A3 or M1)\n", *only)
+		fmt.Fprintf(os.Stderr, "wdbench: unknown experiment %q (want E1..E10, E13..E17, A1..A3 or M1)\n", *only)
 		return 2
 	}
 	if *cpuprofile != "" {
@@ -117,7 +117,7 @@ func run() int {
 
 func validID(id string) bool {
 	switch strings.ToUpper(id) {
-	case "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "A1", "A2", "A3", "M1":
+	case "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E14", "E15", "E16", "E17", "A1", "A2", "A3", "M1":
 		return true
 	}
 	return false

@@ -3,13 +3,14 @@
 // well-designed pattern and a random graph, evaluates with the
 // compositional semantics (both join strategies), the Lemma 1 subtree
 // enumeration and the top-down enumeration. The top-down enumeration
-// additionally runs against every storage backend — the map graph, a
-// frozen clone, and an overlay twin (a frozen base carrying half the
-// triples, the rest applied as live deltas on the mutable overlay) —
+// additionally runs against every storage backend — the unsealed
+// graph (every triple in the write overlay), a frozen clone, and an
+// overlay twin (a frozen base carrying half the triples, the rest in
+// the overlay) —
 // and the full row streams are diffed byte for byte (content AND
 // order), so a backend that returns the right set in the wrong order
 // fails a trial.
-// The map graph's stream must itself be the compositional solution set:
+// The unsealed graph's stream must itself be the compositional solution set:
 // no row twice (a UNION forest's cross-tree dedup), no row outside it.
 // With -planner (the default) each trial additionally diffs the query
 // planner's search modes on every backend: the planned mode must
@@ -133,25 +134,20 @@ func collectStream(f ptree.Forest, g *rdf.Graph) []rdf.Row {
 }
 
 // overlayTwin rebuilds g as a sealed base carrying roughly half the
-// triples plus a mutable delta overlay holding the rest. Replaying the
+// triples plus a write overlay holding the rest. Replaying the
 // triples in insertion order (TriplesID, not the sorted Triples)
 // reproduces g's dictionary IDs exactly, so the twin's row stream is
-// directly comparable to the map reference — the overlay merge must be
-// unobservable just like the backends.
+// directly comparable to the unsealed reference — the overlay merge
+// must be unobservable just like the base.
 func overlayTwin(g *rdf.Graph) *rdf.Graph {
 	ids := g.TriplesID()
-	ts := make([]rdf.Triple, len(ids))
-	for i, t := range ids {
-		ts[i] = g.Dict().DecodeTriple(t)
-	}
-	cut := len(ts) / 2
 	og := rdf.NewGraph()
-	for _, t := range ts[:cut] {
-		og.AddTriple(t.S.Value, t.P.Value, t.O.Value)
-	}
-	og.Freeze()
-	for _, t := range ts[cut:] {
-		og.AddDeltaTriple(t.S.Value, t.P.Value, t.O.Value)
+	for i, t := range ids {
+		if i == len(ids)/2 {
+			og.Freeze()
+		}
+		tr := g.Dict().DecodeTriple(t)
+		og.AddTriple(tr.S.Value, tr.P.Value, tr.O.Value)
 	}
 	return og
 }
@@ -182,10 +178,10 @@ type backend struct {
 	g    *rdf.Graph
 }
 
-// backendsOf returns g itself (the map backend) followed by its frozen
-// clone and its overlay twin.
+// backendsOf returns g itself (unsealed: every triple in the overlay)
+// followed by its frozen clone and its overlay twin.
 func backendsOf(g *rdf.Graph) []backend {
-	return []backend{{"map", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g)}}
+	return []backend{{"unsealed", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g)}}
 }
 
 // windowRows mirrors the engine's Limit/Offset windowing over a
@@ -274,7 +270,7 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, plann
 		}
 	}
 	// Storage backends must be unobservable: the row stream over the
-	// map graph is the reference, and the frozen clone and the overlay
+	// unsealed graph is the reference, and the frozen clone and the overlay
 	// twin must reproduce it byte for byte — content and order —
 	// through the same compiled enumeration.
 	want := collectStream(f, g)
@@ -286,7 +282,7 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, plann
 	for _, b := range backends {
 		got := collectStream(f, b.g)
 		if len(got) != len(want) {
-			return report("%s stream has %d rows, map has %d", b.name, len(got), len(want))
+			return report("%s stream has %d rows, unsealed has %d", b.name, len(got), len(want))
 		}
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
@@ -327,7 +323,7 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, plann
 		return true
 	}
 	// Ask dimension: the three algorithms against the solution set, on
-	// the map graph and every backend.
+	// every backend.
 	dw := core.DominationWidth(f)
 	probes := append(ref.Slice(), rdf.Mapping{"x": "a"}, rdf.Mapping{"x": "a", "y": "b"}, rdf.Mapping{})
 	nodes := g.Dom()

@@ -153,12 +153,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	backend := "map"
-	if g.Frozen() {
-		backend = "frozen"
-	}
-	logger.Printf("serving %d triples (%s backend) on http://%s/sparql (gate %d)",
-		g.Len(), backend, ln.Addr(), *gate)
+	logger.Printf("serving %d triples on http://%s/sparql (gate %d)", g.Len(), ln.Addr(), *gate)
 
 	// First SIGINT/SIGTERM starts the drain; a second force-exits.
 	ctx, stop := interrupt.Context(context.Background())

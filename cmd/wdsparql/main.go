@@ -85,11 +85,7 @@ func main() {
 		wdsparql.WithWorkers(*workers), wdsparql.WithPlanner(*planner))
 
 	if *stats {
-		backend := "map"
-		if g.Frozen() {
-			backend = "frozen (CSR, bulk-loaded)"
-		}
-		fmt.Fprintf(os.Stderr, "data: %s\nbackend: %s\n", rdf.Stats(g), backend)
+		fmt.Fprintf(os.Stderr, "data: %s\n", rdf.Stats(g))
 	}
 	q, err := engine.Prepare(pattern)
 	if err != nil {

@@ -8,10 +8,10 @@ package wdsparql
 // rdf.Graph.Fork and rdf/overlay.go) and returns a NEW engine over the
 // fork; the caller (internal/server holds the canonical example, with
 // refcounted generation swap) publishes the new engine and retires the
-// old one once its in-flight readers drain. Refreeze compacts an
+// old one once its in-flight readers drain. Refreeze folds an
 // engine's overlay into a fresh sealed base the same way: fork,
-// compact, new engine — the old generation's readers never observe the
-// compaction. Nothing is ever mutated in place, which is exactly why
+// freeze, new engine — the old generation's readers never observe the
+// fold. Nothing is ever mutated in place, which is exactly why
 // no reader is ever blocked or dropped.
 
 import (
@@ -53,7 +53,7 @@ func (e *Engine) withGraph(g *rdf.Graph) *Engine {
 func (e *Engine) ApplyDelta(ts []Triple) *Engine {
 	g := e.g.Fork()
 	for _, t := range ts {
-		g.AddDelta(t)
+		g.Add(t)
 	}
 	return e.withGraph(g)
 }
@@ -65,7 +65,7 @@ func (e *Engine) ApplyDelta(ts []Triple) *Engine {
 // generation. Refreeze on an engine without an overlay returns a
 // generation sharing all storage (cheap, and harmless).
 func (e *Engine) Refreeze() *Engine {
-	return e.withGraph(e.g.Fork().Compact())
+	return e.withGraph(e.g.Fork().Freeze())
 }
 
 // OverlayLen reports the number of triples in the engine graph's

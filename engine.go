@@ -128,14 +128,12 @@ func WithFilterPushdown(on bool) Option { return func(e *Engine) { e.pushdown = 
 // by an empty one — useful for purely static analysis (widths, certain
 // variables) where no data is involved.
 //
-// NewEngine seals the graph into a compact read-only backend: engines
-// only read, so every prepared query runs on O(1) array probes and
-// galloping range searches instead of map lookups. The graph is
-// frozen (rdf.Graph.Freeze, idempotent), which preserves result
-// content and order exactly. Note that sealing
-// happens in place on the caller's graph (a later mutation of the
-// graph transparently thaws it, under the existing rule that the
-// graph must not change while the engine is in use).
+// NewEngine folds the graph's write overlay into its sealed base
+// (rdf.Graph.Freeze, a no-op without an overlay): engines only read,
+// so every prepared query runs on O(1) array probes and galloping
+// range searches instead of map lookups. Freezing preserves result
+// content and order exactly. It happens in place on the caller's
+// graph; the graph must not change while the engine is in use.
 func NewEngine(g *Graph, opts ...Option) *Engine {
 	if g == nil {
 		g = rdf.NewGraph()

@@ -193,21 +193,6 @@ func TestE10Agreement(t *testing.T) {
 	}
 }
 
-func TestE11Agreement(t *testing.T) {
-	tbl := E11FrozenBackend([]int{32, 64}, 4)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows: %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[1] == "0" {
-			t.Fatalf("E11 must load a non-empty graph: %v", row)
-		}
-		if row[len(row)-1] != "true" {
-			t.Fatalf("frozen and map backends must agree: %v", row)
-		}
-	}
-}
-
 func TestE14Agreement(t *testing.T) {
 	tbl := E14SnapshotColdStart([]int{64, 256})
 	if len(tbl.Rows) != 2 {
@@ -242,7 +227,7 @@ func TestTableAgreement(t *testing.T) {
 
 func TestSuiteComposition(t *testing.T) {
 	tables := Suite(false)
-	if len(tables) != 16 {
+	if len(tables) != 15 {
 		t.Fatalf("suite size: %d", len(tables))
 	}
 	ids := map[string]bool{}
@@ -257,7 +242,7 @@ func TestSuiteComposition(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13", "E14", "E15", "E16", "E17"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E14", "E15", "E16", "E17"} {
 		if !ids[id] {
 			t.Fatalf("missing %s", id)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"wdsparql"
 	"wdsparql/internal/core"
@@ -421,160 +420,6 @@ func E10PreparedVsOneShot(ns []int, reps int) *Table {
 	return t
 }
 
-// E11Triples returns the E11 workload as a plain triple list (the E9
-// Erdős–Rényi shape), so the same list can be loaded into both
-// storage backends: loading the list in order assigns identical
-// dictionary IDs, which is what lets E11 compare ID-level results
-// across backends directly.
-func E11Triples(n int) []rdf.Triple {
-	return E9Data(n).Triples()
-}
-
-// E11Probes derives a probe-pattern mix from the graph's own triples,
-// covering every index shape: one bound position (S, P, O), two bound
-// positions (SP, PO, SO) and ground membership — the probes the
-// solvers' fail-first selectivity loop issues at every search node.
-// samples bounds the number of sampled triples (≤ 0: every triple;
-// probe diversity matters, because a small hot probe set lets the map
-// backend answer from cache, which no real search workload does).
-// Repeated-variable patterns are deliberately not in the throughput
-// mix: their residual filter scan is backend-independent by design
-// (same candidates, same MatchesPatternID), so they only measure the
-// workload, not the storage backend; E11 checks them for agreement
-// instead. Probes are encoded IDTriples, valid for any graph loaded
-// from the same triple list (identical dictionary IDs).
-func E11Probes(g *rdf.Graph, samples int) []rdf.IDTriple {
-	ts := g.TriplesID()
-	step := 1
-	if samples > 0 && len(ts) > samples {
-		step = len(ts) / samples
-	}
-	out := make([]rdf.IDTriple, 0, 7*(len(ts)/step+1))
-	x, y := rdf.VarID(0), rdf.VarID(1)
-	for i := 0; i < len(ts); i += step {
-		t := ts[i]
-		out = append(out,
-			rdf.IDTriple{t[0], x, y},    // bound S
-			rdf.IDTriple{x, t[1], y},    // bound P
-			rdf.IDTriple{x, y, t[2]},    // bound O
-			rdf.IDTriple{t[0], t[1], y}, // bound SP
-			rdf.IDTriple{x, t[1], t[2]}, // bound PO
-			rdf.IDTriple{t[0], x, t[2]}, // bound SO
-			t,                           // ground membership
-		)
-	}
-	return out
-}
-
-// e11AgreeProbes extends the throughput probes with the shapes that
-// exercise the residual-filter path: repeated variables across every
-// position pair and the fully unbound pattern.
-func e11AgreeProbes(g *rdf.Graph) []rdf.IDTriple {
-	out := E11Probes(g, 64)
-	ts := g.TriplesID()
-	x := rdf.VarID(0)
-	step := len(ts)/64 + 1
-	for i := 0; i < len(ts); i += step {
-		t := ts[i]
-		out = append(out,
-			rdf.IDTriple{x, t[1], x}, // repeated S=O
-			rdf.IDTriple{x, x, t[2]}, // repeated S=P
-			rdf.IDTriple{t[0], x, x}, // repeated P=O
-			rdf.IDTriple{x, x, x},    // triple loop
-		)
-	}
-	return append(out, rdf.IDTriple{x, rdf.VarID(1), rdf.VarID(2)})
-}
-
-// E11 measures the frozen CSR backend against the map backend on the
-// same triple set: cold load (incremental map construction vs the
-// counting-pass bulk load), MatchCountID and MatchID probe throughput
-// over the full index-shape mix, and top-down enumeration of the E9
-// tree. The count loop probes with every triple of the graph (full
-// key diversity, the cache behaviour of a real search); the match
-// loop uses a sparser sample because the map backend materialises
-// every result list. The agree column checks that counts, match
-// results (content and order) and enumeration streams (content and
-// order) coincide.
-func E11FrozenBackend(ns []int, reps int) *Table {
-	t := &Table{
-		ID:    "E11",
-		Title: fmt.Sprintf("frozen CSR backend vs map backend (%d probe reps)", reps),
-		Claim: "freeze: array/galloping probes beat map lookups; bulk load beats incremental; identical streams",
-		Header: []string{"n", "|G|", "load(map)", "load(bulk)", "count(map)", "count(frz)",
-			"match(map)", "match(frz)", "enum(map)", "enum(frz)", "agree"},
-	}
-	f := ptree.Forest{E9Tree()}
-	for _, n := range ns {
-		ts := E11Triples(n)
-		var gm, gf *rdf.Graph
-		dLoadMap := timed(func() { gm = rdf.GraphOf(ts...) })
-		dLoadBulk := timed(func() { gf = rdf.GraphFromTriples(ts) })
-		countProbes := E11Probes(gm, 0)
-		matchProbes := E11Probes(gm, 128)
-		agree := gm.Len() == gf.Len()
-		var cm, cf int
-		dCountM := timed(func() {
-			for r := 0; r < reps; r++ {
-				cm = 0
-				for _, p := range countProbes {
-					cm += gm.MatchCountID(p)
-				}
-			}
-		})
-		dCountF := timed(func() {
-			for r := 0; r < reps; r++ {
-				cf = 0
-				for _, p := range countProbes {
-					cf += gf.MatchCountID(p)
-				}
-			}
-		})
-		var mm, mf int
-		dMatchM := timed(func() {
-			for r := 0; r < reps; r++ {
-				mm = 0
-				for _, p := range matchProbes {
-					mm += len(gm.MatchID(p))
-				}
-			}
-		})
-		dMatchF := timed(func() {
-			for r := 0; r < reps; r++ {
-				mf = 0
-				for _, p := range matchProbes {
-					mf += len(gf.MatchID(p))
-				}
-			}
-		})
-		if cm != cf || mm != mf {
-			agree = false
-		}
-		for _, p := range e11AgreeProbes(gm) {
-			if gm.MatchCountID(p) != gf.MatchCountID(p) ||
-				!slices.Equal(gm.MatchID(p), gf.MatchID(p)) ||
-				!slices.Equal(gm.CandidatesID(p), gf.CandidatesID(p)) {
-				agree = false
-				break
-			}
-		}
-		var em, ef *rdf.IDMappingSet
-		dEnumM := timed(func() { em = core.EnumerateTopDownForestID(f, gm) })
-		dEnumF := timed(func() { ef = core.EnumerateTopDownForestID(f, gf) })
-		if em.Len() != ef.Len() {
-			agree = false
-		} else {
-			for i := 0; i < em.Len() && agree; i++ {
-				agree = slices.Equal(em.Row(i), ef.Row(i))
-			}
-		}
-		t.AddRow(fmt.Sprint(n), fmt.Sprint(gm.Len()), ms(dLoadMap), ms(dLoadBulk),
-			ms(dCountM), ms(dCountF), ms(dMatchM), ms(dMatchF),
-			ms(dEnumM), ms(dEnumF), fmt.Sprint(agree))
-	}
-	return t
-}
-
 // Experiment is a named, lazily-run experiment: Run executes the
 // sweeps and builds the table. Callers that only want some experiments
 // (wdbench -only, profiling runs) filter by ID before paying for
@@ -584,8 +429,9 @@ type Experiment struct {
 	Run func() *Table
 }
 
-// Experiments returns the E1..E17 suite (E12, the retired sharded
-// backend's table, is gone) as lazily-run experiments.
+// Experiments returns the E1..E17 suite as lazily-run experiments.
+// E11 (map vs frozen backend) and E12 (the sharded backend) are gone
+// with the backends they compared.
 func Experiments(full bool, workers int) []Experiment {
 	e3Max := 6
 	e13PerClient := 4
@@ -608,7 +454,6 @@ func Experiments(full bool, workers int) []Experiment {
 		{"E8", func() *Table { return E8BatchEval(3, 24, workers) }},
 		{"E9", func() *Table { return E9Enumeration([]int{64, 128, 256}, workers) }},
 		{"E10", func() *Table { return E10PreparedVsOneShot([]int{64, 128, 256}, 32) }},
-		{"E11", func() *Table { return E11FrozenBackend([]int{1024, 4096, 16384}, 3) }},
 		{"E13", func() *Table { return E13Serving(128, e13PerClient, workers, []int{1, 4, 16}, 8, 64) }},
 		{"E14", func() *Table { return E14SnapshotColdStart(e14Ns) }},
 		{"E15", func() *Table { return E15Ingest(e14Ns, workers) }},

@@ -42,7 +42,7 @@ func E15Ingest(ns []int, workers int) *Table {
 	}
 	ctx := context.Background()
 	for _, n := range ns {
-		ts := E11Triples(n)
+		ts := E9Data(n).Triples()
 		var buf bytes.Buffer
 		if err := rdf.WriteGraph(&buf, rdf.GraphFromTriples(ts)); err != nil {
 			panic(err)

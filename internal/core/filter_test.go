@@ -46,7 +46,7 @@ func rebuildAs(g *rdf.Graph, backend string) *rdf.Graph {
 		out.Freeze()
 		for _, id := range ids[cut:] {
 			tr := g.Dict().DecodeTriple(id)
-			out.AddDeltaTriple(tr.S.Value, tr.P.Value, tr.O.Value)
+			out.AddTriple(tr.S.Value, tr.P.Value, tr.O.Value)
 		}
 	}
 	return out

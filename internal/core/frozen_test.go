@@ -2,8 +2,8 @@ package core_test
 
 // Cross-validation of the frozen storage backend at the enumeration
 // layer: ForestProgram.Rows must yield the IDENTICAL stream — content
-// and order, byte for byte — on a frozen graph and on its map-backed
-// twin, for randomized well-designed forests. This is the determinism
+// and order, byte for byte — on a frozen graph and on its unsealed
+// twin (every triple in the write overlay), for randomized well-designed forests. This is the determinism
 // invariant the ROADMAP pins for the enumeration pipeline: the storage
 // backend must be unobservable through the row iterator.
 

@@ -53,7 +53,7 @@ func TestLazyPlanMatchesCompileTimePlan(t *testing.T) {
 		ts := gen.Random(n, min(6+rng.Intn(20), n*n), 2, int64(trial)).Triples() // at most half of the n·n·2 possible triples
 		ovl := rdf.GraphFromTriples(ts[:len(ts)/2])
 		for _, tr := range ts[len(ts)/2:] {
-			ovl.AddDelta(tr)
+			ovl.Add(tr)
 		}
 		for name, g := range map[string]*rdf.Graph{
 			"frozen":     rdf.GraphFromTriples(ts),

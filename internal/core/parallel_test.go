@@ -3,7 +3,7 @@ package core_test
 // Cross-validation of the parallel scheduler at the enumeration layer,
 // over the workers × backend cross product: the RowsParallel stream of
 // a compiled forest must be byte-identical — content and order — to
-// the sequential stream over the map-backed graph, for every worker
+// the sequential stream over the unsealed graph, for every worker
 // count on the frozen backend and on a frozen base with a live
 // overlay, on randomized well-designed forests. Run under -race in
 // CI, this doubles as the race check for the worker pool.

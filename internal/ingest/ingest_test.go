@@ -88,8 +88,8 @@ func TestLoadEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if !g.Frozen() {
-					t.Fatalf("%s: result not frozen", label)
+				if g.HasOverlay() {
+					t.Fatalf("%s: result carries an overlay", label)
 				}
 				sameGraph(t, want, g, label)
 			}

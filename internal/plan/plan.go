@@ -109,7 +109,7 @@ func CompileWithRestrictions(pats []Pattern, g *rdf.Graph, entry []int32, restri
 	pl.volatile = cyclic(pats, bound)
 	// Domain sizes are pure functions of (position, predicate|global);
 	// cache them across steps so a k-pattern plan costs O(k²) O(1)-ish
-	// probes, not O(k²) catalog scans on the map backend.
+	// probes, not O(k²) catalog reads.
 	dom := make(map[domKey]float64, 3*n)
 	used := make([]bool, n)
 	for len(pl.order) < n {

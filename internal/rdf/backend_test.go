@@ -1,6 +1,6 @@
-// Differential-suite instantiations for the map and frozen storage
-// backends (the overlay twins live in overlay_test.go, the snapshot
-// round-trips in snapshot_test.go).
+// Differential-suite instantiations for the unsealed and frozen
+// construction paths (the overlay twins live in overlay_test.go, the
+// snapshot round-trips in snapshot_test.go).
 package rdf_test
 
 import (
@@ -10,8 +10,9 @@ import (
 	"wdsparql/internal/rdf/backendtest"
 )
 
-// The map backend against itself: a sanity check that the suite's
-// reference construction is self-consistent.
+// The unsealed graph (an empty base, every triple in the overlay)
+// against the brute-force model; it is also the suite's reference, so
+// this checks the reference itself.
 func TestBackendSuiteMap(t *testing.T) {
 	backendtest.RunBackendSuite(t, func(ts []rdf.Triple) *rdf.Graph {
 		return rdf.GraphOf(ts...)

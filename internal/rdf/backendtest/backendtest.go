@@ -1,14 +1,14 @@
 // Package backendtest is the differential test suite that pins every
-// storage backend of rdf.Graph to the map-backed reference. The
-// paper's correctness guarantees (Romero, PODS 2018) are proved for
-// one abstract graph; the implementation has two physical
-// representations (map, frozen CSR) behind one read API, plus the
-// delta overlay on a frozen base,
-// so the guarantees survive only if the backends are observationally
-// equivalent — same triples, same insertion order, byte for byte, on
-// every read operation. RunBackendSuite is that equivalence check,
-// written once and instantiated per backend, replacing the per-backend
-// copy-paste cross-validation tests that preceded it.
+// storage layout of rdf.Graph to an independent brute-force model and
+// to the unsealed reference. The paper's correctness guarantees
+// (Romero, PODS 2018) are proved for one abstract graph; the
+// implementation stores a graph as a sealed CSR base (possibly empty)
+// plus a write overlay, split anywhere between the two, loaded in bulk
+// or from a snapshot, so the guarantees survive only if every split
+// is observationally equivalent — same triples, same insertion order,
+// byte for byte, on every read operation. RunBackendSuite is that
+// equivalence check, written once and instantiated per construction
+// path.
 package backendtest
 
 import (
@@ -27,45 +27,81 @@ const Trials = 200
 
 // MakeGraph builds the backend under test from an insertion-ordered
 // ground triple list. Loading the same list must assign the same
-// dictionary IDs in the same order as rdf.GraphOf — every seal path in
-// the package (Freeze, GraphBuilder) preserves that.
+// dictionary IDs in the same order as rdf.GraphOf — every construction
+// path in the package (Add, Freeze, GraphBuilder, snapshots) preserves
+// that.
 type MakeGraph func(ts []rdf.Triple) *rdf.Graph
 
-// RunBackendSuite runs the differential suite: Trials random graphs,
-// each loaded both as the map-backed reference (rdf.GraphOf) and
-// through make, then compared — content AND order — on every read
-// operation of the Graph API, including repeated-variable patterns,
-// constants absent from the graph, constants interned only after the
-// seal, and the thaw-on-mutation / re-seal lifecycle.
+// RunBackendSuite runs the differential suite: Trials random graphs
+// plus one large one, each loaded both as the unsealed reference
+// (rdf.GraphOf: every triple in the overlay) and through make, then
+// compared — content AND order — on every read operation of the Graph
+// API, including repeated-variable patterns, constants absent from the
+// graph and constants interned only after the seal. Every pattern
+// probe is also checked against the brute-force model: the input
+// triples, deduplicated in order, filtered by rdf.MatchesPatternID.
+// The subtests pin the write lifecycle, unseen constants and the empty
+// graph.
 func RunBackendSuite(t *testing.T, mk MakeGraph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < Trials; trial++ {
 		ts := randTriples(rng)
-		ref := rdf.GraphOf(ts...)
-		got := mk(ts)
-		checkTwins(t, trial, ref, got, rng)
+		checkTrial(t, trial, ts, mk, rng)
 		if t.Failed() {
 			return
 		}
 	}
+	// The large trial: subject and object groups average 50 triples,
+	// above rdf's smallGroup (32), so two-key probes take the galloping
+	// branch of the base's range search.
+	large := triplesOf(gen.Random(20, 1000, 3, 1))
+	checkTrial(t, Trials, large, mk, rng)
 	t.Run("lifecycle", func(t *testing.T) { checkLifecycle(t, mk) })
 	t.Run("unseen-constant", func(t *testing.T) { checkUnseenConstant(t, mk) })
 	t.Run("empty", func(t *testing.T) { checkEmpty(t, mk) })
 }
 
+// checkTrial loads ts as the reference and through mk and compares
+// the two, and the backend with the model.
+func checkTrial(t *testing.T, trial int, ts []rdf.Triple, mk MakeGraph, rng *rand.Rand) {
+	t.Helper()
+	got := mk(ts)
+	checkTwins(t, trial, rdf.GraphOf(ts...), got, modelOf(got, ts), rng)
+}
+
+// modelOf encodes ts, deduplicated in first-occurrence order, with g's
+// dictionary: the graph's insertion-order content, computed without
+// any index.
+func modelOf(g *rdf.Graph, ts []rdf.Triple) []rdf.IDTriple {
+	seen := map[rdf.Triple]bool{}
+	var out []rdf.IDTriple
+	for _, tr := range ts {
+		if seen[tr] {
+			continue
+		}
+		seen[tr] = true
+		id, _ := g.EncodePattern(tr)
+		out = append(out, id)
+	}
+	return out
+}
+
 // randTriples draws a random graph shape (Erdős–Rényi, Turán, social
 // network) and returns its triples in insertion order.
 func randTriples(rng *rand.Rand) []rdf.Triple {
-	var g *rdf.Graph
 	switch rng.Intn(3) {
 	case 0:
-		g = gen.Random(12, 40, 3, rng.Int63())
+		return triplesOf(gen.Random(12, 40, 3, rng.Int63()))
 	case 1:
-		g = gen.Turan(8, 3, "r")
+		return triplesOf(gen.Turan(8, 3, "r"))
 	default:
-		g = gen.SocialNetwork(10, rng.Int63())
+		return triplesOf(gen.SocialNetwork(10, rng.Int63()))
 	}
+}
+
+// triplesOf returns g's triples in insertion order.
+func triplesOf(g *rdf.Graph) []rdf.Triple {
 	ts := make([]rdf.Triple, 0, g.Len())
 	for _, id := range g.TriplesID() {
 		ts = append(ts, g.Dict().DecodeTriple(id))
@@ -91,9 +127,14 @@ func randPattern(rng *rand.Rand, dom []string) rdf.Triple {
 	return rdf.T(term(), term(), term())
 }
 
-// checkTwins compares every read operation of the two graphs.
-func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, rng *rand.Rand) {
+// checkTwins compares every read operation of the two graphs, and
+// every pattern probe of got with the model (got's content in
+// insertion order).
+func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, model []rdf.IDTriple, rng *rand.Rand) {
 	t.Helper()
+	if !slices.Equal(got.TriplesID(), model) {
+		t.Fatalf("trial %d: TriplesID = %v, model %v", trial, got.TriplesID(), model)
+	}
 	if ref.Len() != got.Len() || ref.DomSize() != got.DomSize() {
 		t.Fatalf("trial %d: Len/DomSize: %d/%d reference vs %d/%d backend",
 			trial, ref.Len(), ref.DomSize(), got.Len(), got.DomSize())
@@ -117,10 +158,6 @@ func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, rng *rand.Rand) {
 		t.Fatalf("trial %d: Dom disagrees", trial)
 	}
 	for _, id := range ref.DomIDs() {
-		if ref.OccurrencesID(id) != got.OccurrencesID(id) {
-			t.Fatalf("trial %d: OccurrencesID(%v): %d vs %d",
-				trial, id, ref.OccurrencesID(id), got.OccurrencesID(id))
-		}
 		if !got.HasIRI(ref.Dict().StringOf(id)) {
 			t.Fatalf("trial %d: HasIRI lost %v", trial, id)
 		}
@@ -154,9 +191,11 @@ func checkTwins(t *testing.T, trial int, ref, got *rdf.Graph, rng *rand.Rand) {
 			t.Fatalf("trial %d: LookupRangeID(%v) differs", trial, ipr)
 		}
 		checkSegments(t, trial, ref, got, ipg)
+		checkModel(t, trial, got, model, ipg)
 	}
 	for _, p := range segmentShapes(ref) {
 		checkSegments(t, trial, ref, got, p)
+		checkModel(t, trial, got, model, p)
 	}
 	// Selectivity catalog (cardstats.go): global and per-predicate
 	// distinct counts are exact on every backend. Every IRI of dom(G) — every predicate among them — is probed at
@@ -238,30 +277,72 @@ func checkSegments(t *testing.T, trial int, ref, got *rdf.Graph, p rdf.IDTriple)
 	}
 }
 
-// checkLifecycle verifies that mutation thaws the backend to the map
-// representation transparently (no triple lost, no duplicate admitted)
-// and that the thawed graph can be re-sealed.
+// checkModel pins one probe to the brute-force model: MatchID is the
+// model filtered by the pattern, in model order, and MatchCountID its
+// length.
+func checkModel(t *testing.T, trial int, g *rdf.Graph, model []rdf.IDTriple, p rdf.IDTriple) {
+	t.Helper()
+	var want []rdf.IDTriple
+	for _, tr := range model {
+		if rdf.MatchesPatternID(p, tr) {
+			want = append(want, tr)
+		}
+	}
+	if got := g.MatchID(p); !slices.Equal(got, want) {
+		t.Fatalf("trial %d: MatchID(%v) = %v, model %v", trial, p, got, want)
+	}
+	if c := g.MatchCountID(p); c != len(want) {
+		t.Fatalf("trial %d: MatchCountID(%v) = %d, model %d", trial, p, c, len(want))
+	}
+}
+
+// checkLifecycle pins the write rule on the backend: an Add after
+// Freeze lands in the overlay and leaves the sealed base — and the
+// ranges of it handed out before — untouched; Freeze folds the overlay
+// in at its sequence position and is idempotent; a Clone stays
+// independent of its source.
 func checkLifecycle(t *testing.T, mk MakeGraph) {
 	t.Helper()
 	ts := randTriples(rand.New(rand.NewSource(7)))
-	g := mk(ts)
-	n := g.Len()
-	g.AddTriple("thaw-s", "thaw-p", "thaw-o")
-	if g.Frozen() {
-		t.Fatal("mutation must thaw to the map backend")
+	g := mk(ts).Freeze()
+	model := modelOf(g, ts)
+	all := rdf.IDTriple{rdf.VarID(0), rdf.VarID(1), rdf.VarID(2)}
+	bySubject := rdf.IDTriple{model[0][0], rdf.VarID(0), rdf.VarID(1)}
+	wholeBefore, groupBefore := g.MatchID(all), g.MatchID(bySubject) // alias the base
+	whole, group := slices.Clone(wholeBefore), slices.Clone(groupBefore)
+
+	g.Add(ts[0]) // in the base: dropped
+	g.AddTriple("new-s", "new-p", "new-o")
+	g.AddTriple("new-s", "new-p", "new-o") // in the overlay: dropped
+	added, _ := g.EncodePattern(rdf.T(rdf.IRI("new-s"), rdf.IRI("new-p"), rdf.IRI("new-o")))
+	if g.OverlayLen() != 1 || g.Len() != len(model)+1 || !g.ContainsID(added) {
+		t.Fatalf("Add after Freeze: overlay %d, len %d, want 1 and %d", g.OverlayLen(), g.Len(), len(model)+1)
 	}
-	if g.Len() != n+1 || !g.Contains(rdf.T(rdf.IRI("thaw-s"), rdf.IRI("thaw-p"), rdf.IRI("thaw-o"))) {
-		t.Fatal("triple lost across thaw")
+	base, tail, _ := g.LookupSegmentsID(all)
+	if !slices.Equal(base, whole) || !slices.Equal(tail, []rdf.IDTriple{added}) {
+		t.Fatalf("Add after Freeze changed the base or missed the overlay: %v ++ %v", base, tail)
 	}
-	g.AddTriple("thaw-s", "thaw-p", "thaw-o") // duplicate must be dropped
-	if g.Len() != n+1 {
-		t.Fatal("duplicate insert after thaw")
+	model = append(model, added)
+
+	c := g.Clone()
+	g.Freeze()
+	folded := g.TriplesID()
+	if g.HasOverlay() || !slices.Equal(folded, model) {
+		t.Fatalf("Freeze folded out of sequence: %v, want %v", folded, model)
 	}
-	// Re-seal; the twin is the thawed graph itself.
-	checkTwins(t, -1, g, g.Clone().Freeze(), rand.New(rand.NewSource(11)))
-	if t.Failed() {
-		t.Fatal("re-seal through Freeze broke agreement")
+	if g.Freeze(); &g.TriplesID()[0] != &folded[0] {
+		t.Fatal("Freeze without an overlay rebuilt the base")
 	}
+	if !slices.Equal(wholeBefore, whole) || !slices.Equal(groupBefore, group) {
+		t.Fatal("Freeze rewrote the old base in place")
+	}
+
+	c.AddTriple("clone-s", "clone-p", "clone-o")
+	if c.Len() != len(model)+1 || g.Len() != len(model) || g.Contains(rdf.T(rdf.IRI("clone-s"), rdf.IRI("clone-p"), rdf.IRI("clone-o"))) {
+		t.Fatalf("clone is not independent: clone %d, source %d triples", c.Len(), g.Len())
+	}
+	cloneAdded, _ := c.EncodePattern(rdf.T(rdf.IRI("clone-s"), rdf.IRI("clone-p"), rdf.IRI("clone-o")))
+	checkTwins(t, -1, c, c.Clone().Freeze(), append(model, cloneAdded), rand.New(rand.NewSource(11)))
 }
 
 // checkUnseenConstant verifies that pattern constants interned only

@@ -1,9 +1,9 @@
 package rdf
 
-// Bulk loading: cold-start construction of a frozen graph in one
+// Bulk loading: cold-start construction of a sealed graph in one
 // interning pass plus one compaction. The incremental path (NewGraph +
-// Add) pays for six map indexes that grow insert by insert and are
-// thrown away by the first Freeze; a GraphBuilder never builds them —
+// Add) grows the overlay's six posting-list maps insert by insert, and
+// the first Freeze throws them away; a GraphBuilder never builds them —
 // it interns, deduplicates and accumulates the insertion-order slice,
 // then a single counting pass sizes the occurrence table and one
 // freezeGraph call lays out the CSR arenas at their exact final size.
@@ -13,20 +13,20 @@ package rdf
 // triples had been Added to a fresh Graph. The zero value is not
 // usable; call NewGraphBuilder.
 type GraphBuilder struct {
-	g *Graph
+	dict *Dict
+	seen map[IDTriple]struct{}
+	all  []IDTriple
 }
 
 // NewGraphBuilder returns a builder pre-sized for about sizeHint
 // triples (a hint, not a cap; zero is fine).
 func NewGraphBuilder(sizeHint int) *GraphBuilder {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	return &GraphBuilder{g: &Graph{
+	sizeHint = max(sizeHint, 0)
+	return &GraphBuilder{
 		dict: NewDict(),
-		set:  make(map[IDTriple]struct{}, sizeHint),
+		seen: make(map[IDTriple]struct{}, sizeHint),
 		all:  make([]IDTriple, 0, sizeHint),
-	}}
+	}
 }
 
 // Add inserts a ground triple; it panics on variables, like Graph.Add.
@@ -39,26 +39,24 @@ func (b *GraphBuilder) Add(t Triple) {
 
 // AddTriple inserts the ground triple (s, p, o).
 func (b *GraphBuilder) AddTriple(s, p, o string) {
-	g := b.g
-	t := IDTriple{g.dict.InternIRI(s), g.dict.InternIRI(p), g.dict.InternIRI(o)}
-	if _, ok := g.set[t]; ok {
+	t := IDTriple{b.dict.InternIRI(s), b.dict.InternIRI(p), b.dict.InternIRI(o)}
+	if _, ok := b.seen[t]; ok {
 		return
 	}
-	g.set[t] = struct{}{}
-	g.all = append(g.all, t)
+	b.seen[t] = struct{}{}
+	b.all = append(b.all, t)
 }
 
 // Len returns the number of (distinct) triples added so far.
-func (b *GraphBuilder) Len() int { return len(b.g.all) }
+func (b *GraphBuilder) Len() int { return len(b.all) }
 
-// Graph compacts the accumulated triples into a frozen graph: one
+// Graph compacts the accumulated triples into a sealed graph: one
 // counting pass for the occurrence table and dom(G), then the CSR
-// freeze. The builder must not be used afterwards. Mutating the
-// returned graph thaws it like any frozen graph.
+// freeze. The builder must not be used afterwards.
 func (b *GraphBuilder) Graph() *Graph {
-	g := b.g
-	b.g = nil
-	return GraphFromEncoded(g.dict, g.all)
+	d, all := b.dict, b.all
+	*b = GraphBuilder{}
+	return GraphFromEncoded(d, all)
 }
 
 // GraphFromEncoded seals a frozen graph directly from pre-encoded
@@ -83,10 +81,11 @@ func GraphFromEncoded(d *Dict, all []IDTriple) *Graph {
 	return g
 }
 
-// GraphFromTriples bulk-loads ground triples into a frozen graph. It
+// GraphFromTriples bulk-loads ground triples into a sealed graph. It
 // is equivalent to GraphOf(ts...).Freeze() — same triples, same
-// dictionary IDs, same insertion order — but never builds the map
-// indexes, so cold load is one pass plus one compaction.
+// dictionary IDs, same insertion order — but never builds the
+// overlay's posting lists, so cold load is one pass plus one
+// compaction.
 func GraphFromTriples(ts []Triple) *Graph {
 	b := NewGraphBuilder(len(ts))
 	for _, t := range ts {

@@ -2,19 +2,16 @@ package rdf
 
 // Selectivity catalog: distinct-key statistics the query planner
 // (internal/plan) reads alongside MatchCountID. The CSR offset arrays
-// of the sealed backend already answer "how many triples carry key k
-// at position X" in O(1); this file adds the complementary domain-size
+// of the sealed base already answer "how many triples carry key k at
+// position X" in O(1); this file adds the complementary domain-size
 // questions — how many distinct subjects/predicates/objects exist,
 // globally and under a fixed predicate — that turn posting lengths
 // into per-bound-variable selectivity estimates.
 //
-// Cost discipline: every sealed answer is a lookup after a one-time
-// pass, so a plan never scans data.
+// Cost discipline: every answer is a lookup after a one-time pass, so
+// a plan never scans data.
 //
-//   - Map backend: global counts are the index map sizes (O(1));
-//     per-predicate counts scan one posting list. The map backend is
-//     mutable, so nothing is cached.
-//   - Frozen: on first use, one pass over the offset arrays and the
+//   - Base: on first use, one pass over the offset arrays and the
 //     predicate groups of the secondarily-sorted keyPS/keyPO columns —
 //     whose secondary sort makes distinct values = key transitions —
 //     fills every count, O(|G| + |dict|) once per sealed view. It runs
@@ -25,7 +22,7 @@ package rdf
 //     key), keeping the counts exact. Both deltas are computed in one
 //     pass over the overlay the first time a reader asks at a given
 //     overlay state; the write path does nothing, and
-//     the next AddDelta makes the memo stale (see overlayCatalog).
+//     the next Add makes the memo stale (see overlayCatalog).
 
 import "sync"
 
@@ -42,20 +39,7 @@ type cardStats struct {
 // position pos (0 = subject, 1 = predicate, 2 = object) across the
 // graph, overlay included.
 func (g *Graph) DistinctCount(pos int) int {
-	var base int
-	switch {
-	case g.frz != nil:
-		base = g.frz.distinct(pos)
-	default:
-		switch pos {
-		case 0:
-			return len(g.byS)
-		case 1:
-			return len(g.byP)
-		default:
-			return len(g.byO)
-		}
-	}
+	base := g.frz.distinct(pos)
 	if g.ovl != nil {
 		base += g.overlayCatalog().newKeys[pos]
 	}
@@ -64,19 +48,9 @@ func (g *Graph) DistinctCount(pos int) int {
 
 // DistinctUnderPredicate reports the number of distinct terms at
 // position pos (0 = subject, 2 = object) among the triples whose
-// predicate is p. Exact on every backend.
+// predicate is p, overlay included. Exact.
 func (g *Graph) DistinctUnderPredicate(p TermID, pos int) int {
-	var base int
-	switch {
-	case g.frz != nil:
-		base = g.frz.distinctUnder(p, pos)
-	default:
-		seen := make(map[TermID]struct{})
-		for _, t := range g.byP[p] {
-			seen[t[pos]] = struct{}{}
-		}
-		return len(seen)
-	}
+	base := g.frz.distinctUnder(p, pos)
 	if g.ovl != nil {
 		base += g.overlayCatalog().newUnder[p][underIdx(pos)]
 	}
@@ -164,7 +138,7 @@ type ovlCatalog struct {
 // overlayCatalog returns the overlay's catalog deltas, computing them
 // on the first call at the current overlay state. The overlay is
 // insert-only, so its length identifies the state: a memo whose length
-// differs predates an AddDelta and is recomputed, without the write
+// differs predates an Add and is recomputed, without the write
 // path touching it. Concurrent readers of one state may each compute
 // it; they store equal values.
 func (g *Graph) overlayCatalog() *ovlCatalog {

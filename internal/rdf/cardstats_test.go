@@ -24,8 +24,9 @@ func catalogOf(g, ref *rdf.Graph) []int {
 // The overlay's catalog deltas are memoised per overlay state. Probing,
 // adding deltas — new keys, new (predicate, value) pairs, and pairs the
 // base already holds — and probing again must give exactly what a
-// from-scratch computation gives: the map-backed reference, and a clone
-// (a new base and overlay, no memo).
+// from-scratch computation gives: the unsealed reference (all of it
+// overlay, over an empty base), and a frozen clone (one new base, no
+// overlay).
 func TestOverlayCatalogFollowsDeltas(t *testing.T) {
 	tr := func(s, p, o string) rdf.Triple { return rdf.T(rdf.IRI(s), rdf.IRI(p), rdf.IRI(o)) }
 	base := []rdf.Triple{tr("a", "p", "b"), tr("b", "p", "c"), tr("c", "q", "a")}
@@ -43,7 +44,7 @@ func TestOverlayCatalogFollowsDeltas(t *testing.T) {
 	var prev []int
 	for bi, batch := range batches {
 		for _, t := range batch {
-			g.AddDelta(t)
+			g.Add(t)
 		}
 		all = append(all, batch...)
 		ref := rdf.GraphOf(all...)
@@ -51,11 +52,11 @@ func TestOverlayCatalogFollowsDeltas(t *testing.T) {
 		if again := catalogOf(g, ref); !slices.Equal(got, again) {
 			t.Fatalf("batch %d: memoised probe %v, first probe %v", bi, again, got)
 		}
-		if fresh := catalogOf(g.Clone(), ref); !slices.Equal(got, fresh) {
+		if fresh := catalogOf(g.Clone().Freeze(), ref); !slices.Equal(got, fresh) {
 			t.Fatalf("batch %d: catalog %v, from scratch %v", bi, got, fresh)
 		}
 		if want := catalogOf(ref, ref); !slices.Equal(got, want) {
-			t.Fatalf("batch %d: catalog %v, map reference %v", bi, got, want)
+			t.Fatalf("batch %d: catalog %v, unsealed reference %v", bi, got, want)
 		}
 		if slices.Equal(got, prev) {
 			t.Fatalf("batch %d: the batch moved no count; the test cannot see a stale memo", bi)
@@ -64,8 +65,8 @@ func TestOverlayCatalogFollowsDeltas(t *testing.T) {
 	}
 }
 
-// After the first call, catalog probes on every sealed backend — frozen,
-// and an overlay on it — are lookups: they allocate nothing.
+// After the first call, catalog probes — on a frozen base, and with an
+// overlay on it — are lookups: they allocate nothing.
 func TestCatalogProbeAllocs(t *testing.T) {
 	ts := rdf.GraphOf(
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),

@@ -1,8 +1,7 @@
-// Lifecycle and bulk-load tests specific to the frozen CSR backend.
-// The read-API cross-validation against the map backend that used to
-// live here is now the reusable differential suite of
-// internal/rdf/backendtest, instantiated for every backend in
-// backend_test.go.
+// Lifecycle and bulk-load tests of the sealed base. The read-API
+// cross-validation is the reusable differential suite of
+// internal/rdf/backendtest, instantiated for every construction path
+// in backend_test.go.
 package rdf_test
 
 import (
@@ -15,59 +14,61 @@ import (
 
 func sameTriples(a, b []rdf.IDTriple) bool { return slices.Equal(a, b) }
 
-// Freeze is idempotent, and mutation thaws transparently: a frozen
-// graph that is mutated behaves exactly like a never-frozen graph
-// with the same history, and can be re-frozen.
+// An Add after Freeze lands in the overlay and leaves the sealed base
+// and the ranges handed out of it untouched; Freeze folds the overlay
+// in at its sequence position and is idempotent; a Clone shares the
+// base but stays independent of its source.
 func TestFreezeThawLifecycle(t *testing.T) {
 	g := gen.Random(12, 40, 3, 99)
-	if g.Frozen() {
-		t.Fatal("incremental graph must start map-backed")
+	if !g.HasOverlay() {
+		t.Fatal("an incremental graph starts with every triple in the overlay")
 	}
 	g.Freeze()
-	if !g.Frozen() {
-		t.Fatal("Freeze must seal")
+	if g.HasOverlay() {
+		t.Fatal("Freeze must fold the overlay")
 	}
-	g.Freeze() // idempotent
 	n := g.Len()
-	g.AddTriple("thaw-s", "thaw-p", "thaw-o")
-	if g.Frozen() {
-		t.Fatal("mutation must thaw")
+	base := g.TriplesID()
+	s := base[0][0]
+	bySubject := g.MatchID(rdf.IDTriple{s, rdf.VarID(0), rdf.VarID(1)}) // an arena range
+	wantBase, wantRange := slices.Clone(base), slices.Clone(bySubject)
+
+	g.AddTriple("new-s", "new-p", "new-o")
+	g.Add(g.Dict().DecodeTriple(base[0]))  // in the base: dropped
+	g.AddTriple("new-s", "new-p", "new-o") // in the overlay: dropped
+	if g.OverlayLen() != 1 || g.Len() != n+1 || !g.Contains(rdf.T(rdf.IRI("new-s"), rdf.IRI("new-p"), rdf.IRI("new-o"))) {
+		t.Fatalf("Add after Freeze: overlay %d, len %d, want 1 and %d", g.OverlayLen(), g.Len(), n+1)
 	}
-	if g.Len() != n+1 || !g.Contains(rdf.T(rdf.IRI("thaw-s"), rdf.IRI("thaw-p"), rdf.IRI("thaw-o"))) {
-		t.Fatal("triple lost across thaw")
+	if !sameTriples(base, wantBase) || !sameTriples(bySubject, wantRange) {
+		t.Fatal("Add changed the sealed base")
 	}
-	g.Freeze()
-	if !g.Frozen() || !g.ContainsID(g.TriplesID()[n]) {
-		t.Fatal("re-freeze lost the new triple")
-	}
-	// Re-adding an existing triple on a frozen graph thaws but must
-	// not duplicate.
-	g.AddTriple("thaw-s", "thaw-p", "thaw-o")
-	if g.Len() != n+1 {
-		t.Fatal("duplicate insert after thaw")
-	}
-	// Cloning a frozen graph takes the compact path (no map rebuild):
-	// the clone is frozen and state-identical, including occurrence
-	// counts, and stays independently mutable.
-	g.Freeze()
+
 	c := g.Clone()
-	if !c.Frozen() || !slices.Equal(c.TriplesID(), g.TriplesID()) || c.DomSize() != g.DomSize() {
-		t.Fatal("frozen clone lost state")
+	g.Freeze()
+	folded := g.TriplesID()
+	if g.HasOverlay() || len(folded) != n+1 || !sameTriples(folded[:n], wantBase) || !g.ContainsID(folded[n]) {
+		t.Fatal("Freeze did not fold the overlay after the base")
 	}
-	for _, id := range g.DomIDs() {
-		if c.OccurrencesID(id) != g.OccurrencesID(id) {
-			t.Fatalf("frozen clone occurrence count differs for %v", id)
-		}
+	if g.Freeze(); &g.TriplesID()[0] != &folded[0] {
+		t.Fatal("Freeze without an overlay rebuilt the base")
+	}
+	if !sameTriples(base, wantBase) || !sameTriples(bySubject, wantRange) {
+		t.Fatal("Freeze rewrote the old base in place")
+	}
+
+	if c.OverlayLen() != 1 || !sameTriples(c.TriplesID(), folded) || c.DomSize() != g.DomSize() {
+		t.Fatal("clone lost state")
 	}
 	c.AddTriple("clone-s", "clone-p", "clone-o")
-	if c.Len() != g.Len()+1 || !g.Frozen() {
-		t.Fatal("frozen clone is not independent of its source")
+	c.Freeze()
+	if c.Len() != g.Len()+1 || g.Contains(rdf.T(rdf.IRI("clone-s"), rdf.IRI("clone-p"), rdf.IRI("clone-o"))) {
+		t.Fatal("clone is not independent of its source")
 	}
 }
 
 // Bulk load is equivalent to incremental construction + Freeze: same
 // triples, same dictionary IDs, same insertion order — and ReadGraph
-// returns a frozen, bulk-loaded graph.
+// returns a bulk-loaded graph with no overlay.
 func TestBulkLoadEquivalence(t *testing.T) {
 	ts := []rdf.Triple{
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
@@ -78,8 +79,8 @@ func TestBulkLoadEquivalence(t *testing.T) {
 	}
 	inc := rdf.GraphOf(ts...)
 	bulk := rdf.GraphFromTriples(ts)
-	if !bulk.Frozen() {
-		t.Fatal("GraphFromTriples must return a frozen graph")
+	if bulk.HasOverlay() {
+		t.Fatal("GraphFromTriples must return a graph with no overlay")
 	}
 	if !inc.Equal(bulk) || !bulk.Equal(inc) {
 		t.Fatal("bulk and incremental graphs differ")
@@ -91,8 +92,8 @@ func TestBulkLoadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Frozen() {
-		t.Fatal("ReadGraph must return a frozen graph")
+	if parsed.HasOverlay() {
+		t.Fatal("ReadGraph must return a graph with no overlay")
 	}
 	if !sameTriples(parsed.TriplesID(), inc.TriplesID()) {
 		t.Fatal("ReadGraph bulk load changed IDs or order")

@@ -7,62 +7,46 @@ import (
 // Graph is a ground RDF graph: a finite set of RDF triples over IRIs
 // (the paper assumes no blank nodes). Internally the graph is
 // dictionary-encoded: every IRI is interned to a dense TermID in a
-// private Dict and triples are stored as IDTriples. Two storage
-// backends share the read API behind Graph's *ID methods:
+// private Dict and triples are stored as IDTriples, in one layout
+// shared by every graph:
 //
-//   - The construction-time map backend: positional hash indexes with
-//     insertion-ordered, append-only posting lists (O(1) insert, so
-//     incremental construction is linear).
-//   - The frozen CSR backend (see frozen.go): after Freeze, the map
-//     indexes are compacted into flat triple arenas with offset
-//     arrays indexed by dense TermID, posting-list probes become
-//     array accesses or galloping range searches, and membership runs
-//     on an open-addressing table. Mutation thaws back to the map
-//     backend transparently.
+//   - A sealed base (see frozen.go), possibly empty: flat triple
+//     arenas with offset arrays indexed by dense TermID, so
+//     posting-list probes are array accesses or galloping range
+//     searches and membership runs on an open-addressing table. The
+//     base is immutable; forked generations and clones share it.
+//   - The write overlay (see overlay.go): Add deduplicates against the
+//     base and inserts into small insertion-ordered posting lists in
+//     O(1). Freeze folds the overlay into a fresh base.
 //
-// Both backends produce byte-identical results — content and order —
-// for every read operation. The string-based API (Add, Match,
-// Contains, MatchMappings, ...) is a thin shim over the ID-native
-// core; hot callers (the homomorphism solver, the pebble closure) use
-// the *ID methods directly.
+// Every read returns base results followed by overlay results, which
+// is global insertion order, so a graph reads the same — content and
+// order — however its triples are split between the two layers. The
+// string-based API (Add, Match, Contains, MatchMappings, ...) is a
+// thin shim over the ID-native core; hot callers (the homomorphism
+// solver, the pebble closure) use the *ID methods directly.
 //
-// All read operations are free of interning and internal caching, so a
-// Graph is safe for concurrent readers once construction (including
-// any Freeze call) is done.
+// Reads never intern, so a Graph is safe for concurrent readers once
+// its writes (including any Freeze call) are done.
 //
 // The zero value is not usable; call NewGraph.
 type Graph struct {
-	dict *Dict
-	set  map[IDTriple]struct{} // nil while frozen
-	all  []IDTriple            // insertion order; returned directly by TriplesID
-
-	// Positional map indexes with insertion-ordered posting lists;
-	// all nil while frozen.
-	byS  map[TermID][]IDTriple
-	byP  map[TermID][]IDTriple
-	byO  map[TermID][]IDTriple
-	bySP map[[2]TermID][]IDTriple
-	byPO map[[2]TermID][]IDTriple
-	bySO map[[2]TermID][]IDTriple
-
-	occ     []int32 // occurrence count per IRI ID across all positions
-	domSize int     // |dom(G)| = number of IRI IDs with occ > 0
-	frz     *frozenView
-	ovl     *overlay // delta write layer on a sealed base; nil unless sealed
+	dict    *Dict
+	all     []IDTriple  // the base's triples in insertion order; returned directly by TriplesID
+	occ     []int32     // base occurrence count per IRI ID across all positions
+	domSize int         // base |dom(G)| = number of IRI IDs with occ > 0
+	frz     *frozenView // the sealed base's indexes; never nil
+	ovl     *overlay    // write layer on the base; nil until the first Add
 }
 
-// NewGraph returns an empty RDF graph.
+// emptyBase is the sealed base of a graph that has never been frozen
+// with triples in it. It is immutable, so every such graph shares it.
+var emptyBase = freezeGraph(&Graph{dict: NewDict()})
+
+// NewGraph returns an empty RDF graph: an empty sealed base and no
+// overlay.
 func NewGraph() *Graph {
-	return &Graph{
-		dict: NewDict(),
-		set:  map[IDTriple]struct{}{},
-		byS:  map[TermID][]IDTriple{},
-		byP:  map[TermID][]IDTriple{},
-		byO:  map[TermID][]IDTriple{},
-		bySP: map[[2]TermID][]IDTriple{},
-		byPO: map[[2]TermID][]IDTriple{},
-		bySO: map[[2]TermID][]IDTriple{},
-	}
+	return &Graph{dict: NewDict(), frz: emptyBase}
 }
 
 // GraphOf builds a graph from a list of ground triples. It panics if
@@ -112,58 +96,28 @@ func (g *Graph) AddID(t IDTriple) {
 	g.addID(t)
 }
 
+// addID inserts the triple into the overlay unless the base or the
+// overlay already holds it: O(1), whatever the size of the base, which
+// is never touched.
 func (g *Graph) addID(t IDTriple) {
-	if g.frz != nil {
-		g.thaw()
-	}
-	if _, ok := g.set[t]; ok {
+	if _, ok := g.frz.contains(t); ok {
 		return
 	}
-	g.set[t] = struct{}{}
-	g.all = append(g.all, t)
-	g.indexID(t)
-	g.countID(t)
-}
-
-// indexID appends the triple to the six positional map indexes; also
-// used by thaw to rebuild them in insertion order.
-func (g *Graph) indexID(t IDTriple) {
-	g.byS[t[0]] = append(g.byS[t[0]], t)
-	g.byP[t[1]] = append(g.byP[t[1]], t)
-	g.byO[t[2]] = append(g.byO[t[2]], t)
-	g.bySP[[2]TermID{t[0], t[1]}] = append(g.bySP[[2]TermID{t[0], t[1]}], t)
-	g.byPO[[2]TermID{t[1], t[2]}] = append(g.byPO[[2]TermID{t[1], t[2]}], t)
-	g.bySO[[2]TermID{t[0], t[2]}] = append(g.bySO[[2]TermID{t[0], t[2]}], t)
-}
-
-// countID maintains the occurrence counts (which double as the dom(G)
-// indicator: occ[id] > 0 ⟺ id ∈ dom(G)). The counts slice grows to
-// the dictionary size in a single append, not one element at a time.
-func (g *Graph) countID(t IDTriple) {
-	if n := g.dict.NumIRIs(); n > len(g.occ) {
-		g.occ = append(g.occ, make([]int32, n-len(g.occ))...)
+	o := g.ovl
+	if o == nil {
+		o = newOverlay()
+		g.ovl = o
 	}
+	if _, dup := o.set[t]; dup {
+		return
+	}
+	o.insert(t)
 	for _, id := range t {
-		if g.occ[id] == 0 {
-			g.domSize++
+		if g.baseOcc(id)+o.occDelta[id] == 0 {
+			o.domDelta++
 		}
-		g.occ[id]++
+		o.occDelta[id]++
 	}
-}
-
-// OccurrencesID returns how many triple positions of G hold the IRI
-// with the given ID (an IRI in i triples at j positions each counts
-// i·j). Solvers use it as a cheap connectivity score for value
-// ordering.
-func (g *Graph) OccurrencesID(id TermID) int32 {
-	if id.IsVar() {
-		return 0
-	}
-	n := g.baseOcc(id)
-	if o := g.ovl; o != nil {
-		n += o.occDelta[id]
-	}
-	return n
 }
 
 // encodeGround encodes a ground triple without interning; ok is false
@@ -240,11 +194,7 @@ func (g *Graph) ContainsID(t IDTriple) bool {
 			return true
 		}
 	}
-	if f := g.frz; f != nil {
-		_, ok := f.contains(t)
-		return ok
-	}
-	_, ok := g.set[t]
+	_, ok := g.frz.contains(t)
 	return ok
 }
 
@@ -365,13 +315,13 @@ func (g *Graph) Match(p Triple) []Triple {
 }
 
 // MatchID is Match over encoded patterns (see EncodePattern for the
-// pattern convention). On a sealed graph whose overlay holds no match,
-// the result of a pattern without repeated variables aliases immutable
-// internal storage: callers must not modify it. Otherwise the result
-// is built once, straight from the base and overlay segments.
+// pattern convention). When the overlay holds no match, the result of
+// a pattern without repeated variables aliases the immutable base:
+// callers must not modify it. Otherwise the result is built once,
+// straight from the base and overlay segments.
 func (g *Graph) MatchID(p IDTriple) []IDTriple {
 	base, tail, exact := g.LookupSegmentsID(p)
-	if exact && len(tail) == 0 && g.frz != nil {
+	if exact && len(tail) == 0 {
 		// Immutable arena range: no copy.
 		return base
 	}
@@ -401,9 +351,9 @@ func (g *Graph) MatchCount(p Triple) int {
 
 // MatchCountID returns the number of triples matching the encoded
 // pattern. When the pattern has no repeated variables the count is the
-// base posting-list (or frozen range) length plus the overlay's, with
-// no scan and no list built: O(1) for at most one bound position,
-// O(log) for two on the frozen backend. A fully-bound pattern is a
+// base range length plus the overlay's posting-list length, with no
+// scan and no list built: O(1) for at most one bound position, O(log)
+// for two. A fully-bound pattern is a
 // membership probe; a pattern with a repeated variable scans both
 // segments in place.
 func (g *Graph) MatchCountID(p IDTriple) int {
@@ -414,7 +364,7 @@ func (g *Graph) MatchCountID(p IDTriple) int {
 		return 0
 	}
 	if !hasRepeatedVar(p) {
-		n := len(g.baseCandidates(p))
+		n := len(g.frz.candidates(p))
 		if o := g.ovl; o != nil {
 			n += len(o.candidates(p))
 		}
@@ -439,19 +389,19 @@ func hasRepeatedVar(p IDTriple) bool {
 		(p[1].IsVar() && p[1] == p[2])
 }
 
-// LookupSegmentsID is the storage-backend seam used by the solvers: it
+// LookupSegmentsID is the storage seam used by the solvers: it
 // returns the candidate posting list for the encoded pattern as two
 // segments, the sealed base's list and then the overlay's (tail is nil
 // on a graph without an overlay), together with exact, which reports
 // that every candidate matches the pattern (true exactly when the
-// pattern has no repeated variable, on every backend), so callers can
-// skip the per-triple MatchesPatternID filter. Walking base and then
+// pattern has no repeated variable), so callers can skip the
+// per-triple MatchesPatternID filter. Walking base and then
 // tail IS insertion order — overlay sequence numbers are a strict
 // suffix of the base's (see overlay.go) — so no list is ever
 // concatenated. Both slices may alias internal storage: callers must
 // not modify them, and they are only valid until the next mutation.
 func (g *Graph) LookupSegmentsID(p IDTriple) (base, tail []IDTriple, exact bool) {
-	base, exact = g.baseCandidates(p), !hasRepeatedVar(p)
+	base, exact = g.frz.candidates(p), !hasRepeatedVar(p)
 	if o := g.ovl; o != nil {
 		tail = o.candidates(p)
 	}
@@ -467,12 +417,12 @@ func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
 // CandidatesID selects the most selective index for the encoded
 // pattern and returns its posting list. Every triple matching the
 // pattern is in the list; the list may contain non-matches when the
-// pattern has repeated variables. All backends return the same
-// triples in the same (insertion) order. The list is the concatenation
-// of LookupSegmentsID's segments: a fresh slice when both are
-// non-empty; otherwise it aliases internal storage. Either way callers must not modify it.
+// pattern has repeated variables. The list is in insertion order: the
+// concatenation of LookupSegmentsID's segments, a fresh slice when
+// both are non-empty and otherwise an alias of internal storage.
+// Either way callers must not modify it.
 func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
-	base := g.baseCandidates(p)
+	base := g.frz.candidates(p)
 	o := g.ovl
 	if o == nil {
 		return base
@@ -489,35 +439,6 @@ func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
 	out := make([]IDTriple, 0, len(base)+len(tail))
 	out = append(out, base...)
 	return append(out, tail...)
-}
-
-// baseCandidates is CandidatesID against the base storage only.
-func (g *Graph) baseCandidates(p IDTriple) []IDTriple {
-	if f := g.frz; f != nil {
-		return f.candidates(p)
-	}
-	sB, pB, oB := !p[0].IsVar(), !p[1].IsVar(), !p[2].IsVar()
-	switch {
-	case sB && pB && oB:
-		if g.ContainsID(p) {
-			return []IDTriple{p}
-		}
-		return nil
-	case sB && pB:
-		return g.bySP[[2]TermID{p[0], p[1]}]
-	case pB && oB:
-		return g.byPO[[2]TermID{p[1], p[2]}]
-	case sB && oB:
-		return g.bySO[[2]TermID{p[0], p[2]}]
-	case sB:
-		return g.byS[p[0]]
-	case pB:
-		return g.byP[p[1]]
-	case oB:
-		return g.byO[p[2]]
-	default:
-		return g.all
-	}
 }
 
 // MatchMappings returns, for a triple pattern t, the paper's base-case
@@ -583,33 +504,13 @@ func (g *Graph) MatchMappings(p Triple) []Mapping {
 // deterministic order.
 func (g *Graph) String() string { return FormatGraph(g) }
 
-// Clone returns a deep copy of the graph. IDs are preserved: the
-// clone's dictionary assigns the same IDs to the same IRIs, and a
-// frozen graph clones to a frozen graph. An overlay is deep-copied
-// onto the clone's sealed base — posting lists are rebuilt, never
-// shared — so writes to either graph's overlay stay invisible to the
-// other.
-func (g *Graph) Clone() *Graph {
-	out := NewGraph()
-	out.dict = g.dict.Clone()
-	if g.frz != nil {
-		// The map indexes of a sealed graph are gone; copy the
-		// insertion-order state and compact directly instead of
-		// rebuilding maps that the re-seal would immediately discard.
-		out.all = append(out.all, g.all...)
-		out.occ = append(out.occ, g.occ...)
-		out.domSize = g.domSize
-		out.Freeze()
-		if o := g.ovl; o != nil {
-			out.ovl = o.fork()
-		}
-		return out
-	}
-	for _, t := range g.all {
-		out.addID(t)
-	}
-	return out
-}
+// Clone returns an independent copy of the graph. IDs are preserved:
+// the clone's dictionary assigns the same IDs to the same IRIs. The
+// clone shares the receiver's immutable base (for a graph loaded with
+// SnapshotMmap, the mapping must outlive the clone too) and
+// deep-copies the overlay, so a write to either graph stays invisible
+// to the other. Unlike Fork, the receiver stays writable.
+func (g *Graph) Clone() *Graph { return g.withDict(g.dict.Clone()) }
 
 // Merge adds all triples of h into g.
 func (g *Graph) Merge(h *Graph) {

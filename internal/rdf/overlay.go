@@ -1,9 +1,9 @@
 package rdf
 
-// Mutable delta overlay: a small map-backed write layer stacked on a
-// sealed (frozen) base graph, so a serving engine can
-// accept live writes without thawing the CSR arenas underneath its
-// readers.
+// The write overlay: a small map-backed write layer stacked on the
+// sealed base of every Graph, so Add costs O(1) whatever the size of
+// the base, and a serving engine can accept live writes without
+// touching the CSR arenas underneath its readers.
 //
 // The design exploits the engine-wide ordering invariant directly.
 // Every read path returns triples in global insertion (sequence)
@@ -21,19 +21,15 @@ package rdf
 // Derived state follows the same base-plus-delta shape: the base
 // occurrence table (g.occ) is never touched — overlay occurrence
 // counts live in occDelta and dom(G) growth in domDelta — so a base
-// shared between forked generations (see Graph.Fork) stays immutable
-// while each generation's overlay grows independently.
-//
-// Structural invariant: g.ovl != nil implies the graph is sealed
-// (g.frz != nil). The overlay lives and dies with the sealed view:
-// thaw folds it into the map backend, Freeze / Compact fold it into a
-// new sealed base.
+// shared between forked generations and clones (see Graph.Fork) stays
+// immutable while each graph's overlay grows independently. Freeze
+// folds the overlay into a new sealed base.
 
 import "sync/atomic"
 
-// overlay is the write layer. Posting lists mirror the map backend's
-// six positional indexes and are insertion-ordered, which is all the
-// concat-as-merge argument above needs.
+// overlay is the write layer: six positional posting lists, each
+// insertion-ordered, which is all the concat-as-merge argument above
+// needs.
 type overlay struct {
 	set map[IDTriple]int32 // membership: the triple's index in ts
 	ts  []IDTriple         // overlay insertion order (global seq = len(base.all) + index)
@@ -132,71 +128,6 @@ func (o *overlay) candidates(p IDTriple) []IDTriple {
 	}
 }
 
-// AddDelta inserts a ground triple without disturbing a sealed base:
-// on a frozen graph the triple goes into the overlay write
-// layer and the CSR views stay untouched (in-flight readers of the
-// base are never invalidated); on an unsealed graph it is a plain Add.
-// Adding a triple that contains a variable panics, like Add.
-func (g *Graph) AddDelta(t Triple) {
-	if !t.Ground() {
-		panic("rdf: cannot add non-ground triple " + t.String() + " to a graph")
-	}
-	g.addDeltaID(IDTriple{
-		g.dict.InternIRI(t.S.Value),
-		g.dict.InternIRI(t.P.Value),
-		g.dict.InternIRI(t.O.Value),
-	})
-}
-
-// AddDeltaTriple is a convenience for AddDelta(T(IRI(s), IRI(p), IRI(o))).
-func (g *Graph) AddDeltaTriple(s, p, o string) {
-	g.addDeltaID(IDTriple{g.dict.InternIRI(s), g.dict.InternIRI(p), g.dict.InternIRI(o)})
-}
-
-// AddDeltaID is AddDelta for an encoded triple whose IDs were interned
-// in g.Dict(). It panics on variable IDs or IDs unknown to the
-// dictionary, like AddID.
-func (g *Graph) AddDeltaID(t IDTriple) {
-	for _, id := range t {
-		if id.IsVar() || int(id) >= g.dict.NumIRIs() {
-			panic("rdf: AddDeltaID: ID not interned as an IRI in this graph's dictionary")
-		}
-	}
-	g.addDeltaID(t)
-}
-
-func (g *Graph) addDeltaID(t IDTriple) {
-	if g.frz == nil {
-		g.addID(t)
-		return
-	}
-	if g.baseContains(t) {
-		return
-	}
-	o := g.ovl
-	if o == nil {
-		o = newOverlay()
-		g.ovl = o
-	}
-	if _, dup := o.set[t]; dup {
-		return
-	}
-	o.insert(t)
-	for _, id := range t {
-		if g.baseOcc(id)+o.occDelta[id] == 0 {
-			o.domDelta++
-		}
-		o.occDelta[id]++
-	}
-}
-
-// baseContains is membership against the sealed base only, ignoring
-// the overlay; the write path uses it to dedup against the base.
-func (g *Graph) baseContains(t IDTriple) bool {
-	_, ok := g.frz.contains(t)
-	return ok
-}
-
 // baseOcc is the base occurrence count for an IRI ID; IDs interned
 // after the base was sealed (they live past the end of g.occ) have
 // base count zero by construction.
@@ -218,10 +149,10 @@ func (g *Graph) OverlayLen() int {
 	return len(g.ovl.ts)
 }
 
-// Fork returns a new generation of a sealed graph: it shares the
+// Fork returns a new generation of the graph: it shares the
 // receiver's immutable base storage (CSR views, insertion-order slice,
 // occurrence table) and dictionary contents, deep-copies the overlay,
-// and is independently mutable through AddDelta / Compact. The cost is
+// and is independently mutable through Add / Freeze. The cost is
 // O(overlay + dictionary extension), not O(graph) — this is what makes
 // swap-a-whole-generation the cheap path for live ingest. The overlay
 // copy is presized from the receiver's and skips the write path's
@@ -230,19 +161,13 @@ func (g *Graph) OverlayLen() int {
 //
 // From the fork on, the receiver must be treated as read-only (its
 // dictionary is forked-from; see Dict.Fork): serve existing readers
-// from it, route all writes to the fork. Fork panics on an unsealed
-// graph — the map backend is already mutable in place.
-func (g *Graph) Fork() *Graph {
-	if g.frz == nil {
-		panic("rdf: Fork: graph must be sealed (frozen)")
-	}
-	out := &Graph{
-		dict:    g.dict.Fork(),
-		all:     g.all,
-		occ:     g.occ,
-		domSize: g.domSize,
-		frz:     g.frz,
-	}
+// from it, route all writes to the fork.
+func (g *Graph) Fork() *Graph { return g.withDict(g.dict.Fork()) }
+
+// withDict returns a graph over d sharing g's base and carrying a copy
+// of g's overlay.
+func (g *Graph) withDict(d *Dict) *Graph {
+	out := &Graph{dict: d, all: g.all, occ: g.occ, domSize: g.domSize, frz: g.frz}
 	if o := g.ovl; o != nil {
 		out.ovl = o.fork()
 	}
@@ -252,8 +177,8 @@ func (g *Graph) Fork() *Graph {
 // foldOverlay folds the overlay into the insertion-order slice and the
 // occurrence table and clears it. Both are written as fresh slices —
 // never in place — because the base versions may be shared with forked
-// sibling generations. The sealed views are stale afterwards; callers
-// re-seal (Compact, Freeze) or rebuild the map backend (thaw).
+// generations and clones. The sealed views are stale afterwards;
+// Freeze re-seals.
 func (g *Graph) foldOverlay() {
 	o := g.ovl
 	all := make([]IDTriple, 0, len(g.all)+len(o.ts))
@@ -267,16 +192,4 @@ func (g *Graph) foldOverlay() {
 	g.all, g.occ = all, occ
 	g.domSize += o.domDelta
 	g.ovl = nil
-}
-
-// Compact folds the overlay into a new frozen base. The re-freeze
-// path of the ingest pipeline is exactly Fork + Compact: the old
-// generation keeps serving its readers untouched while the fork
-// compacts, then the generation pointer swaps. Compact on a graph
-// without an overlay is a no-op.
-func (g *Graph) Compact() *Graph {
-	if g.ovl != nil {
-		g.Freeze()
-	}
-	return g
 }

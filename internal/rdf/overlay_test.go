@@ -10,7 +10,7 @@ import (
 )
 
 // splitDelta loads the first half of ts through the sealed bulk path
-// and the rest through AddDelta, producing a sealed base plus a live
+// and the rest through Add, producing a sealed base plus a live
 // overlay. Interning order is unchanged (base triples first, overlay
 // triples after), so the dictionary IDs match rdf.GraphOf exactly, as
 // the backendtest contract requires.
@@ -18,7 +18,7 @@ func splitDelta(ts []rdf.Triple, seal func([]rdf.Triple) *rdf.Graph) *rdf.Graph 
 	half := len(ts) / 2
 	g := seal(ts[:half])
 	for _, t := range ts[half:] {
-		g.AddDelta(t)
+		g.Add(t)
 	}
 	return g
 }
@@ -32,7 +32,7 @@ func TestBackendSuiteOverlayFrozen(t *testing.T) {
 	})
 }
 
-// The generation path end to end: base → Fork → AddDelta into the fork
+// The generation path end to end: base → Fork → Add into the fork
 // (forked dictionary, shared base storage) → the fork must pass the
 // full suite while the abandoned receiver is left untouched.
 func TestBackendSuiteOverlayFork(t *testing.T) {
@@ -41,16 +41,15 @@ func TestBackendSuiteOverlayFork(t *testing.T) {
 		base := rdf.GraphFromTriples(ts[:half])
 		g := base.Fork()
 		for _, t := range ts[half:] {
-			g.AddDelta(t)
+			g.Add(t)
 		}
 		return g
 	})
 }
 
-// Fork + Compact is the re-freeze: the compacted generation must be
-// frozen (no overlay left) and
-// stream-identical to a graph rebuilt from scratch — while the
-// original generation still serves the pre-delta state.
+// Fork + Freeze is the re-freeze: the folded generation must carry no
+// overlay and be stream-identical to a graph rebuilt from scratch —
+// while the original generation still serves the pre-delta state.
 func TestOverlayForkCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
@@ -61,21 +60,18 @@ func TestOverlayForkCompact(t *testing.T) {
 		baseLen := base.Len()
 		g := base.Fork()
 		for _, tr := range ts[half:] {
-			g.AddDelta(tr)
+			g.Add(tr)
 		}
-		g.Compact()
+		g.Freeze()
 		if g.HasOverlay() || g.OverlayLen() != 0 {
-			t.Fatalf("trial %d: overlay survived Compact", trial)
-		}
-		if !g.Frozen() {
-			t.Fatalf("trial %d: Compact of a frozen base did not re-freeze", trial)
+			t.Fatalf("trial %d: overlay survived Freeze", trial)
 		}
 		ref := rdf.GraphOf(ts...)
 		if !backendtest.EqualStreams(ref, g) {
 			t.Fatalf("trial %d: compacted generation diverges from rebuilt graph", trial)
 		}
 		if base.Len() != baseLen || base.HasOverlay() {
-			t.Fatalf("trial %d: Compact of a fork mutated the receiver generation", trial)
+			t.Fatalf("trial %d: Freeze of a fork mutated the receiver generation", trial)
 		}
 		refBase := rdf.GraphOf(ts[:half]...)
 		if !backendtest.EqualStreams(refBase, base) {
@@ -93,18 +89,18 @@ func TestOverlayCloneDeepCopies(t *testing.T) {
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
 		rdf.T(rdf.IRI("b"), rdf.IRI("p"), rdf.IRI("c")),
 	})
-	g.AddDeltaTriple("c", "p", "d")
+	g.AddTriple("c", "p", "d")
 	cl := g.Clone()
 	if cl.OverlayLen() != 1 || !cl.Contains(rdf.T(rdf.IRI("c"), rdf.IRI("p"), rdf.IRI("d"))) {
 		t.Fatalf("clone lost the overlay: len=%d", cl.OverlayLen())
 	}
 
 	// Writes on either side must stay invisible to the other.
-	g.AddDeltaTriple("d", "p", "e")
+	g.AddTriple("d", "p", "e")
 	if cl.Contains(rdf.T(rdf.IRI("d"), rdf.IRI("p"), rdf.IRI("e"))) {
 		t.Fatal("overlay write to the original leaked into the clone")
 	}
-	cl.AddDeltaTriple("x", "p", "y")
+	cl.AddTriple("x", "p", "y")
 	if g.Contains(rdf.T(rdf.IRI("x"), rdf.IRI("p"), rdf.IRI("y"))) {
 		t.Fatal("overlay write to the clone leaked into the original")
 	}
@@ -124,23 +120,25 @@ func TestOverlayCloneDeepCopies(t *testing.T) {
 	}
 }
 
-// The overlay write path must dedup against both the base and itself,
-// and a mutation through the plain Add path must thaw the graph and
-// fold the overlay at its sequence position.
+// The write path must dedup against both the base and the overlay,
+// and Freeze folds the overlay in at its sequence position: a later
+// Add lands in a fresh overlay after it.
 func TestOverlayDedupAndThawFold(t *testing.T) {
 	g := rdf.GraphFromTriples([]rdf.Triple{
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
 	})
-	g.AddDeltaTriple("a", "p", "b") // already in base
-	g.AddDeltaTriple("b", "p", "c")
-	g.AddDeltaTriple("b", "p", "c") // already in overlay
+	g.AddTriple("a", "p", "b") // already in base
+	g.AddTriple("b", "p", "c")
+	g.AddTriple("b", "p", "c") // already in overlay
 	if g.OverlayLen() != 1 || g.Len() != 2 {
 		t.Fatalf("dedup failed: overlay=%d len=%d", g.OverlayLen(), g.Len())
 	}
 
-	g.AddTriple("c", "p", "d") // thaws; overlay folds in before the new triple
-	if g.Frozen() || g.HasOverlay() {
-		t.Fatal("thaw left the graph sealed or kept the overlay")
+	g.Freeze()
+	g.AddTriple("c", "p", "d")
+	g.AddTriple("b", "p", "c") // folded into the base: still a duplicate
+	if g.OverlayLen() != 1 || g.Len() != 3 {
+		t.Fatalf("after the fold: overlay=%d len=%d, want 1 and 3", g.OverlayLen(), g.Len())
 	}
 	ref := rdf.GraphOf(
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
@@ -148,16 +146,23 @@ func TestOverlayDedupAndThawFold(t *testing.T) {
 		rdf.T(rdf.IRI("c"), rdf.IRI("p"), rdf.IRI("d")),
 	)
 	if !backendtest.EqualStreams(ref, g) {
-		t.Fatal("thawed graph diverges from rebuilt reference")
+		t.Fatal("folded graph diverges from rebuilt reference")
 	}
 }
 
-// AddDelta on an unsealed graph is a plain Add: no overlay appears.
-func TestOverlayUnsealedFallsBackToAdd(t *testing.T) {
-	g := rdf.NewGraph()
-	g.AddDelta(rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")))
-	if g.HasOverlay() || g.Len() != 1 {
-		t.Fatalf("AddDelta on unsealed graph: overlay=%v len=%d", g.HasOverlay(), g.Len())
+// One Add on a sealed graph costs the same whatever the size of the
+// base: it probes the base's membership table and inserts into the
+// overlay, never touching the base. Each run adds to a fresh
+// generation, so every run is the first Add on a sealed base.
+func TestAddOnSealedAllocsFlat(t *testing.T) {
+	addAllocs := func(n int) float64 {
+		g := gen.Random(64, n, 8, 1).Freeze()
+		return testing.AllocsPerRun(20, func() {
+			g.Fork().AddTriple("new-s", "new-p", "new-o")
+		})
+	}
+	if small, large := addAllocs(1<<10), addAllocs(1<<14); small != large {
+		t.Errorf("one Add on a sealed graph allocates %.0f objects at 1k triples, %.0f at 16k", small, large)
 	}
 }
 
@@ -171,7 +176,7 @@ func TestOverlaySnapshotCompactsFirst(t *testing.T) {
 	}
 	base := rdf.GraphFromTriples(ts[:2])
 	g := base.Fork()
-	g.AddDelta(ts[2])
+	g.Add(ts[2])
 	path := t.TempDir() + "/ovl.wdsnap"
 	if err := g.WriteSnapshot(path); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)

@@ -54,10 +54,10 @@ const (
 	// SnapshotHeap reads the whole file into the heap. Private, no
 	// file dependency after load, works everywhere.
 	SnapshotHeap SnapshotMode = iota + 1
-	// SnapshotMmap maps the file read-only. Load cost is independent
-	// of graph size (pages fault in on demand, shared across
-	// processes); the file must outlive the Snapshot, and Close
-	// unmaps it.
+	// SnapshotMmap maps the file read-only (no copy; pages are
+	// shared across processes). Load cost is still linear in image
+	// size: the section checksums and structural checks read every
+	// arena. The file must outlive the Snapshot, and Close unmaps it.
 	SnapshotMmap
 )
 
@@ -156,14 +156,6 @@ func LoadSnapshot(path string, mode SnapshotMode) (*Snapshot, error) {
 			_ = munmapFile(mapping)
 		}
 		return nil, fmt.Errorf("rdf: snapshot %s: %w", path, err)
-	}
-	if mapping != nil {
-		// The occurrence table is the one slice the mutation path
-		// (countID, via thaw-on-Add) updates in place rather than
-		// reallocating; on a read-only mapping that write would fault.
-		// Clone it to the heap — 4 bytes per IRI — so a loaded graph
-		// honours the same thaw-on-mutation contract as any other.
-		g.occ = slices.Clone(g.occ)
 	}
 	return &Snapshot{
 		g: g,

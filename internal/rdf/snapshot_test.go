@@ -3,7 +3,7 @@ package rdf_test
 // Snapshot round-trip and fault-injection tests. The round-trip half
 // instantiates the full differential backend suite over write→load
 // cycles (both loaders), pinning a loaded snapshot to
-// byte-identical streams with the map-backed reference. The fault-
+// byte-identical streams with the unsealed reference. The fault-
 // injection half takes a valid image and breaks it every way the
 // format documents — truncation at every boundary, a bit flip in
 // every header/table byte and every section payload, version skew,
@@ -46,7 +46,7 @@ func roundTrip(t *testing.T, dir string, seq *int, g *rdf.Graph, mode rdf.Snapsh
 
 // TestSnapshotBackendSuite runs the differential backend suite over
 // snapshot round-trips: every read of a loaded graph must be
-// byte-identical (content and order) to the map-backed reference,
+// byte-identical (content and order) to the unsealed reference,
 // for both loaders.
 func TestSnapshotBackendSuite(t *testing.T) {
 	for _, cfg := range []struct {
@@ -164,8 +164,8 @@ func TestSnapshotBuilderWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Frozen() || g.Len() != 2 {
-		t.Fatalf("builder returned graph frozen=%v len=%d", g.Frozen(), g.Len())
+	if g.HasOverlay() || g.Len() != 2 {
+		t.Fatalf("builder returned graph overlay=%v len=%d", g.HasOverlay(), g.Len())
 	}
 	snap, err := rdf.LoadSnapshot(path, rdf.SnapshotHeap)
 	if err != nil {
@@ -181,8 +181,8 @@ func TestSnapshotBuilderWrite(t *testing.T) {
 	if err := unsealed.WriteSnapshot(path2); err != nil {
 		t.Fatalf("WriteSnapshot of unsealed graph: %v", err)
 	}
-	if !unsealed.Frozen() {
-		t.Error("WriteSnapshot must seal an unsealed graph")
+	if unsealed.HasOverlay() {
+		t.Error("WriteSnapshot must fold the overlay")
 	}
 
 	if err := rdf.GraphOf().WriteSnapshot(filepath.Join(dir, "no/such/dir/x.wdsnap")); err == nil {

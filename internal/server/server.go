@@ -300,7 +300,7 @@ type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Draining      bool    `json:"draining"`
 
-	Backend string `json:"backend"`
+	Backend string `json:"backend"` // always "frozen": every graph is a sealed base (plus an overlay)
 	Triples int    `json:"triples"`
 
 	Gate         int   `json:"gate"`
@@ -376,10 +376,7 @@ func (s *Server) snapshot() Stats {
 	}
 	defer eng.release()
 	g := eng.eng.Graph()
-	st.Backend = "map"
-	if g.Frozen() {
-		st.Backend = "frozen"
-	}
+	st.Backend = "frozen"
 	st.Triples = g.Len()
 	st.Ingest.OverlaySize = g.OverlayLen()
 	st.QueryCache = eng.eng.QueryCacheStats()

@@ -25,8 +25,10 @@ type (
 const (
 	// SnapshotHeap reads the image into the heap.
 	SnapshotHeap = rdf.SnapshotHeap
-	// SnapshotMmap maps the image read-only; load time is independent
-	// of graph size.
+	// SnapshotMmap maps the image read-only: no copy, but load time is
+	// still linear in image size, because the section checksums and
+	// the structural checks read every arena (about 13.5 ms at 24.8 MB
+	// and 63 ms at 99.7 MB on a 2-CPU VM).
 	SnapshotMmap = rdf.SnapshotMmap
 )
 
