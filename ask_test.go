@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,5 +284,100 @@ func TestAskWarmAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { _, _ = q.Ask(ctx, mu) }); allocs > 2 {
 		t.Fatalf("warmed Ask allocates %.0f objects per call, want O(1) ≤ 2", allocs)
+	}
+}
+
+// The first Ask of a new dom(µ) builds a decision plan and compiles
+// nothing: the witness nodes, the tests and the games are the prepared
+// program's. Compiling a pattern and a pebble game per plan, as a
+// private evaluator did, cost 108 objects here (Go 1.24).
+func TestAskFirstDomainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const query = `(((?x p ?y) OPT (?x q ?a)) OPT (?x r ?b)) OPT (?x s ?c)`
+	eng := starEngine(1<<10, false, "q", "r", "s")
+	ctx := context.Background()
+	warm, fresh := Mapping{"x": "s1", "y": "o1"}, Mapping{"x": "s1", "y": "o1", "a": "q1"}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var total uint64
+	var ms runtime.MemStats
+	for i := 0; i < runs; i++ {
+		q := prepareOn(t, eng, query)
+		if ok, err := q.Ask(ctx, warm); err != nil || ok {
+			t.Fatalf("warm-up Ask = %v, %v; want false: every arm extends", ok, err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		ok, err := q.Ask(ctx, fresh)
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+		if err != nil || ok {
+			t.Fatalf("Ask = %v, %v; want false: arms r and s extend", ok, err)
+		}
+	}
+	if allocs := total / runs; allocs > 21 {
+		t.Fatalf("the first Ask of a new domain allocates %d objects, want ≤ 21", allocs)
+	}
+}
+
+// An AlgPebble engine without a valid k fails every Ask; Explain shows
+// that error in its ask section instead of panicking.
+func TestExplainAskCarriesAskError(t *testing.T) {
+	q := NewEngine(gen.FkData(3, 12, false, false), WithAlgorithm(AlgPebble), WithPebbleK(0)).PrepareForest(gen.Fk(3))
+	_, err := q.Ask(context.Background(), gen.FkMu())
+	if err == nil {
+		t.Fatal("Ask with WithPebbleK(0) should fail")
+	}
+	if ap := q.Explain().Ask; ap.Error != err.Error() || ap.Algorithm != "pebble" {
+		t.Fatalf("ask section = %+v, want Ask's error %q", ap, err)
+	}
+}
+
+// The first Ask and the first UNION drain of one prepared query race
+// for the same compiled nodes: the Ask view and the membership view
+// each build plans over them and compile a child's pebble game once.
+// Run under -race.
+func TestAskRacesUnionDrain(t *testing.T) {
+	ts := starTriples(64, "q")
+	for i := 0; i < 64; i += 2 { // subjects without a q arm: rows both arms answer
+		ts = append(ts, rdf.T(rdf.IRI(fmt.Sprintf("t%d", i)), rdf.IRI("p"), rdf.IRI(fmt.Sprintf("o%d", i))))
+	}
+	eng := NewEngine(rdf.GraphOf(ts...))
+	const query = `(((?x p ?y) OPT (?x q ?z)) UNION (?x p ?y))`
+	ctx := context.Background()
+	mus := []Mapping{{"x": "t0", "y": "o0"}, {"x": "s1", "y": "o1"}, {"x": "s1", "y": "o1", "z": "q1"}, {"x": "t0", "y": "o0", "z": "q0"}}
+	want := []bool{true, true, true, false}
+	wantRows := 64 + 32 + 64 // the first arm's rows, then the second's s rows; its t rows repeat
+	for round := 0; round < 4; round++ {
+		q := prepareOn(t, eng, query)
+		if q.Explain().Dedup != "membership" {
+			t.Fatal("the union should dedup by membership")
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if w%2 == 0 {
+					if got, err := q.Ask(ctx, mus[w/2]); err != nil || got != want[w/2] {
+						t.Errorf("Ask(%v) = %v, %v; want %v", mus[w/2], got, err, want[w/2])
+					}
+					return
+				}
+				n := 0
+				for range q.Rows(ctx) {
+					n++
+				}
+				if n != wantRows {
+					t.Errorf("drain streamed %d rows, want %d", n, wantRows)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 }

@@ -244,12 +244,12 @@ func BenchmarkEvalAll(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%s/batch", alg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.NewEvaluator(alg, 1, f, g).EvalAll(mus)
+				core.NewEvaluator(alg, 1, core.CompileForestOpts(f, g, core.CompileOpts{NoFilterPushdown: true})).EvalAll(mus)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/parallel", alg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.NewEvaluator(alg, 1, f, g).EvalAllParallel(mus, 4)
+				core.NewEvaluator(alg, 1, core.CompileForestOpts(f, g, core.CompileOpts{NoFilterPushdown: true})).EvalAllParallel(mus, 4)
 			}
 		})
 	}

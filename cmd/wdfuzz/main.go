@@ -338,10 +338,11 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, plann
 		}
 	}
 	for _, b := range all {
-		auto := core.NewEvaluator(core.AlgAuto, 0, f, b.g)
-		naive := core.NewEvaluator(core.AlgNaive, 0, f, b.g)
-		exact := core.NewEvaluator(core.AlgPebble, dw, f, b.g)
-		sound := core.NewEvaluator(core.AlgPebble, 1, f, b.g)
+		fp := core.CompileForestOpts(f, b.g, core.CompileOpts{NoFilterPushdown: true})
+		auto := core.NewEvaluator(core.AlgAuto, 0, fp)
+		naive := core.NewEvaluator(core.AlgNaive, 0, fp)
+		exact := core.NewEvaluator(core.AlgPebble, dw, fp)
+		sound := core.NewEvaluator(core.AlgPebble, 1, fp)
 		for _, mu := range probes {
 			want := ref.Contains(mu)
 			if a, n, p := auto.Eval(mu), naive.Eval(mu), exact.Eval(mu); a != want || n != want || p != want {

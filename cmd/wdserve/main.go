@@ -57,8 +57,6 @@ func main() {
 		snapMode = flag.String("snapshot-mode", "mmap", "snapshot loader: mmap | heap")
 		addr     = flag.String("addr", ":8080", "listen address")
 
-		algo    = flag.String("algo", "naive", "evaluation algorithm: naive | pebble")
-		k       = flag.Int("k", 1, "domination-width bound for -algo pebble")
 		workers = flag.Int("workers", 1, "default enumeration worker-pool size")
 		qcache  = flag.Int("query-cache", 128, "prepared-query LRU capacity (0 disables)")
 
@@ -85,14 +83,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	alg := wdsparql.AlgNaive
-	if *algo == "pebble" {
-		alg = wdsparql.AlgPebble
-	}
-	opts := []wdsparql.Option{
-		wdsparql.WithAlgorithm(alg), wdsparql.WithPebbleK(*k),
-		wdsparql.WithWorkers(*workers), wdsparql.WithQueryCache(*qcache),
-	}
+	opts := []wdsparql.Option{wdsparql.WithWorkers(*workers), wdsparql.WithQueryCache(*qcache)}
 
 	cfg := server.Config{
 		MaxConcurrent:  *gate,

@@ -236,8 +236,8 @@ type PreparedQuery struct {
 	an   *analysis
 	prog *core.ForestProgram
 
-	// The wdEVAL evaluator behind Ask, built on first use: one cached
-	// decision plan per dom(µ).
+	// The wdEVAL view of prog behind Ask, built on first use: one cached
+	// decision plan per dom(µ), over prog's compiled node programs.
 	askOnce sync.Once
 	ask     *core.Evaluator
 }
@@ -247,7 +247,7 @@ type PreparedQuery struct {
 // all populate one sync.Once.
 func (q *PreparedQuery) evaluator() *core.Evaluator {
 	q.askOnce.Do(func() {
-		q.ask = core.NewEvaluator(q.eng.alg, q.eng.pebbleK, q.an.forest, q.eng.g)
+		q.ask = core.NewEvaluator(q.eng.alg, q.eng.pebbleK, q.prog)
 		q.ask.UseWidth(q.an.dominationWidth)
 	})
 	return q.ask
@@ -563,8 +563,9 @@ func (q *PreparedQuery) All(ctx context.Context, opts ...ExecOption) (*MappingSe
 
 // Ask decides wdEVAL — whether µ ∈ ⟦P⟧G. The decision plan for dom(µ)
 // (witness subtree per tree, membership probes, child extension tests
-// cheapest first, each compiled once) is built on the first call and
-// cached. By default every extension test is an exact homomorphism
+// cheapest first) is built on the first call and cached; it runs the
+// node programs the query's enumeration runs, compiled once at
+// Prepare. By default every extension test is an exact homomorphism
 // search under a node budget — the size of the pebble game it would
 // fall back to — and only a test that exhausts it is decided by the
 // (dw(P)+1)-pebble game, which Theorem 1 makes complete; dw(P) is
@@ -581,8 +582,8 @@ func (q *PreparedQuery) All(ctx context.Context, opts ...ExecOption) (*MappingSe
 // bare pattern semantics only, and a filtered solution set is not
 // closed under the subsumption arguments those algorithms rely on.
 func (q *PreparedQuery) Ask(ctx context.Context, mu Mapping) (bool, error) {
-	if q.eng.alg == AlgPebble && q.eng.pebbleK < 1 {
-		return false, fmt.Errorf("wdsparql: the pebble algorithm requires k ≥ 1, got WithPebbleK(%d)", q.eng.pebbleK)
+	if err := q.eng.askErr(); err != nil {
+		return false, err
 	}
 	if q.prog.Projected() || q.an.forest.HasFilters() {
 		return q.askByScan(ctx, mu)
@@ -592,6 +593,15 @@ func (q *PreparedQuery) Ask(ctx context.Context, mu Mapping) (bool, error) {
 		err = fmt.Errorf("wdsparql: Ask: %w", err)
 	}
 	return ok, err
+}
+
+// askErr is the error every Ask on the engine returns: nil unless the
+// pebble algorithm was chosen with no valid bound.
+func (e *Engine) askErr() error {
+	if e.alg == AlgPebble && e.pebbleK < 1 {
+		return fmt.Errorf("wdsparql: the pebble algorithm requires k ≥ 1, got WithPebbleK(%d)", e.pebbleK)
+	}
+	return nil
 }
 
 // askByScan decides µ ∈ ⟦Q⟧G by streaming the query's rows and

@@ -85,6 +85,9 @@ type AskPlan struct {
 	WidthNote string      `json:"dw_note,omitempty"`
 	Counters  AskCounters `json:"counters"`
 	Domains   []AskDomain `json:"domains,omitempty"`
+	// Error is the error every Ask returns on a misconfigured engine
+	// (the pebble algorithm with WithPebbleK below 1).
+	Error string `json:"error,omitempty"`
 }
 
 // AskDomain is the cached decision plan of one dom(µ): per tree with a
@@ -125,6 +128,9 @@ func (q *PreparedQuery) Explain() *QueryPlan {
 }
 
 func (q *PreparedQuery) askPlan() *AskPlan {
+	if err := q.eng.askErr(); err != nil {
+		return &AskPlan{Algorithm: q.eng.alg.String(), PebbleK: q.eng.pebbleK, Error: err.Error()}
+	}
 	if q.prog.Projected() || q.an.forest.HasFilters() {
 		return &AskPlan{Algorithm: "scan"}
 	}

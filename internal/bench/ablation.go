@@ -123,13 +123,3 @@ func AblationExperiments() []Experiment {
 		{"A3", func() *Table { return A3ExactTreewidth(7) }},
 	}
 }
-
-// Ablations runs the ablation suite.
-func Ablations() []*Table {
-	specs := AblationExperiments()
-	out := make([]*Table, len(specs))
-	for i, s := range specs {
-		out[i] = s.Run()
-	}
-	return out
-}

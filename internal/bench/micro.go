@@ -66,13 +66,3 @@ func MicroExperiments() []Experiment {
 		{"M1", func() *Table { return M1Enumeration() }},
 	}
 }
-
-// Micro runs the micro-benchmark suite.
-func Micro() []*Table {
-	specs := MicroExperiments()
-	out := make([]*Table, len(specs))
-	for i, s := range specs {
-		out[i] = s.Run()
-	}
-	return out
-}

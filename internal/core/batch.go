@@ -20,29 +20,44 @@ import (
 // membership checks, the extension tests of its children and their
 // order — and candidate mappings in a workload overwhelmingly share a
 // domain (they come from matching the same subquery), so an Evaluator
-// compiles one decision plan per distinct domain and reuses it for
-// every mapping, optionally across a worker pool.
+// builds one decision plan per distinct domain and reuses it for every
+// mapping, optionally across a worker pool.
 
-// Evaluator is a forest compiled for repeated evaluation against one
-// graph. It is safe for concurrent use: the graph is only read, the
-// per-domain plan cache is lock-protected, and every call draws its
-// scratch from pools.
+// slotSet is a bitset over the slots of a layout.
+type slotSet []uint64
+
+func newSlotSet(width int) slotSet { return make(slotSet, (width+63)/64) }
+
+func (s slotSet) add(slot int) { s[slot/64] |= 1 << (slot % 64) }
+
+func (s slotSet) subsetOf(t slotSet) bool {
+	for i, w := range s {
+		if w&^t[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Evaluator is the wdEVAL view of a compiled forest: its decision plans
+// select the ForestProgram's node programs and compile nothing. It is
+// safe for concurrent use: the program is only read, the per-domain
+// plan cache is lock-protected, and every call draws its scratch from
+// pools.
 type Evaluator struct {
-	alg    Algorithm
-	k      int
-	f      ptree.Forest
-	g      *rdf.Graph
-	layout *rdf.SlotLayout // every forest variable; read-only after NewEvaluator
-	dw     func() int      // dw(F), computed at most once, on demand
+	alg Algorithm
+	k   int
+	fp  *ForestProgram // the trees decided: the forest, or one of its trees
+	dw  func() int     // their width, computed at most once, on demand
 
 	widthOnce sync.Once
-	pebbles   atomic.Int32 // AlgAuto: dw(F)+1 once consulted, -1 when guarded off, 0 before
+	pebbles   atomic.Int32 // AlgAuto: dw+1 once consulted, -1 when guarded off, 0 before
 
 	mu    sync.Mutex
 	plans map[string]*domainPlan
 	order []*domainPlan // creation order, for Explain
 
-	rows sync.Pool // *rdf.Row of the layout's width: µ encoded, per call
+	rows sync.Pool // *rdf.Row of the forest layout's width: µ encoded, per call
 }
 
 // domainPlan is the decision plan of one dom(µ).
@@ -54,21 +69,17 @@ type domainPlan struct {
 // treePlan is the domain-dependent (µ-independent) part of deciding
 // one tree of the forest.
 type treePlan struct {
-	// match is pat(Tµ) with every slot bound by µ — the membership
-	// probes; nil when the tree has no subtree with vars = dom(µ).
-	match *hom.RowProgram
-	tests []*childTest // one per child of Tµ, cheapest first
+	// witness holds the nodes of Tµ, the subtree with vars(Tµ) = dom(µ),
+	// root first; nil when the tree has none.
+	witness []*compiledNode
+	tests   []*childTest // one per child of Tµ, cheapest first
 }
 
-// childTest is one extension test (pat(Tµ) ∪ pat(n), vars(Tµ)) →µ G,
-// compiled both ways: the row search decides it exactly, the game
-// decides its pebble relaxation.
+// childTest is the extension test of one child n of Tµ. By
+// well-designedness vars(n) ∩ vars(Tµ) = vars(n) ∩ vars(ancestors of n),
+// so it is n's node program run on µ, and its relaxation n's game.
 type childTest struct {
-	pattern   hom.TGraph
-	free      int // variables of n outside dom(µ)
-	prog      *hom.RowProgram
-	game      *pebble.Game // nil under AlgNaive, or when gameErr says why
-	gameErr   error
+	node      *compiledNode
 	searchers sync.Pool // *hom.RowSearcher
 
 	// The decision loop's counters, kept where the work happens; see
@@ -105,19 +116,21 @@ func (s *EvalStats) Add(o EvalStats) {
 // evaluator keeps the natural algorithm instead of paying for dw(F).
 const MaxWidthSubtrees = 256
 
-// NewEvaluator compiles the forest for repeated evaluation with the
-// given algorithm; k is the domination-width bound used by AlgPebble
-// (k ≥ 1) and ignored otherwise.
-func NewEvaluator(alg Algorithm, k int, f ptree.Forest, g *rdf.Graph) *Evaluator {
+// NewEvaluator returns the decision view of fp with the given
+// algorithm; k is the domination-width bound used by AlgPebble (k ≥ 1)
+// and ignored otherwise. Decisions are filter-blind: fp must carry no
+// pushed FILTER (see NoFilterPushdown).
+func NewEvaluator(alg Algorithm, k int, fp *ForestProgram) *Evaluator {
 	if alg == AlgPebble && k < 1 {
 		panic(fmt.Sprintf("core: NewEvaluator with AlgPebble requires k ≥ 1, got %d", k))
 	}
-	e := &Evaluator{alg: alg, k: k, f: f, g: g, layout: rdf.NewSlotLayout(), plans: map[string]*domainPlan{}}
-	for _, v := range f.Vars() {
-		e.layout.Intern(v.Value)
-	}
-	e.dw = func() int { return DominationWidth(f) }
-	e.rows.New = func() any { r := e.layout.NewRow(); return &r }
+	return newView(alg, k, fp)
+}
+
+func newView(alg Algorithm, k int, fp *ForestProgram) *Evaluator {
+	e := &Evaluator{alg: alg, k: k, fp: fp, plans: map[string]*domainPlan{}}
+	e.dw = func() int { return DominationWidth(fp.forest) }
+	e.rows.New = func() any { r := fp.layout.NewRow(); return &r }
 	return e
 }
 
@@ -129,14 +142,13 @@ func (e *Evaluator) UseWidth(dw func() int) { e.dw = dw }
 // encode writes µ into row; false when µ binds a variable the forest
 // lacks or a value G lacks, so µ ∉ ⟦F⟧G.
 func (e *Evaluator) encode(mu rdf.Mapping, row rdf.Row) bool {
-	e.layout.Reset(row)
-	dict := e.g.Dict()
+	e.fp.layout.Reset(row)
 	for name, val := range mu {
-		slot, ok := e.layout.Slot(name)
+		slot, ok := e.fp.layout.Slot(name)
 		if !ok {
 			return false
 		}
-		if row[slot], ok = dict.LookupIRI(val); !ok {
+		if row[slot], ok = e.fp.g.Dict().LookupIRI(val); !ok {
 			return false
 		}
 	}
@@ -166,46 +178,59 @@ func (e *Evaluator) planOf(row rdf.Row) *domainPlan {
 }
 
 func (e *Evaluator) buildPlan(row rdf.Row) *domainPlan {
-	p := &domainPlan{trees: make([]treePlan, len(e.f))}
-	var dom []rdf.Term
+	p := &domainPlan{trees: make([]treePlan, len(e.fp.roots))}
+	dom := newSlotSet(len(row))
 	for slot, v := range row {
 		if v != rdf.Unbound {
-			p.vars = append(p.vars, e.layout.Name(slot))
-			dom = append(dom, rdf.Var(e.layout.Name(slot)))
+			p.vars = append(p.vars, e.fp.layout.Name(slot))
+			dom.add(slot)
 		}
 	}
-	for i, t := range e.f {
-		s, ok := ptree.WitnessSubtree(t, dom)
-		if !ok {
-			continue
+	for i, root := range e.fp.roots {
+		if root.slots.subsetOf(dom) {
+			p.trees[i] = e.treePlan(root, dom)
 		}
-		tp := treePlan{match: hom.CompileRowProgram(s.Pattern(), e.g, e.layout)}
-		for _, n := range s.Children() {
-			ct := &childTest{
-				pattern: n.Pattern,
-				free:    len(n.Vars()) - len(intersectVars(n.Vars(), dom)),
-				prog:    hom.CompileRowProgram(n.Pattern, e.g, e.layout),
-			}
-			if e.alg != AlgNaive {
-				// pat(Tµ) is ground under µ and verified by match, so the
-				// game on pat(n) alone is the game on pat(Tµ) ∪ pat(n).
-				ct.game, ct.gameErr = pebble.Compile(n.Pattern, dom, e.g, e.layout)
-			}
-			tp.tests = append(tp.tests, ct)
-		}
-		// Any one extending child rejects the tree, so run the tests most
-		// likely to be cheap first: fewest free variables, then fewest
-		// triples (ties keep child order).
-		sort.SliceStable(tp.tests, func(a, b int) bool {
-			ta, tb := tp.tests[a], tp.tests[b]
-			if ta.free != tb.free {
-				return ta.free < tb.free
-			}
-			return len(ta.pattern) < len(tb.pattern)
-		})
-		p.trees[i] = tp
 	}
 	return p
+}
+
+// treePlan finds the witness subtree of dom(µ) below root — the nodes
+// reached through nodes whose variables dom(µ) covers, the unique
+// subtree with vars(Tµ) = dom(µ) in NR normal form if their variables
+// are all of dom(µ) — and lists its children's tests.
+func (e *Evaluator) treePlan(root *compiledNode, dom slotSet) treePlan {
+	covered := make(slotSet, len(dom))
+	tp := treePlan{witness: []*compiledNode{root}}
+	for q := 0; q < len(tp.witness); q++ { // breadth first: tests in child order
+		n := tp.witness[q]
+		n.prog.MarkSlots(covered)
+		for _, c := range n.children {
+			if c.slots.subsetOf(dom) {
+				tp.witness = append(tp.witness, c)
+			} else {
+				tp.tests = append(tp.tests, &childTest{node: c})
+			}
+		}
+	}
+	if !dom.subsetOf(covered) {
+		return treePlan{}
+	}
+	// Any one extending child rejects the tree, so run the tests most
+	// likely to be cheap first: fewest free variables, then fewest
+	// triples (ties keep child order).
+	sort.SliceStable(tp.tests, func(a, b int) bool {
+		na, nb := tp.tests[a].node, tp.tests[b].node
+		if na.free != nb.free {
+			return na.free < nb.free
+		}
+		return na.prog.NumPatterns() < nb.prog.NumPatterns()
+	})
+	if e.alg != AlgNaive {
+		for _, t := range tp.tests {
+			t.node.compileGame(e.fp)
+		}
+	}
+	return tp
 }
 
 // Decide reports whether µ ∈ ⟦F⟧G. The context is polled between trees,
@@ -223,9 +248,9 @@ func (e *Evaluator) Decide(ctx context.Context, mu rdf.Mapping) (bool, error) {
 	return e.decideRow(ctx, *rp)
 }
 
-// decideRow is Decide for a µ already encoded as a row of e.layout,
-// every bound value a TermID of G: no Mapping is built and no string is
-// looked up. The row is only read.
+// decideRow is Decide for a µ already encoded as a row of the forest
+// layout, every bound value a TermID of G: no Mapping is built and no
+// string is looked up. The row is only read.
 func (e *Evaluator) decideRow(ctx context.Context, row rdf.Row) (bool, error) {
 	p := e.planOf(row)
 	for i := range p.trees {
@@ -234,7 +259,7 @@ func (e *Evaluator) decideRow(ctx context.Context, row rdf.Row) (bool, error) {
 			return false, err
 		}
 		// µ must be a homomorphism from pat(Tµ) to G.
-		if tp.match == nil || !tp.match.Holds(row) {
+		if !tp.holds(row) {
 			continue
 		}
 		extendable := false
@@ -256,6 +281,17 @@ func (e *Evaluator) decideRow(ctx context.Context, row rdf.Row) (bool, error) {
 	return false, ctx.Err()
 }
 
+// holds reports whether the tree has a witness subtree and µ maps
+// every one of its patterns into G.
+func (tp *treePlan) holds(row rdf.Row) bool {
+	for _, n := range tp.witness {
+		if !n.prog.Holds(row) {
+			return false
+		}
+	}
+	return tp.witness != nil
+}
+
 // extends decides one extension test with the evaluator's algorithm.
 //
 // AlgAuto runs the exact search under a node budget equal to the size
@@ -273,7 +309,7 @@ func (e *Evaluator) extends(ctx context.Context, t *childTest, row rdf.Row) (boo
 	switch {
 	case e.alg == AlgPebble:
 		return t.play(ctx, e.k+1, row)
-	case e.alg == AlgNaive || t.game == nil:
+	case e.alg == AlgNaive || t.node.game == nil:
 		return t.search(ctx, row, 0)
 	}
 	k := int(e.pebbles.Load())
@@ -283,7 +319,7 @@ func (e *Evaluator) extends(ctx context.Context, t *childTest, row rdf.Row) (boo
 	// dw(F) is consulted only once a search exhausts; until then assume
 	// the cheapest fallback, dw = 1.
 	assumed := max(k, 2)
-	found, err := t.search(ctx, row, t.game.Cells(assumed, row))
+	found, err := t.search(ctx, row, t.node.game.Cells(assumed, row))
 	if !errors.Is(err, hom.ErrBudget) {
 		return found, err
 	}
@@ -303,11 +339,12 @@ func (e *Evaluator) extends(ctx context.Context, t *childTest, row rdf.Row) (boo
 	return win, err
 }
 
-// resolveWidth consults dw(F) once and returns the pebble count dw+1,
-// or -1 when the forest has too many subtrees to compute it.
+// resolveWidth consults the width of the view's trees once and returns
+// the pebble count dw+1, or -1 when they have too many subtrees to
+// compute it.
 func (e *Evaluator) resolveWidth() int32 {
 	e.widthOnce.Do(func() {
-		if ptree.CountSubtrees(e.f, MaxWidthSubtrees) > MaxWidthSubtrees {
+		if ptree.CountSubtrees(e.fp.forest, MaxWidthSubtrees) > MaxWidthSubtrees {
 			e.pebbles.Store(-1)
 			return
 		}
@@ -316,12 +353,22 @@ func (e *Evaluator) resolveWidth() int32 {
 	return e.pebbles.Load()
 }
 
+// compileGame compiles, once, the node's extension test as a pebble
+// game: pat(n) with its parent's variables distinguished. By
+// well-designedness those are exactly the variables of n any witness
+// subtree above it binds, so one game serves every domain and view.
+func (cn *compiledNode) compileGame(fp *ForestProgram) {
+	cn.gameOnce.Do(func() {
+		cn.game, cn.gameErr = pebble.Compile(cn.node.Pattern, cn.node.Parent.Vars(), fp.g, fp.layout)
+	})
+}
+
 // play decides the test by the k-pebble game.
 func (t *childTest) play(ctx context.Context, k int, row rdf.Row) (bool, error) {
-	if t.game == nil {
-		return false, t.gameErr
+	if t.node.game == nil {
+		return false, t.node.gameErr
 	}
-	c, err := t.game.Decide(ctx, k, row)
+	c, err := t.node.game.Decide(ctx, k, row)
 	t.assignments.Add(int64(c.Assignments))
 	return c.Win, err
 }
@@ -331,7 +378,7 @@ func (t *childTest) play(ctx context.Context, k int, row rdf.Row) (bool, error) 
 func (t *childTest) search(ctx context.Context, row rdf.Row, budget int64) (bool, error) {
 	s, _ := t.searchers.Get().(*hom.RowSearcher)
 	if s == nil {
-		s = t.prog.NewSearcher()
+		s = t.node.prog.NewSearcher()
 	}
 	found, _, err := s.Exists(ctx, row, budget)
 	t.searchers.Put(s)

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,7 +12,13 @@ import (
 	"wdsparql/internal/hom"
 	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
+	"wdsparql/internal/sparql"
 )
+
+// newEvaluator compiles f for decisions and returns its view.
+func newEvaluator(alg core.Algorithm, k int, f ptree.Forest, g *rdf.Graph) *core.Evaluator {
+	return core.NewEvaluator(alg, k, core.CompileForestOpts(f, g, core.CompileOpts{NoFilterPushdown: true}))
+}
 
 // candidateMus returns a batch of mappings with mixed domains: all
 // matches of the root pattern of each tree, plus some junk mappings
@@ -55,14 +62,14 @@ func TestEvalAllAgreesWithEval(t *testing.T) {
 			for j, mu := range mus {
 				want[j] = core.Eval(alg, 1, in.f, in.g, mu)
 			}
-			got := core.NewEvaluator(alg, 1, in.f, in.g).EvalAll(mus)
+			got := newEvaluator(alg, 1, in.f, in.g).EvalAll(mus)
 			for j := range mus {
 				if got[j] != want[j] {
 					t.Fatalf("instance %d, %s: EvalAll[%d] = %v, Eval = %v (µ=%v)",
 						i, alg, j, got[j], want[j], mus[j])
 				}
 			}
-			gotPar := core.NewEvaluator(alg, 1, in.f, in.g).EvalAllParallel(mus, 4)
+			gotPar := newEvaluator(alg, 1, in.f, in.g).EvalAllParallel(mus, 4)
 			for j := range mus {
 				if gotPar[j] != want[j] {
 					t.Fatalf("instance %d, %s: EvalAllParallel[%d] = %v, Eval = %v (µ=%v)",
@@ -79,7 +86,7 @@ func TestEvaluatorReuse(t *testing.T) {
 	g := gen.FkData(2, 12, false, false)
 	mu := gen.FkMu()
 	for _, alg := range []core.Algorithm{core.AlgNaive, core.AlgPebble} {
-		e := core.NewEvaluator(alg, 1, f, g)
+		e := newEvaluator(alg, 1, f, g)
 		want := core.Eval(alg, 1, f, g, mu)
 		for i := 0; i < 3; i++ {
 			if got := e.Eval(mu); got != want {
@@ -95,10 +102,10 @@ func TestEvalAllE3Acceptance(t *testing.T) {
 		f := gen.Fk(k)
 		g := gen.FkData(k, 12, false, false)
 		mus := []rdf.Mapping{gen.FkMu()}
-		if got := core.NewEvaluator(core.AlgNaive, 1, f, g).EvalAll(mus); !got[0] {
+		if got := newEvaluator(core.AlgNaive, 1, f, g).EvalAll(mus); !got[0] {
 			t.Fatalf("k=%d: naive EvalAll rejected µ", k)
 		}
-		if got := core.NewEvaluator(core.AlgPebble, 1, f, g).EvalAll(mus); !got[0] {
+		if got := newEvaluator(core.AlgPebble, 1, f, g).EvalAll(mus); !got[0] {
 			t.Fatalf("k=%d: pebble EvalAll rejected µ", k)
 		}
 	}
@@ -119,14 +126,14 @@ func TestEvaluatorCountersAndWidth(t *testing.T) {
 		return st
 	}
 	member := gen.FkData(4, 24, false, false)
-	naive := core.NewEvaluator(core.AlgNaive, 0, f, member)
+	naive := newEvaluator(core.AlgNaive, 0, f, member)
 	if !naive.Eval(mu) {
 		t.Fatal("naive rejects the member")
 	}
 	if st := total(naive); st != (core.EvalStats{ExtensionTests: 2}) || naive.Width() != 0 {
 		t.Fatalf("naive: %+v, width %d", st, naive.Width())
 	}
-	auto := core.NewEvaluator(core.AlgAuto, 0, f, member)
+	auto := newEvaluator(core.AlgAuto, 0, f, member)
 	if auto.Width() != 0 {
 		t.Fatal("dw must not be computed before a search exhausts")
 	}
@@ -142,7 +149,7 @@ func TestEvaluatorCountersAndWidth(t *testing.T) {
 	if tests := auto.Tests(); tests[0].FreeVars != 1 || tests[1].FreeVars != 4 || tests[1].Stats.PebbleFallbacks != 1 {
 		t.Fatalf("T1's tests should run one-triple child first, clique second: %+v", tests)
 	}
-	reject := core.NewEvaluator(core.AlgAuto, 0, f, gen.FkData(4, 24, true, false))
+	reject := newEvaluator(core.AlgAuto, 0, f, gen.FkData(4, 24, true, false))
 	if reject.Eval(mu) {
 		t.Fatal("auto accepts the nonmember")
 	}
@@ -157,9 +164,9 @@ func TestEvaluatorConcurrentDecide(t *testing.T) {
 	f := gen.Fk(4)
 	g := gen.FkData(4, 12, false, false)
 	mus := candidateMus(f, g)
-	want := core.NewEvaluator(core.AlgNaive, 0, f, g).EvalAll(mus)
+	want := newEvaluator(core.AlgNaive, 0, f, g).EvalAll(mus)
 	for _, alg := range []core.Algorithm{core.AlgAuto, core.AlgPebble} {
-		e := core.NewEvaluator(alg, 1, f, g)
+		e := newEvaluator(alg, 1, f, g)
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -176,5 +183,45 @@ func TestEvaluatorConcurrentDecide(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// Decisions compile nothing of their own: every program a cached plan
+// runs — an Ask view's and a UNION's membership views' alike — is one
+// of the ForestProgram's node programs, by pointer.
+func TestDecisionsRunNodePrograms(t *testing.T) {
+	f, err := ptree.WDPF(sparql.MustParse(`(((?x p ?y) OPT ((?y q ?z) OPT (?z r ?w))) UNION ((?x p ?y) OPT (?x s ?v)))`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iri := rdf.IRI
+	g := rdf.GraphOf(
+		rdf.T(iri("a"), iri("p"), iri("b")), // answered by both trees: a membership decision
+		rdf.T(iri("c"), iri("p"), iri("d")), rdf.T(iri("d"), iri("q"), iri("e")), rdf.T(iri("e"), iri("r"), iri("f")),
+		rdf.T(iri("h"), iri("p"), iri("i")), rdf.T(iri("h"), iri("s"), iri("j")),
+	)
+	fp := core.CompileForest(f, g)
+	rows := 0
+	fp.Rows(func(rdf.Row) bool { rows++; return true })
+	if rows != 5 {
+		t.Fatalf("the union streams %d rows, want 5", rows)
+	}
+	views := core.MembershipViews(fp)
+	if len(views) != 1 {
+		t.Fatalf("%d membership views, want one for the first tree", len(views))
+	}
+	ask := core.NewEvaluator(core.AlgAuto, 0, fp)
+	ask.EvalAll(candidateMus(f, g))
+	nodes := core.NodePrograms(fp)
+	for i, e := range append(views, ask) {
+		progs := core.DecisionPrograms(e)
+		if len(progs) == 0 {
+			t.Fatalf("view %d cached no plan", i)
+		}
+		for _, p := range progs {
+			if !slices.Contains(nodes, p) {
+				t.Fatalf("view %d runs a program that is not one of the forest's node programs", i)
+			}
+		}
 	}
 }

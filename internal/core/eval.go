@@ -104,15 +104,15 @@ func (a Algorithm) String() string {
 
 // Eval decides µ ∈ ⟦F⟧G with the selected algorithm; k is the
 // domination-width bound used by AlgPebble (k ≥ 1, correct when
-// dw(F) ≤ k) and ignored otherwise. It compiles a one-shot Evaluator
-// and, like Evaluator.Eval, panics on an instance AlgPebble cannot
-// represent.
+// dw(F) ≤ k) and ignored otherwise. It compiles the forest for one
+// decision and, like Evaluator.Eval, panics on an instance AlgPebble
+// cannot represent. FILTERs are ignored, as Evaluator documents.
 func Eval(a Algorithm, k int, f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) bool {
-	return NewEvaluator(a, k, f, g).Eval(mu)
+	return NewEvaluator(a, k, CompileForestOpts(f, g, CompileOpts{NoFilterPushdown: true})).Eval(mu)
 }
 
 // EvalContext is Eval with cooperative cancellation and errors instead
 // of panics; see Evaluator.Decide.
 func EvalContext(ctx context.Context, a Algorithm, k int, f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) (bool, error) {
-	return NewEvaluator(a, k, f, g).Decide(ctx, mu)
+	return NewEvaluator(a, k, CompileForestOpts(f, g, CompileOpts{NoFilterPushdown: true})).Decide(ctx, mu)
 }

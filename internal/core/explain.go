@@ -93,8 +93,12 @@ func (e *Evaluator) Tests() []TestInfo {
 	for pi, p := range e.order {
 		for i, tp := range p.trees {
 			for _, t := range tp.tests {
-				out = append(out, TestInfo{Plan: pi, Dom: p.vars, Tree: i, Child: t.pattern, FreeVars: t.free, NoGame: t.gameErr,
-					Stats: EvalStats{t.runs.Load(), t.exhaustions.Load(), t.fallbacks.Load(), t.assignments.Load()}})
+				ti := TestInfo{Plan: pi, Dom: p.vars, Tree: i, Child: t.node.node.Pattern, FreeVars: t.node.free,
+					Stats: EvalStats{t.runs.Load(), t.exhaustions.Load(), t.fallbacks.Load(), t.assignments.Load()}}
+				if e.alg != AlgNaive { // naive plans skip the game; another view may be compiling it
+					ti.NoGame = t.node.gameErr
+				}
+				out = append(out, ti)
 			}
 		}
 	}

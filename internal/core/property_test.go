@@ -154,3 +154,49 @@ func TestFindMatchedSubtree(t *testing.T) {
 		t.Fatal("partial-domain µ must have no witness")
 	}
 }
+
+// The identity that makes a child's node program its extension test:
+// for every subtree T of a well-designed tree and every child n of T,
+// vars(n) ∩ vars(T) = vars(n) ∩ vars(ancestors of n) — the variables
+// the enumerator binds on entry to n.
+func TestQuickChildTestIsEntryBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	vars := []rdf.Term{rdf.Var("x"), rdf.Var("y"), rdf.Var("z"), rdf.Var("w"), rdf.Var("u"), rdf.Var("v")}
+	checked := 0
+	for trial := 0; trial < 300; trial++ {
+		p, ok := gen.RandomWDPattern(rng, gen.PatternOpts{Vars: vars, Depth: 3 + trial%2, Union: trial%3 == 0})
+		if !ok {
+			t.Fatal("generator exhausted")
+		}
+		f, err := ptree.WDPF(p)
+		if err != nil {
+			t.Fatalf("translate %s: %v", p, err)
+		}
+		for _, tree := range f {
+			for _, s := range ptree.EnumerateSubtrees(tree) {
+				inT := map[rdf.Term]bool{}
+				for _, v := range s.Vars() {
+					inT[v] = true
+				}
+				for _, n := range s.Children() {
+					entry := map[rdf.Term]bool{}
+					for a := n.Parent; a != nil; a = a.Parent {
+						for _, v := range a.Vars() {
+							entry[v] = true
+						}
+					}
+					for _, v := range n.Vars() {
+						if inT[v] != entry[v] {
+							t.Fatalf("%s: child %v of subtree %v: ?%s in vars(T) = %v, among its ancestors' = %v",
+								p, n.Pattern, s.Vars(), v.Value, inT[v], entry[v])
+						}
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked < 150 {
+		t.Fatalf("only %d (subtree, child) pairs checked", checked)
+	}
+}

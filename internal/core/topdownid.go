@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"wdsparql/internal/hom"
+	"wdsparql/internal/pebble"
 	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
@@ -41,6 +42,16 @@ type compiledNode struct {
 	// filterNotes renders every filter conjunct of the node for
 	// explain output, marked [pushed] or [deferred].
 	filterNotes []string
+
+	// What decisions (batch.go) read of the node: the wdPT node, how
+	// many of its variables its ancestors leave free, the slots its
+	// patterns mention, and its pebble game, compiled on first need.
+	node     *ptree.Node
+	free     int
+	slots    slotSet
+	gameOnce sync.Once
+	game     *pebble.Game
+	gameErr  error
 }
 
 // ForestProgram is a wdPF compiled for repeated row enumeration
@@ -49,6 +60,7 @@ type compiledNode struct {
 // worker) runs on its own enumState.
 type ForestProgram struct {
 	g      *rdf.Graph
+	forest ptree.Forest
 	layout *rdf.SlotLayout
 	roots  []*compiledNode
 	nodes  int
@@ -107,17 +119,27 @@ func CompileForest(f ptree.Forest, g *rdf.Graph) *ForestProgram {
 
 // CompileForestOpts is CompileForest with compile-time switches.
 func CompileForestOpts(f ptree.Forest, g *rdf.Graph, opts CompileOpts) *ForestProgram {
-	fp := &ForestProgram{g: g, layout: rdf.NewSlotLayout(), noPush: opts.NoFilterPushdown}
+	fp := &ForestProgram{g: g, forest: f, layout: rdf.NewSlotLayout(), noPush: opts.NoFilterPushdown}
 	for _, t := range f {
 		fp.roots = append(fp.roots, fp.compileNode(t.Root, nil))
 	}
-	fp.member = newMembership(f, fp.layout, g)
+	// The layout is complete: carve the nodes' slot sets from one buffer.
+	words := (fp.layout.Width() + 63) / 64
+	buf := make([]uint64, fp.nodes*words)
+	for _, r := range fp.roots {
+		markSlots(r, buf, words)
+	}
+	fp.member = newMembership(fp)
 	return fp
 }
 
-// CompileTree compiles a single tree (a one-tree forest program).
-func CompileTree(t *ptree.Tree, g *rdf.Graph) *ForestProgram {
-	return CompileForest(ptree.Forest{t}, g)
+// markSlots gives n and its descendants their slot sets in buf.
+func markSlots(n *compiledNode, buf []uint64, words int) {
+	n.slots = buf[n.idx*words : (n.idx+1)*words : (n.idx+1)*words]
+	n.prog.MarkSlots(n.slots)
+	for _, c := range n.children {
+		markSlots(c, buf, words)
+	}
 }
 
 // compileNode compiles one wdPT node. entry lists the layout slots
@@ -138,6 +160,7 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 	cn := &compiledNode{
 		idx:  fp.nodes,
 		prog: hom.CompileRowProgram(n.Pattern, fp.g, fp.layout),
+		node: n,
 	}
 	fp.nodes++
 	var own []int32 // slots of this node's variables not bound on entry
@@ -146,6 +169,7 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 			own = append(own, s)
 		}
 	}
+	cn.free = len(own)
 	var deferredExprs []sparql.Expr
 	if len(n.Filters) > 0 {
 		scope := map[string]bool{}
@@ -296,8 +320,7 @@ func (fp *ForestProgram) memberTest(ctx context.Context) *memberTest {
 	if fp.Dedup() != "membership" {
 		return nil
 	}
-	m := fp.member
-	return &memberTest{m: m, ctx: ctx, bound: newSlotSet(m.layout.Width()), row: m.layout.NewRow()}
+	return &memberTest{m: fp.member, ctx: ctx, bound: newSlotSet(fp.layout.Width())}
 }
 
 // build wires node n's searcher and continuations; up is what n's emit
@@ -361,9 +384,8 @@ func (st *enumState) enumerateTree(root *compiledNode) bool {
 // (copy to retain). Single-tree forests stream with no dedup state. A
 // multi-tree forest drops a row of tree j that some earlier tree Tᵢ
 // also answers: without FILTER arms by testing r ∈ ⟦Tᵢ⟧G (slot masks,
-// then the evaluator's decision on the row), which keeps no per-row
-// state; with them
-// through an IDMappingSet of the rows already emitted. Under DISTINCT
+// then a decision on Tᵢ's node programs), which keeps no per-row state;
+// with them through an IDMappingSet of the rows already emitted. Under DISTINCT
 // the projected dedup does both jobs.
 func (fp *ForestProgram) Rows(yield func(rdf.Row) bool) {
 	fp.RowsContext(context.Background(), yield)
@@ -559,33 +581,21 @@ merge:
 	return ctx.Err()
 }
 
-// EnumerateParallel materialises ⟦F⟧G on a worker pool, one work item
-// per top-level candidate triple of each root search (RowsParallel).
-// workers ≤ 1 degrades to EnumerateSet. The result is identical to
-// EnumerateSet, including insertion order (work items are merged in
-// their sequential order).
-func (fp *ForestProgram) EnumerateParallel(workers int) *rdf.IDMappingSet {
-	out := rdf.NewIDMappingSet(fp.Layout(), fp.g.Dict().NumIRIs())
-	fp.RowsParallel(context.Background(), workers, func(r rdf.Row) bool {
-		out.Add(r)
-		return true
-	})
-	return out
-}
-
-// EnumerateTopDownID computes ⟦T⟧G as rows by the compiled top-down
-// procedure; the returned set carries the tree's slot layout.
-func EnumerateTopDownID(t *ptree.Tree, g *rdf.Graph) *rdf.IDMappingSet {
-	return CompileTree(t, g).EnumerateSet()
-}
-
 // EnumerateTopDownForestID computes ⟦F⟧G as rows.
 func EnumerateTopDownForestID(f ptree.Forest, g *rdf.Graph) *rdf.IDMappingSet {
 	return CompileForest(f, g).EnumerateSet()
 }
 
 // EnumerateTopDownParallel computes ⟦F⟧G as rows on a worker pool, one
-// work item per top-level root candidate (RowsParallel).
+// work item per top-level root candidate (RowsParallel). workers ≤ 1
+// degrades to the sequential stream; the set is identical to
+// EnumerateTopDownForestID's, including insertion order.
 func EnumerateTopDownParallel(f ptree.Forest, g *rdf.Graph, workers int) *rdf.IDMappingSet {
-	return CompileForest(f, g).EnumerateParallel(workers)
+	fp := CompileForest(f, g)
+	out := rdf.NewIDMappingSet(fp.Layout(), g.Dict().NumIRIs())
+	fp.RowsParallel(context.Background(), workers, func(r rdf.Row) bool {
+		out.Add(r)
+		return true
+	})
+	return out
 }

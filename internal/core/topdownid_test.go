@@ -11,7 +11,7 @@ import (
 	"wdsparql/internal/sparql"
 )
 
-// Cross-validation of the compiled row pipeline: EnumerateTopDownID
+// Cross-validation of the compiled row pipeline: EnumerateTopDownForestID
 // rows, decoded at the boundary, must agree exactly with the string
 // top-down enumerator and with the compositional semantics on random
 // well-designed patterns — including OPT-heavy trees whose solutions

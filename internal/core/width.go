@@ -4,7 +4,6 @@ import (
 	"wdsparql/internal/hom"
 	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
-	"wdsparql/internal/sparql"
 )
 
 // This file implements the width measures over pattern trees and
@@ -53,27 +52,13 @@ func LocalWidth(f ptree.Forest) int {
 			if n.Parent == nil {
 				continue
 			}
-			shared := intersectVars(n.Vars(), n.Parent.Vars())
-			if w := CTW(hom.NewGTGraph(n.Pattern, shared)); w > best {
+			// NewGTGraph keeps the parent's variables that occur in n.
+			if w := CTW(hom.NewGTGraph(n.Pattern, n.Parent.Vars())); w > best {
 				best = w
 			}
 		}
 	}
 	return best
-}
-
-func intersectVars(a, b []rdf.Term) []rdf.Term {
-	inB := map[rdf.Term]bool{}
-	for _, v := range b {
-		inB[v] = true
-	}
-	var out []rdf.Term
-	for _, v := range a {
-		if inB[v] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // DominationWidth returns dw(F) (Definition 2): the minimum k ≥ 1 such
@@ -124,24 +109,4 @@ func subtreeDominationWidth(fs ptree.ForestSubtree) int {
 		}
 	}
 	return need
-}
-
-// DominationWidthOfPattern returns dw(P) = dw(wdpf(P)) for a
-// well-designed graph pattern.
-func DominationWidthOfPattern(p sparql.Pattern) (int, error) {
-	f, err := ptree.WDPF(p)
-	if err != nil {
-		return 0, err
-	}
-	return DominationWidth(f), nil
-}
-
-// BranchTreewidthOfPattern returns bw(P) for a UNION-free
-// well-designed graph pattern.
-func BranchTreewidthOfPattern(p sparql.Pattern) (int, error) {
-	t, err := ptree.FromPattern(p)
-	if err != nil {
-		return 0, err
-	}
-	return BranchTreewidth(t), nil
 }

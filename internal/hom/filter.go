@@ -190,9 +190,6 @@ func (p *RowProgram) AttachFilter(f *FilterExpr) {
 	p.filters = append(p.filters, progFilter{expr: f, slots: slots})
 }
 
-// NumFilters returns the number of attached filter conjuncts.
-func (p *RowProgram) NumFilters() int { return len(p.filters) }
-
 // restrictedSlots returns the slots pinned to a single value by an
 // attached top-level equality against a constant — the planner treats
 // them as pre-bound when costing join orders, because the pushdown

@@ -95,6 +95,18 @@ func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) 
 // Width returns the minimum row length the program's Run accepts.
 func (p *RowProgram) Width() int { return p.width }
 
+// MarkSlots sets bit s of the bitset for every slot s the program's
+// patterns reference; the bitset must hold Width() bits.
+func (p *RowProgram) MarkSlots(bits []uint64) {
+	for i := range p.pats {
+		for _, c := range p.pats[i].code {
+			if c >= 0 {
+				bits[c/64] |= 1 << (c % 64)
+			}
+		}
+	}
+}
+
 // RowSearcher carries the mutable scratch of one search over a
 // RowProgram (pattern done-flags, the selection-count memo and the
 // filter counters). A searcher is not safe for concurrent use, but is

@@ -20,7 +20,7 @@
 // templates over free variables, X slots of a caller row and TermIDs,
 // and — per pebble count — the table of variable sets D with their
 // constraint lists and superset/subset links. It is built once per
-// decision plan and shared by every goroutine. What µ decides — the
+// compiled wdPT node and shared by every goroutine. What µ decides — the
 // candidate values of each variable, drawn from G's posting lists
 // through the unary templates — is recomputed per call into pooled
 // scratch. Assignments are not hashed: a set D with candidate lists of
@@ -109,9 +109,10 @@ type subset struct {
 }
 
 // Compile lowers the triples s with distinguished variables x against
-// the target graph. Distinguished variables are interned in layout and
-// read from the caller's row at Decide time; all other variables of s
-// are free. It fails with ErrTooLarge beyond 64 free variables.
+// the target graph. Distinguished variables are read from the caller's
+// row at Decide time, at the slots layout gives them: layout must hold
+// every one that occurs in s, and is only read. All other variables of
+// s are free. It fails with ErrTooLarge beyond 64 free variables.
 func Compile(s []rdf.Triple, x []rdf.Term, target *rdf.Graph, layout *rdf.SlotLayout) (*Game, error) {
 	gm := &Game{target: target, tables: map[int]*table{}}
 	dict := target.Dict()
@@ -146,9 +147,13 @@ func Compile(s []rdf.Triple, x []rdf.Term, target *rdf.Graph, layout *rdf.SlotLa
 			case isX[term.Value]:
 				j, ok := xAt[term.Value]
 				if !ok {
+					slot, ok := layout.Slot(term.Value)
+					if !ok {
+						return nil, fmt.Errorf("pebble: distinguished variable ?%s has no slot in the layout", term.Value)
+					}
 					j = int32(len(gm.consts) + len(gm.xslots))
 					xAt[term.Value] = j
-					gm.xslots = append(gm.xslots, int32(layout.Intern(term.Value)))
+					gm.xslots = append(gm.xslots, int32(slot))
 				}
 				tp.code[i] = ^j
 			default:
@@ -744,6 +749,9 @@ func oneShot(k int, g hom.GTGraph, mu rdf.Mapping, target *rdf.Graph, prune bool
 		}
 	}
 	layout := rdf.NewSlotLayout()
+	for _, v := range fixed {
+		layout.Intern(v.Value)
+	}
 	gm, err := Compile(g.S, fixed, target, layout)
 	if err != nil {
 		panic(err)

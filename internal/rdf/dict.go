@@ -35,9 +35,6 @@ func (id TermID) IsVar() bool { return id >= VarIDBase }
 // carry the same TermID.
 func VarID(slot int) TermID { return VarIDBase + TermID(slot) }
 
-// VarSlot inverts VarID.
-func (id TermID) VarSlot() int { return int(id - VarIDBase) }
-
 // IDTriple is a dictionary-encoded triple or triple pattern: three
 // TermIDs in (S, P, O) order. Encoded ground triples contain only IRI
 // IDs; encoded patterns may contain variable IDs.

@@ -114,18 +114,6 @@ func (m Mapping) Equal(n Mapping) bool {
 	return true
 }
 
-// CoversVars reports whether vars(ts) ⊆ dom(µ) for the given triples.
-func (m Mapping) CoversVars(ts []Triple) bool {
-	for _, t := range ts {
-		for _, v := range t.Vars() {
-			if !m.Defined(v) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ApplyTerm replaces a variable term by its image under µ when defined;
 // other terms are returned unchanged.
 func (m Mapping) ApplyTerm(t Term) Term {
