@@ -66,7 +66,7 @@ func main() {
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request deadline when none is given")
 		maxTimeout   = flag.Duration("max-timeout", 5*time.Minute, "cap on the ?timeout= parameter")
 		maxLimit     = flag.Int("max-limit", 0, "cap on rows per request (0: unlimited)")
-		writeTimeout = flag.Duration("write-timeout", 15*time.Second, "write deadline armed at every flush")
+		writeTimeout = flag.Duration("write-timeout", 15*time.Second, "write deadline armed before every write to the connection")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown grace before hard-cancel")
 
 		loadWorkers    = flag.Int("load-workers", 0, "parallel-ingest workers for the -data load (0: GOMAXPROCS)")

@@ -14,15 +14,19 @@ import (
 // off the zero-decode Rows iterator, and an epilogue that closes the
 // document so that even a truncated stream (deadline, client gone,
 // drain) is syntactically valid output. Encoders write into the
-// handler's bufio.Writer, one Write per fragment; the handler owns
-// flushing (and the write deadlines armed around it).
+// handler's 64 KiB bufio.Writer, one Write per fragment; the handler
+// decides when the buffer goes to the connection (and arms the write
+// deadline before each write).
 
 // resultEncoder is one streamed serialisation of a solution stream.
 type resultEncoder interface {
 	contentType() string
-	// begin writes the prologue (the head/vars of the result set). The
-	// handler flushes right after it, putting the first response bytes
-	// on the wire before the enumeration has produced a single row.
+	// begin writes the prologue (the head/vars of the result set) into
+	// the buffer. Nothing is sent yet: the handler sends it with the
+	// first rows, with the whole document when the answer fits the
+	// buffer, or on its own once the first-row grace expires, so a slow
+	// query's prologue still reaches the client before its first row
+	// exists.
 	begin() error
 	// row appends one solution. The row aliases the enumeration's
 	// working row and is only valid during the call.
@@ -41,11 +45,14 @@ const (
 	contentTypeTSV  = "text/tab-separated-values; charset=utf-8"
 )
 
-func newEncoder(format string, w *bufio.Writer, layout *wdsparql.SlotLayout, dict *rdf.Dict) resultEncoder {
+// newEncoder returns the format's encoder over dict. plain holds the
+// escape bits of dict's IRIs (see plainBits); IDs past its end, or all
+// of them when it is nil, are scanned for escapes row by row.
+func newEncoder(format string, w *bufio.Writer, layout *wdsparql.SlotLayout, dict *rdf.Dict, plain []byte) resultEncoder {
 	if format == formatTSV {
-		return &tsvEncoder{out: fragmentWriter{w: w}, layout: layout, dict: dict}
+		return &tsvEncoder{out: fragmentWriter{w: w}, layout: layout, dict: dict, plain: plain}
 	}
-	return &jsonEncoder{out: fragmentWriter{w: w}, layout: layout, dict: dict}
+	return &jsonEncoder{out: fragmentWriter{w: w}, layout: layout, dict: dict, plain: plain}
 }
 
 // fragmentWriter hands a bufio.Writer whole fragments. A fragment is
@@ -86,7 +93,8 @@ type jsonEncoder struct {
 	out    fragmentWriter
 	layout *wdsparql.SlotLayout
 	dict   *rdf.Dict
-	prefix [][]byte // per slot: `"name":{"type":"uri","value":`, built by begin
+	plain  []byte
+	prefix [][]byte // per slot: `"name":{"type":"uri","value":"`, built by begin
 	n      int
 }
 
@@ -101,7 +109,7 @@ func (e *jsonEncoder) begin() error {
 		}
 		name := appendJSONString(nil, e.layout.Name(s))
 		b = append(b, name...)
-		e.prefix[s] = append(name, `:{"type":"uri","value":`...)
+		e.prefix[s] = append(name, `:{"type":"uri","value":"`...)
 	}
 	return e.out.write(append(b, `]},"results":{"bindings":[`...))
 }
@@ -122,9 +130,17 @@ func (e *jsonEncoder) row(r wdsparql.Row) error {
 			b = append(b, ',')
 		}
 		first = false
+		// The prefix ends in the value's opening quote: a flagged IRI
+		// is copied whole after it, any other one is re-quoted by
+		// appendJSONString in its place.
 		b = append(b, e.prefix[s]...)
-		b = appendJSONString(b, e.dict.StringOf(v))
-		b = append(b, '}')
+		if iri := e.dict.StringOf(v); int(v) < len(e.plain) && e.plain[v]&plainJSON != 0 {
+			b = append(b, iri...)
+			b = append(b, '"', '}')
+		} else {
+			b = appendJSONString(b[:len(b)-1], iri)
+			b = append(b, '}')
+		}
 	}
 	return e.out.write(append(b, '}'))
 }
@@ -144,6 +160,7 @@ type tsvEncoder struct {
 	out    fragmentWriter
 	layout *wdsparql.SlotLayout
 	dict   *rdf.Dict
+	plain  []byte
 }
 
 func (e *tsvEncoder) contentType() string { return contentTypeTSV }
@@ -168,7 +185,11 @@ func (e *tsvEncoder) row(r wdsparql.Row) error {
 		}
 		if v != wdsparql.Unbound {
 			b = append(b, '<')
-			b = appendTSVValue(b, e.dict.StringOf(v))
+			if iri := e.dict.StringOf(v); int(v) < len(e.plain) && e.plain[v]&plainTSV != 0 {
+				b = append(b, iri...)
+			} else {
+				b = appendTSVValue(b, iri)
+			}
 			b = append(b, '>')
 		}
 	}
@@ -222,6 +243,50 @@ func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// Escape bits: one byte per IRI ID, saying which formats carry the IRI
+// as it is. They are derived from exactly the tables above, so a
+// flagged IRI copied whole is the bytes the scanning path writes.
+const (
+	plainTSV  byte = 1 << iota // no byte of the IRI has a tsvEscape entry
+	plainJSON                  // every byte of the IRI is jsonPlain
+)
+
+// byteBits maps a byte to the escape bits an IRI keeps after holding it.
+var byteBits = func() (t [256]byte) {
+	for c := range t {
+		if tsvEscape[c] == 0 {
+			t[c] |= plainTSV
+		}
+		if jsonPlain[c] {
+			t[c] |= plainJSON
+		}
+	}
+	return t
+}()
+
+// plainBits returns the escape bits of one IRI.
+func plainBits(s string) byte {
+	bits := plainTSV | plainJSON
+	for i := 0; i < len(s) && bits != 0; i++ {
+		bits &= byteBits[s[i]]
+	}
+	return bits
+}
+
+// extendPlain returns the escape bits of every IRI in d: base's bits
+// for the IDs it covers, which must be an earlier state of the same
+// append-only ID space, and a scan of each IRI past its end. base is
+// never written.
+func extendPlain(base []byte, d *rdf.Dict) []byte {
+	n := d.NumIRIs()
+	out := make([]byte, n)
+	from := copy(out, base)
+	for id := from; id < n; id++ {
+		out[id] = plainBits(d.StringOf(rdf.TermID(id)))
+	}
+	return out
 }
 
 // jsonErrorBody renders a one-field JSON error document.

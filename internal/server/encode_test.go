@@ -15,8 +15,8 @@ import (
 // encodeVars are the slot names of every encoder test document.
 var encodeVars = []string{"s", "mid", "o"}
 
-// longIRI is longer than the handler's 8 KiB write buffer.
-var longIRI = "http://ex.org/" + strings.Repeat("z", 9000)
+// longIRI is longer than the handler's 64 KiB write buffer.
+var longIRI = "http://ex.org/" + strings.Repeat("z", 70000)
 
 // encodeCases is the golden table: one row's slot values ("" marks an
 // unbound slot) and the fragment each encoder writes for it (the JSON
@@ -72,30 +72,39 @@ var encodeCases = []struct {
 }
 
 // encodeDoc streams reps copies of the golden rows through the format's
-// encoder into an 8 KiB bufio.Writer, as the handler does, and returns
-// the document.
-func encodeDoc(t *testing.T, format string, reps int, truncated bool) []byte {
+// encoder into a buffer of the handler's size and returns the document.
+// With plain, the encoder copies flagged IRIs whole: the dictionary is
+// filled first and its escape bits built over all of it, as a request
+// finds them. Without, every IRI takes the scanning path.
+func encodeDoc(t *testing.T, format string, reps int, truncated, plain bool) []byte {
 	t.Helper()
 	layout := rdf.NewSlotLayout()
 	for _, v := range encodeVars {
 		layout.Intern(v)
 	}
 	dict := rdf.NewDict()
+	rows := make([]wdsparql.Row, len(encodeCases))
+	for i, c := range encodeCases {
+		rows[i] = layout.NewRow()
+		for s, v := range c.vals {
+			rows[i][s] = wdsparql.Unbound
+			if v != "" {
+				rows[i][s] = dict.InternIRI(v)
+			}
+		}
+	}
+	var bits []byte
+	if plain {
+		bits = extendPlain(nil, dict)
+	}
 	var out bytes.Buffer
-	w := bufio.NewWriterSize(&out, 8<<10)
-	enc := newEncoder(format, w, layout, dict)
+	w := bufio.NewWriterSize(&out, respBufSize)
+	enc := newEncoder(format, w, layout, dict, bits)
 	if err := enc.begin(); err != nil {
 		t.Fatalf("begin: %v", err)
 	}
-	row := layout.NewRow()
 	for i := 0; i < reps; i++ {
-		for _, c := range encodeCases {
-			for s, v := range c.vals {
-				row[s] = wdsparql.Unbound
-				if v != "" {
-					row[s] = dict.InternIRI(v)
-				}
-			}
+		for _, row := range rows {
 			if err := enc.row(row); err != nil {
 				t.Fatalf("row: %v", err)
 			}
@@ -112,10 +121,12 @@ func encodeDoc(t *testing.T, format string, reps int, truncated bool) []byte {
 
 // TestEncodeGolden pins both encoders byte for byte on hostile IRIs,
 // unbound middle and last slots, an IRI longer than the write buffer
-// and both end markers, repeated so that rows straddle buffer flushes.
+// and both end markers, repeated so that rows straddle buffer flushes,
+// on the escape-bit path and on the scanning path alike.
 func TestEncodeGolden(t *testing.T) {
 	const reps = 40
-	for _, truncated := range []bool{false, true} {
+	for _, c := range []struct{ truncated, plain bool }{{false, true}, {true, true}, {false, false}, {true, false}} {
+		truncated := c.truncated
 		var js, ts []string
 		for i := 0; i < reps; i++ {
 			for _, c := range encodeCases {
@@ -130,11 +141,11 @@ func TestEncodeGolden(t *testing.T) {
 		wantJSON += "}\n"
 		wantTSV := "?s\t?mid\t?o\n" + strings.Join(ts, "")
 
-		if got := encodeDoc(t, formatJSON, reps, truncated); string(got) != wantJSON {
-			t.Errorf("json (truncated=%v) differs at byte %d", truncated, firstDiff(got, wantJSON))
+		if got := encodeDoc(t, formatJSON, reps, truncated, c.plain); string(got) != wantJSON {
+			t.Errorf("json (truncated=%v, plain=%v) differs at byte %d", truncated, c.plain, firstDiff(got, wantJSON))
 		}
-		if got := encodeDoc(t, formatTSV, reps, truncated); string(got) != wantTSV {
-			t.Errorf("tsv (truncated=%v) differs at byte %d", truncated, firstDiff(got, wantTSV))
+		if got := encodeDoc(t, formatTSV, reps, truncated, c.plain); string(got) != wantTSV {
+			t.Errorf("tsv (truncated=%v, plain=%v) differs at byte %d", truncated, c.plain, firstDiff(got, wantTSV))
 		}
 	}
 }
@@ -157,7 +168,7 @@ func firstDiff(got []byte, want string) int {
 func TestEncodeJSONRoundTrip(t *testing.T) {
 	for _, truncated := range []bool{false, true} {
 		var doc sparqlJSON
-		if err := json.Unmarshal(encodeDoc(t, formatJSON, 1, truncated), &doc); err != nil {
+		if err := json.Unmarshal(encodeDoc(t, formatJSON, 1, truncated, true), &doc); err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
 		if doc.Truncated != truncated {
@@ -193,8 +204,8 @@ func TestEncodeJSONRoundTrip(t *testing.T) {
 }
 
 // asciiRow returns an encoder of the format writing to io.Discard
-// through an 8 KiB buffer, prologue written, and a row of three ASCII
-// IRIs.
+// through a buffer of the handler's size, prologue written, and a row
+// of three ASCII IRIs, flagged in the encoder's escape bits.
 func asciiRow(format string) (resultEncoder, wdsparql.Row) {
 	layout := rdf.NewSlotLayout()
 	for _, v := range encodeVars {
@@ -205,7 +216,7 @@ func asciiRow(format string) (resultEncoder, wdsparql.Row) {
 	for s, v := range []string{"http://example.org/person/12345", "http://example.org/knows", "http://example.org/person/67890"} {
 		row[s] = dict.InternIRI(v)
 	}
-	enc := newEncoder(format, bufio.NewWriterSize(io.Discard, 8<<10), layout, dict)
+	enc := newEncoder(format, bufio.NewWriterSize(io.Discard, respBufSize), layout, dict, extendPlain(nil, dict))
 	_ = enc.begin()
 	return enc, row
 }
@@ -213,19 +224,19 @@ func asciiRow(format string) (resultEncoder, wdsparql.Row) {
 // TestEncodeRowAllocs is the encoders' allocation gate: once warmed, a
 // row of ASCII IRIs allocates nothing in either format, wherever it
 // falls against the write buffer's boundary. Each measured run encodes
-// a thousand rows, so they wrap the 8 KiB buffer a dozen times: an
+// ten thousand rows, so they wrap the 64 KiB buffer a dozen times: an
 // allocation at the wrap cannot hide in AllocsPerRun's rounding.
 func TestEncodeRowAllocs(t *testing.T) {
 	for _, format := range []string{formatTSV, formatJSON} {
 		enc, row := asciiRow(format)
 		rows := func() {
-			for i := 0; i < 1000; i++ {
+			for i := 0; i < 10000; i++ {
 				_ = enc.row(row)
 			}
 		}
 		rows()
 		if a := testing.AllocsPerRun(20, rows); a != 0 {
-			t.Errorf("%s: a thousand warmed rows allocate %.0f objects, want 0", format, a)
+			t.Errorf("%s: ten thousand warmed rows allocate %.0f objects, want 0", format, a)
 		}
 	}
 }

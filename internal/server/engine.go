@@ -2,8 +2,8 @@ package server
 
 // Hot reload. The serving engine lives behind a reference-counted,
 // atomically swappable holder so POST /reload can replace it — fresh
-// snapshot, fresh prepared-query cache — without dropping a single
-// in-flight request:
+// snapshot, fresh prepared-query cache, fresh escape bits — without
+// dropping a single in-flight request:
 //
 //   - Every /sparql request retains the current state once, after
 //     admission, and releases it when its stream finishes. A reload
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,12 +95,44 @@ type engineState struct {
 	snap   *SnapshotStats // nil when serving a parsed graph
 	closer io.Closer      // backing resources (e.g. the mmap); may be nil
 	refs   atomic.Int64
+	plain  *plainTable
 }
 
 func newEngineState(eng *wdsparql.Engine, snap *SnapshotStats, closer io.Closer) *engineState {
-	st := &engineState{eng: eng, snap: snap, closer: closer}
+	st := &engineState{eng: eng, snap: snap, closer: closer, plain: &plainTable{}}
 	st.refs.Store(1) // the holder's reference, dropped on swap or shutdown
 	return st
+}
+
+// plainTable is one generation's escape bits (extendPlain), built by
+// the first request that streams from the generation rather than at
+// load, so neither set-up nor an mmap cold start scans the dictionary.
+// A generation derived by ApplyDelta or Refreeze starts from its
+// parent's bits: term IDs are stable across both and the dictionary
+// only grows, so its build scans just the IRIs the batch added.
+type plainTable struct {
+	once sync.Once
+	base []byte                 // bits carried from an ancestor; read-only
+	bits atomic.Pointer[[]byte] // set once by the build
+}
+
+// get returns the generation's escape bits, building them on first use.
+func (t *plainTable) get(d *rdf.Dict) []byte {
+	t.once.Do(func() {
+		bits := extendPlain(t.base, d)
+		t.bits.Store(&bits)
+	})
+	return *t.bits.Load()
+}
+
+// carry returns the table of a generation derived from this one: its
+// base is this table's bits if they were built, else the base this
+// one carries, so an unqueried generation never pins its parent.
+func (t *plainTable) carry() *plainTable {
+	if bits := t.bits.Load(); bits != nil {
+		return &plainTable{base: *bits}
+	}
+	return &plainTable{base: t.base}
 }
 
 // retain takes a reference, failing only if the count already hit zero
@@ -132,11 +165,16 @@ func (st *engineState) derive(eng *wdsparql.Engine) *engineState {
 	if rc, ok := st.closer.(*refCloser); ok {
 		c = rc.retain()
 	}
-	return newEngineState(eng, st.snap, c)
+	next := newEngineState(eng, st.snap, c)
+	next.plain = st.plain.carry()
+	return next
 }
 
 // dict gives the response encoders this generation's decode dictionary.
 func (st *engineState) dict() *rdf.Dict { return st.eng.Graph().Dict() }
+
+// plainBits gives the response encoders this generation's escape bits.
+func (st *engineState) plainBits() []byte { return st.plain.get(st.dict()) }
 
 // engine retains and returns the current engine state, or nil once the
 // server has shut down for good.

@@ -165,11 +165,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The partial batch in `batch` is discarded — no generation
 		// ever contained any of it. Before the first progress line the
-		// status code can still say 400; after it, the NDJSON summary
+		// status code can still say 400 (413 for a body over
+		// MaxIngestBytes); after it, the NDJSON summary
 		// carries the error.
 		s.ingestTriples.Add(uint64(applied))
 		if !wroteProgress {
 			s.rejected.Add(1)
+			if he := tooLarge("ingest body", err); he != nil {
+				s.replyError(w, he)
+				return
+			}
 			s.replyError(w, badRequestf("ingest aborted: %v", err))
 			return
 		}

@@ -1,9 +1,10 @@
 // Package server implements the hardened streaming SPARQL-over-HTTP
 // endpoint behind cmd/wdserve. The /sparql resource speaks the SPARQL
 // protocol (GET and POST) and streams SPARQL-JSON or TSV results
-// straight off the zero-decode PreparedQuery.Rows iterator — the first
-// response bytes are on the wire before the enumeration has produced a
-// row. Robustness is structural, not bolted on:
+// straight off the zero-decode PreparedQuery.Rows iterator — a slow
+// query's first response bytes are on the wire before the enumeration
+// has produced a row, and a fast small answer leaves in one write.
+// Robustness is structural, not bolted on:
 //
 //   - Admission control: a semaphore gate bounds concurrently executing
 //     queries and a bounded wait queue absorbs bursts; everything beyond
@@ -13,9 +14,10 @@
 //     request and enforced through http.Request.Context() — the stream
 //     stops at the next yield boundary and the response is closed as a
 //     valid (truncated) document.
-//   - Write-deadline handling: every flush arms a write deadline, so a
-//     stalled client surfaces as a write error that cancels its
-//     enumeration instead of pinning a gate slot forever.
+//   - Write-deadline handling: every write to the connection arms a
+//     write deadline, so a stalled client surfaces as a write error
+//     that cancels its enumeration instead of pinning a gate slot
+//     forever.
 //   - Per-request panic isolation: a panicking evaluation becomes a 500
 //     (or an aborted stream) plus a counter, never a crashed process.
 //   - Graceful drain: Shutdown flips /readyz, stops accepting, drains
@@ -74,8 +76,7 @@ type Config struct {
 	MaxWorkers     int           // cap on the ?workers= parameter (default GOMAXPROCS)
 
 	// Streaming.
-	WriteTimeout time.Duration // write deadline armed at every flush (default 15s)
-	FlushEvery   int           // rows between flushes after the prologue (default 256)
+	WriteTimeout time.Duration // write deadline armed before every write to the connection (default 15s)
 
 	// Request reading.
 	MaxQueryBytes int64 // bound on a POSTed query body (default 1 MiB)
@@ -93,7 +94,6 @@ const (
 	defaultRequestTimeout = 30 * time.Second
 	defaultMaxTimeout     = 5 * time.Minute
 	defaultWriteTimeout   = 15 * time.Second
-	defaultFlushEvery     = 256
 	defaultMaxQueryBytes  = 1 << 20
 	defaultIngestBatch    = 5000
 	defaultRefreezeAt     = 50000
@@ -125,9 +125,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = defaultWriteTimeout
-	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = defaultFlushEvery
 	}
 	if cfg.MaxQueryBytes <= 0 {
 		cfg.MaxQueryBytes = defaultMaxQueryBytes
@@ -224,7 +221,7 @@ func New(cfg Config) *Server {
 		BaseContext:       func(net.Listener) context.Context { return s.baseCtx },
 		ReadHeaderTimeout: 10 * time.Second,
 		// No server-wide WriteTimeout: long streams are legitimate.
-		// Stalled clients are handled by the per-flush write deadline.
+		// Stalled clients are handled by the per-write deadline.
 	}
 	return s
 }

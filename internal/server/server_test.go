@@ -397,7 +397,6 @@ func TestStalledClientFreesGateSlot(t *testing.T) {
 	s, base := startServer(t, Config{
 		Engine:       testEngine(t, n),
 		WriteTimeout: 150 * time.Millisecond,
-		FlushEvery:   64,
 	})
 
 	addr := strings.TrimPrefix(base, "http://")
@@ -416,16 +415,14 @@ func TestStalledClientFreesGateSlot(t *testing.T) {
 }
 
 // TestRowsStreamedCountsEncodedRows pins /stats rows_streamed, which
-// the handler adds per flush rather than per row: after a complete
+// the handler adds per write rather than per row: after a complete
 // stream it equals the rows sent, and after a stalled client it counts
 // the rows encoded — every row the client received whole, plus at most
 // what the handler's and net/http's buffers held when the write failed.
 func TestRowsStreamedCountsEncodedRows(t *testing.T) {
-	const flushEvery = 64
-
 	t.Run("complete", func(t *testing.T) {
-		const n = 30 // 900 rows, not a multiple of flushEvery
-		_, base := startServer(t, Config{Engine: testEngine(t, n), FlushEvery: flushEvery})
+		const n = 30 // 900 rows, more than one 64 KiB buffer
+		_, base := startServer(t, Config{Engine: testEngine(t, n)})
 		resp, err := http.Get(sparqlURL(base, crossQuery, nil))
 		if err != nil {
 			t.Fatalf("GET: %v", err)
@@ -455,7 +452,6 @@ func TestRowsStreamedCountsEncodedRows(t *testing.T) {
 		s, base := startServer(t, Config{
 			Engine:       testEngine(t, n),
 			WriteTimeout: 150 * time.Millisecond,
-			FlushEvery:   flushEvery,
 		})
 		conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 		if err != nil {
@@ -477,7 +473,10 @@ func TestRowsStreamedCountsEncodedRows(t *testing.T) {
 		// Every complete row, and nothing else, ends in `"}}`.
 		received := uint64(strings.Count(string(body), `"}}`))
 		const minRow = len(`,{"x":{"type":"uri","value":"s0"},"y":{"type":"uri","value":"o0"},"z":{"type":"uri","value":"s0"},"w":{"type":"uri","value":"o0"}}`)
-		const buffered = uint64(flushEvery + 2*(8<<10)/minRow)
+		// Encoded but not received: the handler's 64 KiB buffer, whose
+		// write failed, plus net/http's 4 KiB connection and 2 KiB
+		// chunking buffers, plus the row straddling the cut.
+		const buffered = uint64((respBufSize+4<<10+2<<10)/minRow + 1)
 		streamed := s.rowsStreamed.Load()
 		if streamed < received || streamed > received+buffered || streamed >= n*n {
 			t.Fatalf("rows_streamed = %d after the client received %d whole rows; want %d..%d and < %d",

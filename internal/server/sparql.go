@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"wdsparql"
@@ -24,8 +25,9 @@ import (
 //
 // with every stage converting its failures into an HTTP status the
 // client can act on: 503 (shed or draining, with Retry-After),
-// 400 (malformed protocol or query), 422 (parses but is not
-// well-designed), 500 (isolated evaluation panic).
+// 400 (malformed protocol or query), 413 (query body over
+// MaxQueryBytes), 422 (parses but is not well-designed), 500 (isolated
+// evaluation panic).
 
 // httpError is an error with a decided status code; parseRequest and
 // prepare return it so handleSparql replies uniformly.
@@ -38,6 +40,17 @@ func (e *httpError) Error() string { return e.msg }
 
 func badRequestf(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// tooLarge returns the 413 for a body read that failed on its
+// http.MaxBytesReader bound, or nil when err is some other failure.
+func tooLarge(what string, err error) *httpError {
+	var mbe *http.MaxBytesError
+	if !errors.As(err, &mbe) {
+		return nil
+	}
+	return &httpError{code: http.StatusRequestEntityTooLarge,
+		msg: fmt.Sprintf("%s exceeds the %d-byte limit", what, mbe.Limit)}
 }
 
 // request is one parsed /sparql request.
@@ -58,21 +71,28 @@ type request struct {
 // plus explain=1 to get the compiled query plan instead of rows.
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (request, error) {
 	req := request{format: formatJSON, limit: -1}
+	q := r.URL.Query() // decoded once: the query text and every bound
 	switch r.Method {
 	case http.MethodGet:
-		req.query = r.URL.Query().Get("query")
+		req.query = q.Get("query")
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxQueryBytes)
 		ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 		switch ct {
 		case "application/x-www-form-urlencoded", "":
 			if err := r.ParseForm(); err != nil {
+				if he := tooLarge("query body", err); he != nil {
+					return req, he
+				}
 				return req, badRequestf("bad form body: %v", err)
 			}
 			req.query = r.PostForm.Get("query")
 		case "application/sparql-query":
 			body, err := io.ReadAll(r.Body)
 			if err != nil {
+				if he := tooLarge("query body", err); he != nil {
+					return req, he
+				}
 				return req, badRequestf("reading query body: %v", err)
 			}
 			req.query = string(body)
@@ -87,7 +107,6 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (request, 
 		return req, badRequestf("missing query parameter")
 	}
 
-	q := r.URL.Query()
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
@@ -266,40 +285,103 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	s.stream(ctx, w, st, q, req, &streaming)
 }
 
-// stream drives one query execution onto the wire. It flushes the
-// encoder prologue before asking the engine for a single row, then
-// streams with periodic flushes, each armed with a write deadline.
-// Deadline expiry and cancellation close the document as valid,
-// truncated output; write failures (stalled or vanished client) stop
-// the enumeration at the next row.
-func (s *Server) stream(ctx context.Context, w http.ResponseWriter, st *engineState, q *wdsparql.PreparedQuery, req request, streaming *bool) {
-	rc := http.NewResponseController(w)
-	bw := bufio.NewWriterSize(w, 8<<10)
-	enc := newEncoder(req.format, bw, q.Layout(), st.dict())
+// The response path. A stream encodes into a pooled 64 KiB buffer that
+// goes to the connection when it fills, not every so many rows, so a
+// large answer leaves in a few large writes. A fast answer that fits
+// goes out whole, as one write with Content-Length; a slow one still
+// sends its prologue within flushGrace of the request, before its first
+// row exists.
+const (
+	respBufSize = 64 << 10
+	// flushGrace bounds how long encoded bytes wait for company: the
+	// prologue of a query that has not finished within it is sent on
+	// its own, and a stream checks every graceRows rows whether its
+	// last write is older than this.
+	flushGrace = time.Millisecond
+	graceRows  = 256
+)
 
-	flush := func() error {
-		// The deadline covers this flush and every buffered write until
-		// the next one: a client that stops reading turns into an error
-		// here within WriteTimeout, which ends the enumeration instead
-		// of pinning the gate slot.
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+var respBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, respBufSize) }}
+
+// wire is the thin writer between a stream's buffer and its
+// ResponseWriter. The first byte it hands over commits the response
+// header, and every write arms the write deadline first: a client that
+// stops reading turns into a write error within WriteTimeout, which
+// ends the enumeration instead of pinning the gate slot.
+//
+// Until the first write, the grace timer may write concurrently with
+// the row loop, so both hold mu then; from the first write on the timer
+// never writes and the loop takes no lock.
+type wire struct {
+	s     *Server
+	w     http.ResponseWriter
+	rc    *http.ResponseController
+	ctype string
+
+	mu      sync.Mutex
+	started bool      // a byte went to the ResponseWriter: the header is committed
+	done    bool      // the stream ended: the grace timer must not write
+	last    time.Time // when bytes last went to the ResponseWriter
+	rows    int       // rows encoded since then; rowsStreamed takes them per write
+}
+
+func (c *wire) Write(p []byte) (int, error) {
+	if !c.started {
+		h := c.w.Header()
+		h.Set("Content-Type", c.ctype)
+		h.Set("Cache-Control", "no-store")
+		h.Set("X-Content-Type-Options", "nosniff")
+		c.w.WriteHeader(http.StatusOK)
+		c.started = true
+	}
+	c.s.rowsStreamed.Add(uint64(c.rows))
+	c.rows = 0
+	c.last = time.Now()
+	_ = c.rc.SetWriteDeadline(c.last.Add(c.s.cfg.WriteTimeout))
+	return c.w.Write(p)
+}
+
+// stream drives one query execution onto the wire. Deadline expiry and
+// cancellation close the document as valid, truncated output; write
+// failures (stalled or vanished client) stop the enumeration at the
+// next row. *streaming reports, on return or panic, whether the header
+// was committed.
+func (s *Server) stream(ctx context.Context, w http.ResponseWriter, st *engineState, q *wdsparql.PreparedQuery, req request, streaming *bool) {
+	out := &wire{s: s, w: w, rc: http.NewResponseController(w)}
+	bw := respBufs.Get().(*bufio.Writer)
+	bw.Reset(out)
+	enc := newEncoder(req.format, bw, q.Layout(), st.dict(), st.plainBits())
+	out.ctype = enc.contentType()
+	// send hands everything buffered to the connection now.
+	send := func() error {
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		return rc.Flush()
+		return out.rc.Flush()
 	}
-
-	w.Header().Set("Content-Type", enc.contentType())
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	*streaming = true
 
 	_ = enc.begin()
-	if err := flush(); err != nil {
-		s.writeStalls.Add(1)
-		return
-	}
+	out.last = time.Now()
+	grace := time.AfterFunc(flushGrace, func() {
+		out.mu.Lock()
+		defer out.mu.Unlock()
+		if !out.started && !out.done {
+			_ = send() // a failure sticks in bw: the loop meets it at its next write
+		}
+	})
+	shared, locked := true, false // the timer may still write; the loop holds mu
+	defer func() {
+		grace.Stop()
+		if !locked {
+			out.mu.Lock()
+		}
+		out.done = true
+		s.rowsStreamed.Add(uint64(out.rows))
+		*streaming = out.started
+		out.mu.Unlock()
+		bw.Reset(nil)
+		respBufs.Put(bw)
+	}()
 
 	var opts []wdsparql.ExecOption
 	if req.limit >= 0 {
@@ -312,23 +394,37 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, st *engineSt
 		opts = append(opts, wdsparql.Parallel(req.workers))
 	}
 
-	// Rows encoded since the last flush; rowsStreamed takes them per
-	// flush and once more when the loop ends, not per row.
-	sinceFlush := 0
 	var writeErr error
+	sinceCheck := 0
 	for row := range q.Rows(ctx, opts...) {
-		if writeErr = enc.row(row); writeErr != nil {
-			break
+		if shared {
+			out.mu.Lock()
+			locked = true
 		}
-		if sinceFlush++; sinceFlush >= s.cfg.FlushEvery {
-			s.rowsStreamed.Add(uint64(sinceFlush))
-			sinceFlush = 0
-			if writeErr = flush(); writeErr != nil {
-				break
+		if writeErr = enc.row(row); writeErr == nil {
+			out.rows++
+			// A stream producing rows slowly must not sit on them until
+			// the buffer fills.
+			if sinceCheck++; sinceCheck == graceRows {
+				sinceCheck = 0
+				if time.Since(out.last) > flushGrace {
+					writeErr = send()
+				}
 			}
 		}
+		if shared {
+			shared = !out.started
+			locked = false
+			out.mu.Unlock()
+		}
+		if writeErr != nil {
+			break
+		}
 	}
-	s.rowsStreamed.Add(uint64(sinceFlush))
+	if shared {
+		out.mu.Lock()
+		locked = true
+	}
 	if writeErr != nil {
 		// The connection is unusable; the enumeration already stopped
 		// (breaking the Rows loop terminates it immediately).
@@ -340,7 +436,13 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, st *engineSt
 		s.timeouts.Add(1)
 	}
 	_ = enc.end(truncated)
-	if err := flush(); err != nil {
+	if !out.started {
+		// Nothing sent yet: the whole document is in the buffer.
+		w.Header().Set("Content-Length", strconv.Itoa(bw.Buffered()))
+	}
+	// net/http flushes the tail (and the chunked terminator, if any)
+	// as the handler returns.
+	if err := bw.Flush(); err != nil {
 		s.writeStalls.Add(1)
 	}
 }
