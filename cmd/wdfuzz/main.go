@@ -40,9 +40,18 @@
 // child streams off its searcher — so each cut point is an exit path
 // of its own.
 //
+// With -template each trial also prepares its query texts — the
+// pattern and, with -filters, the decorated query — through
+// Engine.PrepareText, which binds a text's constants into its compiled
+// template, and diffs the result against parsing, translating and
+// compiling the text directly (forest, pattern, explain trees, rows,
+// Count, Ask): the text itself and three renamings of its constants
+// (bijective, two made equal, one absent from the graph), on a sealed
+// engine and on an ApplyDelta overlay.
+//
 // Usage:
 //
-//	wdfuzz [-trials 1000] [-seed 1] [-union] [-depth 3] [-planner] [-ask] [-filters 2]
+//	wdfuzz [-trials 1000] [-seed 1] [-union] [-depth 3] [-planner] [-ask] [-filters 2] [-template]
 package main
 
 import (
@@ -53,12 +62,14 @@ import (
 	"os"
 	"slices"
 
+	"wdsparql"
 	"wdsparql/internal/core"
 	"wdsparql/internal/gen"
 	"wdsparql/internal/hom"
 	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
+	"wdsparql/internal/tmplcheck"
 )
 
 func main() {
@@ -69,6 +80,7 @@ func main() {
 	planner := flag.Bool("planner", true, "diff planner modes (heuristic vs planned stream, strict count) per trial")
 	ask := flag.Bool("ask", true, "diff the three wdEVAL algorithms against the solution set on every backend per trial")
 	filters := flag.Int("filters", 2, "max FILTER wraps on the filtered-query dimension (0 disables it)")
+	template := flag.Bool("template", false, "diff PrepareText's template binding against the direct prepare path per trial")
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -86,6 +98,7 @@ func main() {
 				break
 			}
 		}
+		texts := []string{p.String()}
 		if *filters > 0 {
 			q, ok := gen.RandomWDQuery(rng, gen.PatternOpts{
 				Depth: *depth, Union: *union, Filters: *filters, Select: trial%2 == 0,
@@ -99,6 +112,13 @@ func main() {
 				if failures >= 5 {
 					break
 				}
+			}
+			texts = append(texts, q.String())
+		}
+		if *template && !checkTemplateTrial(rng, trial, texts, g) {
+			failures++
+			if failures >= 5 {
+				break
 			}
 		}
 	}
@@ -442,6 +462,37 @@ func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, planner bool) b
 	for _, mu := range ref.Decode(g.Dict()).Slice() {
 		if !dec.Contains(mu) {
 			return report("pipeline missing solution %s", mu)
+		}
+	}
+	return true
+}
+
+// checkTemplateTrial diffs PrepareText against the direct prepare path
+// for every text and three renamings of its constants, on a sealed
+// engine over g (with a query cache, so renamings bind the template the
+// text compiled) and on an ApplyDelta overlay carrying half of g.
+func checkTemplateTrial(rng *rand.Rand, trial int, texts []string, g *rdf.Graph) bool {
+	ts := g.Triples()
+	base := rdf.NewGraph()
+	for _, t := range ts[:len(ts)/2] {
+		base.Add(t)
+	}
+	engines := []struct {
+		name string
+		eng  *wdsparql.Engine
+	}{
+		{"sealed", wdsparql.NewEngine(g.Clone(), wdsparql.WithQueryCache(16))},
+		{"overlay", wdsparql.NewEngine(base, wdsparql.WithQueryCache(16)).ApplyDelta(ts[len(ts)/2:])},
+	}
+	for _, text := range texts {
+		for _, v := range append([]string{text}, tmplcheck.Variants(rng, text, g.Dom())...) {
+			for _, e := range engines {
+				if err := tmplcheck.Check(rng, e.eng, v); err != nil {
+					fmt.Fprintf(os.Stderr, "template trial %d FAILED [%s]: %v\ntext: %s (from %s)\ndata:\n%s",
+						trial, e.name, err, v, text, rdf.FormatGraph(g))
+					return false
+				}
+			}
 		}
 	}
 	return true

@@ -21,6 +21,7 @@ package wdsparql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"sync"
@@ -91,11 +92,12 @@ func WithPebbleK(k int) Option { return func(e *Engine) { e.pebbleK = k } }
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
 // WithQueryCache equips the engine with an LRU cache of up to n
-// prepared queries keyed by the exact query text — the seam
-// PrepareText (and the HTTP endpoint riding it) uses so a repeated
-// query skips parsing, static analysis and compilation entirely. Hot
-// queries stay resident; one-off queries age out. n ≤ 0 disables the
-// cache (the default).
+// entries — the seam PrepareText (and the HTTP endpoint riding it)
+// uses. It holds prepared queries keyed by the exact query text, so a
+// repeated query skips lexing, analysis and compilation entirely, and
+// compiled templates keyed by the template key, so a new text of a
+// known shape only binds its constants. Hot entries stay resident;
+// one-off texts age out. n ≤ 0 disables the cache (the default).
 func WithQueryCache(n int) Option { return func(e *Engine) { e.qcacheCap = n } }
 
 // WithPlanner turns the join-order query planner on or off for the
@@ -167,32 +169,58 @@ func (e *Engine) Prepare(p Pattern) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{eng: e, an: an, prog: e.compile(an)}, nil
+	return &PreparedQuery{eng: e, an: an, prog: e.compile(an, false)}, nil
 }
 
 // compile lowers an analysis onto the engine's graph: the forest
 // compiles under the engine's pushdown setting, and a SELECT wrapper
 // becomes a projection view (SELECT * without DISTINCT is the identity
-// and compiles away).
-func (e *Engine) compile(an *analysis) *core.ForestProgram {
-	prog := core.CompileForestOpts(an.forest, e.g, core.CompileOpts{NoFilterPushdown: !e.pushdown})
+// and compiles away). With template set the analysis is a template's,
+// compiled with parameter operands: its program is only ever bound
+// (PreparedQuery.bind).
+func (e *Engine) compile(an *analysis, template bool) *core.ForestProgram {
+	prog := core.CompileForestOpts(an.forest, e.g, core.CompileOpts{NoFilterPushdown: !e.pushdown, Template: template})
 	if an.sel && (an.distinct || len(an.proj) > 0) {
 		prog = prog.Project(an.proj, an.distinct)
 	}
 	return prog
 }
 
-// PrepareText parses src as a graph pattern and prepares it,
-// memoised in the engine's query cache (WithQueryCache) under the
-// exact query text. On a hit the prepared query is returned without
-// touching the parser; on a miss the query is parsed, analysed,
-// compiled and cached. Errors — parse failures as well as
-// non-well-designed patterns — are never cached, so a malformed
-// request cannot occupy (or poison) a cache slot. Without
-// WithQueryCache, PrepareText is plain parse-then-Prepare.
+// PrepareText parses src as a graph pattern and prepares it, per
+// template: the query's constants (in subject and object positions and
+// in FILTER comparisons) are lifted to parameters (sparql.TemplateKey,
+// one pass over the tokens), and the template is analysed once —
+// package-wide, shared by every engine and generation — and compiled
+// once per engine; the text then only resolves its constants to
+// TermIDs and binds them into the compiled node programs
+// (core.ForestProgram.Bind). The result is the query Prepare gives for
+// the parsed text: the same streams, counts, Ask answers and Explain
+// plans. A template whose wdpf order depends on which constants fill it
+// (ptree.ParamOrderSensitive) is no template: each of its texts is
+// prepared on its own, as is a text with no constant to lift.
+//
+// With WithQueryCache the engine's LRU keeps the prepared query under
+// the exact text, in front of the template, so a repeated text is
+// returned without even the lexer, and keeps the compiled template
+// under its key. Without it the same path runs and keeps nothing.
+// Errors — parse failures as well as non-well-designed patterns — are
+// the text's own and are never cached, so a malformed request cannot
+// occupy (or poison) a cache slot.
 func (e *Engine) PrepareText(src string) (*PreparedQuery, error) {
 	if q, ok := e.qcache.get(src); ok {
 		return q, nil
+	}
+	key, consts, ok := sparql.TemplateKey(src)
+	if ok && consts != nil {
+		t, err := e.template(key)
+		if err == nil {
+			return e.qcache.add(src, t.bind(consts)), nil
+		}
+		if errors.Is(err, errLiteralShape) {
+			e.qcache.literalShape()
+		}
+		// Otherwise the template is in error: so is the text, whose own
+		// parse or analysis below reports it in the text's terms.
 	}
 	p, err := sparql.Parse(src)
 	if err != nil {
@@ -202,7 +230,46 @@ func (e *Engine) PrepareText(src string) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
+	q.key = src
 	return e.qcache.add(src, q), nil
+}
+
+// errLiteralShape reports a template whose order depends on its
+// constants: its texts are prepared one by one.
+var errLiteralShape = errors.New("wdsparql: the template's order depends on its constants")
+
+// template returns the engine's compiled program of a template key,
+// compiling and caching it on a miss. A template key holds at least one
+// parameter, ">i" at the start of a token, which no text that parses
+// does: template entries never collide with exact-text ones.
+func (e *Engine) template(key string) (*PreparedQuery, error) {
+	if t, ok := e.qcache.getTemplate(key); ok {
+		return t, nil
+	}
+	an, err := analyzeTemplate(key)
+	if err != nil {
+		return nil, err
+	}
+	if an.literal {
+		return nil, errLiteralShape
+	}
+	t := &PreparedQuery{eng: e, an: an, prog: e.compile(an, true), key: key}
+	return e.qcache.add(key, t), nil
+}
+
+// bind prepares the text with the given constants from its compiled
+// template t.
+func (t *PreparedQuery) bind(consts []string) *PreparedQuery {
+	d := t.eng.g.Dict()
+	ids := make([]rdf.TermID, len(consts))
+	for i, c := range consts {
+		id, ok := d.LookupIRI(c)
+		if !ok {
+			id = rdf.Unbound
+		}
+		ids[i] = id
+	}
+	return &PreparedQuery{eng: t.eng, an: t.an, prog: t.prog.Bind(ids, consts), key: t.key, consts: consts}
 }
 
 // QueryCacheStats reports the hit/miss counters and occupancy of the
@@ -223,7 +290,7 @@ func (e *Engine) MustPrepare(p Pattern) *PreparedQuery {
 // pattern-level analysis. Pattern() of the result is nil.
 func (e *Engine) PrepareForest(f Forest) *PreparedQuery {
 	an := &analysis{forest: f}
-	return &PreparedQuery{eng: e, an: an, prog: e.compile(an)}
+	return &PreparedQuery{eng: e, an: an, prog: e.compile(an, false)}
 }
 
 // PreparedQuery is a query compiled against an engine's graph. It is
@@ -235,6 +302,17 @@ type PreparedQuery struct {
 	eng  *Engine
 	an   *analysis
 	prog *core.ForestProgram
+
+	// key is the template key of a query PrepareText prepared (the text
+	// itself when nothing was lifted); consts are the text's constants
+	// by parameter number when it was bound from a template, nil
+	// otherwise — an is then the template's analysis, and the text's
+	// own pattern and forest are built from it on first request.
+	key      string
+	consts   []string
+	litOnce  sync.Once
+	litPat   Pattern
+	litTrees Forest
 
 	// The wdEVAL view of prog behind Ask, built on first use: one cached
 	// decision plan per dom(µ), over prog's compiled node programs.
@@ -253,7 +331,8 @@ func (q *PreparedQuery) evaluator() *core.Evaluator {
 	return q.ask
 }
 
-// analysis is the graph-independent static analysis of one pattern:
+// analysis is the graph-independent static analysis of one pattern —
+// or of one query template, which stands for every text lifted to it:
 // its forest plus the lazily-cached width measures and certain
 // variables. It is shared — between a PreparedQuery and the legacy
 // shims, and across engines preparing the same pattern — so the
@@ -282,12 +361,19 @@ type analysis struct {
 
 	cvOnce sync.Once
 	cv     []rdf.Term
+
+	// literal marks a template whose forest order depends on the
+	// constants that fill it (ptree.ParamOrderSensitive): PrepareText
+	// does not bind it.
+	literal bool
 }
 
 // analysisCache memoises static analyses across legacy-shim calls and
-// engines, keyed by the pattern's canonical text. An LRU: hot patterns
-// stay resident across any workload length, cold ones age out instead
-// of permanently occupying the bound.
+// engines, keyed by the pattern's canonical text, or by the template key
+// for PrepareText (a key's ">i" parameters never lex out of a
+// canonical text). An LRU: hot patterns stay resident across any
+// workload length, cold ones age out instead of permanently occupying
+// the bound.
 var analysisCache = newLRUCache[*analysis](analysisCacheMax)
 
 const analysisCacheMax = 256
@@ -302,17 +388,46 @@ func analyze(p Pattern) (*analysis, error) {
 	if an, ok := analysisCache.get(key); ok {
 		return an, nil
 	}
+	an, err := newAnalysis(p)
+	if err != nil {
+		return nil, err
+	}
+	// add returns the first stored analysis when a concurrent first
+	// analysis won the race: every caller adopts one shared analysis,
+	// so its exponential width computations run at most once.
+	return analysisCache.add(key, an), nil
+}
+
+// analyzeTemplate is analyze for a template key: the template is parsed
+// and analysed like any pattern, and marked literal when its order
+// depends on the constants that fill it.
+func analyzeTemplate(key string) (*analysis, error) {
+	if an, ok := analysisCache.get(key); ok {
+		return an, nil
+	}
+	p, err := sparql.ParseTemplate(key)
+	if err != nil {
+		return nil, err
+	}
+	an, err := newAnalysis(p)
+	if err != nil {
+		return nil, err
+	}
+	an.literal = ptree.ParamOrderSensitive(an.forest)
+	return analysisCache.add(key, an), nil
+}
+
+// newAnalysis checks p once — for a SELECT query the full query, whose
+// projection check the wdpf translation of the WHERE pattern would not
+// see — and translates it; projection and DISTINCT are execution
+// concerns, not forest structure, so a SELECT wrapper is unwrapped.
+func newAnalysis(p Pattern) (*analysis, error) {
+	if err := sparql.CheckWellDesigned(p); err != nil {
+		return nil, err
+	}
 	an := &analysis{pattern: p}
 	inner := p
 	if s, ok := p.(sparql.Select); ok {
-		// Validate the full query here — the wdpf translation below
-		// only sees the WHERE pattern, and the projection check
-		// (projected vars occur in the pattern) lives in the full
-		// check. Then unwrap: projection and DISTINCT are execution
-		// concerns, not forest structure.
-		if err := sparql.CheckWellDesigned(p); err != nil {
-			return nil, err
-		}
 		an.sel = true
 		an.distinct = s.Distinct
 		for _, v := range s.Vars {
@@ -320,15 +435,12 @@ func analyze(p Pattern) (*analysis, error) {
 		}
 		inner = s.Where
 	}
-	f, err := ptree.WDPF(inner)
+	f, err := ptree.WDPFChecked(inner)
 	if err != nil {
 		return nil, err
 	}
 	an.forest = f
-	// add returns the first stored analysis when a concurrent first
-	// analysis won the race: every caller adopts one shared analysis,
-	// so its exponential width computations run at most once.
-	return analysisCache.add(key, an), nil
+	return an, nil
 }
 
 // The lazily-cached static measures live here, on the shared analysis,
@@ -363,11 +475,32 @@ func (an *analysis) certainVars() []rdf.Term {
 
 // Pattern returns the prepared pattern, or nil when the query was
 // prepared from a forest.
-func (q *PreparedQuery) Pattern() Pattern { return q.an.pattern }
+func (q *PreparedQuery) Pattern() Pattern {
+	if q.consts == nil {
+		return q.an.pattern
+	}
+	q.instantiate()
+	return q.litPat
+}
 
 // Forest returns the query's well-designed pattern forest. Callers
 // must not mutate it.
-func (q *PreparedQuery) Forest() Forest { return q.an.forest }
+func (q *PreparedQuery) Forest() Forest {
+	if q.consts == nil {
+		return q.an.forest
+	}
+	q.instantiate()
+	return q.litTrees
+}
+
+// instantiate builds, once, the pattern and forest of a query bound
+// from a template: the template's, with the text's constants filled in.
+func (q *PreparedQuery) instantiate() {
+	q.litOnce.Do(func() {
+		q.litPat = sparql.Instantiate(q.an.pattern, q.consts)
+		q.litTrees = ptree.InstantiateForest(q.an.forest, q.consts)
+	})
+}
 
 // Layout returns the slot layout shared by all rows of the query.
 func (q *PreparedQuery) Layout() *SlotLayout { return q.prog.Layout() }

@@ -47,6 +47,11 @@ type PlanNode struct {
 // the planner on.
 type QueryPlan struct {
 	Planner bool `json:"planner"`
+	// Template is the template key the query was prepared under: the
+	// text with its constants lifted to parameters ">0", ">1", … (see
+	// Engine.PrepareText), the text itself when none was lifted.
+	// Omitted for queries prepared from a Pattern or a Forest.
+	Template string `json:"template,omitempty"`
 	// Projection lists the projected variables in declared order;
 	// empty for a bare pattern (and for SELECT *, which projects
 	// nothing away). Distinct reports output dedup on the projected
@@ -116,6 +121,7 @@ type AskTest struct {
 func (q *PreparedQuery) Explain() *QueryPlan {
 	qp := &QueryPlan{
 		Planner:    q.eng.planner,
+		Template:   q.key,
 		Projection: q.prog.OutputVars(),
 		Distinct:   q.prog.Distinct(),
 		Dedup:      q.prog.Dedup(),

@@ -39,11 +39,15 @@ type compiledNode struct {
 	// of this node's subtree. Local conjuncts live inside prog instead
 	// and never appear here.
 	deferred []*hom.FilterExpr
-	// filterNotes renders every filter conjunct of the node for
-	// explain output, marked [pushed] or [deferred].
-	filterNotes []string
+	// pushed[i] reports whether node.Filters[i] went into prog (explain
+	// marks it [pushed]) or into deferred ([deferred]).
+	pushed []bool
+	// params reports a template parameter in the node's programs or
+	// below it: Bind copies exactly these nodes and shares the rest.
+	params bool
 
-	// What decisions (batch.go) read of the node: the wdPT node, how
+	// What decisions (batch.go) read of the node: the wdPT node (the
+	// template's, in a bound program: see ForestProgram.literal), how
 	// many of its variables its ancestors leave free, the slots its
 	// patterns mention, and its pebble game, compiled on first need.
 	node     *ptree.Node
@@ -64,7 +68,12 @@ type ForestProgram struct {
 	layout *rdf.SlotLayout
 	roots  []*compiledNode
 	nodes  int
-	noPush bool // compile-time switch: keep every filter deferred
+
+	// consts holds the constants of a program Bind made from a template,
+	// by parameter number: the forest and the wdPT nodes stay the
+	// template's, and literal substitutes them where a constant is read
+	// as a string.
+	consts []string
 
 	// member is the cross-tree dedup of a multi-tree forest by
 	// membership test (union.go); nil when the forest keeps the
@@ -76,16 +85,22 @@ type ForestProgram struct {
 	// pre-planner behaviour. One execution uses one mode for all its
 	// searchers — the SplitTop/RunOn consistency the parallel
 	// enumeration needs.
-	mode  hom.SearchMode
+	mode hom.SearchMode
+
+	// The flags share mode's word, which keeps the struct that Tuned
+	// copies per execution small: the compile-time switches — keep
+	// every filter deferred, compile parameter operands
+	// (CompileOpts.Template) — and Project's DISTINCT.
+	noPush, template, distinct bool
+
 	slack int
 	stats *hom.SearchStats
 
-	// Output shaping, set through Project: the projected layout, the
-	// full-layout slot behind each output slot (-1: never bound), and
-	// whether the output deduplicates. nil outLayout = raw full rows.
+	// Output shaping, set through Project: the projected layout and the
+	// full-layout slot behind each output slot (-1: never bound); nil
+	// outLayout = raw full rows. distinct (above) dedups the output.
 	outLayout *rdf.SlotLayout
 	projSlots []int32
-	distinct  bool
 }
 
 // Tuned returns a view of the program with the given search tuning:
@@ -108,6 +123,10 @@ type CompileOpts struct {
 	// prunes earlier); the switch exists for ablation and
 	// cross-validation.
 	NoFilterPushdown bool
+	// Template compiles a query template's forest (sparql.TemplateKey):
+	// every parameter (rdf.Param) becomes an operand, and the program
+	// runs only after Bind has set them.
+	Template bool
 }
 
 // CompileForest compiles every tree of the forest against the graph,
@@ -119,7 +138,7 @@ func CompileForest(f ptree.Forest, g *rdf.Graph) *ForestProgram {
 
 // CompileForestOpts is CompileForest with compile-time switches.
 func CompileForestOpts(f ptree.Forest, g *rdf.Graph, opts CompileOpts) *ForestProgram {
-	fp := &ForestProgram{g: g, forest: f, layout: rdf.NewSlotLayout(), noPush: opts.NoFilterPushdown}
+	fp := &ForestProgram{g: g, forest: f, layout: rdf.NewSlotLayout(), noPush: opts.NoFilterPushdown, template: opts.Template}
 	for _, t := range f {
 		fp.roots = append(fp.roots, fp.compileNode(t.Root, nil))
 	}
@@ -157,10 +176,11 @@ func markSlots(n *compiledNode, buf []uint64, words int) {
 // lower only after the children are compiled, when their variables
 // are interned.
 func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode {
-	cn := &compiledNode{
-		idx:  fp.nodes,
-		prog: hom.CompileRowProgram(n.Pattern, fp.g, fp.layout),
-		node: n,
+	cn := &compiledNode{idx: fp.nodes, node: n}
+	if fp.template {
+		cn.prog = hom.CompileTemplateRowProgram(n.Pattern, fp.g, fp.layout)
+	} else {
+		cn.prog = hom.CompileRowProgram(n.Pattern, fp.g, fp.layout)
 	}
 	fp.nodes++
 	var own []int32 // slots of this node's variables not bound on entry
@@ -188,12 +208,11 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 				}
 			}
 			if local && !fp.noPush {
-				cn.prog.AttachFilter(compileFilterExpr(f, fp.layout, fp.g.Dict()))
-				cn.filterNotes = append(cn.filterNotes, f.String()+" [pushed]")
+				cn.prog.AttachFilter(compileFilterExpr(f, fp.layout, fp.g.Dict(), fp.template))
 			} else {
 				deferredExprs = append(deferredExprs, f)
-				cn.filterNotes = append(cn.filterNotes, f.String()+" [deferred]")
 			}
+			cn.pushed = append(cn.pushed, local && !fp.noPush)
 		}
 	}
 	cn.prog.PlanLazily(entry)
@@ -208,13 +227,73 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 		slices.Sort(own)
 		childEntry = append(append(make([]int32, 0, len(entry)+len(own)), entry...), own...)
 	}
+	cn.params = cn.prog.HasParams()
 	for _, c := range n.Children {
-		cn.children = append(cn.children, fp.compileNode(c, childEntry))
+		child := fp.compileNode(c, childEntry)
+		cn.children = append(cn.children, child)
+		cn.params = cn.params || child.params
 	}
 	for _, f := range deferredExprs {
-		cn.deferred = append(cn.deferred, compileFilterExpr(f, fp.layout, fp.g.Dict()))
+		d := compileFilterExpr(f, fp.layout, fp.g.Dict(), fp.template)
+		cn.deferred = append(cn.deferred, d)
+		cn.params = cn.params || d.HasParams()
 	}
 	return cn
+}
+
+// Bind returns the program of the text a template was lifted from: the
+// template's program with parameter i set to the IRI ids[i]
+// (rdf.Unbound when the graph lacks it) whose text is consts[i]. It
+// equals what CompileForestOpts builds for the text's own forest —
+// pattern codes, filters, absent programs, projection — and, like it,
+// builds join plans, decision plans and pebble games on first use.
+// Nodes with no parameter at or below them are shared with the
+// template, and so are the layout and the slot sets; the copy costs
+// the nodes on a path to a parameter.
+func (fp *ForestProgram) Bind(ids []rdf.TermID, consts []string) *ForestProgram {
+	out := *fp
+	out.template, out.consts = false, consts
+	out.roots = make([]*compiledNode, len(fp.roots))
+	for i, r := range fp.roots {
+		out.roots[i] = r.bind(ids)
+	}
+	if fp.member != nil {
+		out.member = &membership{fp: &out, binds: fp.member.binds}
+	}
+	return &out
+}
+
+func (cn *compiledNode) bind(ids []rdf.TermID) *compiledNode {
+	if !cn.params {
+		return cn
+	}
+	b := &compiledNode{idx: cn.idx, prog: cn.prog.Bind(ids), deferred: cn.deferred, pushed: cn.pushed,
+		node: cn.node, free: cn.free, slots: cn.slots}
+	if len(cn.children) > 0 {
+		b.children = make([]*compiledNode, len(cn.children))
+		for i, c := range cn.children {
+			b.children[i] = c.bind(ids)
+		}
+	}
+	for i, d := range cn.deferred {
+		if !d.HasParams() {
+			continue
+		}
+		if &b.deferred[0] == &cn.deferred[0] {
+			b.deferred = slices.Clone(cn.deferred) // first bound filter: copy
+		}
+		b.deferred[i] = d.Bind(ids)
+	}
+	return b
+}
+
+// literal returns a node pattern of the program with its parameters
+// replaced by the bound constants: the text's own pattern.
+func (fp *ForestProgram) literal(s hom.TGraph) hom.TGraph {
+	if fp.consts == nil {
+		return s
+	}
+	return ptree.InstantiateTGraph(s, fp.consts)
 }
 
 // Layout returns the layout of the rows the program streams: the
@@ -277,13 +356,17 @@ func (st *enumState) stopped() bool {
 }
 
 // newState builds an execution's searchers and continuations; every row
-// a root emits goes to sink (nil for states that only split work).
-func (fp *ForestProgram) newState(sink func(rdf.Row) bool) *enumState {
+// a root emits goes to sink (nil for states that only split work). done
+// is the execution's Done channel: the emits poll it, and so does every
+// searcher, inside its search (hom.RowSearcher.Watch), so a dead end
+// stops under a deadline too.
+func (fp *ForestProgram) newState(sink func(rdf.Row) bool, done <-chan struct{}) *enumState {
 	st := &enumState{
 		fp:    fp,
 		nodes: make([]nodeState, fp.nodes),
 		row:   fp.layout.NewRow(),
 		sink:  sink,
+		done:  done,
 	}
 	for i, r := range fp.roots {
 		st.build(r, st.rootEmit(i))
@@ -330,6 +413,7 @@ func (st *enumState) build(n *compiledNode, up func() bool) {
 	ns := &st.nodes[n.idx]
 	ns.searcher = n.prog.NewSearcher()
 	ns.searcher.Tune(fp.mode, fp.slack, fp.stats)
+	ns.searcher.Watch(st.done)
 	k := len(n.children)
 	ns.next = make([]func() bool, k+1)
 	ns.next[k] = func() bool {
@@ -400,8 +484,7 @@ func (fp *ForestProgram) Rows(yield func(rdf.Row) bool) {
 // cancelled add no per-row overhead; the cross-tree membership test,
 // when a row reaches its exact decision, polls ctx like Decide does.
 func (fp *ForestProgram) RowsContext(ctx context.Context, yield func(rdf.Row) bool) error {
-	st := fp.newState(fp.dedupTrees(fp.wrapOutput(yield)))
-	st.done = ctx.Done()
+	st := fp.newState(fp.dedupTrees(fp.wrapOutput(yield)), ctx.Done())
 	st.member = fp.memberTest(ctx)
 	for _, root := range fp.roots {
 		if !st.enumerateTree(root) {
@@ -452,7 +535,7 @@ func (fp *ForestProgram) EnumerateSet() *rdf.IDMappingSet {
 	st := fp.newState(fp.wrapOutput(func(r rdf.Row) bool {
 		out.Add(r)
 		return true
-	}))
+	}), nil)
 	for _, root := range fp.roots {
 		st.enumerateTree(root)
 	}
@@ -500,7 +583,7 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 		whole bool // run the entire tree sequentially
 	}
 	var items []item
-	st := fp.newState(nil)
+	st := fp.newState(nil, inner.Done())
 	for _, root := range fp.roots {
 		cands, ok := st.nodes[root.idx].searcher.SplitTop(st.row)
 		if !ok {
@@ -529,8 +612,7 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 			ws := fp.newState(func(r rdf.Row) bool {
 				local = append(local, r.Clone())
 				return true
-			})
-			ws.done = inner.Done()
+			}, inner.Done())
 			ws.member = fp.memberTest(inner)
 			for i := range next {
 				it := items[i]

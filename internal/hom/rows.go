@@ -64,12 +64,38 @@ type RowProgram struct {
 	// Pushed filter conjuncts; see filter.go. Immutable once the first
 	// searcher is created.
 	filters []progFilter
+
+	// The parameter operands of a template program (see Bind): the
+	// pattern positions holding a parameter, and whether a pushed
+	// filter compares against one. A template program is only ever
+	// bound, never run.
+	params       []paramSite
+	filterParams bool
+}
+
+// paramSite is one pattern position of a template program that holds
+// a parameter.
+type paramSite struct {
+	pat, param int32
+	pos        int8
 }
 
 // CompileRowProgram compiles the patterns, interning their variables
 // into the layout. Patterns whose constants are unknown to the graph's
 // dictionary yield a program with no matches.
 func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) *RowProgram {
+	return compileRowProgram(pats, g, layout, false)
+}
+
+// CompileTemplateRowProgram is CompileRowProgram for the patterns of a
+// query template: a parameter term (rdf.Param) becomes an operand that
+// Bind fills in, every other constant compiles as in
+// CompileRowProgram.
+func CompileTemplateRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) *RowProgram {
+	return compileRowProgram(pats, g, layout, true)
+}
+
+func compileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, template bool) *RowProgram {
 	p := &RowProgram{g: g, pats: make([]cpat, len(pats))}
 	dict := g.Dict()
 	for pi, pat := range pats {
@@ -82,6 +108,11 @@ func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) 
 				p.pats[pi].code[i] = int32(slot)
 				continue
 			}
+			if k, ok := term.ParamIndex(); template && ok {
+				p.params = append(p.params, paramSite{pat: int32(pi), param: int32(k), pos: int8(i)})
+				p.pats[pi].code[i] = ^int32(0)
+				continue
+			}
 			id, ok := dict.LookupIRI(term.Value)
 			if !ok {
 				p.absent = true
@@ -91,6 +122,42 @@ func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) 
 	}
 	return p
 }
+
+// Bind returns the program of a template with parameter i set to the
+// IRI ids[i] — rdf.Unbound for an IRI outside the graph, which makes
+// the program match nothing, as an absent constant does at compile
+// time. The result is the program CompileRowProgram builds for the
+// bound patterns: same codes, same filters, a join plan of its own
+// (built lazily, as ever). A program without parameters is returned
+// as it is, shared with every text of the template.
+func (p *RowProgram) Bind(ids []rdf.TermID) *RowProgram {
+	if !p.HasParams() {
+		return p
+	}
+	q := &RowProgram{g: p.g, pats: p.pats, width: p.width, absent: p.absent,
+		plannable: p.plannable, entry: p.entry, filters: p.filters}
+	if len(p.params) > 0 {
+		q.pats = slices.Clone(p.pats)
+		for _, s := range p.params {
+			id := ids[s.param]
+			if id == rdf.Unbound {
+				q.absent, id = true, 0
+			}
+			q.pats[s.pat].code[s.pos] = ^int32(id)
+		}
+	}
+	if p.filterParams {
+		q.filters = make([]progFilter, len(p.filters))
+		for i, f := range p.filters {
+			q.filters[i] = progFilter{expr: f.expr.Bind(ids), slots: f.slots}
+		}
+	}
+	return q
+}
+
+// HasParams reports whether the program is a template's with a
+// parameter operand, in a pattern or a pushed filter.
+func (p *RowProgram) HasParams() bool { return len(p.params) > 0 || p.filterParams }
 
 // Width returns the minimum row length the program's Run accepts.
 func (p *RowProgram) Width() int { return p.width }
@@ -120,11 +187,15 @@ type RowSearcher struct {
 
 	// Pattern-selection policy and its scratch; see planner.go.
 	mode   SearchMode
-	plan   *plan.Plan // the program's plan, resolved by Tune for ModeStrict
-	slack  float64    // strict-mode divergence factor
-	stats  *SearchStats
-	memo   []countMemo // per-pattern selection-count memo
-	noMemo bool        // benchmark knob: disable the memo
+	noMemo bool // benchmark knob: disable the memo
+	// ticks counts the candidates the searcher has walked, for Watch's
+	// poll; it shares mode's word, as noMemo does, which keeps the
+	// searcher an execution allocates per node in its size class.
+	ticks uint32
+	plan  *plan.Plan // the program's plan, resolved by Tune for ModeStrict
+	slack float64    // strict-mode divergence factor
+	stats *SearchStats
+	memo  []countMemo // per-pattern selection-count memo
 
 	// Filter-pushdown scratch; nil when the program has no filters
 	// (the search then pays nothing). See filter.go.
@@ -136,6 +207,10 @@ type RowSearcher struct {
 	// search node.
 	lim    *limiter
 	limBuf limiter
+
+	// The execution's Done channel, polled every pollEvery candidates
+	// (ticks); see Watch.
+	cancel <-chan struct{}
 }
 
 // ErrBudget is returned by RowSearcher.Exists when the search spent
@@ -150,7 +225,9 @@ type limiter struct {
 	err    error
 }
 
-// pollEvery is the number of search nodes between two context polls.
+// pollEvery is the work between two context polls: search nodes under
+// an Exists limiter, candidates under Watch (a power of two, so that
+// poll is a mask test).
 const pollEvery = 1024
 
 // node books one search node; false stops the search with l.err set.
@@ -208,6 +285,25 @@ func (p *RowProgram) Holds(row rdf.Row) bool {
 	return true
 }
 
+// Watch makes every Run and RunOn of the searcher stop, as if yield had
+// returned false, within pollEvery candidates of done closing. Every
+// candidate the search walks counts — one that recurses, one a pushed
+// filter rejects, one that does not match — so a search that never
+// reaches an emit, a dead end under a deadline, still ends. The poll is
+// the emit's non-blocking receive; a nil done (a context that cannot be
+// cancelled) costs one nil check per candidate.
+func (s *RowSearcher) Watch(done <-chan struct{}) { s.cancel = done }
+
+// cancelled polls the watched channel.
+func (s *RowSearcher) cancelled() bool {
+	select {
+	case <-s.cancel:
+		return true
+	default:
+		return false
+	}
+}
+
 // NewSearcher returns a fresh searcher for the program.
 func (p *RowProgram) NewSearcher() *RowSearcher {
 	s := &RowSearcher{
@@ -226,7 +322,8 @@ func (p *RowProgram) NewSearcher() *RowSearcher {
 // written into assign before yield is called (and undone afterwards,
 // so assign is exactly restored when Run returns). yield must copy the
 // row if it needs it beyond the call. Run reports whether the search
-// ran to exhaustion; false means yield stopped it early.
+// ran to exhaustion; false means yield stopped it early, or the watched
+// channel closed (Watch).
 //
 // An empty pattern set admits exactly the empty extension (one yield).
 func (s *RowSearcher) Run(assign rdf.Row, yield func() bool) bool {
@@ -298,8 +395,15 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	// The overlay's segment (nil without one) continues the base's in
 	// insertion order.
 	base, tail, exact := s.prog.g.LookupSegmentsID(bestPat)
+	cancel := s.cancel != nil
 	for _, seg := range [2][]rdf.IDTriple{base, tail} {
 		for _, t := range seg {
+			if cancel {
+				if s.ticks++; s.ticks%pollEvery == 0 && s.cancelled() {
+					s.done[best] = false
+					return false
+				}
+			}
 			if !exact && !rdf.MatchesPatternID(bestPat, t) {
 				continue
 			}

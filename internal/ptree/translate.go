@@ -27,6 +27,11 @@ func FromPattern(p sparql.Pattern) (*Tree, error) {
 	if err := sparql.CheckWellDesigned(p); err != nil {
 		return nil, err
 	}
+	return fromBranch(p)
+}
+
+// fromBranch is FromPattern for a branch already checked.
+func fromBranch(p sparql.Pattern) (*Tree, error) {
 	root := buildNode(p, nil)
 	t := newTree(root)
 	if err := t.normalizeNR(); err != nil {
@@ -45,9 +50,17 @@ func WDPF(p sparql.Pattern) (Forest, error) {
 	if err := sparql.CheckWellDesigned(p); err != nil {
 		return nil, err
 	}
+	return WDPFChecked(p)
+}
+
+// WDPFChecked is WDPF for a pattern sparql.CheckWellDesigned has
+// already accepted (for a SELECT query: its WHERE pattern, after the
+// check of the whole query): the check is not repeated, neither for the
+// pattern nor for any of its UNION branches.
+func WDPFChecked(p sparql.Pattern) (Forest, error) {
 	var f Forest
 	for _, branch := range sparql.UnionBranches(p) {
-		t, err := FromPattern(branch)
+		t, err := fromBranch(branch)
 		if err != nil {
 			return nil, err
 		}

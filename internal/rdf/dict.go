@@ -73,6 +73,12 @@ type Dict struct {
 	iris  []string
 	varID map[string]TermID
 	vars  []string
+
+	// mapped marks a dictionary whose IRI strings (its own, or its
+	// parent's) alias a memory-mapped snapshot image (loadDict under
+	// SnapshotMmap): they are valid only while the image stays mapped,
+	// so StringOf, and every decode built on it, hands out heap copies.
+	mapped bool
 }
 
 // NewDict returns an empty root dictionary.
@@ -91,10 +97,11 @@ func (d *Dict) Fork() *Dict {
 		return &Dict{
 			parent: d, pIRIs: len(d.iris), pVars: len(d.vars),
 			iriID: map[string]TermID{}, varID: map[string]TermID{},
+			mapped: d.mapped,
 		}
 	}
 	out := &Dict{
-		parent: d.parent, pIRIs: d.pIRIs, pVars: d.pVars,
+		parent: d.parent, pIRIs: d.pIRIs, pVars: d.pVars, mapped: d.mapped,
 		iriID: make(map[string]TermID, len(d.iriID)),
 		iris:  append([]string(nil), d.iris...),
 		varID: make(map[string]TermID, len(d.varID)),
@@ -189,8 +196,22 @@ func (d *Dict) Lookup(t Term) (TermID, bool) {
 }
 
 // StringOf returns the string interned under the ID (the IRI value or
-// the variable name, without sigil). It panics on an unknown ID.
+// the variable name, without sigil). It panics on an unknown ID. The
+// string is the caller's to keep: for a dictionary read off a mapped
+// snapshot image it is a heap copy, valid after Snapshot.Close.
 func (d *Dict) StringOf(id TermID) string {
+	s := d.StringRef(id)
+	if d.mapped {
+		return strings.Clone(s)
+	}
+	return s
+}
+
+// StringRef is StringOf without the copy: the string may alias a mapped
+// snapshot image and is then valid only until the image is unmapped.
+// For callers that use it at once and keep nothing of it — the
+// response encoders copy its bytes into their buffer.
+func (d *Dict) StringRef(id TermID) string {
 	if id.IsVar() {
 		slot := int(id - VarIDBase)
 		if slot < d.pVars {
@@ -235,10 +256,11 @@ func (d *Dict) DecodeTriple(t IDTriple) Triple {
 func (d *Dict) Clone() *Dict {
 	ni, nv := d.NumIRIs(), d.NumVars()
 	out := &Dict{
-		iriID: make(map[string]TermID, ni),
-		iris:  make([]string, 0, ni),
-		varID: make(map[string]TermID, nv),
-		vars:  make([]string, 0, nv),
+		iriID:  make(map[string]TermID, ni),
+		iris:   make([]string, 0, ni),
+		varID:  make(map[string]TermID, nv),
+		vars:   make([]string, 0, nv),
+		mapped: d.mapped,
 	}
 	if p := d.parent; p != nil {
 		out.iris = append(out.iris, p.iris[:d.pIRIs]...)

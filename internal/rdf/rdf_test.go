@@ -214,3 +214,14 @@ func TestMappingString(t *testing.T) {
 		t.Fatalf("deterministic rendering: %s", s)
 	}
 }
+
+func TestParamIndex(t *testing.T) {
+	if i, ok := Param(12).ParamIndex(); !ok || i != 12 || Param(12).Value != ">12" {
+		t.Fatalf("Param(12) = %v, index %d, %v", Param(12), i, ok)
+	}
+	for _, term := range []Term{IRI(">"), IRI(">1a"), IRI(">+1"), IRI("1"), Var(">1")} {
+		if _, ok := term.ParamIndex(); ok {
+			t.Fatalf("%v read as a parameter", term)
+		}
+	}
+}

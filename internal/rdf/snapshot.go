@@ -116,6 +116,8 @@ func secName(kind secKey) string {
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // nativeLittle reports the byte order of this process, detected once.
+// Lifetime: the unsafe read views a local for the one expression;
+// nothing outlives it.
 var nativeLittle = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -137,6 +139,9 @@ type snapWord interface {
 }
 
 // rawBytes returns the raw native-endian bytes of s without copying.
+// Lifetime: the bytes alias s's backing array, so they are valid as long
+// as s is (a pointer into it keeps it alive); the writer copies them to
+// the file at once and keeps nothing.
 func rawBytes[T snapWord](s []T) []byte {
 	if len(s) == 0 {
 		return nil
@@ -147,6 +152,11 @@ func rawBytes[T snapWord](s []T) []byte {
 // castSlice reinterprets b as a []T without copying. The caller must
 // have verified alignment and that len(b) is a multiple of the element
 // size (parseImage does, for every section, before any cast).
+// Lifetime: the []T aliases b. A heap image stays alive while any such
+// slice is referenced; a mapped one (SnapshotMmap) is unmapped by
+// Snapshot.Close, after which the graph's arenas must not be read —
+// the graph itself is documented as dead after Close, and nothing it
+// hands out (decoded strings included, see Dict.StringOf) points here.
 func castSlice[T snapWord](b []byte) []T {
 	if len(b) == 0 {
 		return nil

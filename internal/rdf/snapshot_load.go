@@ -157,6 +157,9 @@ func LoadSnapshot(path string, mode SnapshotMode) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("rdf: snapshot %s: %w", path, err)
 	}
+	// Strings of a heap image live as long as any of them is referenced;
+	// those of a mapping only until Close.
+	g.dict.mapped = mapping != nil
 	return &Snapshot{
 		g: g,
 		info: SnapshotInfo{
@@ -307,7 +310,8 @@ func parseTable(data []byte, h snapHeader) (map[secKey][]byte, error) {
 // secAs extracts section k as a []T, requiring exactly wantLen
 // elements (wantLen < 0 accepts any whole number of elements). The
 // byte offset is 8-aligned and the buffer base is 8-aligned, so the
-// cast itself is safe once the length divides.
+// cast itself is safe once the length divides. Lifetime: unsafe.Sizeof
+// is a compile-time constant; the cast's lifetime is castSlice's.
 func secAs[T snapWord](secs map[secKey][]byte, k secKey, wantLen int) ([]T, error) {
 	b := secs[k]
 	var z T
@@ -506,7 +510,12 @@ func loadView(secs map[secKey][]byte, nIRIs int, all []IDTriple) (*frozenView, e
 
 // loadDict reconstructs the dictionary over the blob zero-copy: each
 // IRI string aliases its bytes in the buffer, and only the lookup map
-// is heap-built (it has no flat representation).
+// is heap-built (it has no flat representation). Lifetime: the strings
+// (unsafe.String) live exactly as long as the buffer. For a heap image
+// that is as long as any of them is referenced; for a mapped one, until
+// Snapshot.Close — LoadSnapshot marks the dictionary mapped, and
+// Dict.StringOf then copies every string it hands out, so only
+// StringRef's callers, which keep nothing, ever see the image.
 func loadDict(secs map[secKey][]byte, nIRIs int) (*Dict, error) {
 	ko, kb := secDictOffs, secDictBlob
 	offs, err := secAs[uint64](secs, ko, nIRIs+1)
@@ -555,7 +564,8 @@ func parseImage(data []byte) (*Graph, snapHeader, error) {
 	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
 		// Page mappings and Go heap buffers are both ≥ 8-aligned;
 		// refusing here keeps the unsafe casts honest if a caller ever
-		// hands in a sliced sub-buffer.
+		// hands in a sliced sub-buffer. Lifetime: the address is only
+		// inspected; no pointer is derived from it.
 		return nil, h, fmt.Errorf("image buffer is not 8-byte aligned")
 	}
 	if h.fileSize != uint64(len(data)) {

@@ -10,6 +10,7 @@ package rdf
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -44,6 +45,21 @@ func IRI(v string) Term { return Term{Kind: KindIRI, Value: v} }
 func Var(v string) Term {
 	v = strings.TrimPrefix(v, "?")
 	return Term{Kind: KindVar, Value: v}
+}
+
+// Param returns the placeholder of parameter i (0-based) of a query
+// template: the IRI ">i". No parsed query can produce it — an IRI never
+// contains '>', bare or angle-quoted — so a template's parameters can
+// never be confused with the constants it keeps literal.
+func Param(i int) Term { return Term{Kind: KindIRI, Value: ">" + strconv.Itoa(i)} }
+
+// ParamIndex returns i when t is Param(i).
+func (t Term) ParamIndex() (int, bool) {
+	if t.Kind != KindIRI || len(t.Value) < 2 || t.Value[0] != '>' || t.Value[1] < '0' || t.Value[1] > '9' {
+		return 0, false
+	}
+	i, err := strconv.Atoi(t.Value[1:])
+	return i, err == nil
 }
 
 // IsVar reports whether t is a variable.

@@ -134,7 +134,7 @@ func (e *jsonEncoder) row(r wdsparql.Row) error {
 		// is copied whole after it, any other one is re-quoted by
 		// appendJSONString in its place.
 		b = append(b, e.prefix[s]...)
-		if iri := e.dict.StringOf(v); int(v) < len(e.plain) && e.plain[v]&plainJSON != 0 {
+		if iri := e.dict.StringRef(v); int(v) < len(e.plain) && e.plain[v]&plainJSON != 0 {
 			b = append(b, iri...)
 			b = append(b, '"', '}')
 		} else {
@@ -185,7 +185,7 @@ func (e *tsvEncoder) row(r wdsparql.Row) error {
 		}
 		if v != wdsparql.Unbound {
 			b = append(b, '<')
-			if iri := e.dict.StringOf(v); int(v) < len(e.plain) && e.plain[v]&plainTSV != 0 {
+			if iri := e.dict.StringRef(v); int(v) < len(e.plain) && e.plain[v]&plainTSV != 0 {
 				b = append(b, iri...)
 			} else {
 				b = appendTSVValue(b, iri)
@@ -284,7 +284,7 @@ func extendPlain(base []byte, d *rdf.Dict) []byte {
 	out := make([]byte, n)
 	from := copy(out, base)
 	for id := from; id < n; id++ {
-		out[id] = plainBits(d.StringOf(rdf.TermID(id)))
+		out[id] = plainBits(d.StringRef(rdf.TermID(id)))
 	}
 	return out
 }

@@ -55,3 +55,47 @@ func FuzzParsePattern(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTemplateKey pins the template key pass: it never panics, it
+// accepts every text Parse accepts, and the key is the text with its
+// constants lifted — filling the constants back in parses to the
+// text's pattern, and so does instantiating the parsed template.
+func FuzzTemplateKey(f *testing.F) {
+	f.Add(`((person3 knows ?y) OPT (?y worksAt ?o))`)
+	f.Add(`(((person3 knows ?y) AND (?y livesIn ?c)) FILTER (?c = city1))`)
+	f.Add(`(((a p ?y) OPT (?y q b)) UNION ((a q ?o) OPT (?o p b)))`)
+	f.Add(`SELECT DISTINCT ?o WHERE ((<http://x/a> knows ?y) AND (?y worksAt ?o))`)
+	f.Add(`((knows knows ?y) FILTER (a = a) FILTER (b != ?y))`)
+	f.Add(`((?x p <a>1) FILTER NOT (BOUND(?x) OR ?x = <q r>))`)
+	f.Add(`((?x p ?y) FILTER ?y = o7)`)
+	f.Add(`(<> p ?x)`)
+	f.Add(`(>0 p ?x)`)
+	f.Fuzz(func(t *testing.T, src string) {
+		key, consts, ok := TemplateKey(src)
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if !ok {
+			t.Fatalf("TemplateKey rejects the parseable text %q", src)
+		}
+		filled, err := FillTemplate(key, consts)
+		if err != nil {
+			t.Fatalf("FillTemplate(%q, %q): %v", key, consts, err)
+		}
+		q, err := Parse(filled)
+		if err != nil {
+			t.Fatalf("the filled key %q of %q does not parse: %v", filled, src, err)
+		}
+		if Format(q) != Format(p) {
+			t.Fatalf("key %q of %q fills to a different pattern:\n%s\nwant\n%s", key, src, Format(q), Format(p))
+		}
+		tp, err := ParseTemplate(key)
+		if err != nil {
+			t.Fatalf("the key %q of %q does not parse: %v", key, src, err)
+		}
+		if !Equal(Instantiate(tp, consts), p) {
+			t.Fatalf("key %q of %q instantiates to a different pattern", key, src)
+		}
+	})
+}

@@ -57,6 +57,9 @@ type token struct {
 type lexer struct {
 	in  string
 	pos int
+	// params makes ">i" lex as parameter i: set only for template keys
+	// (template.go), which are the only input that spells one.
+	params bool
 }
 
 func (l *lexer) next() (token, error) {
@@ -85,6 +88,8 @@ func (l *lexer) next() (token, error) {
 			}
 			l.pos = start + 1 + end + 1
 			return token{kind: tokTerm, text: l.in[start:l.pos], pos: start}, nil
+		case c == '>' && l.params:
+			return l.lexParam()
 		case c == '>':
 			return token{}, fmt.Errorf("sparql: pos %d: unexpected '>' (angle-quoted IRIs open with '<')", l.pos)
 		case c == '=':
@@ -494,7 +499,11 @@ func (p *parser) parseSelect() (Pattern, error) {
 // Parse parses a graph pattern — or a SELECT query over one — from the
 // concrete syntax described at the top of this file.
 func Parse(input string) (Pattern, error) {
-	p := &parser{lex: &lexer{in: input}}
+	return parse(&lexer{in: input})
+}
+
+func parse(lex *lexer) (Pattern, error) {
+	p := &parser{lex: lex}
 	first, err := p.peek()
 	if err != nil {
 		return nil, err

@@ -168,7 +168,10 @@ func TestLazyPlanFirstUseRace(t *testing.T) {
 // allocation count of PrepareText on a 3-arm OPT star with an equality
 // FILTER is gated. Planning every node at compile time — the bound and
 // domain maps, steps and order of four plans — allocates 187 objects
-// per miss on this query (Go 1.24); lazy planning allocates 154.
+// per miss on this query (Go 1.24); lazy planning allocates 154. Since
+// PrepareText prepares per template, the analysis is found by the
+// template key instead of by parsing and formatting the text, and the
+// miss compiles the template and binds the constant: 77.
 func TestPrepareMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -181,7 +184,7 @@ func TestPrepareMissAllocs(t *testing.T) {
 		}
 	}
 	prepare()
-	if allocs := testing.AllocsPerRun(20, prepare); allocs > 160 {
-		t.Fatalf("a prepare miss allocates %.0f objects, want ≤ 160", allocs)
+	if allocs := testing.AllocsPerRun(20, prepare); allocs > 80 {
+		t.Fatalf("a prepare miss allocates %.0f objects, want ≤ 80", allocs)
 	}
 }

@@ -1,17 +1,25 @@
 package wdsparql
 
 // This file implements the query-cache seam of the engine: one small
-// mutex-guarded LRU used at two levels of the prepare pipeline.
+// mutex-guarded LRU used at two levels of the prepare pipeline, which
+// prepares per template — a query text with its constants lifted to
+// parameters (sparql.TemplateKey) — and not per text.
 //
-//   - The package-wide analysis cache (engine.go, analyze) memoises the
-//     graph-independent static analysis per canonical pattern text. It
-//     predates this file as a bounded map that stopped admitting new
-//     patterns once full; promoting it to an LRU keeps long-running
-//     servers adaptive — hot queries stay, one-off queries age out.
-//   - The per-engine PreparedQuery cache (WithQueryCache, PrepareText)
-//     memoises fully compiled queries keyed by the exact request text,
-//     so a serving endpoint pays parse + analysis + compilation once
-//     per distinct query, not per request.
+//   - The package-wide analysis cache (engine.go, analyze and
+//     analyzeTemplate) memoises the graph-independent static analysis
+//     per canonical pattern text or template key. The analysis of a
+//     template is the analysis of every text lifted to it, so engines,
+//     generations and texts of one shape share one.
+//   - The per-engine cache (WithQueryCache, PrepareText) holds two
+//     kinds of entry in one LRU: prepared queries keyed by the exact
+//     request text, looked up first, so a repeated text costs one map
+//     probe; and templates compiled against the engine's graph, keyed
+//     by the template key, so a new text of a known shape costs the
+//     key pass and binding its constants, not parse + analysis +
+//     compilation. A served text touches its template, so the few hot
+//     shapes stay resident while one-off texts age out. The counters
+//     keep the two apart: Hits/Misses count exact-text lookups only,
+//     TemplateHits/TemplateMisses the template lookups of exact misses.
 
 import (
 	"container/list"
@@ -32,6 +40,9 @@ type lruCache[V any] struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+
+	// The engine cache's template counters; see CacheStats.
+	templateHits, templateMisses, literalShapes atomic.Uint64
 }
 
 type lruEntry[V any] struct {
@@ -55,19 +66,41 @@ func newLRUCache[V any](capacity int) *lruCache[V] {
 // get returns the cached value for key, promoting it to most recently
 // used, and records the hit or miss.
 func (c *lruCache[V]) get(key string) (V, bool) {
-	var zero V
 	if c == nil {
+		var zero V
 		return zero, false
 	}
+	return c.lookup(key, &c.hits, &c.misses)
+}
+
+// getTemplate is get for a template key, counted as a template lookup.
+func (c *lruCache[V]) getTemplate(key string) (V, bool) {
+	if c == nil {
+		var zero V
+		return zero, false
+	}
+	return c.lookup(key, &c.templateHits, &c.templateMisses)
+}
+
+func (c *lruCache[V]) lookup(key string, hits, misses *atomic.Uint64) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits.Add(1)
+		hits.Add(1)
 		return el.Value.(*lruEntry[V]).val, true
 	}
-	c.misses.Add(1)
+	misses.Add(1)
+	var zero V
 	return zero, false
+}
+
+// literalShape counts a text prepared on its own because its
+// template's order depends on its constants.
+func (c *lruCache[V]) literalShape() {
+	if c != nil {
+		c.literalShapes.Add(1)
+	}
 }
 
 // add inserts key→val, evicting the least recently used entry beyond
@@ -106,13 +139,24 @@ func (c *lruCache[V]) len() int {
 }
 
 // CacheStats reports the state of an engine's query cache: cumulative
-// hit/miss counters since the engine was built, current occupancy and
-// the configured capacity. All zero when the cache is disabled.
+// counters since the engine was built, current occupancy (prepared
+// texts and compiled templates alike) and the configured capacity. All
+// zero when the cache is disabled.
+//
+// Hits and Misses count PrepareText's exact-text lookups. Each miss
+// with a constant to lift then looks up its template: TemplateHits
+// bind a compiled template, TemplateMisses analyse (or find the
+// analysis of) and compile one. LiteralShapes counts the texts prepared
+// on their own because their template's order depends on the constants
+// (ptree.ParamOrderSensitive).
 type CacheStats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Size   int    `json:"size"`
-	Cap    int    `json:"cap"`
+	Hits           uint64 `json:"hits"`
+	Misses         uint64 `json:"misses"`
+	TemplateHits   uint64 `json:"template_hits"`
+	TemplateMisses uint64 `json:"template_misses"`
+	LiteralShapes  uint64 `json:"literal_shapes"`
+	Size           int    `json:"size"`
+	Cap            int    `json:"cap"`
 }
 
 func (c *lruCache[V]) cacheStats() CacheStats {
@@ -120,9 +164,12 @@ func (c *lruCache[V]) cacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return CacheStats{
-		Hits:   c.hits.Load(),
-		Misses: c.misses.Load(),
-		Size:   c.len(),
-		Cap:    c.capacity,
+		Hits:           c.hits.Load(),
+		Misses:         c.misses.Load(),
+		TemplateHits:   c.templateHits.Load(),
+		TemplateMisses: c.templateMisses.Load(),
+		LiteralShapes:  c.literalShapes.Load(),
+		Size:           c.len(),
+		Cap:            c.capacity,
 	}
 }

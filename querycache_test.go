@@ -247,3 +247,106 @@ func TestAnalysisCacheLRUSharing(t *testing.T) {
 		t.Fatal("engines did not share the memoised analysis")
 	}
 }
+
+// A new text of a cached shape binds: on a warmed engine, PrepareText
+// of a text never seen before lexes it, finds the compiled template and
+// binds the constant into the node programs it reaches. Parsing,
+// analysing and compiling such a text cost 372 objects (Go 1.24).
+func TestPrepareTemplateBindAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	eng := NewEngine(starEngine(1<<10, false, "q", "r", "s").Graph(), WithQueryCache(16))
+	const runs = 200
+	texts := make([]string, runs+1)
+	for i := range texts {
+		texts[i] = fmt.Sprintf(`(((((?x p ?y) OPT (?x q ?a)) OPT (?x r ?b)) OPT (?x s ?c)) FILTER ?y = o%d)`, i)
+	}
+	if _, err := eng.PrepareText(texts[runs]); err != nil { // compiles the template
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for _, src := range texts[:runs] {
+		if _, err := eng.PrepareText(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	allocs := (ms.Mallocs - before) / runs
+	if st := eng.QueryCacheStats(); st.TemplateHits != runs {
+		t.Fatalf("want %d template hits: %+v", runs, st)
+	}
+	if allocs > 13 {
+		t.Fatalf("binding a new text of a cached shape allocates %d objects, want ≤ 13", allocs)
+	}
+}
+
+// Texts of one shape share a template: the first compiles it, the rest
+// bind it, and the exact-text counters keep counting texts. A shape
+// whose order depends on its constants binds nothing.
+func TestPrepareTextTemplateCounters(t *testing.T) {
+	e := NewEngine(MustParseGraph("a p b .\nb p c .\nc q a ."), WithQueryCache(8))
+	for _, src := range []string{`((a p ?y) OPT (?y p ?z))`, `((b p ?y) OPT (?y p ?z))`, `((b p ?y) OPT (?y p ?z))`} {
+		if _, err := e.PrepareText(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := CacheStats{Hits: 1, Misses: 2, TemplateHits: 1, TemplateMisses: 1, Size: 3, Cap: 8}
+	if st := e.QueryCacheStats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+	q, err := e.PrepareText(`((a p ?y) AND (b p ?y))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.QueryCacheStats(); st.LiteralShapes != 1 {
+		t.Fatalf("the order-dependent shape was bound: %+v", st)
+	}
+	if got := q.Explain().Template; got != `((a p ?y) AND (b p ?y))` {
+		t.Fatalf("a literal shape's template is %q, want the text", got)
+	}
+	q, _ = e.PrepareText(`((c p ?y) OPT (?y p ?z))`)
+	if got := q.Explain().Template; got != `((>0 p ?y) OPT (?y p ?z))` {
+		t.Fatalf("template key %q", got)
+	}
+}
+
+// Texts of one shape, prepared and executed from many goroutines at
+// once: they share the template's analysis, its compiled program and
+// every parameter-free node of it (join plans and pebble games built
+// on first use), so under -race this pins that sharing.
+func TestPrepareTextTemplateConcurrent(t *testing.T) {
+	g := MustParseGraph("a p b .\nb p c .\nc p a .\nb q c .\nc q a .")
+	for _, capacity := range []int{0, 2} {
+		e := NewEngine(g.Clone(), WithQueryCache(capacity))
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for j := 0; j < 30; j++ {
+					subj := []string{"a", "b", "c", "d"}[(i+j)%4]
+					q, err := e.PrepareText(fmt.Sprintf(`((%s p ?y) OPT ((?y q ?z) OPT (?z p ?w)))`, subj))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want := map[string]int{"a": 1, "b": 1, "c": 1, "d": 0}[subj]
+					if n, err := q.Count(context.Background()); err != nil || n != want {
+						t.Errorf("%s: Count = %d, %v; want %d", subj, n, err, want)
+						return
+					}
+					if ok, err := q.Ask(context.Background(), Mapping{"y": "b", "z": "c", "w": "a"}); err != nil || ok != (subj == "a") {
+						t.Errorf("%s: Ask = %v, %v", subj, ok, err)
+						return
+					}
+					_ = q.Explain()
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+}
