@@ -80,7 +80,7 @@ func main() {
 	planner := flag.Bool("planner", true, "diff planner modes (heuristic vs planned stream, strict count) per trial")
 	ask := flag.Bool("ask", true, "diff the three wdEVAL algorithms against the solution set on every backend per trial")
 	filters := flag.Int("filters", 2, "max FILTER wraps on the filtered-query dimension (0 disables it)")
-	template := flag.Bool("template", false, "diff PrepareText's template binding against the direct prepare path per trial")
+	template := flag.Bool("template", false, "diff PrepareText's per-template prepare against the direct prepare path per trial")
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -469,8 +469,8 @@ func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, planner bool) b
 
 // checkTemplateTrial diffs PrepareText against the direct prepare path
 // for every text and three renamings of its constants, on a sealed
-// engine over g (with a query cache, so renamings bind the template the
-// text compiled) and on an ApplyDelta overlay carrying half of g.
+// engine over g (with a query cache, so exact repeats hit it) and on an
+// ApplyDelta overlay carrying half of g.
 func checkTemplateTrial(rng *rand.Rand, trial int, texts []string, g *rdf.Graph) bool {
 	ts := g.Triples()
 	base := rdf.NewGraph()

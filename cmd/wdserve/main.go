@@ -58,7 +58,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 
 		workers = flag.Int("workers", 1, "default enumeration worker-pool size")
-		qcache  = flag.Int("query-cache", 128, "LRU capacity for prepared query texts and compiled templates (0 disables)")
+		qcache  = flag.Int("query-cache", 128, "prepared-query LRU capacity (0 disables)")
 
 		gate         = flag.Int("gate", 8, "queries executing concurrently")
 		queue        = flag.Int("queue", 0, "bounded wait queue beyond the gate (0: same as -gate)")

@@ -21,7 +21,6 @@ package wdsparql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"sync"
@@ -92,12 +91,11 @@ func WithPebbleK(k int) Option { return func(e *Engine) { e.pebbleK = k } }
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
 // WithQueryCache equips the engine with an LRU cache of up to n
-// entries — the seam PrepareText (and the HTTP endpoint riding it)
-// uses. It holds prepared queries keyed by the exact query text, so a
-// repeated query skips lexing, analysis and compilation entirely, and
-// compiled templates keyed by the template key, so a new text of a
-// known shape only binds its constants. Hot entries stay resident;
-// one-off texts age out. n ≤ 0 disables the cache (the default).
+// prepared queries keyed by the exact query text — the seam
+// PrepareText (and the HTTP endpoint riding it) uses so a repeated
+// query skips parsing, static analysis and compilation entirely. Hot
+// queries stay resident; one-off queries age out. n ≤ 0 disables the
+// cache (the default).
 func WithQueryCache(n int) Option { return func(e *Engine) { e.qcacheCap = n } }
 
 // WithPlanner turns the join-order query planner on or off for the
@@ -169,42 +167,40 @@ func (e *Engine) Prepare(p Pattern) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{eng: e, an: an, prog: e.compile(an, false)}, nil
+	return &PreparedQuery{eng: e, an: an, forest: an.forest, prog: e.compile(an, an.forest)}, nil
 }
 
-// compile lowers an analysis onto the engine's graph: the forest
-// compiles under the engine's pushdown setting, and a SELECT wrapper
-// becomes a projection view (SELECT * without DISTINCT is the identity
-// and compiles away). With template set the analysis is a template's,
-// compiled with parameter operands: its program is only ever bound
-// (PreparedQuery.bind).
-func (e *Engine) compile(an *analysis, template bool) *core.ForestProgram {
-	prog := core.CompileForestOpts(an.forest, e.g, core.CompileOpts{NoFilterPushdown: !e.pushdown, Template: template})
+// compile lowers a forest of an analysis onto the engine's graph — the
+// analysis's own, or a text's instantiated from a template's: the
+// forest compiles under the engine's pushdown setting, and a SELECT
+// wrapper becomes a projection view (SELECT * without DISTINCT is the
+// identity and compiles away).
+func (e *Engine) compile(an *analysis, f ptree.Forest) *core.ForestProgram {
+	prog := core.CompileForestOpts(f, e.g, core.CompileOpts{NoFilterPushdown: !e.pushdown})
 	if an.sel && (an.distinct || len(an.proj) > 0) {
 		prog = prog.Project(an.proj, an.distinct)
 	}
 	return prog
 }
 
-// PrepareText parses src as a graph pattern and prepares it, per
-// template: the query's constants (in subject and object positions and
-// in FILTER comparisons) are lifted to parameters (sparql.TemplateKey,
-// one pass over the tokens), and the template is analysed once —
-// package-wide, shared by every engine and generation — and compiled
-// once per engine; the text then only resolves its constants to
-// TermIDs and binds them into the compiled node programs
-// (core.ForestProgram.Bind). The result is the query Prepare gives for
-// the parsed text: the same streams, counts, Ask answers and Explain
-// plans. A template whose wdpf order depends on which constants fill it
-// (ptree.ParamOrderSensitive) is no template: each of its texts is
-// prepared on its own, as is a text with no constant to lift.
+// PrepareText parses src as a graph pattern and prepares it, analysed
+// per template: the query's constants (in subject and object positions
+// and in FILTER comparisons) are lifted to parameters
+// (sparql.TemplateKey, one pass over the tokens), and the template is
+// parsed and analysed once — package-wide, shared by every engine and
+// generation. A text of a known shape then costs the key pass, its
+// template's forest instantiated with its constants
+// (ptree.InstantiateForest, which restores wdpf's order) and the
+// compilation of that forest. The result is the query Prepare gives
+// for the parsed text: the same forest, streams, counts, Ask answers
+// and Explain plans. A text with no constant to lift is prepared on
+// its own.
 //
 // With WithQueryCache the engine's LRU keeps the prepared query under
-// the exact text, in front of the template, so a repeated text is
-// returned without even the lexer, and keeps the compiled template
-// under its key. Without it the same path runs and keeps nothing.
-// Errors — parse failures as well as non-well-designed patterns — are
-// the text's own and are never cached, so a malformed request cannot
+// the exact text, so a repeated text is returned without even the
+// lexer. Without it the same path runs and keeps nothing. Errors —
+// parse failures as well as non-well-designed patterns — are the
+// text's own and are never cached, so a malformed request cannot
 // occupy (or poison) a cache slot.
 func (e *Engine) PrepareText(src string) (*PreparedQuery, error) {
 	if q, ok := e.qcache.get(src); ok {
@@ -212,15 +208,15 @@ func (e *Engine) PrepareText(src string) (*PreparedQuery, error) {
 	}
 	key, consts, ok := sparql.TemplateKey(src)
 	if ok && consts != nil {
-		t, err := e.template(key)
+		an, hit, err := analyzeTemplate(key)
+		e.qcache.countTemplate(hit)
 		if err == nil {
-			return e.qcache.add(src, t.bind(consts)), nil
+			f := ptree.InstantiateForest(an.forest, consts)
+			q := &PreparedQuery{eng: e, an: an, forest: f, prog: e.compile(an, f), key: key, consts: consts}
+			return e.qcache.add(src, q), nil
 		}
-		if errors.Is(err, errLiteralShape) {
-			e.qcache.literalShape()
-		}
-		// Otherwise the template is in error: so is the text, whose own
-		// parse or analysis below reports it in the text's terms.
+		// The template is in error: so is the text, whose own parse or
+		// analysis below reports it in the text's terms.
 	}
 	p, err := sparql.Parse(src)
 	if err != nil {
@@ -232,44 +228,6 @@ func (e *Engine) PrepareText(src string) (*PreparedQuery, error) {
 	}
 	q.key = src
 	return e.qcache.add(src, q), nil
-}
-
-// errLiteralShape reports a template whose order depends on its
-// constants: its texts are prepared one by one.
-var errLiteralShape = errors.New("wdsparql: the template's order depends on its constants")
-
-// template returns the engine's compiled program of a template key,
-// compiling and caching it on a miss. A template key holds at least one
-// parameter, ">i" at the start of a token, which no text that parses
-// does: template entries never collide with exact-text ones.
-func (e *Engine) template(key string) (*PreparedQuery, error) {
-	if t, ok := e.qcache.getTemplate(key); ok {
-		return t, nil
-	}
-	an, err := analyzeTemplate(key)
-	if err != nil {
-		return nil, err
-	}
-	if an.literal {
-		return nil, errLiteralShape
-	}
-	t := &PreparedQuery{eng: e, an: an, prog: e.compile(an, true), key: key}
-	return e.qcache.add(key, t), nil
-}
-
-// bind prepares the text with the given constants from its compiled
-// template t.
-func (t *PreparedQuery) bind(consts []string) *PreparedQuery {
-	d := t.eng.g.Dict()
-	ids := make([]rdf.TermID, len(consts))
-	for i, c := range consts {
-		id, ok := d.LookupIRI(c)
-		if !ok {
-			id = rdf.Unbound
-		}
-		ids[i] = id
-	}
-	return &PreparedQuery{eng: t.eng, an: t.an, prog: t.prog.Bind(ids, consts), key: t.key, consts: consts}
 }
 
 // QueryCacheStats reports the hit/miss counters and occupancy of the
@@ -290,7 +248,7 @@ func (e *Engine) MustPrepare(p Pattern) *PreparedQuery {
 // pattern-level analysis. Pattern() of the result is nil.
 func (e *Engine) PrepareForest(f Forest) *PreparedQuery {
 	an := &analysis{forest: f}
-	return &PreparedQuery{eng: e, an: an, prog: e.compile(an, false)}
+	return &PreparedQuery{eng: e, an: an, forest: f, prog: e.compile(an, f)}
 }
 
 // PreparedQuery is a query compiled against an engine's graph. It is
@@ -299,20 +257,20 @@ func (e *Engine) PrepareForest(f Forest) *PreparedQuery {
 // every execution carries its own scratch state, and the lazily-cached
 // static measures are computed under sync.Once.
 type PreparedQuery struct {
-	eng  *Engine
-	an   *analysis
-	prog *core.ForestProgram
+	eng    *Engine
+	an     *analysis
+	forest Forest // an.forest, or the text's instantiated from it
+	prog   *core.ForestProgram
 
 	// key is the template key of a query PrepareText prepared (the text
 	// itself when nothing was lifted); consts are the text's constants
-	// by parameter number when it was bound from a template, nil
+	// by parameter number when it was instantiated from a template, nil
 	// otherwise — an is then the template's analysis, and the text's
-	// own pattern and forest are built from it on first request.
-	key      string
-	consts   []string
-	litOnce  sync.Once
-	litPat   Pattern
-	litTrees Forest
+	// own pattern is built from it on first request.
+	key     string
+	consts  []string
+	patOnce sync.Once
+	pat     Pattern
 
 	// The wdEVAL view of prog behind Ask, built on first use: one cached
 	// decision plan per dom(µ), over prog's compiled node programs.
@@ -361,17 +319,13 @@ type analysis struct {
 
 	cvOnce sync.Once
 	cv     []rdf.Term
-
-	// literal marks a template whose forest order depends on the
-	// constants that fill it (ptree.ParamOrderSensitive): PrepareText
-	// does not bind it.
-	literal bool
 }
 
 // analysisCache memoises static analyses across legacy-shim calls and
 // engines, keyed by the pattern's canonical text, or by the template key
-// for PrepareText (a key's ">i" parameters never lex out of a
-// canonical text). An LRU: hot patterns stay resident across any
+// for PrepareText. The two name the same pattern when they coincide
+// (the parameters of a key parse to the IRIs ">i"), so their entries
+// are interchangeable. An LRU: hot patterns stay resident across any
 // workload length, cold ones age out instead of permanently occupying
 // the bound.
 var analysisCache = newLRUCache[*analysis](analysisCacheMax)
@@ -399,22 +353,21 @@ func analyze(p Pattern) (*analysis, error) {
 }
 
 // analyzeTemplate is analyze for a template key: the template is parsed
-// and analysed like any pattern, and marked literal when its order
-// depends on the constants that fill it.
-func analyzeTemplate(key string) (*analysis, error) {
+// and analysed like any pattern. hit reports that the analysis was
+// cached.
+func analyzeTemplate(key string) (an *analysis, hit bool, err error) {
 	if an, ok := analysisCache.get(key); ok {
-		return an, nil
+		return an, true, nil
 	}
 	p, err := sparql.ParseTemplate(key)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	an, err := newAnalysis(p)
+	an, err = newAnalysis(p)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	an.literal = ptree.ParamOrderSensitive(an.forest)
-	return analysisCache.add(key, an), nil
+	return analysisCache.add(key, an), false, nil
 }
 
 // newAnalysis checks p once — for a SELECT query the full query, whose
@@ -479,28 +432,13 @@ func (q *PreparedQuery) Pattern() Pattern {
 	if q.consts == nil {
 		return q.an.pattern
 	}
-	q.instantiate()
-	return q.litPat
+	q.patOnce.Do(func() { q.pat = sparql.Instantiate(q.an.pattern, q.consts) })
+	return q.pat
 }
 
 // Forest returns the query's well-designed pattern forest. Callers
 // must not mutate it.
-func (q *PreparedQuery) Forest() Forest {
-	if q.consts == nil {
-		return q.an.forest
-	}
-	q.instantiate()
-	return q.litTrees
-}
-
-// instantiate builds, once, the pattern and forest of a query bound
-// from a template: the template's, with the text's constants filled in.
-func (q *PreparedQuery) instantiate() {
-	q.litOnce.Do(func() {
-		q.litPat = sparql.Instantiate(q.an.pattern, q.consts)
-		q.litTrees = ptree.InstantiateForest(q.an.forest, q.consts)
-	})
-}
+func (q *PreparedQuery) Forest() Forest { return q.forest }
 
 // Layout returns the slot layout shared by all rows of the query.
 func (q *PreparedQuery) Layout() *SlotLayout { return q.prog.Layout() }

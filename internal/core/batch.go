@@ -359,7 +359,7 @@ func (e *Evaluator) resolveWidth() int32 {
 // subtree above it binds, so one game serves every domain and view.
 func (cn *compiledNode) compileGame(fp *ForestProgram) {
 	cn.gameOnce.Do(func() {
-		cn.game, cn.gameErr = pebble.Compile(fp.literal(cn.node.Pattern), cn.node.Parent.Vars(), fp.g, fp.layout)
+		cn.game, cn.gameErr = pebble.Compile(cn.node.Pattern, cn.node.Parent.Vars(), fp.g, fp.layout)
 	})
 }
 

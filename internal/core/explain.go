@@ -1,9 +1,6 @@
 package core
 
-import (
-	"wdsparql/internal/hom"
-	"wdsparql/internal/sparql"
-)
+import "wdsparql/internal/hom"
 
 // Explain renders a compiled forest's query plans for observability:
 // one node per wdPT node, carrying the node's patterns in compiled
@@ -55,16 +52,7 @@ func (fp *ForestProgram) explainNode(cn *compiledNode) *ExplainNode {
 	for i := 0; i < cn.prog.NumPatterns(); i++ {
 		en.Patterns = append(en.Patterns, cn.prog.RenderPattern(i, fp.layout))
 	}
-	for i, f := range cn.node.Filters {
-		if fp.consts != nil {
-			f = sparql.InstantiateExpr(f, fp.consts)
-		}
-		note := " [deferred]"
-		if cn.pushed[i] {
-			note = " [pushed]"
-		}
-		en.Filters = append(en.Filters, f.String()+note)
-	}
+	en.Filters = append(en.Filters, cn.filterNotes...)
 	if pl := cn.prog.Plan(); pl != nil {
 		for _, st := range pl.Steps {
 			en.Order = append(en.Order, ExplainStep{
@@ -105,7 +93,7 @@ func (e *Evaluator) Tests() []TestInfo {
 	for pi, p := range e.order {
 		for i, tp := range p.trees {
 			for _, t := range tp.tests {
-				ti := TestInfo{Plan: pi, Dom: p.vars, Tree: i, Child: e.fp.literal(t.node.node.Pattern), FreeVars: t.node.free,
+				ti := TestInfo{Plan: pi, Dom: p.vars, Tree: i, Child: t.node.node.Pattern, FreeVars: t.node.free,
 					Stats: EvalStats{t.runs.Load(), t.exhaustions.Load(), t.fallbacks.Load(), t.assignments.Load()}}
 				if e.alg != AlgNaive { // naive plans skip the game; another view may be compiling it
 					ti.NoGame = t.node.gameErr

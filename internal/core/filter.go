@@ -23,58 +23,36 @@ import (
 // the node's pattern (local conjuncts) or after its children
 // (deferred conjuncts), and the safety condition keeps filter
 // variables inside the subtree.
-//
-// In a template's filter (template set) a parameter operand becomes a
-// constant that hom.FilterExpr.Bind sets. A comparison of two
-// constants still folds: two parameters are equal exactly when they
-// are the same parameter, and a parameter never equals a constant the
-// template keeps literal (sparql.TemplateKey numbers equal constants
-// alike and lifts none that it keeps).
-func compileFilterExpr(e sparql.Expr, layout *rdf.SlotLayout, dict *rdf.Dict, template bool) *hom.FilterExpr {
-	param := func(t rdf.Term) (int, bool) {
-		if !template {
-			return 0, false
-		}
-		return t.ParamIndex()
-	}
+func compileFilterExpr(e sparql.Expr, layout *rdf.SlotLayout, dict *rdf.Dict) *hom.FilterExpr {
 	switch q := e.(type) {
 	case sparql.Cmp:
 		op := hom.FOpEq
 		if q.Neq {
 			op = hom.FOpNe
 		}
-		lp, lParam := param(q.Left)
-		rp, rParam := param(q.Right)
 		if !q.Left.IsVar() && !q.Right.IsVar() {
-			var equal bool
-			if lParam || rParam {
-				equal = lParam && rParam && lp == rp
-			} else {
-				lid, lok := dict.LookupIRI(q.Left.Value)
-				rid, rok := dict.LookupIRI(q.Right.Value)
-				equal = (lok && rok && lid == rid) || (!lok && !rok && q.Left.Value == q.Right.Value)
-			}
+			lid, lok := dict.LookupIRI(q.Left.Value)
+			rid, rok := dict.LookupIRI(q.Right.Value)
+			equal := (lok && rok && lid == rid) || (!lok && !rok && q.Left.Value == q.Right.Value)
 			if equal != q.Neq {
 				return &hom.FilterExpr{Op: hom.FOpTrue}
 			}
 			return &hom.FilterExpr{Op: hom.FOpFalse}
 		}
 		out := &hom.FilterExpr{Op: op, ASlot: -1, BSlot: -1}
-		switch {
-		case q.Left.IsVar():
+		if q.Left.IsVar() {
 			out.ASlot = int32(layout.Intern(q.Left.Value))
-		case lParam:
-			out.AParam = int32(lp) + 1
-		default:
-			out.AConst = lookupConst(dict, q.Left.Value)
+		} else if id, ok := dict.LookupIRI(q.Left.Value); ok {
+			out.AConst = id
+		} else {
+			out.AConst = rdf.Unbound
 		}
-		switch {
-		case q.Right.IsVar():
+		if q.Right.IsVar() {
 			out.BSlot = int32(layout.Intern(q.Right.Value))
-		case rParam:
-			out.BParam = int32(rp) + 1
-		default:
-			out.BConst = lookupConst(dict, q.Right.Value)
+		} else if id, ok := dict.LookupIRI(q.Right.Value); ok {
+			out.BConst = id
+		} else {
+			out.BConst = rdf.Unbound
 		}
 		return out
 	case sparql.Bound:
@@ -86,22 +64,13 @@ func compileFilterExpr(e sparql.Expr, layout *rdf.SlotLayout, dict *rdf.Dict, te
 		}
 		return &hom.FilterExpr{
 			Op: op, ASlot: -1, BSlot: -1,
-			X: compileFilterExpr(q.Left, layout, dict, template),
-			Y: compileFilterExpr(q.Right, layout, dict, template),
+			X: compileFilterExpr(q.Left, layout, dict),
+			Y: compileFilterExpr(q.Right, layout, dict),
 		}
 	case sparql.ExprNot:
-		return &hom.FilterExpr{Op: hom.FOpNot, ASlot: -1, BSlot: -1, X: compileFilterExpr(q.X, layout, dict, template)}
+		return &hom.FilterExpr{Op: hom.FOpNot, ASlot: -1, BSlot: -1, X: compileFilterExpr(q.X, layout, dict)}
 	}
 	panic("core: unknown filter expression type")
-}
-
-// lookupConst is a filter constant's TermID: rdf.Unbound outside the
-// dictionary.
-func lookupConst(dict *rdf.Dict, v string) rdf.TermID {
-	if id, ok := dict.LookupIRI(v); ok {
-		return id
-	}
-	return rdf.Unbound
 }
 
 // Project returns a view of the program whose streams emit only the

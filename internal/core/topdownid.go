@@ -39,15 +39,11 @@ type compiledNode struct {
 	// of this node's subtree. Local conjuncts live inside prog instead
 	// and never appear here.
 	deferred []*hom.FilterExpr
-	// pushed[i] reports whether node.Filters[i] went into prog (explain
-	// marks it [pushed]) or into deferred ([deferred]).
-	pushed []bool
-	// params reports a template parameter in the node's programs or
-	// below it: Bind copies exactly these nodes and shares the rest.
-	params bool
+	// filterNotes renders every filter conjunct of the node for
+	// explain output, marked [pushed] or [deferred].
+	filterNotes []string
 
-	// What decisions (batch.go) read of the node: the wdPT node (the
-	// template's, in a bound program: see ForestProgram.literal), how
+	// What decisions (batch.go) read of the node: the wdPT node, how
 	// many of its variables its ancestors leave free, the slots its
 	// patterns mention, and its pebble game, compiled on first need.
 	node     *ptree.Node
@@ -68,12 +64,7 @@ type ForestProgram struct {
 	layout *rdf.SlotLayout
 	roots  []*compiledNode
 	nodes  int
-
-	// consts holds the constants of a program Bind made from a template,
-	// by parameter number: the forest and the wdPT nodes stay the
-	// template's, and literal substitutes them where a constant is read
-	// as a string.
-	consts []string
+	noPush bool // compile-time switch: keep every filter deferred
 
 	// member is the cross-tree dedup of a multi-tree forest by
 	// membership test (union.go); nil when the forest keeps the
@@ -85,22 +76,16 @@ type ForestProgram struct {
 	// pre-planner behaviour. One execution uses one mode for all its
 	// searchers — the SplitTop/RunOn consistency the parallel
 	// enumeration needs.
-	mode hom.SearchMode
-
-	// The flags share mode's word, which keeps the struct that Tuned
-	// copies per execution small: the compile-time switches — keep
-	// every filter deferred, compile parameter operands
-	// (CompileOpts.Template) — and Project's DISTINCT.
-	noPush, template, distinct bool
-
+	mode  hom.SearchMode
 	slack int
 	stats *hom.SearchStats
 
-	// Output shaping, set through Project: the projected layout and the
-	// full-layout slot behind each output slot (-1: never bound); nil
-	// outLayout = raw full rows. distinct (above) dedups the output.
+	// Output shaping, set through Project: the projected layout, the
+	// full-layout slot behind each output slot (-1: never bound), and
+	// whether the output deduplicates. nil outLayout = raw full rows.
 	outLayout *rdf.SlotLayout
 	projSlots []int32
+	distinct  bool
 }
 
 // Tuned returns a view of the program with the given search tuning:
@@ -123,10 +108,6 @@ type CompileOpts struct {
 	// prunes earlier); the switch exists for ablation and
 	// cross-validation.
 	NoFilterPushdown bool
-	// Template compiles a query template's forest (sparql.TemplateKey):
-	// every parameter (rdf.Param) becomes an operand, and the program
-	// runs only after Bind has set them.
-	Template bool
 }
 
 // CompileForest compiles every tree of the forest against the graph,
@@ -138,7 +119,7 @@ func CompileForest(f ptree.Forest, g *rdf.Graph) *ForestProgram {
 
 // CompileForestOpts is CompileForest with compile-time switches.
 func CompileForestOpts(f ptree.Forest, g *rdf.Graph, opts CompileOpts) *ForestProgram {
-	fp := &ForestProgram{g: g, forest: f, layout: rdf.NewSlotLayout(), noPush: opts.NoFilterPushdown, template: opts.Template}
+	fp := &ForestProgram{g: g, forest: f, layout: rdf.NewSlotLayout(), noPush: opts.NoFilterPushdown}
 	for _, t := range f {
 		fp.roots = append(fp.roots, fp.compileNode(t.Root, nil))
 	}
@@ -176,15 +157,15 @@ func markSlots(n *compiledNode, buf []uint64, words int) {
 // lower only after the children are compiled, when their variables
 // are interned.
 func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode {
-	cn := &compiledNode{idx: fp.nodes, node: n}
-	if fp.template {
-		cn.prog = hom.CompileTemplateRowProgram(n.Pattern, fp.g, fp.layout)
-	} else {
-		cn.prog = hom.CompileRowProgram(n.Pattern, fp.g, fp.layout)
+	cn := &compiledNode{
+		idx:  fp.nodes,
+		prog: hom.CompileRowProgram(n.Pattern, fp.g, fp.layout),
+		node: n,
 	}
 	fp.nodes++
+	vars := n.Vars()
 	var own []int32 // slots of this node's variables not bound on entry
-	for _, v := range n.Vars() {
+	for _, v := range vars {
 		if s := int32(fp.layout.Intern(v.Value)); !slices.Contains(entry, s) {
 			own = append(own, s)
 		}
@@ -196,7 +177,7 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 		for _, s := range entry {
 			scope[fp.layout.Name(int(s))] = true
 		}
-		for _, v := range n.Vars() {
+		for _, v := range vars {
 			scope[v.Value] = true
 		}
 		for _, f := range n.Filters {
@@ -208,11 +189,12 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 				}
 			}
 			if local && !fp.noPush {
-				cn.prog.AttachFilter(compileFilterExpr(f, fp.layout, fp.g.Dict(), fp.template))
+				cn.prog.AttachFilter(compileFilterExpr(f, fp.layout, fp.g.Dict()))
+				cn.filterNotes = append(cn.filterNotes, f.String()+" [pushed]")
 			} else {
 				deferredExprs = append(deferredExprs, f)
+				cn.filterNotes = append(cn.filterNotes, f.String()+" [deferred]")
 			}
-			cn.pushed = append(cn.pushed, local && !fp.noPush)
 		}
 	}
 	cn.prog.PlanLazily(entry)
@@ -227,73 +209,13 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 		slices.Sort(own)
 		childEntry = append(append(make([]int32, 0, len(entry)+len(own)), entry...), own...)
 	}
-	cn.params = cn.prog.HasParams()
 	for _, c := range n.Children {
-		child := fp.compileNode(c, childEntry)
-		cn.children = append(cn.children, child)
-		cn.params = cn.params || child.params
+		cn.children = append(cn.children, fp.compileNode(c, childEntry))
 	}
 	for _, f := range deferredExprs {
-		d := compileFilterExpr(f, fp.layout, fp.g.Dict(), fp.template)
-		cn.deferred = append(cn.deferred, d)
-		cn.params = cn.params || d.HasParams()
+		cn.deferred = append(cn.deferred, compileFilterExpr(f, fp.layout, fp.g.Dict()))
 	}
 	return cn
-}
-
-// Bind returns the program of the text a template was lifted from: the
-// template's program with parameter i set to the IRI ids[i]
-// (rdf.Unbound when the graph lacks it) whose text is consts[i]. It
-// equals what CompileForestOpts builds for the text's own forest —
-// pattern codes, filters, absent programs, projection — and, like it,
-// builds join plans, decision plans and pebble games on first use.
-// Nodes with no parameter at or below them are shared with the
-// template, and so are the layout and the slot sets; the copy costs
-// the nodes on a path to a parameter.
-func (fp *ForestProgram) Bind(ids []rdf.TermID, consts []string) *ForestProgram {
-	out := *fp
-	out.template, out.consts = false, consts
-	out.roots = make([]*compiledNode, len(fp.roots))
-	for i, r := range fp.roots {
-		out.roots[i] = r.bind(ids)
-	}
-	if fp.member != nil {
-		out.member = &membership{fp: &out, binds: fp.member.binds}
-	}
-	return &out
-}
-
-func (cn *compiledNode) bind(ids []rdf.TermID) *compiledNode {
-	if !cn.params {
-		return cn
-	}
-	b := &compiledNode{idx: cn.idx, prog: cn.prog.Bind(ids), deferred: cn.deferred, pushed: cn.pushed,
-		node: cn.node, free: cn.free, slots: cn.slots}
-	if len(cn.children) > 0 {
-		b.children = make([]*compiledNode, len(cn.children))
-		for i, c := range cn.children {
-			b.children[i] = c.bind(ids)
-		}
-	}
-	for i, d := range cn.deferred {
-		if !d.HasParams() {
-			continue
-		}
-		if &b.deferred[0] == &cn.deferred[0] {
-			b.deferred = slices.Clone(cn.deferred) // first bound filter: copy
-		}
-		b.deferred[i] = d.Bind(ids)
-	}
-	return b
-}
-
-// literal returns a node pattern of the program with its parameters
-// replaced by the bound constants: the text's own pattern.
-func (fp *ForestProgram) literal(s hom.TGraph) hom.TGraph {
-	if fp.consts == nil {
-		return s
-	}
-	return ptree.InstantiateTGraph(s, fp.consts)
 }
 
 // Layout returns the layout of the rows the program streams: the

@@ -73,37 +73,7 @@ type FilterExpr struct {
 	ASlot, BSlot int32
 	AConst       rdf.TermID
 	BConst       rdf.TermID
-	// AParam/BParam are 1 + the parameter number of a constant operand
-	// in a query template's filter, 0 for a literal constant: Bind sets
-	// the constant.
-	AParam, BParam int32
-	X, Y           *FilterExpr // operands of And/Or (Y nil for Not)
-}
-
-// HasParams reports whether the expression compares against a
-// template parameter.
-func (f *FilterExpr) HasParams() bool {
-	return f != nil && (f.AParam > 0 || f.BParam > 0 || f.X.HasParams() || f.Y.HasParams())
-}
-
-// Bind returns the expression with the constant of parameter i set to
-// ids[i] (rdf.Unbound for an IRI outside the graph, which compares
-// unequal to every bound value): the expression compiling the bound
-// filter gives. f itself when it has no parameter.
-func (f *FilterExpr) Bind(ids []rdf.TermID) *FilterExpr {
-	if !f.HasParams() {
-		return f
-	}
-	out := *f
-	if f.AParam > 0 {
-		out.AConst = ids[f.AParam-1]
-	}
-	if f.BParam > 0 {
-		out.BConst = ids[f.BParam-1]
-	}
-	out.AParam, out.BParam = 0, 0
-	out.X, out.Y = f.X.Bind(ids), f.Y.Bind(ids)
-	return &out
+	X, Y         *FilterExpr // operands of And/Or (Y nil for Not)
 }
 
 // Eval evaluates the filter against a row under the three-valued
@@ -218,7 +188,6 @@ func (p *RowProgram) AttachFilter(f *FilterExpr) {
 		}
 	}
 	p.filters = append(p.filters, progFilter{expr: f, slots: slots})
-	p.filterParams = p.filterParams || f.HasParams()
 }
 
 // restrictedSlots returns the slots pinned to a single value by an

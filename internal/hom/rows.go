@@ -64,38 +64,12 @@ type RowProgram struct {
 	// Pushed filter conjuncts; see filter.go. Immutable once the first
 	// searcher is created.
 	filters []progFilter
-
-	// The parameter operands of a template program (see Bind): the
-	// pattern positions holding a parameter, and whether a pushed
-	// filter compares against one. A template program is only ever
-	// bound, never run.
-	params       []paramSite
-	filterParams bool
-}
-
-// paramSite is one pattern position of a template program that holds
-// a parameter.
-type paramSite struct {
-	pat, param int32
-	pos        int8
 }
 
 // CompileRowProgram compiles the patterns, interning their variables
 // into the layout. Patterns whose constants are unknown to the graph's
 // dictionary yield a program with no matches.
 func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) *RowProgram {
-	return compileRowProgram(pats, g, layout, false)
-}
-
-// CompileTemplateRowProgram is CompileRowProgram for the patterns of a
-// query template: a parameter term (rdf.Param) becomes an operand that
-// Bind fills in, every other constant compiles as in
-// CompileRowProgram.
-func CompileTemplateRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) *RowProgram {
-	return compileRowProgram(pats, g, layout, true)
-}
-
-func compileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, template bool) *RowProgram {
 	p := &RowProgram{g: g, pats: make([]cpat, len(pats))}
 	dict := g.Dict()
 	for pi, pat := range pats {
@@ -108,11 +82,6 @@ func compileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, 
 				p.pats[pi].code[i] = int32(slot)
 				continue
 			}
-			if k, ok := term.ParamIndex(); template && ok {
-				p.params = append(p.params, paramSite{pat: int32(pi), param: int32(k), pos: int8(i)})
-				p.pats[pi].code[i] = ^int32(0)
-				continue
-			}
 			id, ok := dict.LookupIRI(term.Value)
 			if !ok {
 				p.absent = true
@@ -122,42 +91,6 @@ func compileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, 
 	}
 	return p
 }
-
-// Bind returns the program of a template with parameter i set to the
-// IRI ids[i] — rdf.Unbound for an IRI outside the graph, which makes
-// the program match nothing, as an absent constant does at compile
-// time. The result is the program CompileRowProgram builds for the
-// bound patterns: same codes, same filters, a join plan of its own
-// (built lazily, as ever). A program without parameters is returned
-// as it is, shared with every text of the template.
-func (p *RowProgram) Bind(ids []rdf.TermID) *RowProgram {
-	if !p.HasParams() {
-		return p
-	}
-	q := &RowProgram{g: p.g, pats: p.pats, width: p.width, absent: p.absent,
-		plannable: p.plannable, entry: p.entry, filters: p.filters}
-	if len(p.params) > 0 {
-		q.pats = slices.Clone(p.pats)
-		for _, s := range p.params {
-			id := ids[s.param]
-			if id == rdf.Unbound {
-				q.absent, id = true, 0
-			}
-			q.pats[s.pat].code[s.pos] = ^int32(id)
-		}
-	}
-	if p.filterParams {
-		q.filters = make([]progFilter, len(p.filters))
-		for i, f := range p.filters {
-			q.filters[i] = progFilter{expr: f.expr.Bind(ids), slots: f.slots}
-		}
-	}
-	return q
-}
-
-// HasParams reports whether the program is a template's with a
-// parameter operand, in a pattern or a pushed filter.
-func (p *RowProgram) HasParams() bool { return len(p.params) > 0 || p.filterParams }
 
 // Width returns the minimum row length the program's Run accepts.
 func (p *RowProgram) Width() int { return p.width }

@@ -1,6 +1,9 @@
 package ptree
 
 import (
+	"slices"
+	"strings"
+
 	"wdsparql/internal/hom"
 	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
@@ -8,106 +11,21 @@ import (
 
 // This file is the wdpf side of query templates (sparql/template.go):
 // a template's forest is the forest of every text lifted to it, with
-// its parameters in place of the text's constants — except where wdpf
-// orders by a parameter. wdpf sorts a node's triples (Triple.Less) and
-// a node's children (their rendering, sortKey) and both orders read
-// constants. Renaming constants keeps every comparison whose deciding
-// position holds no parameter, and changes nothing else in the
-// translation: triples and filters are compared for equality only.
-
-// ParamOrderSensitive reports whether some comparison behind the
-// forest's triple or child order is decided at a parameter: two
-// triples whose first differing position holds two distinct
-// parameters, or two sibling renderings whose first differing byte
-// lies inside a parameter's rendering. Such a template's order may
-// differ from the order of a text lifted to it, so the text must be
-// translated itself. Comparisons decided elsewhere give the same
-// answer for every text, and so do the sorts built on them.
-func ParamOrderSensitive(f Forest) bool {
-	for _, t := range f {
-		for _, n := range t.nodes {
-			for i, a := range n.Pattern {
-				for _, b := range n.Pattern[i+1:] {
-					if tripleDecidedByParam(a, b) {
-						return true
-					}
-				}
-			}
-			if len(n.Children) < 2 {
-				continue
-			}
-			keys := make([]string, len(n.Children))
-			for i, c := range n.Children {
-				keys[i] = c.sortKey()
-			}
-			for i, a := range keys {
-				for _, b := range keys[i+1:] {
-					if keyDecidedByParam(a, b) {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
-// tripleDecidedByParam reports whether Triple.Less decides a against b
-// at a parameter.
-func tripleDecidedByParam(a, b rdf.Triple) bool {
-	at, bt := a.Terms(), b.Terms()
-	for i := range at {
-		if at[i] == bt[i] {
-			continue
-		}
-		if at[i].Kind != bt[i].Kind {
-			return false // an IRI against a variable: decided by kind
-		}
-		_, ap := at[i].ParamIndex()
-		_, bp := bt[i].ParamIndex()
-		return ap || bp
-	}
-	return false
-}
-
-// keyDecidedByParam reports whether the first byte at which a and b
-// differ lies inside a parameter's rendering in either string.
-func keyDecidedByParam(a, b string) bool {
-	k := 0
-	for k < len(a) && k < len(b) && a[k] == b[k] {
-		k++
-	}
-	return inParam(a, k) || inParam(b, k)
-}
-
-// inParam reports whether byte k of a rendering lies inside a
-// parameter: ">i" bare (Term.String) or "<>i>" angle-quoted (a filter
-// operand). '>' followed by a digit only starts a parameter: no other
-// term renders a '>', and a closing quote is never followed by a digit.
-func inParam(s string, k int) bool {
-	for m := 0; m+1 < len(s); m++ {
-		if s[m] != '>' || s[m+1] < '0' || s[m+1] > '9' {
-			continue
-		}
-		start, end := m, m+1
-		for end < len(s) && s[end] >= '0' && s[end] <= '9' {
-			end++
-		}
-		if start > 0 && s[start-1] == '<' && end < len(s) && s[end] == '>' {
-			start, end = start-1, end+1
-		}
-		if start <= k && k < end {
-			return true
-		}
-		m = end - 1
-	}
-	return false
-}
+// its parameters in place of the text's constants, up to order. The
+// translation compares triples and filters for equality only, and a
+// template's parameters are an injective renaming of the text's
+// constants, so both build the same trees; but wdpf sorts a node's
+// triples (Triple.Less) and its children (their rendering, sortKey),
+// and both sorts read constants. InstantiateForest therefore sorts
+// again after substituting.
 
 // InstantiateForest substitutes consts[i] for parameter i throughout a
-// template's forest. The copy keeps the template's order: for a
-// template that is not ParamOrderSensitive it is the forest wdpf
-// builds for the text.
+// template's forest and restores wdpf's order on the result: each
+// node's triples sorted, each node's children stably sorted by their
+// rendering. The result is the forest wdpf builds for the text the
+// template was lifted from. Stability is enough for ties: two siblings
+// that render alike under one renaming render alike under every
+// injective one, so both sorts keep them in construction order.
 func InstantiateForest(f Forest, consts []string) Forest {
 	out := make(Forest, len(f))
 	for i, t := range f {
@@ -117,22 +35,43 @@ func InstantiateForest(f Forest, consts []string) Forest {
 }
 
 func instantiateNode(n, parent *Node, consts []string) *Node {
-	m := &Node{Pattern: InstantiateTGraph(n.Pattern, consts), Parent: parent}
-	for _, e := range n.Filters {
-		m.Filters = append(m.Filters, sparql.InstantiateExpr(e, consts))
+	pat := make(hom.TGraph, len(n.Pattern))
+	for i, t := range n.Pattern {
+		pat[i] = sparql.InstantiateTriple(t, consts)
 	}
-	for _, c := range n.Children {
-		m.Children = append(m.Children, instantiateNode(c, m, consts))
+	rdf.SortTriples(pat)
+	m := &Node{Pattern: pat, Parent: parent}
+	if len(n.Filters) > 0 {
+		m.Filters = make([]sparql.Expr, len(n.Filters))
+		for i, e := range n.Filters {
+			m.Filters[i] = sparql.InstantiateExpr(e, consts)
+		}
+	}
+	if len(n.Children) > 0 {
+		m.Children = make([]*Node, len(n.Children))
+		for i, c := range n.Children {
+			m.Children[i] = instantiateNode(c, m, consts)
+		}
+		if len(m.Children) > 1 {
+			sortByKey(m.Children)
+		}
 	}
 	return m
 }
 
-// InstantiateTGraph substitutes consts[i] for parameter i in a node
-// pattern, keeping its order.
-func InstantiateTGraph(s hom.TGraph, consts []string) hom.TGraph {
-	out := make(hom.TGraph, len(s))
-	for i, t := range s {
-		out[i] = sparql.InstantiateTriple(t, consts)
+// sortByKey is SortChildren's stable sort of one node's children,
+// rendering each child once.
+func sortByKey(children []*Node) {
+	type keyed struct {
+		key string
+		n   *Node
 	}
-	return out
+	ks := make([]keyed, len(children))
+	for i, c := range children {
+		ks[i] = keyed{c.sortKey(), c}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		children[i] = k.n
+	}
 }

@@ -6,22 +6,27 @@ import (
 	"wdsparql/internal/sparql"
 )
 
-// A template is order-sensitive exactly when a wdpf sort is decided at
-// a parameter; otherwise instantiating its forest gives the forest wdpf
-// builds for the text.
-func TestParamOrderSensitive(t *testing.T) {
-	for text, want := range map[string]bool{
+// Instantiating a template's forest gives the forest wdpf builds for
+// the text, also where a sort is decided at a parameter: the order is
+// restored after substituting.
+func TestInstantiateForest(t *testing.T) {
+	for _, text := range []string{
 		// The root's two triples sort by their subjects.
-		`((person1 knows ?y) AND (person2 knows ?y))`: true,
+		`((person2 knows ?y) AND (person1 knows ?y))`,
+		`((person1 knows ?y) AND (person2 knows ?y))`,
 		// An IRI against a variable: decided by kind.
-		`((person1 knows ?y) AND (?y knows person2))`: false,
+		`((person1 knows ?y) AND (?y knows person2))`,
 		// Two children whose renderings first differ inside a parameter.
-		`(((?x p ?y) OPT (o1 q ?z)) OPT (o2 q ?w))`: true,
+		`(((?x p ?y) OPT (o2 q ?z)) OPT (o1 q ?w))`,
+		`(((?x p ?y) OPT (o1 q ?z)) OPT (o2 q ?w))`,
 		// ... and two that first differ at a variable.
-		`(((a p ?y) OPT (?y q ?z)) OPT (?y q ?w))`:                                        false,
-		`(((?x p ?y) OPT ((?y q ?z) FILTER (?z = o1))) OPT ((?y q ?w) FILTER (?w = o2)))`: false,
-		// One parameter twice: equal on both sides, never deciding.
-		`((a p ?y) AND (a q ?y))`: false,
+		`(((a p ?y) OPT (?y q ?z)) OPT (?y q ?w))`,
+		`(((?x p ?y) OPT ((?y q ?z) FILTER (?z = o2))) OPT ((?y q ?w) FILTER (?w = o1)))`,
+		// Siblings that render alike keep their construction order.
+		`(((?x p ?y) OPT (?y q zz)) OPT (?y q zz))`,
+		// One parameter twice.
+		`((a p ?y) AND (a q ?y))`,
+		`(((b p ?y) OPT (?y q ?z)) UNION ((a p ?y) OPT (?y r ?w)))`,
 	} {
 		key, consts, ok := sparql.TemplateKey(text)
 		if !ok || consts == nil {
@@ -31,42 +36,24 @@ func TestParamOrderSensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tf, err := WDPF(mustParseTemplate(t, key))
+		tp, err := sparql.ParseTemplate(key)
+		if err != nil {
+			t.Fatalf("ParseTemplate(%q): %v", key, err)
+		}
+		tf, err := WDPF(tp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ParamOrderSensitive(tf); got != want {
-			t.Fatalf("%s: ParamOrderSensitive = %v, want %v\n%s", text, got, want, tf)
-		}
-		if got := InstantiateForest(tf, consts).String(); !want && got != f.String() {
+		got := InstantiateForest(tf, consts)
+		if got.String() != f.String() {
 			t.Fatalf("%s: instantiated\n%s\nwant\n%s", text, got, f)
 		}
-	}
-}
-
-func mustParseTemplate(t *testing.T, key string) sparql.Pattern {
-	t.Helper()
-	p, err := sparql.ParseTemplate(key)
-	if err != nil {
-		t.Fatalf("ParseTemplate(%q): %v", key, err)
-	}
-	return p
-}
-
-func TestKeyDecidedByParam(t *testing.T) {
-	for _, c := range []struct {
-		a, b string
-		want bool
-	}{
-		{"{(?y, q, ?z)} FILTER ?z = <>0>", "{(?y, q, ?z)} FILTER ?z = <>1>", true},
-		{"{(>1, p, ?x)}", "{(>12, p, ?x)}", true}, // differ right after a shared prefix of the parameter
-		{"{(>0, p, ?x)}", "{(>0, q, ?x)}", false},
-		{"{(a, p, >0)}", "{(b, p, >0)}", false},
-		{"{(?x, p, >0)}", "{(?x, p, >0)}", false},
-		{"{(x<, p, ?x)}", "{(>0, p, ?x)}", true},
-	} {
-		if got := keyDecidedByParam(c.a, c.b); got != c.want {
-			t.Fatalf("keyDecidedByParam(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		for i, tr := range got {
+			for id, n := range tr.Nodes() {
+				if n.ID != id || n.ID != f[i].Node(id).ID || n.Pattern.String() != f[i].Node(id).Pattern.String() {
+					t.Fatalf("%s: tree %d node %d is %s, want %s", text, i, id, n.Pattern, f[i].Node(id).Pattern)
+				}
+			}
 		}
 	}
 }

@@ -8,8 +8,7 @@
 package rdf
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -124,7 +123,7 @@ func WithTerms(a [3]Term) Triple { return Triple{S: a[0], P: a[1], O: a[2]} }
 
 // String renders the triple in the paper's notation "(s, p, o)".
 func (t Triple) String() string {
-	return fmt.Sprintf("(%s, %s, %s)", t.S, t.P, t.O)
+	return "(" + t.S.String() + ", " + t.P.String() + ", " + t.O.String() + ")"
 }
 
 // Less imposes a deterministic total order on triples.
@@ -140,22 +139,29 @@ func (t Triple) Less(u Triple) bool {
 
 // SortTriples sorts a slice of triples in place under Triple.Less.
 func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
+	slices.SortFunc(ts, func(a, b Triple) int {
+		switch {
+		case a.Less(b):
+			return -1
+		case b.Less(a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // VarsOf returns the sorted set of variables occurring in a set of
 // triples (the paper's vars(S) for a t-graph S).
 func VarsOf(ts []Triple) []Term {
-	seen := map[Term]bool{}
 	var out []Term
 	for _, t := range ts {
-		for _, v := range t.Vars() {
-			if !seen[v] {
-				seen[v] = true
+		for _, v := range [3]Term{t.S, t.P, t.O} {
+			if v.IsVar() {
 				out = append(out, v)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	// Every term is a variable: Less orders them by name.
+	slices.SortFunc(out, func(a, b Term) int { return strings.Compare(a.Value, b.Value) })
+	return slices.Compact(out)
 }

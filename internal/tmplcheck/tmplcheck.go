@@ -1,7 +1,7 @@
 // Package tmplcheck diffs Engine.PrepareText, which prepares a query
-// text by binding its constants into a compiled template, against the
-// direct path that parses, translates and compiles the text itself with
-// no cache involved. The property test of the root package and wdfuzz
+// text from its template's analysis and forest, against the direct
+// path that parses, translates and compiles the text itself with no
+// cache involved. The property test of the root package and wdfuzz
 // -template both run it.
 package tmplcheck
 

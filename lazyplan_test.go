@@ -171,7 +171,7 @@ func TestLazyPlanFirstUseRace(t *testing.T) {
 // per miss on this query (Go 1.24); lazy planning allocates 154. Since
 // PrepareText prepares per template, the analysis is found by the
 // template key instead of by parsing and formatting the text, and the
-// miss compiles the template and binds the constant: 77.
+// miss instantiates the template's forest and compiles it: 84.
 func TestPrepareMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -184,7 +184,7 @@ func TestPrepareMissAllocs(t *testing.T) {
 		}
 	}
 	prepare()
-	if allocs := testing.AllocsPerRun(20, prepare); allocs > 80 {
-		t.Fatalf("a prepare miss allocates %.0f objects, want ≤ 80", allocs)
+	if allocs := testing.AllocsPerRun(20, prepare); allocs > 85 {
+		t.Fatalf("a prepare miss allocates %.0f objects, want ≤ 85", allocs)
 	}
 }

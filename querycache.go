@@ -2,24 +2,23 @@ package wdsparql
 
 // This file implements the query-cache seam of the engine: one small
 // mutex-guarded LRU used at two levels of the prepare pipeline, which
-// prepares per template — a query text with its constants lifted to
+// analyses per template — a query text with its constants lifted to
 // parameters (sparql.TemplateKey) — and not per text.
 //
 //   - The package-wide analysis cache (engine.go, analyze and
 //     analyzeTemplate) memoises the graph-independent static analysis
 //     per canonical pattern text or template key. The analysis of a
 //     template is the analysis of every text lifted to it, so engines,
-//     generations and texts of one shape share one.
-//   - The per-engine cache (WithQueryCache, PrepareText) holds two
-//     kinds of entry in one LRU: prepared queries keyed by the exact
-//     request text, looked up first, so a repeated text costs one map
-//     probe; and templates compiled against the engine's graph, keyed
-//     by the template key, so a new text of a known shape costs the
-//     key pass and binding its constants, not parse + analysis +
-//     compilation. A served text touches its template, so the few hot
-//     shapes stay resident while one-off texts age out. The counters
-//     keep the two apart: Hits/Misses count exact-text lookups only,
-//     TemplateHits/TemplateMisses the template lookups of exact misses.
+//     generations and texts of one shape share one: a new text of a
+//     known shape costs the key pass and compiling its instantiated
+//     forest, not parse + analysis + compilation.
+//   - The per-engine cache (WithQueryCache, PrepareText) holds prepared
+//     queries keyed by the exact request text, so a repeated text costs
+//     one map probe. It holds nothing else: a key the client sends
+//     reaches no entry but the one its own text prepared. Its counters
+//     are the engine's: Hits/Misses count exact-text lookups,
+//     TemplateHits/TemplateMisses the template analyses the exact
+//     misses found or made.
 
 import (
 	"container/list"
@@ -42,7 +41,7 @@ type lruCache[V any] struct {
 	misses atomic.Uint64
 
 	// The engine cache's template counters; see CacheStats.
-	templateHits, templateMisses, literalShapes atomic.Uint64
+	templateHits, templateMisses atomic.Uint64
 }
 
 type lruEntry[V any] struct {
@@ -70,36 +69,27 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return c.lookup(key, &c.hits, &c.misses)
-}
-
-// getTemplate is get for a template key, counted as a template lookup.
-func (c *lruCache[V]) getTemplate(key string) (V, bool) {
-	if c == nil {
-		var zero V
-		return zero, false
-	}
-	return c.lookup(key, &c.templateHits, &c.templateMisses)
-}
-
-func (c *lruCache[V]) lookup(key string, hits, misses *atomic.Uint64) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		hits.Add(1)
+		c.hits.Add(1)
 		return el.Value.(*lruEntry[V]).val, true
 	}
-	misses.Add(1)
+	c.misses.Add(1)
 	var zero V
 	return zero, false
 }
 
-// literalShape counts a text prepared on its own because its
-// template's order depends on its constants.
-func (c *lruCache[V]) literalShape() {
-	if c != nil {
-		c.literalShapes.Add(1)
+// countTemplate records whether an exact miss found its template's
+// analysis cached.
+func (c *lruCache[V]) countTemplate(hit bool) {
+	switch {
+	case c == nil:
+	case hit:
+		c.templateHits.Add(1)
+	default:
+		c.templateMisses.Add(1)
 	}
 }
 
@@ -140,21 +130,20 @@ func (c *lruCache[V]) len() int {
 
 // CacheStats reports the state of an engine's query cache: cumulative
 // counters since the engine was built, current occupancy (prepared
-// texts and compiled templates alike) and the configured capacity. All
-// zero when the cache is disabled.
+// texts) and the configured capacity. All zero when the cache is
+// disabled.
 //
 // Hits and Misses count PrepareText's exact-text lookups. Each miss
-// with a constant to lift then looks up its template: TemplateHits
-// bind a compiled template, TemplateMisses analyse (or find the
-// analysis of) and compile one. LiteralShapes counts the texts prepared
-// on their own because their template's order depends on the constants
-// (ptree.ParamOrderSensitive).
+// with a constant to lift then looks up its template's analysis in the
+// package-wide analysis cache: TemplateHits find it and only compile
+// the text's forest, TemplateMisses analyse the template first. The
+// analysis cache is shared, so a shape another engine (or an earlier
+// generation) analysed is a hit here.
 type CacheStats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
 	TemplateHits   uint64 `json:"template_hits"`
 	TemplateMisses uint64 `json:"template_misses"`
-	LiteralShapes  uint64 `json:"literal_shapes"`
 	Size           int    `json:"size"`
 	Cap            int    `json:"cap"`
 }
@@ -168,7 +157,6 @@ func (c *lruCache[V]) cacheStats() CacheStats {
 		Misses:         c.misses.Load(),
 		TemplateHits:   c.templateHits.Load(),
 		TemplateMisses: c.templateMisses.Load(),
-		LiteralShapes:  c.literalShapes.Load(),
 		Size:           c.len(),
 		Cap:            c.capacity,
 	}
