@@ -4,9 +4,10 @@
 // compositional semantics (both join strategies), the Lemma 1 subtree
 // enumeration and the top-down enumeration. The top-down enumeration
 // additionally runs against every storage backend — the unsealed
-// graph (every triple in the write overlay), a frozen clone, and an
+// graph (every triple in the write overlay), a frozen clone, an
 // overlay twin (a frozen base carrying half the triples, the rest in
-// the overlay) —
+// the overlay) and a delta twin (half in the base, a quarter in the
+// sealed delta tier, a quarter in the overlay) —
 // and the full row streams are diffed byte for byte (content AND
 // order), so a backend that returns the right set in the wrong order
 // fails a trial.
@@ -153,17 +154,20 @@ func collectStream(f ptree.Forest, g *rdf.Graph) []rdf.Row {
 	return out
 }
 
-// overlayTwin rebuilds g as a sealed base carrying roughly half the
-// triples plus a write overlay holding the rest. Replaying the
-// triples in insertion order (TriplesID, not the sorted Triples)
-// reproduces g's dictionary IDs exactly, so the twin's row stream is
-// directly comparable to the unsealed reference — the overlay merge
-// must be unobservable just like the base.
-func overlayTwin(g *rdf.Graph) *rdf.Graph {
+// tierTwin rebuilds g with a Freeze before each cut (an index into
+// g's insertion order) and the triples after the last cut in the write
+// overlay: one cut gives a sealed base carrying the first part plus an
+// overlay; a second, closer than the first cut is to the start, gives a
+// sealed delta tier between them. Replaying the triples in insertion
+// order (TriplesID, not the sorted Triples) reproduces g's dictionary
+// IDs exactly, so the twin's row stream is directly comparable to the
+// unsealed reference — the tiers must be unobservable just like the
+// base.
+func tierTwin(g *rdf.Graph, cuts ...int) *rdf.Graph {
 	ids := g.TriplesID()
 	og := rdf.NewGraph()
 	for i, t := range ids {
-		if i == len(ids)/2 {
+		if slices.Contains(cuts, i) {
 			og.Freeze()
 		}
 		tr := g.Dict().DecodeTriple(t)
@@ -199,9 +203,13 @@ type backend struct {
 }
 
 // backendsOf returns g itself (unsealed: every triple in the overlay)
-// followed by its frozen clone and its overlay twin.
+// followed by its frozen clone, its overlay twin (half the triples in
+// the base) and its delta twin (half in the base, a quarter in the
+// sealed delta tier, a quarter in the overlay).
 func backendsOf(g *rdf.Graph) []backend {
-	return []backend{{"unsealed", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g)}}
+	n := g.Len()
+	return []backend{{"unsealed", g}, {"frozen", g.Clone().Freeze()},
+		{"frozen+ovl", tierTwin(g, n/2)}, {"frozen+dlt", tierTwin(g, n/2, 3*n/4)}}
 }
 
 // windowRows mirrors the engine's Limit/Offset windowing over a
@@ -290,8 +298,8 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, plann
 		}
 	}
 	// Storage backends must be unobservable: the row stream over the
-	// unsealed graph is the reference, and the frozen clone and the overlay
-	// twin must reproduce it byte for byte — content and order —
+	// unsealed graph is the reference, and the frozen clone and the tier
+	// twins must reproduce it byte for byte — content and order —
 	// through the same compiled enumeration.
 	want := collectStream(f, g)
 	if err := checkSolutionStream(want, core.CompileForest(f, g).Layout(), g, ref); err != nil {

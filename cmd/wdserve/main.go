@@ -22,8 +22,9 @@
 // Live writes: POST /ingest accepts an N-Triples stream (optionally
 // gzipped) and applies it in atomic batches to a mutable overlay on
 // the sealed graph — queries keep streaming, no restart, no reload.
-// When the overlay passes -refreeze-at triples it is compacted into a
-// fresh sealed base behind the live readers. Startup loads with the
+// When the overlay passes -refreeze-at triples it is sealed into a
+// delta tier behind the live readers; the base (with -snapshot, the
+// mapped image) is rebuilt only once the delta would reach its size. Startup loads with the
 // parallel ingest pipeline (-load-workers) and reports progress.
 //
 // Operational endpoints: /healthz (liveness), /readyz (flips to 503
@@ -71,7 +72,7 @@ func main() {
 
 		loadWorkers    = flag.Int("load-workers", 0, "parallel-ingest workers for the -data load (0: GOMAXPROCS)")
 		ingestBatch    = flag.Int("ingest-batch", 5000, "triples per atomically applied POST /ingest batch")
-		refreezeAt     = flag.Int("refreeze-at", 50000, "overlay size that triggers a re-freeze (< 0 disables)")
+		refreezeAt     = flag.Int("refreeze-at", 50000, "overlay size that triggers a re-freeze: the overlay is sealed into the delta tier, folded into a fresh base once that reaches the base's size (< 0 disables)")
 		ingestMaxBytes = flag.Int64("ingest-max-bytes", 1<<30, "bound on a POST /ingest body in bytes")
 	)
 	flag.Parse()

@@ -8,10 +8,9 @@ package wdsparql
 // rdf.Graph.Fork and rdf/overlay.go) and returns a NEW engine over the
 // fork; the caller (internal/server holds the canonical example, with
 // refcounted generation swap) publishes the new engine and retires the
-// old one once its in-flight readers drain. Refreeze folds an
-// engine's overlay into a fresh sealed base the same way: fork,
-// freeze, new engine — the old generation's readers never observe the
-// fold. Nothing is ever mutated in place, which is exactly why
+// old one once its in-flight readers drain. Refreeze seals an
+// engine's overlay the same way: fork, freeze, new engine — the old
+// generation's readers never observe the seal. Nothing is ever mutated in place, which is exactly why
 // no reader is ever blocked or dropped.
 
 import (
@@ -21,8 +20,8 @@ import (
 // withGraph returns a new engine over g carrying e's options. It does
 // NOT re-seal g (unlike NewEngine): the generation path hands over
 // graphs that are already sealed — a fork carrying an overlay, or a
-// freshly compacted base — and re-sealing would fold the overlay
-// eagerly, defeating the cheap-fork design. Every option carries over
+// freshly sealed one — and re-sealing would seal the overlay eagerly,
+// defeating the cheap-fork design. Every option carries over
 // (the planner and pushdown settings included); only the query cache
 // starts empty, because prepared queries are compiled against a
 // specific graph.
@@ -58,14 +57,16 @@ func (e *Engine) ApplyDelta(ts []Triple) *Engine {
 	return e.withGraph(g)
 }
 
-// Refreeze returns a new engine generation with e's overlay compacted
-// into a fresh frozen base, restoring pure-CSR read
-// performance. Like ApplyDelta it never mutates e: the compaction
-// happens on a fork while e's readers keep streaming from the old
+// Refreeze returns a new engine generation with e's overlay sealed
+// (rdf.Graph.Freeze): into a delta tier over the shared base — for a
+// served snapshot, the mapped image — while that tier stays smaller
+// than the base, else folded with it into a fresh base. Either way
+// reads are CSR probes again. Like ApplyDelta it never mutates e: the
+// seal happens on a fork while e's readers keep streaming from the old
 // generation. Refreeze on an engine without an overlay returns a
 // generation sharing all storage (cheap, and harmless).
 func (e *Engine) Refreeze() *Engine {
-	return e.withGraph(e.g.Fork().Freeze())
+	return e.withGraph(e.g.Refrozen())
 }
 
 // OverlayLen reports the number of triples in the engine graph's

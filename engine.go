@@ -128,10 +128,10 @@ func WithFilterPushdown(on bool) Option { return func(e *Engine) { e.pushdown = 
 // by an empty one — useful for purely static analysis (widths, certain
 // variables) where no data is involved.
 //
-// NewEngine folds the graph's write overlay into its sealed base
-// (rdf.Graph.Freeze, a no-op without an overlay): engines only read,
-// so every prepared query runs on O(1) array probes and galloping
-// range searches instead of map lookups. Freezing preserves result
+// NewEngine seals the graph's write overlay (rdf.Graph.Freeze, a no-op
+// without an overlay): engines only read, so every prepared query runs
+// on O(1) array probes and galloping range searches instead of map
+// lookups. Freezing preserves result
 // content and order exactly. It happens in place on the caller's
 // graph; the graph must not change while the engine is in use.
 func NewEngine(g *Graph, opts ...Option) *Engine {

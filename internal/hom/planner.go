@@ -248,7 +248,9 @@ func (p *RowProgram) buildPlan() {
 func (p *RowProgram) NumPatterns() int { return len(p.pats) }
 
 // RenderPattern renders compiled pattern i back to SPARQL-ish text
-// ("?x <knows> ?y") for explain output.
+// ("?x <knows> ?y") for explain output. Constants of a program with an
+// absent constant render from the source pattern: only present
+// constants have a TermID.
 func (p *RowProgram) RenderPattern(i int, layout *rdf.SlotLayout) string {
 	dict := p.g.Dict()
 	var b strings.Builder
@@ -256,9 +258,12 @@ func (p *RowProgram) RenderPattern(i int, layout *rdf.SlotLayout) string {
 		if pos > 0 {
 			b.WriteByte(' ')
 		}
-		if c >= 0 {
+		switch {
+		case c >= 0:
 			fmt.Fprintf(&b, "?%s", layout.Name(int(c)))
-		} else {
+		case p.src != nil:
+			b.WriteString(p.src[i].Terms()[pos].Value)
+		default:
 			b.WriteString(dict.StringOf(rdf.TermID(^c)))
 		}
 	}

@@ -26,8 +26,8 @@ import (
 // At every node the remaining pattern with the fewest matches under the
 // row is expanded (fail-first; see planner.go for the modes), and its
 // candidates stream in storage order: the LookupSegmentsID posting list
-// is walked in place — the sealed base's segment, then the overlay's —
-// never copied, scored or sorted, so the first match costs one path
+// is walked in place — the sealed base's segment, then the delta
+// tier's, then the overlay's — never copied, scored or sorted, so the first match costs one path
 // down the search tree and a search allocates nothing.
 // Storage order is insertion order on every backend
 // (internal/rdf/backendtest pins it), which is what makes the stream
@@ -50,6 +50,9 @@ type RowProgram struct {
 	pats   []cpat
 	width  int  // minimum row length: 1 + highest slot referenced
 	absent bool // some constant is not in g: no matches
+	// src keeps the source patterns of an absent program, whose
+	// constants have no TermID to render from (code ^0 stands in).
+	src []rdf.Triple
 
 	// Join order for ModeStrict and Explain, built on the first Plan()
 	// call once PlanLazily has recorded the entry slots (BuildPlan does
@@ -88,6 +91,9 @@ func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) 
 			}
 			p.pats[pi].code[i] = ^int32(id)
 		}
+	}
+	if p.absent {
+		p.src = slices.Clone(pats)
 	}
 	return p
 }
@@ -325,11 +331,12 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 		}
 	}
 	s.done[best] = true
-	// The overlay's segment (nil without one) continues the base's in
-	// insertion order.
-	base, tail, exact := s.prog.g.LookupSegmentsID(bestPat)
+	// The delta tier's and the overlay's segments (nil without them)
+	// continue the base's in insertion order.
+	base, delta, tail := s.prog.g.LookupSegmentsID(bestPat)
+	exact := rdf.ExactPattern(bestPat)
 	cancel := s.cancel != nil
-	for _, seg := range [2][]rdf.IDTriple{base, tail} {
+	for _, seg := range [3][]rdf.IDTriple{base, delta, tail} {
 		for _, t := range seg {
 			if cancel {
 				if s.ticks++; s.ticks%pollEvery == 0 && s.cancelled() {

@@ -487,9 +487,11 @@ func (r *run) candidates() {
 			at++
 		}
 		start := len(r.flat)
-		// The base's candidates, then the overlay's: insertion order.
-		base, tail, exact := gm.target.LookupSegmentsID(bestPat)
-		for _, seg := range [2][]rdf.IDTriple{base, tail} {
+		// The base's candidates, then the delta tier's and the
+		// overlay's: insertion order.
+		base, delta, tail := gm.target.LookupSegmentsID(bestPat)
+		exact := rdf.ExactPattern(bestPat)
+		for _, seg := range [3][]rdf.IDTriple{base, delta, tail} {
 		next:
 			for _, t := range seg {
 				if !exact && !rdf.MatchesPatternID(bestPat, t) {

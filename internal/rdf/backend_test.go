@@ -1,6 +1,6 @@
-// Differential-suite instantiations for the unsealed and frozen
-// construction paths (the overlay twins live in overlay_test.go, the
-// snapshot round-trips in snapshot_test.go).
+// Differential-suite instantiations for the unsealed, frozen and
+// tiered construction paths (the overlay twins live in overlay_test.go,
+// the snapshot round-trips in snapshot_test.go).
 package rdf_test
 
 import (
@@ -28,5 +28,16 @@ func TestBackendSuiteFrozenBulk(t *testing.T) {
 func TestBackendSuiteFrozenIncremental(t *testing.T) {
 	backendtest.RunBackendSuite(t, func(ts []rdf.Triple) *rdf.Graph {
 		return rdf.GraphOf(ts...).Freeze()
+	})
+}
+
+// The sealed delta tier: every three-way split of a few sequences
+// (folds and empty tiers included), and the full suite on a base,
+// delta and overlay of half, a quarter and a quarter of the triples.
+func TestBackendSuiteTiers(t *testing.T) {
+	backendtest.RunTierSuite(t)
+	backendtest.RunBackendSuite(t, func(ts []rdf.Triple) *rdf.Graph {
+		n := len(ts)
+		return backendtest.TierGraph(ts, n/2, 3*n/4)
 	})
 }

@@ -2,13 +2,14 @@
 // storage layout of rdf.Graph to an independent brute-force model and
 // to the unsealed reference. The paper's correctness guarantees
 // (Romero, PODS 2018) are proved for one abstract graph; the
-// implementation stores a graph as a sealed CSR base (possibly empty)
-// plus a write overlay, split anywhere between the two, loaded in bulk
-// or from a snapshot, so the guarantees survive only if every split
-// is observationally equivalent — same triples, same insertion order,
-// byte for byte, on every read operation. RunBackendSuite is that
-// equivalence check, written once and instantiated per construction
-// path.
+// implementation stores a graph as a sealed CSR base (possibly empty),
+// a sealed delta tier and a write overlay, split anywhere between the
+// three, loaded in bulk or from a snapshot, so the guarantees survive
+// only if every split is observationally equivalent — same triples,
+// same insertion order, byte for byte, on every read operation.
+// RunBackendSuite is that equivalence check, written once and
+// instantiated per construction path; RunTierSuite runs it over every
+// three-way split of a few sequences.
 package backendtest
 
 import (
@@ -247,21 +248,23 @@ func segmentShapes(g *rdf.Graph) []rdf.IDTriple {
 	return out
 }
 
-// checkSegments pins the two-segment lookup: base ++ tail is the
-// candidate list (content and order) on the backend and on the
-// reference, the exact flag agrees, and the count is the number of
-// matches found walking both segments — so a count that drops the
-// overlay or counts a triple twice fails.
+// checkSegments pins the tiered lookup: base ++ delta ++ overlay is
+// the candidate list (content and order) on the backend and on the
+// reference, ExactPattern agrees with LookupRangeID's flag and holds
+// only when every candidate matches, and the count is the number of
+// matches found walking the segments — so a count that drops a tier
+// or counts a triple twice fails.
 func checkSegments(t *testing.T, trial int, ref, got *rdf.Graph, p rdf.IDTriple) {
 	t.Helper()
-	base, tail, exact := got.LookupSegmentsID(p)
-	joined := slices.Concat(base, tail)
+	segs := lookup(got, p)
+	joined := slices.Concat(segs[:]...)
 	if !slices.Equal(joined, got.CandidatesID(p)) || !slices.Equal(joined, ref.CandidatesID(p)) {
-		t.Fatalf("trial %d: LookupSegmentsID(%v) = %v ++ %v, want CandidatesID %v",
-			trial, p, base, tail, ref.CandidatesID(p))
+		t.Fatalf("trial %d: LookupSegmentsID(%v) = %v, want CandidatesID %v",
+			trial, p, segs, ref.CandidatesID(p))
 	}
+	exact := rdf.ExactPattern(p)
 	if _, er := ref.LookupRangeID(p); exact != er {
-		t.Fatalf("trial %d: LookupSegmentsID(%v) exact = %v, want %v", trial, p, exact, er)
+		t.Fatalf("trial %d: ExactPattern(%v) = %v, LookupRangeID says %v", trial, p, exact, er)
 	}
 	hits := 0
 	for _, tr := range joined {
@@ -270,7 +273,7 @@ func checkSegments(t *testing.T, trial int, ref, got *rdf.Graph, p rdf.IDTriple)
 		}
 	}
 	if exact && hits != len(joined) {
-		t.Fatalf("trial %d: LookupSegmentsID(%v) claims exact, %d of %d candidates match", trial, p, hits, len(joined))
+		t.Fatalf("trial %d: ExactPattern(%v) holds, but %d of %d candidates match", trial, p, hits, len(joined))
 	}
 	if c := got.MatchCountID(p); c != hits {
 		t.Fatalf("trial %d: MatchCountID(%v) = %d, the segments hold %d matches", trial, p, c, hits)
@@ -298,9 +301,10 @@ func checkModel(t *testing.T, trial int, g *rdf.Graph, model []rdf.IDTriple, p r
 
 // checkLifecycle pins the write rule on the backend: an Add after
 // Freeze lands in the overlay and leaves the sealed base — and the
-// ranges of it handed out before — untouched; Freeze folds the overlay
-// in at its sequence position and is idempotent; a Clone stays
-// independent of its source.
+// ranges of it handed out before — untouched; Freeze seals the overlay
+// in at its sequence position, into a delta tier while that stays
+// smaller than the base, and is idempotent; a Clone stays independent
+// of its source.
 func checkLifecycle(t *testing.T, mk MakeGraph) {
 	t.Helper()
 	ts := randTriples(rand.New(rand.NewSource(7)))
@@ -318,9 +322,9 @@ func checkLifecycle(t *testing.T, mk MakeGraph) {
 	if g.OverlayLen() != 1 || g.Len() != len(model)+1 || !g.ContainsID(added) {
 		t.Fatalf("Add after Freeze: overlay %d, len %d, want 1 and %d", g.OverlayLen(), g.Len(), len(model)+1)
 	}
-	base, tail, _ := g.LookupSegmentsID(all)
-	if !slices.Equal(base, whole) || !slices.Equal(tail, []rdf.IDTriple{added}) {
-		t.Fatalf("Add after Freeze changed the base or missed the overlay: %v ++ %v", base, tail)
+	segs := lookup(g, all)
+	if !slices.Equal(segs[0], whole) || !slices.Equal(segs[2], []rdf.IDTriple{added}) {
+		t.Fatalf("Add after Freeze changed the base or missed the overlay: %v", segs)
 	}
 	model = append(model, added)
 
@@ -328,10 +332,17 @@ func checkLifecycle(t *testing.T, mk MakeGraph) {
 	g.Freeze()
 	folded := g.TriplesID()
 	if g.HasOverlay() || !slices.Equal(folded, model) {
-		t.Fatalf("Freeze folded out of sequence: %v, want %v", folded, model)
+		t.Fatalf("Freeze sealed out of sequence: %v, want %v", folded, model)
 	}
-	if g.Freeze(); &g.TriplesID()[0] != &folded[0] {
-		t.Fatal("Freeze without an overlay rebuilt the base")
+	// One triple on a base of several: sealed into a delta tier, the
+	// base shared as it was.
+	segs = lookup(g, all)
+	if g.DeltaLen() != 1 || &segs[0][0] != &wholeBefore[0] {
+		t.Fatalf("Freeze of a one-triple overlay: delta %d, base shared %v", g.DeltaLen(), &segs[0][0] == &wholeBefore[0])
+	}
+	g.Freeze()
+	if again := lookup(g, all); !sameSegments(again, segs) {
+		t.Fatal("Freeze without an overlay rebuilt a sealed tier")
 	}
 	if !slices.Equal(wholeBefore, whole) || !slices.Equal(groupBefore, group) {
 		t.Fatal("Freeze rewrote the old base in place")
@@ -343,6 +354,23 @@ func checkLifecycle(t *testing.T, mk MakeGraph) {
 	}
 	cloneAdded, _ := c.EncodePattern(rdf.T(rdf.IRI("clone-s"), rdf.IRI("clone-p"), rdf.IRI("clone-o")))
 	checkTwins(t, -1, c, c.Clone().Freeze(), append(model, cloneAdded), rand.New(rand.NewSource(11)))
+}
+
+// lookup returns LookupSegmentsID's three segments as one value.
+func lookup(g *rdf.Graph, p rdf.IDTriple) [3][]rdf.IDTriple {
+	base, delta, tail := g.LookupSegmentsID(p)
+	return [3][]rdf.IDTriple{base, delta, tail}
+}
+
+// sameSegments reports whether two lookups alias the same storage,
+// segment by segment.
+func sameSegments(a, b [3][]rdf.IDTriple) bool {
+	for i := range a {
+		if len(a[i]) != len(b[i]) || (len(a[i]) > 0 && &a[i][0] != &b[i][0]) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkUnseenConstant verifies that pattern constants interned only
@@ -373,6 +401,74 @@ func checkEmpty(t *testing.T, mk MakeGraph) {
 	}
 	if got := g.MatchCountID(rdf.IDTriple{rdf.VarID(0), rdf.VarID(1), rdf.VarID(2)}); got != 0 {
 		t.Fatalf("empty MatchCountID = %d", got)
+	}
+}
+
+// TierGraph rebuilds ts as a tiered graph: ts[:cuts[0]] bulk-loaded
+// as the base, then each later segment ts[cuts[i-1]:cuts[i]] added to
+// a fork and sealed by Freeze, and the rest left in the write overlay.
+// A sealed segment lands in the delta tier while that stays smaller
+// than the base and folds everything into a fresh base otherwise, so
+// the cuts decide which tiers end up empty. Interning order is ts's
+// order, so the IDs match rdf.GraphOf(ts...).
+func TierGraph(ts []rdf.Triple, cuts ...int) *rdf.Graph {
+	g := rdf.GraphFromTriples(ts[:cuts[0]]).Fork()
+	for i, c := range cuts[1:] {
+		for _, tr := range ts[cuts[i]:c] {
+			g.Add(tr)
+		}
+		g.Freeze()
+	}
+	for _, tr := range ts[cuts[len(cuts)-1]:] {
+		g.Add(tr)
+	}
+	return g
+}
+
+// RunTierSuite splits each of a few triple sequences into base, delta
+// tier and overlay at every cut (a, b), 0 ≤ a ≤ b ≤ n: base ts[:a],
+// delta ts[a:b] (sealed in two Freezes, so a delta is also rebuilt
+// over an existing one), overlay ts[b:]. A seal that would make the
+// delta as large as the base folds it into the base instead (the
+// suite replays that rule and checks the tier sizes), and a = 0,
+// a = b or b = n leave a tier empty. Every split is checked against
+// the unsealed reference and the brute-force model on every probe,
+// count, catalog value and the TriplesID order.
+func RunTierSuite(t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(131))
+	seqs := [][]rdf.Triple{
+		triplesOf(gen.Random(8, 24, 3, 5)),
+		triplesOf(gen.SocialNetwork(4, 9)),
+		triplesOf(gen.Turan(5, 2, "r")),
+	}
+	for si, ts := range seqs {
+		ref := rdf.GraphOf(ts...)
+		for a := 0; a <= len(ts); a++ {
+			for b := a; b <= len(ts); b++ {
+				got := TierGraph(ts, a, (a+b)/2, b)
+				// The fold rule, replayed: a seal folds exactly when
+				// the delta would reach the base's size.
+				base, delta := a, 0
+				for _, n := range []int{(a+b)/2 - a, b - (a+b)/2} {
+					switch {
+					case n == 0:
+					case delta+n < base:
+						delta += n
+					default:
+						base, delta = base+delta+n, 0
+					}
+				}
+				if got.DeltaLen() != delta || got.OverlayLen() != len(ts)-b {
+					t.Fatalf("seq %d cut (%d, %d): delta %d and overlay %d triples, want %d and %d",
+						si, a, b, got.DeltaLen(), got.OverlayLen(), delta, len(ts)-b)
+				}
+				checkTwins(t, si*10000+a*100+b, ref, got, modelOf(got, ts), rng)
+				if t.Failed() {
+					return
+				}
+			}
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ package rdf
 // the first Freeze throws them away; a GraphBuilder never builds them —
 // it interns, deduplicates and accumulates the insertion-order slice,
 // then a single counting pass sizes the occurrence table and one
-// freezeGraph call lays out the CSR arenas at their exact final size.
+// freezeTriples call lays out the CSR arenas at their exact final size.
 
 // GraphBuilder accumulates ground triples for a bulk load. Add order
 // is the insertion order of the resulting graph, exactly as if the
@@ -67,7 +67,7 @@ func (b *GraphBuilder) Graph() *Graph {
 // after its remap/dedup pass — the result is indistinguishable from
 // feeding the same triples through a GraphBuilder.
 func GraphFromEncoded(d *Dict, all []IDTriple) *Graph {
-	g := &Graph{dict: d, all: all}
+	g := &Graph{dict: d}
 	g.occ = make([]int32, d.NumIRIs())
 	for _, t := range all {
 		for _, id := range t {
@@ -77,7 +77,7 @@ func GraphFromEncoded(d *Dict, all []IDTriple) *Graph {
 			g.occ[id]++
 		}
 	}
-	g.frz = freezeGraph(g)
+	g.frz = freezeTriples(all, d.NumIRIs())
 	return g
 }
 

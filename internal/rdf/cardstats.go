@@ -17,11 +17,15 @@ package rdf
 //     fills every count, O(|G| + |dict|) once per sealed view. It runs
 //     under sync.Once, so the first plan is safe under concurrent
 //     readers and mmap-loaded snapshots stay O(1) until a plan asks.
-//   - Overlay: the delta adds only keys and (predicate, value) pairs
-//     absent from the sealed base (O(1)/O(log) base probes per overlay
-//     key), keeping the counts exact. Both deltas are computed in one
-//     pass over the overlay the first time a reader asks at a given
-//     overlay state; the write path does nothing, and
+//   - Delta tier: its share adds only keys and (predicate, value)
+//     pairs absent from the base (O(1)/O(log) base probes per delta
+//     key, read off the delta's own offsets and sorted key columns),
+//     keeping the counts exact. It is computed once per seal, under
+//     sync.Once on the first plan that asks, and shared by every
+//     generation holding the tier.
+//   - Overlay: the same share against both sealed tiers. It is
+//     computed in one pass over the overlay the first time a reader
+//     asks at a given overlay state; the write path does nothing, and
 //     the next Add makes the memo stale (see overlayCatalog).
 
 import "sync"
@@ -37,24 +41,30 @@ type cardStats struct {
 
 // DistinctCount reports the number of distinct IRIs occurring at
 // position pos (0 = subject, 1 = predicate, 2 = object) across the
-// graph, overlay included.
+// graph, delta tier and overlay included.
 func (g *Graph) DistinctCount(pos int) int {
-	base := g.frz.distinct(pos)
-	if g.ovl != nil {
-		base += g.overlayCatalog().newKeys[pos]
+	n := g.frz.distinct(pos)
+	if d := g.dlt; d != nil {
+		n += d.share().newKeys[pos]
 	}
-	return base
+	if g.ovl != nil {
+		n += g.overlayCatalog().newKeys[pos]
+	}
+	return n
 }
 
 // DistinctUnderPredicate reports the number of distinct terms at
 // position pos (0 = subject, 2 = object) among the triples whose
-// predicate is p, overlay included. Exact.
+// predicate is p, delta tier and overlay included. Exact.
 func (g *Graph) DistinctUnderPredicate(p TermID, pos int) int {
-	base := g.frz.distinctUnder(p, pos)
-	if g.ovl != nil {
-		base += g.overlayCatalog().newUnder[p][underIdx(pos)]
+	n := g.frz.distinctUnder(p, pos)
+	if d := g.dlt; d != nil {
+		n += d.share().newUnder[p][underIdx(pos)]
 	}
-	return base
+	if g.ovl != nil {
+		n += g.overlayCatalog().newUnder[p][underIdx(pos)]
+	}
+	return n
 }
 
 // underIdx maps a position to its index in a [subjects, objects] pair.
@@ -125,14 +135,60 @@ func nonzeroGroups(off []uint32) int {
 	return n
 }
 
-// ovlCatalog is the overlay's contribution to the catalog at one
-// overlay state: per position the keys the sealed base has never seen,
-// and per predicate the distinct subjects and objects that do not
-// co-occur with it in the base.
-type ovlCatalog struct {
-	n        int // len(overlay.ts) it was computed at
+// catalogShare is one tier's contribution to the catalog: per
+// position the keys no tier below it has, and per predicate the
+// distinct subjects and objects that do not co-occur with it below.
+type catalogShare struct {
 	newKeys  [3]int
 	newUnder map[TermID][2]int
+}
+
+// deltaCatalog is a delta tier's share against its base, filled once.
+type deltaCatalog struct {
+	once sync.Once
+	catalogShare
+}
+
+// share returns the delta tier's catalog share, computing it on first
+// use: the non-empty groups of the tier's offsets that are empty in
+// the base, and per predicate the key transitions of its keyPS and
+// keyPO groups whose pair the base lacks — the base is probed, never
+// filled.
+func (d *deltaTier) share() *catalogShare {
+	d.cat.once.Do(func() {
+		c := &d.cat.catalogShare
+		c.newUnder = make(map[TermID][2]int)
+		for k := 0; k < d.nIRIs; k++ {
+			key := TermID(k)
+			for pos, off := range [3][]uint32{d.offS, d.offP, d.offO} {
+				if off[k+1] > off[k] && tierGroupLen(d.base, pos, key) == 0 {
+					c.newKeys[pos]++
+				}
+			}
+			b, e := d.offP[k], d.offP[k+1]
+			if e == b {
+				continue
+			}
+			var u [2]int
+			for i, keys := range [2][]TermID{d.keyPS[b:e], d.keyPO[b:e]} {
+				pos := 2 * i // subjects, then objects
+				for j, v := range keys {
+					if (j == 0 || keys[j-1] != v) && !tierPairHas(d.base, key, v, pos) {
+						u[i]++
+					}
+				}
+			}
+			c.newUnder[key] = u
+		}
+	})
+	return &d.cat.catalogShare
+}
+
+// ovlCatalog is the overlay's share of the catalog (against both
+// sealed tiers) at one overlay state.
+type ovlCatalog struct {
+	n int // len(overlay.ts) it was computed at
+	catalogShare
 }
 
 // overlayCatalog returns the overlay's catalog deltas, computing them
@@ -146,10 +202,10 @@ func (g *Graph) overlayCatalog() *ovlCatalog {
 	if c := o.catalog.Load(); c != nil && c.n == len(o.ts) {
 		return c
 	}
-	c := &ovlCatalog{n: len(o.ts), newUnder: make(map[TermID][2]int, len(o.byP))}
+	c := &ovlCatalog{n: len(o.ts), catalogShare: catalogShare{newUnder: make(map[TermID][2]int, len(o.byP))}}
 	for pos, m := range [3]map[TermID][]IDTriple{o.byS, o.byP, o.byO} {
 		for k := range m { // only counts leave the loop: map order is irrelevant
-			if g.baseGroupLen(pos, k) == 0 {
+			if g.sealedGroupLen(pos, k) == 0 {
 				c.newKeys[pos]++
 			}
 		}
@@ -165,7 +221,7 @@ func (g *Graph) overlayCatalog() *ovlCatalog {
 					continue
 				}
 				seen[v] = struct{}{}
-				if !g.basePairHas(p, v, pos) {
+				if !g.sealedPairHas(p, v, pos) {
 					d[i]++
 				}
 			}
@@ -176,23 +232,38 @@ func (g *Graph) overlayCatalog() *ovlCatalog {
 	return c
 }
 
-// baseGroupLen is the sealed-base posting-list length of one key, the
-// O(1) probe the overlay delta counts lean on.
-func (g *Graph) baseGroupLen(pos int, k TermID) int {
+// sealedGroupLen is the posting-list length of one key over both
+// sealed tiers, the O(1) probe the overlay share leans on.
+func (g *Graph) sealedGroupLen(pos int, k TermID) int {
+	n := tierGroupLen(g.frz, pos, k)
+	if d := g.dlt; d != nil {
+		n += tierGroupLen(d.frozenView, pos, k)
+	}
+	return n
+}
+
+// sealedPairHas reports whether a sealed tier holds any triple with
+// predicate p and value v at position pos (0 or 2).
+func (g *Graph) sealedPairHas(p, v TermID, pos int) bool {
+	return tierPairHas(g.frz, p, v, pos) || (g.dlt != nil && tierPairHas(g.dlt.frozenView, p, v, pos))
+}
+
+// tierGroupLen is one tier's posting-list length of a key at a
+// position.
+func tierGroupLen(f *frozenView, pos int, k TermID) int {
 	switch pos {
 	case 0:
-		return int(g.frz.groupLen(g.frz.offS, k))
+		return int(f.groupLen(f.offS, k))
 	case 1:
-		return int(g.frz.groupLen(g.frz.offP, k))
+		return int(f.groupLen(f.offP, k))
 	default:
-		return int(g.frz.groupLen(g.frz.offO, k))
+		return int(f.groupLen(f.offO, k))
 	}
 }
 
-// basePairHas reports whether the sealed base holds any triple with
-// predicate p and value v at position pos (0 or 2).
-func (g *Graph) basePairHas(p, v TermID, pos int) bool {
-	f := g.frz
+// tierPairHas reports whether the tier holds any triple with predicate
+// p and value v at position pos (0 or 2).
+func tierPairHas(f *frozenView, p, v TermID, pos int) bool {
 	if pos == 0 {
 		lo, hi := f.range2Bounds(f.offS, f.keySP, v, p)
 		return hi > lo

@@ -1,6 +1,10 @@
 package rdf
 
-import "strings"
+import (
+	"maps"
+	"slices"
+	"strings"
+)
 
 // This file implements dictionary encoding for terms: every IRI and
 // every variable is interned to a dense integer TermID, and triples
@@ -65,9 +69,17 @@ func (t IDTriple) Less(u IDTriple) bool {
 // concurrently. The mutable-overlay write path (see overlay.go) relies
 // on exactly that: every ingest generation forks the dictionary instead
 // of copying it.
+//
+// Seal (called by Graph.Freeze) moves an extension's local terms into a
+// fresh immutable parent that later forks share, so a fork copies only
+// the terms interned since the last seal. Such a sealed parent keeps
+// flat ID-indexed string tables (the root's entries, then every
+// extension term so far), which keeps StringRef one table index, and
+// lookup maps of the extension terms only, with the root as its own
+// parent: the chain is at most two deep.
 type Dict struct {
 	parent       *Dict // immutable shared base; nil for a root dict
-	pIRIs, pVars int   // parent table sizes at fork time
+	pIRIs, pVars int   // parent table sizes at fork time: the first local IDs
 
 	iriID map[string]TermID // local terms only (IDs ≥ pIRIs)
 	iris  []string
@@ -91,7 +103,7 @@ func NewDict() *Dict {
 // From the fork on, d must be treated as immutable — interning into a
 // forked-from dictionary would assign IDs the fork has already claimed
 // for its own terms. Forking an extension re-parents onto the same
-// root (the chain never deepens), copying only the extension tables.
+// parent (the chain never deepens), copying only the local tables.
 func (d *Dict) Fork() *Dict {
 	if d.parent == nil {
 		return &Dict{
@@ -116,14 +128,41 @@ func (d *Dict) Fork() *Dict {
 	return out
 }
 
+// Seal moves an extension's local terms into a fresh sealed parent,
+// shared by later forks; IDs do not change. It costs O(IRIs + terms
+// interned since the root was forked) and is a no-op on a root
+// dictionary, whose terms are all its own, and on an extension with
+// nothing local.
+func (d *Dict) Seal() {
+	p := d.parent
+	if p == nil || (len(d.iris) == 0 && len(d.vars) == 0) {
+		return
+	}
+	root := p
+	if p.parent != nil {
+		root = p.parent
+	}
+	sealed := &Dict{
+		parent: root, mapped: d.mapped,
+		iris:  slices.Concat(p.iris[:d.pIRIs], d.iris),
+		vars:  slices.Concat(p.vars[:d.pVars], d.vars),
+		iriID: make(map[string]TermID, len(d.iris)),
+		varID: make(map[string]TermID, len(d.vars)),
+	}
+	if p != root {
+		maps.Copy(sealed.iriID, p.iriID)
+		maps.Copy(sealed.varID, p.varID)
+	}
+	maps.Copy(sealed.iriID, d.iriID)
+	maps.Copy(sealed.varID, d.varID)
+	d.parent, d.pIRIs, d.pVars = sealed, len(sealed.iris), len(sealed.vars)
+	d.iriID, d.iris = map[string]TermID{}, nil
+	d.varID, d.vars = map[string]TermID{}, nil
+}
+
 // InternIRI returns the ID of the IRI value, interning it if new.
 func (d *Dict) InternIRI(v string) TermID {
-	if p := d.parent; p != nil {
-		if id, ok := p.iriID[v]; ok {
-			return id
-		}
-	}
-	if id, ok := d.iriID[v]; ok {
+	if id, ok := d.LookupIRI(v); ok {
 		return id
 	}
 	if d.pIRIs+len(d.iris) >= int(VarIDBase) {
@@ -139,12 +178,7 @@ func (d *Dict) InternIRI(v string) TermID {
 // interning it if new. A leading "?" is stripped, mirroring Var.
 func (d *Dict) InternVar(v string) TermID {
 	v = strings.TrimPrefix(v, "?")
-	if p := d.parent; p != nil {
-		if id, ok := p.varID[v]; ok {
-			return id
-		}
-	}
-	if id, ok := d.varID[v]; ok {
+	if id, ok := d.LookupVar(v); ok {
 		return id
 	}
 	if d.pVars+len(d.vars) >= int(VarIDBase) {
@@ -166,7 +200,7 @@ func (d *Dict) Intern(t Term) TermID {
 
 // LookupIRI returns the ID of an IRI value without interning.
 func (d *Dict) LookupIRI(v string) (TermID, bool) {
-	if p := d.parent; p != nil {
+	for p := d.parent; p != nil; p = p.parent {
 		if id, ok := p.iriID[v]; ok {
 			return id, true
 		}
@@ -178,7 +212,7 @@ func (d *Dict) LookupIRI(v string) (TermID, bool) {
 // LookupVar returns the ID of a variable name without interning.
 func (d *Dict) LookupVar(v string) (TermID, bool) {
 	v = strings.TrimPrefix(v, "?")
-	if p := d.parent; p != nil {
+	for p := d.parent; p != nil; p = p.parent {
 		if id, ok := p.varID[v]; ok {
 			return id, true
 		}

@@ -3,6 +3,8 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +106,46 @@ func TestDictClone(t *testing.T) {
 	}
 }
 
+// Sealing moves an extension's terms into a shared level without
+// changing an ID: over a root, two seals and the terms interned
+// between them, every IRI and variable looks up, decodes and clones to
+// the same ID, and a fork of the sealed dictionary sees all of them.
+func TestDictSealKeepsIDs(t *testing.T) {
+	root := NewDict()
+	root.InternIRI("r")
+	root.InternVar("v")
+	d := root.Fork()
+	want := map[string]TermID{"r": 0, "?v": VarIDBase}
+	intern := func(i int) {
+		want[fmt.Sprintf("i%d", i)] = d.InternIRI(fmt.Sprintf("i%d", i))
+		want[fmt.Sprintf("?x%d", i)] = d.InternVar(fmt.Sprintf("x%d", i))
+	}
+	for i := 0; i < 30; i++ {
+		intern(i)
+		if i%10 == 9 {
+			d.Seal()
+		}
+	}
+	intern(30)
+	for _, dd := range []*Dict{d, d.Fork(), d.Clone()} {
+		if dd.NumIRIs() != 32 || dd.NumVars() != 32 {
+			t.Fatalf("%d IRIs, %d variables, want 32 and 32", dd.NumIRIs(), dd.NumVars())
+		}
+		for s, id := range want {
+			got, ok := dd.Lookup(IRI(s))
+			if s[0] == '?' {
+				got, ok = dd.LookupVar(s)
+			}
+			if !ok || got != id || dd.TermOf(id).Value != strings.TrimPrefix(s, "?") {
+				t.Fatalf("%s: ID %d (%v), want %d; decodes to %q", s, got, ok, id, dd.TermOf(id).Value)
+			}
+		}
+		if iris := dd.irisAll(); len(iris) != 32 || iris[31] != "i30" {
+			t.Fatalf("IRI table %v", iris)
+		}
+	}
+}
+
 func TestMatchesPatternID(t *testing.T) {
 	d := NewDict()
 	a, b, r := d.InternIRI("a"), d.InternIRI("b"), d.InternIRI("r")
@@ -125,5 +167,30 @@ func TestMatchesPatternID(t *testing.T) {
 		if got := MatchesPatternID(c.p, c.t); got != c.want {
 			t.Fatalf("MatchesPatternID(%v, %v) = %v, want %v", c.p, c.t, got, c.want)
 		}
+	}
+}
+
+// Freeze seals the dictionary's extension with the triples: a fork
+// after a re-freeze copies only the terms interned since, so its
+// allocated bytes do not grow with the IRIs ingested before it.
+func TestForkAfterRefreezeAllocsFlat(t *testing.T) {
+	forkBytes := func(ingested int) uint64 {
+		g := GraphFromTriples([]Triple{T(IRI("a"), IRI("p"), IRI("b"))}).Fork()
+		for i := 0; i < ingested; i++ {
+			g.AddTriple(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i))
+		}
+		g.Freeze()
+		g.AddTriple("new-s", "p", "new-o")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			_ = g.Fork()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	small, large := forkBytes(1<<8), forkBytes(1<<13)
+	if large > 2*small {
+		t.Errorf("a fork after a re-freeze allocates %d bytes over 256 ingested IRI pairs, %d over 8192", small, large)
 	}
 }

@@ -9,7 +9,8 @@ package rdf
 // no map hashing and no per-key slice headers. A sealed base is
 // immutable — exactly the concurrent-reader contract the evaluation
 // stack relies on — and writes land in the overlay above it (see
-// overlay.go) until the next Freeze.
+// overlay.go) until the next Freeze, which seals them into a delta
+// tier of the same layout (see Freeze).
 //
 // Two kinds of view coexist:
 //
@@ -23,8 +24,10 @@ package rdf
 //     by galloping search rather than separate maps. Stability makes
 //     even these ranges insertion-ordered.
 
-// frozenView is the compact immutable index structure of a frozen
-// graph. All slices are built once by freezeGraph and never mutated.
+import "slices"
+
+// frozenView is the compact immutable index structure of one sealed
+// tier. All slices are built once by freezeTriples and never mutated.
 type frozenView struct {
 	nIRIs int // offsets cover TermIDs [0, nIRIs)
 
@@ -63,7 +66,7 @@ type frozenView struct {
 	// into all, power-of-two sized, load factor ≤ 1/2: a fraction of
 	// the footprint of a map[IDTriple]struct{}.
 	memb []uint32
-	all  []IDTriple // the graph's insertion-order slice (shared)
+	all  []IDTriple // the tier's triples in insertion order
 
 	// Lazily-computed distinct-key counts backing the planner's
 	// selectivity catalog; see cardstats.go.
@@ -74,14 +77,14 @@ type frozenView struct {
 // bounded by len(all) < 2³², so the all-ones pattern is free.
 const frozenAbsent = ^uint32(0)
 
-// freezeGraph builds the frozen view of the graph's insertion-ordered
-// triple slice in O(|all| + ni): three counting passes for the
-// offsets, six stable scatter passes for the arenas, one insertion
-// pass for the membership table. No comparison sort is involved — the secondary
-// arenas come out of a two-pass LSD bucket sort whose stability is
-// what preserves insertion order inside every (k1,k2) range.
-func freezeGraph(g *Graph) *frozenView {
-	all, ni := g.all, g.dict.NumIRIs()
+// freezeTriples builds the frozen view of an insertion-ordered triple
+// slice over IRI IDs [0, ni) in O(|all| + ni): three counting passes
+// for the offsets, six stable scatter passes for the arenas, one
+// insertion pass for the membership table. No comparison sort is
+// involved — the secondary arenas come out of a two-pass LSD bucket
+// sort whose stability is what preserves insertion order inside every
+// (k1,k2) range. The view keeps all as its insertion-order slice.
+func freezeTriples(all []IDTriple, ni int) *frozenView {
 	f := &frozenView{nIRIs: ni, all: all}
 	f.offS = bucketOffsets(all, 0, ni)
 	f.offP = bucketOffsets(all, 1, ni)
@@ -180,7 +183,7 @@ func hashIDTriple(t IDTriple) uint32 {
 }
 
 // contains probes the membership table; on a hit it returns the
-// one-element slice of the graph's insertion-order storage holding the
+// one-element slice of the tier's insertion-order storage holding the
 // triple (full-capacity-clamped, so callers cannot append into the
 // neighbouring triples).
 func (f *frozenView) contains(t IDTriple) ([]IDTriple, bool) {
@@ -295,8 +298,9 @@ func gallopFloor(grp []TermID, key TermID) int {
 	return hi
 }
 
-// candidates is Graph.CandidatesID on the base alone. Every returned
-// slice is (a range of) immutable frozen storage in insertion order.
+// candidates is Graph.CandidatesID on one sealed tier alone. Every
+// returned slice is (a range of) immutable frozen storage in insertion
+// order.
 func (f *frozenView) candidates(p IDTriple) []IDTriple {
 	sB, pB, oB := !p[0].IsVar(), !p[1].IsVar(), !p[2].IsVar()
 	switch {
@@ -329,18 +333,64 @@ func (f *frozenView) candidates(p IDTriple) []IDTriple {
 	}
 }
 
-// Freeze folds the overlay into a fresh sealed base, restoring
-// pure-CSR reads, and does nothing on a graph without an overlay, so it
-// is idempotent. The base is written fresh, never in place: the old
-// one may be shared with forked generations and clones, which keep
-// reading it. The new base is immutable, so the graph is safe for any
-// number of concurrent readers; Freeze itself is a write operation and
-// must not run concurrently with reads or other writes. Freeze returns
-// its receiver so construction can chain: NewGraph → Add… → Freeze.
+// deltaTier is the sealed delta: a frozen view over the triples sealed
+// since base was built, plus its share of the selectivity catalog
+// against that base (see cardstats.go).
+type deltaTier struct {
+	*frozenView
+	base *frozenView // the base the tier was sealed over
+	cat  deltaCatalog
+}
+
+// Freeze seals the overlay and does nothing on a graph without one, so
+// it is idempotent. Sealing is tiered: the overlay and the existing
+// delta tier are rebuilt into a fresh sealed delta over those triples
+// only, and the base — for a graph served off a mapped snapshot, the
+// image itself — is shared, untouched. Only when the sealed delta
+// would hold as many triples as the base is everything folded into a
+// fresh base instead (a graph with an empty base, NewGraph → Add…,
+// always folds). That rule is what bounds the cost: each fold at
+// least doubles the base, so rebuilding it is amortised over the
+// writes that doubled it, and a seal between folds is
+// O(delta + NumIRIs) instead of O(graph).
+//
+// Tiers are written fresh, never in place: the old ones may be shared
+// with forked generations and clones, which keep reading them. The
+// new tiers are immutable, so the graph is safe for any number of
+// concurrent readers; Freeze itself is a write operation and must not
+// run concurrently with reads or other writes. Freeze also seals the
+// dictionary's local terms (Dict.Seal), so a later Fork copies only
+// what is interned after it. Freeze returns its receiver so
+// construction can chain: NewGraph → Add… → Freeze.
 func (g *Graph) Freeze() *Graph {
-	if g.ovl != nil {
-		g.foldOverlay()
-		g.frz = freezeGraph(g)
+	o := g.ovl
+	if o == nil {
+		return g
 	}
+	g.dict.Seal()
+	ni := g.dict.NumIRIs()
+	occ := make([]int32, ni)
+	copy(occ, g.occ)
+	for id, d := range o.occDelta {
+		occ[id] += d
+	}
+	g.occ, g.domSize, g.ovl = occ, g.domSize+o.domDelta, nil
+	var sealed []IDTriple
+	if d := g.dlt; d != nil {
+		sealed = d.all
+	}
+	if len(sealed)+len(o.ts) < len(g.frz.all) {
+		g.dlt = &deltaTier{frozenView: freezeTriples(slices.Concat(sealed, o.ts), ni), base: g.frz}
+		return g
+	}
+	g.frz, g.dlt = freezeTriples(slices.Concat(g.frz.all, sealed, o.ts), ni), nil
 	return g
+}
+
+// fold rebuilds the base over every sealed triple and drops the delta
+// tier; a no-op without one.
+func (g *Graph) fold() {
+	if d := g.dlt; d != nil {
+		g.frz, g.dlt = freezeTriples(slices.Concat(g.frz.all, d.all), g.dict.NumIRIs()), nil
+	}
 }

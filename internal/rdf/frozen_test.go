@@ -15,9 +15,10 @@ import (
 func sameTriples(a, b []rdf.IDTriple) bool { return slices.Equal(a, b) }
 
 // An Add after Freeze lands in the overlay and leaves the sealed base
-// and the ranges handed out of it untouched; Freeze folds the overlay
-// in at its sequence position and is idempotent; a Clone shares the
-// base but stays independent of its source.
+// and the ranges handed out of it untouched; Freeze seals the overlay
+// in at its sequence position (into a delta tier over the shared base)
+// and is idempotent; a Clone shares the sealed tiers but stays
+// independent of its source.
 func TestFreezeThawLifecycle(t *testing.T) {
 	g := gen.Random(12, 40, 3, 99)
 	if !g.HasOverlay() {
@@ -49,8 +50,16 @@ func TestFreezeThawLifecycle(t *testing.T) {
 	if g.HasOverlay() || len(folded) != n+1 || !sameTriples(folded[:n], wantBase) || !g.ContainsID(folded[n]) {
 		t.Fatal("Freeze did not fold the overlay after the base")
 	}
-	if g.Freeze(); &g.TriplesID()[0] != &folded[0] {
-		t.Fatal("Freeze without an overlay rebuilt the base")
+	// The one-triple overlay became a delta tier over the shared base;
+	// a second Freeze rebuilds neither.
+	all := rdf.IDTriple{rdf.VarID(0), rdf.VarID(1), rdf.VarID(2)}
+	sealed, delta, _ := g.LookupSegmentsID(all)
+	if g.DeltaLen() != 1 || &sealed[0] != &base[0] {
+		t.Fatalf("Freeze of a one-triple overlay: delta %d, base shared %v", g.DeltaLen(), &sealed[0] == &base[0])
+	}
+	g.Freeze()
+	if again, againDelta, _ := g.LookupSegmentsID(all); &again[0] != &sealed[0] || &againDelta[0] != &delta[0] {
+		t.Fatal("Freeze without an overlay rebuilt a sealed tier")
 	}
 	if !sameTriples(base, wantBase) || !sameTriples(bySubject, wantRange) {
 		t.Fatal("Freeze rewrote the old base in place")

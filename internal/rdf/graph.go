@@ -14,17 +14,22 @@ import (
 //     arenas with offset arrays indexed by dense TermID, so
 //     posting-list probes are array accesses or galloping range
 //     searches and membership runs on an open-addressing table. The
-//     base is immutable; forked generations and clones share it.
+//     base is immutable; forked generations and clones share it (for
+//     a served image, it is the mapped snapshot itself).
+//   - A sealed delta tier, often absent: the same immutable CSR layout
+//     over the triples sealed since the base was built, and only over
+//     those (see Freeze for when it is folded into a fresh base).
 //   - The write overlay (see overlay.go): Add deduplicates against the
-//     base and inserts into small insertion-ordered posting lists in
-//     O(1). Freeze folds the overlay into a fresh base.
+//     sealed tiers and inserts into small insertion-ordered posting
+//     lists in O(1). Freeze seals the overlay into the delta tier.
 //
-// Every read returns base results followed by overlay results, which
-// is global insertion order, so a graph reads the same — content and
-// order — however its triples are split between the two layers. The
-// string-based API (Add, Match, Contains, MatchMappings, ...) is a
-// thin shim over the ID-native core; hot callers (the homomorphism
-// solver, the pebble closure) use the *ID methods directly.
+// Every read returns base results, then delta results, then overlay
+// results, which is global insertion order, so a graph reads the same
+// — content and order — however its triples are split between the
+// three tiers. The string-based API (Add, Match, Contains,
+// MatchMappings, ...) is a thin shim over the ID-native core; hot
+// callers (the homomorphism solver, the pebble closure) use the *ID
+// methods directly.
 //
 // Reads never intern, so a Graph is safe for concurrent readers once
 // its writes (including any Freeze call) are done.
@@ -32,16 +37,16 @@ import (
 // The zero value is not usable; call NewGraph.
 type Graph struct {
 	dict    *Dict
-	all     []IDTriple  // the base's triples in insertion order; returned directly by TriplesID
-	occ     []int32     // base occurrence count per IRI ID across all positions
-	domSize int         // base |dom(G)| = number of IRI IDs with occ > 0
-	frz     *frozenView // the sealed base's indexes; never nil
-	ovl     *overlay    // write layer on the base; nil until the first Add
+	occ     []int32     // sealed (base + delta) occurrence count per IRI ID
+	domSize int         // sealed |dom(G)| = number of IRI IDs with occ > 0
+	frz     *frozenView // the sealed base; never nil
+	dlt     *deltaTier  // the sealed delta tier; nil when there is none
+	ovl     *overlay    // write layer on the sealed tiers; nil until the first Add
 }
 
 // emptyBase is the sealed base of a graph that has never been frozen
 // with triples in it. It is immutable, so every such graph shares it.
-var emptyBase = freezeGraph(&Graph{dict: NewDict()})
+var emptyBase = freezeTriples(nil, 0)
 
 // NewGraph returns an empty RDF graph: an empty sealed base and no
 // overlay.
@@ -96,11 +101,11 @@ func (g *Graph) AddID(t IDTriple) {
 	g.addID(t)
 }
 
-// addID inserts the triple into the overlay unless the base or the
-// overlay already holds it: O(1), whatever the size of the base, which
-// is never touched.
+// addID inserts the triple into the overlay unless a sealed tier or
+// the overlay already holds it: O(1), whatever the size of the sealed
+// tiers, which are never touched.
 func (g *Graph) addID(t IDTriple) {
-	if _, ok := g.frz.contains(t); ok {
+	if g.ContainsID(t) {
 		return
 	}
 	o := g.ovl
@@ -108,12 +113,9 @@ func (g *Graph) addID(t IDTriple) {
 		o = newOverlay()
 		g.ovl = o
 	}
-	if _, dup := o.set[t]; dup {
-		return
-	}
 	o.insert(t)
 	for _, id := range t {
-		if g.baseOcc(id)+o.occDelta[id] == 0 {
+		if g.sealedOcc(id)+o.occDelta[id] == 0 {
 			o.domDelta++
 		}
 		o.occDelta[id]++
@@ -194,12 +196,18 @@ func (g *Graph) ContainsID(t IDTriple) bool {
 			return true
 		}
 	}
-	_, ok := g.frz.contains(t)
-	return ok
+	if _, ok := g.frz.contains(t); ok {
+		return true
+	}
+	if d := g.dlt; d != nil {
+		_, ok := d.contains(t)
+		return ok
+	}
+	return false
 }
 
 // Len returns |G|, the number of triples.
-func (g *Graph) Len() int { return len(g.all) + g.OverlayLen() }
+func (g *Graph) Len() int { return len(g.frz.all) + g.DeltaLen() + g.OverlayLen() }
 
 // Dom returns dom(G), the sorted set of IRIs appearing in G.
 func (g *Graph) Dom() []string {
@@ -211,7 +219,7 @@ func (g *Graph) Dom() []string {
 	}
 	if o := g.ovl; o != nil {
 		for id := range o.occDelta {
-			if g.baseOcc(id) == 0 {
+			if g.sealedOcc(id) == 0 {
 				out = append(out, g.dict.StringOf(id))
 			}
 		}
@@ -231,7 +239,7 @@ func (g *Graph) DomIDs() []TermID {
 	if o := g.ovl; o != nil {
 		n := len(out)
 		for id := range o.occDelta {
-			if g.baseOcc(id) == 0 {
+			if g.sealedOcc(id) == 0 {
 				out = append(out, id)
 			}
 		}
@@ -268,11 +276,8 @@ func (g *Graph) HasIRI(v string) bool {
 // Triples returns all triples in a deterministic order.
 func (g *Graph) Triples() []Triple {
 	out := make([]Triple, 0, g.Len())
-	for _, t := range g.all {
-		out = append(out, g.dict.DecodeTriple(t))
-	}
-	if o := g.ovl; o != nil {
-		for _, t := range o.ts {
+	for _, seg := range g.tiers() {
+		for _, t := range seg {
 			out = append(out, g.dict.DecodeTriple(t))
 		}
 	}
@@ -280,19 +285,16 @@ func (g *Graph) Triples() []Triple {
 	return out
 }
 
-// TriplesID returns all encoded triples in insertion order. Without an
-// overlay the slice is the graph's internal storage and callers must
-// not modify it; with an overlay it is freshly materialised (base
-// followed by overlay — that suffix concatenation is insertion order,
-// see overlay.go).
-func (g *Graph) TriplesID() []IDTriple {
-	if o := g.ovl; o != nil {
-		out := make([]IDTriple, 0, len(g.all)+len(o.ts))
-		out = append(out, g.all...)
-		return append(out, o.ts...)
-	}
-	return g.all
-}
+// TriplesID returns all encoded triples in insertion order. When one
+// tier holds every triple the slice is the graph's internal storage
+// and callers must not modify it; otherwise it is freshly materialised
+// (base, then delta, then overlay — that suffix concatenation is
+// insertion order, see overlay.go).
+func (g *Graph) TriplesID() []IDTriple { return g.tiers().join() }
+
+// tiers returns every triple of the graph as three segments, one per
+// tier, in sequence order.
+func (g *Graph) tiers() segments { return g.segments(IDTriple{VarID(0), VarID(1), VarID(2)}) }
 
 // Match returns all triples of G matching the pattern p under the
 // partial assignment already fixed inside p itself: a position holding
@@ -315,22 +317,17 @@ func (g *Graph) Match(p Triple) []Triple {
 }
 
 // MatchID is Match over encoded patterns (see EncodePattern for the
-// pattern convention). When the overlay holds no match, the result of
-// a pattern without repeated variables aliases the immutable base:
-// callers must not modify it. Otherwise the result is built once,
-// straight from the base and overlay segments.
+// pattern convention). When one tier holds every match, the result of
+// a pattern without repeated variables aliases that tier's immutable
+// storage: callers must not modify it. Otherwise the result is built
+// once, straight from the tiers' segments.
 func (g *Graph) MatchID(p IDTriple) []IDTriple {
-	base, tail, exact := g.LookupSegmentsID(p)
-	if exact && len(tail) == 0 {
-		// Immutable arena range: no copy.
-		return base
+	segs := g.segments(p)
+	if ExactPattern(p) {
+		return segs.join()
 	}
-	out := make([]IDTriple, 0, len(base)+len(tail))
-	for _, seg := range [2][]IDTriple{base, tail} {
-		if exact {
-			out = append(out, seg...)
-			continue
-		}
+	out := make([]IDTriple, 0, segs.len())
+	for _, seg := range segs {
 		for _, t := range seg {
 			if MatchesPatternID(p, t) {
 				out = append(out, t)
@@ -351,11 +348,10 @@ func (g *Graph) MatchCount(p Triple) int {
 
 // MatchCountID returns the number of triples matching the encoded
 // pattern. When the pattern has no repeated variables the count is the
-// base range length plus the overlay's posting-list length, with no
-// scan and no list built: O(1) for at most one bound position, O(log)
-// for two. A fully-bound pattern is a
-// membership probe; a pattern with a repeated variable scans both
-// segments in place.
+// sum of the tiers' posting-list lengths, with no scan and no list
+// built: O(1) for at most one bound position, O(log) for two. A
+// fully-bound pattern is a membership probe; a pattern with a repeated
+// variable scans the segments in place.
 func (g *Graph) MatchCountID(p IDTriple) int {
 	if !p[0].IsVar() && !p[1].IsVar() && !p[2].IsVar() {
 		if g.ContainsID(p) {
@@ -365,14 +361,16 @@ func (g *Graph) MatchCountID(p IDTriple) int {
 	}
 	if !hasRepeatedVar(p) {
 		n := len(g.frz.candidates(p))
+		if d := g.dlt; d != nil {
+			n += len(d.candidates(p))
+		}
 		if o := g.ovl; o != nil {
 			n += len(o.candidates(p))
 		}
 		return n
 	}
-	base, tail, _ := g.LookupSegmentsID(p)
 	n := 0
-	for _, seg := range [2][]IDTriple{base, tail} {
+	for _, seg := range g.segments(p) {
 		for _, t := range seg {
 			if MatchesPatternID(p, t) {
 				n++
@@ -390,28 +388,71 @@ func hasRepeatedVar(p IDTriple) bool {
 }
 
 // LookupSegmentsID is the storage seam used by the solvers: it
-// returns the candidate posting list for the encoded pattern as two
-// segments, the sealed base's list and then the overlay's (tail is nil
-// on a graph without an overlay), together with exact, which reports
-// that every candidate matches the pattern (true exactly when the
-// pattern has no repeated variable), so callers can skip the
-// per-triple MatchesPatternID filter. Walking base and then
-// tail IS insertion order — overlay sequence numbers are a strict
-// suffix of the base's (see overlay.go) — so no list is ever
-// concatenated. Both slices may alias internal storage: callers must
-// not modify them, and they are only valid until the next mutation.
-func (g *Graph) LookupSegmentsID(p IDTriple) (base, tail []IDTriple, exact bool) {
-	base, exact = g.frz.candidates(p), !hasRepeatedVar(p)
+// returns the candidate posting list for the encoded pattern as one
+// segment per tier — the sealed base's list, the sealed delta tier's,
+// then the overlay's (nil for an absent tier). Overlay sequence numbers
+// are a strict suffix of the delta's, and the delta's of the base's
+// (see overlay.go and Freeze), so walking base, delta and then tail IS
+// insertion order and no list is ever concatenated. When
+// ExactPattern(p) holds every candidate matches the pattern, so callers
+// can skip the per-triple MatchesPatternID filter. The slices may alias
+// internal storage: callers must not modify them, and they are only
+// valid until the next mutation. The result is three slices and no
+// more, so it travels in registers: the search makes this call at every
+// node.
+func (g *Graph) LookupSegmentsID(p IDTriple) (base, delta, tail []IDTriple) {
+	base = g.frz.candidates(p)
+	if d := g.dlt; d != nil {
+		delta = d.candidates(p)
+	}
 	if o := g.ovl; o != nil {
 		tail = o.candidates(p)
 	}
-	return base, tail, exact
+	return base, delta, tail
 }
 
-// LookupRangeID is LookupSegmentsID with the two segments as one list
+// ExactPattern reports whether every candidate LookupSegmentsID (or
+// LookupRangeID) returns for the encoded pattern matches it: true
+// exactly when the pattern has no repeated variable.
+func ExactPattern(p IDTriple) bool { return !hasRepeatedVar(p) }
+
+// segments is LookupSegmentsID's result as one value, for the reads
+// that walk or join the tiers off the search path.
+type segments [3][]IDTriple
+
+func (g *Graph) segments(p IDTriple) segments {
+	base, delta, tail := g.LookupSegmentsID(p)
+	return segments{base, delta, tail}
+}
+
+func (s segments) len() int { return len(s[0]) + len(s[1]) + len(s[2]) }
+
+// join returns the segments as one list: the only non-empty segment
+// itself when at most one is non-empty (an alias of internal storage),
+// else a fresh concatenation — never an append onto a segment, whose
+// spare capacity may belong to the next range of a frozen arena.
+func (s segments) join() []IDTriple {
+	only, n := s[0], 0
+	for _, seg := range s {
+		if len(seg) > 0 {
+			only = seg
+			n++
+		}
+	}
+	if n <= 1 {
+		return only
+	}
+	out := make([]IDTriple, 0, s.len())
+	for _, seg := range s {
+		out = append(out, seg...)
+	}
+	return out
+}
+
+// LookupRangeID is LookupSegmentsID with the segments as one list
 // (see CandidatesID for when that list is freshly allocated).
 func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
-	return g.CandidatesID(p), !hasRepeatedVar(p)
+	return g.CandidatesID(p), ExactPattern(p)
 }
 
 // CandidatesID selects the most selective index for the encoded
@@ -419,26 +460,13 @@ func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
 // pattern is in the list; the list may contain non-matches when the
 // pattern has repeated variables. The list is in insertion order: the
 // concatenation of LookupSegmentsID's segments, a fresh slice when
-// both are non-empty and otherwise an alias of internal storage.
-// Either way callers must not modify it.
+// more than one is non-empty and otherwise an alias of internal
+// storage. Either way callers must not modify it.
 func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
-	base := g.frz.candidates(p)
-	o := g.ovl
-	if o == nil {
-		return base
+	if g.dlt == nil && g.ovl == nil {
+		return g.frz.candidates(p)
 	}
-	tail := o.candidates(p)
-	switch {
-	case len(tail) == 0:
-		return base
-	case len(base) == 0:
-		return tail
-	}
-	// Fresh slice, never append onto base: the base list may alias a
-	// frozen arena whose spare capacity belongs to the next range.
-	out := make([]IDTriple, 0, len(base)+len(tail))
-	out = append(out, base...)
-	return append(out, tail...)
+	return g.segments(p).join()
 }
 
 // MatchMappings returns, for a triple pattern t, the paper's base-case
@@ -506,8 +534,8 @@ func (g *Graph) String() string { return FormatGraph(g) }
 
 // Clone returns an independent copy of the graph. IDs are preserved:
 // the clone's dictionary assigns the same IDs to the same IRIs. The
-// clone shares the receiver's immutable base (for a graph loaded with
-// SnapshotMmap, the mapping must outlive the clone too) and
+// clone shares the receiver's immutable sealed tiers (for a graph
+// loaded with SnapshotMmap, the mapping must outlive the clone too) and
 // deep-copies the overlay, so a write to either graph stays invisible
 // to the other. Unlike Fork, the receiver stays writable.
 func (g *Graph) Clone() *Graph { return g.withDict(g.dict.Clone()) }

@@ -12,18 +12,20 @@ package rdf
 // sequence: for any posting list, walking the base list (already
 // seq-ordered: a frozen arena range) and then the overlay's insertion-ordered
 // list IS the k-way merge by sequence number. No merge machinery runs
-// on reads and nothing is copied: Graph.LookupSegmentsID hands both
-// lists out as two segments, the solvers walk them in place one after
-// the other, and counts add the two lengths. Only the concatenating
+// on reads and nothing is copied: Graph.LookupSegmentsID hands the
+// lists out as segments, the solvers walk them in place one after the
+// other, and counts add the lengths. Only the concatenating
 // compatibility reads (CandidatesID, LookupRangeID, TriplesID) build a
-// joined slice.
+// joined slice. The same argument covers the sealed delta tier between
+// base and overlay: it holds exactly the triples sealed after the
+// base's, in their order (see Freeze).
 //
-// Derived state follows the same base-plus-delta shape: the base
+// Derived state follows the same sealed-plus-delta shape: the sealed
 // occurrence table (g.occ) is never touched — overlay occurrence
-// counts live in occDelta and dom(G) growth in domDelta — so a base
-// shared between forked generations and clones (see Graph.Fork) stays
-// immutable while each graph's overlay grows independently. Freeze
-// folds the overlay into a new sealed base.
+// counts live in occDelta and dom(G) growth in domDelta — so sealed
+// tiers shared between forked generations and clones (see Graph.Fork)
+// stay immutable while each graph's overlay grows independently.
+// Freeze seals the overlay into the delta tier.
 
 import "sync/atomic"
 
@@ -128,10 +130,10 @@ func (o *overlay) candidates(p IDTriple) []IDTriple {
 	}
 }
 
-// baseOcc is the base occurrence count for an IRI ID; IDs interned
-// after the base was sealed (they live past the end of g.occ) have
-// base count zero by construction.
-func (g *Graph) baseOcc(id TermID) int32 {
+// sealedOcc is the occurrence count of an IRI ID in the sealed tiers;
+// IDs interned after the last seal (they live past the end of g.occ)
+// have count zero by construction.
+func (g *Graph) sealedOcc(id TermID) int32 {
 	if int(id) < len(g.occ) {
 		return g.occ[id]
 	}
@@ -149,47 +151,45 @@ func (g *Graph) OverlayLen() int {
 	return len(g.ovl.ts)
 }
 
+// DeltaLen returns the number of triples in the sealed delta tier:
+// those sealed by Freeze since the base was last rebuilt.
+func (g *Graph) DeltaLen() int {
+	if g.dlt == nil {
+		return 0
+	}
+	return len(g.dlt.all)
+}
+
 // Fork returns a new generation of the graph: it shares the
-// receiver's immutable base storage (CSR views, insertion-order slice,
+// receiver's immutable sealed tiers (CSR views, insertion-order slices,
 // occurrence table) and dictionary contents, deep-copies the overlay,
 // and is independently mutable through Add / Freeze. The cost is
-// O(overlay + dictionary extension), not O(graph) — this is what makes
-// swap-a-whole-generation the cheap path for live ingest. The overlay
-// copy is presized from the receiver's and skips the write path's
-// dedup probes: the receiver's overlay is already deduplicated against
-// the same base.
+// O(overlay + IRIs interned since the last Freeze), not O(graph) —
+// this is what makes swap-a-whole-generation the cheap path for live
+// ingest. The overlay copy is presized from the receiver's and skips
+// the write path's dedup probes: the receiver's overlay is already
+// deduplicated against the same sealed tiers.
 //
 // From the fork on, the receiver must be treated as read-only (its
 // dictionary is forked-from; see Dict.Fork): serve existing readers
 // from it, route all writes to the fork.
 func (g *Graph) Fork() *Graph { return g.withDict(g.dict.Fork()) }
 
-// withDict returns a graph over d sharing g's base and carrying a copy
-// of g's overlay.
+// Refrozen returns a new generation holding g's triples with the
+// overlay sealed: g.Fork().Freeze() without copying the overlay that
+// the Freeze would discard. Freeze only reads the overlay, so the
+// receiver, read-only from here on as after Fork, keeps it intact.
+func (g *Graph) Refrozen() *Graph {
+	out := &Graph{dict: g.dict.Fork(), occ: g.occ, domSize: g.domSize, frz: g.frz, dlt: g.dlt, ovl: g.ovl}
+	return out.Freeze()
+}
+
+// withDict returns a graph over d sharing g's sealed tiers and carrying
+// a copy of g's overlay.
 func (g *Graph) withDict(d *Dict) *Graph {
-	out := &Graph{dict: d, all: g.all, occ: g.occ, domSize: g.domSize, frz: g.frz}
+	out := &Graph{dict: d, occ: g.occ, domSize: g.domSize, frz: g.frz, dlt: g.dlt}
 	if o := g.ovl; o != nil {
 		out.ovl = o.fork()
 	}
 	return out
-}
-
-// foldOverlay folds the overlay into the insertion-order slice and the
-// occurrence table and clears it. Both are written as fresh slices —
-// never in place — because the base versions may be shared with forked
-// generations and clones. The sealed views are stale afterwards;
-// Freeze re-seals.
-func (g *Graph) foldOverlay() {
-	o := g.ovl
-	all := make([]IDTriple, 0, len(g.all)+len(o.ts))
-	all = append(all, g.all...)
-	all = append(all, o.ts...)
-	occ := make([]int32, g.dict.NumIRIs())
-	copy(occ, g.occ)
-	for id, d := range o.occDelta {
-		occ[id] += d
-	}
-	g.all, g.occ = all, occ
-	g.domSize += o.domDelta
-	g.ovl = nil
 }

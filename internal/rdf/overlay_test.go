@@ -213,32 +213,39 @@ func overlayProbes(g *rdf.Graph) []rdf.IDTriple {
 	return out
 }
 
-// A warmed count over a frozen base with an overlay adds the two
+// A warmed count over a frozen base with an overlay adds the
 // posting-list lengths (a fully-bound pattern is a membership probe)
-// and the segment lookup hands out both lists in place: neither
-// allocates.
+// and the segment lookup hands out every list in place: neither
+// allocates, with or without a sealed delta tier between the two.
 func TestOverlayProbeAllocs(t *testing.T) {
-	g := splitDelta(gen.SocialNetwork(30, 5).Triples(), rdf.GraphFromTriples)
-	if !g.HasOverlay() {
-		t.Fatal("no overlay")
-	}
-	probes := overlayProbes(g)
-	twoSegments := false
-	for _, p := range probes {
-		base, tail, _ := g.LookupSegmentsID(p)
-		twoSegments = twoSegments || (len(base) > 0 && len(tail) > 0)
-	}
-	if !twoSegments {
-		t.Fatal("no probe reaches both segments")
-	}
-	probe := func() {
-		for _, p := range probes {
-			_ = g.MatchCountID(p)
-			_, _, _ = g.LookupSegmentsID(p)
+	ts := gen.SocialNetwork(30, 5).Triples()
+	n := len(ts)
+	for _, g := range []*rdf.Graph{
+		splitDelta(ts, rdf.GraphFromTriples),
+		backendtest.TierGraph(ts, n/2, 3*n/4),
+	} {
+		if !g.HasOverlay() {
+			t.Fatal("no overlay")
 		}
-	}
-	probe()
-	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
-		t.Errorf("a warmed overlay probe allocates %.1f objects", allocs)
+		probes := overlayProbes(g)
+		spans := false
+		for _, p := range probes {
+			base, delta, tail := g.LookupSegmentsID(p)
+			spans = spans || (len(base) > 0 && len(tail) > 0 && (g.DeltaLen() == 0 || len(delta) > 0))
+		}
+		if !spans {
+			t.Fatal("no probe reaches every segment")
+		}
+		probe := func() {
+			for _, p := range probes {
+				_ = g.MatchCountID(p)
+				_, _, _ = g.LookupSegmentsID(p)
+			}
+		}
+		probe()
+		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+			t.Errorf("a warmed probe over %d delta and %d overlay triples allocates %.1f objects",
+				g.DeltaLen(), g.OverlayLen(), allocs)
+		}
 	}
 }

@@ -225,11 +225,12 @@ func dictSections(d *Dict) []snapSection {
 	}
 }
 
-// snapshotSections flattens a frozen graph into its section list.
+// snapshotSections flattens a folded graph (no overlay, no delta tier)
+// into its section list.
 func snapshotSections(g *Graph) []snapSection {
 	v := g.frz
 	return append(dictSections(g.dict),
-		snapSection{kind: secTriples, data: rawBytes(g.all)},
+		snapSection{kind: secTriples, data: rawBytes(v.all)},
 		snapSection{kind: secOcc, data: rawBytes(g.occ)},
 		snapSection{kind: secOffS, data: rawBytes(v.offS)},
 		snapSection{kind: secOffP, data: rawBytes(v.offP)},
@@ -256,10 +257,11 @@ func snapshotSections(g *Graph) []snapSection {
 // WriteSnapshot writes the graph as a snapshot image at path,
 // crash-atomically: the bytes go to a temp file in path's directory,
 // are fsynced, and the temp file is renamed over path. WriteSnapshot
-// freezes the graph first (folding any overlay), since only the frozen
-// arenas have a flat representation.
+// folds the graph first (the overlay and the delta tier into one
+// base), since an image holds one set of frozen arenas: the bytes are
+// those of a graph built from the same triples in one pass.
 func (g *Graph) WriteSnapshot(path string) error {
-	g.Freeze()
+	g.Freeze().fold()
 	secs := snapshotSections(g)
 
 	// Lay out the payload: sections follow the table in order, each
@@ -282,7 +284,7 @@ func (g *Graph) WriteSnapshot(path string) error {
 	hdr := encodeHeader(snapHeader{
 		version:   snapVersion,
 		endian:    nativeEndianMark(),
-		nTriples:  uint64(len(g.all)),
+		nTriples:  uint64(len(g.frz.all)),
 		nIRIs:     uint64(g.dict.NumIRIs()),
 		nSections: uint32(len(secs)),
 		imageCRC:  crc32.Checksum(table, snapCRC),

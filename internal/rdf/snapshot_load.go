@@ -604,7 +604,7 @@ func parseImage(data []byte) (*Graph, snapHeader, error) {
 	if err != nil {
 		return nil, h, err
 	}
-	return &Graph{dict: dict, all: all, occ: occ, domSize: domSize, frz: v}, h, nil
+	return &Graph{dict: dict, occ: occ, domSize: domSize, frz: v}, h, nil
 }
 
 // SnapshotSectionInfo is one row of a snapshot's section table, as
@@ -695,7 +695,7 @@ func (s *Snapshot) VerifyDeep() error {
 	g := s.g
 	ni := g.dict.NumIRIs()
 	occ := make([]int32, ni)
-	for _, t := range g.all {
+	for _, t := range g.frz.all {
 		for _, id := range t {
 			occ[id]++
 		}
@@ -703,7 +703,7 @@ func (s *Snapshot) VerifyDeep() error {
 	if !slices.Equal(occ, g.occ) {
 		return fmt.Errorf("rdf: snapshot %s: occurrence table diverges from the triple set", s.info.Path)
 	}
-	return compareViews(s.info.Path, g.frz, freezeGraph(g))
+	return compareViews(s.info.Path, g.frz, freezeTriples(g.frz.all, ni))
 }
 
 // compareViews compares every derived slice of two frozen views.

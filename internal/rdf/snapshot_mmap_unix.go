@@ -36,8 +36,3 @@ func mmapFile(path string) ([]byte, error) {
 	}
 	return b, nil
 }
-
-// munmapFile releases a mapping returned by mmapFile.
-func munmapFile(b []byte) error {
-	return syscall.Munmap(b)
-}

@@ -491,6 +491,48 @@ func TestSnapshotFormatStable(t *testing.T) {
 	}
 }
 
+// A snapshot written from a tiered graph folds every tier first: its
+// bytes are those of a bulk build over the same triples, whatever the
+// split — a base carrying a sealed delta and an overlay, built in
+// process or over a mapped base image.
+func TestSnapshotOfTieredGraphIsBulkImage(t *testing.T) {
+	ts := testGraph(t)
+	n := len(ts)
+	dir := t.TempDir()
+	write := func(name string, g *rdf.Graph) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := g.WriteSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := write("bulk.wdsnap", rdf.GraphFromTriples(ts))
+	tiered := backendtest.TierGraph(ts, n/2, 3*n/4)
+	if tiered.DeltaLen() == 0 || !tiered.HasOverlay() {
+		t.Fatal("the twin has no delta tier or no overlay")
+	}
+	served := roundTrip(t, dir, new(int), rdf.GraphFromTriples(ts[:n/2]), rdf.SnapshotMmap).Graph().Fork()
+	for i, tr := range ts[n/2:] {
+		if i == n/4 {
+			served.Freeze()
+		}
+		served.Add(tr)
+	}
+	if served.DeltaLen() == 0 {
+		t.Fatal("the served graph has no delta tier")
+	}
+	for name, g := range map[string]*rdf.Graph{"tiered": tiered, "served": served} {
+		if got := write(name+".wdsnap", g); string(got) != string(want) {
+			t.Errorf("%s graph: a %d-byte image differs from the %d-byte bulk build", name, len(got), len(want))
+		}
+	}
+}
+
 func TestSnapshotLoadMissingFile(t *testing.T) {
 	for _, mode := range []rdf.SnapshotMode{rdf.SnapshotHeap, rdf.SnapshotMmap} {
 		if _, err := rdf.LoadSnapshot(filepath.Join(t.TempDir(), "nope.wdsnap"), mode); err == nil {

@@ -96,3 +96,28 @@ func TestExplainRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// explain=1 renders a constant absent from the graph as itself: over
+// s0 p o0 (whose TermID 0 is s0) and over an empty engine, where no
+// TermID 0 exists at all and rendering through it used to panic.
+func TestExplainAbsentConstant(t *testing.T) {
+	for _, eng := range []*wdsparql.Engine{testEngine(t, 1), wdsparql.NewEngine(nil)} {
+		_, base := startServer(t, Config{Engine: eng})
+		resp, err := http.Get(sparqlURL(base, `(absent p ?z)`, url.Values{"explain": {"1"}}))
+		if err != nil {
+			t.Fatalf("GET: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200 (body %q)", resp.StatusCode, body)
+		}
+		var plan wdsparql.QueryPlan
+		if err := json.Unmarshal(body, &plan); err != nil {
+			t.Fatalf("explain body %q is not a QueryPlan: %v", body, err)
+		}
+		if got := plan.Trees[0].Patterns; len(got) != 1 || got[0] != "absent p ?z" {
+			t.Fatalf("explain renders %q, want [absent p ?z]", got)
+		}
+	}
+}

@@ -14,9 +14,11 @@ package server
 //     discarded, batches already applied stay applied, and the error
 //     names the input line the way the bulk loader would.
 //   - When the mutable overlay grows past Config.RefreezeAt triples,
-//     the ingest re-freezes: the overlay is compacted into a fresh
-//     sealed base (same backend shape) on a forked generation and
-//     swapped in, again without disturbing a single in-flight reader.
+//     the ingest re-freezes: the overlay is sealed into the delta tier
+//     over the shared base (for a served snapshot, the mapped image)
+//     on a forked generation and swapped in, again without disturbing
+//     a single in-flight reader. The base itself is rebuilt only when
+//     the delta would reach its size (rdf.Graph.Freeze).
 //   - One writer at a time: concurrent POST /ingest gets 409, and
 //     /reload and /ingest exclude each other through the same writer
 //     lock. Readers are never locked out by any of this.
@@ -130,13 +132,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				defer func() {
 					if p := recover(); p != nil {
 						// Keep serving with the overlay: a failed
-						// compaction costs read performance, not data.
+						// seal costs read performance, not data.
 						s.refreezeFails.Add(1)
 					}
 				}()
 				ne = ne.Refreeze()
 				refreezes++
 				s.refreezes.Add(1)
+				if ne.Graph().DeltaLen() == 0 {
+					s.folds.Add(1) // the seal rebuilt the base
+				}
 			}()
 		}
 

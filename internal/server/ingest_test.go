@@ -367,3 +367,93 @@ func TestIngestWhileQueryingHTTP(t *testing.T) {
 	}()
 	assertNoGoroutineLeaks(t, baseline)
 }
+
+// TestIngestTieredOverSnapshot pins the delta tier behind a served
+// image: every re-freeze seals the ingested triples beside the mapped
+// image instead of rebuilding it, so folds stay 0 while the delta is
+// smaller than the image, /stats reports the delta's size, reads stay
+// exact on every generation, the fold comes exactly when the delta
+// reaches the image's size, and the image — still the dictionary's
+// backing after the fold — is unmapped exactly once, at the reload
+// that retires it.
+func TestIngestTieredOverSnapshot(t *testing.T) {
+	path := t.TempDir() + "/tiered.wdsnap"
+	writeSnapshotFile(t, path, 400)
+	var (
+		mu     sync.Mutex
+		unmaps []*atomic.Int32 // one per loaded image, counting its Close calls
+	)
+	image := func(i int) *atomic.Int32 {
+		mu.Lock()
+		defer mu.Unlock()
+		return unmaps[i]
+	}
+	load := func() (*wdsparql.Engine, *SnapshotStats, io.Closer, error) {
+		eng, snap, err := wdsparql.NewEngineFromSnapshot(path, wdsparql.SnapshotMmap, wdsparql.WithQueryCache(16))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		n := new(atomic.Int32)
+		mu.Lock()
+		unmaps = append(unmaps, n)
+		mu.Unlock()
+		return eng, SnapshotStatsOf(snap.Info()), closerFunc(func() error { n.Add(1); return snap.Close() }), nil
+	}
+	eng, stats, closer, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, url := startServer(t, Config{Engine: eng, Snapshot: stats, Closer: closer, Reload: load,
+		IngestBatch: 25, RefreezeAt: 50})
+
+	check := func(rows, delta int, folds uint64) {
+		t.Helper()
+		st := serverStats(t, url)
+		if st.Triples != rows || st.Ingest.DeltaTriples != delta || st.Ingest.Folds != folds || st.Ingest.OverlaySize != 0 {
+			t.Fatalf("stats: triples %d, delta %d, folds %d, overlay %d; want %d, %d, %d, 0",
+				st.Triples, st.Ingest.DeltaTriples, st.Ingest.Folds, st.Ingest.OverlaySize, rows, delta, folds)
+		}
+		if n := countRows(t, url); n != rows {
+			t.Fatalf("rows = %d, want %d", n, rows)
+		}
+		if n := image(0).Load(); n != 0 {
+			t.Fatalf("the served image was unmapped %d times while in use", n)
+		}
+	}
+	// Six re-freezes of 50 triples each: the delta grows to 300 < 400.
+	for from := 400; from < 700; from += 50 {
+		if resp, lines := postIngest(t, url, ingestBody(from, from+50)); resp.StatusCode != http.StatusOK || lines[len(lines)-1]["done"] != true {
+			t.Fatalf("ingest failed: status %d, %v", resp.StatusCode, lines)
+		}
+		check(from+50, from+50-400, 0)
+	}
+	if st := serverStats(t, url); st.Ingest.Refreezes != 6 {
+		t.Fatalf("refreezes = %d, want 6", st.Ingest.Refreezes)
+	}
+	// 350 < 400 still seals; 400 = 400 folds.
+	postIngest(t, url, ingestBody(700, 750))
+	check(750, 350, 0)
+	postIngest(t, url, ingestBody(750, 800))
+	check(800, 0, 1)
+
+	if resp, _ := postReload(t, url); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: status %d", resp.StatusCode)
+	}
+	if n := countRows(t, url); n != 400 {
+		t.Fatalf("rows after reload = %d, want the image's 400", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for image(0).Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	for i := range 2 {
+		if n := image(i).Load(); n != 1 {
+			t.Fatalf("image %d unmapped %d times, want exactly once", i, n)
+		}
+	}
+}

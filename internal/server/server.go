@@ -175,8 +175,9 @@ type Server struct {
 	// Live-ingest counters (POST /ingest, see ingest.go).
 	ingestBatches atomic.Uint64 // delta batches applied (each one atomic)
 	ingestTriples atomic.Uint64 // triples actually added (duplicates excluded)
-	refreezes     atomic.Uint64 // overlay compactions swapped in
+	refreezes     atomic.Uint64 // overlay seals swapped in
 	refreezeFails atomic.Uint64 // re-freeze attempts that kept the overlay
+	folds         atomic.Uint64 // re-freezes that rebuilt the base
 
 	// hookBeforeStream, when set, runs inside the per-request panic
 	// guard just before streaming starts — the test seam for panic
@@ -328,13 +329,18 @@ type Stats struct {
 	Ingest IngestStats `json:"ingest"`
 }
 
-// IngestStats is the /stats "ingest" section.
+// IngestStats is the /stats "ingest" section. A re-freeze seals the
+// overlay into the delta tier (DeltaTriples: its current size) and
+// folds both into a fresh base only once the delta would reach the
+// base's size (Folds counts those).
 type IngestStats struct {
 	Batches          uint64 `json:"batches"`
 	TriplesApplied   uint64 `json:"triples_applied"`
 	OverlaySize      int    `json:"overlay_size"`
+	DeltaTriples     int    `json:"delta_triples"`
 	Refreezes        uint64 `json:"refreezes"`
 	RefreezeFailures uint64 `json:"refreeze_failures"`
+	Folds            uint64 `json:"folds"`
 }
 
 // snapshot assembles the current Stats.
@@ -362,6 +368,7 @@ func (s *Server) snapshot() Stats {
 			TriplesApplied:   s.ingestTriples.Load(),
 			Refreezes:        s.refreezes.Load(),
 			RefreezeFailures: s.refreezeFails.Load(),
+			Folds:            s.folds.Load(),
 		},
 	}
 	// The data-shape section reads the current engine generation, held
@@ -376,6 +383,7 @@ func (s *Server) snapshot() Stats {
 	st.Backend = "frozen"
 	st.Triples = g.Len()
 	st.Ingest.OverlaySize = g.OverlayLen()
+	st.Ingest.DeltaTriples = g.DeltaLen()
 	st.QueryCache = eng.eng.QueryCacheStats()
 	st.Snapshot = eng.snap
 	return st

@@ -110,9 +110,11 @@ func (e *rowEvaluator) evalTriple(t rdf.Triple) *rdf.IDMappingSet {
 		ip[i] = id
 	}
 	row := e.layout.NewRow()
-	// The base's candidates, then the overlay's: insertion order.
-	base, tail, exact := e.g.LookupSegmentsID(ip)
-	for _, seg := range [2][]rdf.IDTriple{base, tail} {
+	// The base's candidates, then the delta tier's and the overlay's:
+	// insertion order.
+	base, delta, tail := e.g.LookupSegmentsID(ip)
+	exact := rdf.ExactPattern(ip)
+	for _, seg := range [3][]rdf.IDTriple{base, delta, tail} {
 		for _, tr := range seg {
 			if !exact && !rdf.MatchesPatternID(ip, tr) {
 				continue

@@ -143,3 +143,31 @@ func TestPlannerExplain(t *testing.T) {
 		t.Fatalf("explain not serialisable: %v", err)
 	}
 }
+
+// A constant absent from the graph renders as itself, not as whatever
+// IRI holds TermID 0 (absent constants compile to code ^0): over
+// `x p y .`, (absent p ?z) must not explain as "x p ?z", and over the
+// empty graph of NewEngine(nil), where no ID 0 exists, Explain must not
+// panic.
+func TestExplainAbsentConstant(t *testing.T) {
+	g, err := ParseGraph("x p y .")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		eng   *Engine
+		query string
+	}{
+		{NewEngine(g), "(absent p ?z)"},
+		{NewEngine(nil), "(a p ?z)"},
+	} {
+		q, err := c.eng.PrepareText(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.query[1 : len(c.query)-1]
+		if got := q.Explain().Trees[0].Patterns; !slices.Equal(got, []string{want}) {
+			t.Errorf("%s explains as %q, want %q", c.query, got, want)
+		}
+	}
+}
