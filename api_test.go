@@ -1,11 +1,23 @@
 package wdsparql
 
 import (
+	"context"
 	"testing"
 )
 
 // Tests of the public API surface: everything a downstream user
 // touches must work through the root package alone.
+
+// askWith decides µ ∈ ⟦F⟧G on a fresh engine running alg with pebble
+// bound k.
+func askWith(t *testing.T, alg Algorithm, k int, f Forest, g *Graph, mu Mapping) bool {
+	t.Helper()
+	ok, err := NewEngine(g, WithAlgorithm(alg), WithPebbleK(k)).PrepareForest(f).Ask(context.Background(), mu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
 
 func TestPublicQuickstartFlow(t *testing.T) {
 	pattern := MustParsePattern(`((?p knows ?q) OPT (?p email ?m))`)
@@ -17,7 +29,11 @@ alice knows bob .
 alice email alice@example.org .
 bob knows carol .
 `)
-	solutions, err := Solutions(pattern, data)
+	q, err := NewEngine(data).Prepare(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solutions, err := q.All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,23 +56,23 @@ bob knows carol .
 func TestPublicEvaluateBothAlgorithms(t *testing.T) {
 	pattern := MustParsePattern(`((?x p ?y) OPT (?y q ?z))`)
 	data := MustParseGraph("a p b .\nb q c .\nd p e .\n")
-	dw, err := DominationWidth(pattern)
+	q, err := NewEngine(nil).Prepare(pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dw := q.DominationWidth()
 	if dw != 1 {
 		t.Fatalf("dw=%d", dw)
 	}
-	bw, err := BranchTreewidth(pattern)
+	bw, err := q.BranchTreewidth()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bw != dw {
 		t.Fatal("Prop 5")
 	}
-	lw, err := LocalWidth(pattern)
-	if err != nil || lw != 1 {
-		t.Fatalf("local width: %d, %v", lw, err)
+	if lw := q.LocalWidth(); lw != 1 {
+		t.Fatalf("local width: %d", lw)
 	}
 	cases := []struct {
 		mu   Mapping
@@ -69,7 +85,11 @@ func TestPublicEvaluateBothAlgorithms(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, alg := range []Algorithm{AlgNaive, AlgPebble} {
-			got, err := Evaluate(alg, dw, pattern, data, tc.mu)
+			qa, err := NewEngine(data, WithAlgorithm(alg), WithPebbleK(dw)).Prepare(pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := qa.Ask(context.Background(), tc.mu)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +110,7 @@ func TestPublicForestAPI(t *testing.T) {
 		t.Fatalf("forest size: %d", len(f))
 	}
 	data := MustParseGraph("a q b .\nb q c .\n")
-	if !EvaluateForest(AlgNaive, 1, f, data, Mapping{"x": "a", "y": "b", "z": "c"}) {
+	if !askWith(t, AlgNaive, 1, f, data, Mapping{"x": "a", "y": "b", "z": "c"}) {
 		t.Fatal("member expected")
 	}
 }
@@ -106,14 +126,14 @@ func TestPublicErrors(t *testing.T) {
 	if err := CheckWellDesigned(notWD); err == nil {
 		t.Fatal("well-designedness violation expected")
 	}
-	if _, err := Solutions(notWD, NewGraph()); err == nil {
-		t.Fatal("Solutions must reject non-well-designed patterns")
+	if _, err := NewEngine(NewGraph()).Prepare(notWD); err == nil {
+		t.Fatal("Prepare must reject non-well-designed patterns")
 	}
-	if _, err := Evaluate(AlgNaive, 1, notWD, NewGraph(), Mapping{}); err == nil {
-		t.Fatal("Evaluate must reject non-well-designed patterns")
+	if _, err := ToForest(notWD); err == nil {
+		t.Fatal("ToForest must reject non-well-designed patterns")
 	}
-	if _, err := DominationWidth(notWD); err == nil {
-		t.Fatal("DominationWidth must reject non-well-designed patterns")
+	if _, _, err := RefuteContainment(notWD, notWD); err == nil {
+		t.Fatal("RefuteContainment must reject non-well-designed patterns")
 	}
 }
 
@@ -144,9 +164,12 @@ func TestPublicCliqueReduction(t *testing.T) {
 func TestPublicCertainVarsAndContainment(t *testing.T) {
 	p1 := MustParsePattern(`(?x p ?y)`)
 	p2 := MustParsePattern(`((?x p ?y) OPT (?y q ?z))`)
-	cv, err := CertainVars(p2)
-	if err != nil || len(cv) != 2 {
-		t.Fatalf("certain vars: %v %v", cv, err)
+	q2, err := NewEngine(nil).Prepare(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv := q2.CertainVars(); len(cv) != 2 {
+		t.Fatalf("certain vars: %v", cv)
 	}
 	ce, ok, err := RefuteContainment(p1, p2)
 	if err != nil || !ok {

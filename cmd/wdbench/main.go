@@ -1,36 +1,28 @@
-// Command wdbench runs the experiment suite E1–E17 that reproduces the
+// Command wdbench runs the experiment suite that reproduces the
 // constructions and complexity claims of "The Tractability Frontier of
 // Well-designed SPARQL Queries" (Romero, PODS 2018) and prints one
-// table per experiment. See DESIGN.md for the experiment index;
+// table per experiment: E1–E8, the planner and filter-pushdown
+// ablations E16 and E17, and on request the ablations A1–A3 and the
+// micro-benchmark M1. See DESIGN.md for the experiment index;
 // benchmark/ measures end-to-end performance.
 //
 // Usage:
 //
-//	wdbench [-only E3] [-full] [-workers N] [-cpuprofile f] [-memprofile f]
+//	wdbench [-only E3] [-full] [-ablations] [-micro] [-workers N] [-cpuprofile f] [-memprofile f]
 //
 // -only runs a single experiment (the others are not executed, so a
 // profiled -only run measures exactly that experiment). -full extends
 // the E3 sweep into the regime where the natural algorithm needs tens
-// of seconds per instance. E8 (batched decision) and E9 (top-down
-// enumeration throughput: string pipeline vs compiled rows, rows/sec,
-// sequential vs a pool of -workers workers) honour -workers; E13 (the
-// serving layer) drives HTTP load at an in-process wdserve endpoint;
-// E14 measures snapshot cold start (parse vs heap load vs mmap); E15
-// measures the parallel ingest pipeline against the sequential reader
-// and the live delta overlay against pure-frozen enumeration (honours
-// -workers for the decode pool); E16 ablates the compile-time query
-// planner against the per-node heuristic (wall time, search nodes and
-// count probes, with byte-identical streams as the gate).
-// -cpuprofile and -memprofile write pprof profiles of the run, so perf
-// work on the evaluation and enumeration hot paths can attach
-// evidence:
+// of seconds per instance. E8 (batched decision) runs its parallel
+// column on a pool of -workers workers. -cpuprofile and -memprofile
+// write pprof profiles of the run, so perf work on the evaluation
+// hot paths can attach evidence:
 //
-//	wdbench -only E9 -workers 8 -cpuprofile cpu.out -memprofile mem.out
+//	wdbench -only E8 -workers 8 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out
 //
 // Every experiment cross-validates its evaluation paths (the "agree"
-// columns span all three storage backends where data is involved);
-// any disagreement makes wdbench exit non-zero.
+// columns); any disagreement makes wdbench exit non-zero.
 package main
 
 import (
@@ -39,6 +31,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"wdsparql/internal/bench"
@@ -48,21 +41,48 @@ func main() {
 	os.Exit(run())
 }
 
+// allExperiments is every experiment -only accepts, in print order.
+func allExperiments(full bool, workers int) []bench.Experiment {
+	return slices.Concat(bench.Experiments(full, workers), bench.AblationExperiments(), bench.MicroExperiments())
+}
+
+// experimentIDs lists the IDs of specs for help and error messages.
+func experimentIDs(specs []bench.Experiment) string {
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		ids[i] = s.ID
+	}
+	return strings.Join(ids, ", ")
+}
+
 // run carries the whole command so that error exits unwind through the
 // defers (in particular StopCPUProfile, which flushes the profile).
 func run() int {
-	only := flag.String("only", "", "run a single experiment (E1..E17, A1..A3, M1)")
+	only := flag.String("only", "", "run a single experiment: "+experimentIDs(allExperiments(false, 1)))
 	full := flag.Bool("full", false, "extended sweeps (E3 up to k=7; ~1 min extra)")
-	ablations := flag.Bool("ablations", false, "also run the ablation suite A1..A3")
-	micro := flag.Bool("micro", false, "also run the micro-benchmarks M1")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker-pool size for the batched (E8) and enumeration (E9) experiments")
+	ablations := flag.Bool("ablations", false, "also run the ablations "+experimentIDs(bench.AblationExperiments()))
+	micro := flag.Bool("micro", false, "also run the micro-benchmarks "+experimentIDs(bench.MicroExperiments()))
+	workers := flag.Int("workers", runtime.NumCPU(), "worker-pool size for the batched experiment E8")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	flag.Parse()
 
-	if *only != "" && !validID(*only) {
-		fmt.Fprintf(os.Stderr, "wdbench: unknown experiment %q (want E1..E10, E13..E17, A1..A3 or M1)\n", *only)
-		return 2
+	specs := bench.Experiments(*full, *workers)
+	if *only != "" {
+		all := allExperiments(*full, *workers)
+		i := slices.IndexFunc(all, func(s bench.Experiment) bool { return strings.EqualFold(s.ID, *only) })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "wdbench: unknown experiment %q (want one of %s)\n", *only, experimentIDs(all))
+			return 2
+		}
+		specs = all[i : i+1]
+	} else {
+		if *ablations {
+			specs = append(specs, bench.AblationExperiments()...)
+		}
+		if *micro {
+			specs = append(specs, bench.MicroExperiments()...)
+		}
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -77,18 +97,8 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	specs := bench.Experiments(*full, *workers)
-	if *ablations || strings.HasPrefix(strings.ToUpper(*only), "A") {
-		specs = append(specs, bench.AblationExperiments()...)
-	}
-	if *micro || strings.HasPrefix(strings.ToUpper(*only), "M") {
-		specs = append(specs, bench.MicroExperiments()...)
-	}
 	disagreed := false
 	for _, s := range specs {
-		if *only != "" && !strings.EqualFold(s.ID, *only) {
-			continue
-		}
 		tbl := s.Run()
 		tbl.Render(os.Stdout)
 		if !tbl.Agreement() {
@@ -113,12 +123,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-func validID(id string) bool {
-	switch strings.ToUpper(id) {
-	case "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E14", "E15", "E16", "E17", "A1", "A2", "A3", "M1":
-		return true
-	}
-	return false
 }

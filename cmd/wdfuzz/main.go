@@ -325,8 +325,9 @@ func checkTrial(rng *rand.Rand, trial int, p sparql.Pattern, g *rdf.Graph, plann
 	}
 	// Planner dimension: on every backend, the planned mode must
 	// reproduce the heuristic stream byte for byte (the determinism
-	// contract behind WithPlanner), and the strict plan-following mode
-	// — order-free by design — must agree on the cardinality.
+	// contract the engine's ordered executions rely on), and the
+	// strict plan-following mode — order-free by design — must agree
+	// on the cardinality.
 	if planner {
 		for _, b := range all {
 			fp := core.CompileForest(f, b.g)

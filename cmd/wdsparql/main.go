@@ -11,9 +11,9 @@
 // With -mu the command decides wdEVAL for one mapping; without it the
 // solution stream is printed (windowed by -limit/-offset, parallelised
 // by -workers). -explain prints
-// the compiled join order as JSON instead of executing (-planner=false
-// ablates the statistics-driven ordering); with -mu it decides first
-// and the plan's ask section shows the decision plan of dom(µ). The
+// the compiled join order as JSON instead of executing; with -mu it
+// decides first and the plan's ask section shows the decision plan of
+// dom(µ). The
 // -algo flag defaults to "auto", the engine's width-aware wdEVAL
 // (budgeted homomorphism tests falling back to the (dw+1)-pebble
 // game); "naive" and "pebble" (with -k the domination-width bound)
@@ -48,7 +48,6 @@ func main() {
 	workers := flag.Int("workers", 1, "enumeration worker-pool size")
 	stats := flag.Bool("stats", false, "print data statistics and evaluation counters")
 	explain := flag.Bool("explain", false, "print the compiled query plan as JSON and exit")
-	planner := flag.Bool("planner", true, "use the compile-time join-order planner")
 	flag.Parse()
 
 	if *query == "" || *dataPath == "" {
@@ -82,7 +81,7 @@ func main() {
 	}
 	engine := wdsparql.NewEngine(g,
 		wdsparql.WithAlgorithm(alg), wdsparql.WithPebbleK(*k),
-		wdsparql.WithWorkers(*workers), wdsparql.WithPlanner(*planner))
+		wdsparql.WithWorkers(*workers))
 
 	if *stats {
 		fmt.Fprintf(os.Stderr, "data: %s\n", rdf.Stats(g))

@@ -21,10 +21,9 @@ import (
 // NOT re-seal g (unlike NewEngine): the generation path hands over
 // graphs that are already sealed — a fork carrying an overlay, or a
 // freshly sealed one — and re-sealing would seal the overlay eagerly,
-// defeating the cheap-fork design. Every option carries over
-// (the planner and pushdown settings included); only the query cache
-// starts empty, because prepared queries are compiled against a
-// specific graph.
+// defeating the cheap-fork design. Every option carries over; only
+// the query cache starts empty, because prepared queries are compiled
+// against a specific graph.
 func (e *Engine) withGraph(g *rdf.Graph) *Engine {
 	ne := *e
 	ne.g = g

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,24 +88,31 @@ func TestEngineApplyDelta(t *testing.T) {
 	}
 }
 
-// Generations keep every engine option: the planner and filter
-// placement of a delta or refrozen generation are its ancestor's, on
-// the defaults and on explicit overrides alike.
+// Generations keep every engine option: the Ask algorithm and pebble
+// bound, the worker-pool default and the query-cache capacity of a
+// delta or refrozen generation are its ancestor's; only the cache's
+// contents start over, being compiled against the old graph.
 func TestEngineGenerationsKeepOptions(t *testing.T) {
-	const text = `((?x p ?y) FILTER (?y = o3))`
-	for _, on := range []bool{true, false} {
-		e0 := NewEngine(deltaGraph(10), WithPlanner(on), WithFilterPushdown(on))
-		e1 := e0.ApplyDelta([]Triple{deltaTriple(10)})
-		for name, e := range map[string]*Engine{"delta": e1, "refrozen": e1.Refreeze()} {
-			ep := e.MustPrepare(MustParsePattern(text)).Explain()
-			want := "[deferred]"
-			if on {
-				want = "[pushed]"
-			}
-			if ep.Planner != on || len(ep.Trees[0].Filters) != 1 || !strings.HasSuffix(ep.Trees[0].Filters[0], want) {
-				t.Fatalf("%s generation of a planner=%v pushdown=%v engine explains planner=%v filters=%v",
-					name, on, on, ep.Planner, ep.Trees[0].Filters)
-			}
+	const text = `((?x p ?y) OPT (?y q ?z))`
+	e0 := NewEngine(deltaGraph(10), WithAlgorithm(AlgPebble), WithPebbleK(3),
+		WithWorkers(3), WithQueryCache(5))
+	if _, err := e0.PrepareText(text); err != nil {
+		t.Fatal(err)
+	}
+	e1 := e0.ApplyDelta([]Triple{deltaTriple(10)})
+	for name, e := range map[string]*Engine{"delta": e1, "refrozen": e1.Refreeze()} {
+		if e.workers != 3 {
+			t.Errorf("%s generation runs %d workers by default, want 3", name, e.workers)
+		}
+		if st := e.QueryCacheStats(); st.Cap != 5 || st.Size != 0 {
+			t.Errorf("%s generation's query cache holds %d of %d, want 0 of 5", name, st.Size, st.Cap)
+		}
+		q, err := e.PrepareText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ap := q.Explain().Ask; ap.Algorithm != "pebble" || ap.PebbleK != 3 {
+			t.Errorf("%s generation decides with %s(k=%d), want pebble(k=3)", name, ap.Algorithm, ap.PebbleK)
 		}
 	}
 }

@@ -53,13 +53,10 @@ const Unbound = rdf.Unbound
 // The graph must not be mutated while the engine is in use (the same
 // constraint the underlying read paths already impose).
 type Engine struct {
-	g        *rdf.Graph
-	alg      core.Algorithm
-	pebbleK  int
-	workers  int
-	planner  bool
-	slack    int
-	pushdown bool
+	g       *rdf.Graph
+	alg     core.Algorithm
+	pebbleK int
+	workers int
 
 	qcacheCap int
 	qcache    *lruCache[*PreparedQuery] // nil when WithQueryCache is off
@@ -98,32 +95,6 @@ func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 // cache (the default).
 func WithQueryCache(n int) Option { return func(e *Engine) { e.qcacheCap = n } }
 
-// WithPlanner turns the join-order query planner on or off for the
-// whole engine (default on); the per-call Planner ExecOption overrides
-// it. With the planner on, ordered executions (Rows, Select, All) run
-// with complete dead-branch detection — streams stay byte-identical to
-// planner-off, never fewer nor reordered rows, by the mode contract in
-// internal/hom — and order-free executions (Count) follow the compiled
-// join order with one count probe per search node.
-func WithPlanner(on bool) Option { return func(e *Engine) { e.planner = on } }
-
-// WithPlannerSlack sets the planner's adaptive escape hatch: an
-// order-following search node re-scores all remaining patterns when
-// the actual candidate count exceeds slack × max(1, estimate). k ≤ 0
-// selects the default (hom.DefaultSlack).
-func WithPlannerSlack(k int) Option { return func(e *Engine) { e.slack = k } }
-
-// WithFilterPushdown turns bind-time FILTER pushdown on or off for the
-// whole engine (default on). With pushdown on, FILTER conjuncts whose
-// variables are all in scope at one wdPT node are evaluated inside that
-// node's search the moment their last variable binds, pruning the
-// branch before recursion; off, every conjunct is evaluated per emitted
-// subtree solution. The row stream is byte-identical either way (a
-// filtered stream is a subsequence of the unfiltered one in both
-// placements); only the search effort changes. Off exists for
-// cross-validation and ablation (wdfuzz, the E17 experiment).
-func WithFilterPushdown(on bool) Option { return func(e *Engine) { e.pushdown = on } }
-
 // NewEngine returns an engine over the graph. A nil graph is replaced
 // by an empty one — useful for purely static analysis (widths, certain
 // variables) where no data is involved.
@@ -138,7 +109,7 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 	if g == nil {
 		g = rdf.NewGraph()
 	}
-	e := &Engine{g: g, alg: core.AlgAuto, pebbleK: 1, workers: 1, planner: true, pushdown: true}
+	e := &Engine{g: g, alg: core.AlgAuto, pebbleK: 1, workers: 1}
 	for _, o := range opts {
 		o(e)
 	}
@@ -171,12 +142,12 @@ func (e *Engine) Prepare(p Pattern) (*PreparedQuery, error) {
 }
 
 // compile lowers a forest of an analysis onto the engine's graph — the
-// analysis's own, or a text's instantiated from a template's: the
-// forest compiles under the engine's pushdown setting, and a SELECT
-// wrapper becomes a projection view (SELECT * without DISTINCT is the
-// identity and compiles away).
+// analysis's own, or a text's instantiated from a template's: FILTER
+// conjuncts are pushed to bind time, and a SELECT wrapper becomes a
+// projection view (SELECT * without DISTINCT is the identity and
+// compiles away).
 func (e *Engine) compile(an *analysis, f ptree.Forest) *core.ForestProgram {
-	prog := core.CompileForestOpts(f, e.g, core.CompileOpts{NoFilterPushdown: !e.pushdown})
+	prog := core.CompileForest(f, e.g)
 	if an.sel && (an.distinct || len(an.proj) > 0) {
 		prog = prog.Project(an.proj, an.distinct)
 	}
@@ -279,8 +250,7 @@ type PreparedQuery struct {
 }
 
 // evaluator returns the query's wdEVAL evaluator. dw(P) comes from the
-// shared analysis, so the engine, the legacy shims and DominationWidth
-// all populate one sync.Once.
+// shared analysis, so Ask and DominationWidth populate one sync.Once.
 func (q *PreparedQuery) evaluator() *core.Evaluator {
 	q.askOnce.Do(func() {
 		q.ask = core.NewEvaluator(q.eng.alg, q.eng.pebbleK, q.prog)
@@ -292,9 +262,9 @@ func (q *PreparedQuery) evaluator() *core.Evaluator {
 // analysis is the graph-independent static analysis of one pattern —
 // or of one query template, which stands for every text lifted to it:
 // its forest plus the lazily-cached width measures and certain
-// variables. It is shared — between a PreparedQuery and the legacy
-// shims, and across engines preparing the same pattern — so the
-// exponential width computations run at most once per pattern.
+// variables. It is shared — by ToForest, RefuteContainment and every
+// engine preparing the same pattern — so the exponential width
+// computations run at most once per pattern.
 type analysis struct {
 	pattern sparql.Pattern // nil when prepared from a forest
 	forest  ptree.Forest
@@ -321,22 +291,21 @@ type analysis struct {
 	cv     []rdf.Term
 }
 
-// analysisCache memoises static analyses across legacy-shim calls and
-// engines, keyed by the pattern's canonical text, or by the template key
-// for PrepareText. The two name the same pattern when they coincide
-// (the parameters of a key parse to the IRIs ">i"), so their entries
-// are interchangeable. An LRU: hot patterns stay resident across any
-// workload length, cold ones age out instead of permanently occupying
-// the bound.
+// analysisCache memoises static analyses across engines and the
+// package-level entry points, keyed by the pattern's canonical text, or
+// by the template key for PrepareText. The two name the same pattern
+// when they coincide (the parameters of a key parse to the IRIs ">i"),
+// so their entries are interchangeable. An LRU: hot patterns stay
+// resident across any workload length, cold ones age out instead of
+// permanently occupying the bound.
 var analysisCache = newLRUCache[*analysis](analysisCacheMax)
 
 const analysisCacheMax = 256
 
 // analyze is the one shared prepare path: every public entry point
-// that accepts a Pattern — Engine.Prepare and all the legacy shims —
-// funnels through here, so the forest of a given pattern is built once
-// even when legacy code calls Solutions, LocalWidth and CertainVars
-// back to back.
+// that accepts a Pattern — Engine.Prepare, ToForest and
+// RefuteContainment — funnels through here, so the forest of a given
+// pattern is built once however many of them see it.
 func analyze(p Pattern) (*analysis, error) {
 	key := sparql.Format(p)
 	if an, ok := analysisCache.get(key); ok {
@@ -397,8 +366,7 @@ func newAnalysis(p Pattern) (*analysis, error) {
 }
 
 // The lazily-cached static measures live here, on the shared analysis,
-// so the PreparedQuery methods and the legacy shims populate the same
-// sync.Onces with the same bodies.
+// so every PreparedQuery of one pattern populates the same sync.Onces.
 
 func (an *analysis) dominationWidth() int {
 	an.dwOnce.Do(func() { an.dw = core.DominationWidth(an.forest) })
@@ -468,13 +436,7 @@ type execConfig struct {
 	limit   int // < 0: unlimited
 	offset  int
 	workers int
-	planner int8 // 0: engine default, plannerOn / plannerOff: forced
 }
-
-const (
-	plannerOn  int8 = 1
-	plannerOff int8 = 2
-)
 
 // Limit caps the number of solutions streamed (or materialised) by the
 // call; the enumeration stops as soon as the cap is reached. Limit(0)
@@ -485,19 +447,6 @@ func Limit(n int) ExecOption { return func(c *execConfig) { c.limit = n } }
 // Limit this is the classic pagination pair: the stream still stops
 // early after offset+limit solutions, never materialising the rest.
 func Offset(n int) ExecOption { return func(c *execConfig) { c.offset = n } }
-
-// Planner overrides the engine-wide WithPlanner setting for this call.
-// The row stream is identical either way (the determinism contract);
-// only the search effort changes.
-func Planner(on bool) ExecOption {
-	return func(c *execConfig) {
-		if on {
-			c.planner = plannerOn
-		} else {
-			c.planner = plannerOff
-		}
-	}
-}
 
 // Parallel runs the enumeration on a pool of n workers, one work item
 // per top-level candidate triple of each root search. The stream is
@@ -514,28 +463,17 @@ func (q *PreparedQuery) config(opts []ExecOption) execConfig {
 	return cfg
 }
 
-// tunedProg resolves the execution's search mode from the engine-wide
-// planner setting and the per-call override. Ordered executions run
-// ModePlanned (stream byte-identical to the heuristic); order-free
-// ones — Count, whose result is invariant under enumeration order
-// even through Limit/Offset windowing — may follow the compiled order
-// literally (ModeStrict).
-func (q *PreparedQuery) tunedProg(cfg execConfig, orderFree bool) *core.ForestProgram {
-	on := q.eng.planner
-	switch cfg.planner {
-	case plannerOn:
-		on = true
-	case plannerOff:
-		on = false
+// tunedProg picks the execution's search mode. Ordered executions run
+// ModePlanned (complete dead-branch detection, stream byte-identical to
+// the heuristic by the mode contract in internal/hom); order-free ones
+// — Count, whose result is invariant under enumeration order even
+// through Limit/Offset windowing — follow the compiled join order
+// literally (ModeStrict) at the default slack.
+func (q *PreparedQuery) tunedProg(orderFree bool) *core.ForestProgram {
+	if orderFree {
+		return q.prog.Tuned(hom.ModeStrict, hom.DefaultSlack, nil)
 	}
-	switch {
-	case !on:
-		return q.prog // zero tuning: the heuristic pre-planner search
-	case orderFree:
-		return q.prog.Tuned(hom.ModeStrict, q.eng.slack, nil)
-	default:
-		return q.prog.Tuned(hom.ModePlanned, q.eng.slack, nil)
-	}
+	return q.prog.Tuned(hom.ModePlanned, hom.DefaultSlack, nil)
 }
 
 // stream drives one execution: Limit/Offset windowing over the
@@ -545,7 +483,7 @@ func (q *PreparedQuery) stream(ctx context.Context, cfg execConfig, orderFree bo
 	if cfg.limit == 0 {
 		return ctx.Err()
 	}
-	prog := q.tunedProg(cfg, orderFree)
+	prog := q.tunedProg(orderFree)
 	skip, remaining := cfg.offset, cfg.limit
 	emit := func(r rdf.Row) bool {
 		if skip > 0 {
@@ -677,7 +615,7 @@ func (e *Engine) askErr() error {
 
 // askByScan decides µ ∈ ⟦Q⟧G by streaming the query's rows and
 // comparing each against µ encoded over the output layout. Order-free,
-// so the planner may follow the compiled order literally; stops at the
+// so the search follows the compiled join order literally; stops at the
 // first match.
 func (q *PreparedQuery) askByScan(ctx context.Context, mu Mapping) (bool, error) {
 	target, ok := q.prog.Layout().EncodeMapping(q.eng.g.Dict(), mu)

@@ -2,18 +2,22 @@ package wdsparql
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
+
+	"wdsparql/internal/core"
+	"wdsparql/internal/rdf"
 )
 
 // Engine-level coverage for the FILTER / SELECT surface: PrepareText
 // through Rows/Select/Count/All/Ask, the Explain annotations, and the
-// WithFilterPushdown ablation switch.
+// stream identity of bind-time pushdown against all-deferred filters.
 
-func filterTestEngine(t *testing.T, opts ...Option) *Engine {
+func filterTestEngine(t *testing.T) *Engine {
 	t.Helper()
-	return NewEngine(MustParseGraph("a p b .\nc p d .\nb q e .\n"), opts...)
+	return NewEngine(MustParseGraph("a p b .\nc p d .\nb q e .\n"))
 }
 
 func TestPrepareSelectFilter(t *testing.T) {
@@ -115,27 +119,27 @@ func TestAskOnFilteredQueries(t *testing.T) {
 	}
 }
 
+// The engine pushes FILTER conjuncts to bind time; the same forest
+// compiled with every conjunct deferred to the subtree emit must stream
+// the same rows in the same order.
 func TestFilterPushdownAblationIdentical(t *testing.T) {
-	ctx := context.Background()
 	const src = `SELECT ?x ?z WHERE (((?x p ?y) OPT (?y q ?z)) FILTER ?x != c)`
-	collect := func(eng *Engine) []string {
-		q, err := eng.PrepareText(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+	q, err := filterTestEngine(t).PrepareText(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred := core.CompileForestOpts(q.forest, q.eng.g, core.CompileOpts{NoFilterPushdown: true}).
+		Project(q.an.proj, q.an.distinct)
+	collect := func(fp *core.ForestProgram) []string {
 		var out []string
-		for r := range q.Rows(ctx) {
-			var parts []string
-			for _, v := range r {
-				parts = append(parts, string(rune('0'+int(v)%64)))
-			}
-			out = append(out, strings.Join(parts, ","))
-		}
+		fp.Rows(func(r rdf.Row) bool {
+			out = append(out, fmt.Sprint(r))
+			return true
+		})
 		return out
 	}
-	on := collect(filterTestEngine(t))
-	off := collect(filterTestEngine(t, WithFilterPushdown(false)))
-	if strings.Join(on, "|") != strings.Join(off, "|") {
+	on, off := collect(q.prog), collect(deferred)
+	if len(on) == 0 || strings.Join(on, "|") != strings.Join(off, "|") {
 		t.Fatalf("pushdown changed the stream:\non:  %v\noff: %v", on, off)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"wdsparql/internal/core"
 	"wdsparql/internal/gen"
+	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
 )
@@ -22,16 +23,16 @@ import (
 // parallel workers) without leaking goroutines, and one PreparedQuery
 // must serve concurrent executions (exercised under -race in CI).
 
-// e9Pattern is the enumeration workload of the E9/E10 benchmarks as a
-// graph pattern: a root edge with one optional two-step chain and one
-// optional attribute arm.
-const e9Pattern = `(((?x p0 ?y) OPT ((?y p1 ?z) OPT (?z p2 ?u))) OPT (?y p3 ?w))`
+// enumPattern is the enumeration workload of the E16/E17 experiments
+// as a graph pattern: a root edge with one optional two-step chain and
+// one optional attribute arm.
+const enumPattern = `(((?x p0 ?y) OPT ((?y p1 ?z) OPT (?z p2 ?u))) OPT (?y p3 ?w))`
 
-func e9Prepared(t testing.TB, n int) (*Engine, *PreparedQuery, *Graph) {
+func enumPrepared(t testing.TB, n int) (*Engine, *PreparedQuery, *Graph) {
 	t.Helper()
 	g := gen.Random(n, 4*n, 4, 7)
 	eng := NewEngine(g)
-	q, err := eng.Prepare(MustParsePattern(e9Pattern))
+	q, err := eng.Prepare(MustParsePattern(enumPattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEnginePinnedToReferencePipelines(t *testing.T) {
 
 func TestEngineLimitOffsetIsPrefixSlicing(t *testing.T) {
 	ctx := context.Background()
-	_, q, _ := e9Prepared(t, 48)
+	_, q, _ := enumPrepared(t, 48)
 
 	var full []Row
 	for r := range q.Rows(ctx) {
@@ -183,7 +184,7 @@ func TestEngineLimitOffsetIsPrefixSlicing(t *testing.T) {
 
 func TestEngineParallelMatchesSequentialOrder(t *testing.T) {
 	ctx := context.Background()
-	_, q, _ := e9Prepared(t, 64)
+	_, q, _ := enumPrepared(t, 64)
 	var seq, par []Row
 	for r := range q.Rows(ctx) {
 		seq = append(seq, r.Clone())
@@ -204,7 +205,7 @@ func TestEngineParallelMatchesSequentialOrder(t *testing.T) {
 }
 
 func TestEngineCancellationStopsStreams(t *testing.T) {
-	_, q, _ := e9Prepared(t, 64)
+	_, q, _ := enumPrepared(t, 64)
 	total, err := q.Count(context.Background())
 	if err != nil || total < 50 {
 		t.Fatalf("workload: %d rows, %v", total, err)
@@ -236,7 +237,7 @@ func TestEngineCancellationStopsStreams(t *testing.T) {
 }
 
 func TestEngineParallelEarlyStopLeaksNoGoroutines(t *testing.T) {
-	_, q, _ := e9Prepared(t, 64)
+	_, q, _ := enumPrepared(t, 64)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		// Break out of a parallel stream almost immediately: the
@@ -261,8 +262,8 @@ func TestEngineParallelEarlyStopLeaksNoGoroutines(t *testing.T) {
 
 func TestEngineConcurrentSelectOnOnePreparedQuery(t *testing.T) {
 	ctx := context.Background()
-	_, q, g := e9Prepared(t, 48)
-	want, err := Solutions(MustParsePattern(e9Pattern), g)
+	_, q, _ := enumPrepared(t, 48)
+	want, err := q.All(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,16 +384,22 @@ func TestEnginePrepareForest(t *testing.T) {
 	}
 }
 
-func TestEngineStaticWidthsMatchLegacy(t *testing.T) {
+// The prepared query's static measures are the core measures of the
+// pattern's own wdpf translation.
+func TestEngineStaticWidthsMatchCore(t *testing.T) {
 	p := MustParsePattern(`((?x p ?y) OPT (?y q ?z))`)
 	q, err := NewEngine(nil).Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, _ := DominationWidth(p)
-	bw, _ := BranchTreewidth(p)
-	lw, _ := LocalWidth(p)
-	cv, _ := CertainVars(p)
+	f, err := ptree.WDPF(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dw := core.DominationWidth(f)
+	bw := core.BranchTreewidth(f[0])
+	lw := core.LocalWidth(f)
+	cv := ptree.CertainVarsForest(f)
 	if q.DominationWidth() != dw {
 		t.Fatalf("dw: %d vs %d", q.DominationWidth(), dw)
 	}
@@ -407,9 +414,11 @@ func TestEngineStaticWidthsMatchLegacy(t *testing.T) {
 	}
 }
 
-func TestLegacyShimsShareOnePreparePath(t *testing.T) {
+// ToForest and Prepare ride one memoised analysis: the pattern is
+// translated once, however many entry points see it.
+func TestToForestSharesPrepareAnalysis(t *testing.T) {
 	// A pattern unique to this test so the cache entry is fresh.
-	p := MustParsePattern(`((?x legacyShimP ?y) OPT (?y legacyShimQ ?z))`)
+	p := MustParsePattern(`((?x toForestP ?y) OPT (?y toForestQ ?z))`)
 	f1, err := ToForest(p)
 	if err != nil {
 		t.Fatal(err)
@@ -419,21 +428,14 @@ func TestLegacyShimsShareOnePreparePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(f1) != 1 || f1[0] != f2[0] {
-		t.Fatal("legacy calls must reuse the cached forest, not re-run WDPF")
-	}
-	// Width and certain-variable shims ride the same analysis.
-	if _, err := LocalWidth(p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CertainVars(p); err != nil {
-		t.Fatal(err)
+		t.Fatal("ToForest must reuse the cached forest, not re-run WDPF")
 	}
 	q, err := NewEngine(nil).Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Forest()[0] != f1[0] {
-		t.Fatal("Prepare must reuse the shims' cached analysis")
+		t.Fatal("Prepare must reuse ToForest's cached analysis")
 	}
 }
 
@@ -444,7 +446,7 @@ func TestEngineSelectStreamsIncrementally(t *testing.T) {
 	// drain. Rather than time it, pin the contract structurally: a
 	// limit-1 Count equals 1 even though the full count is much larger.
 	ctx := context.Background()
-	_, q, _ := e9Prepared(t, 64)
+	_, q, _ := enumPrepared(t, 64)
 	full, err := q.Count(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -42,11 +42,9 @@ type PlanNode struct {
 }
 
 // QueryPlan is the full explain output of a prepared query: one plan
-// tree per tree of the wdPF, the SELECT projection if any, the
-// cross-tree dedup of a UNION, plus whether the engine executes with
-// the planner on.
+// tree per tree of the wdPF, the SELECT projection if any and the
+// cross-tree dedup of a UNION.
 type QueryPlan struct {
-	Planner bool `json:"planner"`
 	// Template is the template key the query was prepared under: the
 	// text with its constants lifted to parameters ">0", ">1", … (see
 	// Engine.PrepareText), the text itself when none was lifted.
@@ -116,11 +114,10 @@ type AskTest struct {
 // Explain returns the query plan of the prepared query; the join
 // orders are built by the first Count or Explain, whichever comes
 // first, and are the same either way. The plan is purely
-// informational: executions with the planner off (or with the Planner
-// ExecOption) yield the identical row stream.
+// informational: ordered executions yield the row stream of the
+// per-node heuristic whatever the plan says.
 func (q *PreparedQuery) Explain() *QueryPlan {
 	qp := &QueryPlan{
-		Planner:    q.eng.planner,
 		Template:   q.key,
 		Projection: q.prog.OutputVars(),
 		Distinct:   q.prog.Distinct(),

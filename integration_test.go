@@ -59,10 +59,10 @@ func TestPaperFrontierStory(t *testing.T) {
 			g := gen.FkData(k, 12, withQ, withClique)
 			mu := gen.FkMu()
 			truth := core.EnumerateForest(f, g).Contains(mu)
-			if got := EvaluateForest(AlgNaive, 1, f, g, mu); got != truth {
+			if got := askWith(t, AlgNaive, 1, f, g, mu); got != truth {
 				t.Fatalf("naive q=%v clique=%v: %v vs %v", withQ, withClique, got, truth)
 			}
-			if got := EvaluateForest(AlgPebble, 1, f, g, mu); got != truth {
+			if got := askWith(t, AlgPebble, 1, f, g, mu); got != truth {
 				t.Fatalf("pebble q=%v clique=%v: %v vs %v", withQ, withClique, got, truth)
 			}
 		}
@@ -83,7 +83,7 @@ func TestPaperCorollary1Story(t *testing.T) {
 	g := gen.TkPrimeData(16, 4)
 	mu := Mapping{"y": "b"}
 	truth := core.EnumerateForest(f, g).Contains(mu)
-	if got := EvaluateForest(AlgPebble, dw, f, g, mu); got != truth {
+	if got := askWith(t, AlgPebble, dw, f, g, mu); got != truth {
 		t.Fatalf("pebble on T'_4: %v vs %v", got, truth)
 	}
 
@@ -102,7 +102,7 @@ func TestPaperCorollary1Story(t *testing.T) {
 	cmu := Mapping{"u": "anchor"}
 	truth = core.EnumerateForest(cf, cg).Contains(cmu)
 	for kk := 1; kk <= 3; kk++ {
-		got := EvaluateForest(AlgPebble, kk, cf, cg, cmu)
+		got := askWith(t, AlgPebble, kk, cf, cg, cmu)
 		if truth && !got {
 			t.Fatalf("pebble k=%d rejected a member", kk)
 		}

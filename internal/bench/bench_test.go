@@ -163,51 +163,6 @@ func TestE8Agreement(t *testing.T) {
 	}
 }
 
-func TestE9Agreement(t *testing.T) {
-	tbl := E9Enumeration([]int{32, 64}, 2)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows: %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[2] == "0" {
-			t.Fatalf("E9 must enumerate a non-empty result: %v", row)
-		}
-		if row[len(row)-1] != "true" {
-			t.Fatalf("string and row pipelines must agree: %v", row)
-		}
-	}
-}
-
-func TestE10Agreement(t *testing.T) {
-	tbl := E10PreparedVsOneShot([]int{32, 64}, 4)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows: %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[2] == "0" {
-			t.Fatalf("E10 must enumerate a non-empty result: %v", row)
-		}
-		if row[len(row)-1] != "true" {
-			t.Fatalf("one-shot and prepared execution must agree: %v", row)
-		}
-	}
-}
-
-func TestE14Agreement(t *testing.T) {
-	tbl := E14SnapshotColdStart([]int{64, 256})
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows: %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[len(row)-2] == "0" {
-			t.Fatalf("E14 must enumerate a non-empty result: %v", row)
-		}
-		if row[len(row)-1] != "true" {
-			t.Fatalf("parse, heap and mmap startup paths must agree: %v", row)
-		}
-	}
-}
-
 func TestTableAgreement(t *testing.T) {
 	tbl := &Table{Header: []string{"n", "agree"}, Rows: [][]string{{"1", "true"}, {"2", "true"}}}
 	if !tbl.Agreement() {
@@ -227,7 +182,7 @@ func TestTableAgreement(t *testing.T) {
 
 func TestSuiteComposition(t *testing.T) {
 	tables := Suite(false)
-	if len(tables) != 15 {
+	if len(tables) != 10 {
 		t.Fatalf("suite size: %d", len(tables))
 	}
 	ids := map[string]bool{}
@@ -242,7 +197,7 @@ func TestSuiteComposition(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E14", "E15", "E16", "E17"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E16", "E17"} {
 		if !ids[id] {
 			t.Fatalf("missing %s", id)
 		}

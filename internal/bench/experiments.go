@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
-	"wdsparql"
 	"wdsparql/internal/core"
 	"wdsparql/internal/gen"
 	"wdsparql/internal/graphalg"
@@ -268,7 +266,7 @@ func E8BatchEval(k, n, workers int) *Table {
 	return t
 }
 
-// E9Tree builds the enumeration-throughput workload: a wdPT in the
+// EnumTree is the enumeration workload of E16 and E17: a wdPT in the
 // AND/OPT-dominated shape of real SPARQL logs (Han et al.) — a root
 // edge with one optional two-step chain and one optional attribute
 // arm, so per-root solutions combine by cross product and solutions
@@ -279,7 +277,7 @@ func E8BatchEval(k, n, workers int) *Table {
 //	{?y p1 ?z}   {?y p3 ?w}
 //	     |
 //	{?z p2 ?u}
-func E9Tree() *ptree.Tree {
+func EnumTree() *ptree.Tree {
 	v := rdf.Var
 	i := rdf.IRI
 	return ptree.FromSpec(ptree.Spec{
@@ -296,132 +294,15 @@ func E9Tree() *ptree.Tree {
 	})
 }
 
-// E9Data builds the E9 graph: an Erdős–Rényi graph over 4 predicates.
-func E9Data(n int) *rdf.Graph {
+// EnumPatternText is EnumTree written as a graph pattern, so it can
+// enter the public engine API through Prepare (its wdpf is exactly
+// EnumTree).
+const EnumPatternText = `(((?x p0 ?y) OPT ((?y p1 ?z) OPT (?z p2 ?u))) OPT (?y p3 ?w))`
+
+// EnumData builds the enumeration graph: an Erdős–Rényi graph over 4
+// predicates.
+func EnumData(n int) *rdf.Graph {
 	return gen.Random(n, 4*n, 4, 7)
-}
-
-// E9 measures top-down enumeration throughput: the string pipeline
-// (EnumerateTopDown on map mappings) against the compiled row pipeline
-// (EnumerateTopDownForestID), sequential and on a worker pool, with
-// rows/sec for the row pipeline. The verdict column checks that the
-// decoded rows coincide with the string result.
-func E9Enumeration(ns []int, workers int) *Table {
-	t := &Table{
-		ID:    "E9",
-		Title: "top-down enumeration throughput: string vs compiled rows",
-		Claim: "row pipeline beats string mappings; -workers partitions across root rows (gains need >1 CPU)",
-		Header: []string{"n", "|G|", "rows", "string", "rows(ID)", "rows/s",
-			fmt.Sprintf("parallel(workers=%d)", workers), "agree"},
-	}
-	tree := E9Tree()
-	f := ptree.Forest{tree}
-	for _, n := range ns {
-		g := E9Data(n)
-		var want *rdf.MappingSet
-		dStr := timed(func() { want = core.EnumerateTopDown(tree, g) })
-		var idSet *rdf.IDMappingSet
-		dID := timed(func() { idSet = core.EnumerateTopDownForestID(f, g) })
-		var parSet *rdf.IDMappingSet
-		dPar := timed(func() { parSet = core.EnumerateTopDownParallel(f, g, workers) })
-		agree := idSet.Len() == want.Len() && parSet.Len() == want.Len()
-		if agree {
-			// Parallel must reproduce the sequential rows exactly
-			// (same content and insertion order), and the decoded rows
-			// must coincide with the string pipeline's mappings.
-			for i := 0; i < idSet.Len() && agree; i++ {
-				a, b := idSet.Row(i), parSet.Row(i)
-				for j := range a {
-					if a[j] != b[j] {
-						agree = false
-						break
-					}
-				}
-			}
-			decoded := idSet.Decode(g.Dict())
-			for _, mu := range want.Slice() {
-				if !decoded.Contains(mu) {
-					agree = false
-					break
-				}
-			}
-		}
-		rps := "-"
-		if s := dID.Seconds(); s > 0 {
-			rps = fmt.Sprintf("%.0f", float64(idSet.Len())/s)
-		}
-		t.AddRow(fmt.Sprint(n), fmt.Sprint(g.Len()), fmt.Sprint(idSet.Len()),
-			ms(dStr), ms(dID), rps, ms(dPar), fmt.Sprint(agree))
-	}
-	return t
-}
-
-// E10PatternText is the E9 enumeration workload written as a graph
-// pattern, so it can enter the public engine API through Prepare: the
-// root edge with one optional two-step chain and one optional
-// attribute arm (the wdpf of this pattern is exactly E9Tree).
-const E10PatternText = `(((?x p0 ?y) OPT ((?y p1 ?z) OPT (?z p2 ?u))) OPT (?y p3 ?w))`
-
-// E10PreparedVsOneShot measures the prepare/execute split of the
-// engine API on repeated-query workloads: reps× the deprecated
-// one-shot Solutions (engine thrown away each call, forest re-compiled
-// against the graph) against one Engine.Prepare followed by reps×
-// PreparedQuery executions — materialising All and zero-decode Count.
-// The verdict column cross-checks all cardinalities.
-func E10PreparedVsOneShot(ns []int, reps int) *Table {
-	t := &Table{
-		ID:    "E10",
-		Title: "prepared-query amortization: Prepare once + N×execute vs N×Solutions",
-		Claim: "prepared execution beats one-shot Solutions on repeated-query workloads",
-		Header: []string{"n", "|G|", "rows", fmt.Sprintf("N=%d", reps),
-			"one-shot", "prepare", "N×All", "N×Count", "agree"},
-	}
-	ctx := context.Background()
-	p := wdsparql.MustParsePattern(E10PatternText)
-	for _, n := range ns {
-		g := E9Data(n)
-		agree := true
-		var want int
-		dOne := timed(func() {
-			for r := 0; r < reps; r++ {
-				set, err := wdsparql.Solutions(p, g)
-				if err != nil {
-					panic(err)
-				}
-				if r == 0 {
-					want = set.Len()
-				} else if set.Len() != want {
-					agree = false
-				}
-			}
-		})
-		eng := wdsparql.NewEngine(g)
-		var q *wdsparql.PreparedQuery
-		var err error
-		dPrep := timed(func() { q, err = eng.Prepare(p) })
-		if err != nil {
-			panic(err)
-		}
-		dAll := timed(func() {
-			for r := 0; r < reps; r++ {
-				set, err := q.All(ctx)
-				if err != nil || set.Len() != want {
-					agree = false
-				}
-			}
-		})
-		dCount := timed(func() {
-			for r := 0; r < reps; r++ {
-				c, err := q.Count(ctx)
-				if err != nil || c != want {
-					agree = false
-				}
-			}
-		})
-		t.AddRow(fmt.Sprint(n), fmt.Sprint(g.Len()), fmt.Sprint(want), "",
-			ms(dOne), ms(dPrep), ms(dAll), ms(dCount), fmt.Sprint(agree))
-	}
-	return t
 }
 
 // Experiment is a named, lazily-run experiment: Run executes the
@@ -433,18 +314,14 @@ type Experiment struct {
 	Run func() *Table
 }
 
-// Experiments returns the E1..E17 suite as lazily-run experiments.
-// E11 (map vs frozen backend) and E12 (the sharded backend) are gone
-// with the backends they compared.
+// Experiments returns the E-series as lazily-run experiments: E1..E8,
+// E16 and E17. DESIGN.md §10 says where the questions of the numbers in
+// between are answered now.
 func Experiments(full bool, workers int) []Experiment {
 	e3Max := 6
-	e13PerClient := 4
-	e14Ns := []int{4096, 16384}
 	e16N := 2048
 	if full {
 		e3Max = 7
-		e13PerClient = 16
-		e14Ns = append(e14Ns, 65536)
 		e16N = 8192
 	}
 	return []Experiment{
@@ -456,28 +333,17 @@ func Experiments(full bool, workers int) []Experiment {
 		{"E6", func() *Table { return E6PebbleVsHom([]int{3, 4, 5}, 15) }},
 		{"E7", func() *Table { return E7DataScaling(3, []int{12, 24, 48, 96, 192}) }},
 		{"E8", func() *Table { return E8BatchEval(3, 24, workers) }},
-		{"E9", func() *Table { return E9Enumeration([]int{64, 128, 256}, workers) }},
-		{"E10", func() *Table { return E10PreparedVsOneShot([]int{64, 128, 256}, 32) }},
-		{"E13", func() *Table { return E13Serving(128, e13PerClient, workers, []int{1, 4, 16}, 8, 64) }},
-		{"E14", func() *Table { return E14SnapshotColdStart(e14Ns) }},
-		{"E15", func() *Table { return E15Ingest(e14Ns, workers) }},
 		{"E16", func() *Table { return E16Planner(e16N) }},
 		{"E17", func() *Table { return E17FilterPushdown(e16N) }},
 	}
 }
 
-// Suite runs the experiment suite. With full=false the sweeps stop
-// where every row completes in at most a few seconds; full=true
-// extends E3 into the regime where the natural algorithm needs tens of
-// seconds per instance (the point of the experiment).
+// Suite runs the experiment suite, E8 on four workers. With full=false
+// the sweeps stop where every row completes in at most a few seconds;
+// full=true extends E3 into the regime where the natural algorithm
+// needs tens of seconds per instance (the point of the experiment).
 func Suite(full bool) []*Table {
-	return SuiteWorkers(full, 4)
-}
-
-// SuiteWorkers is Suite with an explicit worker count for the batched
-// (E8) and enumeration (E9) experiments.
-func SuiteWorkers(full bool, workers int) []*Table {
-	specs := Experiments(full, workers)
+	specs := Experiments(full, 4)
 	out := make([]*Table, len(specs))
 	for i, s := range specs {
 		out[i] = s.Run()

@@ -12,7 +12,7 @@ import (
 )
 
 // E17: the filter-pushdown ablation. Each workload is a FILTER- or
-// SELECT-decorated query over the E9 Erdős–Rényi data, compiled twice —
+// SELECT-decorated query over the EnumData graph, compiled twice —
 // bind-time pushdown on (the default) and off (every conjunct deferred
 // to the subtree emit) — and the experiment reports wall time, search
 // nodes expanded and candidates cut at bind time side by side. The
@@ -40,7 +40,7 @@ func e17Queries(hub string) []struct{ name, text string } {
 }
 
 // E17Hub returns the object of the first p0 triple of g — a constant
-// guaranteed to select a non-empty slice of the E9 stream.
+// guaranteed to select a non-empty slice of the EnumTree stream.
 func E17Hub(g *rdf.Graph) string {
 	for _, tr := range g.Triples() {
 		if tr.P.Value == "p0" {
@@ -50,10 +50,11 @@ func E17Hub(g *rdf.Graph) string {
 	return "n0"
 }
 
-// e17Compile mirrors the engine's prepare path on the internal API:
+// E17Compile mirrors the engine's prepare path on the internal API:
 // unwrap the optional SELECT, translate to a wdPF, compile with the
-// requested placement, apply the projection view.
-func e17Compile(q sparql.Pattern, g *rdf.Graph, noPush bool) *core.ForestProgram {
+// requested filter placement (noPush defers every conjunct to the
+// subtree emit), apply the projection view.
+func E17Compile(q sparql.Pattern, g *rdf.Graph, noPush bool) *core.ForestProgram {
 	inner := q
 	var proj []string
 	distinct := false
@@ -77,7 +78,7 @@ func e17Compile(q sparql.Pattern, g *rdf.Graph, noPush bool) *core.ForestProgram
 }
 
 // E17FilterPushdown measures bind-time filter pushdown against
-// all-deferred evaluation on the E9 data, per query shape.
+// all-deferred evaluation on the EnumData graph, per query shape.
 func E17FilterPushdown(n int) *Table {
 	t := &Table{
 		ID:    "E17",
@@ -86,11 +87,11 @@ func E17FilterPushdown(n int) *Table {
 		Header: []string{"query", "|G|", "rows", "t(off)", "nodes(off)",
 			"t(on)", "nodes(on)", "pruned(on)", "agree"},
 	}
-	g := E9Data(n)
+	g := EnumData(n)
 	for _, w := range e17Queries(E17Hub(g)) {
 		q := sparql.MustParse(w.text)
 		run := func(noPush bool) (rows []rdf.Row, st hom.SearchStats, d time.Duration) {
-			fp := e17Compile(q, g, noPush)
+			fp := E17Compile(q, g, noPush)
 			fp.Tuned(hom.ModeHeuristic, 0, &st).Rows(func(r rdf.Row) bool {
 				rows = append(rows, r.Clone())
 				return true
@@ -107,7 +108,7 @@ func E17FilterPushdown(n int) *Table {
 			// The deduplicated stream must match the compositional
 			// reference set (projection without DISTINCT may repeat
 			// projected rows in the stream).
-			fp := e17Compile(q, g, false)
+			fp := E17Compile(q, g, false)
 			set := rdf.NewIDMappingSet(fp.Layout(), g.Dict().NumIRIs())
 			fp.Rows(func(r rdf.Row) bool { set.Add(r); return true })
 			agree = set.Len() == sparql.EvalID(q, g).Len()

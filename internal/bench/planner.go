@@ -108,7 +108,7 @@ func e16StreamsEqual(a, b []rdf.Row) bool {
 }
 
 // E16Planner measures the compile-time planner against the per-node
-// heuristic on three workload shapes (the E9 wdPT, a single-node
+// heuristic on three workload shapes (the EnumTree wdPT, a single-node
 // chain, a sparse directed triangle) across the unsealed graph (every
 // triple in the write overlay) and its frozen clone.
 func E16Planner(n int) *Table {
@@ -124,8 +124,8 @@ func E16Planner(n int) *Table {
 		f    ptree.Forest
 		g    *rdf.Graph
 	}{
-		{"tree(E9)", ptree.Forest{E9Tree()}, E9Data(n)},
-		{"chain", ptree.Forest{e16ChainTree()}, E9Data(n)},
+		{"tree", ptree.Forest{EnumTree()}, EnumData(n)},
+		{"chain", ptree.Forest{e16ChainTree()}, EnumData(n)},
 		{"cycle", ptree.Forest{e16CycleTree()}, e16CycleData(n)},
 	}
 	for _, sh := range shapes {

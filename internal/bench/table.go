@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it parameterises, times and
-// tabulates the experiments E1–E7 of DESIGN.md, which reproduce the
-// paper's constructions and demonstrate the tractability frontier
-// empirically. cmd/wdbench renders the tables; bench_test.go exposes
+// tabulates the experiments of DESIGN.md §10 — E1–E8, which reproduce
+// the paper's constructions and demonstrate the tractability frontier
+// empirically, the E16/E17 ablations and the A and M series. cmd/wdbench renders the tables; bench_test.go exposes
 // the same workloads as testing.B benchmarks.
 package bench
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"wdsparql/internal/hom"
@@ -109,10 +108,4 @@ func (a Algorithm) String() string {
 // cannot represent. FILTERs are ignored, as Evaluator documents.
 func Eval(a Algorithm, k int, f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) bool {
 	return NewEvaluator(a, k, CompileForestOpts(f, g, CompileOpts{NoFilterPushdown: true})).Eval(mu)
-}
-
-// EvalContext is Eval with cooperative cancellation and errors instead
-// of panics; see Evaluator.Decide.
-func EvalContext(ctx context.Context, a Algorithm, k int, f ptree.Forest, g *rdf.Graph, mu rdf.Mapping) (bool, error) {
-	return NewEvaluator(a, k, CompileForestOpts(f, g, CompileOpts{NoFilterPushdown: true})).Decide(ctx, mu)
 }

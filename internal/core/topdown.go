@@ -22,10 +22,10 @@ import (
 // compositional semantics in the test suite.
 
 // EnumerateTopDown computes ⟦T⟧G by the top-down procedure, on string
-// mappings. It is kept as the cross-validation reference and the perf
-// baseline for the compiled row pipeline of topdownid.go (experiment
-// E9); production callers go through EnumerateTopDownForest / Count /
-// the *ID entry points, which run on rows.
+// mappings. It is kept as the cross-validation reference for the
+// compiled row pipeline of topdownid.go; production callers go through
+// EnumerateTopDownForest / Count / the *ID entry points, which run on
+// rows.
 func EnumerateTopDown(t *ptree.Tree, g *rdf.Graph) *rdf.MappingSet {
 	out := rdf.NewMappingSet()
 	for _, mu := range hom.FindAll(t.Root.Pattern, g, 0) {

@@ -26,8 +26,7 @@
 // Because stage 3 reproduces the sequential dictionary and triple
 // order exactly, the pipeline's output graph is indistinguishable from
 // rdf.ReadGraph's: same insertion order, same IDs, same enumeration
-// streams. That equivalence is pinned by tests and gated in E15's
-// agree column.
+// streams. TestLoadEquivalence pins that equivalence.
 package ingest
 
 import (

@@ -30,9 +30,6 @@ func TestExplainEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &plan); err != nil {
 		t.Fatalf("explain body %q is not a QueryPlan: %v", body, err)
 	}
-	if !plan.Planner {
-		t.Fatal("default engine must explain Planner: true")
-	}
 	if len(plan.Trees) == 0 || len(plan.Trees[0].Order) == 0 {
 		t.Fatalf("explain plan is empty: %+v", plan)
 	}

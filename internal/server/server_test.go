@@ -262,6 +262,37 @@ func TestLimitOffsetAndTSV(t *testing.T) {
 	}
 }
 
+// TestWorkersParamKeepsStream pins ?workers= as a pure speed knob: a
+// request enumerated on a pool of workers answers byte for byte what
+// the sequential request answers, whole and windowed.
+func TestWorkersParamKeepsStream(t *testing.T) {
+	_, base := startServer(t, Config{Engine: testEngine(t, 12), MaxWorkers: 4})
+	get := func(params url.Values) string {
+		t.Helper()
+		params.Set("format", "tsv")
+		resp, err := http.Get(sparqlURL(base, crossQuery, params))
+		if err != nil {
+			t.Fatalf("GET: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d (body %q)", resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	for _, window := range []url.Values{{}, {"offset": {"7"}, "limit": {"50"}}} {
+		seq := get(url.Values{"offset": window["offset"], "limit": window["limit"]})
+		par := get(url.Values{"offset": window["offset"], "limit": window["limit"], "workers": {"4"}})
+		if strings.Count(seq, "\n") < 2 {
+			t.Fatalf("window %v: no rows below the header", window)
+		}
+		if par != seq {
+			t.Fatalf("window %v: workers=4 answered\n%s\nsequential answered\n%s", window, par, seq)
+		}
+	}
+}
+
 // TestTimeoutMidStreamTruncatedValid pins the deadline path: a request
 // whose ?timeout= expires mid-stream still ends as a valid JSON
 // document, flagged truncated, with fewer than the full rows — and the

@@ -6,56 +6,41 @@ import (
 	"slices"
 	"testing"
 
-	"wdsparql/internal/gen"
+	"wdsparql/internal/hom"
+	"wdsparql/internal/rdf"
 )
 
-// Tests of the planner's public surface: WithPlanner / WithPlannerSlack
-// engine options, the per-call Planner exec option, the determinism pin
-// (planner on and off must stream identically), order-free Count under
-// the strict mode, and Explain.
+// Tests of the planner as the engine runs it: ordered executions run
+// hom.ModePlanned and must stream exactly what the per-node heuristic
+// streams (the determinism pin), order-free Count runs hom.ModeStrict
+// and must count that stream, and Explain renders the join orders.
 
-// plannerEngines prepares the same E9 workload on a planner-on and a
-// planner-off engine over the same graph.
-func plannerEngines(t testing.TB, n int, opts ...Option) (*PreparedQuery, *PreparedQuery) {
-	t.Helper()
-	g := gen.Random(n, 4*n, 4, 7)
-	on, err := NewEngine(g, opts...).Prepare(MustParsePattern(e9Pattern))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := NewEngine(g, append(slices.Clone(opts), WithPlanner(false))...).Prepare(MustParsePattern(e9Pattern))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return on, off
+// heuristicStream decodes the query's stream under hom.ModeHeuristic,
+// the pre-planner search the engine's modes are pinned to.
+func heuristicStream(q *PreparedQuery) []Mapping {
+	d, layout := q.eng.g.Dict(), q.prog.Layout()
+	var out []Mapping
+	q.prog.Tuned(hom.ModeHeuristic, 0, nil).Rows(func(r rdf.Row) bool {
+		out = append(out, layout.DecodeRow(d, r))
+		return true
+	})
+	return out
 }
 
 func TestPlannerStreamsAreByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	t.Run("frozen", func(t *testing.T) {
-		on, off := plannerEngines(t, 256)
-		_, rowsOn := collectSelect(on, ctx)
-		_, rowsOff := collectSelect(off, ctx)
-		if len(rowsOn) != len(rowsOff) {
-			t.Fatalf("planner on streams %d mappings, off %d", len(rowsOn), len(rowsOff))
-		}
-		for i := range rowsOff {
-			if !rowsOn[i].Equal(rowsOff[i]) {
-				t.Fatalf("streams diverge at row %d: %s vs %s", i, rowsOn[i], rowsOff[i])
+		_, q, _ := enumPrepared(t, 256)
+		want := heuristicStream(q)
+		for _, opts := range [][]ExecOption{nil, {Parallel(4)}} {
+			_, got := collectSelect(q, ctx, opts...)
+			if len(got) != len(want) {
+				t.Fatalf("planned stream (%d options) has %d mappings, heuristic %d", len(opts), len(got), len(want))
 			}
-		}
-
-		// The per-call override must cross both engines to the other
-		// config and still match.
-		_, forcedOff := collectSelect(on, ctx, Planner(false))
-		_, forcedOn := collectSelect(off, ctx, Planner(true))
-		if len(forcedOff) != len(rowsOff) || len(forcedOn) != len(rowsOff) {
-			t.Fatalf("per-call Planner override changed cardinality: %d / %d, want %d",
-				len(forcedOff), len(forcedOn), len(rowsOff))
-		}
-		for i := range rowsOff {
-			if !forcedOff[i].Equal(rowsOff[i]) || !forcedOn[i].Equal(rowsOff[i]) {
-				t.Fatalf("per-call Planner override diverges at row %d", i)
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("streams diverge at row %d: %s vs %s", i, got[i], want[i])
+				}
 			}
 		}
 	})
@@ -63,52 +48,37 @@ func TestPlannerStreamsAreByteIdentical(t *testing.T) {
 
 func TestPlannerCountMatchesStream(t *testing.T) {
 	ctx := context.Background()
-	on, off := plannerEngines(t, 256, WithPlannerSlack(4))
-	want, _ := collectSelect(off, ctx)
-	for _, q := range []*PreparedQuery{on, off} {
-		n, err := q.Count(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != want.Len() {
-			t.Fatalf("Count = %d, want %d", n, want.Len())
-		}
-		// The Limit/Offset window must stay prefix-sliced arithmetic
-		// regardless of the strict mode's enumeration order.
-		n, err = q.Count(ctx, Offset(3), Limit(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantWin := want.Len() - 3
-		if wantWin < 0 {
-			wantWin = 0
-		}
-		if wantWin > 5 {
-			wantWin = 5
-		}
-		if n != wantWin {
-			t.Fatalf("windowed Count = %d, want %d", n, wantWin)
-		}
-		// Parallel execution composes with the planner.
-		n, err = q.Count(ctx, Parallel(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != want.Len() {
-			t.Fatalf("parallel Count = %d, want %d", n, want.Len())
-		}
+	_, q, _ := enumPrepared(t, 256)
+	want := len(heuristicStream(q))
+	n, err := q.Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != want {
+		t.Fatalf("Count = %d, want %d", n, want)
+	}
+	// The Limit/Offset window must stay prefix-sliced arithmetic
+	// regardless of the strict mode's enumeration order.
+	n, err = q.Count(ctx, Offset(3), Limit(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantWin := min(max(want-3, 0), 5); n != wantWin {
+		t.Fatalf("windowed Count = %d, want %d", n, wantWin)
+	}
+	// Parallel execution composes with the strict mode.
+	n, err = q.Count(ctx, Parallel(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != want {
+		t.Fatalf("parallel Count = %d, want %d", n, want)
 	}
 }
 
 func TestPlannerExplain(t *testing.T) {
-	on, off := plannerEngines(t, 64)
-	ep := on.Explain()
-	if !ep.Planner {
-		t.Fatal("planner-on engine must explain Planner: true")
-	}
-	if off.Explain().Planner {
-		t.Fatal("planner-off engine must explain Planner: false")
-	}
+	_, q, _ := enumPrepared(t, 64)
+	ep := q.Explain()
 	if len(ep.Trees) == 0 {
 		t.Fatal("Explain returned no trees")
 	}
@@ -136,7 +106,7 @@ func TestPlannerExplain(t *testing.T) {
 		total += walk(tr)
 	}
 	if total != 4 {
-		t.Fatalf("explain covers %d patterns, e9Pattern has 4", total)
+		t.Fatalf("explain covers %d patterns, enumPattern has 4", total)
 	}
 	// The plan must serialise — it is wdserve's explain=1 payload.
 	if _, err := json.Marshal(ep); err != nil {

@@ -45,8 +45,7 @@
 //
 // A PreparedQuery is immutable and safe for concurrent use; cancelling
 // ctx stops any stream (and its parallel workers) at the next yield
-// boundary. The free functions (Solutions, Evaluate, LocalWidth, ...)
-// remain as thin deprecated shims over a throwaway engine.
+// boundary.
 //
 // See examples/ for complete programs and DESIGN.md for the mapping
 // from the paper's definitions to packages and the Engine API
@@ -54,8 +53,6 @@
 package wdsparql
 
 import (
-	"context"
-
 	"wdsparql/internal/core"
 	"wdsparql/internal/graphalg"
 	"wdsparql/internal/hom"
@@ -144,107 +141,6 @@ func ToForest(p Pattern) (Forest, error) {
 // EvalCompositional computes ⟦P⟧G by the direct Pérez-et-al.
 // semantics; exponential in the worst case, exact always.
 func EvalCompositional(p Pattern, g *Graph) *MappingSet { return sparql.Eval(p, g) }
-
-// Solutions computes ⟦P⟧G of a well-designed pattern through its
-// pattern-forest form.
-//
-// Deprecated: Solutions re-compiles the query against the graph on
-// every call. Use Engine.Prepare once and PreparedQuery.All (or the
-// streaming Select/Rows) per execution.
-func Solutions(p Pattern, g *Graph) (*MappingSet, error) {
-	q, err := NewEngine(g).Prepare(p)
-	if err != nil {
-		return nil, err
-	}
-	return q.All(context.Background())
-}
-
-// Evaluate decides wdEVAL — whether µ ∈ ⟦P⟧G — with the selected
-// algorithm. k is the domination-width bound used by AlgPebble
-// (correctness is guaranteed when dw(P) ≤ k); the other algorithms
-// ignore it.
-//
-// Deprecated: use Engine.Prepare with WithAlgorithm/WithPebbleK and
-// PreparedQuery.Ask, which amortise the pattern analysis across calls.
-func Evaluate(alg Algorithm, k int, p Pattern, g *Graph, mu Mapping) (bool, error) {
-	an, err := analyze(p)
-	if err != nil {
-		return false, err
-	}
-	if an.sel || an.forest.HasFilters() {
-		// FILTER/SELECT queries need the engine's membership scan;
-		// the bare decision algorithms ignore both.
-		q, err := NewEngine(g, WithAlgorithm(alg), WithPebbleK(k)).Prepare(p)
-		if err != nil {
-			return false, err
-		}
-		return q.Ask(context.Background(), mu)
-	}
-	return core.EvalContext(context.Background(), alg, k, an.forest, g, mu)
-}
-
-// EvaluateForest is Evaluate on an already-translated forest.
-//
-// Deprecated: use Engine.PrepareForest and PreparedQuery.Ask.
-func EvaluateForest(alg Algorithm, k int, f Forest, g *Graph, mu Mapping) bool {
-	if f.HasFilters() {
-		q := NewEngine(g, WithAlgorithm(alg), WithPebbleK(k)).PrepareForest(f)
-		ok, _ := q.Ask(context.Background(), mu)
-		return ok
-	}
-	return core.Eval(alg, k, f, g, mu)
-}
-
-// DominationWidth computes dw(P) (Definition 2). Exponential in |P|;
-// the width is a static property of the query.
-//
-// Deprecated: use PreparedQuery.DominationWidth, which caches the
-// result alongside the rest of the query's static analysis.
-func DominationWidth(p Pattern) (int, error) {
-	an, err := analyze(p)
-	if err != nil {
-		return 0, err
-	}
-	return an.dominationWidth(), nil
-}
-
-// BranchTreewidth computes bw(P) (Definition 3) of a UNION-free
-// well-designed pattern; by Proposition 5 it equals dw(P).
-//
-// Deprecated: use PreparedQuery.BranchTreewidth.
-func BranchTreewidth(p Pattern) (int, error) {
-	an, err := analyze(p)
-	if err != nil {
-		return 0, err
-	}
-	return an.branchTreewidth()
-}
-
-// LocalWidth computes the local-tractability width of the pattern's
-// forest (the measure of Letelier et al. that domination width
-// strictly generalises).
-//
-// Deprecated: use PreparedQuery.LocalWidth.
-func LocalWidth(p Pattern) (int, error) {
-	an, err := analyze(p)
-	if err != nil {
-		return 0, err
-	}
-	return an.localWidth(), nil
-}
-
-// CertainVars returns the variables bound in every solution of the
-// well-designed pattern over every graph (the static analysis of
-// Letelier et al.).
-//
-// Deprecated: use PreparedQuery.CertainVars.
-func CertainVars(p Pattern) ([]Term, error) {
-	an, err := analyze(p)
-	if err != nil {
-		return nil, err
-	}
-	return an.certainVars(), nil
-}
 
 // Counterexample witnesses non-containment of two well-designed
 // patterns: Mu ∈ ⟦P1⟧G but Mu ∉ ⟦P2⟧G.
