@@ -181,7 +181,7 @@ func tierTwin(g *rdf.Graph, cuts ...int) *rdf.Graph {
 // rows as solutions. Comparing lengths alone would pass a stream that
 // drops one solution and repeats another.
 func checkSolutionStream(rows []rdf.Row, layout *rdf.SlotLayout, g *rdf.Graph, ref *rdf.MappingSet) error {
-	seen := rdf.NewIDMappingSet(layout, g.Dict().NumIRIs())
+	seen := rdf.NewIDMappingSet(layout)
 	for i, r := range rows {
 		if !seen.Add(r) {
 			return fmt.Errorf("row %d %v repeats an earlier row", i, r)
@@ -462,7 +462,7 @@ func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, planner bool) b
 	if err != nil {
 		return report("compile: %v", err)
 	}
-	set := rdf.NewIDMappingSet(fp.Layout(), g.Dict().NumIRIs())
+	set := rdf.NewIDMappingSet(fp.Layout())
 	fp.Rows(func(r rdf.Row) bool { set.Add(r); return true })
 	if set.Len() != ref.Len() {
 		return report("pipeline set %d vs compositional %d", set.Len(), ref.Len())

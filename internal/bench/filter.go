@@ -109,7 +109,7 @@ func E17FilterPushdown(n int) *Table {
 			// reference set (projection without DISTINCT may repeat
 			// projected rows in the stream).
 			fp := E17Compile(q, g, false)
-			set := rdf.NewIDMappingSet(fp.Layout(), g.Dict().NumIRIs())
+			set := rdf.NewIDMappingSet(fp.Layout())
 			fp.Rows(func(r rdf.Row) bool { set.Add(r); return true })
 			agree = set.Len() == sparql.EvalID(q, g).Len()
 		}

@@ -143,7 +143,7 @@ func (fp *ForestProgram) wrapOutput(yield func(rdf.Row) bool) func(rdf.Row) bool
 	buf := fp.outLayout.NewRow()
 	var seen *rdf.IDMappingSet
 	if fp.distinct {
-		seen = rdf.NewIDMappingSet(fp.outLayout, fp.g.Dict().NumIRIs())
+		seen = rdf.NewIDMappingSet(fp.outLayout)
 	}
 	return func(r rdf.Row) bool {
 		for i, s := range fp.projSlots {

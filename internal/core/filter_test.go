@@ -147,7 +147,7 @@ func TestFilterProjectionCrossValidate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got := rdf.NewIDMappingSet(fp.Layout(), gb.Dict().NumIRIs())
+		got := rdf.NewIDMappingSet(fp.Layout())
 		fp.Rows(func(r rdf.Row) bool { got.Add(r); return true })
 		if got.Len() != ref.Len() {
 			t.Fatalf("trial %d: %s\npipeline set %d vs reference %d",

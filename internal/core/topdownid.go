@@ -441,7 +441,7 @@ func (fp *ForestProgram) dedupTrees(out func(rdf.Row) bool) func(rdf.Row) bool {
 	if fp.Dedup() != "set" {
 		return out
 	}
-	seen := rdf.NewIDMappingSet(fp.layout, fp.g.Dict().NumIRIs())
+	seen := rdf.NewIDMappingSet(fp.layout)
 	return func(r rdf.Row) bool {
 		if !seen.Add(r) {
 			return true // duplicate across trees
@@ -453,7 +453,7 @@ func (fp *ForestProgram) dedupTrees(out func(rdf.Row) bool) func(rdf.Row) bool {
 // EnumerateSet materialises ⟦F⟧G as a deduplicated row set (over the
 // projected layout when the program carries a projection).
 func (fp *ForestProgram) EnumerateSet() *rdf.IDMappingSet {
-	out := rdf.NewIDMappingSet(fp.Layout(), fp.g.Dict().NumIRIs())
+	out := rdf.NewIDMappingSet(fp.Layout())
 	st := fp.newState(fp.wrapOutput(func(r rdf.Row) bool {
 		out.Add(r)
 		return true
@@ -596,7 +596,7 @@ func EnumerateTopDownForestID(f ptree.Forest, g *rdf.Graph) *rdf.IDMappingSet {
 // EnumerateTopDownForestID's, including insertion order.
 func EnumerateTopDownParallel(f ptree.Forest, g *rdf.Graph, workers int) *rdf.IDMappingSet {
 	fp := CompileForest(f, g)
-	out := rdf.NewIDMappingSet(fp.Layout(), g.Dict().NumIRIs())
+	out := rdf.NewIDMappingSet(fp.Layout())
 	fp.RowsParallel(context.Background(), workers, func(r rdf.Row) bool {
 		out.Add(r)
 		return true

@@ -1,7 +1,8 @@
 package rdf
 
 import (
-	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,10 +18,10 @@ import (
 // no per-mapping map allocation, no sorted string keys.
 //
 // IDMappingSet is the row-level counterpart of MappingSet: solution
-// sets ⟦T⟧G / ⟦F⟧G / ⟦P⟧G deduplicated on rows packed into two machine
-// words, with a byte-string fallback for wider rows. Strings are only
-// touched when a set is decoded back into a MappingSet at the API
-// boundary.
+// sets ⟦T⟧G / ⟦F⟧G / ⟦P⟧G kept as a flat arena of rows with an
+// open-addressing index of row numbers, hashed from the rows' TermIDs
+// in place. Strings are only touched when a set is decoded back into a
+// MappingSet at the API boundary.
 
 // Unbound marks an unbound slot in a Row. Bound slot values are always
 // IRI IDs (< VarIDBase), so any variable-range ID is safe as the
@@ -28,8 +29,8 @@ import (
 const Unbound = ^TermID(0)
 
 // AppendIDLE appends the ID as 4 little-endian bytes — the one
-// encoding shared by every packed dedup/cache key built from TermIDs
-// (IDMappingSet keys, join keys, plan-cache keys).
+// encoding shared by every packed cache key built from TermIDs (join
+// keys, plan-cache keys).
 func AppendIDLE(b []byte, id TermID) []byte {
 	return append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 }
@@ -130,41 +131,44 @@ func (l *SlotLayout) EncodeMapping(d *Dict, m Mapping) (Row, bool) {
 }
 
 // IDMappingSet is a deduplicated set of rows sharing one SlotLayout —
-// the row-level representation of an evaluation result. Dedup keys are
-// the packed row values: a two-word [2]uint64 when every value of the
-// row fits the per-slot bit budget and width · bits ≤ 128 (no
-// allocation per row), and the raw row bytes otherwise. Equal rows
-// always take the same path, so a set mixing both is still exact.
-// Rows are stored in one flat arena in insertion order.
+// the row-level representation of an evaluation result. Rows live in
+// one flat arena in insertion order; membership is an open-addressing
+// index of row numbers over that arena. Every row width, 0 and rows
+// holding Unbound included, takes the one path: a row is hashed in
+// place from its TermIDs, so neither Add nor ContainsRow allocates,
+// and only growth (one doubling of the arena or of the index) does.
 type IDMappingSet struct {
 	layout *SlotLayout
 	width  int
-	bits   uint // per-slot bits for the packed path
-
-	packed map[[2]uint64]struct{} // nil: rows are wider than 128 bits
-	big    map[string]struct{}
-
 	arena  []TermID // n rows of length width, insertion order
 	n      int
-	keyBuf []byte // scratch for big keys (alloc only on insert)
+	// index is a power-of-two linear-probing table kept at load ≤ 1/2.
+	// A slot holds 0 (empty) or row+1 in the bits under the mask, with
+	// the bits above it taken from the row's hash as a tag, so most
+	// probes that miss never touch the arena.
+	index []uint32
+}
+
+// rowHashSeed keys the row hash once per process, so that ingested
+// data cannot plant collision chains in the index.
+var rowHashSeed = rand.Uint64()
+
+// hashRow mixes the row's TermIDs through a splitmix64-style step per
+// slot and a finalizer; the index is power-of-two sized and tags from
+// the high word, so all output bits must carry entropy.
+func hashRow(r Row) uint64 {
+	h := rowHashSeed
+	for _, v := range r {
+		h = (h ^ uint64(v)) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
+	}
+	h = (h ^ (h >> 30)) * 0x94D049BB133111EB
+	return h ^ (h >> 31)
 }
 
 // NewIDMappingSet returns an empty set for rows of the given layout.
-// maxID is the exclusive upper bound of the IRI IDs that can occur in
-// rows (typically g.Dict().NumIRIs()); it sizes the packed path.
-// Rows with values at or above maxID are still handled correctly —
-// they fall back to byte-string keys.
-func NewIDMappingSet(layout *SlotLayout, maxID int) *IDMappingSet {
-	s := &IDMappingSet{layout: layout, width: layout.Width()}
-	// A slot packs value+1 (0 is reserved for Unbound), so the budget
-	// must cover maxID values: 1..maxID.
-	b := uint(bits.Len64(uint64(maxID)))
-	if b*uint(s.width) <= 128 {
-		s.bits = b
-		s.packed = map[[2]uint64]struct{}{}
-	}
-	s.big = map[string]struct{}{}
-	return s
+func NewIDMappingSet(layout *SlotLayout) *IDMappingSet {
+	return &IDMappingSet{layout: layout, width: layout.Width()}
 }
 
 // Layout returns the slot layout shared by all rows of the set.
@@ -173,37 +177,38 @@ func (s *IDMappingSet) Layout() *SlotLayout { return s.layout }
 // Len returns the number of distinct rows.
 func (s *IDMappingSet) Len() int { return s.n }
 
-// packedKey packs the row into two words, shifting each slot's value+1
-// in from the low end of the 128-bit pair; ok is false when some value
-// exceeds the per-slot bit budget.
-func (s *IDMappingSet) packedKey(r Row) (key [2]uint64, ok bool) {
-	if s.packed == nil {
-		return key, false
-	}
-	b := s.bits
-	for _, v := range r {
-		packed := uint64(0)
-		if v != Unbound {
-			packed = uint64(v) + 1
-			if b >= 64 || packed >= 1<<b {
-				return key, false
-			}
+// find probes the index for the row: the position holding it (found),
+// or else the empty position where it goes. tag is the row's hash bits
+// above the index mask, which its entry carries over row number + 1.
+func (s *IDMappingSet) find(r Row) (pos, tag uint32, found bool) {
+	h := hashRow(r)
+	mask := uint32(len(s.index) - 1)
+	tag = uint32(h>>32) &^ mask
+	for pos = uint32(h) & mask; ; pos = (pos + 1) & mask {
+		e := s.index[pos]
+		if e == 0 {
+			return pos, tag, false
 		}
-		key[0] = key[0]<<b | key[1]>>(64-b)
-		key[1] = key[1]<<b | packed
+		if e&^mask == tag && slices.Equal(s.Row(int(e&mask)-1), r) {
+			return pos, tag, true
+		}
 	}
-	return key, true
 }
 
-// bigKey renders the row into the scratch buffer as 4 little-endian
-// bytes per slot.
-func (s *IDMappingSet) bigKey(r Row) []byte {
-	b := s.keyBuf[:0]
-	for _, v := range r {
-		b = AppendIDLE(b, v)
+// grow doubles the index, rehashing every row from the arena, and
+// grows the arena to the rows the new index admits: one allocation
+// each, so a set of n rows costs O(log n) allocations in all.
+func (s *IDMappingSet) grow() {
+	size := max(16, 2*len(s.index))
+	if uint64(size) > 1<<31 {
+		panic("rdf: IDMappingSet: more than 2^30 rows")
 	}
-	s.keyBuf = b
-	return b
+	s.arena = slices.Grow(s.arena, (size/2-s.n)*s.width)
+	s.index = make([]uint32, size)
+	for i := 0; i < s.n; i++ {
+		pos, tag, _ := s.find(s.Row(i))
+		s.index[pos] = tag | uint32(i+1)
+	}
 }
 
 // Add inserts a copy of the row, reporting whether it was new. The
@@ -212,34 +217,26 @@ func (s *IDMappingSet) Add(r Row) bool {
 	if len(r) != s.width {
 		panic("rdf: IDMappingSet.Add: row width mismatch")
 	}
-	if key, ok := s.packedKey(r); ok {
-		if _, dup := s.packed[key]; dup {
-			return false
-		}
-		s.packed[key] = struct{}{}
-	} else {
-		kb := s.bigKey(r)
-		if _, dup := s.big[string(kb)]; dup {
-			return false
-		}
-		s.big[string(kb)] = struct{}{}
+	if 2*(s.n+1) > len(s.index) {
+		s.grow()
+	}
+	pos, tag, found := s.find(r)
+	if found {
+		return false
 	}
 	s.arena = append(s.arena, r...)
 	s.n++
+	s.index[pos] = tag | uint32(s.n)
 	return true
 }
 
 // ContainsRow reports whether the row is in the set.
 func (s *IDMappingSet) ContainsRow(r Row) bool {
-	if len(r) != s.width {
+	if len(r) != s.width || s.n == 0 {
 		return false
 	}
-	if key, ok := s.packedKey(r); ok {
-		_, in := s.packed[key]
-		return in
-	}
-	_, in := s.big[string(s.bigKey(r))]
-	return in
+	_, _, found := s.find(r)
+	return found
 }
 
 // Row returns the i-th distinct row in insertion order. The returned
@@ -259,7 +256,7 @@ func (s *IDMappingSet) Each(yield func(Row) bool) {
 }
 
 // AddAll inserts every row of t into s. The two sets must share the
-// same layout (enforced by width). The destination maps are pre-sized.
+// same layout (enforced by width).
 func (s *IDMappingSet) AddAll(t *IDMappingSet) {
 	if t.width != s.width {
 		panic("rdf: IDMappingSet.AddAll: layout width mismatch")

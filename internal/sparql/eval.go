@@ -29,7 +29,6 @@ import (
 type rowEvaluator struct {
 	g      *rdf.Graph
 	layout *rdf.SlotLayout
-	maxID  int
 }
 
 func newRowEvaluator(p Pattern, g *rdf.Graph) *rowEvaluator {
@@ -37,11 +36,11 @@ func newRowEvaluator(p Pattern, g *rdf.Graph) *rowEvaluator {
 	for _, v := range Vars(p) {
 		layout.Intern(v.Value)
 	}
-	return &rowEvaluator{g: g, layout: layout, maxID: g.Dict().NumIRIs()}
+	return &rowEvaluator{g: g, layout: layout}
 }
 
 func (e *rowEvaluator) newSet() *rdf.IDMappingSet {
-	return rdf.NewIDMappingSet(e.layout, e.maxID)
+	return rdf.NewIDMappingSet(e.layout)
 }
 
 // sharedSlots returns the slots of vars(l) ∩ vars(r) — the only slots
@@ -182,7 +181,7 @@ func (e *rowEvaluator) applyFilter(set *rdf.IDMappingSet, cond Expr) *rdf.IDMapp
 // construction, so the result is the DISTINCT projection either way —
 // the streaming pipeline's non-DISTINCT duplicate multiplicity has no
 // set-level counterpart.
-func projectIDSet(set *rdf.IDMappingSet, vars []rdf.Term, maxID int) *rdf.IDMappingSet {
+func projectIDSet(set *rdf.IDMappingSet, vars []rdf.Term) *rdf.IDMappingSet {
 	full := set.Layout()
 	proj := rdf.NewSlotLayout()
 	var slots []int
@@ -201,7 +200,7 @@ func projectIDSet(set *rdf.IDMappingSet, vars []rdf.Term, maxID int) *rdf.IDMapp
 			slots = append(slots, s)
 		}
 	}
-	out := rdf.NewIDMappingSet(proj, maxID)
+	out := rdf.NewIDMappingSet(proj)
 	buf := proj.NewRow()
 	set.Each(func(r rdf.Row) bool {
 		for i, s := range slots {
@@ -264,7 +263,7 @@ func EvalID(p Pattern, g *rdf.Graph) *rdf.IDMappingSet {
 	}
 	set := newRowEvaluator(p, g).eval(p)
 	if isSel {
-		set = projectIDSet(set, sel.Vars, g.Dict().NumIRIs())
+		set = projectIDSet(set, sel.Vars)
 	}
 	return set
 }

@@ -75,8 +75,8 @@ func TestParseFilterProductions(t *testing.T) {
 		{
 			`((?x p ?y) FILTER (?x = a OR ?y = b) AND ?x != ?y)`,
 			Filter{Where: TP(x, rdf.IRI("p"), y), Cond: ExprBinary{
-				Op:   ExprAnd,
-				Left: ExprBinary{Op: ExprOr, Left: Eq(x, rdf.IRI("a")), Right: Eq(y, rdf.IRI("b"))},
+				Op:    ExprAnd,
+				Left:  ExprBinary{Op: ExprOr, Left: Eq(x, rdf.IRI("a")), Right: Eq(y, rdf.IRI("b"))},
 				Right: Neq(x, y),
 			}},
 		},
@@ -107,7 +107,7 @@ func TestParseFilterProductions(t *testing.T) {
 	for _, bad := range []string{
 		`((?x p ?y) FILTER)`,
 		`((?x p ?y) FILTER ?x)`,
-		`((?x p ?y) FILTER BOUND ?x)`,         // BOUND requires parens
+		`((?x p ?y) FILTER BOUND ?x)`,             // BOUND requires parens
 		`((?x p ?y) FILTER ?x = a AND (?y q ?z))`, // pattern after filter
 		`((?x p ?y) FILTER ?x = a (?y q ?z))`,     // FILTER clauses must come last
 		`(FILTER ?x = a)`,

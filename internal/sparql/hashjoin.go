@@ -31,7 +31,7 @@ func EvalHashJoinID(p Pattern, g *rdf.Graph) *rdf.IDMappingSet {
 	}
 	set := newRowEvaluator(p, g).evalHash(p)
 	if isSel {
-		set = projectIDSet(set, sel.Vars, g.Dict().NumIRIs())
+		set = projectIDSet(set, sel.Vars)
 	}
 	return set
 }

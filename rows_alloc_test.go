@@ -171,3 +171,35 @@ func checkDrainAllocs(t *testing.T, overlay bool, query string, rowsPer int, arm
 	}
 	t.Logf("%s: %.0f objects per drain", query, small)
 }
+
+// A DISTINCT drain keeps a set of the projected rows it has emitted,
+// which grows with the answer; it may cost one arena and one index
+// doubling per doubling of the set, nothing per row. The star's
+// (?o, ?c) pairs are all distinct, so the set holds every row.
+func TestDistinctDrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const query = `SELECT DISTINCT ?o ?c WHERE ((?x p ?o) AND (?x q ?c))`
+	drainAllocs := func(n int) float64 {
+		q := prepareOn(t, starEngine(n, false, "q"), query)
+		ctx := context.Background()
+		drain := func() {
+			rows := 0
+			for range q.Rows(ctx) {
+				rows++
+			}
+			if rows != n {
+				t.Fatalf("drain yielded %d rows, want %d", rows, n)
+			}
+		}
+		drain()
+		return testing.AllocsPerRun(5, drain)
+	}
+	const doublings = 4 // 1k → 16k rows
+	small, large := drainAllocs(1<<10), drainAllocs(1<<14)
+	if large-small > 2*doublings {
+		t.Fatalf("DISTINCT drain allocates %.0f objects at 1k rows, %.0f at 16k: more than 2 per doubling", small, large)
+	}
+	t.Logf("%.0f objects per drain at 1k rows, %.0f at 16k", small, large)
+}
