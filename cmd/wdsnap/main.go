@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 
+	"wdsparql/internal/ingest"
 	"wdsparql/internal/rdf"
 )
 
@@ -140,14 +141,16 @@ func printInfo(info rdf.SnapshotInfo) {
 	fmt.Println()
 }
 
+// readGraph loads -data through the parallel ingest pipeline, the
+// same load as wdserve -data.
 func readGraph(path string) (*rdf.Graph, error) {
 	if path == "-" {
-		return rdf.ReadGraph(os.Stdin)
+		return ingest.Load(os.Stdin, ingest.Options{})
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return rdf.ReadGraph(f)
+	return ingest.Load(f, ingest.Options{})
 }

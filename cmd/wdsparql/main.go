@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"wdsparql"
+	"wdsparql/internal/ingest"
 	"wdsparql/internal/interrupt"
 	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
@@ -128,16 +129,18 @@ func main() {
 	}
 }
 
+// readGraph loads -data through the parallel ingest pipeline, the
+// same load as wdserve -data.
 func readGraph(path string) (*rdf.Graph, error) {
 	if path == "-" {
-		return rdf.ReadGraph(os.Stdin)
+		return ingest.Load(os.Stdin, ingest.Options{})
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return rdf.ReadGraph(f)
+	return ingest.Load(f, ingest.Options{})
 }
 
 func parseMu(s string) (rdf.Mapping, error) {

@@ -1,7 +1,7 @@
 // Package ingest is the parallel streaming ingest pipeline: it loads
 // the N-Triples format of rdf.ReadGraph through a chunked reader and a
 // decode worker pool, and compacts the result directly into the frozen
-// CSR backend via rdf.GraphFromEncoded.
+// CSR backend through an rdf.GraphBuilder.
 //
 // The pipeline has three stages:
 //
@@ -20,8 +20,9 @@
 //     lazily, on the first input-order use of the term — which makes
 //     the global dictionary byte-identical (same strings, same IDs,
 //     same order) to the one the sequential ReadGraph path would have
-//     built. Dedup runs on the remapped encoded triples, exactly like
-//     GraphBuilder.
+//     built. The remapped encoded triples are added to a
+//     GraphBuilder over that dictionary, which dedups them exactly as
+//     the sequential path does.
 //
 // Because stage 3 reproduces the sequential dictionary and triple
 // order exactly, the pipeline's output graph is indistinguishable from

@@ -23,6 +23,9 @@ func FuzzIngestChunker(f *testing.F) {
 	f.Add([]byte("x\xffy p z .\r\n<a> <b> <c> ."), uint16(3), uint16(8))
 	f.Add([]byte(strings.Repeat("n1 p n2 .\n", 40)), uint16(16), uint16(1024))
 	f.Add([]byte("\n\n\n"), uint16(2), uint16(4))
+	// A final line of maxLine+1 bytes with no newline: the sequential
+	// reader once discounted a terminator the line does not have.
+	f.Add([]byte("00 000 00000000000"), uint16(8), uint16(16))
 	f.Fuzz(func(t *testing.T, data []byte, chunkRaw, maxRaw uint16) {
 		chunkBytes := int(chunkRaw)%512 + 1
 		maxLine := int(maxRaw)%256 + 1

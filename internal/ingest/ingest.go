@@ -27,7 +27,8 @@ type Options struct {
 	// ≤ 0 means rdf.MaxLineLen.
 	MaxLine int
 	// Progress, when non-nil, receives (raw input bytes consumed,
-	// triples merged) with the same contract as rdf.ReadGraphWithProgress.
+	// distinct triples appended) with the same contract as
+	// rdf.ReadGraphWithProgress.
 	Progress rdf.ProgressFunc
 }
 
@@ -47,10 +48,13 @@ type localDict struct {
 	strs []string
 }
 
-func (d *localDict) intern(s string) uint32 {
-	if id, ok := d.id[s]; ok {
+// intern returns the ID of the term b; the lookup of a known term
+// converts without allocating, so only a new term costs its string.
+func (d *localDict) intern(b []byte) uint32 {
+	if id, ok := d.id[string(b)]; ok {
 		return id
 	}
+	s := string(b)
 	id := uint32(len(d.strs))
 	d.id[s] = id
 	d.strs = append(d.strs, s)
@@ -168,10 +172,9 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, error) {
 		}
 	}
 
-	global := rdf.NewDict()
+	b := rdf.NewGraphBuilder(0)
+	global := b.Dict()
 	remaps := make([][]rdf.TermID, workers)
-	set := map[rdf.IDTriple]struct{}{}
-	var all []rdf.IDTriple
 	pending := map[int]decoded{}
 	next := 0
 	lastReport := 0
@@ -205,16 +208,12 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, error) {
 					}
 					t[i] = g
 				}
-				if _, dup := set[t]; dup {
-					continue
-				}
-				set[t] = struct{}{}
-				all = append(all, t)
+				b.AddID(t)
 			}
 			remaps[d.worker] = rm
-			if opt.Progress != nil && len(all)-lastReport >= progressStride {
-				lastReport = len(all)
-				opt.Progress(cr.n.Load(), len(all))
+			if opt.Progress != nil && b.Len()-lastReport >= progressStride {
+				lastReport = b.Len()
+				opt.Progress(cr.n.Load(), b.Len())
 			}
 		}
 	}
@@ -222,9 +221,9 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, error) {
 		return nil, chunkErr
 	}
 	if opt.Progress != nil {
-		opt.Progress(cr.n.Load(), len(all))
+		opt.Progress(cr.n.Load(), b.Len())
 	}
-	return rdf.GraphFromEncoded(global, all), nil
+	return b.Graph(), nil
 }
 
 // parseChunk decodes one chunk into the worker's ID space. On a parse
@@ -242,7 +241,7 @@ func parseChunk(ch Chunk, worker int, ld *localDict) decoded {
 		} else {
 			raw, data = data, nil
 		}
-		s, p, o, ok, err := rdf.ParseDataLine(string(raw))
+		s, p, o, ok, err := rdf.ParseDataLine(raw)
 		if err != nil {
 			dec.err = lineError(line, err)
 			break

@@ -140,13 +140,34 @@ func TestLoadGzipTruncated(t *testing.T) {
 }
 
 // TestLoadMaxLine pins that the chunker enforces the line bound with
-// the sequential reader's exact error, including the line number.
+// the sequential reader's exact error, including the line number. A
+// final line without a newline has no terminator to discount: it
+// loads on both paths at exactly the bound and fails on both, with the
+// same error, one byte past it.
 func TestLoadMaxLine(t *testing.T) {
 	src := "a p b .\nc p d .\n" + strings.Repeat("x", 4096) + " p e .\n"
 	_, wantErr := rdf.ReadGraphMaxLine(strings.NewReader(src), 1024)
 	_, err := Load(strings.NewReader(src), Options{Workers: 3, ChunkBytes: 64, MaxLine: 1024})
 	if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("error %q, want sequential %q", err, wantErr)
+	}
+
+	const maxLine = 17
+	last := "a p " + strings.Repeat("o", maxLine-4) // maxLine bytes, no newline
+	for _, src := range []string{last, "a p b .\n" + last} {
+		seq, seqErr := rdf.ReadGraphMaxLine(strings.NewReader(src), maxLine)
+		par, parErr := Load(strings.NewReader(src), Options{Workers: 2, ChunkBytes: 4, MaxLine: maxLine})
+		if seqErr != nil || parErr != nil {
+			t.Fatalf("%q at the bound: sequential err=%v, parallel err=%v", src, seqErr, parErr)
+		}
+		sameGraph(t, seq, par, fmt.Sprintf("%q", src))
+		over := src + "o"
+		_, seqErr = rdf.ReadGraphMaxLine(strings.NewReader(over), maxLine)
+		_, parErr = Load(strings.NewReader(over), Options{Workers: 2, ChunkBytes: 4, MaxLine: maxLine})
+		if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() ||
+			!strings.Contains(seqErr.Error(), fmt.Sprintf("line exceeds %d bytes", maxLine)) {
+			t.Fatalf("%q one byte past the bound: sequential err=%v, parallel err=%v", over, seqErr, parErr)
+		}
 	}
 }
 
@@ -161,29 +182,75 @@ func TestLoadEmptyAndCommentOnly(t *testing.T) {
 }
 
 // TestLoadProgress pins the progress callback: monotone, final report
-// covers the whole input and the merged triple count.
+// covers the whole input and the count of distinct triples appended —
+// a repeated line adds none — which is the graph's Len.
 func TestLoadProgress(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 40000; i++ {
 		fmt.Fprintf(&b, "s%d p o%d .\n", i, i%31)
 	}
-	src := b.String()
-	var lastBytes int64
-	var lastTriples, calls int
-	g, err := Load(strings.NewReader(src), Options{Workers: 4, ChunkBytes: 4096, Progress: func(bn int64, n int) {
-		calls++
-		if bn < lastBytes || n < lastTriples {
-			t.Fatalf("progress went backwards: (%d,%d) after (%d,%d)", bn, n, lastBytes, lastTriples)
+	for _, tc := range []struct {
+		src       string
+		wantCalls int
+		want      int
+	}{
+		{b.String(), 2, 40000},
+		{strings.Repeat("a p b .\n", 5) + "c p d .\n", 1, 2},
+	} {
+		var lastBytes int64
+		var lastTriples, calls int
+		g, err := Load(strings.NewReader(tc.src), Options{Workers: 4, ChunkBytes: 4096, Progress: func(bn int64, n int) {
+			calls++
+			if bn < lastBytes || n < lastTriples {
+				t.Fatalf("progress went backwards: (%d,%d) after (%d,%d)", bn, n, lastBytes, lastTriples)
+			}
+			lastBytes, lastTriples = bn, n
+		}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		lastBytes, lastTriples = bn, n
-	}})
-	if err != nil {
-		t.Fatal(err)
+		if calls < tc.wantCalls || lastTriples != g.Len() || g.Len() != tc.want || lastBytes != int64(len(tc.src)) {
+			t.Fatalf("calls=%d lastTriples=%d (graph %d, want %d) lastBytes=%d (input %d)",
+				calls, lastTriples, g.Len(), tc.want, lastBytes, len(tc.src))
+		}
 	}
-	if calls < 2 || lastTriples != g.Len() || lastBytes != int64(len(src)) {
-		t.Fatalf("calls=%d lastTriples=%d (graph %d) lastBytes=%d (input %d)",
-			calls, lastTriples, g.Len(), lastBytes, len(src))
+}
+
+// vocabDump renders n data lines over a fixed 64-term vocabulary,
+// every fourth line a repeat of the line before it.
+func vocabDump(n int) []byte {
+	var b bytes.Buffer
+	var line string
+	x := uint32(1)
+	for i := 0; i < n; i++ {
+		if i%4 != 3 {
+			x = x*1664525 + 1013904223
+			line = fmt.Sprintf("t%d t%d <t%d> .\n", x>>26, x>>20&63, x>>14&63)
+		}
+		b.WriteString(line)
 	}
+	return b.Bytes()
+}
+
+// A parallel load costs its bytes too: a data line allocates nothing
+// in the decode workers or the merge, so at 8N lines Load allocates
+// only what its growing slices and dedup table cost per doubling.
+func TestLoadAllocsFlat(t *testing.T) {
+	loadAllocs := func(n int) float64 {
+		src := vocabDump(n)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Load(bytes.NewReader(src), Options{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const doublings = 3 // N → 8N lines
+	small, large := loadAllocs(1<<12), loadAllocs(1<<15)
+	if large-small > 8*doublings {
+		t.Fatalf("Load allocates %.0f objects over %d lines, %.0f over %d: more than 8 per doubling",
+			small, 1<<12, large, 1<<15)
+	}
+	t.Logf("%.0f objects over %d lines, %.0f over %d", small, 1<<12, large, 1<<15)
 }
 
 // TestChunkerReassembly pins the chunker invariants directly: chunk

@@ -4,30 +4,41 @@ package rdf
 // interning pass plus one compaction. The incremental path (NewGraph +
 // Add) grows the overlay's six posting-list maps insert by insert, and
 // the first Freeze throws them away; a GraphBuilder never builds them —
-// it interns, deduplicates and accumulates the insertion-order slice,
-// then a single counting pass sizes the occurrence table and one
+// it interns, deduplicates through the membership table the sealed
+// base will keep, and accumulates the insertion-order slice; then a
+// single counting pass sizes the occurrence table and one
 // freezeTriples call lays out the CSR arenas at their exact final size.
 
 // GraphBuilder accumulates ground triples for a bulk load. Add order
 // is the insertion order of the resulting graph, exactly as if the
 // triples had been Added to a fresh Graph. The zero value is not
 // usable; call NewGraphBuilder.
+//
+// Deduplication runs through memb, an open-addressing table of indices
+// into all that is at every moment exactly buildMembership(all): the
+// same hash, size membSize(len(all)) and slots filled in index order.
+// It grows, by rebuilding, only when an appended triple pushes the
+// load past one half, so the freeze adopts it as the sealed base's
+// membership table instead of building the set a second time.
 type GraphBuilder struct {
 	dict *Dict
-	seen map[IDTriple]struct{}
 	all  []IDTriple
+	memb []uint32
 }
 
 // NewGraphBuilder returns a builder pre-sized for about sizeHint
 // triples (a hint, not a cap; zero is fine).
 func NewGraphBuilder(sizeHint int) *GraphBuilder {
-	sizeHint = max(sizeHint, 0)
 	return &GraphBuilder{
 		dict: NewDict(),
-		seen: make(map[IDTriple]struct{}, sizeHint),
-		all:  make([]IDTriple, 0, sizeHint),
+		all:  make([]IDTriple, 0, max(sizeHint, 0)),
+		memb: buildMembership(nil),
 	}
 }
+
+// Dict returns the dictionary the builder interns into: AddID takes
+// triples over its IRI IDs.
+func (b *GraphBuilder) Dict() *Dict { return b.dict }
 
 // Add inserts a ground triple; it panics on variables, like Graph.Add.
 func (b *GraphBuilder) Add(t Triple) {
@@ -39,12 +50,27 @@ func (b *GraphBuilder) Add(t Triple) {
 
 // AddTriple inserts the ground triple (s, p, o).
 func (b *GraphBuilder) AddTriple(s, p, o string) {
-	t := IDTriple{b.dict.InternIRI(s), b.dict.InternIRI(p), b.dict.InternIRI(o)}
-	if _, ok := b.seen[t]; ok {
-		return
+	b.AddID(IDTriple{b.dict.InternIRI(s), b.dict.InternIRI(p), b.dict.InternIRI(o)})
+}
+
+// AddID inserts a triple whose every position is an IRI ID interned in
+// b.Dict(), and reports whether it was new (a duplicate is dropped).
+func (b *GraphBuilder) AddID(t IDTriple) bool {
+	mask := uint32(len(b.memb) - 1)
+	h := hashIDTriple(t) & mask
+	for idx := b.memb[h]; idx != frozenAbsent; idx = b.memb[h] {
+		if b.all[idx] == t {
+			return false
+		}
+		h = (h + 1) & mask
 	}
-	b.seen[t] = struct{}{}
 	b.all = append(b.all, t)
+	if 2*len(b.all) > len(b.memb) {
+		b.memb = buildMembership(b.all)
+	} else {
+		b.memb[h] = uint32(len(b.all) - 1)
+	}
+	return true
 }
 
 // Len returns the number of (distinct) triples added so far.
@@ -52,21 +78,27 @@ func (b *GraphBuilder) Len() int { return len(b.all) }
 
 // Graph compacts the accumulated triples into a sealed graph: one
 // counting pass for the occurrence table and dom(G), then the CSR
-// freeze. The builder must not be used afterwards.
+// freeze, which adopts the builder's membership table. The builder
+// must not be used afterwards.
 func (b *GraphBuilder) Graph() *Graph {
-	d, all := b.dict, b.all
+	d, all, memb := b.dict, b.all, b.memb
 	*b = GraphBuilder{}
-	return GraphFromEncoded(d, all)
+	return graphFromEncoded(d, all, memb)
 }
 
 // GraphFromEncoded seals a frozen graph directly from pre-encoded
 // triples: d is the dictionary that interned them and all is the
 // insertion-order triple slice, already deduplicated, every position
-// an interned IRI ID. Ownership of both passes to the graph. This is
-// the seam the parallel ingest pipeline (internal/ingest) lands on
-// after its remap/dedup pass — the result is indistinguishable from
-// feeding the same triples through a GraphBuilder.
+// an interned IRI ID. Ownership of both passes to the graph. The
+// result is indistinguishable from feeding the same triples through a
+// GraphBuilder.
 func GraphFromEncoded(d *Dict, all []IDTriple) *Graph {
+	return graphFromEncoded(d, all, nil)
+}
+
+// graphFromEncoded is GraphFromEncoded over all's membership table
+// memb, exactly buildMembership(all); nil means build it.
+func graphFromEncoded(d *Dict, all []IDTriple, memb []uint32) *Graph {
 	g := &Graph{dict: d}
 	g.occ = make([]int32, d.NumIRIs())
 	for _, t := range all {
@@ -77,7 +109,7 @@ func GraphFromEncoded(d *Dict, all []IDTriple) *Graph {
 			g.occ[id]++
 		}
 	}
-	g.frz = freezeTriples(all, d.NumIRIs())
+	g.frz = freezeTriples(all, memb, d.NumIRIs())
 	return g
 }
 

@@ -174,6 +174,16 @@ func (d *Dict) InternIRI(v string) TermID {
 	return id
 }
 
+// internIRIBytes is InternIRI keyed by bytes: the lookup of a known
+// term converts without allocating, so only a new term costs its
+// string.
+func (d *Dict) internIRIBytes(v []byte) TermID {
+	if id, ok := d.iriID[string(v)]; ok {
+		return id
+	}
+	return d.InternIRI(string(v))
+}
+
 // InternVar returns the ID of the variable with the given name,
 // interning it if new. A leading "?" is stripped, mirroring Var.
 func (d *Dict) InternVar(v string) TermID {

@@ -83,8 +83,10 @@ const frozenAbsent = ^uint32(0)
 // insertion pass for the membership table. No comparison sort is
 // involved — the secondary arenas come out of a two-pass LSD bucket
 // sort whose stability is what preserves insertion order inside every
-// (k1,k2) range. The view keeps all as its insertion-order slice.
-func freezeTriples(all []IDTriple, ni int) *frozenView {
+// (k1,k2) range. The view keeps all as its insertion-order slice, and
+// memb as its membership table when a bulk loader has already built it
+// (it must be exactly buildMembership(all)); nil means build it here.
+func freezeTriples(all []IDTriple, memb []uint32, ni int) *frozenView {
 	f := &frozenView{nIRIs: ni, all: all}
 	f.offS = bucketOffsets(all, 0, ni)
 	f.offP = bucketOffsets(all, 1, ni)
@@ -109,7 +111,10 @@ func freezeTriples(all []IDTriple, ni int) *frozenView {
 	f.keyOP = keyColumn(f.arenaOP, 1)
 	f.keySO = keyColumn(f.arenaSO, 2)
 	f.keyOS = keyColumn(f.arenaOS, 0)
-	f.memb = buildMembership(all)
+	if memb == nil {
+		memb = buildMembership(all)
+	}
+	f.memb = memb
 	return f
 }
 
@@ -150,12 +155,10 @@ func bucketScatter(src []IDTriple, pos int, off, cur []uint32) []IDTriple {
 }
 
 // buildMembership builds the linear-probing membership table over
-// indices into all.
+// indices into all, of size membSize(len(all)), inserting in index
+// order.
 func buildMembership(all []IDTriple) []uint32 {
-	size := 2
-	for size < 2*len(all) {
-		size <<= 1
-	}
+	size := membSize(len(all))
 	memb := make([]uint32, size)
 	for i := range memb {
 		memb[i] = frozenAbsent
@@ -380,10 +383,10 @@ func (g *Graph) Freeze() *Graph {
 		sealed = d.all
 	}
 	if len(sealed)+len(o.ts) < len(g.frz.all) {
-		g.dlt = &deltaTier{frozenView: freezeTriples(slices.Concat(sealed, o.ts), ni), base: g.frz}
+		g.dlt = &deltaTier{frozenView: freezeTriples(slices.Concat(sealed, o.ts), nil, ni), base: g.frz}
 		return g
 	}
-	g.frz, g.dlt = freezeTriples(slices.Concat(g.frz.all, sealed, o.ts), ni), nil
+	g.frz, g.dlt = freezeTriples(slices.Concat(g.frz.all, sealed, o.ts), nil, ni), nil
 	return g
 }
 
@@ -391,6 +394,6 @@ func (g *Graph) Freeze() *Graph {
 // tier; a no-op without one.
 func (g *Graph) fold() {
 	if d := g.dlt; d != nil {
-		g.frz, g.dlt = freezeTriples(slices.Concat(g.frz.all, d.all), g.dict.NumIRIs()), nil
+		g.frz, g.dlt = freezeTriples(slices.Concat(g.frz.all, d.all), nil, g.dict.NumIRIs()), nil
 	}
 }

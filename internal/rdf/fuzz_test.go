@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -104,5 +105,106 @@ func FuzzLoadSnapshot(f *testing.F) {
 			g.dict.DecodeTriple(id) // must not panic: IDs validated
 		}
 		g.Dom()
+	})
+}
+
+// parseDataLineRef is the string-based line parser ParseDataLine
+// replaced, kept verbatim as FuzzParseDataLine's reference.
+func parseDataLineRef(line string) (s, p, o string, ok bool, err error) {
+	line = strings.TrimSpace(line)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return "", "", "", false, nil
+	}
+	line = strings.TrimSuffix(line, ".")
+	fields := strings.Fields(line)
+	if len(fields) != 3 {
+		return "", "", "", false, fmt.Errorf("expected 3 terms, got %d", len(fields))
+	}
+	var terms [3]Term
+	for i, f := range fields {
+		t, err := parseDataTermRef(f)
+		if err != nil {
+			return "", "", "", false, err
+		}
+		terms[i] = t
+	}
+	return terms[0].Value, terms[1].Value, terms[2].Value, true, nil
+}
+
+func parseDataTermRef(f string) (Term, error) {
+	if strings.HasPrefix(f, "?") {
+		return Term{}, fmt.Errorf("variable %q not allowed in data", f)
+	}
+	if strings.HasPrefix(f, "<") {
+		if !strings.HasSuffix(f, ">") {
+			return Term{}, fmt.Errorf("unterminated IRI %q", f)
+		}
+		f = strings.TrimSuffix(strings.TrimPrefix(f, "<"), ">")
+	}
+	if f == "" {
+		return Term{}, fmt.Errorf("empty term")
+	}
+	return IRI(f), nil
+}
+
+// FuzzParseDataLine is the byte parser's differential check: on any
+// input it must agree with the string parser it replaced on ok, the
+// three terms and the error text — Unicode white space, invalid UTF-8
+// and every malformed shape included.
+func FuzzParseDataLine(f *testing.F) {
+	for _, seed := range []string{
+		"a p b .",
+		" a p b . ",
+		"\u00a0a\u00a0p\u00a0b\u00a0.\u00a0",
+		"a\u0085p\u0085b\u0085",
+		"a\u2003p b\u2003.",
+		"\u3000a\u3000p\u3000b\u3000.\u3000",
+		"a p b\u00a0",
+		"a\vp\fb .\r\n",
+		"\va p b\f",
+		"a p b .\r",
+		"\xff p b .",
+		"a \xe3\x80 b .",
+		"a p b .\xe3\x80\x80\x80",
+		"a\xc2 p b",
+		"a p b..",
+		"<a> <b> <>",
+		"<a p b",
+		"?x p o",
+		"  # c",
+		"<> p b .",
+		"< p b .",
+		"a p",
+		"a p b c .",
+		".",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		ws, wp, wo, wok, werr := parseDataLineRef(line)
+		gs, gp, go_, gok, gerr := ParseDataLine([]byte(line))
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("%q: error %v, want %v", line, gerr, werr)
+		}
+		if gok != wok || string(gs) != ws || string(gp) != wp || string(go_) != wo {
+			t.Fatalf("%q: (%q, %q, %q, %v), want (%q, %q, %q, %v)", line, gs, gp, go_, gok, ws, wp, wo, wok)
+		}
+		// DecodeTriples hands out the terms as substrings of one copy of
+		// the line: the same values, through the same parser.
+		if strings.Contains(line, "\n") || strings.HasPrefix(line, "\x1f\x8b") {
+			return
+		}
+		var got []string
+		derr := DecodeTriples(strings.NewReader(line), 0, func(s, p, o string) error {
+			got = append(got, s, p, o)
+			return nil
+		})
+		if (werr == nil) != (derr == nil) || (werr != nil && derr.Error() != "rdf: line 1: "+werr.Error()) {
+			t.Fatalf("%q: DecodeTriples error %v, want %v", line, derr, werr)
+		}
+		if want := []string{ws, wp, wo}; wok != (len(got) == 3) || (wok && !slices.Equal(got, want)) {
+			t.Fatalf("%q: DecodeTriples yielded %q, want %q (ok=%v)", line, got, want, wok)
+		}
 	})
 }

@@ -46,7 +46,7 @@ type Graph struct {
 
 // emptyBase is the sealed base of a graph that has never been frozen
 // with triples in it. It is immutable, so every such graph shares it.
-var emptyBase = freezeTriples(nil, 0)
+var emptyBase = freezeTriples(nil, nil, 0)
 
 // NewGraph returns an empty RDF graph: an empty sealed base and no
 // overlay.

@@ -2,10 +2,13 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // This file implements a small line-oriented serialisation for ground
@@ -46,15 +49,17 @@ func ReadGraphMaxLine(r io.Reader, maxLine int) (*Graph, error) {
 // ProgressFunc receives load progress: bytes is the cumulative count
 // of raw input bytes consumed from the underlying reader (compressed
 // bytes for gzipped input, and slightly ahead of parsing due to
-// buffering), triples the cumulative count of data lines parsed.
-// Callbacks arrive every progressStride triples and once at the end of
-// input; wdserve's ingest endpoint and the cmd tools use them to
-// report long loads without instrumenting the parse loop themselves.
+// buffering), triples the cumulative count of distinct triples
+// appended to the graph so far (a repeated line adds none). Callbacks
+// arrive about every progressStride triples and once at the end of
+// input, whose count is the loaded graph's Len; wdserve and the cmd
+// tools use them to report long loads without instrumenting the parse
+// loop themselves.
 type ProgressFunc func(bytes int64, triples int)
 
-// progressStride is how many parsed triples pass between two progress
-// callbacks: frequent enough for responsive reporting, rare enough
-// that the callback never shows up in a load profile.
+// progressStride is how many appended triples pass between two
+// progress callbacks: frequent enough for responsive reporting, rare
+// enough that the callback never shows up in a load profile.
 const progressStride = 1 << 14
 
 // ReadGraphWithProgress is ReadGraph with a progress callback
@@ -80,12 +85,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func readGraph(r io.Reader, maxLine int, progress ProgressFunc) (*Graph, error) {
 	b := NewGraphBuilder(0)
 	cr := &countingReader{r: r}
-	triples := 0
-	err := DecodeTriples(cr, maxLine, func(s, p, o string) error {
-		b.AddTriple(s, p, o)
-		triples++
-		if progress != nil && triples%progressStride == 0 {
-			progress(cr.n, triples)
+	err := decodeLines(cr, maxLine, func(s, p, o []byte) error {
+		d := b.dict
+		t := IDTriple{d.internIRIBytes(s), d.internIRIBytes(p), d.internIRIBytes(o)}
+		if b.AddID(t) && progress != nil && b.Len()%progressStride == 0 {
+			progress(cr.n, b.Len())
 		}
 		return nil
 	})
@@ -93,7 +97,7 @@ func readGraph(r io.Reader, maxLine int, progress ProgressFunc) (*Graph, error) 
 		return nil, err
 	}
 	if progress != nil {
-		progress(cr.n, triples)
+		progress(cr.n, b.Len())
 	}
 	return b.Graph(), nil
 }
@@ -102,9 +106,22 @@ func readGraph(r io.Reader, maxLine int, progress ProgressFunc) (*Graph, error) 
 // auto-detected) line by line and calls fn once per data triple, in
 // input order, with the bare IRI values of the three positions. A
 // non-nil error from fn aborts the decode and is returned unwrapped.
-// maxLine ≤ 0 means MaxLineLen. This is the single decode loop behind
-// ReadGraph and the parallel ingest pipeline's equivalence tests.
+// maxLine ≤ 0 means MaxLineLen.
 func DecodeTriples(r io.Reader, maxLine int, fn func(s, p, o string) error) error {
+	return decodeLines(r, maxLine, func(s, p, o []byte) error {
+		// One copy per line: s, p and o are slices of one line, in that
+		// order, so the span from s to the end of o is copied once and
+		// the three terms are substrings of it.
+		po, oo := cap(s)-cap(p), cap(s)-cap(o)
+		span := string(s[:oo+len(o)])
+		return fn(span[:len(s)], span[po:po+len(p)], span[oo:])
+	})
+}
+
+// decodeLines is the single decode loop behind ReadGraph and
+// DecodeTriples. fn receives the three terms as slices of the current
+// line, valid only until it returns.
+func decodeLines(r io.Reader, maxLine int, fn func(s, p, o []byte) error) error {
 	if maxLine <= 0 {
 		maxLine = MaxLineLen
 	}
@@ -124,19 +141,18 @@ func DecodeTriples(r io.Reader, maxLine int, fn func(s, p, o string) error) erro
 		defer zr.Close()
 		br = bufio.NewReaderSize(zr, 64*1024)
 	}
-	lineNo := 0
-	for {
-		line, err := readLine(br, maxLine)
+	lr := lineReader{br: br, max: maxLine}
+	for lineNo := 1; ; lineNo++ {
+		line, err := lr.next()
 		if err == errLineTooLong {
-			return fmt.Errorf("rdf: line %d: line exceeds %d bytes", lineNo+1, maxLine)
+			return fmt.Errorf("rdf: line %d: line exceeds %d bytes", lineNo, maxLine)
 		}
 		if err != nil && err != io.EOF {
 			return fmt.Errorf("rdf: read: %w", err)
 		}
 		if len(line) == 0 && err == io.EOF {
-			break
+			return nil
 		}
-		lineNo++
 		s, p, o, ok, perr := ParseDataLine(line)
 		if perr != nil {
 			return fmt.Errorf("rdf: line %d: %w", lineNo, perr)
@@ -147,64 +163,138 @@ func DecodeTriples(r io.Reader, maxLine int, fn func(s, p, o string) error) erro
 			}
 		}
 		if err == io.EOF {
-			break
+			return nil
 		}
 	}
-	return nil
 }
 
-// ParseDataLine parses one line of the ReadGraph format into the bare
-// IRI values of a triple. ok is false for blank lines and comments.
-// The ingest pipeline's chunk workers call this directly on the lines
-// of their chunk, so the parallel path parses byte-identically to the
-// sequential one.
-func ParseDataLine(line string) (s, p, o string, ok bool, err error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return "", "", "", false, nil
+// ParseDataLine parses one line of the ReadGraph format, in place,
+// into the bare IRI values of a triple: s, p and o are slices of line,
+// and a well-formed line allocates nothing. ok is false for blank
+// lines and comments. White space is Unicode white space, exactly as
+// strings.TrimSpace and strings.Fields define it; one trailing "." is
+// dropped and "<…>" is stripped. Every loader — ReadGraph,
+// DecodeTriples and the ingest pipeline's chunk workers — runs this
+// one parser, so all of them accept and reject the same lines.
+func ParseDataLine(line []byte) (s, p, o []byte, ok bool, err error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return nil, nil, nil, false, nil
 	}
-	line = strings.TrimSuffix(line, ".")
-	fields := strings.Fields(line)
-	if len(fields) != 3 {
-		return "", "", "", false, fmt.Errorf("expected 3 terms, got %d", len(fields))
+	if line[len(line)-1] == '.' {
+		line = line[:len(line)-1]
 	}
-	var terms [3]Term
-	for i, f := range fields {
-		t, err := parseDataTerm(f)
-		if err != nil {
-			return "", "", "", false, err
+	var f [3][]byte
+	n := 0
+	for field, rest := nextField(line); field != nil; field, rest = nextField(rest) {
+		if n < len(f) {
+			f[n] = field
 		}
-		terms[i] = t
+		n++
 	}
-	return terms[0].Value, terms[1].Value, terms[2].Value, true, nil
+	if n != len(f) {
+		return nil, nil, nil, false, fmt.Errorf("expected 3 terms, got %d", n)
+	}
+	for i := range f {
+		if f[i], err = dataTerm(f[i]); err != nil {
+			return nil, nil, nil, false, err
+		}
+	}
+	return f[0], f[1], f[2], true, nil
 }
 
-// errLineTooLong is readLine's sentinel for a line beyond the bound;
-// ReadGraphMaxLine converts it into an error carrying the line number.
+// asciiSpace has bit c set for each ASCII byte c that unicode.IsSpace
+// accepts.
+const asciiSpace = 1<<'\t' | 1<<'\n' | 1<<'\v' | 1<<'\f' | 1<<'\r' | 1<<' '
+
+// nextField returns the first white-space-delimited field of b and
+// what follows it, or a nil field when b holds none: the fields of
+// strings.Fields, where an invalid UTF-8 byte is one non-space rune.
+func nextField(b []byte) (field, rest []byte) {
+	start := -1
+	for i := 0; i < len(b); {
+		w, sp := 1, uint64(asciiSpace)>>b[i]&1 == 1
+		if b[i] >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRune(b[i:])
+			sp = unicode.IsSpace(r)
+		}
+		switch {
+		case start < 0 && !sp:
+			start = i
+		case start >= 0 && sp:
+			return b[start:i], b[i:]
+		}
+		i += w
+	}
+	if start < 0 {
+		return nil, nil
+	}
+	return b[start:], nil
+}
+
+// dataTerm checks one field of a data line and strips the angle
+// brackets of an IRI.
+func dataTerm(f []byte) ([]byte, error) {
+	switch f[0] {
+	case '?':
+		return nil, fmt.Errorf("variable %q not allowed in data", f)
+	case '<':
+		if f[len(f)-1] != '>' {
+			return nil, fmt.Errorf("unterminated IRI %q", f)
+		}
+		f = f[1 : len(f)-1]
+	}
+	if len(f) == 0 {
+		return nil, fmt.Errorf("empty term")
+	}
+	return f, nil
+}
+
+// errLineTooLong is lineReader's sentinel for a line beyond the bound;
+// decodeLines converts it into an error carrying the line number.
 var errLineTooLong = fmt.Errorf("line too long")
 
-// readLine reads one \n-terminated line (the terminator is stripped)
-// of at most maxLine bytes. It returns io.EOF together with the final
-// unterminated line, if any, and errLineTooLong as soon as the line is
-// known to exceed the bound — without buffering the rest of it.
-func readLine(br *bufio.Reader, maxLine int) (string, error) {
-	var buf []byte
+// lineReader reads \n-terminated lines of at most max bytes, the
+// terminator stripped and, when there is one, not counted. A line is a
+// slice of br's buffer, or of buf when it spans refills, valid until
+// the next call.
+type lineReader struct {
+	br  *bufio.Reader
+	buf []byte
+	max int
+}
+
+// next returns the next line. It returns io.EOF together with the
+// final unterminated line, if any, and errLineTooLong as soon as the
+// line is known to exceed the bound — without buffering the rest of
+// it.
+func (lr *lineReader) next() ([]byte, error) {
+	lr.buf = lr.buf[:0]
 	for {
-		frag, err := br.ReadSlice('\n')
-		if len(buf)+len(frag) > maxLine+1 { // +1: the \n itself is not counted
-			return "", errLineTooLong
+		frag, err := lr.br.ReadSlice('\n')
+		n := len(lr.buf) + len(frag)
+		if err == nil {
+			n-- // the \n itself is not counted
 		}
-		if err == nil || err == io.EOF {
-			if buf == nil {
-				return strings.TrimSuffix(string(frag), "\n"), err
-			}
-			buf = append(buf, frag...)
-			return strings.TrimSuffix(string(buf), "\n"), err
+		if n > lr.max {
+			return nil, errLineTooLong
 		}
-		if err != bufio.ErrBufferFull {
-			return "", err
+		if err == bufio.ErrBufferFull {
+			lr.buf = append(lr.buf, frag...)
+			continue
 		}
-		buf = append(buf, frag...)
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		if len(lr.buf) > 0 {
+			lr.buf = append(lr.buf, frag...)
+			frag = lr.buf
+		}
+		if err == nil {
+			frag = frag[:len(frag)-1]
+		}
+		return frag, err
 	}
 }
 
@@ -221,22 +311,6 @@ func MustParseGraph(s string) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-func parseDataTerm(f string) (Term, error) {
-	if strings.HasPrefix(f, "?") {
-		return Term{}, fmt.Errorf("variable %q not allowed in data", f)
-	}
-	if strings.HasPrefix(f, "<") {
-		if !strings.HasSuffix(f, ">") {
-			return Term{}, fmt.Errorf("unterminated IRI %q", f)
-		}
-		f = strings.TrimSuffix(strings.TrimPrefix(f, "<"), ">")
-	}
-	if f == "" {
-		return Term{}, fmt.Errorf("empty term")
-	}
-	return IRI(f), nil
 }
 
 // WriteGraph writes g to w, one triple per line with a trailing ".",

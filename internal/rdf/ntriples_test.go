@@ -171,38 +171,50 @@ func TestReadGraphGzipLineNumbers(t *testing.T) {
 
 // TestReadGraphWithProgress pins the progress contract: bytes are
 // monotone raw input bytes, the final callback reports the full input
-// size and the exact triple count, for plain and gzipped input alike.
+// size and the count of distinct triples appended — a repeated line
+// adds none — which is the graph's Len, for plain and gzipped input
+// alike. TestLoadProgress is its twin for the parallel loader.
 func TestReadGraphWithProgress(t *testing.T) {
-	var src strings.Builder
+	var distinct, twice strings.Builder
 	for i := 0; i < 40000; i++ {
-		fmt.Fprintf(&src, "s%d p o%d .\n", i, i%97)
+		fmt.Fprintf(&distinct, "s%d p o%d .\n", i, i%97)
+		fmt.Fprintf(&twice, "s%d p o%d .\n", i/2, i/2%97)
 	}
-	for _, mode := range []string{"plain", "gzip"} {
-		data := []byte(src.String())
-		if mode == "gzip" {
-			data = gzipped(t, src.String())
-		}
-		var calls int
-		var lastBytes int64
-		var lastTriples int
-		g, err := ReadGraphWithProgress(bytes.NewReader(data), func(b int64, n int) {
-			calls++
-			if b < lastBytes || n < lastTriples {
-				t.Fatalf("%s: progress went backwards: (%d,%d) after (%d,%d)", mode, b, n, lastBytes, lastTriples)
+	for _, tc := range []struct {
+		src             string
+		wantCalls, want int
+	}{
+		{distinct.String(), 2, 40000},
+		{twice.String(), 2, 20000},
+		{strings.Repeat("a p b .\n", 5) + "c p d .\n", 1, 2},
+	} {
+		for _, mode := range []string{"plain", "gzip"} {
+			data := []byte(tc.src)
+			if mode == "gzip" {
+				data = gzipped(t, tc.src)
 			}
-			lastBytes, lastTriples = b, n
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if calls < 2 {
-			t.Fatalf("%s: only %d progress callbacks for 40000 triples", mode, calls)
-		}
-		if lastTriples != g.Len() || g.Len() != 40000 {
-			t.Fatalf("%s: final triples %d, graph %d, want 40000", mode, lastTriples, g.Len())
-		}
-		if lastBytes != int64(len(data)) {
-			t.Fatalf("%s: final bytes %d, input is %d", mode, lastBytes, len(data))
+			var calls int
+			var lastBytes int64
+			var lastTriples int
+			g, err := ReadGraphWithProgress(bytes.NewReader(data), func(b int64, n int) {
+				calls++
+				if b < lastBytes || n < lastTriples {
+					t.Fatalf("%s: progress went backwards: (%d,%d) after (%d,%d)", mode, b, n, lastBytes, lastTriples)
+				}
+				lastBytes, lastTriples = b, n
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+			if calls < tc.wantCalls {
+				t.Fatalf("%s: only %d progress callbacks for %d triples", mode, calls, tc.want)
+			}
+			if lastTriples != g.Len() || g.Len() != tc.want {
+				t.Fatalf("%s: final triples %d, graph %d, want %d", mode, lastTriples, g.Len(), tc.want)
+			}
+			if lastBytes != int64(len(data)) {
+				t.Fatalf("%s: final bytes %d, input is %d", mode, lastBytes, len(data))
+			}
 		}
 	}
 }
@@ -245,7 +257,8 @@ func TestParseDataLine(t *testing.T) {
 		{"?v p b .", "", "", "", false, true},
 		{"<unterminated p b .", "", "", "", false, true},
 	} {
-		s, p, o, ok, err := ParseDataLine(tc.line)
+		bs, bp, bo, ok, err := ParseDataLine([]byte(tc.line))
+		s, p, o := string(bs), string(bp), string(bo)
 		if (err != nil) != tc.wantErr || ok != tc.ok || s != tc.s || p != tc.p || o != tc.o {
 			t.Fatalf("ParseDataLine(%q) = (%q,%q,%q,%v,%v), want (%q,%q,%q,%v,err=%v)",
 				tc.line, s, p, o, ok, err, tc.s, tc.p, tc.o, tc.ok, tc.wantErr)

@@ -703,7 +703,7 @@ func (s *Snapshot) VerifyDeep() error {
 	if !slices.Equal(occ, g.occ) {
 		return fmt.Errorf("rdf: snapshot %s: occurrence table diverges from the triple set", s.info.Path)
 	}
-	return compareViews(s.info.Path, g.frz, freezeTriples(g.frz.all, ni))
+	return compareViews(s.info.Path, g.frz, freezeTriples(g.frz.all, nil, ni))
 }
 
 // compareViews compares every derived slice of two frozen views.
