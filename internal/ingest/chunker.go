@@ -48,10 +48,12 @@ const DefaultChunkBytes = 1 << 20
 // Chunk is a run of whole input lines: Data always ends at a line
 // boundary ('\n'-terminated, except possibly the final chunk of the
 // input). StartLine is the 1-based line number of the first line, so
-// workers can report absolute line numbers for parse errors.
+// workers can report absolute line numbers for parse errors; Lines is
+// the number of '\n' in Data.
 type Chunk struct {
 	Index     int
 	StartLine int
+	Lines     int
 	Data      []byte
 }
 
@@ -67,6 +69,11 @@ type Chunker struct {
 	line       int // 1-based line number of the next chunk's first line
 	curLine    int // bytes accumulated of the current (unterminated) line
 	done       bool
+
+	// free holds chunk buffers handed back by release for Next to
+	// refill; nil (a Chunker of NewChunker) means every chunk gets a
+	// fresh buffer.
+	free chan []byte
 }
 
 // NewChunker wraps r (NOT gzip-sniffed: callers decompress first, see
@@ -95,7 +102,12 @@ func (c *Chunker) Next() (Chunk, error) {
 	if c.done {
 		return Chunk{}, io.EOF
 	}
-	data := make([]byte, 0, c.chunkBytes+4096)
+	var data []byte
+	select {
+	case data = <-c.free:
+	default:
+		data = make([]byte, 0, c.chunkBytes+4096)
+	}
 	for {
 		frag, err := c.br.ReadSlice('\n')
 		data = append(data, frag...)
@@ -133,12 +145,22 @@ func (c *Chunker) Next() (Chunk, error) {
 	}
 }
 
+// release hands a chunk's buffer back for a later Next to refill. The
+// caller must not read the chunk's Data afterwards. It never
+// blocks: with the free list full, the buffer is left to the GC.
+func (c *Chunker) release(ch Chunk) {
+	select {
+	case c.free <- ch.Data[:0]:
+	default:
+	}
+}
+
 // emit stamps the accumulated data as a chunk and advances the line
 // cursor past it.
 func (c *Chunker) emit(data []byte) Chunk {
-	ch := Chunk{Index: c.index, StartLine: c.line, Data: data}
+	ch := Chunk{Index: c.index, StartLine: c.line, Lines: bytes.Count(data, []byte{'\n'}), Data: data}
 	c.index++
-	c.line += bytes.Count(data, []byte{'\n'})
+	c.line += ch.Lines
 	return ch
 }
 

@@ -111,6 +111,10 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, error) {
 		defer closer.Close()
 	}
 	ck := NewChunker(in, opt.ChunkBytes, opt.MaxLine)
+	// At most 2·workers+1 chunk buffers are alive at once — one being
+	// filled, workers queued in chunks, workers being parsed — so a free
+	// list that size keeps every one of them in circulation.
+	ck.free = make(chan []byte, 2*workers+1)
 
 	chunks := make(chan Chunk, workers)
 	results := make(chan decoded, workers)
@@ -150,6 +154,9 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, error) {
 			ld := &localDict{id: map[string]uint32{}}
 			for ch := range chunks {
 				dec := parseChunk(ch, w, ld)
+				// Nothing aliases the chunk now: intern copied every
+				// new term out of it.
+				ck.release(ch)
 				select {
 				case results <- dec:
 				case <-done:
@@ -231,7 +238,7 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, error) {
 // absolute line number; triples already decoded are discarded by the
 // collector together with the whole load.
 func parseChunk(ch Chunk, worker int, ld *localDict) decoded {
-	dec := decoded{index: ch.Index, worker: worker}
+	dec := decoded{index: ch.Index, worker: worker, triples: make([]ltriple, 0, ch.Lines+1)}
 	data := ch.Data
 	line := ch.StartLine
 	for len(data) > 0 {

@@ -9,6 +9,8 @@ package rdf
 // single counting pass sizes the occurrence table and one
 // freezeTriples call lays out the CSR arenas at their exact final size.
 
+import "slices"
+
 // GraphBuilder accumulates ground triples for a bulk load. Add order
 // is the insertion order of the resulting graph, exactly as if the
 // triples had been Added to a fresh Graph. The zero value is not
@@ -64,6 +66,11 @@ func (b *GraphBuilder) AddID(t IDTriple) bool {
 		}
 		h = (h + 1) & mask
 	}
+	if len(b.all) == cap(b.all) {
+		// Double: append grows a long slice by about 1.25×, and a bulk
+		// load would copy its triples many times over on the way.
+		b.all = append(make([]IDTriple, 0, max(2*len(b.all), 64)), b.all...)
+	}
 	b.all = append(b.all, t)
 	if 2*len(b.all) > len(b.memb) {
 		b.memb = buildMembership(b.all)
@@ -83,6 +90,11 @@ func (b *GraphBuilder) Len() int { return len(b.all) }
 func (b *GraphBuilder) Graph() *Graph {
 	d, all, memb := b.dict, b.all, b.memb
 	*b = GraphBuilder{}
+	if cap(all)-len(all) > len(all)/4 {
+		// The graph keeps all for its lifetime: shed the slack that
+		// doubling left beyond what append's own growth would have.
+		all = slices.Clone(all)
+	}
 	return graphFromEncoded(d, all, memb)
 }
 

@@ -35,14 +35,23 @@ package rdf
 // equality of every arena against the triple slice and byte-exact
 // equality against a from-scratch rebuild. Those are parse-priced
 // checks; the load-time set above is what memory safety needs.
+//
+// Every section is read by as few passes as the checks allow: its CRC,
+// and one structural pass (arenaCheck) per arena that covers the
+// bounds, the grouping and the arena's key column together. These
+// passes, the membership check and the dictionary build run as tasks on
+// GOMAXPROCS workers. Which fault an image reports does not depend on
+// that schedule: it is the first in a fixed order (crcRank, secRank).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -257,25 +266,28 @@ var snapKinds = []secKey{
 }
 
 // parseTable validates the section table against the expected set and
-// the file bounds and returns the per-section payload slices, each
-// already CRC-verified.
-func parseTable(data []byte, h snapHeader) (map[secKey][]byte, error) {
+// the file bounds, in table order, and returns the per-section payload
+// slices with one pool task per section that verifies its payload CRC.
+// The CRC checks outrank every structural check (crcRank), so an image
+// reports a corrupt payload before anything its bytes would trip.
+func parseTable(data []byte, h snapHeader) (map[secKey][]byte, []task, error) {
 	if h.nSections != uint32(len(snapKinds)) {
-		return nil, fmt.Errorf("section count %d does not match the %d sections of a snapshot", h.nSections, len(snapKinds))
+		return nil, nil, fmt.Errorf("section count %d does not match the %d sections of a snapshot", h.nSections, len(snapKinds))
 	}
 	tableEnd := int64(snapHeaderLen) + int64(h.nSections)*snapEntryLen
 	if tableEnd > int64(len(data)) {
-		return nil, fmt.Errorf("section table (%d entries) extends past end of file", h.nSections)
+		return nil, nil, fmt.Errorf("section table (%d entries) extends past end of file", h.nSections)
 	}
 	table := data[snapHeaderLen:tableEnd]
 	if got := crc32.Checksum(table, snapCRC); got != h.imageCRC {
-		return nil, fmt.Errorf("section table checksum mismatch (got %08x, header says %08x): corrupt table", got, h.imageCRC)
+		return nil, nil, fmt.Errorf("section table checksum mismatch (got %08x, header says %08x): corrupt table", got, h.imageCRC)
 	}
 	want := make(map[secKey]bool, len(snapKinds))
 	for _, k := range snapKinds {
 		want[k] = true
 	}
 	secs := make(map[secKey][]byte, len(snapKinds))
+	crcs := make([]task, 0, h.nSections)
 	for i := 0; i < int(h.nSections); i++ {
 		e := table[i*snapEntryLen:]
 		k := secKey(binary.LittleEndian.Uint16(e[0:2]))
@@ -283,28 +295,94 @@ func parseTable(data []byte, h snapHeader) (map[secKey][]byte, error) {
 		off := binary.LittleEndian.Uint64(e[8:16])
 		length := binary.LittleEndian.Uint64(e[16:24])
 		if !want[k] {
-			return nil, fmt.Errorf("unexpected section %v in the table", k)
+			return nil, nil, fmt.Errorf("unexpected section %v in the table", k)
 		}
 		if shard := binary.LittleEndian.Uint16(e[2:4]); shard != 0 {
-			return nil, fmt.Errorf("section %v: reserved shard field is %d, want 0", k, shard)
+			return nil, nil, fmt.Errorf("section %v: reserved shard field is %d, want 0", k, shard)
 		}
 		if _, dup := secs[k]; dup {
-			return nil, fmt.Errorf("duplicate section %v in the table", k)
+			return nil, nil, fmt.Errorf("duplicate section %v in the table", k)
 		}
 		if off%8 != 0 {
-			return nil, fmt.Errorf("section %v: offset %d is not 8-aligned", k, off)
+			return nil, nil, fmt.Errorf("section %v: offset %d is not 8-aligned", k, off)
 		}
 		if off < uint64(tableEnd) || off > h.fileSize || length > h.fileSize-off {
-			return nil, fmt.Errorf("section %v: byte range [%d, %d+%d) lies outside the file (%d bytes)",
+			return nil, nil, fmt.Errorf("section %v: byte range [%d, %d+%d) lies outside the file (%d bytes)",
 				k, off, off, length, h.fileSize)
 		}
 		b := data[off : off+length]
-		if got := crc32.Checksum(b, snapCRC); got != crc {
-			return nil, fmt.Errorf("section %v: payload checksum mismatch (got %08x, table says %08x): corrupt section", k, got, crc)
-		}
 		secs[k] = b
+		rank := crcRank(i)
+		crcs = append(crcs, task{cost: len(b), run: func() fault {
+			if got := crc32.Checksum(b, snapCRC); got != crc {
+				return fault{rank, fmt.Errorf("section %v: payload checksum mismatch (got %08x, table says %08x): corrupt section", k, got, crc)}
+			}
+			return fault{}
+		}})
 	}
-	return secs, nil
+	return secs, crcs, nil
+}
+
+// A task is one load-time check that reads its sections and nothing
+// else, so any set of them can run at once. cost is the bytes it reads,
+// by which parseImage orders the pool's queue.
+type task struct {
+	cost int
+	run  func() fault
+}
+
+// A fault is a failed check with its place in the fixed report order
+// (crcRank, secRank): of all the faults an image has, the loader
+// reports the lowest-ranked, so a given image always yields the same
+// error however the tasks were scheduled. The zero fault is a pass.
+type fault struct {
+	rank int
+	err  error
+}
+
+// precedes reports whether f is a fault that is reported ahead of g.
+func (f fault) precedes(g fault) bool { return f.err != nil && (g.err == nil || f.rank < g.rank) }
+
+// crcRank ranks the payload CRC of table entry i: CRCs are reported
+// first, in table order.
+func crcRank(i int) int { return i }
+
+// secRank ranks the checks of section k's shape and contents: after
+// every CRC, in snapKinds order — the dictionary, the triples, the
+// occurrences, the offsets, the nine arenas, the six key columns, the
+// membership table. Inside a section a check reports its first failing
+// index.
+func secRank(k secKey) int { return len(snapKinds) + slices.Index(snapKinds, k) }
+
+// runTasks runs the tasks on GOMAXPROCS workers — the calling
+// goroutine and GOMAXPROCS-1 others — each taking the next task in the
+// order given, and returns the lowest-ranked fault any of them found
+// (the zero fault if none). Every worker has exited when it returns.
+func runTasks(tasks []task) fault {
+	faults := make([]fault, len(tasks))
+	var next atomic.Int32
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+			faults[i] = tasks[i].run()
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(tasks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	var first fault
+	for _, f := range faults {
+		if f.precedes(first) {
+			first = f
+		}
+	}
+	return first
 }
 
 // secAs extracts section k as a []T, requiring exactly wantLen
@@ -345,51 +423,73 @@ func checkOffsets(k secKey, off []uint32, total uint32) error {
 	return nil
 }
 
-// checkTriples verifies every TermID of every triple is an in-range
-// IRI ID — the bound that keeps dictionary decode, occurrence lookup
-// and offset indexing in bounds.
-func checkTriples(k secKey, ts []IDTriple, nIRIs int) error {
+// arenaCheck is the one pass over an arena section: every TermID of
+// every triple below nIRIs — the bound that keeps dictionary decode,
+// occurrence lookup and offset indexing in bounds — and, for a grouped
+// arena, the CSR grouping: inside the group off gives ID id, every
+// triple holds id at position pos. A secondarily sorted arena carries
+// its key column, which the same pass checks to mirror position keyPos
+// of the arena and to be sorted inside each group — the precondition
+// of the galloping range search. The triples section (off nil) is in
+// insertion order and has the bounds check alone. off has passed
+// checkOffsets against len(arena), so the group walk stays in bounds.
+type arenaCheck struct {
+	kind, keyKind secKey
+	arena         []IDTriple
+	off           []uint32
+	pos           int
+	keys          []TermID // nil when the arena has none, or its section failed its shape
+	keyPos        int
+}
+
+// run returns the arena's first failing index as a fault. A key-column
+// failure ranks after every arena, so the pass goes on checking the
+// arena alone after one, and an arena failure found later outranks it.
+func (c arenaCheck) run(nIRIs int) fault {
 	bound := TermID(nIRIs)
-	for i, t := range ts {
-		if t[0] >= bound || t[1] >= bound || t[2] >= bound {
-			return fmt.Errorf("section %v: triple %d holds term ID outside the dictionary (IDs %d/%d/%d, bound %d)",
-				k, i, t[0], t[1], t[2], nIRIs)
-		}
+	outside := func(i int, t IDTriple) fault {
+		return fault{secRank(c.kind), fmt.Errorf("section %v: triple %d holds term ID outside the dictionary (IDs %d/%d/%d, bound %d)",
+			c.kind, i, t[0], t[1], t[2], nIRIs)}
 	}
-	return nil
-}
-
-// checkGrouped verifies the CSR grouping invariant: within the group
-// that off assigns to key id, every triple holds id at position pos.
-func checkGrouped(k secKey, arena []IDTriple, off []uint32, pos int) error {
-	for id := 0; id < len(off)-1; id++ {
-		for i := off[id]; i < off[id+1]; i++ {
-			if arena[i][pos] != TermID(id) {
-				return fmt.Errorf("section %v: triple at arena index %d is in the group of ID %d but holds ID %d at position %d",
-					k, i, id, arena[i][pos], pos)
+	if c.off == nil {
+		for i, t := range c.arena {
+			if max(t[0], t[1], t[2]) >= bound {
+				return outside(i, t)
+			}
+		}
+		return fault{}
+	}
+	var keyFault fault
+	keys := c.keys
+	for id := range len(c.off) - 1 {
+		lo, hi := int(c.off[id]), int(c.off[id+1])
+		for j, t := range c.arena[lo:hi] {
+			if max(t[0], t[1], t[2]) >= bound {
+				return outside(lo+j, t)
+			}
+			if t[c.pos] != TermID(id) {
+				return fault{secRank(c.kind), fmt.Errorf("section %v: triple at arena index %d is in the group of ID %d but holds ID %d at position %d",
+					c.kind, lo+j, id, t[c.pos], c.pos)}
+			}
+			if keys == nil {
+				continue
+			}
+			i := lo + j
+			if keys[i] != t[c.keyPos] {
+				keyFault = fault{secRank(c.keyKind), fmt.Errorf("section %v: key column diverges from its arena at index %d", c.keyKind, i)}
+				keys = nil
+			} else if j > 0 && keys[i] < keys[i-1] {
+				keyFault = fault{secRank(c.keyKind), fmt.Errorf("section %v: keys are unsorted inside the group of ID %d (index %d)", c.keyKind, id, i)}
+				keys = nil
 			}
 		}
 	}
-	return nil
+	return keyFault
 }
 
-// checkKeys verifies a secondary key column: each entry mirrors the
-// arena's secondary position, and keys are sorted within each group —
-// the precondition of the galloping range search.
-func checkKeys(k secKey, keys []TermID, arena []IDTriple, off []uint32, pos int) error {
-	for i := range keys {
-		if keys[i] != arena[i][pos] {
-			return fmt.Errorf("section %v: key column diverges from its arena at index %d", k, i)
-		}
-	}
-	for id := 0; id < len(off)-1; id++ {
-		for i := off[id] + 1; i < off[id+1]; i++ {
-			if keys[i] < keys[i-1] {
-				return fmt.Errorf("section %v: keys are unsorted inside the group of ID %d (index %d)", k, id, i)
-			}
-		}
-	}
-	return nil
+// task wraps the pass as a pool task.
+func (c arenaCheck) task(nIRIs int) task {
+	return task{cost: 12*len(c.arena) + 4*len(c.keys), run: func() fault { return c.run(nIRIs) }}
 }
 
 // membSize is the deterministic membership-table size buildMembership
@@ -425,12 +525,24 @@ func checkMembership(k secKey, memb []uint32, n int) error {
 	return nil
 }
 
-// loadView reconstructs and validates the frozen CSR view over the
-// graph's triples all.
-func loadView(secs map[secKey][]byte, nIRIs int, all []IDTriple) (*frozenView, error) {
-	n := len(all)
-	v := &frozenView{nIRIs: nIRIs, all: all}
+// loadSections casts the triples, the occurrence table and the frozen
+// view's sections over the buffer, checking element counts and the CSR
+// offsets in report order, and returns the tasks that verify the
+// sections' contents. The first section to fail a cast stops the rest
+// and comes back as a fault, with the tasks of the sections before it,
+// which outrank it.
+func loadSections(secs map[secKey][]byte, nIRIs, n int) (*frozenView, []int32, []task, fault) {
+	all, err := secAs[IDTriple](secs, secTriples, n)
+	if err != nil {
+		return nil, nil, nil, fault{secRank(secTriples), err}
+	}
+	tasks := []task{arenaCheck{kind: secTriples, arena: all}.task(nIRIs)}
+	occ, err := secAs[int32](secs, secOcc, nIRIs)
+	if err != nil {
+		return nil, nil, tasks, fault{secRank(secOcc), err}
+	}
 
+	v := &frozenView{nIRIs: nIRIs, all: all}
 	offSpecs := []struct {
 		kind secKey
 		dst  *[]uint32
@@ -438,74 +550,72 @@ func loadView(secs map[secKey][]byte, nIRIs int, all []IDTriple) (*frozenView, e
 	for _, sp := range offSpecs {
 		k := sp.kind
 		off, err := secAs[uint32](secs, k, nIRIs+1)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = checkOffsets(k, off, uint32(n))
 		}
-		if err := checkOffsets(k, off, uint32(n)); err != nil {
-			return nil, err
+		if err != nil {
+			return nil, nil, tasks, fault{secRank(k), err}
 		}
 		*sp.dst = off
 	}
 
-	arenaSpecs := []struct {
-		kind secKey
-		dst  *[]IDTriple
-		off  []uint32
-		pos  int
-	}{
-		{secArenaS, &v.arenaS, v.offS, 0}, {secArenaP, &v.arenaP, v.offP, 1}, {secArenaO, &v.arenaO, v.offO, 2},
-		{secArenaSP, &v.arenaSP, v.offS, 0}, {secArenaPS, &v.arenaPS, v.offP, 1},
-		{secArenaPO, &v.arenaPO, v.offP, 1}, {secArenaOP, &v.arenaOP, v.offO, 2},
-		{secArenaSO, &v.arenaSO, v.offS, 0}, {secArenaOS, &v.arenaOS, v.offO, 2},
+	arenas := []arenaCheck{
+		{kind: secArenaS, off: v.offS, pos: 0}, {kind: secArenaP, off: v.offP, pos: 1}, {kind: secArenaO, off: v.offO, pos: 2},
+		{kind: secArenaSP, off: v.offS, pos: 0, keyKind: secKeySP, keyPos: 1},
+		{kind: secArenaPS, off: v.offP, pos: 1, keyKind: secKeyPS, keyPos: 0},
+		{kind: secArenaPO, off: v.offP, pos: 1, keyKind: secKeyPO, keyPos: 2},
+		{kind: secArenaOP, off: v.offO, pos: 2, keyKind: secKeyOP, keyPos: 1},
+		{kind: secArenaSO, off: v.offS, pos: 0, keyKind: secKeySO, keyPos: 2},
+		{kind: secArenaOS, off: v.offO, pos: 2, keyKind: secKeyOS, keyPos: 0},
 	}
-	for _, sp := range arenaSpecs {
-		k := sp.kind
-		arena, err := secAs[IDTriple](secs, k, n)
-		if err != nil {
-			return nil, err
+	// Sections are cast in report order: the nine arenas, then the six
+	// key columns. An arena cast before a failure keeps its task, with
+	// the key column if that was cast too.
+	var f fault
+	cast := 0
+	for ; cast < len(arenas); cast++ {
+		a := &arenas[cast]
+		if a.arena, err = secAs[IDTriple](secs, a.kind, n); err != nil {
+			f = fault{secRank(a.kind), err}
+			break
 		}
-		if err := checkTriples(k, arena, nIRIs); err != nil {
-			return nil, err
-		}
-		if err := checkGrouped(k, arena, sp.off, sp.pos); err != nil {
-			return nil, err
-		}
-		*sp.dst = arena
 	}
-
-	keySpecs := []struct {
-		kind  secKey
-		dst   *[]TermID
-		arena []IDTriple
-		off   []uint32
-		pos   int
-	}{
-		{secKeySP, &v.keySP, v.arenaSP, v.offS, 1}, {secKeyPS, &v.keyPS, v.arenaPS, v.offP, 0},
-		{secKeyPO, &v.keyPO, v.arenaPO, v.offP, 2}, {secKeyOP, &v.keyOP, v.arenaOP, v.offO, 1},
-		{secKeySO, &v.keySO, v.arenaSO, v.offS, 2}, {secKeyOS, &v.keyOS, v.arenaOS, v.offO, 0},
-	}
-	for _, sp := range keySpecs {
-		k := sp.kind
-		keys, err := secAs[TermID](secs, k, n)
-		if err != nil {
-			return nil, err
+	for i := range arenas {
+		a := &arenas[i]
+		if f.err != nil {
+			break
 		}
-		if err := checkKeys(k, keys, sp.arena, sp.off, sp.pos); err != nil {
-			return nil, err
+		if a.keyKind == 0 {
+			continue
 		}
-		*sp.dst = keys
+		if a.keys, err = secAs[TermID](secs, a.keyKind, n); err != nil {
+			f = fault{secRank(a.keyKind), err}
+		}
 	}
-
-	k := secMemb
-	memb, err := secAs[uint32](secs, k, membSize(n))
+	for _, a := range arenas[:cast] {
+		tasks = append(tasks, a.task(nIRIs))
+	}
+	if f.err != nil {
+		return nil, nil, tasks, f
+	}
+	memb, err := secAs[uint32](secs, secMemb, membSize(n))
 	if err != nil {
-		return nil, err
+		return nil, nil, tasks, fault{secRank(secMemb), err}
 	}
-	if err := checkMembership(k, memb, n); err != nil {
-		return nil, err
-	}
+	tasks = append(tasks, task{cost: 4 * len(memb), run: func() fault {
+		if err := checkMembership(secMemb, memb, n); err != nil {
+			return fault{secRank(secMemb), err}
+		}
+		return fault{}
+	}})
+
+	v.arenaS, v.arenaP, v.arenaO = arenas[0].arena, arenas[1].arena, arenas[2].arena
+	v.arenaSP, v.arenaPS, v.arenaPO = arenas[3].arena, arenas[4].arena, arenas[5].arena
+	v.arenaOP, v.arenaSO, v.arenaOS = arenas[6].arena, arenas[7].arena, arenas[8].arena
+	v.keySP, v.keyPS, v.keyPO = arenas[3].keys, arenas[4].keys, arenas[5].keys
+	v.keyOP, v.keySO, v.keyOS = arenas[6].keys, arenas[7].keys, arenas[8].keys
 	v.memb = memb
-	return v, nil
+	return v, occ, tasks, fault{}
 }
 
 // loadDict reconstructs the dictionary over the blob zero-copy: each
@@ -544,10 +654,12 @@ func loadDict(secs map[secKey][]byte, nIRIs int) (*Dict, error) {
 		if l := int(offs[i+1] - offs[i]); l > 0 {
 			s = unsafe.String(&blob[offs[i]], l)
 		}
-		if prev, dup := d.iriID[s]; dup {
-			return nil, fmt.Errorf("section %v: duplicate IRI %q (IDs %d and %d)", kb, s, prev, i)
-		}
+		// One map operation per IRI: a duplicate shows as a map that
+		// did not grow, and the scan for its first ID runs only then.
 		d.iriID[s] = TermID(i)
+		if len(d.iriID) != i+1 {
+			return nil, fmt.Errorf("section %v: duplicate IRI %q (IDs %d and %d)", kb, s, slices.Index(d.iris[:i], s), i)
+		}
 		d.iris[i] = s
 	}
 	return d, nil
@@ -555,7 +667,10 @@ func loadDict(secs map[secKey][]byte, nIRIs int) (*Dict, error) {
 
 // parseImage validates and reconstructs a sealed graph from one
 // contiguous snapshot image. See the file comment for the validation
-// battery; data is assumed hostile throughout.
+// battery; data is assumed hostile throughout. The header and the
+// table are checked in order; every check that reads the payload runs
+// as a task on the pool of runTasks, and the image's error is the
+// first of all their faults in report order (crcRank, secRank).
 func parseImage(data []byte) (*Graph, snapHeader, error) {
 	h, err := decodeHeader(data)
 	if err != nil {
@@ -571,38 +686,36 @@ func parseImage(data []byte) (*Graph, snapHeader, error) {
 	if h.fileSize != uint64(len(data)) {
 		return nil, h, fmt.Errorf("file is %d bytes but the header declares %d: truncated or padded image", len(data), h.fileSize)
 	}
-	secs, err := parseTable(data, h)
+	secs, crcs, err := parseTable(data, h)
 	if err != nil {
 		return nil, h, err
 	}
-	nIRIs, nTriples := int(h.nIRIs), int(h.nTriples)
+	nIRIs := int(h.nIRIs)
+	v, occ, checks, first := loadSections(secs, nIRIs, int(h.nTriples))
 
-	dict, err := loadDict(secs, nIRIs)
-	if err != nil {
-		return nil, h, err
+	// The dictionary's map build takes longer than any other task, for
+	// far fewer bytes: it goes first, the rest largest first.
+	var dict *Dict
+	tasks := append(crcs, checks...)
+	slices.SortStableFunc(tasks, func(a, b task) int { return b.cost - a.cost })
+	tasks = append([]task{{run: func() fault {
+		var err error
+		if dict, err = loadDict(secs, nIRIs); err != nil {
+			return fault{secRank(secDictOffs), err}
+		}
+		return fault{}
+	}}}, tasks...)
+	if f := runTasks(tasks); f.precedes(first) {
+		first = f
 	}
-	kAll := secTriples
-	all, err := secAs[IDTriple](secs, kAll, nTriples)
-	if err != nil {
-		return nil, h, err
-	}
-	if err := checkTriples(kAll, all, nIRIs); err != nil {
-		return nil, h, err
-	}
-	kOcc := secOcc
-	occ, err := secAs[int32](secs, kOcc, nIRIs)
-	if err != nil {
-		return nil, h, err
+	if first.err != nil {
+		return nil, h, first.err
 	}
 	domSize := 0
 	for _, c := range occ {
 		if c > 0 {
 			domSize++
 		}
-	}
-	v, err := loadView(secs, nIRIs, all)
-	if err != nil {
-		return nil, h, err
 	}
 	return &Graph{dict: dict, occ: occ, domSize: domSize, frz: v}, h, nil
 }
