@@ -176,8 +176,8 @@ func decide(ctx context.Context, q *wdsparql.PreparedQuery, g *rdf.Graph, mu rdf
 			if ask.PebbleK > 0 {
 				label = fmt.Sprintf("pebble(k=%d)", ask.PebbleK)
 			}
-			fmt.Fprintf(os.Stderr, "%s: extension-tests=%d budget-exhaustions=%d pebble-fallbacks=%d assignments=%d",
-				label, c.ExtensionTests, c.BudgetExhaustions, c.PebbleFallbacks, c.PebbleAssignments)
+			fmt.Fprintf(os.Stderr, "%s: extension-tests=%d budget-exhaustions=%d pebble-fallbacks=%d search-probes=%d assignments=%d",
+				label, c.ExtensionTests, c.BudgetExhaustions, c.PebbleFallbacks, c.SearchProbes, c.PebbleAssignments)
 			if ask.Width > 0 {
 				fmt.Fprintf(os.Stderr, " dw=%d", ask.Width)
 			}

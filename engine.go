@@ -67,7 +67,7 @@ type Option func(*Engine)
 
 // WithAlgorithm overrides the wdEVAL decision algorithm used by Ask.
 // The default, AlgAuto, is exact and width-aware: every extension test
-// runs the homomorphism search under a node budget and falls back to
+// runs the homomorphism search under a probe budget and falls back to
 // the (dw(P)+1)-pebble game when the budget runs out. AlgNaive forces
 // the Lemma 1 algorithm literally (unbudgeted homomorphism tests,
 // exponential in the worst case); AlgPebble forces Theorem 1's
@@ -575,14 +575,14 @@ func (q *PreparedQuery) All(ctx context.Context, opts ...ExecOption) (*MappingSe
 // cheapest first) is built on the first call and cached; it runs the
 // node programs the query's enumeration runs, compiled once at
 // Prepare. By default every extension test is an exact homomorphism
-// search under a node budget — the size of the pebble game it would
+// search under a probe budget — the size of the pebble game it would
 // fall back to — and only a test that exhausts it is decided by the
 // (dw(P)+1)-pebble game, which Theorem 1 makes complete; dw(P) is
 // computed at that moment, once. WithAlgorithm(AlgNaive|AlgPebble)
 // force either algorithm literally; an AlgPebble test beyond what the
 // pebble kernel represents (more than 64 free variables) is an error,
 // where the default stays on the homomorphism search. Cancellation is
-// polled between trees, every 1024 nodes of a search and between
+// polled between trees, every 1024 probe units of a search and between
 // the sweeps of a pebble closure.
 //
 // Queries carrying a FILTER or a SELECT projection fall back to a

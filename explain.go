@@ -69,7 +69,9 @@ type QueryPlan struct {
 
 // AskCounters are the decision loop's counters: extension tests run,
 // homomorphism searches stopped by their budget, tests then decided by
-// the pebble game, and partial assignments pebble closures enumerated.
+// the pebble game, and the two sides of that mixture in index probes —
+// the units the searches spent and the partial assignments pebble
+// closures enumerated.
 type AskCounters = core.EvalStats
 
 // AskPlan is the ask section of a QueryPlan: the algorithm, what it

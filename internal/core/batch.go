@@ -84,7 +84,7 @@ type childTest struct {
 
 	// The decision loop's counters, kept where the work happens; see
 	// EvalStats for their meaning.
-	runs, exhaustions, fallbacks, assignments atomic.Int64
+	runs, exhaustions, fallbacks, probes, assignments atomic.Int64
 }
 
 // EvalStats counts the work of the decision loop, per extension test or
@@ -97,8 +97,12 @@ type EvalStats struct {
 	// difference re-ran under the larger budget of a width above 1).
 	BudgetExhaustions int64 `json:"budget_exhaustions"`
 	PebbleFallbacks   int64 `json:"pebble_fallbacks"`
-	// PebbleAssignments accumulates the partial assignments enumerated
-	// by pebble closures.
+	// SearchProbes accumulates the probe units homomorphism searches
+	// spent (hom.RowSearcher.Exists: one per search node, one per
+	// selection count), and PebbleAssignments the partial assignments
+	// pebble closures enumerated: the two sides of the mixture, each in
+	// its own index-probe currency.
+	SearchProbes      int64 `json:"search_probes"`
 	PebbleAssignments int64 `json:"pebble_assignments"`
 }
 
@@ -107,6 +111,7 @@ func (s *EvalStats) Add(o EvalStats) {
 	s.ExtensionTests += o.ExtensionTests
 	s.BudgetExhaustions += o.BudgetExhaustions
 	s.PebbleFallbacks += o.PebbleFallbacks
+	s.SearchProbes += o.SearchProbes
 	s.PebbleAssignments += o.PebbleAssignments
 }
 
@@ -294,17 +299,17 @@ func (tp *treePlan) holds(row rdf.Row) bool {
 
 // extends decides one extension test with the evaluator's algorithm.
 //
-// AlgAuto runs the exact search under a node budget equal to the size
+// AlgAuto runs the exact search under a probe budget equal to the size
 // of the closure table the pebble game would build for this µ
-// (Game.Cells): a search node costs a handful of index probes and a
-// table cell one probe plus its share of the closure, so the search
-// gets a small constant times the work of its fallback and a test never
-// costs much more than the cheaper of the two. On a large graph the
-// table is huge and the search simply runs to its end. Mixing is
-// correct: search verdicts are exact, a lost game always means "no
-// extension", and the tests the mixture passes are a subset of those
-// the all-pebble algorithm passes, so Theorem 1's completeness for
-// dw(F) ≤ k carries over.
+// (Game.Cells): the search books one unit per node (its candidate
+// lookup) and one per selection count, a table cell costs one
+// membership probe, so the search gets about its fallback's cells and
+// a test the search cannot finish costs about twice its game. On a
+// large graph the table is huge and the search simply runs to its end.
+// Mixing is correct: search verdicts are exact, a lost game always
+// means "no extension", and the tests the mixture passes are a subset
+// of those the all-pebble algorithm passes, so Theorem 1's
+// completeness for dw(F) ≤ k carries over.
 func (e *Evaluator) extends(ctx context.Context, t *childTest, row rdf.Row) (bool, error) {
 	switch {
 	case e.alg == AlgPebble:
@@ -373,15 +378,16 @@ func (t *childTest) play(ctx context.Context, k int, row rdf.Row) (bool, error) 
 	return c.Win, err
 }
 
-// search decides the test by homomorphism search under a node budget
+// search decides the test by homomorphism search under a probe budget
 // (≤ 0: unlimited).
 func (t *childTest) search(ctx context.Context, row rdf.Row, budget int64) (bool, error) {
 	s, _ := t.searchers.Get().(*hom.RowSearcher)
 	if s == nil {
 		s = t.node.prog.NewSearcher()
 	}
-	found, _, err := s.Exists(ctx, row, budget)
+	found, spent, err := s.Exists(ctx, row, budget)
 	t.searchers.Put(s)
+	t.probes.Add(spent)
 	return found, err
 }
 

@@ -119,19 +119,14 @@ func TestEvalAllE3Acceptance(t *testing.T) {
 // first, without touching the clique.
 func TestEvaluatorCountersAndWidth(t *testing.T) {
 	f, mu := gen.Fk(4), gen.FkMu()
-	total := func(e *core.Evaluator) (st core.EvalStats) {
-		for _, ti := range e.Tests() {
-			st.Add(ti.Stats)
-		}
-		return st
-	}
 	member := gen.FkData(4, 24, false, false)
 	naive := newEvaluator(core.AlgNaive, 0, f, member)
 	if !naive.Eval(mu) {
 		t.Fatal("naive rejects the member")
 	}
-	if st := total(naive); st != (core.EvalStats{ExtensionTests: 2}) || naive.Width() != 0 {
-		t.Fatalf("naive: %+v, width %d", st, naive.Width())
+	naiveSt := evalTotals(naive)
+	if naiveSt != (core.EvalStats{ExtensionTests: 2, SearchProbes: naiveSt.SearchProbes}) || naive.Width() != 0 {
+		t.Fatalf("naive: %+v, width %d", naiveSt, naive.Width())
 	}
 	auto := newEvaluator(core.AlgAuto, 0, f, member)
 	if auto.Width() != 0 {
@@ -142,9 +137,10 @@ func TestEvaluatorCountersAndWidth(t *testing.T) {
 	}
 	// T1 is rejected by the pebble game's win on the clique child, T2
 	// accepts: three tests, one exhaustion, one fallback.
-	if st := total(auto); st.ExtensionTests != 3 || st.BudgetExhaustions != 1 || st.PebbleFallbacks != 1 ||
-		st.PebbleAssignments == 0 || auto.Width() != 1 {
-		t.Fatalf("auto: %+v, width %d", st, auto.Width())
+	// Its search stopped at the budget, short of the naive refutation.
+	if st := evalTotals(auto); st.ExtensionTests != 3 || st.BudgetExhaustions != 1 || st.PebbleFallbacks != 1 ||
+		st.PebbleAssignments == 0 || st.SearchProbes == 0 || st.SearchProbes >= naiveSt.SearchProbes || auto.Width() != 1 {
+		t.Fatalf("auto: %+v, width %d (naive searches spent %d)", st, auto.Width(), naiveSt.SearchProbes)
 	}
 	if tests := auto.Tests(); tests[0].FreeVars != 1 || tests[1].FreeVars != 4 || tests[1].Stats.PebbleFallbacks != 1 {
 		t.Fatalf("T1's tests should run one-triple child first, clique second: %+v", tests)
@@ -153,8 +149,12 @@ func TestEvaluatorCountersAndWidth(t *testing.T) {
 	if reject.Eval(mu) {
 		t.Fatal("auto accepts the nonmember")
 	}
-	if st := total(reject); st != (core.EvalStats{ExtensionTests: 2}) {
+	if st := evalTotals(reject); st != (core.EvalStats{ExtensionTests: 2, SearchProbes: st.SearchProbes}) {
 		t.Fatalf("nonmember: %+v, want one test per tree", st)
+	}
+	// T1's one-triple child is one search node walked without a count.
+	if st := reject.Tests()[0].Stats; st != (core.EvalStats{ExtensionTests: 1, SearchProbes: 1}) {
+		t.Fatalf("nonmember, T1's first test: %+v, want one test at one probe unit", st)
 	}
 }
 

@@ -83,7 +83,7 @@ const (
 	// definitive) and complete whenever dw(F) ≤ k.
 	AlgPebble
 	// AlgAuto is the width-aware algorithm: homomorphism tests under a
-	// node budget, with the (dw(F)+1)-pebble game as the fallback. Exact
+	// probe budget, with the (dw(F)+1)-pebble game as the fallback. Exact
 	// for every forest, like AlgNaive.
 	AlgAuto
 )

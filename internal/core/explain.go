@@ -94,7 +94,13 @@ func (e *Evaluator) Tests() []TestInfo {
 		for i, tp := range p.trees {
 			for _, t := range tp.tests {
 				ti := TestInfo{Plan: pi, Dom: p.vars, Tree: i, Child: t.node.node.Pattern, FreeVars: t.node.free,
-					Stats: EvalStats{t.runs.Load(), t.exhaustions.Load(), t.fallbacks.Load(), t.assignments.Load()}}
+					Stats: EvalStats{
+						ExtensionTests:    t.runs.Load(),
+						BudgetExhaustions: t.exhaustions.Load(),
+						PebbleFallbacks:   t.fallbacks.Load(),
+						SearchProbes:      t.probes.Load(),
+						PebbleAssignments: t.assignments.Load(),
+					}}
 				if e.alg != AlgNaive { // naive plans skip the game; another view may be compiling it
 					ti.NoGame = t.node.gameErr
 				}

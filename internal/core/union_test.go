@@ -179,6 +179,21 @@ func TestMembershipDedupTargeted(t *testing.T) {
 			if n := len(windowStream(fp, 1, 0, -1)); n != c.rows {
 				t.Fatalf("%s: %d rows, want %d", label, n, c.rows)
 			}
+			// Every child here is one pattern, which the search walks
+			// without a count probe: one unit per search, far inside
+			// any budget.
+			tests := 0
+			for _, v := range core.MembershipViews(fp) {
+				for _, ti := range v.Tests() {
+					if st := ti.Stats; st.BudgetExhaustions != 0 || st.SearchProbes != st.ExtensionTests {
+						t.Fatalf("%s: membership test %v: %+v, want one probe unit per search and no exhaustion", label, ti.Child, st)
+					}
+					tests++
+				}
+			}
+			if tests == 0 && f[0].Size() > 1 {
+				t.Fatalf("%s: no membership test ran", label)
+			}
 		}
 	}
 }

@@ -122,8 +122,13 @@ func (s *RowSearcher) Tune(mode SearchMode, slack int, stats *SearchStats) {
 }
 
 // countOf renders pattern i under the current row and returns its
-// match count, memoized on the substituted pattern.
+// match count, memoized on the substituted pattern. Under an Exists
+// limiter every call books one unit, memo hit or not; a refused unit
+// reads as a zero count, and rec then reports the limiter's stop.
 func (s *RowSearcher) countOf(i int) (int, rdf.IDTriple) {
+	if s.lim != nil && !s.lim.spend() {
+		return 0, rdf.IDTriple{}
+	}
 	p := s.substituteRow(i)
 	if !s.noMemo {
 		if m := &s.memo[i]; m.ok && m.pat == p {

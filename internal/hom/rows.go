@@ -143,7 +143,7 @@ type RowSearcher struct {
 
 	// Work limit of the current Exists call (pointing at limBuf); nil
 	// during a plain Run, so the enumeration paths pay one nil check per
-	// search node.
+	// search node and selection count.
 	lim    *limiter
 	limBuf limiter
 
@@ -153,30 +153,34 @@ type RowSearcher struct {
 }
 
 // ErrBudget is returned by RowSearcher.Exists when the search spent
-// its node budget without reaching a verdict.
+// its probe budget without reaching a verdict.
 var ErrBudget = errors.New("hom: search budget exhausted")
 
-// limiter meters one Exists call in search nodes.
+// limiter meters one Exists call in index probes, the unit of the
+// pebble game's table: one per search node (its candidate lookup) and
+// one per selection count the node evaluates (countOf, memo hit or
+// not). The spend is thus a function of the program and the row alone,
+// never of what a pooled searcher's memo remembers.
 type limiter struct {
 	ctx    context.Context
 	budget int64 // ≤ 0: unlimited
-	nodes  int64
+	spent  int64
 	err    error
 }
 
-// pollEvery is the work between two context polls: search nodes under
+// pollEvery is the work between two context polls: probe units under
 // an Exists limiter, candidates under Watch (a power of two, so that
 // poll is a mask test).
 const pollEvery = 1024
 
-// node books one search node; false stops the search with l.err set.
-func (l *limiter) node() bool {
-	l.nodes++
-	if l.budget > 0 && l.nodes > l.budget {
+// spend books one unit; false stops the search with l.err set.
+func (l *limiter) spend() bool {
+	l.spent++
+	if l.budget > 0 && l.spent > l.budget {
 		l.err = ErrBudget
 		return false
 	}
-	if l.nodes%pollEvery == 0 {
+	if l.spent%pollEvery == 0 {
 		l.err = l.ctx.Err()
 	}
 	return l.err == nil
@@ -184,12 +188,13 @@ func (l *limiter) node() bool {
 
 // Exists reports whether some homomorphism of the program's patterns
 // extends the partial row assign — the paper's (S, dom(µ)) →µ G with µ
-// held by the row — expanding at most budget search nodes (≤ 0:
-// unlimited) and polling ctx every pollEvery nodes. nodes is what the
-// search expanded. err is nil on a verdict, ErrBudget when the budget
-// ran out first, and ctx.Err() when the context ended the search; found
-// is meaningful only when err is nil. assign is restored on return.
-func (s *RowSearcher) Exists(ctx context.Context, assign rdf.Row, budget int64) (found bool, nodes int64, err error) {
+// held by the row — spending at most budget probe units (≤ 0:
+// unlimited; see limiter) and polling ctx every pollEvery units. spent
+// is what the search booked, the refused unit included. err is nil on
+// a verdict, ErrBudget when the budget ran out first, and ctx.Err()
+// when the context ended the search; found is meaningful only when err
+// is nil. assign is restored on return.
+func (s *RowSearcher) Exists(ctx context.Context, assign rdf.Row, budget int64) (found bool, spent int64, err error) {
 	s.limBuf = limiter{ctx: ctx, budget: budget}
 	s.lim = &s.limBuf
 	s.Run(assign, func() bool {
@@ -197,7 +202,7 @@ func (s *RowSearcher) Exists(ctx context.Context, assign rdf.Row, budget int64) 
 		return false
 	})
 	s.lim = nil
-	return found, s.limBuf.nodes, s.limBuf.err
+	return found, s.limBuf.spent, s.limBuf.err
 }
 
 // Holds reports whether every pattern of the program is in the graph
@@ -316,7 +321,7 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	if s.stats != nil {
 		s.stats.Nodes++
 	}
-	if s.lim != nil && !s.lim.node() {
+	if s.lim != nil && !s.lim.spend() {
 		return false
 	}
 	var best int
@@ -327,7 +332,8 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	} else {
 		var dead bool
 		if best, bestPat, dead = s.pickPattern(); dead {
-			return true // dead branch
+			// A dead branch, or a selection count the limiter refused.
+			return s.lim == nil || s.lim.err == nil
 		}
 	}
 	s.done[best] = true

@@ -211,44 +211,81 @@ func TestExistsAndHoldsAgreeWithStringAPI(t *testing.T) {
 	}
 }
 
-// A K_5 refutation in T(12, 4) takes thousands of nodes: a small budget
-// must stop it with ErrBudget after exactly that many, a cancelled
-// context within one polling interval, and no budget must let it finish.
-func TestExistsBudgetAndCancellation(t *testing.T) {
+// cliqueInTuran returns a searcher refuting K_k in the Turán graph
+// T(n, k−1) and the empty row it starts from: a refutation whose search
+// nodes each evaluate several selection counts.
+func cliqueInTuran(k, n int) (*RowSearcher, rdf.Row) {
 	g := rdf.NewGraph()
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			if i%4 != j%4 {
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i%(k-1) != j%(k-1) {
 				g.AddTriple(fmt.Sprintf("n%d", i), "r", fmt.Sprintf("n%d", j))
 			}
 		}
 	}
 	var pats []rdf.Triple
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
 			pats = append(pats, rdf.T(rdf.Var(fmt.Sprintf("o%d", i)), rdf.IRI("r"), rdf.Var(fmt.Sprintf("o%d", j))))
 		}
 	}
 	layout := rdf.NewSlotLayout()
-	s := CompileRowProgram(pats, g, layout).NewSearcher()
-	row := layout.NewRow()
-	found, total, err := s.Exists(context.Background(), row, 0)
-	if found || err != nil || total < 2*pollEvery {
-		t.Fatalf("unbounded: found=%v nodes=%d err=%v; want a refutation over %d nodes", found, total, err, 2*pollEvery)
+	return CompileRowProgram(pats, g, layout).NewSearcher(), layout.NewRow()
+}
+
+// Exists spends one unit per search node and one per selection count
+// evaluated, memo hit or not: a budget equal to the unbudgeted spend
+// finishes the refutation, one unit less stops it with ErrBudget at the
+// refused unit, and a cancelled context stops it at the first poll,
+// pollEvery units in. K_5 in T(12, 4) takes thousands of units.
+func TestExistsBudgetAndCancellation(t *testing.T) {
+	s, row := cliqueInTuran(5, 12)
+	var st SearchStats
+	s.Tune(ModeHeuristic, 0, &st)
+	found, need, err := s.Exists(context.Background(), row, 0)
+	if found || err != nil || need < 2*pollEvery {
+		t.Fatalf("unbounded: found=%v spent=%d err=%v; want a refutation over %d units", found, need, err, 2*pollEvery)
 	}
-	if _, nodes, err := s.Exists(context.Background(), row, 100); !errors.Is(err, ErrBudget) || nodes != 101 {
-		t.Fatalf("budget 100: nodes=%d err=%v; want ErrBudget at the 101st node", nodes, err)
+	if units := st.Nodes + st.CountProbes + st.MemoHits; need != units || st.MemoHits == 0 {
+		t.Fatalf("spent %d; want nodes+counts = %d+%d+%d (with memo hits)", need, st.Nodes, st.CountProbes, st.MemoHits)
 	}
-	if found, nodes, err := s.Exists(context.Background(), row, total); found || err != nil || nodes != total {
-		t.Fatalf("budget = need: found=%v nodes=%d err=%v; want the refutation", found, nodes, err)
+	s.Tune(ModeHeuristic, 0, nil)
+	if found, spent, err := s.Exists(context.Background(), row, need); found || err != nil || spent != need {
+		t.Fatalf("budget = need: found=%v spent=%d err=%v; want the refutation", found, spent, err)
+	}
+	if _, spent, err := s.Exists(context.Background(), row, need-1); !errors.Is(err, ErrBudget) || spent != need {
+		t.Fatalf("budget = need-1: spent=%d err=%v; want ErrBudget at unit %d", spent, err, need)
+	}
+	if _, spent, err := s.Exists(context.Background(), row, 100); !errors.Is(err, ErrBudget) || spent != 101 {
+		t.Fatalf("budget 100: spent=%d err=%v; want ErrBudget at the 101st unit", spent, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, nodes, err := s.Exists(ctx, row, 0); !errors.Is(err, context.Canceled) || nodes != pollEvery {
-		t.Fatalf("cancelled: nodes=%d err=%v; want context.Canceled at the first poll", nodes, err)
+	if _, spent, err := s.Exists(ctx, row, 0); !errors.Is(err, context.Canceled) || spent != pollEvery {
+		t.Fatalf("cancelled: spent=%d err=%v; want context.Canceled at the first poll", spent, err)
 	}
 	// A plain Run after a limited search is unlimited again.
 	if !s.Run(row, func() bool { return true }) {
 		t.Fatal("Run after Exists must run to exhaustion")
+	}
+}
+
+// The spend is a function of the program and the row alone: a fresh
+// searcher and one whose memo is full of another row's counts return
+// identical (found, spent, err) at every budget up to the need.
+func TestExistsSpendIsDeterministic(t *testing.T) {
+	fresh, row := cliqueInTuran(4, 6)
+	_, need, _ := fresh.Exists(context.Background(), row, 0)
+	warm := fresh.prog.NewSearcher()
+	other := row.Clone()
+	other[0], _ = fresh.prog.g.Dict().LookupIRI("n1")
+	warm.Exists(context.Background(), row, 0)
+	warm.Exists(context.Background(), other, 0)
+	for budget := int64(1); budget <= need; budget++ {
+		f1, s1, e1 := fresh.prog.NewSearcher().Exists(context.Background(), row, budget)
+		f2, s2, e2 := warm.Exists(context.Background(), row, budget)
+		if f1 != f2 || s1 != s2 || e1 != e2 {
+			t.Fatalf("budget %d: fresh (%v, %d, %v), warmed (%v, %d, %v)", budget, f1, s1, e1, f2, s2, e2)
+		}
 	}
 }

@@ -182,13 +182,14 @@ func ThawTerm(t rdf.Term) rdf.Term {
 // becomes a frozen-variable IRI and every IRI a frozen-IRI IRI. This
 // is the canonical reduction of t-graph homomorphism to RDF-graph
 // homomorphism, and also the paper's Section 4.2 trick of "freezing
-// the variables of B, which now become IRIs".
+// the variables of B, which now become IRIs". The graph is bulk-loaded
+// sealed: a target is searched, never grown.
 func Freeze(s TGraph) *rdf.Graph {
-	g := rdf.NewGraph()
-	for _, t := range s {
-		g.Add(rdf.T(FreezeTerm(t.S), FreezeTerm(t.P), FreezeTerm(t.O)))
+	ts := make([]rdf.Triple, len(s))
+	for i, t := range s {
+		ts[i] = rdf.T(FreezeTerm(t.S), FreezeTerm(t.P), FreezeTerm(t.O))
 	}
-	return g
+	return rdf.GraphFromTriples(ts)
 }
 
 // freezeSource prepares the triples of a source generalised t-graph

@@ -2,7 +2,9 @@ package ptree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wdsparql/internal/hom"
@@ -236,9 +238,12 @@ func WitnessSubtree(t *Tree, vars []rdf.Term) (Subtree, bool) {
 // such that tree Ti has a subtree with the same variable set, together
 // with the witness subtrees T^sp(i).
 func Support(fs ForestSubtree) (indices []int, witnesses map[int]Subtree) {
-	vars := fs.Vars()
+	return support(fs.Forest, fs.Vars())
+}
+
+func support(f Forest, vars []rdf.Term) (indices []int, witnesses map[int]Subtree) {
 	witnesses = map[int]Subtree{}
-	for i, t := range fs.Forest {
+	for i, t := range f {
 		if w, ok := WitnessSubtree(t, vars); ok {
 			indices = append(indices, i)
 			witnesses[i] = w
@@ -265,18 +270,51 @@ func (ca ChildrenAssignment) Dom() []int {
 	return out
 }
 
+// caScope is what every children assignment of one forest subtree T
+// shares: pat(T) and vars(T), the support with its witnesses and their
+// source graphs (pat(T^sp(i)), vars(T)), and the names of vars(F),
+// which fresh variables avoid. GtG builds it once per subtree.
+type caScope struct {
+	base      hom.TGraph // pat(T)
+	x         []rdf.Term // vars(T)
+	keep      map[rdf.Term]bool
+	used      map[string]bool // names of vars(F)
+	indices   []int
+	witnesses map[int]Subtree
+	sources   map[int]hom.GTGraph
+}
+
+func newCAScope(fs ForestSubtree) *caScope {
+	base := fs.Subtree.Pattern()
+	sc := &caScope{base: base, x: base.Vars(), keep: map[rdf.Term]bool{}, used: map[string]bool{},
+		sources: map[int]hom.GTGraph{}}
+	for _, v := range sc.x {
+		sc.keep[v] = true
+	}
+	for _, v := range fs.Forest.Vars() {
+		sc.used[v.Value] = true
+	}
+	sc.indices, sc.witnesses = support(fs.Forest, sc.x)
+	for _, i := range sc.indices {
+		sc.sources[i] = hom.NewGTGraph(sc.witnesses[i].Pattern(), sc.x)
+	}
+	return sc
+}
+
 // EnumerateCA returns CA(T), the set of all children assignments of
-// the forest subtree. The support and witnesses are recomputed here;
-// callers doing repeated work should use the Analysis type below.
+// the forest subtree.
 func EnumerateCA(fs ForestSubtree) []ChildrenAssignment {
-	indices, witnesses := Support(fs)
+	return newCAScope(fs).assignments()
+}
+
+func (sc *caScope) assignments() []ChildrenAssignment {
 	type choice struct {
 		idx      int
 		children []*Node
 	}
 	var choices []choice
-	for _, i := range indices {
-		cs := witnesses[i].Children()
+	for _, i := range sc.indices {
+		cs := sc.witnesses[i].Children()
 		if len(cs) > 0 {
 			choices = append(choices, choice{idx: i, children: cs})
 		}
@@ -311,25 +349,19 @@ func EnumerateCA(fs ForestSubtree) []ChildrenAssignment {
 // where ρ_∆(i) renames the variables of pat(∆(i)) outside vars(T) to
 // fresh variables (distinct across different i).
 func SDelta(fs ForestSubtree, ca ChildrenAssignment) hom.TGraph {
-	base := fs.Subtree.Pattern()
-	keep := map[rdf.Term]bool{}
-	for _, v := range fs.Vars() {
-		keep[v] = true
-	}
-	used := map[string]bool{}
-	for _, v := range fs.Forest.Vars() {
-		used[v.Value] = true
-	}
-	all := append([]rdf.Triple{}, base...)
+	return newCAScope(fs).sDelta(ca)
+}
+
+func (sc *caScope) sDelta(ca ChildrenAssignment) hom.TGraph {
+	all := append([]rdf.Triple{}, sc.base...)
+	var fresh []string // the names this S_∆ has taken so far
 	for _, i := range ca.Dom() {
 		n := ca.Assign[i]
 		ren := map[rdf.Term]rdf.Term{}
 		for _, v := range n.Vars() {
-			if keep[v] {
-				continue
+			if !sc.keep[v] {
+				ren[v] = sc.freshVar(v.Value, i, &fresh)
 			}
-			fresh := freshVar(v.Value, i, used)
-			ren[v] = fresh
 		}
 		for _, t := range n.Pattern {
 			all = append(all, renameTriple(t, ren))
@@ -338,12 +370,14 @@ func SDelta(fs ForestSubtree, ca ChildrenAssignment) hom.TGraph {
 	return hom.NewTGraph(all...)
 }
 
-func freshVar(base string, i int, used map[string]bool) rdf.Term {
-	name := fmt.Sprintf("%s~%d", base, i)
-	for used[name] {
+// freshVar names base's copy for support index i: base~i, primed until
+// it clashes with no variable of F and no name this S_∆ already took.
+func (sc *caScope) freshVar(base string, i int, fresh *[]string) rdf.Term {
+	name := base + "~" + strconv.Itoa(i)
+	for sc.used[name] || slices.Contains(*fresh, name) {
 		name += "'"
 	}
-	used[name] = true
+	*fresh = append(*fresh, name)
 	return rdf.Var(name)
 }
 
@@ -361,16 +395,17 @@ func renameTriple(t rdf.Triple, ren map[rdf.Term]rdf.Term) rdf.Triple {
 // (pat(T^sp(i)), vars(T)) does not map homomorphically into
 // (S_∆, vars(T)).
 func IsValidCA(fs ForestSubtree, ca ChildrenAssignment) bool {
-	indices, witnesses := Support(fs)
-	sd := SDelta(fs, ca)
-	x := fs.Vars()
-	target := hom.NewGTGraph(sd, x)
-	for _, i := range indices {
+	sc := newCAScope(fs)
+	return sc.valid(ca, hom.NewGTGraph(sc.sDelta(ca), sc.x))
+}
+
+// valid is IsValidCA with target = (S_∆, vars(T)) already built.
+func (sc *caScope) valid(ca ChildrenAssignment, target hom.GTGraph) bool {
+	for _, i := range sc.indices {
 		if _, inDom := ca.Assign[i]; inDom {
 			continue
 		}
-		src := hom.NewGTGraph(witnesses[i].Pattern(), x)
-		if hom.Hom(src, target) {
+		if hom.Hom(sc.sources[i], target) {
 			return false
 		}
 	}
@@ -380,14 +415,14 @@ func IsValidCA(fs ForestSubtree, ca ChildrenAssignment) bool {
 // GtG returns the paper's GtG(T): the generalised t-graphs
 // (S_∆, vars(T)) over all valid children assignments ∆ ∈ VCA(T).
 func GtG(fs ForestSubtree) []hom.GTGraph {
-	x := fs.Vars()
+	sc := newCAScope(fs)
 	var out []hom.GTGraph
 	seen := map[string]bool{}
-	for _, ca := range EnumerateCA(fs) {
-		if !IsValidCA(fs, ca) {
+	for _, ca := range sc.assignments() {
+		g := hom.NewGTGraph(sc.sDelta(ca), sc.x)
+		if !sc.valid(ca, g) {
 			continue
 		}
-		g := hom.NewGTGraph(SDelta(fs, ca), x)
 		k := g.S.String()
 		if !seen[k] {
 			seen[k] = true
