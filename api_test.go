@@ -137,30 +137,6 @@ func TestPublicErrors(t *testing.T) {
 	}
 }
 
-func TestPublicCliqueReduction(t *testing.T) {
-	h := NewUGraph(4)
-	h.AddEdge(0, 1)
-	h.AddEdge(1, 2)
-	h.AddEdge(0, 2)
-	got, err := SolveCliqueViaReduction(3, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("triangle should be found")
-	}
-	h2 := NewUGraph(4)
-	h2.AddEdge(0, 1)
-	h2.AddEdge(1, 2)
-	got, err = SolveCliqueViaReduction(3, h2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got {
-		t.Fatal("no triangle in a path")
-	}
-}
-
 func TestPublicCertainVarsAndContainment(t *testing.T) {
 	p1 := MustParsePattern(`(?x p ?y)`)
 	p2 := MustParsePattern(`((?x p ?y) OPT (?y q ?z))`)

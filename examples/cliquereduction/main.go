@@ -25,7 +25,7 @@ func main() {
 	fmt.Println("k   |V(H)|  |E(H)|  |G|     clique-via-eval  direct  agree")
 	for _, k := range []int{2, 3} {
 		for _, n := range []int{5, 8, 11} {
-			h := wdsparql.NewUGraph(n)
+			h := graphalg.NewUGraph(n)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					if rng.Float64() < 0.45 {
@@ -57,7 +57,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("Anatomy of one instance (k=3, H = triangle plus pendant):")
-	h := wdsparql.NewUGraph(4)
+	h := graphalg.NewUGraph(4)
 	h.AddEdge(0, 1)
 	h.AddEdge(1, 2)
 	h.AddEdge(0, 2)

@@ -5,11 +5,14 @@ import (
 
 	"wdsparql/internal/core"
 	"wdsparql/internal/gen"
+	"wdsparql/internal/graphalg"
 	"wdsparql/internal/ptree"
+	"wdsparql/internal/reduction"
 )
 
 // End-to-end integration tests following the paper's own narrative,
-// exercised exclusively through public API plus the gen families.
+// exercised through the public API plus the gen families (and, for
+// Theorem 2, the reduction's instances).
 
 // Example 1 and Example 2 of the paper: P1 is well-designed, P2 is
 // not; P = P1 UNION (...) translates to the two-tree forest of
@@ -112,33 +115,34 @@ func TestPaperCorollary1Story(t *testing.T) {
 	}
 }
 
-// Theorem 2 end-to-end through the public API.
+// Theorem 2 end-to-end through the engine: the Section 4 reduction
+// compiles a p-CLIQUE instance (H, 3) into co-wdEVAL, and the engine's
+// Ask — the default and the natural algorithm — decides µ ∉ ⟦P⟧G
+// exactly when H has a triangle.
 func TestPaperTheorem2Story(t *testing.T) {
-	h := NewUGraph(5)
-	// 4-cycle plus chord: contains a triangle.
-	h.AddEdge(0, 1)
-	h.AddEdge(1, 2)
-	h.AddEdge(2, 3)
-	h.AddEdge(3, 0)
-	h.AddEdge(0, 2)
-	got, err := SolveCliqueViaReduction(3, h)
-	if err != nil {
-		t.Fatal(err)
+	fourCycle := func() *graphalg.UGraph {
+		h := graphalg.NewUGraph(5)
+		h.AddEdge(0, 1)
+		h.AddEdge(1, 2)
+		h.AddEdge(2, 3)
+		h.AddEdge(3, 0)
+		return h
 	}
-	if !got {
-		t.Fatal("triangle present")
-	}
-	// Remove the chord: 4-cycle is triangle-free.
-	h2 := NewUGraph(5)
-	h2.AddEdge(0, 1)
-	h2.AddEdge(1, 2)
-	h2.AddEdge(2, 3)
-	h2.AddEdge(3, 0)
-	got, err = SolveCliqueViaReduction(3, h2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got {
-		t.Fatal("4-cycle has no triangle")
+	chorded := fourCycle()
+	chorded.AddEdge(0, 2)
+	for _, c := range []struct {
+		name     string
+		h        *graphalg.UGraph
+		triangle bool
+	}{{"4-cycle with chord", chorded, true}, {"4-cycle", fourCycle(), false}} {
+		in, err := reduction.New(3, c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []Algorithm{AlgAuto, AlgNaive} {
+			if member := askWith(t, alg, 0, in.Forest, in.G, in.Mu); member == c.triangle {
+				t.Fatalf("%s, %s: µ ∈ ⟦P⟧G is %v, want %v", c.name, alg, member, !c.triangle)
+			}
+		}
 	}
 }

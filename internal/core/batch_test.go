@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -28,7 +29,7 @@ func candidateMus(f ptree.Forest, g *rdf.Graph) []rdf.Mapping {
 	var mus []rdf.Mapping
 	for _, t := range f {
 		root := ptree.NewSubtree(t, t.Root.ID)
-		mus = append(mus, hom.FindAll(root.Pattern(), g, 8)...)
+		mus = append(mus, hom.FindAll(root.Pattern(), g, 0)...)
 	}
 	mus = append(mus,
 		rdf.Mapping{"x": "no-such-iri", "y": "b"},
@@ -38,8 +39,20 @@ func candidateMus(f ptree.Forest, g *rdf.Graph) []rdf.Mapping {
 	return mus
 }
 
+// e8Data is the batched-evaluation workload of experiment E8: a Turán
+// graph T(n, k−1) over predicate r plus a p-cycle over its vertices, so
+// every p-edge is a candidate mapping of the F_k root pattern.
+func e8Data(k, n int) *rdf.Graph {
+	g := gen.Turan(n, k-1, "r")
+	for i := 0; i < n; i++ {
+		g.AddTriple(fmt.Sprintf("n%d", i), "p", fmt.Sprintf("n%d", (i+1)%n))
+	}
+	return g
+}
+
 // EvalAll and EvalAllParallel agree with per-mapping Eval for both
-// algorithms on the paper's families and on random data.
+// algorithms on the paper's families, on the E8 workload and on random
+// data.
 func TestEvalAllAgreesWithEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	type instance struct {
@@ -54,7 +67,10 @@ func TestEvalAllAgreesWithEval(t *testing.T) {
 			instance{ptree.Forest{gen.TkPrime(k)}, gen.TkPrimeData(10, k)},
 		)
 	}
-	instances = append(instances, instance{gen.Fk(2), gen.Random(10, 40, 3, rng.Int63())})
+	instances = append(instances,
+		instance{gen.Fk(2), gen.Random(10, 40, 3, rng.Int63())},
+		instance{gen.Fk(3), e8Data(3, 24)},
+	)
 	for i, in := range instances {
 		mus := candidateMus(in.f, in.g)
 		for _, alg := range []core.Algorithm{core.AlgNaive, core.AlgPebble} {
@@ -96,17 +112,42 @@ func TestEvaluatorReuse(t *testing.T) {
 	}
 }
 
-// The batched path must preserve the headline E3 acceptance.
+// The batched path must preserve the headline E3 acceptance: µ is a
+// member of ⟦F_k⟧G on adversarial Turán data, for both algorithms,
+// across E3's k sweep at n = 24 and E7's data sweep for F_3, and so is
+// every candidate of E8's batch.
 func TestEvalAllE3Acceptance(t *testing.T) {
-	for k := 2; k <= 3; k++ {
-		f := gen.Fk(k)
-		g := gen.FkData(k, 12, false, false)
+	type instance struct{ k, n int }
+	var instances []instance
+	for k := 2; k <= 6; k++ {
+		instances = append(instances, instance{k, 12}, instance{k, 24})
+	}
+	for _, n := range []int{48, 96, 192} {
+		instances = append(instances, instance{3, n})
+	}
+	for _, in := range instances {
+		f := gen.Fk(in.k)
+		g := gen.FkData(in.k, in.n, false, false)
 		mus := []rdf.Mapping{gen.FkMu()}
 		if got := newEvaluator(core.AlgNaive, 1, f, g).EvalAll(mus); !got[0] {
-			t.Fatalf("k=%d: naive EvalAll rejected µ", k)
+			t.Fatalf("k=%d n=%d: naive EvalAll rejected µ", in.k, in.n)
 		}
 		if got := newEvaluator(core.AlgPebble, 1, f, g).EvalAll(mus); !got[0] {
-			t.Fatalf("k=%d: pebble EvalAll rejected µ", k)
+			t.Fatalf("k=%d n=%d: pebble EvalAll rejected µ", in.k, in.n)
+		}
+	}
+	// E8: every candidate of the F_3 root pattern on its workload is a
+	// member, one per p-edge.
+	f, g := gen.Fk(3), e8Data(3, 24)
+	mus := hom.FindAll(ptree.NewSubtree(f[0], f[0].Root.ID).Pattern(), g, 0)
+	if len(mus) != 24 {
+		t.Fatalf("E8: %d root candidates, want 24", len(mus))
+	}
+	for _, alg := range []core.Algorithm{core.AlgNaive, core.AlgPebble} {
+		for i, ok := range newEvaluator(alg, 1, f, g).EvalAllParallel(mus, 2) {
+			if !ok {
+				t.Fatalf("E8, %s: rejected candidate %v", alg, mus[i])
+			}
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"wdsparql/internal/core"
+	"wdsparql/internal/gen"
 	"wdsparql/internal/ptree"
+	"wdsparql/internal/rdf"
 	"wdsparql/internal/sparql"
 )
 
@@ -89,21 +91,10 @@ func TestQuickSolutionsBindCertainVars(t *testing.T) {
 
 // Deeper random patterns (depth 4) still cross-validate across all
 // four evaluators; this stresses NR normalisation with longer OPT
-// chains than the depth-3 generator.
+// chains than the depth-3 generator. The OPTIONAL-heavy application
+// workloads of experiment M1 run first, with their solution counts.
 func TestCrossValidateDeepPatterns(t *testing.T) {
-	rng := rand.New(rand.NewSource(151))
-	used := 0
-	for tries := 0; used < 25 && tries < 20000; tries++ {
-		p := randPattern(rng, 4)
-		if !sparql.IsWellDesigned(p) || sparql.Size(p) < 4 {
-			continue
-		}
-		used++
-		g := randData(rng)
-		f, err := ptree.WDPF(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+	crossValidate := func(p sparql.Pattern, f ptree.Forest, g *rdf.Graph) int {
 		ref := sparql.Eval(p, g)
 		hashRef := sparql.EvalHashJoin(p, g)
 		enum := core.EnumerateForest(f, g)
@@ -117,6 +108,36 @@ func TestCrossValidateDeepPatterns(t *testing.T) {
 				t.Fatalf("%s: missing %s somewhere", p, mu)
 			}
 		}
+		return ref.Len()
+	}
+	for _, w := range []struct {
+		name string
+		f    ptree.Forest
+		g    *rdf.Graph
+		want int
+	}{
+		{"social/60", ptree.MustWDPF(sparql.MustParse(
+			`(((?p knows ?q) OPT (?p worksAt ?org)) OPT (?q email ?m))`)), gen.SocialNetwork(60, 1), 175},
+		{"star/6arms/50items", ptree.Forest{gen.OptStar(6)}, gen.ItemCatalog(50, 6, 2), 50},
+		{"chain/depth6", ptree.Forest{gen.OptChain(6)}, gen.PathData(40, 30, 3), 1161},
+	} {
+		if got := crossValidate(ptree.ForestToPattern(w.f), w.f, w.g); got != w.want {
+			t.Fatalf("%s: %d solutions, want %d", w.name, got, w.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(151))
+	used := 0
+	for tries := 0; used < 25 && tries < 20000; tries++ {
+		p := randPattern(rng, 4)
+		if !sparql.IsWellDesigned(p) || sparql.Size(p) < 4 {
+			continue
+		}
+		used++
+		f, err := ptree.WDPF(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crossValidate(p, f, randData(rng))
 	}
 	if used < 12 {
 		t.Fatalf("generator too weak: %d", used)

@@ -7,6 +7,7 @@ import (
 	"wdsparql/internal/gen"
 	"wdsparql/internal/hom"
 	"wdsparql/internal/ptree"
+	"wdsparql/internal/rdf"
 )
 
 // These tests machine-check the paper's worked examples: the width
@@ -16,9 +17,9 @@ import (
 // for the reproduction.
 
 // Example 3: (S, X) is a core with ctw(S, X) = k − 1; (S', X) has
-// tw(S', X) = k − 1 but ctw(S', X) = 1.
+// tw(S', X) = k − 1 but ctw(S', X) = 1 (experiment E1).
 func TestExample3Widths(t *testing.T) {
-	for k := 2; k <= 5; k++ {
+	for k := 2; k <= 7; k++ {
 		s := gen.ExampleS(k)
 		if !hom.IsCore(s) {
 			t.Fatalf("k=%d: (S,X) should be a core", k)
@@ -83,9 +84,10 @@ func subtreeKey(fs ptree.ForestSubtree) string {
 }
 
 // Example 5: dw(F_k) = 1 for every k ≥ 2, although F_k is not locally
-// tractable (local width = k − 1 due to node n12).
+// tractable (local width = k − 1 due to node n12); GtG(T1[r1]) has two
+// elements at every k (experiment E2).
 func TestExample5DominationWidth(t *testing.T) {
-	for k := 2; k <= 4; k++ {
+	for k := 2; k <= 5; k++ {
 		f := gen.Fk(k)
 		if got := core.DominationWidth(f); got != 1 {
 			t.Fatalf("k=%d: dw(F_k)=%d, want 1", k, got)
@@ -93,20 +95,34 @@ func TestExample5DominationWidth(t *testing.T) {
 		if got := core.LocalWidth(f); got != max(1, k-1) {
 			t.Fatalf("k=%d: local width=%d, want %d", k, got, max(1, k-1))
 		}
+		root := ptree.ForestSubtree{Forest: f, TreeIndex: 0, Subtree: ptree.NewSubtree(f[0], f[0].Root.ID)}
+		if got := len(ptree.GtG(root)); got != 2 {
+			t.Fatalf("k=%d: |GtG(T1[r1])|=%d, want 2", k, got)
+		}
 	}
 }
 
-// Section 3.2: bw(T'_k) = 1 for every k, while ctw(pat(n_k), {?y}) =
-// k − 1, so the family has bounded branch treewidth without being
-// locally tractable.
+// Section 3.2: bw(T'_k) = 1 = dw(T'_k) for every k, while
+// ctw(pat(n_k), {?y}) = k − 1, so the family has bounded branch
+// treewidth without being locally tractable; on Turán data the natural
+// algorithm and the 1-pebble algorithm decide {?y ↦ b} alike
+// (experiment E4).
 func TestSection32BranchTreewidth(t *testing.T) {
-	for k := 2; k <= 5; k++ {
+	for k := 2; k <= 7; k++ {
 		tk := gen.TkPrime(k)
 		if got := core.BranchTreewidth(tk); got != 1 {
 			t.Fatalf("k=%d: bw(T'_k)=%d, want 1", k, got)
 		}
-		if got := core.LocalWidth(ptree.Forest{tk}); got != max(1, k-1) {
+		f := ptree.Forest{tk}
+		if got := core.DominationWidth(f); got != 1 {
+			t.Fatalf("k=%d: dw(T'_k)=%d, want 1", k, got)
+		}
+		if got := core.LocalWidth(f); got != max(1, k-1) {
 			t.Fatalf("k=%d: local width=%d, want %d", k, got, k-1)
+		}
+		g, mu := gen.TkPrimeData(24, k), rdf.Mapping{"y": "b"}
+		if naive, peb := core.Eval(core.AlgNaive, 0, f, g, mu), core.Eval(core.AlgPebble, 1, f, g, mu); naive != peb {
+			t.Fatalf("k=%d: naive says %v, pebble(1) %v", k, naive, peb)
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Exact treewidth of known shapes, with the elimination heuristics'
+// upper bound already optimal on each (experiment A3: the subset
+// dynamic program certifies the heuristic on cliques and grids).
 func TestTreewidthKnownGraphs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -16,12 +19,16 @@ func TestTreewidthKnownGraphs(t *testing.T) {
 		{"single-edge", Path(2), 1},
 		{"path10", Path(10), 1},
 		{"cycle5", Cycle(5), 2},
+		{"K3", Clique(3), 2},
 		{"K4", Clique(4), 3},
+		{"K5", Clique(5), 4},
+		{"K6", Clique(6), 5},
 		{"K7", Clique(7), 6},
 		{"grid2x2", Grid(2, 2), 2},
 		{"grid3x3", Grid(3, 3), 3},
 		{"grid4x4", Grid(4, 4), 4},
 		{"grid3x5", Grid(3, 5), 3},
+		{"grid3x6", Grid(3, 6), 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,6 +38,9 @@ func TestTreewidthKnownGraphs(t *testing.T) {
 			}
 			if w != tc.want {
 				t.Fatalf("tw(%s)=%d, want %d", tc.name, w, tc.want)
+			}
+			if ub, lb := TreewidthUpperBound(tc.g), TreewidthLowerBound(tc.g); ub != w || lb > w {
+				t.Fatalf("%s: heuristic bounds [%d, %d], exact %d", tc.name, lb, ub, w)
 			}
 		})
 	}

@@ -5,9 +5,10 @@ import (
 )
 
 // This file holds the static-order ablation of the homomorphism
-// solver, kept apart from the row search: the benchmark suite's A1
-// table measures fail-first pattern selection against it, and the
-// tests use it as a reference that shares no code with the row search.
+// solver, kept apart from the row search: BenchmarkMicroHomSolver
+// (experiment A1) times fail-first pattern selection against it, and
+// the tests use it as a reference that shares no code with the row
+// search.
 // Production code should use Exists and friends.
 
 // ExistsStaticOrder is Exists with the fail-first heuristic disabled:

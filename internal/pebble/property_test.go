@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"wdsparql/internal/gen"
 	"wdsparql/internal/hom"
+	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
 )
 
@@ -54,29 +56,51 @@ func TestQuickMonotoneInK(t *testing.T) {
 }
 
 // Relaxation: hom existence implies a Duplicator win for every k; and
-// with k ≥ number of free variables the game is exact.
+// with k ≥ number of free variables the game is exact. Besides random
+// instances, experiment E6's: K_k over the clique-free Turán graph
+// T(15, k−1), where hom fails and only 3 pebbles on K_3 are exact.
 func TestQuickRelaxationAndExactness(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 150; trial++ {
-		pat := randPattern(rng, 2+rng.Intn(3), 2+rng.Intn(3))
-		g := randGraphData(rng, 3, 7)
+	check := func(name string, pat hom.TGraph, g *rdf.Graph) {
 		gt := hom.NewGTGraph(pat, nil)
 		homAns := hom.Exists(pat, g)
 		nvars := len(pat.Vars())
 		for k := 2; k <= 4; k++ {
 			win := Decide(k, gt, rdf.NewMapping(), g)
 			if homAns && !win {
-				t.Fatalf("trial %d k=%d: hom exists but game lost", trial, k)
+				t.Fatalf("%s k=%d: hom exists but game lost", name, k)
 			}
 			if k >= nvars && win != homAns {
-				t.Fatalf("trial %d k=%d ≥ nvars=%d: game %v, hom %v", trial, k, nvars, win, homAns)
+				t.Fatalf("%s k=%d ≥ nvars=%d: game %v, hom %v", name, k, nvars, win, homAns)
 			}
 		}
 	}
+	for k := 3; k <= 5; k++ {
+		pat, g := hom.NewTGraph(gen.KkTriples(k)...), gen.Turan(15, k-1, "r")
+		if hom.Exists(pat, g) {
+			t.Fatalf("K_%d maps into the clique-free Turán graph", k)
+		}
+		check(fmt.Sprintf("K_%d on Turán", k), pat, g)
+	}
+	rng := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 150; trial++ {
+		pat := randPattern(rng, 2+rng.Intn(3), 2+rng.Intn(3))
+		check(fmt.Sprintf("trial %d", trial), pat, randGraphData(rng, 3, 7))
+	}
 }
 
-// The ablation variant computes the same verdict.
+// The ablation variant computes the same verdict, on random instances
+// and on experiment A2's: the 2-pebble extension test of T1's clique
+// child in F_k over adversarial Turán data (E3's workload at n = 24).
 func TestQuickNoUnaryPruningAgrees(t *testing.T) {
+	for k := 3; k <= 5; k++ {
+		tree := gen.Fk(k)[0]
+		root := ptree.NewSubtree(tree, tree.Root.ID)
+		gt := hom.NewGTGraph(root.Pattern().Union(root.Children()[0].Pattern), root.Vars())
+		g, mu := gen.FkData(k, 24, false, false), gen.FkMu()
+		if a, b := Decide(2, gt, mu, g), DecideNoUnaryPruning(2, gt, mu, g); a != b {
+			t.Fatalf("F_%d clique child: pruned=%v unpruned=%v", k, a, b)
+		}
+	}
 	rng := rand.New(rand.NewSource(89))
 	for trial := 0; trial < 120; trial++ {
 		pat := randPattern(rng, 2+rng.Intn(3), 2+rng.Intn(4))

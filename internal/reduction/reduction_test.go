@@ -201,9 +201,48 @@ func TestReductionSIsCore(t *testing.T) {
 }
 
 // End-to-end Theorem 2 reduction: clique solving through co-wdEVAL
-// matches the direct clique oracle; also cross-check the evaluator
-// against Lemma-1 enumeration on one small instance.
+// matches the direct clique oracle — on four fixed hosts, on the random
+// hosts of experiment E5 (k ∈ {2, 3}, |V(H)| ∈ {6, 10, 14}, edge
+// density 1/2) and on small random hosts.
 func TestSolveCliqueViaEval(t *testing.T) {
+	host := func(n int, edges ...[2]int) *graphalg.UGraph {
+		h := graphalg.NewUGraph(n)
+		for _, e := range edges {
+			h.AddEdge(e[0], e[1])
+		}
+		return h
+	}
+	for _, c := range []struct {
+		name   string
+		h      *graphalg.UGraph
+		clique bool
+	}{
+		{"triangle", host(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2}), true},
+		{"path", host(4, [2]int{0, 1}, [2]int{1, 2}), false},
+		{"4-cycle with chord", host(5, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0}, [2]int{0, 2}), true},
+		{"4-cycle", host(5, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0}), false},
+	} {
+		got, err := SolveClique(3, c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.clique {
+			t.Fatalf("%s: co-wdEVAL says 3-clique %v, want %v", c.name, got, c.clique)
+		}
+	}
+	e5 := rand.New(rand.NewSource(42))
+	for _, k := range []int{2, 3} {
+		for _, n := range []int{6, 10, 14} {
+			h := randomHost(e5, n, 0.5)
+			got, err := SolveClique(k, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := graphalg.HasClique(h, k); got != want {
+				t.Fatalf("E5 k=%d n=%d: co-wdEVAL says %v, oracle %v", k, n, got, want)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(9))
 	for _, k := range []int{2, 3} {
 		for trial := 0; trial < 8; trial++ {

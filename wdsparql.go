@@ -17,9 +17,7 @@
 //   - the decision procedures for wdEVAL: the natural algorithm
 //     (AlgNaive), the polynomial-time Theorem 1 algorithm based on the
 //     existential pebble game (AlgPebble), and the width-aware mixture
-//     of the two that PreparedQuery.Ask runs by default (AlgAuto);
-//   - the Section 4 hardness reduction from p-CLIQUE (package-level
-//     access through SolveCliqueViaReduction).
+//     of the two that PreparedQuery.Ask runs by default (AlgAuto).
 //
 // The production entry point is the prepared-query engine: an Engine
 // captures a graph and its options, Prepare runs the static analysis
@@ -54,11 +52,9 @@ package wdsparql
 
 import (
 	"wdsparql/internal/core"
-	"wdsparql/internal/graphalg"
 	"wdsparql/internal/hom"
 	"wdsparql/internal/ptree"
 	"wdsparql/internal/rdf"
-	"wdsparql/internal/reduction"
 	"wdsparql/internal/sparql"
 )
 
@@ -82,8 +78,6 @@ type (
 	Tree = ptree.Tree
 	// GTGraph is a generalised t-graph (S, X).
 	GTGraph = hom.GTGraph
-	// UGraph is an undirected graph (hosts of the clique reduction).
-	UGraph = graphalg.UGraph
 	// Algorithm selects an evaluation strategy.
 	Algorithm = core.Algorithm
 )
@@ -160,15 +154,4 @@ func RefuteContainment(p1, p2 Pattern) (Counterexample, bool, error) {
 	}
 	ce, ok := core.RefuteContainment(an1.forest, an2.forest)
 	return ce, ok, nil
-}
-
-// NewUGraph returns an empty undirected graph with n vertices, for use
-// as a host of the clique reduction.
-func NewUGraph(n int) *UGraph { return graphalg.NewUGraph(n) }
-
-// SolveCliqueViaReduction decides whether the host graph contains a
-// k-clique by compiling the Section 4 fpt-reduction to co-wdEVAL and
-// evaluating it — Theorem 2 run forwards.
-func SolveCliqueViaReduction(k int, h *UGraph) (bool, error) {
-	return reduction.SolveClique(k, h)
 }
