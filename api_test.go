@@ -3,6 +3,9 @@ package wdsparql
 import (
 	"context"
 	"testing"
+
+	"wdsparql/internal/graphalg"
+	"wdsparql/internal/reduction"
 )
 
 // Tests of the public API surface: everything a downstream user
@@ -134,6 +137,32 @@ func TestPublicErrors(t *testing.T) {
 	}
 	if _, _, err := RefuteContainment(notWD, notWD); err == nil {
 		t.Fatal("RefuteContainment must reject non-well-designed patterns")
+	}
+}
+
+// The p-CLIQUE reduction is not exported; its instances are ordinary
+// forests, graphs and mappings, so the public engine decides them: H
+// has a triangle iff the engine refuses µ.
+func TestPublicCliqueReduction(t *testing.T) {
+	triangle := graphalg.NewUGraph(4)
+	triangle.AddEdge(0, 1)
+	triangle.AddEdge(1, 2)
+	triangle.AddEdge(0, 2)
+	path := graphalg.NewUGraph(4)
+	path.AddEdge(0, 1)
+	path.AddEdge(1, 2)
+	for _, c := range []struct {
+		name string
+		h    *graphalg.UGraph
+		want bool
+	}{{"triangle", triangle, true}, {"path", path, false}} {
+		in, err := reduction.New(3, c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := !askWith(t, AlgNaive, 0, in.Forest, in.G, in.Mu); got != c.want {
+			t.Fatalf("%s: triangle found = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
