@@ -338,9 +338,10 @@ func BenchmarkMicroPebbleClosure(b *testing.B) {
 	}
 }
 
-// BenchmarkTreewidth (A3) times the exact subset dynamic program
-// against the elimination heuristics (upper and lower bound) on
-// cliques and grids, where the heuristic bound is already optimal.
+// BenchmarkTreewidth (A3) times the exact treewidth against the
+// elimination heuristics (upper and lower bound) on cliques and grids,
+// where the bounds meet, so the exact answer runs no subset dynamic
+// program.
 func BenchmarkTreewidth(b *testing.B) {
 	type host struct {
 		name string

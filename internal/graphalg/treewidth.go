@@ -11,8 +11,8 @@ import (
 // algorithms for treewidth"), based on elimination orderings — for
 // graphs of up to MaxExactVertices vertices, together with the
 // min-fill and min-degree elimination heuristics (upper bounds) and
-// the maximum-minimum-degree lower bound used to confirm heuristic
-// optimality on larger inputs.
+// the degeneracy and minor-min-width lower bounds used to confirm
+// heuristic optimality, which skips the exact program.
 
 // MaxExactVertices bounds the component size for which the exact
 // subset dynamic program is attempted (2^n states).
@@ -51,38 +51,57 @@ func TreewidthUpperBound(g *UGraph) int {
 	return a
 }
 
-// TreewidthLowerBound returns the maximum-minimum-degree (degeneracy)
-// lower bound: the largest d such that some subgraph has minimum
-// degree ≥ d.
+// TreewidthLowerBound returns the larger of two lower bounds, each the
+// largest minimum degree seen while a minimum-degree vertex (lowest
+// index on ties) is repeatedly taken out of the graph:
+// maximum-minimum-degree (degeneracy) deletes the vertex;
+// minor-min-width contracts it into its minimum-degree neighbour, so
+// every graph it sees is a minor, whose treewidth bounds the graph's.
+// On grids degeneracy stays at 2 while minor-min-width reaches the
+// treewidth of every grid up to 4x5.
 func TreewidthLowerBound(g *UGraph) int {
-	// Repeatedly remove a minimum-degree vertex; the answer is the
-	// maximum of the minimum degrees seen.
+	return max(minDegreeBound(g, false), minDegreeBound(g, true))
+}
+
+// minDegreeBound runs one of the two removal processes of
+// TreewidthLowerBound: contract selects minor-min-width.
+func minDegreeBound(g *UGraph, contract bool) int {
 	adj := make([]map[int]bool, g.n)
-	for v := 0; v < g.n; v++ {
-		adj[v] = map[int]bool{}
+	for v := range adj {
+		adj[v] = make(map[int]bool, len(g.adj[v]))
 		for u := range g.adj[v] {
 			adj[v][u] = true
 		}
 	}
-	alive := map[int]bool{}
-	for v := 0; v < g.n; v++ {
-		alive[v] = true
+	// lighter reports whether u has a smaller degree than v, or an
+	// equal one and a lower index.
+	lighter := func(u, v int) bool {
+		return v < 0 || len(adj[u]) < len(adj[v]) || (len(adj[u]) == len(adj[v]) && u < v)
 	}
 	best := 0
-	for len(alive) > 0 {
-		minV, minD := -1, -1
-		for v := range alive {
-			if minV == -1 || len(adj[v]) < minD {
-				minV, minD = v, len(adj[v])
+	for left := g.n; left > 0; left-- {
+		v := -1
+		for u := range adj {
+			if adj[u] != nil && lighter(u, v) {
+				v = u
 			}
 		}
-		if minD > best {
-			best = minD
+		best = max(best, len(adj[v]))
+		w := -1
+		if contract {
+			for u := range adj[v] {
+				if lighter(u, w) {
+					w = u
+				}
+			}
 		}
-		for u := range adj[minV] {
-			delete(adj[u], minV)
+		for u := range adj[v] {
+			delete(adj[u], v)
+			if w >= 0 && u != w {
+				adj[u][w], adj[w][u] = true, true
+			}
 		}
-		delete(alive, minV)
+		adj[v] = nil
 	}
 	return best
 }

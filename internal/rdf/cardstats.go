@@ -12,17 +12,19 @@ package rdf
 // a plan never scans data.
 //
 //   - Base: on first use, one pass over the offset arrays and the
-//     predicate groups of the secondarily-sorted keyPS/keyPO columns —
-//     whose secondary sort makes distinct values = key transitions —
-//     fills every count, O(|G| + |dict|) once per sealed view. It runs
-//     under sync.Once, so the first plan is safe under concurrent
-//     readers and mmap-loaded snapshots stay O(1) until a plan asks.
+//     subject and object groups of the secondarily-sorted keySP/keyOP
+//     columns — whose secondary sort makes each distinct (subject,
+//     predicate) or (object, predicate) pair one key transition,
+//     tallied in dense per-TermID counters — fills every count,
+//     O(|G| + |dict|) once per sealed view. It runs under sync.Once,
+//     so the first plan is safe under concurrent readers and
+//     mmap-loaded snapshots stay O(1) until a plan asks.
 //   - Delta tier: its share adds only keys and (predicate, value)
 //     pairs absent from the base (O(1)/O(log) base probes per delta
-//     key, read off the delta's own offsets and sorted key columns),
-//     keeping the counts exact. It is computed once per seal, under
-//     sync.Once on the first plan that asks, and shared by every
-//     generation holding the tier.
+//     key or pair, read off the delta's own offsets and sorted key
+//     columns), keeping the counts exact. It is computed once per
+//     seal, under sync.Once on the first plan that asks, and shared
+//     by every generation holding the tier.
 //   - Overlay: the same share against both sealed tiers. It is
 //     computed in one pass over the overlay the first time a reader
 //     asks at a given overlay state; the write path does nothing, and
@@ -76,20 +78,46 @@ func underIdx(pos int) int {
 }
 
 // fill computes every count of the view in one pass: non-empty groups
-// of the three offset arrays, and per predicate the key transitions of
-// its keyPS (subjects) and keyPO (objects) group.
+// of the three offset arrays, and the per-predicate pair counts of
+// underCounts.
 func (f *frozenView) fill() {
 	f.stats.once.Do(func() {
 		f.stats.distS = nonzeroGroups(f.offS)
 		f.stats.distP = nonzeroGroups(f.offP)
 		f.stats.distO = nonzeroGroups(f.offO)
-		f.stats.under = make(map[TermID][2]int, f.stats.distP)
-		for k := 0; k < f.nIRIs; k++ {
-			if b, e := f.offP[k], f.offP[k+1]; e > b {
-				f.stats.under[TermID(k)] = [2]int{transitions(f.keyPS[b:e]), transitions(f.keyPO[b:e])}
+		f.stats.under = f.underCounts(nil)
+	})
+}
+
+// underCounts counts per predicate the distinct subjects and objects
+// of the view's triples: inside every subject group of keySP and every
+// object group of keyOP each key transition is one (value, predicate)
+// pair. With below non-nil, a pair counts only if below lacks it. The
+// counters are dense per TermID, so a pair costs an array increment;
+// the result holds one entry per predicate of the view.
+func (f *frozenView) underCounts(below *frozenView) map[TermID][2]int {
+	cnt := make([][2]int32, f.nIRIs)
+	for i, col := range [2]struct {
+		off  []uint32
+		keys []TermID
+	}{{f.offS, f.keySP}, {f.offO, f.keyOP}} {
+		pos := 2 * i // subjects, then objects
+		for v := 0; v < f.nIRIs; v++ {
+			grp := col.keys[col.off[v]:col.off[v+1]]
+			for j, p := range grp {
+				if (j == 0 || grp[j-1] != p) && (below == nil || !tierPairHas(below, p, TermID(v), pos)) {
+					cnt[p][i]++
+				}
 			}
 		}
-	})
+	}
+	under := make(map[TermID][2]int, nonzeroGroups(f.offP))
+	for p := 0; p < f.nIRIs; p++ {
+		if f.offP[p+1] > f.offP[p] {
+			under[TermID(p)] = [2]int{int(cnt[p][0]), int(cnt[p][1])}
+		}
+	}
+	return under
 }
 
 // distinct returns the global distinct-key count of one position.
@@ -110,17 +138,6 @@ func (f *frozenView) distinct(pos int) int {
 func (f *frozenView) distinctUnder(p TermID, pos int) int {
 	f.fill()
 	return f.stats.under[p][underIdx(pos)]
-}
-
-// transitions counts the distinct values of a sorted key run.
-func transitions(keys []TermID) int {
-	n := 0
-	for i, v := range keys {
-		if i == 0 || keys[i-1] != v {
-			n++
-		}
-	}
-	return n
 }
 
 // nonzeroGroups counts keys with a non-empty posting list in a CSR
@@ -151,35 +168,19 @@ type deltaCatalog struct {
 
 // share returns the delta tier's catalog share, computing it on first
 // use: the non-empty groups of the tier's offsets that are empty in
-// the base, and per predicate the key transitions of its keyPS and
-// keyPO groups whose pair the base lacks — the base is probed, never
-// filled.
+// the base, and per predicate the tier's pairs the base lacks (see
+// underCounts) — the base is probed, never filled.
 func (d *deltaTier) share() *catalogShare {
 	d.cat.once.Do(func() {
 		c := &d.cat.catalogShare
-		c.newUnder = make(map[TermID][2]int)
 		for k := 0; k < d.nIRIs; k++ {
-			key := TermID(k)
 			for pos, off := range [3][]uint32{d.offS, d.offP, d.offO} {
-				if off[k+1] > off[k] && tierGroupLen(d.base, pos, key) == 0 {
+				if off[k+1] > off[k] && tierGroupLen(d.base, pos, TermID(k)) == 0 {
 					c.newKeys[pos]++
 				}
 			}
-			b, e := d.offP[k], d.offP[k+1]
-			if e == b {
-				continue
-			}
-			var u [2]int
-			for i, keys := range [2][]TermID{d.keyPS[b:e], d.keyPO[b:e]} {
-				pos := 2 * i // subjects, then objects
-				for j, v := range keys {
-					if (j == 0 || keys[j-1] != v) && !tierPairHas(d.base, key, v, pos) {
-						u[i]++
-					}
-				}
-			}
-			c.newUnder[key] = u
 		}
+		c.newUnder = d.underCounts(d.base)
 	})
 	return &d.cat.catalogShare
 }
@@ -249,25 +250,23 @@ func (g *Graph) sealedPairHas(p, v TermID, pos int) bool {
 }
 
 // tierGroupLen is one tier's posting-list length of a key at a
-// position.
+// position; IDs past the tier's dictionary bound have empty groups.
 func tierGroupLen(f *frozenView, pos int, k TermID) int {
-	switch pos {
-	case 0:
-		return int(f.groupLen(f.offS, k))
-	case 1:
-		return int(f.groupLen(f.offP, k))
-	default:
-		return int(f.groupLen(f.offO, k))
+	if int(k) >= f.nIRIs {
+		return 0
 	}
+	off := [3][]uint32{f.offS, f.offP, f.offO}[pos]
+	return int(off[k+1] - off[k])
 }
 
 // tierPairHas reports whether the tier holds any triple with predicate
-// p and value v at position pos (0 or 2).
+// p and value v at position pos (0 or 2): a range search inside v's
+// subject or object group.
 func tierPairHas(f *frozenView, p, v TermID, pos int) bool {
-	if pos == 0 {
-		lo, hi := f.range2Bounds(f.offS, f.keySP, v, p)
-		return hi > lo
+	off, keys := f.offS, f.keySP
+	if pos == 2 {
+		off, keys = f.offO, f.keyOP
 	}
-	lo, hi := f.range2Bounds(f.offP, f.keyPO, p, v)
+	lo, hi := f.range2Bounds(off, keys, v, p)
 	return hi > lo
 }

@@ -1,10 +1,14 @@
 package rdf_test
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"wdsparql/internal/rdf"
+	"wdsparql/internal/rdf/backendtest"
 )
 
 // catalogOf reads every catalog count of g: the three global distinct
@@ -96,5 +100,97 @@ func TestCatalogProbeAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
 			t.Errorf("%s: a warmed catalog probe allocates %.1f objects", name, allocs)
 		}
+	}
+}
+
+// On random graphs split into a base, a delta tier and an overlay, every
+// catalog count equals a brute-force count over the distinct triples:
+// the delta's share adds exactly the keys and (predicate, value) pairs
+// the base lacks, the overlay's those neither sealed tier has.
+func TestCatalogOverTiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 60; trial++ {
+		nS, nP, nO := 2+rng.Intn(12), 1+rng.Intn(5), 2+rng.Intn(12)
+		n := 8 + rng.Intn(80)
+		ts := make([]rdf.Triple, n)
+		for i := range ts {
+			ts[i] = rdf.T(rdf.IRI(fmt.Sprintf("n%d", rng.Intn(nS))), rdf.IRI(fmt.Sprintf("p%d", rng.Intn(nP))),
+				rdf.IRI(fmt.Sprintf("n%d", rng.Intn(nO))))
+		}
+		g := backendtest.TierGraph(ts, n/2, 3*n/4)
+		var keys [3]map[string]bool
+		for pos := range keys {
+			keys[pos] = map[string]bool{}
+		}
+		under := map[string][2]map[string]bool{}
+		for _, tr := range ts {
+			terms := tr.Terms()
+			for pos, term := range terms {
+				keys[pos][term.Value] = true
+			}
+			u, ok := under[terms[1].Value]
+			if !ok {
+				u = [2]map[string]bool{{}, {}}
+				under[terms[1].Value] = u
+			}
+			u[0][terms[0].Value], u[1][terms[2].Value] = true, true
+		}
+		for pos := 0; pos < 3; pos++ {
+			if got, want := g.DistinctCount(pos), len(keys[pos]); got != want {
+				t.Fatalf("trial %d (delta %d, overlay %d): DistinctCount(%d) = %d, want %d",
+					trial, g.DeltaLen(), g.OverlayLen(), pos, got, want)
+			}
+		}
+		for _, id := range g.DomIDs() {
+			u := under[g.Dict().StringOf(id)]
+			for i, pos := range []int{0, 2} {
+				if got, want := g.DistinctUnderPredicate(id, pos), len(u[i]); got != want {
+					t.Fatalf("trial %d (delta %d, overlay %d): DistinctUnderPredicate(%s, %d) = %d, want %d",
+						trial, g.DeltaLen(), g.OverlayLen(), g.Dict().StringOf(id), pos, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The first catalog fill of a sealed base allocates its per-predicate
+// map and counters indexed by TermID, and nothing that grows with the
+// triple count: over one dictionary, a base of 40× the triples — and
+// about 5× the (predicate, value) pairs — costs the same objects and
+// bytes.
+func TestCatalogFillAllocs(t *testing.T) {
+	const nS, nP, nO = 128, 8, 128
+	build := func(n int) *rdf.Graph {
+		var ts []rdf.Triple
+		tr := func(s, p, o int) rdf.Triple {
+			return rdf.T(rdf.IRI(fmt.Sprintf("s%d", s)), rdf.IRI(fmt.Sprintf("p%d", p)), rdf.IRI(fmt.Sprintf("o%d", o)))
+		}
+		for i := 0; i < nS; i++ { // every IRI, whatever n
+			ts = append(ts, tr(i, i%nP, i))
+		}
+		for i := 0; len(ts) < n; i++ { // a permutation of all nS·nP·nO triples
+			j := i * 7919 % (nS * nP * nO)
+			ts = append(ts, tr(j%nS, j/nS%nP, j/(nS*nP)))
+		}
+		return rdf.GraphFromTriples(ts)
+	}
+	fill := func(g *rdf.Graph) (objects, bytes uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = g.DistinctCount(0)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := build(200), build(8_000)
+	if small.Dict().NumIRIs() != large.Dict().NumIRIs() || large.Len() < 39*small.Len() {
+		t.Fatalf("graphs of %d and %d triples over %d and %d IRIs", small.Len(), large.Len(),
+			small.Dict().NumIRIs(), large.Dict().NumIRIs())
+	}
+	so, sb := fill(small)
+	lo, lb := fill(large)
+	if so != lo || sb != lb {
+		t.Errorf("first fill: %d objects, %d bytes at %d triples; %d objects, %d bytes at %d",
+			so, sb, small.Len(), lo, lb, large.Len())
 	}
 }

@@ -18,11 +18,11 @@ package rdf
 //     each posting list in insertion order, so the enumeration
 //     pipeline's determinism invariants (ROADMAP "Enumeration
 //     pipeline") hold on every base.
-//   - The secondarily-sorted arenas (arenaSP/arenaPO/arenaSO) reuse
-//     the same grouping but stably order each group by a second
-//     position, so two-key posting lists are contiguous ranges found
-//     by galloping search rather than separate maps. Stability makes
-//     even these ranges insertion-ordered.
+//   - The secondarily-sorted arenas (arenaSP/arenaOP/arenaSO), one per
+//     key pair, reuse the subject or object grouping but stably order
+//     each group by a second position, so two-key posting lists are
+//     contiguous ranges found by galloping search rather than separate
+//     maps. Stability makes even these ranges insertion-ordered.
 
 import "slices"
 
@@ -40,27 +40,25 @@ type frozenView struct {
 	// order within each group.
 	arenaS, arenaP, arenaO []IDTriple
 
-	// Secondarily-sorted arenas: same grouping and offsets as the
-	// primary arena of the first key, each group stably ordered by the
-	// second key, so (k1,k2) posting lists are contiguous ranges — in
-	// insertion order, by stability. Both groupings exist for every
-	// key pair (hexastore-style), and the probe searches whichever
-	// group is smaller: a two-key range inside a huge low-cardinality
-	// group (say P with a handful of predicates) is found through the
-	// other, far smaller group instead. Stability makes the two
-	// realisations of the same range identical, content and order.
+	// Secondarily-sorted arenas, one per key pair: same grouping and
+	// offsets as the primary arena of the first key, each group stably
+	// ordered by the second key, so (k1,k2) posting lists are
+	// contiguous ranges — in insertion order, by stability. Every pair
+	// is grouped by its subject or object, never by its predicate: a
+	// graph has few predicates, so predicate groups are huge, while
+	// subject and object groups are small but for a few hubs, inside
+	// which the range is still a logarithmic gallop over 4-byte keys.
+	// A second orientation per pair, to search the smaller of two
+	// groups, cost 16 bytes per triple per pair for no measured gain.
 	arenaSP []IDTriple // grouped by S (offS), ordered by P within group
-	arenaPS []IDTriple // grouped by P (offP), ordered by S within group
-	arenaPO []IDTriple // grouped by P (offP), ordered by O within group
 	arenaOP []IDTriple // grouped by O (offO), ordered by P within group
 	arenaSO []IDTriple // grouped by S (offS), ordered by O within group
-	arenaOS []IDTriple // grouped by O (offO), ordered by S within group
 
 	// Key columns: the secondary key of each arena slot, extracted
 	// into a dense []TermID so the galloping search touches 4-byte
 	// keys instead of 12-byte triples — three times fewer cache lines
 	// on large groups (the classic column-store trick).
-	keySP, keyPS, keyPO, keyOP, keySO, keyOS []TermID
+	keySP, keyOP, keySO []TermID
 
 	// Membership: open-addressing (linear probing) table of indices
 	// into all, power-of-two sized, load factor ≤ 1/2: a fraction of
@@ -100,17 +98,11 @@ func freezeTriples(all []IDTriple, memb []uint32, ni int) *frozenView {
 	// outer stable pass groups by the primary key without disturbing
 	// that order.
 	f.arenaSP = bucketScatter(f.arenaP, 0, f.offS, cur)
-	f.arenaPS = bucketScatter(f.arenaS, 1, f.offP, cur)
-	f.arenaPO = bucketScatter(f.arenaO, 1, f.offP, cur)
 	f.arenaOP = bucketScatter(f.arenaP, 2, f.offO, cur)
 	f.arenaSO = bucketScatter(f.arenaO, 0, f.offS, cur)
-	f.arenaOS = bucketScatter(f.arenaS, 2, f.offO, cur)
 	f.keySP = keyColumn(f.arenaSP, 1)
-	f.keyPS = keyColumn(f.arenaPS, 0)
-	f.keyPO = keyColumn(f.arenaPO, 2)
 	f.keyOP = keyColumn(f.arenaOP, 1)
 	f.keySO = keyColumn(f.arenaSO, 2)
-	f.keyOS = keyColumn(f.arenaOS, 0)
 	if memb == nil {
 		memb = buildMembership(all)
 	}
@@ -207,16 +199,6 @@ func (f *frozenView) contains(t IDTriple) ([]IDTriple, bool) {
 	}
 }
 
-// groupLen returns the size of the key's group in O(1); IDs past the
-// frozen dictionary bound have empty groups.
-func (f *frozenView) groupLen(off []uint32, key TermID) uint32 {
-	k := int(key)
-	if k >= f.nIRIs {
-		return 0
-	}
-	return off[k+1] - off[k]
-}
-
 // range1 returns the single-key posting list: one O(1) offset probe.
 // IDs past the frozen dictionary bound (interned after the freeze)
 // occur in no triple.
@@ -311,20 +293,11 @@ func (f *frozenView) candidates(p IDTriple) []IDTriple {
 		hit, _ := f.contains(p)
 		return hit
 	case sB && pB:
-		if f.groupLen(f.offS, p[0]) <= f.groupLen(f.offP, p[1]) {
-			return f.range2(f.offS, f.arenaSP, f.keySP, p[0], p[1])
-		}
-		return f.range2(f.offP, f.arenaPS, f.keyPS, p[1], p[0])
+		return f.range2(f.offS, f.arenaSP, f.keySP, p[0], p[1])
 	case pB && oB:
-		if f.groupLen(f.offP, p[1]) <= f.groupLen(f.offO, p[2]) {
-			return f.range2(f.offP, f.arenaPO, f.keyPO, p[1], p[2])
-		}
 		return f.range2(f.offO, f.arenaOP, f.keyOP, p[2], p[1])
 	case sB && oB:
-		if f.groupLen(f.offS, p[0]) <= f.groupLen(f.offO, p[2]) {
-			return f.range2(f.offS, f.arenaSO, f.keySO, p[0], p[2])
-		}
-		return f.range2(f.offO, f.arenaOS, f.keyOS, p[2], p[0])
+		return f.range2(f.offS, f.arenaSO, f.keySO, p[0], p[2])
 	case sB:
 		return f.range1(f.offS, f.arenaS, p[0])
 	case pB:

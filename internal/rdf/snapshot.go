@@ -41,7 +41,7 @@ import (
 // multiple-of-8 alignment decision trivial.
 const (
 	snapMagic     = "WDSNAP01"
-	snapVersion   = 1
+	snapVersion   = 2
 	snapHeaderLen = 64
 	snapEntryLen  = 24
 )
@@ -63,7 +63,8 @@ const (
 
 // Section kinds. Each appears exactly once, with the table entry's
 // reserved shard field 0. Kinds 5, 6 and 35–40 belonged to the sharded
-// kind and stay unassigned.
+// kind, and 23, 24, 27, 29, 30 and 33 to version 1's second
+// orientation of every key pair (PS, PO, OS); all stay unassigned.
 const (
 	secDictOffs secKey = 1 // []uint64, nIRIs+1 cumulative string offsets
 	secDictBlob secKey = 2 // concatenated IRI bytes
@@ -77,17 +78,11 @@ const (
 	secArenaP  secKey = 20
 	secArenaO  secKey = 21
 	secArenaSP secKey = 22
-	secArenaPS secKey = 23
-	secArenaPO secKey = 24
 	secArenaOP secKey = 25
 	secArenaSO secKey = 26
-	secArenaOS secKey = 27
 	secKeySP   secKey = 28 // []TermID, one per triple
-	secKeyPS   secKey = 29
-	secKeyPO   secKey = 30
 	secKeyOP   secKey = 31
 	secKeySO   secKey = 32
-	secKeyOS   secKey = 33
 	secMemb    secKey = 34 // []uint32, the open-addressing table
 )
 
@@ -98,10 +93,8 @@ func secName(kind secKey) string {
 		secTriples: "triples", secOcc: "occurrences",
 		secOffS: "off-s", secOffP: "off-p", secOffO: "off-o",
 		secArenaS: "arena-s", secArenaP: "arena-p", secArenaO: "arena-o",
-		secArenaSP: "arena-sp", secArenaPS: "arena-ps", secArenaPO: "arena-po",
-		secArenaOP: "arena-op", secArenaSO: "arena-so", secArenaOS: "arena-os",
-		secKeySP: "key-sp", secKeyPS: "key-ps", secKeyPO: "key-po",
-		secKeyOP: "key-op", secKeySO: "key-so", secKeyOS: "key-os",
+		secArenaSP: "arena-sp", secArenaOP: "arena-op", secArenaSO: "arena-so",
+		secKeySP: "key-sp", secKeyOP: "key-op", secKeySO: "key-so",
 		secMemb: "membership",
 	}
 	if n, ok := names[kind]; ok {
@@ -239,17 +232,11 @@ func snapshotSections(g *Graph) []snapSection {
 		snapSection{kind: secArenaP, data: rawBytes(v.arenaP)},
 		snapSection{kind: secArenaO, data: rawBytes(v.arenaO)},
 		snapSection{kind: secArenaSP, data: rawBytes(v.arenaSP)},
-		snapSection{kind: secArenaPS, data: rawBytes(v.arenaPS)},
-		snapSection{kind: secArenaPO, data: rawBytes(v.arenaPO)},
 		snapSection{kind: secArenaOP, data: rawBytes(v.arenaOP)},
 		snapSection{kind: secArenaSO, data: rawBytes(v.arenaSO)},
-		snapSection{kind: secArenaOS, data: rawBytes(v.arenaOS)},
 		snapSection{kind: secKeySP, data: rawBytes(v.keySP)},
-		snapSection{kind: secKeyPS, data: rawBytes(v.keyPS)},
-		snapSection{kind: secKeyPO, data: rawBytes(v.keyPO)},
 		snapSection{kind: secKeyOP, data: rawBytes(v.keyOP)},
 		snapSection{kind: secKeySO, data: rawBytes(v.keySO)},
-		snapSection{kind: secKeyOS, data: rawBytes(v.keyOS)},
 		snapSection{kind: secMemb, data: rawBytes(v.memb)},
 	)
 }

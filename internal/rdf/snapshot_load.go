@@ -190,8 +190,11 @@ const maxInt = int(^uint(0) >> 1)
 // decodeHeader validates and decodes the fixed header. Check order is
 // a compatibility rule (DESIGN.md §6): magic first, then version —
 // so a future version is reported as skew, not as a checksum failure
-// of a layout it does not have — then the v1 header CRC, then the
-// remaining v1 fields.
+// of a layout it does not have — then the header CRC, then the
+// remaining fields. Version 1 shares version 2's header, so its image
+// is decoded as far as the kind — a sharded image is refused as
+// sharded — and then refused as version 1; either refusal names the
+// rebuild.
 func decodeHeader(data []byte) (snapHeader, error) {
 	var h snapHeader
 	if len(data) < snapHeaderLen {
@@ -201,7 +204,7 @@ func decodeHeader(data []byte) (snapHeader, error) {
 		return h, fmt.Errorf("bad magic %q: not a snapshot file", data[0:8])
 	}
 	h.version = binary.LittleEndian.Uint16(data[8:10])
-	if h.version != snapVersion {
+	if h.version != snapVersion && h.version != 1 {
 		return h, fmt.Errorf("unsupported snapshot version %d (this build reads version %d)", h.version, snapVersion)
 	}
 	wantCRC := binary.LittleEndian.Uint32(data[60:64])
@@ -219,6 +222,9 @@ func decodeHeader(data []byte) (snapHeader, error) {
 		return h, fmt.Errorf("sharded images are no longer supported; rebuild with wdsnap build")
 	default:
 		return h, fmt.Errorf("unknown graph kind %d (want %d=frozen)", kind, snapKindFrozen)
+	}
+	if h.version == 1 {
+		return h, fmt.Errorf("snapshot version 1 images (two orientations per key pair) are no longer supported (this build reads version %d); rebuild with wdsnap build", snapVersion)
 	}
 	if shards := binary.LittleEndian.Uint32(data[12:16]); shards != 1 {
 		return h, fmt.Errorf("frozen snapshot declares %d shards (want 1)", shards)
@@ -260,8 +266,8 @@ var snapKinds = []secKey{
 	secDictOffs, secDictBlob, secTriples, secOcc,
 	secOffS, secOffP, secOffO,
 	secArenaS, secArenaP, secArenaO,
-	secArenaSP, secArenaPS, secArenaPO, secArenaOP, secArenaSO, secArenaOS,
-	secKeySP, secKeyPS, secKeyPO, secKeyOP, secKeySO, secKeyOS,
+	secArenaSP, secArenaOP, secArenaSO,
+	secKeySP, secKeyOP, secKeySO,
 	secMemb,
 }
 
@@ -349,7 +355,7 @@ func crcRank(i int) int { return i }
 
 // secRank ranks the checks of section k's shape and contents: after
 // every CRC, in snapKinds order — the dictionary, the triples, the
-// occurrences, the offsets, the nine arenas, the six key columns, the
+// occurrences, the offsets, the six arenas, the three key columns, the
 // membership table. Inside a section a check reports its first failing
 // index.
 func secRank(k secKey) int { return len(snapKinds) + slices.Index(snapKinds, k) }
@@ -562,13 +568,10 @@ func loadSections(secs map[secKey][]byte, nIRIs, n int) (*frozenView, []int32, [
 	arenas := []arenaCheck{
 		{kind: secArenaS, off: v.offS, pos: 0}, {kind: secArenaP, off: v.offP, pos: 1}, {kind: secArenaO, off: v.offO, pos: 2},
 		{kind: secArenaSP, off: v.offS, pos: 0, keyKind: secKeySP, keyPos: 1},
-		{kind: secArenaPS, off: v.offP, pos: 1, keyKind: secKeyPS, keyPos: 0},
-		{kind: secArenaPO, off: v.offP, pos: 1, keyKind: secKeyPO, keyPos: 2},
 		{kind: secArenaOP, off: v.offO, pos: 2, keyKind: secKeyOP, keyPos: 1},
 		{kind: secArenaSO, off: v.offS, pos: 0, keyKind: secKeySO, keyPos: 2},
-		{kind: secArenaOS, off: v.offO, pos: 2, keyKind: secKeyOS, keyPos: 0},
 	}
-	// Sections are cast in report order: the nine arenas, then the six
+	// Sections are cast in report order: the six arenas, then the three
 	// key columns. An arena cast before a failure keeps its task, with
 	// the key column if that was cast too.
 	var f fault
@@ -610,10 +613,8 @@ func loadSections(secs map[secKey][]byte, nIRIs, n int) (*frozenView, []int32, [
 	}})
 
 	v.arenaS, v.arenaP, v.arenaO = arenas[0].arena, arenas[1].arena, arenas[2].arena
-	v.arenaSP, v.arenaPS, v.arenaPO = arenas[3].arena, arenas[4].arena, arenas[5].arena
-	v.arenaOP, v.arenaSO, v.arenaOS = arenas[6].arena, arenas[7].arena, arenas[8].arena
-	v.keySP, v.keyPS, v.keyPO = arenas[3].keys, arenas[4].keys, arenas[5].keys
-	v.keyOP, v.keySO, v.keyOS = arenas[6].keys, arenas[7].keys, arenas[8].keys
+	v.arenaSP, v.arenaOP, v.arenaSO = arenas[3].arena, arenas[4].arena, arenas[5].arena
+	v.keySP, v.keyOP, v.keySO = arenas[3].keys, arenas[4].keys, arenas[5].keys
 	v.memb = memb
 	return v, occ, tasks, fault{}
 }
@@ -829,13 +830,9 @@ func compareViews(path string, got, want *frozenView) error {
 		return fail("offset arrays")
 	case !slices.Equal(got.arenaS, want.arenaS) || !slices.Equal(got.arenaP, want.arenaP) || !slices.Equal(got.arenaO, want.arenaO):
 		return fail("primary arenas")
-	case !slices.Equal(got.arenaSP, want.arenaSP) || !slices.Equal(got.arenaPS, want.arenaPS) ||
-		!slices.Equal(got.arenaPO, want.arenaPO) || !slices.Equal(got.arenaOP, want.arenaOP) ||
-		!slices.Equal(got.arenaSO, want.arenaSO) || !slices.Equal(got.arenaOS, want.arenaOS):
+	case !slices.Equal(got.arenaSP, want.arenaSP) || !slices.Equal(got.arenaOP, want.arenaOP) || !slices.Equal(got.arenaSO, want.arenaSO):
 		return fail("sorted arenas")
-	case !slices.Equal(got.keySP, want.keySP) || !slices.Equal(got.keyPS, want.keyPS) ||
-		!slices.Equal(got.keyPO, want.keyPO) || !slices.Equal(got.keyOP, want.keyOP) ||
-		!slices.Equal(got.keySO, want.keySO) || !slices.Equal(got.keyOS, want.keyOS):
+	case !slices.Equal(got.keySP, want.keySP) || !slices.Equal(got.keyOP, want.keyOP) || !slices.Equal(got.keySO, want.keySO):
 		return fail("key columns")
 	case !slices.Equal(got.memb, want.memb):
 		return fail("membership table")

@@ -115,7 +115,7 @@ func TestSnapshotInfoAndInspect(t *testing.T) {
 	if info.FileSize != int64(len(data)) {
 		t.Errorf("Info.FileSize = %d, want %d", info.FileSize, len(data))
 	}
-	if info.Mode != rdf.SnapshotHeap || info.Version != 1 {
+	if info.Mode != rdf.SnapshotHeap || info.Version != 2 {
 		t.Errorf("Info mode/version = %v/%d", info.Mode, info.Version)
 	}
 
@@ -336,11 +336,22 @@ func TestSnapshotCorruption(t *testing.T) {
 
 			t.Run("version-skew", func(t *testing.T) {
 				img := mutated(data, func(b []byte) {
-					binary.LittleEndian.PutUint16(b[8:10], 2)
+					binary.LittleEndian.PutUint16(b[8:10], 3)
 					fixHeaderCRC(b)
 				})
 				mustFailLoad(t, dir, "future version", img)
 				assertLoadErrContains(t, dir, img, "version")
+			})
+
+			// Version 1 kept a second orientation of every key pair. Its
+			// images are refused with the fix named, whatever their kind.
+			t.Run("retired-version", func(t *testing.T) {
+				img := mutated(data, func(b []byte) {
+					binary.LittleEndian.PutUint16(b[8:10], 1)
+					fixHeaderCRC(b)
+				})
+				mustFailLoad(t, dir, "version 1", img)
+				assertLoadErrContains(t, dir, img, "rebuild with wdsnap build")
 			})
 
 			t.Run("endian-skew", func(t *testing.T) {
@@ -354,8 +365,8 @@ func TestSnapshotCorruption(t *testing.T) {
 
 			// Kind 2 was the sharded backend's: it is rejected by name — on
 			// load in both modes and on inspect — not as an unknown kind. A
-			// sharded image relabelled frozen (kind 1, one shard) gets past
-			// the header, so the section parser must refuse its layout.
+			// sharded image relabelled frozen (kind 1, one shard) is a
+			// version-1 image, refused as such.
 			t.Run("unknown-kind", func(t *testing.T) {
 				kinds := []byte{2, 9}
 				if shards > 0 {
@@ -434,9 +445,9 @@ const (
 	kindArenaS   = 19
 	kindArenaO   = 21
 	kindArenaSP  = 22
-	kindArenaOS  = 27
+	kindArenaSO  = 26
 	kindKeySP    = 28
-	kindKeyPO    = 30
+	kindKeyOP    = 31
 	kindMemb     = 34
 )
 
@@ -606,8 +617,8 @@ func TestSnapshotStructuralFaults(t *testing.T) {
 			return ""
 		}},
 		forged{"key-column-short", func(t *testing.T, img []byte) string {
-			shorten(t, img, kindKeyPO)
-			return fmt.Sprintf("section key-po: %d elements, want %d", n-1, n)
+			shorten(t, img, kindKeyOP)
+			return fmt.Sprintf("section key-op: %d elements, want %d", n-1, n)
 		}},
 		forged{"membership-past-n", func(t *testing.T, img []byte) string {
 			memb := payload(t, img, kindMemb)
@@ -663,16 +674,16 @@ func TestSnapshotStructuralFaults(t *testing.T) {
 	}
 
 	// Two faults: a key column that diverges, checked by the pass over
-	// arena-sp, and a bound in arena-os, a later pass. Every arena ranks
-	// before every key column, so arena-os's fault is the one reported,
+	// arena-sp, and a bound in arena-so, a later pass. Every arena ranks
+	// before every key column, so arena-so's fault is the one reported,
 	// whichever pass finishes first.
 	t.Run("two-sections", func(t *testing.T) {
 		img := mutated(data, func([]byte) {})
 		keys := payload(t, img, kindKeySP)
 		setU32(keys, 1, u32(keys, 1)+1)
-		arena := payload(t, img, kindArenaOS)
+		arena := payload(t, img, kindArenaSO)
 		setU32(arena, 3*mid+1, nIRIs)
-		want := fmt.Sprintf("section arena-os: triple %d holds term ID outside the dictionary (IDs %d/%d/%d, bound %d)",
+		want := fmt.Sprintf("section arena-so: triple %d holds term ID outside the dictionary (IDs %d/%d/%d, bound %d)",
 			mid, u32(arena, 3*mid), nIRIs, u32(arena, 3*mid+2), nIRIs)
 		reseal(img)
 		for i := 0; i < 50; i++ {
@@ -686,7 +697,7 @@ func TestSnapshotStructuralFaults(t *testing.T) {
 	// cast before it are still checked, and their faults outrank it.
 	t.Run("fault-before-short-section", func(t *testing.T) {
 		img := mutated(data, func([]byte) {})
-		shorten(t, img, kindKeyPO)
+		shorten(t, img, kindKeyOP)
 		arena := payload(t, img, kindArenaO)
 		was := u32(arena, 3*mid+2)
 		setU32(arena, 3*mid+2, (was+1)%nIRIs)
@@ -741,11 +752,12 @@ func assertLoadErrContains(t *testing.T, dir string, img []byte, want string) {
 }
 
 // TestSnapshotFormatStable pins the image of a fixed 24-triple graph
-// to the SHA-256 recorded before the sharded kind was retired: the
-// frozen wire format must not move by one byte, so images written by
-// earlier builds keep loading. The digest is of a little-endian image.
+// to the SHA-256 of format version 2 (one secondary arena per key
+// pair): the wire format must not move by one byte within a version,
+// so images written by earlier builds of it keep loading. The digest
+// is of a little-endian image.
 func TestSnapshotFormatStable(t *testing.T) {
-	const want = "4634292645e7bdfa87dfba5be47ec59d058fd1894ad11c442c31ee5da0c9f0cf"
+	const want = "c9442ffcc414c740245c7fbac0a23035334120e18987ff76b2050d113c8441b6"
 	ts := make([]rdf.Triple, 0, 24)
 	for i := 0; i < 24; i++ {
 		ts = append(ts, rdf.T(
@@ -823,7 +835,7 @@ func TestSnapshotLoadMissingFile(t *testing.T) {
 // BenchmarkLoadSnapshot times LoadSnapshot of one generated image in
 // both modes; MB/s is image bytes per second. The image holds 200,000
 // triples over 50,000 subjects, 16 predicates and a skewed object
-// range (about 33 MB), so it does not fit in cache and every check of
+// range (about 24 MB), so it does not fit in cache and every check of
 // the loader reads memory.
 func BenchmarkLoadSnapshot(b *testing.B) {
 	const triples = 200_000
