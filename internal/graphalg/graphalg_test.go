@@ -69,6 +69,20 @@ func TestTreewidthBoundsConsistent(t *testing.T) {
 	}
 }
 
+// The lower bound is checked against the subset program run with its
+// clamp to [lb, ub] switched off (0 and n), so a bound that comes out
+// too high cannot raise the value it is compared with.
+func TestTreewidthLowerBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(9)
+		g := randGraph(rng, n, 0.2+0.6*rng.Float64())
+		if lb, tw := TreewidthLowerBound(g), exactTreewidthDP(g, 0, n); lb > tw {
+			t.Fatalf("trial %d: lower bound %d above treewidth %d; edges %v", trial, lb, tw, g.Edges())
+		}
+	}
+}
+
 func TestTreewidthDisconnected(t *testing.T) {
 	// K4 plus an isolated path: tw = max(3, 1) = 3.
 	g := Clique(4)

@@ -11,8 +11,8 @@ import (
 // algorithms for treewidth"), based on elimination orderings — for
 // graphs of up to MaxExactVertices vertices, together with the
 // min-fill and min-degree elimination heuristics (upper bounds) and
-// the degeneracy and minor-min-width lower bounds used to confirm
-// heuristic optimality, which skips the exact program.
+// the minor-min-width lower bound used to confirm heuristic
+// optimality, which skips the exact program.
 
 // MaxExactVertices bounds the component size for which the exact
 // subset dynamic program is attempted (2^n states).
@@ -51,21 +51,16 @@ func TreewidthUpperBound(g *UGraph) int {
 	return a
 }
 
-// TreewidthLowerBound returns the larger of two lower bounds, each the
-// largest minimum degree seen while a minimum-degree vertex (lowest
-// index on ties) is repeatedly taken out of the graph:
-// maximum-minimum-degree (degeneracy) deletes the vertex;
-// minor-min-width contracts it into its minimum-degree neighbour, so
-// every graph it sees is a minor, whose treewidth bounds the graph's.
-// On grids degeneracy stays at 2 while minor-min-width reaches the
-// treewidth of every grid up to 4x5.
+// TreewidthLowerBound returns the minor-min-width bound: the largest
+// minimum degree seen while a minimum-degree vertex (lowest index on
+// ties) is repeatedly contracted into its minimum-degree neighbour.
+// Every graph it sees is a minor, whose treewidth bounds the graph's.
+// The bound dominates degeneracy, which deletes the vertex instead:
+// the graph left by the deletion is a spanning subgraph of the one
+// left by the contraction, so by induction the contraction never sees
+// a smaller maximum. On grids degeneracy stays at 2 while
+// minor-min-width reaches the treewidth of every grid up to 4x5.
 func TreewidthLowerBound(g *UGraph) int {
-	return max(minDegreeBound(g, false), minDegreeBound(g, true))
-}
-
-// minDegreeBound runs one of the two removal processes of
-// TreewidthLowerBound: contract selects minor-min-width.
-func minDegreeBound(g *UGraph, contract bool) int {
 	adj := make([]map[int]bool, g.n)
 	for v := range adj {
 		adj[v] = make(map[int]bool, len(g.adj[v]))
@@ -88,16 +83,14 @@ func minDegreeBound(g *UGraph, contract bool) int {
 		}
 		best = max(best, len(adj[v]))
 		w := -1
-		if contract {
-			for u := range adj[v] {
-				if lighter(u, w) {
-					w = u
-				}
+		for u := range adj[v] {
+			if lighter(u, w) {
+				w = u
 			}
 		}
 		for u := range adj[v] {
 			delete(adj[u], v)
-			if w >= 0 && u != w {
+			if u != w {
 				adj[u][w], adj[w][u] = true, true
 			}
 		}

@@ -385,6 +385,36 @@ func TestSnapshotCorruption(t *testing.T) {
 				}
 			})
 
+			// A version-2 header over a table of another layout reaches
+			// the section table's checks. The sharded image relabelled
+			// version 2, frozen, one shard declares more sections than a
+			// snapshot has. A frozen image's entry relabelled 23, the
+			// tag of the PS arena version 1 kept, names a section this
+			// version does not have.
+			t.Run("foreign-table", func(t *testing.T) {
+				if shards > 0 {
+					img := mutated(data, func(b []byte) {
+						binary.LittleEndian.PutUint16(b[8:10], 2)
+						b[11] = 1
+						binary.LittleEndian.PutUint32(b[12:16], 1)
+						fixHeaderCRC(b)
+					})
+					mustFailLoad(t, dir, "sharded table under a version-2 header", img)
+					assertLoadsFailWith(t, dir, img, "section count")
+					return
+				}
+				img := mutated(data, func(b []byte) {
+					for i := 0; i < int(binary.LittleEndian.Uint32(b[32:36])); i++ {
+						if e := b[64+24*i:]; binary.LittleEndian.Uint16(e[0:2]) == 22 { // arena-sp
+							binary.LittleEndian.PutUint16(e[0:2], 23)
+						}
+					}
+					fixTableCRC(b)
+				})
+				mustFailLoad(t, dir, "retired section tag", img)
+				assertLoadsFailWith(t, dir, img, "unexpected section")
+			})
+
 			t.Run("lying-counts", func(t *testing.T) {
 				img := mutated(data, func(b []byte) {
 					binary.LittleEndian.PutUint64(b[16:24], 1<<40) // nTriples
@@ -712,6 +742,23 @@ func TestSnapshotStructuralFaults(t *testing.T) {
 	})
 }
 
+// TestSnapshotVersion1Refused loads testdata/frozen1.wdsnap, testGraph
+// as a frozen image of format version 1 (two orientations per key
+// pair) written by an earlier build, and requires the refusal to name
+// the version and the rebuild, in both modes and on inspect.
+func TestSnapshotVersion1Refused(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "frozen1.wdsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, kind := binary.LittleEndian.Uint16(data[8:10]), data[11]; v != 1 || kind != 1 {
+		t.Fatalf("testdata image is version %d kind %d, want version 1 kind 1", v, kind)
+	}
+	dir := t.TempDir()
+	assertLoadErrContains(t, dir, data, "snapshot version 1")
+	assertLoadErrContains(t, dir, data, "rebuild with wdsnap build")
+}
+
 // corruptionImage returns the raw bytes of the image the corruption
 // battery starts from: a fresh frozen image of testGraph for shards=0,
 // the checked-in sharded image otherwise.
@@ -733,6 +780,18 @@ func corruptionImage(t *testing.T, dir string, shards int) []byte {
 // descriptive, not just non-nil, whichever way the image is opened.
 func assertLoadErrContains(t *testing.T, dir string, img []byte, want string) {
 	t.Helper()
+	path := assertLoadsFailWith(t, dir, img, want)
+	if _, err := rdf.InspectSnapshot(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("inspect: error %v does not mention %q", err, want)
+	}
+}
+
+// assertLoadsFailWith loads img in both modes and asserts every error
+// mentions want; it returns the path img was written to. Inspect lists
+// the section table without validating it, so a table fault is checked
+// through the loads alone.
+func assertLoadsFailWith(t *testing.T, dir string, img []byte, want string) string {
+	t.Helper()
 	path := filepath.Join(dir, "described.wdsnap")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
@@ -746,9 +805,7 @@ func assertLoadErrContains(t *testing.T, dir string, img []byte, want string) {
 			t.Errorf("%v load: error %v does not mention %q", mode, err, want)
 		}
 	}
-	if _, err := rdf.InspectSnapshot(path); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("inspect: error %v does not mention %q", err, want)
-	}
+	return path
 }
 
 // TestSnapshotFormatStable pins the image of a fixed 24-triple graph
